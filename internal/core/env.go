@@ -117,11 +117,6 @@ type KubernetesEnv struct {
 	// Retry is the recovery policy for fault runs; the zero value selects
 	// fault.DefaultRetryPolicy.
 	Retry fault.RetryPolicy
-	// Sites partitions the event engine's pending queue into that many
-	// shards (sim.Engine.SetShards) — the extreme-scale configuration.
-	// Results are bit-identical at any value; <= 1 keeps the monolithic
-	// queue.
-	Sites int
 	// StreamWindow bounds resident tasks on the streaming run path
 	// (RunExpander); 0 = unthrottled, which reproduces the eager schedule
 	// exactly. Ignored by the eager Run/RunSeeded path.

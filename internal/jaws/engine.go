@@ -107,6 +107,34 @@ func (e *Engine) Start(def *WorkflowDef, user string) (*RunReport, *bool, error)
 		}
 	}
 	launchTask = func(t *TaskDef) {
+		// submit runs one attempt of a shard. Shards rerun on node failure
+		// (workflow managers "efficiently handle fault-tolerance") under the
+		// "-retry" ID suffix.
+		var submit func(shard int, sig, suffix string)
+		submit = func(shard int, sig, suffix string) {
+			e.mgr.Submit(&rm.Submission{
+				ID:         fmt.Sprintf("%s/%s/%s#%d%s", user, def.Name, t.Name, shard, suffix),
+				WorkflowID: user + "/" + def.Name,
+				Name:       t.Name,
+				Cores:      t.Cores,
+				Mem:        t.MemBytes,
+				Runtime: func(n *cluster.Node) float64 {
+					return t.OverheadSec + t.DurationSec/n.Type.SpeedFactor
+				},
+				Done: func(r rm.Result) {
+					e.release(user)
+					if r.Failed {
+						e.admit(user, func() { submit(shard, sig, "-retry") })
+						return
+					}
+					e.completeShard(def, t, shard, sig, rep)
+					remainingShards[t.Name]--
+					if remainingShards[t.Name] == 0 {
+						taskDone(t)
+					}
+				},
+			})
+		}
 		for shard := 0; shard < t.Shards(); shard++ {
 			shard := shard
 			sig := def.Signature(t, shard)
@@ -119,32 +147,7 @@ func (e *Engine) Start(def *WorkflowDef, user string) (*RunReport, *bool, error)
 				}
 				continue
 			}
-			e.admit(user, func() {
-				e.mgr.Submit(&rm.Submission{
-					ID:         fmt.Sprintf("%s/%s/%s#%d", user, def.Name, t.Name, shard),
-					WorkflowID: user + "/" + def.Name,
-					Name:       t.Name,
-					Cores:      t.Cores,
-					Mem:        t.MemBytes,
-					Runtime: func(n *cluster.Node) float64 {
-						return t.OverheadSec + t.DurationSec/n.Type.SpeedFactor
-					},
-					Done: func(r rm.Result) {
-						e.release(user)
-						if r.Failed {
-							// Shards rerun on node failure (workflow
-							// managers "efficiently handle fault-tolerance").
-							e.admit(user, func() { e.resubmit(def, t, shard, user, rep, &remainingShards, taskDone) })
-							return
-						}
-						e.completeShard(def, t, shard, sig, rep)
-						remainingShards[t.Name]--
-						if remainingShards[t.Name] == 0 {
-							taskDone(t)
-						}
-					},
-				})
-			})
+			e.admit(user, func() { submit(shard, sig, "") })
 		}
 	}
 	for _, t := range def.Tasks {
@@ -153,32 +156,6 @@ func (e *Engine) Start(def *WorkflowDef, user string) (*RunReport, *bool, error)
 		}
 	}
 	return rep, done, nil
-}
-
-func (e *Engine) resubmit(def *WorkflowDef, t *TaskDef, shard int, user string, rep *RunReport, remainingShards *map[string]int, taskDone func(*TaskDef)) {
-	sig := def.Signature(t, shard)
-	e.mgr.Submit(&rm.Submission{
-		ID:         fmt.Sprintf("%s/%s/%s#%d-retry", user, def.Name, t.Name, shard),
-		WorkflowID: user + "/" + def.Name,
-		Name:       t.Name,
-		Cores:      t.Cores,
-		Mem:        t.MemBytes,
-		Runtime: func(n *cluster.Node) float64 {
-			return t.OverheadSec + t.DurationSec/n.Type.SpeedFactor
-		},
-		Done: func(r rm.Result) {
-			e.release(user)
-			if r.Failed {
-				e.admit(user, func() { e.resubmit(def, t, shard, user, rep, remainingShards, taskDone) })
-				return
-			}
-			e.completeShard(def, t, shard, sig, rep)
-			(*remainingShards)[t.Name]--
-			if (*remainingShards)[t.Name] == 0 {
-				taskDone(t)
-			}
-		},
-	})
 }
 
 func (e *Engine) completeShard(def *WorkflowDef, t *TaskDef, shard int, sig string, rep *RunReport) {

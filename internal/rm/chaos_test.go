@@ -80,7 +80,7 @@ func TestRevokedAllocNoOverCredit(t *testing.T) {
 // The e2e robustness contract at the rm layer: a task running on a node that
 // fails mid-flight fails its attempt, backs off under the configured policy,
 // and succeeds on a healthy node.
-func TestMakespanRunnerRecoversFromNodeFailure(t *testing.T) {
+func TestStreamRunnerRecoversFromNodeFailure(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := testCluster(eng, 2, 8)
 	m := NewTaskManager(cl, nil)
@@ -115,7 +115,7 @@ func TestMakespanRunnerRecoversFromNodeFailure(t *testing.T) {
 	}
 }
 
-func TestMakespanRunnerInjectedTransientFailures(t *testing.T) {
+func TestStreamRunnerInjectedTransientFailures(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 2, 8), nil)
 	w := dag.New("w")
@@ -138,7 +138,7 @@ func TestMakespanRunnerInjectedTransientFailures(t *testing.T) {
 	}
 }
 
-func TestMakespanRunnerTerminalFailureSkipsDescendants(t *testing.T) {
+func TestStreamRunnerTerminalFailureSkipsDescendants(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 2, 8), nil)
 	w := dag.New("w")
@@ -172,7 +172,7 @@ func TestMakespanRunnerTerminalFailureSkipsDescendants(t *testing.T) {
 	}
 }
 
-func TestMakespanRunnerAttemptTimeout(t *testing.T) {
+func TestStreamRunnerAttemptTimeout(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 8), nil)
 	w := dag.New("w")
@@ -190,7 +190,7 @@ func TestMakespanRunnerAttemptTimeout(t *testing.T) {
 	}
 }
 
-func TestMakespanRunnerBreakerStopsRetries(t *testing.T) {
+func TestStreamRunnerBreakerStopsRetries(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 2, 8), nil)
 	w := dag.New("w")
@@ -237,7 +237,7 @@ func TestTaskManagerRunsQueuedWorkAfterRepair(t *testing.T) {
 
 // Determinism: the same fault plan and retry policy give bit-identical
 // makespans and stats.
-func TestMakespanRunnerChaosDeterministic(t *testing.T) {
+func TestStreamRunnerChaosDeterministic(t *testing.T) {
 	run := func() (sim.Time, RunStats) {
 		eng := sim.NewEngine()
 		m := NewTaskManager(testCluster(eng, 4, 8), nil)

@@ -172,7 +172,7 @@ func TestTaskManagerResubmitAfterFailure(t *testing.T) {
 	}
 }
 
-func TestMakespanRunnerChain(t *testing.T) {
+func TestStreamRunnerChain(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 4, 8), nil)
 	w := dag.New("w")
@@ -188,7 +188,7 @@ func TestMakespanRunnerChain(t *testing.T) {
 	}
 }
 
-func TestMakespanRunnerParallelBranches(t *testing.T) {
+func TestStreamRunnerParallelBranches(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 4, 8), nil)
 	w := dag.New("w")
@@ -202,7 +202,7 @@ func TestMakespanRunnerParallelBranches(t *testing.T) {
 	}
 }
 
-func TestMakespanRunnerHeterogeneousSpeed(t *testing.T) {
+func TestStreamRunnerHeterogeneousSpeed(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, "h", cluster.Spec{
 		Type:  cluster.NodeType{Name: "fast", Cores: 4, SpeedFactor: 2, IOFactor: 1, MemBytes: 1e12},
@@ -217,7 +217,7 @@ func TestMakespanRunnerHeterogeneousSpeed(t *testing.T) {
 	}
 }
 
-func TestMakespanRunnerRandomWorkflow(t *testing.T) {
+func TestStreamRunnerRandomWorkflow(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 8, 16), nil)
 	rng := randx.New(5)

@@ -10,9 +10,7 @@ package sim
 
 import (
 	"container/heap"
-	"encoding/json"
 	"math/rand"
-	"os"
 	"testing"
 )
 
@@ -365,275 +363,6 @@ func TestEventAllocsAmortized(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
 	// Warm the queue slice so steady-state growth doesn't pollute the count.
-	for i := 0; i < 1024; i++ {
-		e.At(e.Now()+1, fn)
-	}
-	for e.Step() {
-	}
-	avg := testing.AllocsPerRun(4096, func() {
-		e.At(e.Now()+1, fn)
-		e.Step()
-	})
-	if avg > 0.25 {
-		t.Fatalf("allocs per schedule+fire = %.3f, want amortized < 0.25", avg)
-	}
-}
-
-// ---- Sharded-queue cross-check battery ----
-//
-// The sharded pending queue (sharded.go) claims to reproduce the single-heap
-// pop order element for element at every shard count. The tests below earn
-// that claim the same way the heap rework did: random FIFO, cancel, and
-// interleaved schedules — expressed as replayable tapes — run across 1..8
-// shards against the container/heap reference kernel above, and the firing
-// sequences must match exactly. On divergence the tape (with both firing
-// sequences) is dumped to sharded_tape_failure.json so the schedule can be
-// replayed verbatim while debugging; CI uploads it as an artifact.
-
-// shardOp is one event of a replayable tape. "root" ops are scheduled up
-// front at absolute time At; "child" ops are scheduled by their parent's
-// handler, Delay after it fires. A handler with Cancel >= 0 cancels that
-// op's event (if it has been scheduled) when it fires.
-type shardOp struct {
-	Kind   string  `json:"kind"`
-	At     float64 `json:"at,omitempty"`
-	Delay  float64 `json:"delay,omitempty"`
-	Parent int     `json:"parent,omitempty"`
-	Cancel int     `json:"cancel"`
-}
-
-// shardTape is a complete replayable schedule: ops, up-front cancellations,
-// and RunUntil deadline segments executed before the final drain.
-type shardTape struct {
-	Seed      int64     `json:"seed"`
-	Shards    int       `json:"shards"`
-	Ops       []shardOp `json:"ops"`
-	Upfront   []int     `json:"upfront_cancels,omitempty"`
-	Deadlines []float64 `json:"deadlines,omitempty"`
-}
-
-func (tp *shardTape) childIndex() [][]int {
-	kids := make([][]int, len(tp.Ops))
-	for i, op := range tp.Ops {
-		if op.Kind == "child" {
-			kids[op.Parent] = append(kids[op.Parent], i)
-		}
-	}
-	return kids
-}
-
-// replayEngine runs the tape on a real Engine with the tape's shard count.
-func (tp *shardTape) replayEngine() ([]firing, Time, uint64) {
-	e := NewEngine()
-	e.SetShards(tp.Shards)
-	kids := tp.childIndex()
-	evs := make([]*Event, len(tp.Ops))
-	var got []firing
-	var handler func(i int) func()
-	handler = func(i int) func() {
-		return func() {
-			got = append(got, firing{e.Now(), i})
-			if c := tp.Ops[i].Cancel; c >= 0 && evs[c] != nil {
-				evs[c].Cancel()
-			}
-			for _, k := range kids[i] {
-				evs[k] = e.After(Time(tp.Ops[k].Delay), handler(k))
-			}
-		}
-	}
-	for i, op := range tp.Ops {
-		if op.Kind == "root" {
-			evs[i] = e.At(Time(op.At), handler(i))
-		}
-	}
-	for _, c := range tp.Upfront {
-		if evs[c] != nil {
-			evs[c].Cancel()
-		}
-	}
-	for _, d := range tp.Deadlines {
-		e.RunUntil(Time(d))
-	}
-	e.Run()
-	return got, e.Now(), e.Fired()
-}
-
-// replayRef runs the tape on the container/heap reference kernel.
-func (tp *shardTape) replayRef() ([]firing, Time, uint64) {
-	ref := &refEngine{}
-	kids := tp.childIndex()
-	evs := make([]*refEvent, len(tp.Ops))
-	var want []firing
-	var handler func(i int) func()
-	handler = func(i int) func() {
-		return func() {
-			want = append(want, firing{ref.now, i})
-			if c := tp.Ops[i].Cancel; c >= 0 && evs[c] != nil {
-				evs[c].cancel = true
-			}
-			for _, k := range kids[i] {
-				evs[k] = ref.at(ref.now+Time(tp.Ops[k].Delay), handler(k))
-			}
-		}
-	}
-	for i, op := range tp.Ops {
-		if op.Kind == "root" {
-			evs[i] = ref.at(Time(op.At), handler(i))
-		}
-	}
-	for _, c := range tp.Upfront {
-		if evs[c] != nil {
-			evs[c].cancel = true
-		}
-	}
-	for _, d := range tp.Deadlines {
-		ref.runUntil(Time(d))
-	}
-	ref.runUntil(Never)
-	return want, ref.now, ref.fired
-}
-
-// genShardTape draws a random tape. kind selects the pattern: "fifo" is
-// dense same-timestamp roots only; "cancel" adds handler and up-front
-// cancellations; "interleaved" adds handler-scheduled children and deadline
-// segments — the access pattern of the real substrates.
-func genShardTape(rng *rand.Rand, kind string) *shardTape {
-	tp := &shardTape{}
-	n := 20 + rng.Intn(60)
-	for i := 0; i < n; i++ {
-		op := shardOp{Kind: "root", At: float64(rng.Intn(8)), Cancel: -1}
-		if kind == "interleaved" && i > 0 && rng.Intn(2) == 0 {
-			op = shardOp{Kind: "child", Parent: rng.Intn(i), Delay: float64(rng.Intn(5)), Cancel: -1}
-		}
-		if kind != "fifo" && rng.Intn(4) == 0 {
-			op.Cancel = rng.Intn(n)
-		}
-		tp.Ops = append(tp.Ops, op)
-	}
-	if kind != "fifo" {
-		for i := 0; i < n; i++ {
-			if rng.Intn(6) == 0 {
-				tp.Upfront = append(tp.Upfront, i)
-			}
-		}
-	}
-	if kind == "interleaved" {
-		d := 0.0
-		for s := 0; s < 3; s++ {
-			d += float64(rng.Intn(6))
-			tp.Deadlines = append(tp.Deadlines, d)
-		}
-	}
-	return tp
-}
-
-// shardDump is the JSON written on divergence: the tape plus both observed
-// firing sequences.
-type shardDump struct {
-	Tape *shardTape  `json:"tape"`
-	Got  []shardFire `json:"got"`
-	Want []shardFire `json:"want"`
-}
-
-type shardFire struct {
-	At float64 `json:"at"`
-	ID int     `json:"id"`
-}
-
-func dumpShardTape(t *testing.T, tp *shardTape, got, want []firing) {
-	t.Helper()
-	conv := func(fs []firing) []shardFire {
-		out := make([]shardFire, len(fs))
-		for i, f := range fs {
-			out[i] = shardFire{At: float64(f.at), ID: f.id}
-		}
-		return out
-	}
-	data, err := json.MarshalIndent(shardDump{Tape: tp, Got: conv(got), Want: conv(want)}, "", "  ")
-	if err == nil {
-		_ = os.WriteFile("sharded_tape_failure.json", data, 0o644)
-		t.Logf("replayable tape written to sharded_tape_failure.json")
-	}
-}
-
-// checkShardTape replays tp at its shard count against the reference and
-// fails (dumping the tape) on any observable difference.
-func checkShardTape(t *testing.T, tp *shardTape) {
-	t.Helper()
-	got, now, fired := tp.replayEngine()
-	want, refNow, refFired := tp.replayRef()
-	ok := len(got) == len(want) && now == refNow && fired == refFired
-	if ok {
-		for i := range want {
-			if got[i] != want[i] {
-				ok = false
-				break
-			}
-		}
-	}
-	if !ok {
-		dumpShardTape(t, tp, got, want)
-		t.Fatalf("seed %d shards %d: sharded firing sequence diverged from reference (%d vs %d firings, clock %v vs %v)",
-			tp.Seed, tp.Shards, len(got), len(want), now, refNow)
-	}
-}
-
-func runShardedCrossCheck(t *testing.T, kind string, seed int64, iters int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	for iter := 0; iter < iters; iter++ {
-		tp := genShardTape(rng, kind)
-		tp.Seed = seed
-		for shards := 1; shards <= 8; shards++ {
-			tp.Shards = shards
-			checkShardTape(t, tp)
-		}
-	}
-}
-
-// TestShardedCrossCheckFIFO: dense timestamp collisions, every shard count
-// 1..8, identical FIFO tie-break order to the reference kernel.
-func TestShardedCrossCheckFIFO(t *testing.T) { runShardedCrossCheck(t, "fifo", 21, 150) }
-
-// TestShardedCrossCheckCancel: handler-driven and up-front cancellations
-// must be discarded identically at every shard count.
-func TestShardedCrossCheckCancel(t *testing.T) { runShardedCrossCheck(t, "cancel", 22, 150) }
-
-// TestShardedCrossCheckInterleaved: handler-scheduled children plus RunUntil
-// deadline segments — the barrier must stay exact while events arrive on
-// other shards mid-cohort.
-func TestShardedCrossCheckInterleaved(t *testing.T) { runShardedCrossCheck(t, "interleaved", 23, 150) }
-
-// TestSetShardsGuards pins the SetShards contract: rejecting a non-empty
-// queue, reporting the shard count, and restoring the monolithic heap.
-func TestSetShardsGuards(t *testing.T) {
-	e := NewEngine()
-	if e.NumShards() != 1 {
-		t.Fatalf("NumShards on fresh engine = %d, want 1", e.NumShards())
-	}
-	e.SetShards(4)
-	if e.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", e.NumShards())
-	}
-	e.SetShards(0)
-	if e.NumShards() != 1 {
-		t.Fatalf("NumShards after SetShards(0) = %d, want 1", e.NumShards())
-	}
-	e.At(1, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetShards with pending events did not panic")
-		}
-	}()
-	e.SetShards(2)
-}
-
-// TestShardedAllocsAmortized: the sharded queue must keep the slab-pooling
-// win — scheduling and firing stays well under one allocation on average.
-func TestShardedAllocsAmortized(t *testing.T) {
-	e := NewEngine()
-	e.SetShards(4)
-	fn := func() {}
 	for i := 0; i < 1024; i++ {
 		e.At(e.Now()+1, fn)
 	}

@@ -91,16 +91,6 @@ type Engine struct {
 	// elements sequentially and replaces it when exhausted. Slabs are never
 	// reused, so escaped *Event handles keep their pre-pooling semantics.
 	slab []Event
-
-	// Sharded pending queue (see sharded.go). shards == nil means the
-	// monolithic heap above is in use; otherwise entries are routed by seq
-	// across the per-shard heaps, shardCur is the shard whose head is the
-	// global minimum, shardBar the smallest key any other shard holds, and
-	// shardN the total queued count.
-	shards   []heap4
-	shardCur int
-	shardBar entry
-	shardN   int
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -110,25 +100,18 @@ func NewEngine() *Engine {
 
 // Reset returns the engine to its just-constructed state (clock at zero, no
 // history, nothing pending) while retaining allocated capacity: the heap
-// backing arrays, the batch buffer, and the shard layout all survive, and the
-// current slab tail keeps being consumed. Slabs are still never reused — an
-// Event handed out before Reset is never handed out again — so stale *Event
-// handles held across runs keep the no-aliasing Cancel semantics. The warm
-// contract is exact: an event population scheduled after Reset receives the
-// same seqs, pops in the same order, and fires at the same times as on a
-// fresh engine.
+// backing array and the batch buffer survive, and the current slab tail keeps
+// being consumed. Slabs are still never reused — an Event handed out before
+// Reset is never handed out again — so stale *Event handles held across runs
+// keep the no-aliasing Cancel semantics. The warm contract is exact: an event
+// population scheduled after Reset receives the same seqs, pops in the same
+// order, and fires at the same times as on a fresh engine.
 func (e *Engine) Reset() {
 	e.now, e.seq, e.fired, e.halted = 0, 0, 0, false
 	clear(e.batch)
 	e.batch = e.batch[:0]
 	e.batchNext = 0
 	e.queue.reset()
-	if e.shards != nil {
-		for i := range e.shards {
-			e.shards[i].reset()
-		}
-		e.shardCur, e.shardBar, e.shardN = 0, noEntry, 0
-	}
 }
 
 // Now returns the current virtual time.
@@ -139,7 +122,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still queued (including cancelled
 // events that have not yet been discarded).
-func (e *Engine) Pending() int { return e.qlen() + len(e.batch) - e.batchNext }
+func (e *Engine) Pending() int { return e.queue.len() + len(e.batch) - e.batchNext }
 
 func (e *Engine) alloc() *Event {
 	if len(e.slab) == 0 {
@@ -159,7 +142,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	e.seq++
 	ev := e.alloc()
 	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.qpush(entry{at: t, seq: e.seq, ev: ev})
+	e.queue.push(entry{at: t, seq: e.seq, ev: ev})
 	return ev
 }
 
@@ -204,10 +187,10 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		}
 		e.batch = e.batch[:0]
 		e.batchNext = 0
-		if e.qlen() == 0 {
+		if e.queue.len() == 0 {
 			break
 		}
-		head := e.qmin()
+		head := e.queue.min()
 		if head.at > deadline {
 			break
 		}
@@ -215,8 +198,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		// ascending seq, so the batch is already in FIFO firing order;
 		// events scheduled while it fires get larger seqs and sort after.
 		at := head.at
-		for e.qlen() > 0 && e.qmin().at == at {
-			e.batch = append(e.batch, e.qpop().ev)
+		for e.queue.len() > 0 && e.queue.min().at == at {
+			e.batch = append(e.batch, e.queue.pop().ev)
 		}
 	}
 	if deadline != Never && e.now < deadline && !e.halted {
@@ -239,10 +222,10 @@ func (e *Engine) Step() bool {
 				e.batch = e.batch[:0]
 				e.batchNext = 0
 			}
-			if e.qlen() == 0 {
+			if e.queue.len() == 0 {
 				return false
 			}
-			ev = e.qpop().ev
+			ev = e.queue.pop().ev
 		}
 		if ev.cancel {
 			continue

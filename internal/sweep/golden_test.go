@@ -123,7 +123,7 @@ func TestGoldenChaos200Fingerprint(t *testing.T) {
 
 // TestGoldenStreamingEquivalence proves the extreme-scale run path changes
 // nothing observable: the same ensemble swept through StreamingEnv (lazy
-// expansion, sharded event engine, compact provenance, folded metrics) yields
+// expansion, compact provenance, folded metrics) yields
 // per-run fingerprints element-for-element identical to the eager
 // KubernetesEnv — 50 seeds, fault-free and storm, at workers 1 and NumCPU.
 func TestGoldenStreamingEquivalence(t *testing.T) {
@@ -163,7 +163,7 @@ func TestGoldenStreamingEquivalence(t *testing.T) {
 		streamCfg.Envs = []EnvSpec{
 			{Name: "k8s", New: func() core.Environment {
 				return &core.StreamingEnv{KubernetesEnv: core.KubernetesEnv{
-					Nodes: 4, CoresPerNode: 8, Faults: faults, Sites: 4,
+					Nodes: 4, CoresPerNode: 8, Faults: faults,
 				}}
 			}},
 		}
