@@ -80,6 +80,8 @@ type Environment interface {
 // consumes randomness — fault injection, most importantly. The sweep engine
 // hands each run a fork of the job's seeded source so chaos sweeps stay a
 // pure function of (workflow, environment, seed) regardless of worker count.
+// The caller owns rng and may reseed it for its next run once RunSeeded
+// returns, so an implementation must not keep rng past the call.
 type SeededEnvironment interface {
 	Environment
 	RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)

@@ -23,6 +23,9 @@ import (
 // Audit and the sweep equivalence battery enforce.
 type RunSession interface {
 	Name() string
+	// RunSeeded runs w on the session's substrate. As with
+	// SeededEnvironment, the caller owns rng and may reseed it once the call
+	// returns, so the session must not keep it.
 	RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
 	// Audit resets the session and deep-diffs it against a freshly
 	// constructed one, returning one line per leaked field path (empty when
@@ -48,9 +51,12 @@ type SessionEnvironment interface {
 // slab tail, the cluster restores node capacity and rebuilds the segment index
 // over the same arrays, the manager, driver and scheduler clear queues and
 // pooled records without dropping capacity, provenance and metrics truncate
-// reusing buffers. Per-run state (fault injector, RNG forks, retry policy,
-// runtime predictor) is constructed fresh each run in exactly the cold path's
-// order.
+// reusing buffers. The run's RNG forks (injector, task plan, retry jitter,
+// or the prediction path's retry jitter) are session-owned sources, each
+// allocated the first time a run needs it and reseeded in place by later
+// runs, in exactly the cold path's fork order. The rest of the per-run state
+// (fault injector, retry policy, runtime predictor) is constructed fresh
+// each run.
 type Session struct {
 	env      KubernetesEnv // configuration copy; per-run knobs re-derive from it
 	name     string
@@ -63,6 +69,7 @@ type Session struct {
 	cws    *cwsi.CWS            // nil on the plain-FIFO path
 	runner *rm.StreamRunner     // non-nil on the plain-FIFO path
 	x      dag.WorkflowExpander // the runner's source, rebound to each run's workflow
+	forks  forkPool             // the run's RNG forks, reseeded in place
 	warm   bool
 }
 
@@ -118,6 +125,7 @@ func (s *Session) reset() {
 	s.eng.Reset()
 	s.cl.Reset()
 	s.mgr.Reset()
+	s.forks.reset()
 	if s.runner != nil {
 		s.runner.Reset()
 		s.x.Reset(nil)
@@ -134,10 +142,35 @@ type faultArm struct {
 	retryRNG *randx.Source
 }
 
-// armFaults arms the fault layer for a run of n tasks on cl. Fork order is
-// fixed (injector, task plan, retry jitter) — it is part of the determinism
-// contract every run path shares.
-func (e *KubernetesEnv) armFaults(cl *cluster.Cluster, rng *randx.Source, n int) (faultArm, error) {
+// forkPool hands out a run's RNG forks. The warm session keeps one across
+// runs and reseeds its sources in place; the cold streaming path builds a
+// fresh pool per run. The streams are identical either way.
+type forkPool struct {
+	// srcs holds this run's forks in fork order. reset truncates it; the
+	// sources past len stay allocated in the backing array for the next run.
+	srcs []*randx.Source
+}
+
+// fork derives the run's next fork from rng.
+func (p *forkPool) fork(rng *randx.Source) *randx.Source {
+	i := len(p.srcs)
+	if i == cap(p.srcs) {
+		p.srcs = append(p.srcs, nil)
+	}
+	p.srcs = p.srcs[:i+1]
+	if p.srcs[i] == nil {
+		p.srcs[i] = new(randx.Source)
+	}
+	return rng.ForkInto(p.srcs[i])
+}
+
+func (p *forkPool) reset() { p.srcs = p.srcs[:0] }
+
+// armFaults arms the fault layer for a run of n tasks on cl, drawing its
+// forks from forks. Fork order is fixed (injector, task plan, retry jitter)
+// — it is part of the determinism contract every run path shares, warm or
+// cold.
+func (e *KubernetesEnv) armFaults(cl *cluster.Cluster, rng *randx.Source, n int, forks *forkPool) (faultArm, error) {
 	if !e.Faults.Enabled() {
 		return faultArm{}, nil
 	}
@@ -146,10 +179,10 @@ func (e *KubernetesEnv) armFaults(cl *cluster.Cluster, rng *randx.Source, n int)
 	}
 	retry := e.retryPolicy()
 	return faultArm{
-		inj:      fault.NewInjector(cl, rng.Fork(), e.Faults),
-		plan:     e.Faults.PlanTaskFailures(n, rng.Fork()),
+		inj:      fault.NewInjector(cl, forks.fork(rng), e.Faults),
+		plan:     e.Faults.PlanTaskFailures(n, forks.fork(rng)),
 		retry:    &retry,
-		retryRNG: rng.Fork(),
+		retryRNG: forks.fork(rng),
 	}, nil
 }
 
@@ -218,7 +251,7 @@ func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
 	s.warm = true
 	e := &s.env
 	res := &Result{Environment: s.name}
-	arm, err := e.armFaults(s.cl, rng, w.Len())
+	arm, err := e.armFaults(s.cl, rng, w.Len(), &s.forks)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +290,7 @@ func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
 		if arm.inj == nil {
 			var retryRNG *randx.Source
 			if rng != nil {
-				retryRNG = rng.Fork()
+				retryRNG = s.forks.fork(rng)
 			}
 			cws.SetRecovery(e.retryPolicy(), retryRNG)
 		}

@@ -4,8 +4,8 @@ package core
 // to the cold path's over representative env shapes and every chaos profile;
 // (2) the dirty-state auditor passes after real runs under every chaos
 // profile; (3) the auditor is live — deliberately leaked state (an armed
-// fault-injection predicate, a downed node, a stale runner field) is caught
-// and reported by its field path.
+// fault-injection predicate, a downed node, a stale runner field, a drawn
+// RNG fork) is caught and reported by its field path.
 
 import (
 	"strings"
@@ -159,6 +159,15 @@ func TestSessionAuditCatchesLeakedNodeState(t *testing.T) {
 	s := auditableSession(t)
 	s.cl.FailNode(s.cl.Nodes()[0])
 	requirePath(t, s.auditDiff(), "down")
+}
+
+// TestSessionAuditCatchesLeakedForkState draws from a session-owned fork
+// after reset — a fork pool that forgot to truncate — and requires the audit
+// to name the fork pool.
+func TestSessionAuditCatchesLeakedForkState(t *testing.T) {
+	s := auditableSession(t)
+	s.forks.fork(randx.New(5)).Float64()
+	requirePath(t, s.auditDiff(), "forks")
 }
 
 // TestSessionAuditCatchesLeakedRunnerState plants a stale fault plan on a

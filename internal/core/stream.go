@@ -40,7 +40,7 @@ func (e *KubernetesEnv) RunExpander(x dag.Expander, rng *randx.Source) (*Result,
 	cl.FoldMetrics()
 	mgr := rm.NewTaskManager(cl, nil)
 	mgr.SetLean()
-	arm, err := e.armFaults(cl, rng, x.Total())
+	arm, err := e.armFaults(cl, rng, x.Total(), new(forkPool))
 	if err != nil {
 		return nil, err
 	}

@@ -26,19 +26,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(5)
-	xs := []int{1, 2, 3, 4, 5}
-	sum := 0
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 15 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
 func TestNormalStats(t *testing.T) {
 	s := New(6)
 	sum := 0.0

@@ -1,6 +1,9 @@
 // Package randx provides seeded random distributions used to calibrate the
-// simulated substrates. Everything is built on math/rand so runs are
-// reproducible from a single seed; no crypto randomness is needed or wanted.
+// simulated substrates. Runs are reproducible from a single seed; no crypto
+// randomness is needed or wanted. Every stream is bit-identical to
+// math/rand's for the same seed: the generator is math/rand's, seeded
+// lazily (see lagged), and the distributions are math/rand's *rand.Rand
+// methods over it.
 package randx
 
 import (
@@ -9,22 +12,34 @@ import (
 	"sort"
 )
 
-// Source wraps a seeded *rand.Rand with the distributions the simulators use.
+// Source is a seeded generator with the distributions the simulators use.
+// A Source is reseeded in place rather than rebuilt: Reseed and ForkInto
+// allocate nothing, so a warm run path keeps its sources across runs. A
+// Source refers to itself and must not be copied; the zero value is ready
+// for Reseed or ForkInto.
 type Source struct {
-	rng *rand.Rand
+	gen lagged
+	rng rand.Rand // wraps &gen
 }
 
 // New returns a Source seeded with seed.
-func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
+func New(seed int64) *Source { return new(Source).Reseed(seed) }
+
+// Reseed rewinds s to the stream New(seed) would produce and returns s.
+func (s *Source) Reseed(seed int64) *Source {
+	s.gen.Seed(seed)
+	s.rng = *rand.New(&s.gen)
+	return s
 }
 
 // Fork derives an independent child source; the child's stream is a pure
 // function of the parent's state at the call, so call order matters (and is
 // deterministic under the sim kernel).
-func (s *Source) Fork() *Source {
-	return New(s.rng.Int63())
-}
+func (s *Source) Fork() *Source { return s.ForkInto(new(Source)) }
+
+// ForkInto is Fork into caller-owned storage: it reseeds dst with the next
+// value of s's stream and returns dst.
+func (s *Source) ForkInto(dst *Source) *Source { return dst.Reseed(s.rng.Int63()) }
 
 // Float64 returns a uniform value in [0,1).
 func (s *Source) Float64() float64 { return s.rng.Float64() }
@@ -89,40 +104,18 @@ func (s *Source) Bernoulli(p float64) bool { return s.rng.Float64() < p }
 // Perm returns a random permutation of [0,n).
 func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
 
-// Shuffle shuffles n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
-
-// Pick returns a uniformly chosen index weighted by weights (all >= 0). It
-// panics if weights is empty or sums to zero.
-func (s *Source) Pick(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		panic("randx: Pick with non-positive total weight")
-	}
-	x := s.rng.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// Zipf returns samples in [1,n] with a zipfian distribution of exponent
-// alpha > 1 is not required; alpha=0 is uniform. Implemented by inverse CDF
-// over precomputed weights for small n.
+// Zipf samples k in [1,n] with probability proportional to 1/k^alpha, for
+// any alpha >= 0: alpha = 0 is uniform, and unlike math/rand's Zipf, alpha
+// need not exceed 1. It samples by inverse CDF over weights precomputed at
+// construction, so it suits small n.
 type Zipf struct {
 	cum []float64
 }
 
 // NewZipf builds a zipf sampler over [1,n] with exponent alpha >= 0.
 // n <= 0 (an empty support would NaN-normalize the CDF) and alpha < 0
-// (which would silently invert the skew) panic, matching Pick's contract
-// of rejecting degenerate weight inputs loudly.
+// (which would silently invert the skew) panic: degenerate weight inputs
+// are rejected loudly.
 func NewZipf(n int, alpha float64) *Zipf {
 	if n <= 0 {
 		panic("randx: NewZipf with non-positive n")

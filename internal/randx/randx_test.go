@@ -72,26 +72,6 @@ func TestLogNormalMeanCVDegenerate(t *testing.T) {
 	}
 }
 
-func TestPickWeighted(t *testing.T) {
-	s := New(5)
-	counts := [3]int{}
-	for i := 0; i < 30000; i++ {
-		counts[s.Pick([]float64{1, 2, 7})]++
-	}
-	if !(counts[2] > counts[1] && counts[1] > counts[0]) {
-		t.Fatalf("weighted pick ordering wrong: %v", counts)
-	}
-}
-
-func TestPickPanicsOnZeroTotal(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pick with zero weights did not panic")
-		}
-	}()
-	New(6).Pick([]float64{0, 0})
-}
-
 func TestZipfSkew(t *testing.T) {
 	s := New(7)
 	z := NewZipf(10, 1.2)

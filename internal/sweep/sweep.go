@@ -9,7 +9,8 @@
 // produces a bit-identical Report regardless of Workers. Every worker owns
 // its substrate privately — a warm core.RunSession per environment, reset in
 // place between jobs, or a fresh Environment per job for envs that don't
-// support sessions — plus a fresh randx.Source per seed, so nothing is
+// support sessions — plus its two randx sources (workflow generation and
+// the run's fork), reseeded in place from each job's seed, so nothing is
 // shared mutably between goroutines, and the reduction folds results in the
 // fixed (workflow, env, seed) job order — never in completion order. The
 // warm path is bit-identical to the cold one (core.Session's contract,
@@ -30,7 +31,9 @@ import (
 
 // WorkflowSpec names a workflow family and how to generate one instance from
 // a seeded source. Gen must be a pure function of rng (no shared state): it
-// is called concurrently from many workers, each with its own Source.
+// is called concurrently from many workers, each with its own Source. That
+// Source belongs to the worker and is reseeded for the worker's next job, so
+// Gen must not keep rng after it returns.
 type WorkflowSpec struct {
 	Name string
 	Gen  func(rng *randx.Source) *dag.Workflow
@@ -160,19 +163,19 @@ func Run(cfg Config) (*Report, error) {
 	}
 	total := len(cfg.Workflows) * len(cfg.Envs) * len(cfg.Seeds)
 	results := make([]RunResult, total) // each index written by exactly one worker
-	// One warm-session cache per worker: slot [worker] is touched only by
-	// that worker's goroutine (ForEachWorker's contract), so session reuse
-	// needs no locking and never crosses goroutines.
-	sessions := make([]workerSessions, PoolWorkers(total, cfg.Workers))
+	// One warm-state slot per worker: slot [worker] is touched only by that
+	// worker's goroutine (ForEachWorker's contract), so session and source
+	// reuse needs no locking and never crosses goroutines.
+	workers := make([]workerState, PoolWorkers(total, cfg.Workers))
 	err := ForEachWorker(total, cfg.Workers, cfg.Progress, func(worker, idx int) error {
 		j := jobAt(&cfg, idx)
-		sess := sessions[worker].acquire(&cfg, j.ei)
-		rr, err := runOne(cfg, j, sess)
+		ws := &workers[worker]
+		rr, err := runOne(cfg, j, ws.acquire(&cfg, j.ei), &ws.gen, &ws.run)
 		if err != nil {
 			// The session may hold arbitrarily corrupted state after a panic;
 			// drop it so any jobs this worker still drains (the sweep aborts,
 			// but workers finish the queue) run on a fresh substrate.
-			sessions[worker].drop(j.ei)
+			ws.drop(j.ei)
 			return fmt.Errorf("sweep: %s on %s seed %d: %w",
 				cfg.Workflows[j.wi].Name, cfg.Envs[j.ei].Name, cfg.Seeds[j.si], err)
 		}
@@ -185,16 +188,18 @@ func Run(cfg Config) (*Report, error) {
 	return reduce(cfg, results), nil
 }
 
-// workerSessions caches one warm session per environment for a single
-// worker. Slots resolve lazily on first use — a worker that never draws jobs
-// for an env never builds its substrate — and a nil slot after resolution
-// means the env runs cold.
-type workerSessions struct {
-	slots []core.RunSession
-	tried []bool
+// workerState is one worker's reusable state: a warm session per
+// environment and the two sources every job reseeds. Session slots resolve
+// lazily on first use — a worker that never draws jobs for an env never
+// builds its substrate — and a nil slot after resolution means the env runs
+// cold.
+type workerState struct {
+	slots    []core.RunSession
+	tried    []bool
+	gen, run randx.Source
 }
 
-func (ws *workerSessions) acquire(cfg *Config, ei int) core.RunSession {
+func (ws *workerState) acquire(cfg *Config, ei int) core.RunSession {
 	if ws.slots == nil {
 		ws.slots = make([]core.RunSession, len(cfg.Envs))
 		ws.tried = make([]bool, len(cfg.Envs))
@@ -208,7 +213,7 @@ func (ws *workerSessions) acquire(cfg *Config, ei int) core.RunSession {
 
 // drop discards a possibly-corrupted session; the next acquire builds a
 // fresh one (fresh ≡ warm ≡ cold under the session determinism contract).
-func (ws *workerSessions) drop(ei int) {
+func (ws *workerState) drop(ei int) {
 	if ws.slots != nil {
 		ws.slots[ei], ws.tried[ei] = nil, false
 	}
@@ -235,13 +240,18 @@ func newEnvSession(spec EnvSpec) core.RunSession {
 	return nil
 }
 
-// runOne executes a single job in full isolation: its own Source seeded from
-// the job's seed, a freshly generated workflow, and either the worker's warm
-// session for the job's env (reset in place before the run) or, when sess is
-// nil, a fresh environment. A substrate panic (e.g. a stalled workflow) is
-// converted into an error so one bad seed aborts the sweep deterministically
-// instead of killing the process.
-func runOne(cfg Config, j job, sess core.RunSession) (rr RunResult, err error) {
+// runOne executes a single job in full isolation: the worker's gen source
+// reseeded in place from the job's seed, a freshly generated workflow, the
+// run source forked from gen into the worker's run slot, and either the
+// worker's warm session for the job's env (reset in place before the run)
+// or, when sess is nil, a fresh environment. Reseeding in place yields the
+// same streams, in the same fork order, as a fresh randx.New(seed) and
+// Fork per job. Both sources belong to the worker and are reseeded for its
+// next job, so neither Gen nor the run may keep them after returning. A
+// substrate panic (e.g. a stalled workflow) is converted into an error so
+// one bad seed aborts the sweep deterministically instead of killing the
+// process.
+func runOne(cfg Config, j job, sess core.RunSession, gen, run *randx.Source) (rr RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rr, err = RunResult{}, fmt.Errorf("panic: %v", p)
@@ -249,7 +259,7 @@ func runOne(cfg Config, j job, sess core.RunSession) (rr RunResult, err error) {
 	}()
 	spec := cfg.Workflows[j.wi]
 	seed := cfg.Seeds[j.si]
-	rng := randx.New(seed)
+	rng := gen.Reseed(seed)
 	w := spec.Gen(rng)
 	if w == nil {
 		return RunResult{}, fmt.Errorf("generator returned nil workflow")
@@ -259,11 +269,11 @@ func runOne(cfg Config, j job, sess core.RunSession) (rr RunResult, err error) {
 		// Substrate randomness (fault injection) forks off the same source
 		// right after workflow generation, so a chaos run is a pure function
 		// of the job's seed — the same contract, now fault-aware and warm.
-		res, err = sess.RunSeeded(w, rng.Fork())
+		res, err = sess.RunSeeded(w, rng.ForkInto(run))
 	} else {
 		env := cfg.Envs[j.ei].New()
 		if se, ok := env.(core.SeededEnvironment); ok {
-			res, err = se.RunSeeded(w, rng.Fork())
+			res, err = se.RunSeeded(w, rng.ForkInto(run))
 		} else {
 			res, err = env.Run(w)
 		}
