@@ -300,14 +300,9 @@ func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
 	}
 	if arm.inj != nil {
 		cws.SetRecovery(*arm.retry, arm.retryRNG)
-		failAttempts := make(map[dag.TaskID]int)
-		for i, t := range w.Tasks() {
-			if n := arm.failures(i); n > 0 {
-				failAttempts[t.ID] = n
-			}
-		}
 		cws.SetFaultInjection(func(_ string, taskID dag.TaskID, attempt int) bool {
-			return attempt <= failAttempts[taskID]
+			i, ok := w.Index(taskID)
+			return ok && attempt <= arm.failures(i)
 		})
 	}
 	var ms sim.Time

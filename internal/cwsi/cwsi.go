@@ -78,7 +78,9 @@ func (c *Context) Workflow(id string) *dag.Workflow {
 // durations — the static DAG knowledge only a workflow-aware scheduler has.
 func (c *Context) Rank(wfID string, taskID dag.TaskID) float64 {
 	if st := c.cws.workflows[wfID]; st != nil {
-		return st.ranks[taskID]
+		if i, ok := st.wf.Index(taskID); ok {
+			return st.ranks[i]
+		}
 	}
 	return 0
 }
@@ -121,19 +123,21 @@ type Strategy interface {
 	PickNode(s *rm.Submission, candidates []*cluster.Node, ctx *Context) *cluster.Node
 }
 
+// wfState is a registered workflow's scheduler state. Every per-task table
+// is indexed by the task's insertion position in wf (dag.Workflow.Index).
 type wfState struct {
 	wf       *dag.Workflow
-	ranks    map[dag.TaskID]float64
-	attempts map[dag.TaskID]int
+	ranks    []float64
+	attempts []int
 	done     bool
 
 	// Predicted-critical-path ranks, memoized under the priority-cache
 	// generation (see Context.PredictedRank); nil while the model is cold.
 	predGen   uint64
-	predRanks map[dag.TaskID]float64
+	predRanks []float64
 	// overruns counts walltime-overrun kills per task, inflating the next
 	// attempt's budget (see SetOverrunPolicy). Lazily allocated.
-	overruns map[dag.TaskID]int
+	overruns []int
 }
 
 // CWS is the Common Workflow Scheduler.
@@ -172,7 +176,10 @@ type CWS struct {
 	// per-call maxRetries counters.
 	recovery    *fault.RetryPolicy
 	recoveryRNG *randx.Source
-	injectFail  func(wfID string, taskID dag.TaskID, attempt int) bool
+	// recoveryLabel is recovery.String(), rendered once for the provenance
+	// retry annotations.
+	recoveryLabel string
+	injectFail    func(wfID string, taskID dag.TaskID, attempt int) bool
 	// recStats aggregates recovery accounting across every workflow driven
 	// through StartWorkflow (Attempts and Timeouts stay zero: attempts are
 	// in provenance, and the CWS arms no attempt timeouts).
@@ -236,6 +243,7 @@ func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	clear(c.measuredSpeed)
 	c.recovery = nil
 	c.recoveryRNG = nil
+	c.recoveryLabel = ""
 	c.injectFail = nil
 	c.recStats = rm.RunStats{}
 	c.observer = nil
@@ -271,6 +279,7 @@ func (c *CWS) Manager() *rm.TaskManager { return c.mgr }
 func (c *CWS) SetRecovery(p fault.RetryPolicy, rng *randx.Source) {
 	c.recovery = &p
 	c.recoveryRNG = rng
+	c.recoveryLabel = p.String()
 }
 
 // SetFaultInjection installs a transient task-failure predicate consulted at
@@ -322,7 +331,7 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 	c.workflows[id] = &wfState{
 		wf:       w,
 		ranks:    w.UpwardRanks(dag.NominalDur),
-		attempts: map[dag.TaskID]int{},
+		attempts: make([]int, w.Len()),
 	}
 	c.prov.RegisterWorkflow(id, w)
 	c.prioGen++
@@ -335,16 +344,17 @@ func (c *CWS) SubmitTask(req TaskRequest) error {
 	if st == nil {
 		return fmt.Errorf("cwsi: workflow %q not registered", req.WorkflowID)
 	}
-	t := st.wf.Task(req.TaskID)
-	if t == nil {
+	idx, ok := st.wf.Index(req.TaskID)
+	if !ok {
 		return fmt.Errorf("cwsi: task %q not in workflow %q", req.TaskID, req.WorkflowID)
 	}
+	t := st.wf.At(idx)
 	runtime := req.Runtime
 	if runtime == nil {
 		runtime = rm.DefaultRuntime
 	}
-	st.attempts[req.TaskID]++
-	attempt := st.attempts[req.TaskID]
+	st.attempts[idx]++
+	attempt := st.attempts[idx]
 	submittedAt := c.mgr.Cluster().Engine().Now()
 
 	// Memory right-sizing: predicted peak on the first attempt (once the
@@ -364,7 +374,7 @@ func (c *CWS) SubmitTask(req TaskRequest) error {
 		tr = new(taskRun)
 	}
 	*tr = taskRun{
-		c: c, req: req, t: t, attempt: attempt,
+		c: c, req: req, t: t, idx: idx, attempt: attempt,
 		grantedMem: mem, submittedAt: submittedAt, runtime: runtime,
 	}
 	tr.sub = rm.Submission{
@@ -389,6 +399,7 @@ type taskRun struct {
 	c           *CWS
 	req         TaskRequest
 	t           *dag.Task
+	idx         int // t's insertion position, keying the wfState tables
 	attempt     int
 	grantedMem  float64
 	submittedAt sim.Time
@@ -419,8 +430,8 @@ func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 			tr.predicted = sec
 			if c.overrunSlack > 0 {
 				budget := sec * c.overrunSlack
-				if st := c.workflows[tr.req.WorkflowID]; st != nil {
-					for i := 0; i < st.overruns[tr.req.TaskID]; i++ {
+				if st := c.workflows[tr.req.WorkflowID]; st != nil && st.overruns != nil {
+					for i := 0; i < st.overruns[tr.idx]; i++ {
 						budget *= c.overrunInfl
 					}
 				}
@@ -442,9 +453,9 @@ func (tr *taskRun) ValidateOn(n *cluster.Node) error {
 		c.overrunKills++
 		if st := c.workflows[tr.req.WorkflowID]; st != nil {
 			if st.overruns == nil {
-				st.overruns = map[dag.TaskID]int{}
+				st.overruns = make([]int, st.wf.Len())
 			}
-			st.overruns[tr.req.TaskID]++
+			st.overruns[tr.idx]++
 		}
 		return fmt.Errorf("cwsi: task %s walltime-overrun killed at %.1fs (predicted %.1fs, attempt %d)",
 			tr.req.TaskID, tr.budget, tr.predicted, tr.attempt)
@@ -615,7 +626,7 @@ func (c *CWS) StartWorkflow(id string, maxRetries int, onDone func(sim.Time, err
 		run = c.freeWfRuns[n-1]
 		c.freeWfRuns = c.freeWfRuns[:n-1]
 	} else {
-		run = &wfRun{retries: map[dag.TaskID]int{}}
+		run = new(wfRun)
 	}
 	eng := c.mgr.Cluster().Engine()
 	*run = wfRun{
@@ -624,8 +635,9 @@ func (c *CWS) StartWorkflow(id string, maxRetries int, onDone func(sim.Time, err
 		x:          run.x,
 		eng:        eng,
 		start:      eng.Now(),
+		wf:         st.wf,
 		remaining:  st.wf.Len(),
-		retries:    run.retries,
+		retries:    append(run.retries[:0], make([]int, st.wf.Len())...),
 		maxRetries: maxRetries,
 		limit:      maxRetries,
 		onDone:     onDone,
@@ -649,10 +661,11 @@ type wfRun struct {
 	c          *CWS
 	id         string
 	x          dag.WorkflowExpander
+	wf         *dag.Workflow
 	eng        *sim.Engine
 	start      sim.Time
 	remaining  int
-	retries    map[dag.TaskID]int
+	retries    []int // per task, by insertion position in wf
 	finished   bool
 	maxRetries int
 	limit      int
@@ -683,8 +696,7 @@ func (run *wfRun) complete(n int) {
 func (run *wfRun) release() {
 	c := run.c
 	run.x.Reset(nil)
-	clear(run.retries)
-	*run = wfRun{x: run.x, retries: run.retries}
+	*run = wfRun{x: run.x, retries: run.retries[:0]}
 	c.freeWfRuns = append(c.freeWfRuns, run)
 }
 
@@ -708,16 +720,17 @@ func (run *wfRun) OnTaskDone(taskID dag.TaskID, r rm.Result) {
 	if r.Failed {
 		c.recStats.Failures++
 		run.breaker.Record(true)
-		if run.retries[taskID] < run.limit && !run.breaker.Open() {
-			run.retries[taskID]++
+		i, _ := run.wf.Index(taskID)
+		if run.retries[i] < run.limit && !run.breaker.Open() {
+			run.retries[i]++
 			if c.recovery == nil {
 				run.submit(taskID)
 				return
 			}
-			d := c.recovery.Backoff(run.retries[taskID], c.recoveryRNG)
+			d := c.recovery.Backoff(run.retries[i], c.recoveryRNG)
 			c.recStats.Retries++
 			c.recStats.BackoffSec += float64(d)
-			c.prov.AnnotateRetry(run.id, taskID, float64(d), c.recovery.String())
+			c.prov.AnnotateRetry(run.id, taskID, float64(d), c.recoveryLabel)
 			run.eng.After(d, func() { run.submit(taskID) })
 			return
 		}

@@ -75,15 +75,19 @@ func (ctx *Context) PredictedRank(wfID string, taskID dag.TaskID) float64 {
 	if st.predRanks == nil {
 		return 0
 	}
-	return st.predRanks[taskID]
+	if i, ok := st.wf.Index(taskID); ok {
+		return st.predRanks[i]
+	}
+	return 0
 }
 
-// predictedRanks computes the predicted upward ranks for one workflow, or
-// nil while the model is cold for every task name in it.
-func (c *CWS) predictedRanks(st *wfState) map[dag.TaskID]float64 {
+// predictedRanks computes the predicted upward ranks for one workflow, by
+// insertion position, or nil while the model is cold for every task name in
+// it.
+func (c *CWS) predictedRanks(st *wfState) []float64 {
 	warmAny := false
-	for _, t := range st.wf.Tasks() {
-		if c.warmFor(t.Name) {
+	for i := range st.wf.Len() {
+		if c.warmFor(st.wf.At(i).Name) {
 			warmAny = true
 			break
 		}

@@ -7,7 +7,7 @@ package dag
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TaskID identifies a task within a workflow.
@@ -57,6 +57,9 @@ type Task struct {
 	Consumes []string
 	Produces []string
 
+	// Deps names the tasks this one depends on. Set it before Add; once the
+	// task is in a workflow, change it only through Workflow.AddEdge, which
+	// keeps the workflow's edge index in step.
 	Deps []TaskID
 }
 
@@ -89,22 +92,46 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Workflow is a named DAG of tasks.
+// Workflow is a named DAG of tasks, addressed by insertion position. Tasks
+// live in one insertion-ordered slice and index is the only string-keyed
+// structure: dependency edges are logged as index pairs in creation order and
+// folded into compressed successor lists on the first structural read, so
+// topological order, readiness and ranks are tables indexed by position.
 type Workflow struct {
-	Name     string
-	tasks    map[TaskID]*Task
-	order    []TaskID // insertion order, for deterministic iteration
-	children map[TaskID][]TaskID
+	Name  string
+	list  []*Task
+	index map[TaskID]int32
+	// edges logs every dependency edge in creation order: each Add's deps in
+	// order, then AddEdge calls as they come. A dep that names a task not
+	// added yet is logged with from = -1 and listed in fwd until it resolves.
+	edges []edge
+	fwd   []fwdRef
+	// kidStart and kids are the CSR successor lists derived from edges: the
+	// successors of task i are kids[kidStart[i]:kidStart[i+1]], in
+	// edge-creation order. linked reports whether they are current.
+	kidStart []int32
+	kids     []int32
+	linked   bool
 	// validated memoizes a successful Validate; any structural change
 	// (Add, AddEdge) clears it. Runners validate per run, and revalidating
 	// an unchanged DAG rebuilt nothing but a topological sort.
 	validated bool
-	// topo and roots memoize TopoOrder and Roots under the same invalidation
-	// rule; every consumer (Validate, Levels, CriticalPath, UpwardRanks,
-	// runners) only reads them, and each workflow run re-derives both from
-	// the same unchanged DAG.
-	topo  []*Task
-	roots []*Task
+	// topo (with its positions in topoIdx) and roots memoize TopoOrder and
+	// Roots under the same invalidation rule; every consumer (Validate,
+	// Levels, CriticalPath, UpwardRanks, runners) only reads them, and each
+	// workflow run re-derives both from the same unchanged DAG.
+	topo    []*Task
+	topoIdx []int32
+	roots   []*Task
+}
+
+// edge is one logged dependency: task to depends on task from.
+type edge struct{ from, to int32 }
+
+// fwdRef is a logged edge whose dep was not in the workflow when logged.
+type fwdRef struct {
+	edge int32
+	dep  TaskID
 }
 
 // New returns an empty workflow.
@@ -116,11 +143,15 @@ func New(name string) *Workflow {
 // bulk construction (generators, format importers) skips the incremental map
 // and slice growth of one-Add-at-a-time building.
 func NewSized(name string, taskHint int) *Workflow {
+	return newSized(name, taskHint, taskHint)
+}
+
+func newSized(name string, taskHint, edgeHint int) *Workflow {
 	return &Workflow{
-		Name:     name,
-		tasks:    make(map[TaskID]*Task, taskHint),
-		order:    make([]TaskID, 0, taskHint),
-		children: make(map[TaskID][]TaskID, taskHint),
+		Name:  name,
+		list:  make([]*Task, 0, taskHint),
+		index: make(map[TaskID]int32, taskHint),
+		edges: make([]edge, 0, edgeHint),
 	}
 }
 
@@ -130,61 +161,138 @@ func (w *Workflow) Add(t *Task) *Task {
 	if t.ID == "" {
 		panic("dag: task with empty ID")
 	}
-	if _, dup := w.tasks[t.ID]; dup {
+	if _, dup := w.index[t.ID]; dup {
 		panic(fmt.Sprintf("dag: duplicate task ID %q", t.ID))
 	}
 	if t.Cores <= 0 {
 		t.Cores = 1
 	}
-	w.tasks[t.ID] = t
-	w.order = append(w.order, t.ID)
+	i := int32(len(w.list))
+	w.index[t.ID] = i
+	w.list = append(w.list, t)
 	for _, d := range t.Deps {
-		w.children[d] = append(w.children[d], t.ID)
+		from, ok := w.index[d]
+		if !ok {
+			from = -1
+			w.fwd = append(w.fwd, fwdRef{int32(len(w.edges)), d})
+		}
+		w.edges = append(w.edges, edge{from, i})
 	}
-	w.validated = false
-	w.topo, w.roots = nil, nil
+	w.changed()
 	return t
 }
 
+// changed drops every structure derived from the edge log.
+func (w *Workflow) changed() {
+	w.linked, w.validated = false, false
+	w.topo, w.topoIdx, w.roots = nil, nil, nil
+}
+
 // Task returns the task with the given ID, or nil.
-func (w *Workflow) Task(id TaskID) *Task { return w.tasks[id] }
+func (w *Workflow) Task(id TaskID) *Task {
+	if i, ok := w.index[id]; ok {
+		return w.list[i]
+	}
+	return nil
+}
+
+// Index returns the insertion position of the task with the given ID — the
+// position per-task tables (readiness, ranks, fault plans) are indexed by.
+func (w *Workflow) Index(id TaskID) (int, bool) {
+	i, ok := w.index[id]
+	return int(i), ok
+}
+
+// At returns the task at insertion position i.
+func (w *Workflow) At(i int) *Task { return w.list[i] }
 
 // AddEdge records that `to` depends on `from`, after both tasks have been
 // inserted — the stitching primitive sub-workflow composition builds on.
 // Duplicate edges are ignored. AddEdge does not check for cycles (that would
 // be quadratic during bulk stitching); call Validate once stitching is done.
 func (w *Workflow) AddEdge(from, to TaskID) error {
-	if w.tasks[from] == nil {
+	fi, ok := w.index[from]
+	if !ok {
 		return fmt.Errorf("dag: edge from unknown task %q", from)
 	}
-	t := w.tasks[to]
-	if t == nil {
+	ti, ok := w.index[to]
+	if !ok {
 		return fmt.Errorf("dag: edge to unknown task %q", to)
 	}
 	if from == to {
 		return fmt.Errorf("dag: self-edge on task %q", from)
 	}
+	t := w.list[ti]
 	for _, d := range t.Deps {
 		if d == from {
 			return nil
 		}
 	}
 	t.Deps = append(t.Deps, from)
-	w.children[from] = append(w.children[from], to)
-	w.validated = false
-	w.topo, w.roots = nil, nil
+	w.edges = append(w.edges, edge{fi, ti})
+	w.changed()
 	return nil
 }
 
+// link makes the successor lists current.
+func (w *Workflow) link() {
+	if !w.linked {
+		w.build()
+	}
+}
+
+// build resolves the forward references that now name a task and rebuilds
+// the CSR successor lists from the edge log. A stable counting sort keeps
+// each task's successors in edge-creation order; kidStart holds the counts
+// and then serves as the fill cursor in place, so the build needs no scratch
+// beyond the two tables it produces.
+func (w *Workflow) build() {
+	open := w.fwd[:0]
+	for _, f := range w.fwd {
+		if j, ok := w.index[f.dep]; ok {
+			w.edges[f.edge].from = j
+		} else {
+			open = append(open, f)
+		}
+	}
+	w.fwd = open
+	n := len(w.list)
+	start := make([]int32, n+1)
+	for _, e := range w.edges {
+		if e.from >= 0 {
+			start[e.from+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	kids := make([]int32, start[n])
+	for _, e := range w.edges {
+		if e.from >= 0 {
+			kids[start[e.from]] = e.to
+			start[e.from]++
+		}
+	}
+	// Each cursor now sits at the end of its list, the next list's start.
+	copy(start[1:], start[:n])
+	start[0] = 0
+	w.kidStart, w.kids, w.linked = start, kids, true
+}
+
+// successors returns the positions of task i's direct successors in
+// edge-creation order. The slice is the workflow's own and read-only.
+func (w *Workflow) successors(i int32) []int32 {
+	w.link()
+	return w.kids[w.kidStart[i]:w.kidStart[i+1]]
+}
+
 // Len returns the number of tasks.
-func (w *Workflow) Len() int { return len(w.order) }
+func (w *Workflow) Len() int { return len(w.list) }
 
 // Tasks returns tasks in insertion order.
 func (w *Workflow) Tasks() []*Task {
-	out := make([]*Task, len(w.order))
-	for i, id := range w.order {
-		out[i] = w.tasks[id]
-	}
+	out := make([]*Task, len(w.list))
+	copy(out, w.list)
 	return out
 }
 
@@ -194,38 +302,38 @@ func (w *Workflow) Tasks() []*Task {
 // Consumes, and Produces slices are shared — tasks never mutate them.
 func (w *Workflow) Clone() *Workflow {
 	out := NewSized(w.Name, w.Len())
-	for _, id := range w.order {
-		cp := *w.tasks[id]
+	for _, t := range w.list {
+		cp := *t
 		cp.Deps = append([]TaskID(nil), cp.Deps...)
 		out.Add(&cp)
 	}
 	return out
 }
 
-// Children returns direct successors of id.
+// Children returns direct successors of id in edge-creation order (empty
+// for an ID not in the workflow).
 func (w *Workflow) Children(id TaskID) []*Task {
-	ids := w.children[id]
-	out := make([]*Task, len(ids))
-	for i, c := range ids {
-		out[i] = w.tasks[c]
+	i, ok := w.index[id]
+	if !ok {
+		return nil
+	}
+	kids := w.successors(i)
+	out := make([]*Task, len(kids))
+	for k, c := range kids {
+		out[k] = w.list[c]
 	}
 	return out
 }
 
-// ChildIDs returns the direct successor IDs of id without allocating. The
-// returned slice is the workflow's internal edge list — callers must treat
-// it as read-only.
-func (w *Workflow) ChildIDs(id TaskID) []TaskID { return w.children[id] }
-
 // Parents returns direct predecessors of id.
 func (w *Workflow) Parents(id TaskID) []*Task {
-	t := w.tasks[id]
+	t := w.Task(id)
 	if t == nil {
 		return nil
 	}
 	out := make([]*Task, 0, len(t.Deps))
 	for _, d := range t.Deps {
-		if p := w.tasks[d]; p != nil {
+		if p := w.Task(d); p != nil {
 			out = append(out, p)
 		}
 	}
@@ -240,8 +348,8 @@ func (w *Workflow) Roots() []*Task {
 		return w.roots
 	}
 	out := make([]*Task, 0, 4)
-	for _, id := range w.order {
-		if t := w.tasks[id]; len(t.Deps) == 0 {
+	for _, t := range w.list {
+		if len(t.Deps) == 0 {
 			out = append(out, t)
 		}
 	}
@@ -251,9 +359,10 @@ func (w *Workflow) Roots() []*Task {
 
 // Leaves returns tasks with no successors, in insertion order.
 func (w *Workflow) Leaves() []*Task {
+	w.link()
 	var out []*Task
-	for _, t := range w.Tasks() {
-		if len(w.children[t.ID]) == 0 {
+	for i, t := range w.list {
+		if w.kidStart[i] == w.kidStart[i+1] {
 			out = append(out, t)
 		}
 	}
@@ -261,13 +370,7 @@ func (w *Workflow) Leaves() []*Task {
 }
 
 // EdgeCount returns the number of dependency edges.
-func (w *Workflow) EdgeCount() int {
-	n := 0
-	for _, t := range w.tasks {
-		n += len(t.Deps)
-	}
-	return n
-}
+func (w *Workflow) EdgeCount() int { return len(w.edges) }
 
 // Validate checks that all dependencies reference existing tasks and that
 // the graph is acyclic. A successful result is memoized until the structure
@@ -276,10 +379,14 @@ func (w *Workflow) Validate() error {
 	if w.validated {
 		return nil
 	}
-	for _, t := range w.Tasks() {
-		for _, d := range t.Deps {
-			if _, ok := w.tasks[d]; !ok {
-				return fmt.Errorf("dag: task %q depends on unknown task %q", t.ID, d)
+	w.link()
+	if len(w.fwd) > 0 {
+		// Some dep is still unknown; name the first in insertion order.
+		for _, t := range w.list {
+			for _, d := range t.Deps {
+				if _, ok := w.index[d]; !ok {
+					return fmt.Errorf("dag: task %q depends on unknown task %q", t.ID, d)
+				}
 			}
 		}
 	}
@@ -298,60 +405,73 @@ func (w *Workflow) TopoOrder() ([]*Task, error) {
 	if w.topo != nil {
 		return w.topo, nil
 	}
-	indeg := make(map[TaskID]int, len(w.tasks))
-	for _, t := range w.tasks {
-		indeg[t.ID] = len(t.Deps)
+	w.link()
+	n := len(w.list)
+	// In-degrees of workflows up to the stack buffer's size stay off the
+	// heap. An unresolved dep is never released, so its task never becomes
+	// ready and the workflow reports a cycle, as a dangling edge should.
+	var buf [128]int32
+	indeg := buf[:0]
+	if n > len(buf) {
+		indeg = make([]int32, 0, n)
 	}
-	var ready []TaskID
-	for _, id := range w.order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
+	// order doubles as Kahn's FIFO: positions before head are emitted.
+	order := make([]int32, 0, n)
+	for i, t := range w.list {
+		indeg = append(indeg, int32(len(t.Deps)))
+		if len(t.Deps) == 0 {
+			order = append(order, int32(i))
 		}
 	}
-	out := make([]*Task, 0, len(w.tasks))
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		out = append(out, w.tasks[id])
-		for _, c := range w.children[id] {
+	for head := 0; head < len(order); head++ {
+		for _, c := range w.successors(order[head]) {
 			indeg[c]--
 			if indeg[c] == 0 {
-				ready = append(ready, c)
+				order = append(order, c)
 			}
 		}
 	}
-	if len(out) != len(w.tasks) {
+	if len(order) != n {
 		return nil, fmt.Errorf("dag: workflow %q contains a cycle", w.Name)
 	}
-	w.topo = out
+	out := make([]*Task, n)
+	for k, i := range order {
+		out[k] = w.list[i]
+	}
+	w.topo, w.topoIdx = out, order
 	return out, nil
+}
+
+// topoPositions returns the memoized topological order as positions. It
+// panics on cyclic workflows; call Validate first.
+func (w *Workflow) topoPositions() []int32 {
+	if _, err := w.TopoOrder(); err != nil {
+		panic(err)
+	}
+	return w.topoIdx
 }
 
 // Levels assigns each task its depth (longest path from any root, roots = 0)
 // and returns tasks grouped by level. It panics on cyclic workflows; call
 // Validate first.
 func (w *Workflow) Levels() [][]*Task {
-	topo, err := w.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	level := make(map[TaskID]int, len(topo))
-	maxLevel := 0
-	for _, t := range topo {
-		l := 0
-		for _, d := range t.Deps {
-			if level[d]+1 > l {
-				l = level[d] + 1
-			}
-		}
-		level[t.ID] = l
+	topo := w.topoPositions()
+	level := make([]int32, len(w.list))
+	maxLevel := int32(0)
+	for _, i := range topo {
+		l := level[i]
 		if l > maxLevel {
 			maxLevel = l
 		}
+		for _, c := range w.successors(i) {
+			if l+1 > level[c] {
+				level[c] = l + 1
+			}
+		}
 	}
 	out := make([][]*Task, maxLevel+1)
-	for _, t := range topo {
-		out[level[t.ID]] = append(out[level[t.ID]], t)
+	for _, i := range topo {
+		out[level[i]] = append(out[level[i]], w.list[i])
 	}
 	return out
 }
@@ -364,66 +484,51 @@ type DurFn func(*Task) float64
 func NominalDur(t *Task) float64 { return t.NominalDur }
 
 // CriticalPath returns the length of the longest path through the workflow
-// under durations from fn, and the IDs along one such path in order.
+// under durations from fn, and the IDs along one such path in order. Among
+// equally long predecessors the path takes the first in Deps order.
 func (w *Workflow) CriticalPath(fn DurFn) (float64, []TaskID) {
-	topo, err := w.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	dist := make(map[TaskID]float64, len(topo))
-	prev := make(map[TaskID]TaskID, len(topo))
-	best := 0.0
-	var bestID TaskID
-	for _, t := range topo {
-		d := 0.0
-		var from TaskID
+	topo := w.topoPositions()
+	dist := make([]float64, len(w.list))
+	prev := make([]int32, len(w.list))
+	best, bestAt := 0.0, int32(-1)
+	for _, i := range topo {
+		t := w.list[i]
+		d, from := 0.0, int32(-1)
 		for _, dep := range t.Deps {
-			if dist[dep] > d {
-				d = dist[dep]
-				from = dep
+			if j := w.index[dep]; dist[j] > d {
+				d, from = dist[j], j
 			}
 		}
-		dist[t.ID] = d + fn(t)
-		if from != "" {
-			prev[t.ID] = from
-		}
-		if dist[t.ID] > best {
-			best = dist[t.ID]
-			bestID = t.ID
+		dist[i] = d + fn(t)
+		prev[i] = from
+		if dist[i] > best {
+			best, bestAt = dist[i], i
 		}
 	}
 	var path []TaskID
-	for id := bestID; id != ""; id = prev[id] {
-		path = append(path, id)
-		if _, ok := prev[id]; !ok {
-			break
-		}
+	for i := bestAt; i >= 0; i = prev[i] {
+		path = append(path, w.list[i].ID)
 	}
-	// Reverse into root→leaf order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path) // root→leaf order
 	return best, path
 }
 
 // UpwardRanks computes HEFT-style upward ranks: rank(t) = dur(t) +
-// max over children c of rank(c). Higher rank = more critical. Communication
-// costs are folded into fn if desired.
-func (w *Workflow) UpwardRanks(fn DurFn) map[TaskID]float64 {
-	topo, err := w.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	rank := make(map[TaskID]float64, len(topo))
-	for i := len(topo) - 1; i >= 0; i-- {
-		t := topo[i]
+// max over children c of rank(c). Higher rank = more critical. The result is
+// indexed by insertion position (see Index). Communication costs are folded
+// into fn if desired.
+func (w *Workflow) UpwardRanks(fn DurFn) []float64 {
+	topo := w.topoPositions()
+	rank := make([]float64, len(w.list))
+	for k := len(topo) - 1; k >= 0; k-- {
+		i := topo[k]
 		best := 0.0
-		for _, c := range w.children[t.ID] {
+		for _, c := range w.successors(i) {
 			if rank[c] > best {
 				best = rank[c]
 			}
 		}
-		rank[t.ID] = fn(t) + best
+		rank[i] = fn(w.list[i]) + best
 	}
 	return rank
 }
@@ -432,30 +537,32 @@ func (w *Workflow) UpwardRanks(fn DurFn) map[TaskID]float64 {
 // lower bound on makespan × cores for any schedule.
 func (w *Workflow) TotalWork() float64 {
 	sum := 0.0
-	for _, t := range w.tasks {
+	for _, t := range w.list {
 		sum += t.CPUSeconds()
 	}
 	return sum
 }
 
 // Descendants returns the transitive successors of id (not including id),
-// sorted by ID for determinism.
+// sorted by ID for determinism; empty for an ID not in the workflow.
 func (w *Workflow) Descendants(id TaskID) []TaskID {
-	seen := map[TaskID]bool{}
-	var walk func(TaskID)
-	walk = func(x TaskID) {
-		for _, c := range w.children[x] {
+	i, ok := w.index[id]
+	if !ok {
+		return nil
+	}
+	seen := make([]bool, len(w.list))
+	var out []TaskID
+	var walk func(int32)
+	walk = func(x int32) {
+		for _, c := range w.successors(x) {
 			if !seen[c] {
 				seen[c] = true
+				out = append(out, w.list[c].ID)
 				walk(c)
 			}
 		}
 	}
-	walk(id)
-	out := make([]TaskID, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	walk(i)
+	slices.Sort(out)
 	return out
 }

@@ -155,7 +155,8 @@ func TestCriticalPathPicksLongerBranch(t *testing.T) {
 func TestUpwardRanks(t *testing.T) {
 	w := lin("a", "b", "c")
 	ranks := w.UpwardRanks(NominalDur)
-	if ranks["a"] != 3 || ranks["b"] != 2 || ranks["c"] != 1 {
+	rank := func(id TaskID) float64 { i, _ := w.Index(id); return ranks[i] }
+	if rank("a") != 3 || rank("b") != 2 || rank("c") != 1 {
 		t.Fatalf("ranks = %v", ranks)
 	}
 }
@@ -267,12 +268,12 @@ func TestUpwardRankMonotone(t *testing.T) {
 		rng := randx.New(seed)
 		w := RandomLayered(rng, 4, 5, GenOpts{})
 		ranks := w.UpwardRanks(NominalDur)
-		for _, task := range w.Tasks() {
-			if ranks[task.ID] < task.NominalDur-1e-9 {
+		for i, task := range w.Tasks() {
+			if ranks[i] < task.NominalDur-1e-9 {
 				return false
 			}
 			for _, c := range w.Children(task.ID) {
-				if ranks[task.ID] <= ranks[c.ID] {
+				if ci, _ := w.Index(c.ID); ranks[i] <= ranks[ci] {
 					return false
 				}
 			}

@@ -1,5 +1,7 @@
 package dag
 
+import "slices"
+
 // Expander is the streaming alternative to a materialized Workflow: a lazy
 // frontier that hands out ready tasks one at a time and learns about
 // completions, so a runner never needs more than the currently runnable slice
@@ -10,10 +12,9 @@ package dag
 // The emission contract is exact, not approximate: Next must yield tasks in
 // precisely the order a WorkflowExpander over the equivalent Workflow would —
 // roots in insertion order, then, per successful completion, newly ready
-// successors in edge-creation (ChildIDs) order. Materialized and streaming
-// runs are therefore bit-identical (same fingerprints), which the equivalence
-// tests in internal/sweep assert over seeds, fault profiles, and worker
-// counts.
+// successors in edge-creation order. Materialized and streaming runs are
+// therefore bit-identical (same fingerprints), which the equivalence tests in
+// internal/sweep assert over seeds, fault profiles, and worker counts.
 //
 // Call discipline: Next until it reports no ready task; report each terminal
 // task via exactly one of TaskDone/TaskFailed (which may make more tasks
@@ -47,21 +48,20 @@ type Expander interface {
 // It is the reference readiness tracker every driver of an eagerly built DAG
 // shares — rm.StreamRunner, the CWS workflow driver, the pilot and cloud
 // environments — and the order the streaming expanders must reproduce. It is
-// deliberately O(tasks) resident, since the workflow already is. The zero
-// value is ready for Reset.
+// deliberately O(tasks) resident, since the workflow already is: readiness is
+// a table indexed by insertion position and the ready FIFO holds positions.
+// The zero value is ready for Reset.
 type WorkflowExpander struct {
 	w         *Workflow
-	state     map[TaskID]readiness
-	ready     []TaskID
+	state     []readiness
+	ready     []int32
 	readyNext int
 }
 
-// readiness is one task's record in a WorkflowExpander: its insertion index,
-// its count of unfinished dependencies, and whether a failed ancestor wrote
-// it off.
+// readiness is one task's record in a WorkflowExpander: its count of
+// unfinished dependencies, and whether a failed ancestor wrote it off.
 type readiness struct {
-	idx       int
-	remaining int
+	remaining int32
 	skipped   bool
 }
 
@@ -75,20 +75,12 @@ func NewWorkflowExpander(w *Workflow) (*WorkflowExpander, error) {
 	return x, nil
 }
 
-// Reset validates w and rebinds the expander to it, clearing all readiness
-// state in place: a warm session replays thousands of workflows through one
-// expander without reallocating its map. Reset(nil) just clears.
+// Reset validates w and rebinds the expander to it, refilling the readiness
+// table and ready FIFO in place: a warm session replays thousands of
+// workflows through one expander without reallocating either. Reset(nil)
+// just clears.
 func (x *WorkflowExpander) Reset(w *Workflow) error {
-	if x.state == nil {
-		n := 0
-		if w != nil {
-			n = w.Len()
-		}
-		x.state = make(map[TaskID]readiness, n)
-	} else {
-		clear(x.state)
-	}
-	x.w, x.ready, x.readyNext = nil, x.ready[:0], 0
+	x.w, x.state, x.ready, x.readyNext = nil, x.state[:0], x.ready[:0], 0
 	if w == nil {
 		return nil
 	}
@@ -96,14 +88,13 @@ func (x *WorkflowExpander) Reset(w *Workflow) error {
 		return err
 	}
 	x.w = w
-	if x.ready == nil {
-		x.ready = make([]TaskID, 0, w.Len())
-	}
-	for i, id := range w.order {
-		x.state[id] = readiness{idx: i, remaining: len(w.tasks[id].Deps)}
-	}
-	for _, t := range w.Roots() {
-		x.ready = append(x.ready, t.ID)
+	x.state = slices.Grow(x.state, len(w.list))
+	x.ready = slices.Grow(x.ready, len(w.list))
+	for i, t := range w.list {
+		x.state = append(x.state, readiness{remaining: int32(len(t.Deps))})
+		if len(t.Deps) == 0 {
+			x.ready = append(x.ready, int32(i))
+		}
 	}
 	return nil
 }
@@ -121,36 +112,49 @@ func (x *WorkflowExpander) Next() (*Task, int, bool) {
 		x.readyNext = 0
 		return nil, 0, false
 	}
-	id := x.ready[x.readyNext]
+	i := x.ready[x.readyNext]
 	x.readyNext++
-	return x.w.Task(id), x.state[id].idx, true
+	return x.w.list[i], int(i), true
 }
 
-// TaskDone implements Expander, readying successors in ChildIDs order.
+// TaskDone implements Expander, readying successors in edge-creation order.
+// An ID not in the workflow is a no-op.
 func (x *WorkflowExpander) TaskDone(id TaskID) {
-	for _, cid := range x.w.ChildIDs(id) {
-		st := x.state[cid]
+	i, ok := x.w.index[id]
+	if !ok {
+		return
+	}
+	for _, c := range x.w.successors(i) {
+		st := &x.state[c]
 		st.remaining--
-		x.state[cid] = st
 		if st.remaining == 0 && !st.skipped {
-			x.ready = append(x.ready, cid)
+			x.ready = append(x.ready, c)
 		}
 	}
 }
 
 // TaskFailed implements Expander: every transitive descendant is written
 // off, whatever its other dependencies, because one of them can now never be
-// satisfied.
+// satisfied. An ID not in the workflow is a no-op.
 func (x *WorkflowExpander) TaskFailed(id TaskID) int {
+	i, ok := x.w.index[id]
+	if !ok {
+		return 0
+	}
+	return x.writeOff(i)
+}
+
+// writeOff skips every not-yet-skipped descendant of position i, depth
+// first in edge-creation order, and returns how many it newly skipped.
+func (x *WorkflowExpander) writeOff(i int32) int {
 	n := 0
-	for _, cid := range x.w.ChildIDs(id) {
-		st := x.state[cid]
+	for _, c := range x.w.successors(i) {
+		st := &x.state[c]
 		if st.skipped {
 			continue
 		}
 		st.skipped = true
-		x.state[cid] = st
-		n += 1 + x.TaskFailed(cid)
+		n += 1 + x.writeOff(c)
 	}
 	return n
 }

@@ -2,6 +2,8 @@ package dag
 
 import (
 	"testing"
+
+	"hhcw/internal/randx"
 )
 
 // diamond builds a -> {b, c} -> d with an extra root e -> d.
@@ -43,7 +45,7 @@ func sameIDs(a, b []TaskID) bool {
 }
 
 // The expander must replay the eager submission order exactly: roots in
-// insertion order, then newly ready successors in ChildIDs order per
+// insertion order, then newly ready successors in edge-creation order per
 // completion.
 func TestWorkflowExpanderOrder(t *testing.T) {
 	w := diamondWF(t)
@@ -120,5 +122,40 @@ func TestWorkflowExpanderValidates(t *testing.T) {
 		if _, err := NewWorkflowExpander(w); err == nil {
 			t.Fatal("cyclic workflow accepted")
 		}
+	}
+}
+
+// A warm WorkflowExpander replay — Reset onto an already validated workflow
+// plus a full drain — refills its tables in place and allocates nothing.
+func TestWorkflowExpanderWarmReplayAllocs(t *testing.T) {
+	w := MontageLike(randx.New(1), 16, GenOpts{})
+	var x WorkflowExpander
+	done := make([]TaskID, 0, w.Len())
+	replay := func() {
+		if err := x.Reset(w); err != nil {
+			t.Fatal(err)
+		}
+		if done = completeInOrder(&x, done); len(done) != w.Len() {
+			t.Fatalf("replay emitted %d of %d tasks", len(done), w.Len())
+		}
+	}
+	replay() // cold: validates the workflow and sizes the tables
+	if allocs := testing.AllocsPerRun(100, replay); allocs != 0 {
+		t.Fatalf("warm replay allocates %v times, want 0", allocs)
+	}
+}
+
+// completeInOrder drains x, completing every emitted task in emission order,
+// and returns the emitted IDs in done's reused storage.
+func completeInOrder(x *WorkflowExpander, done []TaskID) []TaskID {
+	done = done[:0]
+	for k := 0; ; k++ {
+		for task, _, ok := x.Next(); ok; task, _, ok = x.Next() {
+			done = append(done, task.ID)
+		}
+		if k == len(done) {
+			return done
+		}
+		x.TaskDone(done[k])
 	}
 }

@@ -1,7 +1,8 @@
 package dag
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"hhcw/internal/randx"
 )
@@ -39,21 +40,27 @@ func (o *GenOpts) defaults() {
 	}
 }
 
-// arena slab-allocates one generated workflow's Task structs and dependency
-// lists, collapsing the per-task heap traffic of construction into two
-// amortized buffers. Task pointers are taken exactly once, immediately after
-// each append, and dependency slices are returned with clamped capacity, so
-// slab growth never aliases live data.
+// arena slab-allocates one generated workflow's Task structs, dependency
+// lists and IDs, collapsing the per-task heap traffic of construction into
+// three amortized buffers. Task pointers are taken exactly once, immediately
+// after each append, and dependency slices are returned with clamped
+// capacity, so slab growth never aliases live data.
 type arena struct {
 	tasks []Task
 	deps  []TaskID
+	ids   idBuf
 }
 
-func newArena(taskHint, depHint int) *arena {
-	return &arena{
+// newGen returns an empty workflow and its arena, both presized for about
+// taskHint tasks and depHint dependency edges.
+func newGen(name string, taskHint, depHint int) (*Workflow, *arena) {
+	w := newSized(name, taskHint, depHint)
+	ar := &arena{
 		tasks: make([]Task, 0, taskHint),
 		deps:  make([]TaskID, 0, depHint),
 	}
+	ar.ids.b.Grow(16 * taskHint) // room for every ID of the usual sizes
+	return w, ar
 }
 
 // task hands out the next slab slot.
@@ -86,50 +93,81 @@ func (a *arena) takeDeps(mark int) []TaskID {
 	return a.deps[mark:len(a.deps):len(a.deps)]
 }
 
-// fill samples one task into t. The sampling order (cores, duration, memory,
-// I/O fraction, input size, output size) is load-bearing: it fixes the RNG
-// stream, and with it every golden fingerprint downstream.
+// fill samples one task into t, a zeroed arena slot, field by field (a
+// composite literal would be built aside and copied in). The sampling order
+// (cores, duration, memory, I/O fraction, input size, output size) is
+// load-bearing: it fixes the RNG stream, and with it every golden
+// fingerprint downstream.
 func (o GenOpts) fill(t *Task, rng *randx.Source, id string, name string, deps []TaskID) *Task {
-	cores := o.Cores
+	t.ID, t.Name, t.Deps = TaskID(id), name, deps
+	t.Cores = o.Cores
 	if o.MaxCores > o.Cores {
-		cores = o.Cores + rng.Intn(o.MaxCores-o.Cores+1)
+		t.Cores = o.Cores + rng.Intn(o.MaxCores-o.Cores+1)
 	}
-	dur := rng.LogNormalMeanCV(o.MeanDur, o.CVDur)
+	t.NominalDur = rng.LogNormalMeanCV(o.MeanDur, o.CVDur)
 	// Data sizes correlate with runtime (longer tasks process more data),
 	// which is what makes size-aware scheduling (§3.5's "file size"
 	// strategy) informative in practice.
-	sizeScale := dur / o.MeanDur
-	*t = Task{
-		ID:          TaskID(id),
-		Name:        name,
-		Cores:       cores,
-		MemBytes:    rng.LogNormalMeanCV(o.MeanMem, 0.3),
-		NominalDur:  dur,
-		IOFrac:      rng.Uniform(0.05, 0.3),
-		InputBytes:  rng.LogNormalMeanCV(o.MeanData*sizeScale, 0.2),
-		OutputBytes: rng.LogNormalMeanCV(o.MeanData*sizeScale, 0.2),
-		Deps:        deps,
-	}
+	sizeScale := t.NominalDur / o.MeanDur
+	t.MemBytes = rng.LogNormalMeanCV(o.MeanMem, 0.3)
+	t.IOFrac = rng.Uniform(0.05, 0.3)
+	t.InputBytes = rng.LogNormalMeanCV(o.MeanData*sizeScale, 0.2)
+	t.OutputBytes = rng.LogNormalMeanCV(o.MeanData*sizeScale, 0.2)
 	return t
 }
 
-func (o GenOpts) task(rng *randx.Source, id string, name string, deps ...TaskID) *Task {
-	return o.fill(&Task{}, rng, id, name, deps)
+// idBuf renders one workflow's generated IDs into a single append-only
+// strings.Builder: each ID is a substring of the builder's buffer, so IDs
+// cost no formatting and no allocation of their own. Bytes once written are
+// never modified — growth copies to a new buffer and leaves earlier IDs on
+// the old one — so every substring stays valid. num zero-pads with strconv,
+// byte-identical to fmt's %0Nd for the non-negative counters generators use.
+type idBuf struct {
+	b     strings.Builder
+	start int
+}
+
+func (p *idBuf) begin(prefix string) *idBuf {
+	p.start = p.b.Len()
+	p.b.WriteString(prefix)
+	return p
+}
+
+func (p *idBuf) str(s string) *idBuf {
+	p.b.WriteString(s)
+	return p
+}
+
+func (p *idBuf) num(n, width int) *idBuf {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(n), 10)
+	for k := len(digits); k < width; k++ {
+		p.b.WriteByte('0')
+	}
+	p.b.Write(digits)
+	return p
+}
+
+// String returns the ID begun last.
+func (p *idBuf) String() string { return p.b.String()[p.start:] }
+
+// dims renders the workflow-name shape family + "XxY".
+func dims(family string, x, y int) string {
+	return family + strconv.Itoa(x) + "x" + strconv.Itoa(y)
 }
 
 // Chain generates a linear pipeline of n tasks.
 func Chain(rng *randx.Source, n int, opts GenOpts) *Workflow {
 	opts.defaults()
-	w := NewSized(fmt.Sprintf("chain-%d", n), n)
-	ar := newArena(n, n)
+	w, ar := newGen("chain-"+strconv.Itoa(n), n, n)
 	var prev TaskID
 	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("t%03d", i)
+		id := ar.ids.begin("t").num(i, 3).String()
 		var deps []TaskID
 		if prev != "" {
 			deps = ar.deps1(prev)
 		}
-		w.Add(opts.fill(ar.task(), rng, id, fmt.Sprintf("step%d", i), deps))
+		w.Add(opts.fill(ar.task(), rng, id, "step"+strconv.Itoa(i), deps))
 		prev = TaskID(id)
 	}
 	return w
@@ -141,22 +179,22 @@ func Chain(rng *randx.Source, n int, opts GenOpts) *Workflow {
 func ForkJoin(rng *randx.Source, stages, width int, opts GenOpts) *Workflow {
 	opts.defaults()
 	n := stages * (width + 1)
-	w := NewSized(fmt.Sprintf("forkjoin-%dx%d", stages, width), n)
-	ar := newArena(n, 2*stages*width)
+	w, ar := newGen(dims("forkjoin-", stages, width), n, 2*stages*width)
 	prev := TaskID("")
 	for s := 0; s < stages; s++ {
+		fan := "fan" + strconv.Itoa(s)
 		stageIDs := make([]TaskID, 0, width)
 		for i := 0; i < width; i++ {
-			id := fmt.Sprintf("s%02d-w%03d", s, i)
+			id := ar.ids.begin("s").num(s, 2).str("-w").num(i, 3).String()
 			var deps []TaskID
 			if prev != "" {
 				deps = ar.deps1(prev)
 			}
-			w.Add(opts.fill(ar.task(), rng, id, fmt.Sprintf("fan%d", s), deps))
+			w.Add(opts.fill(ar.task(), rng, id, fan, deps))
 			stageIDs = append(stageIDs, TaskID(id))
 		}
-		mid := fmt.Sprintf("s%02d-merge", s)
-		w.Add(opts.fill(ar.task(), rng, mid, fmt.Sprintf("merge%d", s), stageIDs))
+		mid := ar.ids.begin("s").num(s, 2).str("-merge").String()
+		w.Add(opts.fill(ar.task(), rng, mid, "merge"+strconv.Itoa(s), stageIDs))
 		prev = TaskID(mid)
 	}
 	return w
@@ -165,8 +203,7 @@ func ForkJoin(rng *randx.Source, stages, width int, opts GenOpts) *Workflow {
 // Diamond generates the 4-task diamond: one source, two branches, one sink.
 func Diamond(rng *randx.Source, opts GenOpts) *Workflow {
 	opts.defaults()
-	w := NewSized("diamond", 4)
-	ar := newArena(4, 4)
+	w, ar := newGen("diamond", 4, 4)
 	w.Add(opts.fill(ar.task(), rng, "src", "src", nil))
 	w.Add(opts.fill(ar.task(), rng, "left", "branch", ar.deps1("src")))
 	w.Add(opts.fill(ar.task(), rng, "right", "branch", ar.deps1("src")))
@@ -179,17 +216,17 @@ func Diamond(rng *randx.Source, opts GenOpts) *Workflow {
 // synthetic-DAG family used in scheduling studies.
 func RandomLayered(rng *randx.Source, levels, width int, opts GenOpts) *Workflow {
 	opts.defaults()
-	w := NewSized(fmt.Sprintf("layered-%dx%d", levels, width), levels*width)
-	ar := newArena(levels*width, 3*levels*width)
+	w, ar := newGen(dims("layered-", levels, width), levels*width, 3*levels*width)
 	var prevLayer []TaskID
 	for l := 0; l < levels; l++ {
 		n := 1 + rng.Intn(width)
 		if l == 0 {
 			n = width // full fan-out at the roots
 		}
+		proc := "proc" + strconv.Itoa(l)
 		layer := make([]TaskID, 0, n)
 		for i := 0; i < n; i++ {
-			id := fmt.Sprintf("l%02d-t%03d", l, i)
+			id := ar.ids.begin("l").num(l, 2).str("-t").num(i, 3).String()
 			mark := ar.markDeps()
 			if len(prevLayer) > 0 {
 				k := 1 + rng.Intn(3)
@@ -201,7 +238,7 @@ func RandomLayered(rng *randx.Source, levels, width int, opts GenOpts) *Workflow
 					ar.deps = append(ar.deps, prevLayer[perm[j]])
 				}
 			}
-			w.Add(opts.fill(ar.task(), rng, id, fmt.Sprintf("proc%d", l), ar.takeDeps(mark)))
+			w.Add(opts.fill(ar.task(), rng, id, proc, ar.takeDeps(mark)))
 			layer = append(layer, TaskID(id))
 		}
 		prevLayer = layer
@@ -213,17 +250,16 @@ func RandomLayered(rng *randx.Source, levels, width int, opts GenOpts) *Workflow
 // overlap-pair fit, concat, background correction fan, gather, tile.
 func MontageLike(rng *randx.Source, width int, opts GenOpts) *Workflow {
 	opts.defaults()
-	w := NewSized(fmt.Sprintf("montage-%d", width), 3*width+4)
-	ar := newArena(3*width+4, 4*width+2)
+	w, ar := newGen("montage-"+strconv.Itoa(width), 3*width+4, 4*width+2)
 	projs := make([]TaskID, 0, width)
 	for i := 0; i < width; i++ {
-		id := fmt.Sprintf("mProject-%03d", i)
+		id := ar.ids.begin("mProject-").num(i, 3).String()
 		w.Add(opts.fill(ar.task(), rng, id, "mProject", nil))
 		projs = append(projs, TaskID(id))
 	}
 	diffs := make([]TaskID, 0, width)
 	for i := 0; i+1 < width; i++ {
-		id := fmt.Sprintf("mDiffFit-%03d", i)
+		id := ar.ids.begin("mDiffFit-").num(i, 3).String()
 		w.Add(opts.fill(ar.task(), rng, id, "mDiffFit", ar.deps2(projs[i], projs[i+1])))
 		diffs = append(diffs, TaskID(id))
 	}
@@ -231,7 +267,7 @@ func MontageLike(rng *randx.Source, width int, opts GenOpts) *Workflow {
 	w.Add(opts.fill(ar.task(), rng, "mBgModel", "mBgModel", ar.deps1("mConcatFit")))
 	bgs := make([]TaskID, 0, width)
 	for i := 0; i < width; i++ {
-		id := fmt.Sprintf("mBackground-%03d", i)
+		id := ar.ids.begin("mBackground-").num(i, 3).String()
 		w.Add(opts.fill(ar.task(), rng, id, "mBackground", ar.deps2(projs[i], "mBgModel")))
 		bgs = append(bgs, TaskID(id))
 	}
@@ -246,18 +282,21 @@ func MontageLike(rng *randx.Source, width int, opts GenOpts) *Workflow {
 func EpigenomicsLike(rng *randx.Source, lanes, depth int, opts GenOpts) *Workflow {
 	opts.defaults()
 	n := lanes*depth + 3
-	w := NewSized(fmt.Sprintf("epigenomics-%dx%d", lanes, depth), n)
-	ar := newArena(n, lanes*depth+2)
+	w, ar := newGen(dims("epigenomics-", lanes, depth), n, lanes*depth+2)
+	stage := make([]string, depth)
+	for d := range stage {
+		stage[d] = "stage" + strconv.Itoa(d)
+	}
 	tails := make([]TaskID, 0, lanes)
 	for l := 0; l < lanes; l++ {
 		var prev TaskID
 		for d := 0; d < depth; d++ {
-			id := fmt.Sprintf("lane%02d-s%02d", l, d)
+			id := ar.ids.begin("lane").num(l, 2).str("-s").num(d, 2).String()
 			var deps []TaskID
 			if prev != "" {
 				deps = ar.deps1(prev)
 			}
-			w.Add(opts.fill(ar.task(), rng, id, fmt.Sprintf("stage%d", d), deps))
+			w.Add(opts.fill(ar.task(), rng, id, stage[d], deps))
 			prev = TaskID(id)
 		}
 		tails = append(tails, prev)
@@ -273,13 +312,11 @@ func EpigenomicsLike(rng *randx.Source, lanes, depth int, opts GenOpts) *Workflo
 // §5's "multiple independent pipelines processed in parallel".
 func RNASeqLike(rng *randx.Source, samples int, opts GenOpts) *Workflow {
 	opts.defaults()
-	w := NewSized(fmt.Sprintf("rnaseq-%d", samples), samples*4)
-	ar := newArena(samples*4, samples*3)
-	steps := []string{"prefetch", "fasterq", "salmon", "deseq2"}
+	w, ar := newGen("rnaseq-"+strconv.Itoa(samples), samples*4, samples*3)
 	for s := 0; s < samples; s++ {
 		var prev TaskID
-		for _, st := range steps {
-			id := fmt.Sprintf("%s-%04d", st, s)
+		for _, st := range rnaseqSteps {
+			id := ar.ids.begin(st).str("-").num(s, 4).String()
 			var deps []TaskID
 			if prev != "" {
 				deps = ar.deps1(prev)
@@ -290,3 +327,5 @@ func RNASeqLike(rng *randx.Source, samples int, opts GenOpts) *Workflow {
 	}
 	return w
 }
+
+var rnaseqSteps = [...]string{"prefetch", "fasterq", "salmon", "deseq2"}

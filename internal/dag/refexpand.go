@@ -368,7 +368,7 @@ func (x *RefExpander) Next() (*Task, int, bool) {
 // relation a completion can unlock — local successors, roots of a successor
 // ref's instance, and (for expanded leaves) the enclosing ref's consumers —
 // then appended in ascending global index order, which is exactly the
-// ChildIDs order of the statically expanded workflow.
+// edge-creation order of the statically expanded workflow.
 func (x *RefExpander) TaskDone(id TaskID) {
 	s, ok := x.inflight[id]
 	if !ok {

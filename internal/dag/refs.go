@@ -128,8 +128,8 @@ func ValidateRefs(w *Workflow, resolve RefResolver, maxDepth int) error {
 
 // HasRefs reports whether any task of w is a WorkflowRef.
 func (w *Workflow) HasRefs() bool {
-	for _, id := range w.order {
-		if w.tasks[id].IsRef() {
+	for _, t := range w.list {
+		if t.IsRef() {
 			return true
 		}
 	}

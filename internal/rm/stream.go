@@ -3,6 +3,7 @@ package rm
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
@@ -261,7 +262,7 @@ func (sr *StreamRunner) firstID(t *dag.Task) string {
 func (sr *StreamRunner) start(a *attempt) {
 	id := sr.firstID(a.task)
 	if a.attempt > 1 {
-		id = fmt.Sprintf("%s#%d", id, a.attempt)
+		id += "#" + strconv.Itoa(a.attempt)
 	}
 	a.sub = Submission{
 		ID:         id,
