@@ -1,0 +1,103 @@
+package cluster
+
+import (
+	"testing"
+
+	"hhcw/internal/sim"
+)
+
+// fuzzBytes hands out input bytes, then zeros once they run out.
+type fuzzBytes struct {
+	b []byte
+	n int
+}
+
+func (r *fuzzBytes) more() bool { return r.n < len(r.b) }
+
+func (r *fuzzBytes) next() int {
+	if r.n >= len(r.b) {
+		return 0
+	}
+	r.n++
+	return int(r.b[r.n-1])
+}
+
+// FuzzFirstFitMatchesScan builds a cluster of random node shapes and count,
+// replays an allocate / release / fail / repair tape decoded from ops, and
+// after every operation requires FirstFit from a random start, and
+// AppendCandidates, to agree with the rescan oracle.
+//
+// Encoding of shape: up to three (count%12, cores%17, gpus%4, mem%9 GB)
+// node types, one byte per field. Each op is one byte, op%4 selecting allocate
+// (node, cores%9, gpus%3, mem%9 GB from the next bytes), release (live
+// allocation next%live), fail or repair (node next%nodes), followed by one
+// query: from next%(nodes+3)-1, then cores%10, gpus%3, mem%10 GB.
+func FuzzFirstFitMatchesScan(f *testing.F) {
+	f.Add([]byte{5, 8, 1, 4}, []byte{0, 0, 4, 0, 2, 1, 1, 0, 0})
+	f.Add([]byte{7, 4, 0, 2, 9, 16, 2, 8, 3, 1, 3, 1}, []byte{0, 3, 8, 2, 8, 4, 2, 0, 0, 1, 0, 2, 5, 0, 3, 5, 7, 0, 1})
+	f.Add([]byte{0}, []byte{0, 0, 1, 0, 0, 0, 0}) // empty cluster
+	// Full outage of a 3×3 cluster, then full repair, querying 1 core from
+	// node 0 after each step.
+	var storm []byte
+	for _, op := range []byte{2, 3} {
+		for n := byte(0); n < 9; n++ {
+			storm = append(storm, op, n, 1, 1, 0, 0)
+		}
+	}
+	f.Add([]byte{3, 2, 0, 1, 3, 4, 1, 2, 3, 8, 2, 4}, storm)
+	f.Fuzz(func(t *testing.T, shape, ops []byte) {
+		sr := &fuzzBytes{b: shape}
+		var specs []Spec
+		for i := 0; i < 3 && sr.more(); i++ {
+			count := sr.next() % 12
+			specs = append(specs, Spec{
+				Type: NodeType{
+					Name:     string(rune('a' + i)),
+					Cores:    sr.next() % 17,
+					GPUs:     sr.next() % 4,
+					MemBytes: float64(sr.next()%9) * 1e9,
+				},
+				Count: count,
+			})
+		}
+		c := New(sim.NewEngine(), "fz", specs...)
+		nodes := c.NodeCount()
+		or := &fuzzBytes{b: ops}
+		var live []*Alloc
+		for or.more() {
+			switch or.next() % 4 {
+			case 0:
+				if nodes > 0 {
+					n := c.Nodes()[or.next()%nodes]
+					if a, err := c.Allocate(n, or.next()%9, or.next()%3, float64(or.next()%9)*1e9); err == nil {
+						live = append(live, a)
+					}
+				}
+			case 1:
+				if len(live) > 0 {
+					i := or.next() % len(live)
+					c.Release(live[i])
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+			case 2:
+				if nodes > 0 {
+					c.FailNode(c.Nodes()[or.next()%nodes])
+				}
+			case 3:
+				if nodes > 0 {
+					c.RepairNode(c.Nodes()[or.next()%nodes])
+				}
+			}
+			from := or.next()%(nodes+3) - 1
+			cores, gpus, mem := or.next()%10, or.next()%3, float64(or.next()%10)*1e9
+			if got, want := c.FirstFit(from, cores, gpus, mem), oracleFirstFit(c, from, cores, gpus, mem); got != want {
+				t.Fatalf("FirstFit(%d, %d,%d,%v) = %v, oracle %v", from, cores, gpus, mem, got, want)
+			}
+			if got, want := c.AppendCandidates(nil, cores, gpus, mem), oracleFeasible(c, cores, gpus, mem); !sameNodes(got, want) {
+				t.Fatalf("AppendCandidates(%d,%d,%v) = %d nodes, oracle %d", cores, gpus, mem, len(got), len(want))
+			}
+		}
+		checkIndexInvariants(t, c)
+	})
+}

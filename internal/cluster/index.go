@@ -110,35 +110,18 @@ func (ix *capIndex) update(n *Node) {
 	}
 }
 
-// visitFeasible walks the subtree rooted at seg in leaf order, invoking
-// visit on every up node that can fit the request. It returns false when
-// visit aborted the walk.
-func (ix *capIndex) visitFeasible(seg, cores, gpus int, mem float64, visit func(*Node) bool) bool {
-	if ix.maxCores[seg] < cores || ix.maxGPUs[seg] < gpus || ix.maxMem[seg] < mem {
-		return true
-	}
-	if seg >= ix.base {
-		i := seg - ix.base
-		if i >= len(ix.nodes) {
-			return true
-		}
-		return visit(ix.nodes[i])
-	}
-	if !ix.visitFeasible(2*seg, cores, gpus, mem, visit) {
-		return false
-	}
-	return ix.visitFeasible(2*seg+1, cores, gpus, mem, visit)
-}
-
-// appendFeasible is visitFeasible's collecting form: recursion carries the
-// destination slice instead of a capturing closure, so the dispatch hot path
-// allocates nothing per query.
+// appendFeasible appends, in leaf order, every up node of the subtree rooted
+// at seg that can fit the request. Recursion carries the destination slice
+// instead of a capturing closure, so the dispatch hot path allocates nothing
+// per query.
 func (ix *capIndex) appendFeasible(dst []*Node, seg, cores, gpus int, mem float64) []*Node {
 	if ix.maxCores[seg] < cores || ix.maxGPUs[seg] < gpus || ix.maxMem[seg] < mem {
 		return dst
 	}
 	if seg >= ix.base {
-		if i := seg - ix.base; i < len(ix.nodes) {
+		// A down leaf holds zero maxima, which a zero-sized request still
+		// "fits"; only up nodes are candidates.
+		if i := seg - ix.base; i < len(ix.nodes) && !ix.nodes[i].down {
 			dst = append(dst, ix.nodes[i])
 		}
 		return dst
@@ -147,7 +130,30 @@ func (ix *capIndex) appendFeasible(dst []*Node, seg, cores, gpus int, mem float6
 	return ix.appendFeasible(dst, 2*seg+1, cores, gpus, mem)
 }
 
-// appendIdle is visitIdle's collecting form.
+// firstFit returns the leftmost up node with index ≥ from in the subtree
+// rooted at seg, which covers leaf indices [lo, lo+width), that can fit the
+// request — the first node appendFeasible would append, found without
+// building the list. Subtrees wholly left of from or whose maxima cannot
+// satisfy the request are never entered.
+func (ix *capIndex) firstFit(seg, lo, width, from, cores, gpus int, mem float64) *Node {
+	if lo+width <= from || ix.maxCores[seg] < cores || ix.maxGPUs[seg] < gpus || ix.maxMem[seg] < mem {
+		return nil
+	}
+	if seg >= ix.base {
+		if lo < len(ix.nodes) && !ix.nodes[lo].down {
+			return ix.nodes[lo]
+		}
+		return nil
+	}
+	width /= 2
+	if n := ix.firstFit(2*seg, lo, width, from, cores, gpus, mem); n != nil {
+		return n
+	}
+	return ix.firstFit(2*seg+1, lo+width, width, from, cores, gpus, mem)
+}
+
+// appendIdle appends, in leaf order, every wholly-idle up node of the
+// subtree rooted at seg.
 func (ix *capIndex) appendIdle(dst []*Node, seg int) []*Node {
 	if ix.anyIdle[seg] == 0 {
 		return dst
@@ -162,38 +168,11 @@ func (ix *capIndex) appendIdle(dst []*Node, seg int) []*Node {
 	return ix.appendIdle(dst, 2*seg+1)
 }
 
-// visitIdle walks wholly-idle up nodes in leaf order.
-func (ix *capIndex) visitIdle(seg int, visit func(*Node) bool) bool {
-	if ix.anyIdle[seg] == 0 {
-		return true
-	}
-	if seg >= ix.base {
-		i := seg - ix.base
-		if i >= len(ix.nodes) {
-			return true
-		}
-		return visit(ix.nodes[i])
-	}
-	if !ix.visitIdle(2*seg, visit) {
-		return false
-	}
-	return ix.visitIdle(2*seg+1, visit)
-}
-
-// Candidates visits every up node that can currently fit (cores, gpus, mem),
-// in ascending node-ID order — the same order the historical full scan over
-// Nodes() produced — skipping whole subtrees that cannot satisfy the
-// request. visit returning false stops the walk early.
-func (c *Cluster) Candidates(cores, gpus int, mem float64, visit func(*Node) bool) {
-	if len(c.nodes) == 0 {
-		return
-	}
-	c.idx.visitFeasible(1, cores, gpus, mem, visit)
-}
-
-// AppendCandidates appends the nodes Candidates would visit to dst and
-// returns it — the closure-free form the dispatch hot path uses with a
-// reusable scratch slice.
+// AppendCandidates appends to dst every up node that can currently fit
+// (cores, gpus, mem), in ascending node-ID order — the order the historical
+// full scan over Nodes() produced — and returns it. Subtrees that cannot
+// satisfy the request are skipped, and a reused dst makes the query
+// allocation-free.
 func (c *Cluster) AppendCandidates(dst []*Node, cores, gpus int, mem float64) []*Node {
 	if len(c.nodes) == 0 {
 		return dst
@@ -201,18 +180,22 @@ func (c *Cluster) AppendCandidates(dst []*Node, cores, gpus int, mem float64) []
 	return c.idx.appendFeasible(dst, 1, cores, gpus, mem)
 }
 
-// IdleNodes visits every up node with all cores free (the batch manager's
-// whole-node-free predicate) in ascending node-ID order. visit returning
-// false stops the walk early.
-func (c *Cluster) IdleNodes(visit func(*Node) bool) {
-	if len(c.nodes) == 0 {
-		return
+// FirstFit returns the lowest-ID up node with ID ≥ from that can currently
+// fit (cores, gpus, mem), or nil. With from = 0 it is exactly
+// AppendCandidates(nil, cores, gpus, mem)[0]; a larger from resumes the
+// search past a node the caller has ruled out. It descends the index without
+// materializing any candidate list: O(log N) whenever one node holds every
+// maximum it passes, and never more work than AppendCandidates.
+func (c *Cluster) FirstFit(from, cores, gpus int, mem float64) *Node {
+	if from >= len(c.nodes) {
+		return nil
 	}
-	c.idx.visitIdle(1, visit)
+	return c.idx.firstFit(1, 0, c.idx.base, from, cores, gpus, mem)
 }
 
-// AppendIdleNodes appends the nodes IdleNodes would visit to dst and
-// returns it.
+// AppendIdleNodes appends to dst every up node with all cores free (the
+// batch manager's whole-node-free predicate), in ascending node-ID order,
+// and returns it.
 func (c *Cluster) AppendIdleNodes(dst []*Node) []*Node {
 	if len(c.nodes) == 0 {
 		return dst

@@ -10,9 +10,10 @@ import (
 // The capacity index must be indistinguishable from a naive rescan of the
 // node array at every moment — the scheduler's determinism guarantee rests
 // on it. These tests drive random mutation tapes (allocate / release / fail
-// / repair, including a full-outage storm) and compare every query form
-// against the rescan oracle, plus a structural invariant check that
-// recomputes the segment tree from the leaves.
+// / repair, including a full-outage storm) and compare every query form —
+// AppendCandidates, AppendIdleNodes and FirstFit from every start — against
+// the rescan oracle, plus a structural invariant check that recomputes the
+// segment tree from the leaves.
 
 func oracleFeasible(c *Cluster, cores, gpus int, mem float64) []*Node {
 	var out []*Node
@@ -94,6 +95,28 @@ func checkIndexInvariants(t *testing.T, c *Cluster) {
 	}
 }
 
+// oracleFirstFit is the rescan form of FirstFit: the first feasible node
+// with ID ≥ from.
+func oracleFirstFit(c *Cluster, from, cores, gpus int, mem float64) *Node {
+	for _, n := range oracleFeasible(c, cores, gpus, mem) {
+		if n.ID >= from {
+			return n
+		}
+	}
+	return nil
+}
+
+// compareFirstFit checks FirstFit against the oracle for every start from
+// before the first node to past the end.
+func compareFirstFit(t *testing.T, c *Cluster, cores, gpus int, mem float64) {
+	t.Helper()
+	for from := -1; from <= c.NodeCount()+2; from++ {
+		if got, want := c.FirstFit(from, cores, gpus, mem), oracleFirstFit(c, from, cores, gpus, mem); got != want {
+			t.Fatalf("FirstFit(%d, %d,%d,%v) = %v, oracle %v", from, cores, gpus, mem, got, want)
+		}
+	}
+}
+
 // compareAllQueries checks every query form against the oracle for a set of
 // request shapes spanning trivial to infeasible.
 func compareAllQueries(t *testing.T, c *Cluster) {
@@ -102,6 +125,7 @@ func compareAllQueries(t *testing.T, c *Cluster) {
 		cores, gpus int
 		mem         float64
 	}{
+		{0, 0, 0}, // zero-sized: fits every up node, never a down one
 		{1, 0, 0},
 		{2, 1, 8e9},
 		{8, 0, 32e9},
@@ -115,27 +139,11 @@ func compareAllQueries(t *testing.T, c *Cluster) {
 			t.Fatalf("AppendCandidates(%d,%d,%v) = %d nodes, oracle %d",
 				q.cores, q.gpus, q.mem, len(got), len(want))
 		}
-		var visited []*Node
-		c.Candidates(q.cores, q.gpus, q.mem, func(n *Node) bool {
-			visited = append(visited, n)
-			return true
-		})
-		if !sameNodes(want, visited) {
-			t.Fatalf("Candidates(%d,%d,%v) visited %d nodes, oracle %d",
-				q.cores, q.gpus, q.mem, len(visited), len(want))
-		}
+		compareFirstFit(t, c, q.cores, q.gpus, q.mem)
 	}
 	wantIdle := oracleIdle(c)
 	if got := c.AppendIdleNodes(nil); !sameNodes(wantIdle, got) {
 		t.Fatalf("AppendIdleNodes = %d nodes, oracle %d", len(got), len(wantIdle))
-	}
-	var idleVisited []*Node
-	c.IdleNodes(func(n *Node) bool {
-		idleVisited = append(idleVisited, n)
-		return true
-	})
-	if !sameNodes(wantIdle, idleVisited) {
-		t.Fatalf("IdleNodes visited %d nodes, oracle %d", len(idleVisited), len(wantIdle))
 	}
 }
 
@@ -196,6 +204,9 @@ func TestIndexStormProfile(t *testing.T) {
 	if got := c.AppendCandidates(nil, 1, 0, 0); len(got) != 0 {
 		t.Fatalf("storm: %d candidates on a fully failed cluster", len(got))
 	}
+	if got := c.FirstFit(0, 0, 0, 0); got != nil {
+		t.Fatalf("storm: FirstFit found %s on a fully failed cluster", got.Name())
+	}
 	if got := c.AppendIdleNodes(nil); len(got) != 0 {
 		t.Fatalf("storm: %d idle nodes on a fully failed cluster", len(got))
 	}
@@ -221,23 +232,49 @@ func TestIndexStormProfile(t *testing.T) {
 	}
 }
 
-func TestCandidatesEarlyStop(t *testing.T) {
-	eng := sim.NewEngine()
-	c := Heterogeneous(eng, 4)
-	visits := 0
-	c.Candidates(1, 0, 0, func(n *Node) bool {
-		visits++
-		return false
-	})
-	if visits != 1 {
-		t.Fatalf("early-stop visit count = %d, want 1", visits)
+// FirstFit at the edges of its domain: from at 0, mid-array, at len(nodes)
+// and past the end, on node counts around powers of two (the padding leaves
+// must never surface) and on an empty cluster.
+func TestFirstFitEdgeCases(t *testing.T) {
+	for _, count := range []int{1, 2, 3, 5, 7, 8, 9, 16, 17, 31, 33} {
+		eng := sim.NewEngine()
+		c := New(eng, "ff", Spec{Type: NodeType{Name: "n", Cores: 4, MemBytes: 16e9}, Count: count})
+		mid := count / 2
+		cases := []struct{ from, want int }{
+			{0, 0}, {mid, mid}, {count - 1, count - 1}, {count, -1}, {count + 5, -1},
+		}
+		for _, tc := range cases {
+			got := c.FirstFit(tc.from, 1, 0, 0)
+			if (tc.want < 0) != (got == nil) || (got != nil && got.ID != tc.want) {
+				t.Fatalf("%d nodes: FirstFit(%d) = %v, want node %d", count, tc.from, got, tc.want)
+			}
+		}
+		// Fill the first half: the descent must skip it from any start.
+		for _, n := range c.Nodes()[:mid] {
+			if _, err := c.Allocate(n, 4, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := c.FirstFit(0, 1, 0, 0); got != c.Nodes()[mid] {
+			t.Fatalf("%d nodes, first %d full: FirstFit(0) = %v, want node %d", count, mid, got, mid)
+		}
+		// Zero-sized requests fit every leaf, padding included; only real
+		// nodes may be returned.
+		compareFirstFit(t, c, 0, 0, 0)
+		compareFirstFit(t, c, 1, 0, 0)
+		compareFirstFit(t, c, 5, 0, 0) // larger than any node
 	}
-	visits = 0
-	c.IdleNodes(func(n *Node) bool {
-		visits++
-		return visits < 3
-	})
-	if visits != 3 {
-		t.Fatalf("idle early-stop visit count = %d, want 3", visits)
+
+	empty := New(sim.NewEngine(), "empty")
+	for _, from := range []int{-1, 0, 1} {
+		if got := empty.FirstFit(from, 0, 0, 0); got != nil {
+			t.Fatalf("empty cluster: FirstFit(%d) = %v", from, got)
+		}
+	}
+	if got := empty.AppendCandidates(nil, 0, 0, 0); len(got) != 0 {
+		t.Fatalf("empty cluster: %d candidates", len(got))
+	}
+	if got := empty.AppendIdleNodes(nil); len(got) != 0 {
+		t.Fatalf("empty cluster: %d idle nodes", len(got))
 	}
 }

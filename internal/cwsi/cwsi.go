@@ -604,6 +604,10 @@ func (a *rmAdapter) PickNode(s *rm.Submission, candidates []*cluster.Node) *clus
 	return a.cws.strategy.PickNode(s, candidates, a.cws.ctx)
 }
 
+// FirstFitOnly implements rm.FirstFitter, forwarding the declaration of the
+// CWS strategy currently installed.
+func (a *rmAdapter) FirstFitOnly() bool { return rm.DeclaresFirstFit(a.cws.strategy) }
+
 // StartWorkflow begins driving a registered workflow without running the
 // engine, so several workflows can share one cluster concurrently (the
 // multi-tenant setting the CWS evaluation uses). onDone fires once with the

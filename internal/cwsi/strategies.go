@@ -29,6 +29,9 @@ func (Baseline) PickNode(_ *rm.Submission, c []*cluster.Node, _ *Context) *clust
 	return firstFit(c)
 }
 
+// FirstFitOnly implements rm.FirstFitter.
+func (Baseline) FirstFitOnly() bool { return true }
+
 func firstFit(c []*cluster.Node) *cluster.Node {
 	if len(c) == 0 {
 		return nil
@@ -96,6 +99,9 @@ func (Rank) PickNode(_ *rm.Submission, c []*cluster.Node, _ *Context) *cluster.N
 	return firstFit(c)
 }
 
+// FirstFitOnly implements rm.FirstFitter.
+func (Rank) FirstFitOnly() bool { return true }
+
 // FileSize prioritizes by declared input size — §3.5's "file size" strategy.
 // Descending (large first) overlaps long data-heavy tasks with short ones.
 type FileSize struct {
@@ -123,6 +129,9 @@ func (f FileSize) Priority(s *rm.Submission, _ *Context) float64 {
 func (FileSize) PickNode(_ *rm.Submission, c []*cluster.Node, _ *Context) *cluster.Node {
 	return firstFit(c)
 }
+
+// FirstFitOnly implements rm.FirstFitter.
+func (FileSize) FirstFitOnly() bool { return true }
 
 // HEFT combines rank priority with earliest-finish-time placement using the
 // CWS runtime predictions (nominal durations until the predictor warms up) —

@@ -1,7 +1,7 @@
 package jaws
 
 import (
-	"fmt"
+	"strings"
 
 	"hhcw/internal/dag"
 )
@@ -18,14 +18,11 @@ func (def *WorkflowDef) Compile() (*dag.Workflow, error) {
 	}
 	w := dag.New(def.Name)
 	shardIDs := map[string][]dag.TaskID{}
+	var ids strings.Builder
 	for _, t := range def.Tasks {
 		shardIDs[t.Name] = make([]dag.TaskID, t.Shards())
-		for s := 0; s < t.Shards(); s++ {
-			if t.Shards() == 1 {
-				shardIDs[t.Name][s] = dag.TaskID(t.Name)
-			} else {
-				shardIDs[t.Name][s] = dag.TaskID(fmt.Sprintf("%s/shard%04d", t.Name, s))
-			}
+		for s := range shardIDs[t.Name] {
+			shardIDs[t.Name][s] = shardID(&ids, t.Name, t.Shards(), s)
 		}
 	}
 	// def.Tasks is already validated acyclic; add in an order where deps

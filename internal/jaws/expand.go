@@ -2,6 +2,8 @@ package jaws
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"hhcw/internal/dag"
 )
@@ -42,12 +44,74 @@ type ScatterExpander struct {
 	readyNext  int
 	emitCursor int
 
-	// inflight maps an emitted shard to its def position until its terminal
-	// report arrives.
-	inflight map[dag.TaskID]int
+	// pos maps def names to Kahn positions; a terminal report's ID decodes
+	// to (position, shard) through it (see locate). flights tracks each
+	// def's emitted shards awaiting their report; resident counts them.
+	pos      map[string]int
+	flights  []flight
+	resident int
+
+	// ids is the current chunk shard IDs are written into (see Next).
+	ids strings.Builder
 
 	// free recycles Task structs handed back via Retire.
 	free []*dag.Task
+}
+
+// idChunk is the size of the buffers shard IDs are carved from: a few
+// hundred IDs share one allocation, and a chunk is freed once none of its
+// IDs is referenced.
+const idChunk = 4096
+
+// shardID returns the ID of shard s of the def named name with the given
+// shard count, byte-identical to what Compile has always produced: the bare
+// name for a single-shard def, else fmt's "%s/shard%04d". A sharded ID is
+// written into b and returned as a substring of b's buffer; bytes once
+// written are never modified (growth copies to a new buffer), so IDs handed
+// out earlier stay valid. Compile and the streaming expander both build IDs
+// here, so eager and streaming IDs cannot drift apart.
+func shardID(b *strings.Builder, name string, shards, s int) dag.TaskID {
+	if shards == 1 {
+		return dag.TaskID(name)
+	}
+	start := b.Len()
+	b.WriteString(name)
+	b.WriteString("/shard")
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(s), 10)
+	for k := len(digits); k < 4; k++ {
+		b.WriteByte('0')
+	}
+	b.Write(digits)
+	return dag.TaskID(b.String()[start:])
+}
+
+// flight tracks one def's emitted shards that await their terminal report
+// as a window over shard indices: every shard below lo has reported, and
+// reported[k] marks shard lo+k, for the shards emitted since. The window
+// slides forward as its front reports, so it spans the shards from the
+// oldest unreported one to the newest emitted, never the whole def.
+type flight struct {
+	lo       int
+	reported []bool
+}
+
+// emit opens the next shard.
+func (f *flight) emit() { f.reported = append(f.reported, false) }
+
+// report closes shard s. It returns false when s was never emitted or has
+// already reported.
+func (f *flight) report(s int) bool {
+	k := s - f.lo
+	if k < 0 || k >= len(f.reported) || f.reported[k] {
+		return false
+	}
+	f.reported[k] = true
+	for len(f.reported) > 0 && f.reported[0] {
+		f.reported = f.reported[1:]
+		f.lo++
+	}
+	return true
 }
 
 // Expand returns a streaming expander over the def — the lazy counterpart of
@@ -74,15 +138,14 @@ func (def *WorkflowDef) Expand() (*ScatterExpander, error) {
 		}
 	}
 	x := &ScatterExpander{
-		def:      def,
-		order:    make([]*TaskDef, 0, len(def.Tasks)),
-		inflight: make(map[dag.TaskID]int, 64),
+		def:   def,
+		order: make([]*TaskDef, 0, len(def.Tasks)),
+		pos:   make(map[string]int, len(def.Tasks)),
 	}
-	pos := make(map[string]int, len(def.Tasks))
 	for len(readyNames) > 0 {
 		name := readyNames[0]
 		readyNames = readyNames[1:]
-		pos[name] = len(x.order)
+		x.pos[name] = len(x.order)
 		x.order = append(x.order, def.Task(name))
 		for _, c := range childNames[name] {
 			indeg[c]--
@@ -96,6 +159,7 @@ func (def *WorkflowDef) Expand() (*ScatterExpander, error) {
 	x.upstream = make([]int, n)
 	x.children = make([][]int, n)
 	x.skipped = make([]bool, n)
+	x.flights = make([]flight, n)
 	idx := 0
 	for p, t := range x.order {
 		x.base[p] = idx
@@ -105,7 +169,7 @@ func (def *WorkflowDef) Expand() (*ScatterExpander, error) {
 	// ascending without sorting — the same order eager edge creation yields.
 	for p, t := range x.order {
 		for _, d := range t.After {
-			dp := pos[d]
+			dp := x.pos[d]
 			x.upstream[p] += x.order[dp].Shards()
 			x.children[dp] = append(x.children[dp], p)
 		}
@@ -135,16 +199,18 @@ func (x *ScatterExpander) Next() (*dag.Task, int, bool) {
 		s := x.emitCursor
 		x.emitCursor++
 		t := x.grabTask()
-		if d.Shards() == 1 {
-			t.ID = dag.TaskID(d.Name)
-		} else {
-			t.ID = dag.TaskID(fmt.Sprintf("%s/shard%04d", d.Name, s))
+		// Start a fresh chunk rather than regrow one under live IDs.
+		if need := len(d.Name) + len("/shard") + 20; x.ids.Cap()-x.ids.Len() < need {
+			x.ids.Reset()
+			x.ids.Grow(max(idChunk, need))
 		}
+		t.ID = shardID(&x.ids, d.Name, d.Shards(), s)
 		t.Name = d.Name
 		t.Cores = d.Cores
 		t.MemBytes = d.MemBytes
 		t.NominalDur = d.DurationSec + d.OverheadSec
-		x.inflight[t.ID] = p
+		x.flights[p].emit()
+		x.resident++
 		return t, x.base[p] + s, true
 	}
 	x.ready = x.ready[:0]
@@ -152,13 +218,48 @@ func (x *ScatterExpander) Next() (*dag.Task, int, bool) {
 	return nil, 0, false
 }
 
-// TaskDone implements dag.Expander.
-func (x *ScatterExpander) TaskDone(id dag.TaskID) {
-	p, ok := x.inflight[id]
-	if !ok {
+// locate decodes a shard ID into its def position and shard index — the
+// inverse of shardID. Def names never contain "/" (Validate rejects them),
+// so the first "/" separates the name from the shard suffix. ok is false for
+// any ID shardID cannot produce for this workflow's defs.
+func (x *ScatterExpander) locate(id dag.TaskID) (p, s int, ok bool) {
+	name, suffix, sharded := strings.Cut(string(id), "/")
+	p, ok = x.pos[name]
+	if !ok || sharded != (x.order[p].Shards() > 1) {
+		return 0, 0, false
+	}
+	if !sharded {
+		return p, 0, true
+	}
+	digits, ok := strings.CutPrefix(suffix, "shard")
+	// %04d output: at least four digits, and no leading zero beyond them.
+	if !ok || len(digits) < 4 || len(digits) > 18 || (len(digits) > 4 && digits[0] == '0') {
+		return 0, 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, 0, false
+		}
+		s = 10*s + int(c-'0')
+	}
+	return p, s, true
+}
+
+// settle closes the in-flight shard id and returns its def position. A
+// report for a shard never emitted, or reported before, panics.
+func (x *ScatterExpander) settle(id dag.TaskID) int {
+	p, s, ok := x.locate(id)
+	if !ok || !x.flights[p].report(s) {
 		panic(fmt.Sprintf("jaws: expander %q got a terminal report for unknown shard %q", x.def.Name, id))
 	}
-	delete(x.inflight, id)
+	x.resident--
+	return p
+}
+
+// TaskDone implements dag.Expander.
+func (x *ScatterExpander) TaskDone(id dag.TaskID) {
+	p := x.settle(id)
 	for _, c := range x.children[p] {
 		x.upstream[c]--
 		if x.upstream[c] == 0 && !x.skipped[c] {
@@ -171,11 +272,7 @@ func (x *ScatterExpander) TaskDone(id dag.TaskID) {
 // Gather semantics make it exact — every shard of a dependent def needs the
 // failed shard, so whole defs are skipped, never fractions of one.
 func (x *ScatterExpander) TaskFailed(id dag.TaskID) int {
-	p, ok := x.inflight[id]
-	if !ok {
-		panic(fmt.Sprintf("jaws: expander %q got a terminal report for unknown shard %q", x.def.Name, id))
-	}
-	delete(x.inflight, id)
+	p := x.settle(id)
 	n := 0
 	var walk func(int)
 	walk = func(from int) {
@@ -196,8 +293,9 @@ func (x *ScatterExpander) TaskFailed(id dag.TaskID) int {
 func (x *ScatterExpander) Retire(t *dag.Task) { x.free = append(x.free, t) }
 
 // Resident returns how many emitted shards await their terminal report —
-// the expander's own contribution to resident state is O(defs + Resident).
-func (x *ScatterExpander) Resident() int { return len(x.inflight) }
+// the expander's own resident state is O(defs + the widest span of
+// unreported shards of a def).
+func (x *ScatterExpander) Resident() int { return x.resident }
 
 func (x *ScatterExpander) grabTask() *dag.Task {
 	if n := len(x.free); n > 0 {

@@ -3,6 +3,7 @@ package jaws
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hhcw/internal/cluster"
@@ -276,5 +277,200 @@ func TestStreamingScatterMemoryCeiling(t *testing.T) {
 	}
 	if peaks[0] != peaks[1] {
 		t.Fatalf("peak resident scales with task count: %v for sizes %v", peaks, sizes)
+	}
+}
+
+// shardID is the one ID builder behind Compile and the streaming expander;
+// it must stay byte-identical to the historical fmt form, and locate must
+// invert it.
+func TestShardIDMatchesSprintf(t *testing.T) {
+	var b strings.Builder
+	var ids []dag.TaskID
+	var want []string
+	for _, name := range []string{"w", "align", "a-much-longer-task-name"} {
+		for _, s := range []int{0, 9, 999, 9999, 10000, 123456} {
+			ids = append(ids, shardID(&b, name, 200000, s))
+			want = append(want, fmt.Sprintf("%s/shard%04d", name, s))
+		}
+		if got := shardID(&b, name, 1, 0); string(got) != name {
+			t.Fatalf("1-shard def %q: ID %q, want the bare name", name, got)
+		}
+	}
+	// Checked after every write: earlier IDs must survive the buffer growing.
+	for i := range ids {
+		if string(ids[i]) != want[i] {
+			t.Fatalf("shardID = %q, want %q", ids[i], want[i])
+		}
+	}
+
+	def, err := Parse(expandWDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := def.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, d := range x.order {
+		for _, s := range []int{0, 9, d.Shards() - 1} {
+			if s >= d.Shards() {
+				continue
+			}
+			id := shardID(&b, d.Name, d.Shards(), s)
+			if gp, gs, ok := x.locate(id); !ok || gp != p || gs != s {
+				t.Fatalf("locate(%q) = (%d, %d, %v), want (%d, %d)", id, gp, gs, ok, p, s)
+			}
+		}
+	}
+	for _, id := range []dag.TaskID{
+		"", "ghost", "align", "prep/shard0000", "align/", "align/shard", "align/shard12",
+		"align/shard00012", "align/shard-001", "align/shardx001", "align/shard0001/x", "align/part0001",
+	} {
+		if _, _, ok := x.locate(id); ok {
+			t.Fatalf("locate(%q) accepted an ID shardID never produces", id)
+		}
+	}
+}
+
+// expectUnknownShard runs report and requires the expander's
+// unknown-shard panic for id.
+func expectUnknownShard(t *testing.T, id dag.TaskID, report func()) {
+	t.Helper()
+	want := fmt.Sprintf("jaws: expander %q got a terminal report for unknown shard %q", "metasweep", id)
+	defer func() {
+		t.Helper()
+		if p := recover(); p != want {
+			t.Fatalf("report of %q: panic %v, want %q", id, p, want)
+		}
+	}()
+	report()
+}
+
+// Terminal reports must name a shard that was emitted and has not reported
+// yet; anything else — an unknown ID, a shard not emitted yet, a duplicate
+// done or failed report — panics exactly as the map-addressed table did.
+// Reports arrive out of order, and Resident must track the in-flight count
+// throughout.
+func TestScatterExpanderRejectsBadReports(t *testing.T) {
+	def, err := Parse(expandWDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := def.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, report := range []func(dag.TaskID){
+		x.TaskDone,
+		func(id dag.TaskID) { x.TaskFailed(id) },
+	} {
+		for _, id := range []dag.TaskID{"ghost", "prep", "align/shard0000", "merge", "prep/shard0000"} {
+			expectUnknownShard(t, id, func() { report(id) })
+		}
+	}
+	prep, _, _ := x.Next()
+	x.TaskDone(prep.ID)
+	expectUnknownShard(t, "prep", func() { x.TaskDone("prep") })
+	expectUnknownShard(t, "prep", func() { x.TaskFailed("prep") })
+
+	r := randx.New(3)
+	var inflight []dag.TaskID
+	reported := 0
+	for {
+		for {
+			task, _, ok := x.Next()
+			if !ok {
+				break
+			}
+			inflight = append(inflight, task.ID)
+			x.Retire(task)
+		}
+		if x.Resident() != len(inflight) {
+			t.Fatalf("Resident() = %d, %d shards in flight", x.Resident(), len(inflight))
+		}
+		if len(inflight) == 0 {
+			break
+		}
+		i := r.Intn(len(inflight))
+		id := inflight[i]
+		inflight[i] = inflight[len(inflight)-1]
+		inflight = inflight[:len(inflight)-1]
+		x.TaskDone(id)
+		reported++
+		if x.Resident() != len(inflight) {
+			t.Fatalf("Resident() = %d after reporting %q, %d in flight", x.Resident(), id, len(inflight))
+		}
+		expectUnknownShard(t, id, func() { x.TaskDone(id) })
+		expectUnknownShard(t, id, func() { x.TaskFailed(id) })
+	}
+	if reported != x.Total()-1 {
+		t.Fatalf("reported %d shards after prep, want %d", reported, x.Total()-1)
+	}
+}
+
+// residentProbe forwards an expander and checks, at every call, that the
+// ScatterExpander's Resident equals the shards emitted and not yet reported.
+type residentProbe struct {
+	*ScatterExpander
+	t        *testing.T
+	inflight int
+}
+
+func (p *residentProbe) check() {
+	p.t.Helper()
+	if got := p.ScatterExpander.Resident(); got != p.inflight {
+		p.t.Fatalf("Resident() = %d, %d shards in flight", got, p.inflight)
+	}
+}
+
+func (p *residentProbe) Next() (*dag.Task, int, bool) {
+	t, idx, ok := p.ScatterExpander.Next()
+	if ok {
+		p.inflight++
+	}
+	p.check()
+	return t, idx, ok
+}
+
+func (p *residentProbe) TaskDone(id dag.TaskID) {
+	p.ScatterExpander.TaskDone(id)
+	p.inflight--
+	p.check()
+}
+
+func (p *residentProbe) TaskFailed(id dag.TaskID) int {
+	n := p.ScatterExpander.TaskFailed(id)
+	p.inflight--
+	p.check()
+	return n
+}
+
+// Resident must match the in-flight count through a faulty run: retried
+// shards, a terminally failed shard with cascade skips, and a window that
+// keeps admission throttled.
+func TestScatterExpanderResidentUnderFaults(t *testing.T) {
+	def, err := Parse(expandWDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := def.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	retry := fault.DefaultRetryPolicy()
+	plan := map[int]int{3: 1, 7: 2, 10: retry.MaxAttempts + 1, 30: 1}
+	_, mgr := expandTestCluster(4, 8)
+	probe := &residentProbe{ScatterExpander: x, t: t}
+	sr := &rm.StreamRunner{
+		Manager: mgr, Source: probe, WorkflowID: def.Name, MaxResident: 16,
+		Retry: &retry, RetryRNG: randx.New(7), Breaker: retry.NewBreaker(),
+		FailPlan: func(i int) int { return plan[i] },
+	}
+	sr.Run()
+	if st := sr.Stats(); st.Retries == 0 || st.TerminalFailures != 1 || st.Skipped == 0 {
+		t.Fatalf("fault plan did not bite: %+v", st)
+	}
+	if x.Resident() != 0 {
+		t.Fatalf("resident after drain: %d", x.Resident())
 	}
 }

@@ -32,19 +32,38 @@ type DurationOracle func(s *Submission, n *cluster.Node) (float64, bool)
 func (m *TaskManager) SetDurationOracle(o DurationOracle) { m.oracle = o }
 
 // filterReserved drops the reserved node from a submission's candidate list
-// unless the oracle predicts the submission finishes before the shadow time.
-// candidates is filtered in place; resNode appears at most once.
+// unless it fits the hole. candidates is filtered in place; resNode appears
+// at most once.
 func (m *TaskManager) filterReserved(candidates []*cluster.Node, s *Submission, resNode *cluster.Node, shadow, now sim.Time) []*cluster.Node {
 	for i, n := range candidates {
 		if n != resNode {
 			continue
 		}
-		if d, ok := m.oracle(s, n); ok && now+sim.Time(d) <= shadow {
-			return candidates // fits in the hole without delaying its owner
+		if m.fitsHole(s, n, shadow, now) {
+			return candidates
 		}
 		return append(candidates[:i], candidates[i+1:]...)
 	}
 	return candidates
+}
+
+// firstFit is filterReserved's first-fit form: the lowest-ID node that can
+// fit s, passing over resNode unless s fits its hole. It equals the first
+// node of the filtered candidate list, or nil when that list is empty.
+func (m *TaskManager) firstFit(s *Submission, resNode *cluster.Node, shadow, now sim.Time) *cluster.Node {
+	n := m.cl.FirstFit(0, s.Cores, s.GPUs, s.Mem)
+	if n != nil && n == resNode && !m.fitsHole(s, n, shadow, now) {
+		n = m.cl.FirstFit(n.ID+1, s.Cores, s.GPUs, s.Mem)
+	}
+	return n
+}
+
+// fitsHole reports whether the oracle predicts s finishes on the reserved
+// node n before the shadow time, so it can run there without delaying the
+// reservation's owner.
+func (m *TaskManager) fitsHole(s *Submission, n *cluster.Node, shadow, now sim.Time) bool {
+	d, ok := m.oracle(s, n)
+	return ok && now+sim.Time(d) <= shadow
 }
 
 // reserve picks the node where capacity for s frees earliest: for each up

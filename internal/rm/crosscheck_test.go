@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hhcw/internal/cluster"
@@ -12,12 +14,16 @@ import (
 )
 
 // The dispatch overhaul replaced the per-submission full node scan with the
-// cluster's capacity index. This file replays random tapes of submit /
-// cancel / abort / node-fail / node-repair operations through a strategy
-// instrumented to rerun the old scan kernel at every placement decision: the
-// candidate list the index hands to PickNode must match the rescan, element
-// for element, in node-ID order. A mismatch dumps the offending tape to
-// crosscheck_tape_failure.json so CI can attach it to the failing run.
+// cluster's capacity index, and first-fit strategies now receive only the
+// first fit, found by index descent. This file replays random tapes of
+// submit / cancel / abort / node-fail / node-repair operations through a
+// strategy instrumented to rerun the old scan kernel at every placement
+// decision, with and without a duration oracle arming EASY reservations:
+// the candidate list the manager hands to PickNode must match the rescan,
+// reservation-filtered, element for element in node-ID order — the whole
+// list for a slice strategy, its first node for a declared first-fit one. A
+// mismatch dumps the offending tape to crosscheck_tape_failure.json so CI
+// can attach it to the failing run.
 
 // tapeOp is one replayable scheduler-facing operation.
 type tapeOp struct {
@@ -33,30 +39,53 @@ type tapeOp struct {
 
 // checkedFIFO is FIFO instrumented with the historical full-scan kernel as a
 // test-only reference: every PickNode cross-checks its candidate slice.
+// firstFit sets its FirstFitOnly declaration.
 type checkedFIFO struct {
 	t          *testing.T
+	m          *TaskManager
 	cl         *cluster.Cluster
+	firstFit   bool
 	tape       []tapeOp
 	seed       int64
 	checks     int
+	heldOff    int // rescans that dropped the reserved node
 	mismatched bool
+
+	// The pass being checked: its order, how far PickNode has come, and
+	// the reservation the pass holds so far.
+	order   []*Submission
+	cursor  int
+	resNode *cluster.Node
+	shadow  sim.Time
 }
 
 func (c *checkedFIFO) Name() string { return "checked-fifo" }
 
-func (c *checkedFIFO) Prioritize(p []*Submission) []*Submission { return p }
+func (c *checkedFIFO) FirstFitOnly() bool { return c.firstFit }
+
+func (c *checkedFIFO) Prioritize(p []*Submission) []*Submission {
+	c.order, c.cursor, c.resNode = p, 0, nil
+	return p
+}
 
 func (c *checkedFIFO) PickNode(s *Submission, candidates []*cluster.Node) *cluster.Node {
 	c.checks++
-	// The old kernel: scan every node in ID order, keep the feasible ones.
-	var want []*cluster.Node
-	for _, n := range c.cl.Nodes() {
-		if n.Down() {
-			continue
+	// This strategy never declines a candidate, so every submission the pass
+	// went over before s must have had no node, and the first of them the
+	// manager could reserve for holds the pass's reservation.
+	for ; c.order[c.cursor] != s; c.cursor++ {
+		skipped := c.order[c.cursor]
+		if want := c.rescan(skipped); len(want) > 0 {
+			c.mismatch(skipped, want, nil)
 		}
-		if n.FreeCores() >= s.Cores && n.FreeGPUs() >= s.GPUs && n.FreeMem() >= s.Mem {
-			want = append(want, n)
+		if c.resNode == nil && c.m.oracle != nil {
+			c.resNode, c.shadow = c.m.reserve(skipped)
 		}
+	}
+	c.cursor++
+	want := c.rescan(s)
+	if c.firstFit && len(want) > 1 {
+		want = want[:1]
 	}
 	ok := len(want) == len(candidates)
 	if ok {
@@ -67,16 +96,48 @@ func (c *checkedFIFO) PickNode(s *Submission, candidates []*cluster.Node) *clust
 			}
 		}
 	}
-	if !ok && !c.mismatched {
-		c.mismatched = true
-		c.dumpFailure(s, want, candidates)
-		c.t.Errorf("seed %d: index candidates diverge from full rescan for %s (%d cores/%d gpus/%.0f mem): index %d nodes, rescan %d",
-			c.seed, s.ID, s.Cores, s.GPUs, s.Mem, len(candidates), len(want))
+	if !ok {
+		c.mismatch(s, want, candidates)
 	}
 	if len(candidates) == 0 {
 		return nil
 	}
 	return candidates[0]
+}
+
+// rescan is the old kernel: scan every node in ID order and keep the
+// feasible ones, dropping the pass's reserved node unless the oracle fits s
+// into its hole.
+func (c *checkedFIFO) rescan(s *Submission) []*cluster.Node {
+	now := c.cl.Engine().Now()
+	var want []*cluster.Node
+	for _, n := range c.cl.Nodes() {
+		if n.Down() {
+			continue
+		}
+		if n.FreeCores() < s.Cores || n.FreeGPUs() < s.GPUs || n.FreeMem() < s.Mem {
+			continue
+		}
+		if n == c.resNode {
+			if d, ok := c.m.oracle(s, n); !ok || now+sim.Time(d) > c.shadow {
+				c.heldOff++
+				continue
+			}
+		}
+		want = append(want, n)
+	}
+	return want
+}
+
+// mismatch reports the first divergence of a tape and dumps it.
+func (c *checkedFIFO) mismatch(s *Submission, want, got []*cluster.Node) {
+	if c.mismatched {
+		return
+	}
+	c.mismatched = true
+	c.dumpFailure(s, want, got)
+	c.t.Errorf("seed %d, first-fit %v, oracle %v: index candidates diverge from full rescan for %s (%d cores/%d gpus/%.0f mem): index %d nodes, rescan %d",
+		c.seed, c.firstFit, c.m.oracle != nil, s.ID, s.Cores, s.GPUs, s.Mem, len(got), len(want))
 }
 
 // dumpFailure writes the replayable tape plus the diverging query to
@@ -90,8 +151,10 @@ func (c *checkedFIFO) dumpFailure(s *Submission, want, got []*cluster.Node) {
 		return out
 	}
 	doc := map[string]any{
-		"seed": c.seed,
-		"tape": c.tape,
+		"seed":      c.seed,
+		"first_fit": c.firstFit,
+		"oracle":    c.m.oracle != nil,
+		"tape":      c.tape,
 		"query": map[string]any{
 			"id": s.ID, "cores": s.Cores, "gpus": s.GPUs, "mem": s.Mem,
 			"at": float64(c.cl.Engine().Now()),
@@ -138,8 +201,9 @@ func genTape(r *randx.Source, nodes int) []tapeOp {
 	return tape
 }
 
-// replayTape schedules every tape operation at its virtual time.
-func replayTape(eng *sim.Engine, cl *cluster.Cluster, m *TaskManager, tape []tapeOp) {
+// replayTape schedules every tape operation at its virtual time; done, if
+// not nil, receives every submission's terminal result.
+func replayTape(eng *sim.Engine, cl *cluster.Cluster, m *TaskManager, tape []tapeOp, done func(Result)) {
 	for _, op := range tape {
 		op := op
 		switch op.Op {
@@ -147,7 +211,7 @@ func replayTape(eng *sim.Engine, cl *cluster.Cluster, m *TaskManager, tape []tap
 			eng.At(sim.Time(op.At), func() {
 				m.Submit(&Submission{
 					ID: op.ID, Cores: op.Cores, GPUs: op.GPUs, Mem: op.Mem,
-					Runtime: fixedRuntime(op.Dur),
+					Runtime: fixedRuntime(op.Dur), Done: done,
 				})
 			})
 		case "cancel":
@@ -162,21 +226,116 @@ func replayTape(eng *sim.Engine, cl *cluster.Cluster, m *TaskManager, tape []tap
 	}
 }
 
-func TestPrioritizeScanCrossCheckTapes(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		eng := sim.NewEngine()
-		cl := cluster.Heterogeneous(eng, 5) // 15 nodes, three families
-		strat := &checkedFIFO{t: t, cl: cl, seed: seed}
-		m := NewTaskManager(cl, strat)
-		tape := genTape(randx.New(seed*7919+3), cl.NodeCount())
-		strat.tape = tape
-		replayTape(eng, cl, m, tape)
-		eng.Run()
-		if strat.checks == 0 {
-			t.Fatalf("seed %d: tape produced no placement decisions", seed)
+// tapeOracle predicts every tape submission's exact duration, except that
+// it stays cold for every third ID — those are kept off reserved nodes.
+func tapeOracle(tape []tapeOp) DurationOracle {
+	dur := map[string]float64{}
+	for i, op := range tape {
+		if op.Op == "submit" && i%3 != 0 {
+			dur[op.ID] = op.Dur
 		}
-		if t.Failed() {
-			return // the artifact describes the first divergence; stop here
+	}
+	return func(s *Submission, _ *cluster.Node) (float64, bool) {
+		d, ok := dur[s.ID]
+		return d, ok
+	}
+}
+
+// tapeClusters are the shapes tapes replay on: three node families with no
+// GPUs, where reservations land on the large right-hand nodes, and a
+// homogeneous GPU cluster, where the reserved node is often the leftmost fit
+// and first-fit placement must resume past it.
+var tapeClusters = []struct {
+	name string
+	new  func(*sim.Engine) *cluster.Cluster
+}{
+	{"hetero", func(eng *sim.Engine) *cluster.Cluster { return cluster.Heterogeneous(eng, 5) }},
+	{"uniform", func(eng *sim.Engine) *cluster.Cluster { return testCluster(eng, 6, 12) }},
+}
+
+func TestPrioritizeScanCrossCheckTapes(t *testing.T) {
+	for _, shape := range tapeClusters {
+		for _, firstFit := range []bool{false, true} {
+			for _, withOracle := range []bool{false, true} {
+				heldOff := 0
+				for seed := int64(1); seed <= 6; seed++ {
+					eng := sim.NewEngine()
+					cl := shape.new(eng)
+					strat := &checkedFIFO{t: t, cl: cl, seed: seed, firstFit: firstFit}
+					m := NewTaskManager(cl, strat)
+					strat.m = m
+					tape := genTape(randx.New(seed*7919+3), cl.NodeCount())
+					strat.tape = tape
+					if withOracle {
+						m.SetDurationOracle(tapeOracle(tape))
+					}
+					replayTape(eng, cl, m, tape, nil)
+					eng.Run()
+					if strat.checks == 0 {
+						t.Fatalf("%s seed %d: tape produced no placement decisions", shape.name, seed)
+					}
+					if t.Failed() {
+						return // the artifact describes the first divergence; stop here
+					}
+					heldOff += strat.heldOff
+				}
+				if withOracle && heldOff == 0 {
+					t.Fatalf("%s, first-fit %v: no rescan ever met a reservation — the oracle tapes test nothing", shape.name, firstFit)
+				}
+			}
+		}
+	}
+}
+
+// hiddenFirstFit forwards a Strategy without its FirstFitter declaration,
+// so the manager falls back to handing it the whole candidate list.
+type hiddenFirstFit struct{ Strategy }
+
+// tapeDigest replays a tape under strat, oracle optional, and renders every
+// terminal result in completion order.
+func tapeDigest(newCluster func(*sim.Engine) *cluster.Cluster, seed int64, strat Strategy, withOracle bool) string {
+	eng := sim.NewEngine()
+	cl := newCluster(eng)
+	m := NewTaskManager(cl, strat)
+	tape := genTape(randx.New(seed*7919+3), cl.NodeCount())
+	if withOracle {
+		m.SetDurationOracle(tapeOracle(tape))
+	}
+	var b strings.Builder
+	replayTape(eng, cl, m, tape, func(r Result) {
+		node := "-"
+		if r.Node != nil {
+			node = r.Node.Name()
+		}
+		fmt.Fprintf(&b, "%s@%s %v-%v %v;", r.Submission.ID, node, r.StartedAt, r.FinishedAt, r.Failed)
+	})
+	eng.Run()
+	return b.String()
+}
+
+// The FirstFitter declaration is an optimization only: hiding it behind a
+// wrapper, so placement goes through the full candidate list and the
+// reservation filter, must leave every schedule byte-identical — on the
+// random tapes with and without an oracle and on the canonical EASY
+// backfill scenario.
+func TestFirstFitDeclarationInvisible(t *testing.T) {
+	for _, shape := range tapeClusters {
+		for seed := int64(1); seed <= 6; seed++ {
+			for _, withOracle := range []bool{false, true} {
+				declared := tapeDigest(shape.new, seed, FIFO{}, withOracle)
+				hidden := tapeDigest(shape.new, seed, hiddenFirstFit{FIFO{}}, withOracle)
+				if declared != hidden {
+					t.Fatalf("%s seed %d, oracle %v: declared first-fit schedule diverges from the slice path:\n declared %s\n hidden   %s",
+						shape.name, seed, withOracle, declared, hidden)
+				}
+			}
+		}
+	}
+	for _, withOracle := range []bool{false, true} {
+		declared := backfillScenario(t, FIFO{}, withOracle)
+		hidden := backfillScenario(t, hiddenFirstFit{FIFO{}}, withOracle)
+		if !reflect.DeepEqual(declared, hidden) {
+			t.Fatalf("oracle %v: backfill starts %v declared, %v hidden", withOracle, declared, hidden)
 		}
 	}
 }

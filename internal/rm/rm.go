@@ -160,6 +160,24 @@ type Strategy interface {
 	PickNode(s *Submission, candidates []*cluster.Node) *cluster.Node
 }
 
+// FirstFitter is the optional declaration of a Strategy whose PickNode reads
+// nothing of its candidates but the first: given the feasible nodes in
+// ascending ID order, it either returns candidates[0] or nil, and its side
+// effects depend on candidates only through that node. FirstFitOnly
+// reporting true lets the manager find that node by one index descent
+// (cluster.FirstFit) and hand PickNode a slice of at most one node instead
+// of the whole feasible list. The manager asks once per dispatch pass, so a
+// wrapper may forward whatever strategy it currently wraps.
+type FirstFitter interface {
+	FirstFitOnly() bool
+}
+
+// DeclaresFirstFit reports whether s is a FirstFitter answering true.
+func DeclaresFirstFit(s any) bool {
+	f, ok := s.(FirstFitter)
+	return ok && f.FirstFitOnly()
+}
+
 // FIFO is the baseline workflow-oblivious strategy: submission order,
 // first-fit placement. This is how plain Kubernetes/SLURM treat workflow
 // tasks (§3.2: "Kubernetes then schedules them in a FIFO manner").
@@ -178,6 +196,9 @@ func (FIFO) PickNode(s *Submission, candidates []*cluster.Node) *cluster.Node {
 	}
 	return candidates[0]
 }
+
+// FirstFitOnly implements FirstFitter.
+func (FIFO) FirstFitOnly() bool { return true }
 
 // TaskManager is the Kubernetes-like task-granular resource manager.
 type TaskManager struct {
@@ -443,10 +464,20 @@ func (m *TaskManager) schedule() {
 	var resNode *cluster.Node
 	var shadow sim.Time
 	now := m.eng.Now()
+	// A first-fit strategy reads only the first candidate, so it gets just
+	// that one, found by index descent instead of listing every fit.
+	firstFitOnly := DeclaresFirstFit(m.strategy)
 	for _, s := range ordered {
-		m.candScratch = m.cl.AppendCandidates(m.candScratch[:0], s.Cores, s.GPUs, s.Mem)
-		if resNode != nil {
-			m.candScratch = m.filterReserved(m.candScratch, s, resNode, shadow, now)
+		if firstFitOnly {
+			m.candScratch = m.candScratch[:0]
+			if n := m.firstFit(s, resNode, shadow, now); n != nil {
+				m.candScratch = append(m.candScratch, n)
+			}
+		} else {
+			m.candScratch = m.cl.AppendCandidates(m.candScratch[:0], s.Cores, s.GPUs, s.Mem)
+			if resNode != nil {
+				m.candScratch = m.filterReserved(m.candScratch, s, resNode, shadow, now)
+			}
 		}
 		if len(m.candScratch) == 0 {
 			if resNode == nil && m.oracle != nil {

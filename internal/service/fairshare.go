@@ -57,3 +57,7 @@ func (f *FairShare) PickNode(s *rm.Submission, candidates []*cluster.Node, _ *cw
 	}
 	return candidates[0]
 }
+
+// FirstFitOnly implements rm.FirstFitter: the quota gate and its
+// runningCores update depend only on whether a first candidate exists.
+func (f *FairShare) FirstFitOnly() bool { return true }

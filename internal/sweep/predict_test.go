@@ -160,3 +160,51 @@ func TestPredictWorkerInvariance(t *testing.T) {
 		}
 	}
 }
+
+// hiddenFirstFit forwards a CWS strategy without its rm.FirstFitter
+// declaration, so the manager hands it the whole candidate list.
+type hiddenFirstFit struct{ cwsi.Strategy }
+
+// TestPredictFirstFitDeclarationInvisible runs the prediction-loop ablation
+// twice — Baseline declaring first fit, and Baseline with the declaration
+// hidden — fault-free and under storm, and requires byte-identical report
+// fingerprints: first-fit placement by index descent is an optimization
+// that no run can observe. (Predictor-on cells install cwsi.Predictive,
+// which keeps the candidate list either way; the predictor-off cells place
+// by descent.)
+func TestPredictFirstFitDeclarationInvisible(t *testing.T) {
+	storm, err := fault.ByName("storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, faults := range []fault.Profile{{}, storm} {
+		fingerprint := func(strat cwsi.Strategy) string {
+			mkEnv := func(predictor string) func() core.Environment {
+				return func() core.Environment {
+					return &core.KubernetesEnv{Nodes: 2, Heterogeneous: true,
+						Strategy: strat, Predict: predictor, Faults: faults}
+				}
+			}
+			rep, err := Run(Config{
+				Workflows: []WorkflowSpec{predictWorkflow()},
+				Envs: []EnvSpec{
+					{Name: "off", New: mkEnv("off")},
+					{Name: "mean", New: mkEnv("mean")},
+					{Name: "regression", New: mkEnv("regression")},
+					{Name: "lotaru", New: mkEnv("lotaru")},
+				},
+				Seeds:    Seeds(1, 10),
+				Baseline: "off",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep.Fingerprint()
+		}
+		declared := fingerprint(cwsi.Baseline{})
+		if hidden := fingerprint(hiddenFirstFit{cwsi.Baseline{}}); hidden != declared {
+			t.Fatalf("faults %q: hiding the first-fit declaration changed the ablation:\n declared %s\n hidden   %s",
+				faults.Name, declared, hidden)
+		}
+	}
+}
