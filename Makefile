@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race cover fuzz chaos sweep bench bench-json bench-json-short profile experiments examples compose clean
+.PHONY: all build vet test test-race bench-module cover fuzz chaos sweep bench bench-json bench-json-short profile experiments examples compose clean
 
-all: build vet test test-race chaos
+all: build vet test test-race bench-module chaos
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ test:
 # tier-1 run.
 test-race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark is a module of its own (bench/go.mod) built
+# against the library's internal packages, so build, vet and test above never
+# see it. Vet and test it here, so a library API change cannot break the
+# benchmark unnoticed.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Full-suite coverage profile (atomic mode: the sweep pool is concurrent).
 # CI runs this in the test job, uploads coverage.out as an artifact, and the

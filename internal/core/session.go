@@ -45,9 +45,9 @@ type SessionEnvironment interface {
 }
 
 // Session is the warm-run session over a KubernetesEnv. One engine, cluster,
-// manager, and either one task driver (plain FIFO) or one CWS with its
-// provenance store live for the session's lifetime; every RunSeeded after the
-// first resets them in place — the engine truncates its heaps and keeps its
+// manager and task driver — and, on CWS environments, one CWS with its
+// provenance store — live for the session's lifetime; every RunSeeded after
+// the first resets them in place — the engine truncates its heaps and keeps its
 // slab tail, the cluster restores node capacity and rebuilds the segment index
 // over the same arrays, the manager, driver and scheduler clear queues and
 // pooled records without dropping capacity, provenance and metrics truncate
@@ -67,7 +67,7 @@ type Session struct {
 	cl     *cluster.Cluster
 	mgr    *rm.TaskManager
 	cws    *cwsi.CWS            // nil on the plain-FIFO path
-	runner *rm.StreamRunner     // non-nil on the plain-FIFO path
+	runner *rm.StreamRunner     // the task driver, bound to the CWS on CWS runs
 	x      dag.WorkflowExpander // the runner's source, rebound to each run's workflow
 	forks  forkPool             // the run's RNG forks, reseeded in place
 	warm   bool
@@ -89,9 +89,8 @@ func (e *KubernetesEnv) NewSession() (RunSession, error) {
 		// The predictor is per-run state (each run trains its own); Reset
 		// installs it at the top of every RunSeeded.
 		s.cws = cwsi.New(s.mgr, s.strat, nil)
-	} else {
-		s.runner = &rm.StreamRunner{Manager: s.mgr}
 	}
+	s.runner = &rm.StreamRunner{Manager: s.mgr}
 	return s, nil
 }
 
@@ -126,10 +125,8 @@ func (s *Session) reset() {
 	s.cl.Reset()
 	s.mgr.Reset()
 	s.forks.reset()
-	if s.runner != nil {
-		s.runner.Reset()
-		s.x.Reset(nil)
-	}
+	s.runner.Reset()
+	s.x.Reset(nil)
 }
 
 // faultArm is one run's armed fault layer: the node-fault injector, the
@@ -211,24 +208,41 @@ func (a *faultArm) runtime(t *dag.Task, n *cluster.Node) float64 {
 }
 
 // runStream drives x through runner on cl under the armed fault layer and
-// fills res — the single task-driver path behind both the warm session's
-// FIFO runs and RunExpander.
-func runStream(runner *rm.StreamRunner, x dag.Expander, cl *cluster.Cluster, arm *faultArm, res *Result) *Result {
+// fills res — the single task-driver path behind the warm session's FIFO
+// and CWS runs and RunExpander. With cws set, x's workflow is registered
+// there and every attempt runs through it (cwsi.CWS.Bind).
+func runStream(runner *rm.StreamRunner, x dag.Expander, cl *cluster.Cluster, arm *faultArm, cws *cwsi.CWS, res *Result) error {
 	runner.Source, runner.WorkflowID = x, x.Name()
-	if arm.inj != nil {
-		runner.Runtime = arm.runtime
+	if arm.retry != nil {
 		runner.Retry, runner.RetryRNG, runner.Breaker = arm.retry, arm.retryRNG, arm.retry.NewBreaker()
+	}
+	if cws != nil {
+		// maxRetries 1 is the budget of policy-less runs (fault-free,
+		// prediction off); an armed policy supersedes it.
+		if err := cws.Bind(runner, runner.WorkflowID, 1); err != nil {
+			return err
+		}
+	}
+	if arm.inj != nil {
+		if cws == nil {
+			// CWS attempts run at rm.DefaultRuntime: the I/O-episode
+			// slowdown reaches only the FIFO path.
+			runner.Runtime = arm.runtime
+		}
 		runner.FailPlan, runner.OnComplete = arm.failures, arm.inj.Stop
 		arm.inj.Start()
 	}
 	ms := runner.Run()
+	if err := runner.Err(); err != nil {
+		return err
+	}
 	// Dynamic sources (EnTK PostExec growth) raise Total during the run;
 	// re-read it so the result reflects what actually expanded.
 	res.TasksRun = x.Total()
 	res.MakespanSec = float64(ms)
 	res.UtilizationCore = cl.Utilization(0, ms)
 	res.setRecovery(runner.Stats())
-	return res
+	return nil
 }
 
 // setRecovery fills the result's failure/recovery accounting; skipped
@@ -243,25 +257,46 @@ func (r *Result) setRecovery(st rm.RunStats) {
 // RunSeeded implements RunSession. The body is the cold KubernetesEnv run
 // path verbatim — same construction order, same fault-layer fork order
 // (injector, task plan, retry jitter), same knob arming — operating on the
-// session's retained substrate instead of freshly built objects.
+// session's retained substrate instead of freshly built objects. FIFO and
+// CWS runs share it: both drive the workflow through the session's runner.
 func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error) {
 	if s.warm {
 		s.reset()
 	}
 	s.warm = true
-	e := &s.env
 	res := &Result{Environment: s.name}
-	arm, err := e.armFaults(s.cl, rng, w.Len(), &s.forks)
+	arm, err := s.env.armFaults(s.cl, rng, w.Len(), &s.forks)
 	if err != nil {
 		return nil, err
 	}
-	if s.cws == nil {
-		if err := s.x.Reset(w); err != nil {
+	if s.cws != nil {
+		if err := s.armCWS(w, rng, &arm); err != nil {
 			return nil, err
 		}
-		return runStream(s.runner, &s.x, s.cl, &arm, res), nil
 	}
+	if err := s.x.Reset(w); err != nil {
+		return nil, err
+	}
+	if err := runStream(s.runner, &s.x, s.cl, &arm, s.cws, res); err != nil {
+		return nil, err
+	}
+	if s.cws != nil {
+		res.Provenance = s.cws.Provenance()
+		if s.predCtor != nil {
+			pe := s.cws.PredictionErrors()
+			res.PredSamples = pe.N
+			res.PredMAESec = pe.MAE()
+			res.PredMREPct = 100 * pe.MRE()
+		}
+	}
+	return res, nil
+}
 
+// armCWS readies the session's CWS for a run of w: the run's predictor and
+// strategy, the prediction loop's consumers when it is on, and w's
+// registration.
+func (s *Session) armCWS(w *dag.Workflow, rng *randx.Source, arm *faultArm) error {
+	e := &s.env
 	var p predict.RuntimePredictor
 	if s.predCtor != nil {
 		p = s.predCtor()
@@ -276,9 +311,9 @@ func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
 	if s.predCtor != nil {
 		// Close the loop: online training from provenance is wired at
 		// construction; arm the consumers. Walltime-overrun kills need a retry
-		// policy to route through, so prediction-on fault-free runs install
-		// the recovery policy too (fork order: the retry jitter source is
-		// the run's only fork when no injector exists).
+		// policy to route through, so prediction-on fault-free runs arm the
+		// recovery policy too (fork order: the retry jitter source is the
+		// run's only fork when no injector exists).
 		minS := e.PredictMinSamples
 		if minS <= 0 {
 			minS = 3
@@ -287,64 +322,15 @@ func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
 		cws.SetMemPredictor(predict.NewMem(0.2))
 		cws.SetOverrunPolicy(1.5, 2)
 		cws.EnablePredictedBackfill()
-		if arm.inj == nil {
-			var retryRNG *randx.Source
+		if arm.retry == nil {
+			retry := e.retryPolicy()
+			arm.retry = &retry
 			if rng != nil {
-				retryRNG = s.forks.fork(rng)
+				arm.retryRNG = s.forks.fork(rng)
 			}
-			cws.SetRecovery(e.retryPolicy(), retryRNG)
 		}
 	}
-	if err := cws.RegisterWorkflow(w.Name, w); err != nil {
-		return nil, err
-	}
-	if arm.inj != nil {
-		cws.SetRecovery(*arm.retry, arm.retryRNG)
-		cws.SetFaultInjection(func(_ string, taskID dag.TaskID, attempt int) bool {
-			i, ok := w.Index(taskID)
-			return ok && attempt <= arm.failures(i)
-		})
-	}
-	var ms sim.Time
-	var runErr error
-	done := false
-	// maxRetries 1 is the legacy budget of fault-free, prediction-off runs;
-	// an installed recovery policy supersedes it.
-	if err := cws.StartWorkflow(w.Name, 1, func(m sim.Time, err error) {
-		ms, runErr, done = m, err, true
-		if arm.inj != nil {
-			arm.inj.Stop()
-		}
-		if err != nil {
-			s.eng.Halt()
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if arm.inj != nil {
-		arm.inj.Start()
-	}
-	s.eng.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done {
-		return nil, fmt.Errorf("core: workflow %q stalled", w.Name)
-	}
-	res.TasksRun = w.Len()
-	res.MakespanSec = float64(ms)
-	res.UtilizationCore = s.cl.Utilization(0, ms)
-	res.Provenance = cws.Provenance()
-	// Overrun kills surface as recovery accounting even without faults; zero
-	// (hence fingerprint-neutral) on predictor-off runs.
-	res.setRecovery(cws.RecoveryStats())
-	if s.predCtor != nil {
-		pe := cws.PredictionErrors()
-		res.PredSamples = pe.N
-		res.PredMAESec = pe.MAE()
-		res.PredMREPct = 100 * pe.MRE()
-	}
-	return res, nil
+	return cws.RegisterWorkflow(w.Name, w)
 }
 
 // sessionAuditSkip exempts the fields a warm reset legitimately retains:
@@ -363,15 +349,13 @@ var sessionAuditSkip = []string{
 	"rm.StreamRunner.idsWf",
 	"provenance.Store.freeIdx", // harvested index-slice capacity
 	"cwsi.CWS.freeRuns",
-	"cwsi.CWS.freeWfRuns",
-	"cwsi.CWS.idScratch",
 	"cwsi.rmAdapter.keys", // priority-sort scratch, refilled per round
 }
 
 // Audit implements RunSession: it resets the session and deep-diffs it
 // against a freshly constructed one, field by field through every subsystem.
-// A non-empty result names each leaked path — for example, a fault-injection
-// predicate surviving Reset reports as cwsi.CWS.injectFail.
+// A non-empty result names each leaked path — for example, a fault plan
+// surviving Reset reports as rm.StreamRunner.FailPlan.
 func (s *Session) Audit() []string {
 	s.reset()
 	if s.cws != nil {

@@ -144,13 +144,14 @@ func requirePath(t *testing.T, diffs []string, fragment string) {
 	t.Fatalf("no audit line names %q; got:\n  %s", fragment, strings.Join(diffs, "\n  "))
 }
 
-// TestSessionAuditCatchesLeakedInjector sabotages a reset session with an
-// armed fault-injection predicate — the canonical "injector field survived
-// Reset" bug — and requires the audit to fail naming the injectFail path.
+// TestSessionAuditCatchesLeakedInjector sabotages a reset CWS session with
+// an armed transient-failure plan on the runner that drives its attempts —
+// the canonical "injector field survived Reset" bug — and requires the
+// audit to fail naming the runner's FailPlan path.
 func TestSessionAuditCatchesLeakedInjector(t *testing.T) {
 	s := auditableSession(t)
-	s.cws.SetFaultInjection(func(string, dag.TaskID, int) bool { return false })
-	requirePath(t, s.auditDiff(), "injectFail")
+	s.runner.FailPlan = func(int) int { return 1 }
+	requirePath(t, s.auditDiff(), "runner.FailPlan")
 }
 
 // TestSessionAuditCatchesLeakedNodeState downs a node after reset and

@@ -74,8 +74,10 @@ func (e *KubernetesEnv) RunExpander(x dag.Expander, rng *randx.Source) (*Result,
 			store.AddTask(rec)
 		},
 	}
-	res := runStream(runner, x, cl, &arm, &Result{Environment: e.Name()})
-	res.Provenance = store
+	res := &Result{Environment: e.Name(), Provenance: store}
+	if err := runStream(runner, x, cl, &arm, nil, res); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

@@ -17,10 +17,8 @@ import (
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
-	"hhcw/internal/fault"
 	"hhcw/internal/predict"
 	"hhcw/internal/provenance"
-	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
@@ -46,17 +44,8 @@ type TaskRequest struct {
 	Runtime func(t *dag.Task, n *cluster.Node) float64
 	// Done is invoked with the terminal result (after provenance capture).
 	Done func(rm.Result)
-	// Handler, consulted when Done is nil, receives the terminal result
-	// without a per-task closure — a driver submitting many tasks
-	// implements it once and the task identity rides along as an argument.
-	Handler TaskDoneHandler
 	// Params are task-invocation parameters, stored for provenance.
 	Params map[string]string
-}
-
-// TaskDoneHandler is the closure-free completion callback of a TaskRequest.
-type TaskDoneHandler interface {
-	OnTaskDone(taskID dag.TaskID, r rm.Result)
 }
 
 // Context gives strategies access to everything the CWS knows: the DAG, the
@@ -128,8 +117,13 @@ type Strategy interface {
 type wfState struct {
 	wf       *dag.Workflow
 	ranks    []float64
-	attempts []int
+	attempts []int // per task, attempts submitted through SubmitTask
 	done     bool
+
+	// The policy-less retry budget and the recovery policy's provenance
+	// label of the runner driving the workflow (see Bind).
+	maxRetries int
+	retryLabel string
 
 	// Predicted-critical-path ranks, memoized under the priority-cache
 	// generation (see Context.PredictedRank); nil while the model is cold.
@@ -159,31 +153,15 @@ type CWS struct {
 	// after it advances — which happens whenever the knowledge Priority may
 	// depend on changes (provenance records, data locality, new workflows).
 	prioGen uint64
-	// idScratch builds submission IDs without fmt.
-	idScratch []byte
 	// freeRuns recycles taskRun attempt records: an attempt is dead once its
 	// Done hook returns (the manager drops every reference before invoking
 	// it), so steady-state submission allocates only at peak concurrency.
 	freeRuns []*taskRun
-	// freeWfRuns recycles settled workflow drivers with their readiness and
-	// retry maps, so a warm CWS starts workflows without reallocating them.
-	freeWfRuns []*wfRun
+	// hook is newAttempt bound once, so Bind allocates no method value.
+	hook func(s *rm.Submission, t *dag.Task, idx, n int) rm.AttemptHook
 
 	// Measured machine characteristics (see profiling.go).
 	measuredSpeed map[string]float64
-
-	// Shared recovery policy (see SetRecovery); nil keeps the legacy
-	// per-call maxRetries counters.
-	recovery    *fault.RetryPolicy
-	recoveryRNG *randx.Source
-	// recoveryLabel is recovery.String(), rendered once for the provenance
-	// retry annotations.
-	recoveryLabel string
-	injectFail    func(wfID string, taskID dag.TaskID, attempt int) bool
-	// recStats aggregates recovery accounting across every workflow driven
-	// through StartWorkflow (Attempts and Timeouts stay zero: attempts are
-	// in provenance, and the CWS arms no attempt timeouts).
-	recStats rm.RunStats
 
 	// observer, when set, sees every terminal task attempt right after
 	// provenance capture (see SetTaskObserver).
@@ -209,6 +187,7 @@ func New(mgr *rm.TaskManager, strategy Strategy, predictor predict.RuntimePredic
 		prioGen:   1, // generation 0 is the rm.Submission "never cached" sentinel
 	}
 	c.ctx = &Context{cws: c}
+	c.hook = c.newAttempt
 	// The provenance→predict feed (§3.4): every record folds into the online
 	// models as it is captured, including records ingested through paths that
 	// bypass the scheduler's own completion hook.
@@ -223,14 +202,13 @@ func New(mgr *rm.TaskManager, strategy Strategy, predictor predict.RuntimePredic
 // Reset returns the scheduler to its just-constructed state over the same
 // manager, installing the strategy and predictor the next run will use (the
 // arguments New would have received). Every per-run knob — memory predictor,
-// data bandwidth, recovery policy, fault injection, task observer, prediction
-// gates — reverts to its construction default, the provenance store truncates
-// in place, and the priority-cache generation restarts at 1 exactly as New
-// sets it. Construction wiring survives untouched: the provenance→predict
-// observer, the rmAdapter installed as the manager's strategy, and the
-// cluster OnNodeDown trace subscription are registered once in New and must
-// not be registered again on a warm substrate. Pooled attempt records and
-// scratch buffers are retained.
+// data bandwidth, task observer, prediction gates — reverts to its
+// construction default, the provenance store truncates in place, and the
+// priority-cache generation restarts at 1 exactly as New sets it.
+// Construction wiring survives untouched: the provenance→predict observer,
+// the rmAdapter installed as the manager's strategy, the bound runner hook,
+// and the cluster OnNodeDown trace subscription are set once in New and must
+// not be registered again on a warm substrate. Pooled attempt records are retained.
 func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	c.prov.Reset()
 	c.predictor = predictor
@@ -241,11 +219,6 @@ func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	clear(c.outputs)
 	c.prioGen = 1
 	clear(c.measuredSpeed)
-	c.recovery = nil
-	c.recoveryRNG = nil
-	c.recoveryLabel = ""
-	c.injectFail = nil
-	c.recStats = rm.RunStats{}
 	c.observer = nil
 	c.minPredSamples = 0
 	c.overrunSlack, c.overrunInfl = 0, 0
@@ -268,29 +241,6 @@ func (c *CWS) SetMemPredictor(p *predict.MemPredictor) { c.memPred = p }
 
 // Manager returns the underlying resource manager.
 func (c *CWS) Manager() *rm.TaskManager { return c.mgr }
-
-// SetRecovery installs the shared fault.RetryPolicy: StartWorkflow then
-// derives its retry budget from the policy, delays resubmissions by the
-// policy's capped exponential backoff (deterministic jitter from rng, which
-// may be nil), circuit-breaks on the policy's threshold, and degrades
-// gracefully — a terminally failed task abandons its unreachable descendants
-// instead of failing the whole workflow. The per-call maxRetries argument is
-// ignored while a policy is installed.
-func (c *CWS) SetRecovery(p fault.RetryPolicy, rng *randx.Source) {
-	c.recovery = &p
-	c.recoveryRNG = rng
-	c.recoveryLabel = p.String()
-}
-
-// SetFaultInjection installs a transient task-failure predicate consulted at
-// each attempt's completion (fault.Profile.PlanTaskFailures drives it in
-// chaos runs). A true return fails the attempt with an injected error.
-func (c *CWS) SetFaultInjection(fn func(wfID string, taskID dag.TaskID, attempt int) bool) {
-	c.injectFail = fn
-}
-
-// RecoveryStats returns the accumulated recovery accounting.
-func (c *CWS) RecoveryStats() rm.RunStats { return c.recStats }
 
 // SetTaskObserver installs a hook invoked once per terminal task attempt,
 // immediately after provenance capture and before the requester's own Done
@@ -338,7 +288,9 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 	return nil
 }
 
-// SubmitTask implements Interface.
+// SubmitTask implements Interface. The attempt runs through the same
+// taskRun a runner-driven attempt does (see Bind), with the request's
+// runtime model and completion callback as its inner end.
 func (c *CWS) SubmitTask(req TaskRequest) error {
 	st := c.workflows[req.WorkflowID]
 	if st == nil {
@@ -349,62 +301,119 @@ func (c *CWS) SubmitTask(req TaskRequest) error {
 		return fmt.Errorf("cwsi: task %q not in workflow %q", req.TaskID, req.WorkflowID)
 	}
 	t := st.wf.At(idx)
-	runtime := req.Runtime
-	if runtime == nil {
-		runtime = rm.DefaultRuntime
-	}
 	st.attempts[idx]++
 	attempt := st.attempts[idx]
-	submittedAt := c.mgr.Cluster().Engine().Now()
-
-	// Memory right-sizing: predicted peak on the first attempt (once the
-	// model is warm for the name), the full declared request after an OOM
-	// retry.
-	mem := t.MemBytes
-	if attempt == 1 && c.memWarmFor(t.Name) {
-		if pred, ok := c.memPred.Predict(t.Name); ok && pred < mem {
-			mem = pred
-		}
-	}
-	var tr *taskRun
-	if n := len(c.freeRuns); n > 0 {
-		tr = c.freeRuns[n-1]
-		c.freeRuns = c.freeRuns[:n-1]
-	} else {
-		tr = new(taskRun)
-	}
-	*tr = taskRun{
-		c: c, req: req, t: t, idx: idx, attempt: attempt,
-		grantedMem: mem, submittedAt: submittedAt, runtime: runtime,
-	}
-	tr.sub = rm.Submission{
-		ID:         c.subID(req.WorkflowID, req.TaskID, attempt),
+	d := &direct{req: req, t: t}
+	d.sub = rm.Submission{
+		ID:         req.WorkflowID + "/" + string(req.TaskID) + "#" + strconv.Itoa(attempt),
 		WorkflowID: req.WorkflowID,
 		TaskID:     req.TaskID,
 		Name:       t.Name,
 		Cores:      t.Cores,
 		GPUs:       t.GPUs,
-		Mem:        mem,
+		Mem:        t.MemBytes,
 		InputBytes: t.InputBytes,
-		Hooks:      tr,
+		Hooks:      d,
 	}
-	c.mgr.Submit(&tr.sub)
+	c.begin(st, &d.sub, t, idx, attempt).params = req.Params
+	c.mgr.Submit(&d.sub)
 	return nil
 }
 
-// taskRun bundles one CWSI task attempt — the rm.Submission plus every
-// callback's state — into a single allocation implementing
-// rm.SubmissionHooks, replacing three per-task closures and their captures.
+// direct is the inner end of an attempt submitted through SubmitTask: the
+// request's runtime model and completion callback.
+type direct struct {
+	req TaskRequest
+	t   *dag.Task
+	sub rm.Submission
+}
+
+func (d *direct) RuntimeOn(n *cluster.Node) float64 {
+	if d.req.Runtime != nil {
+		return d.req.Runtime(d.t, n)
+	}
+	return rm.DefaultRuntime(d.t, n)
+}
+
+func (d *direct) ValidateOn(*cluster.Node) error { return nil }
+
+func (d *direct) Done(r rm.Result) {
+	if d.req.Done != nil {
+		d.req.Done(r)
+	}
+}
+
+// Bind readies sr to drive the registered workflow id through the CWS:
+// its submissions carry id, and every attempt runs through a taskRun —
+// memory right-sizing, data staging, walltime-overrun kills, OOM
+// enforcement, and one provenance record per attempt. Set sr's Source (an
+// expander over the registered workflow) and recovery policy first, then
+// Start or Run it. The CWS arms no attempt timeouts, so Bind clears the
+// policy's timeout (the provenance label keeps the policy as given).
+// Without a policy, a failed task is resubmitted at once up to maxRetries
+// times; then the run fails (sr.Err).
+func (c *CWS) Bind(sr *rm.StreamRunner, id string, maxRetries int) error {
+	st := c.workflows[id]
+	if st == nil {
+		return fmt.Errorf("cwsi: workflow %q not registered", id)
+	}
+	st.maxRetries, st.retryLabel = maxRetries, ""
+	if sr.Retry != nil {
+		st.retryLabel = sr.Retry.String()
+		if sr.Retry.TimeoutSec > 0 {
+			p := *sr.Retry
+			p.TimeoutSec = 0
+			sr.Retry = &p
+		}
+	}
+	sr.WorkflowID, sr.Hook = id, c.hook
+	return nil
+}
+
+// newAttempt is the runner hook Bind installs.
+func (c *CWS) newAttempt(s *rm.Submission, t *dag.Task, idx, n int) rm.AttemptHook {
+	return c.begin(c.workflows[s.WorkflowID], s, t, idx, n)
+}
+
+// begin draws a pooled taskRun for attempt n of t, wrapping s's callbacks,
+// and right-sizes s's memory: the predicted peak on the first attempt (once
+// the model is warm for the name), the full declared request after an OOM
+// retry.
+func (c *CWS) begin(st *wfState, s *rm.Submission, t *dag.Task, idx, n int) *taskRun {
+	if n == 1 && c.memWarmFor(t.Name) {
+		if pred, ok := c.memPred.Predict(t.Name); ok && pred < s.Mem {
+			s.Mem = pred
+		}
+	}
+	var tr *taskRun
+	if k := len(c.freeRuns); k > 0 {
+		tr = c.freeRuns[k-1]
+		c.freeRuns = c.freeRuns[:k-1]
+	} else {
+		tr = new(taskRun)
+	}
+	*tr = taskRun{
+		c: c, st: st, inner: s.Hooks, wfID: s.WorkflowID, t: t, idx: idx, attempt: n,
+		grantedMem: s.Mem, submittedAt: c.mgr.Cluster().Engine().Now(),
+	}
+	s.Hooks = tr
+	return tr
+}
+
+// taskRun is one CWS task attempt, wrapping the attempt's inner callbacks
+// (the driving runner's, or a SubmitTask request's) in a single pooled
+// record that implements rm.AttemptHook.
 type taskRun struct {
 	c           *CWS
-	req         TaskRequest
+	st          *wfState
+	inner       rm.SubmissionHooks
+	wfID        string
 	t           *dag.Task
 	idx         int // t's insertion position, keying the wfState tables
 	attempt     int
+	params      map[string]string
 	grantedMem  float64
 	submittedAt sim.Time
-	runtime     func(*dag.Task, *cluster.Node) float64
-	sub         rm.Submission
 
 	// Prediction-loop state for this attempt: the warm prediction made at
 	// placement (0 when cold) and whether the overrun policy truncated the
@@ -414,24 +423,24 @@ type taskRun struct {
 	budget    float64
 }
 
-// RuntimeOn implements rm.SubmissionHooks: execution time plus staging of
-// non-local input bytes when the data-plane model is on. With an armed
-// overrun policy and a warm model, an attempt that would exceed its
+// RuntimeOn implements rm.SubmissionHooks: the inner execution time plus
+// staging of non-local input bytes when the data-plane model is on. With an
+// armed overrun policy and a warm model, an attempt that would exceed its
 // predicted walltime budget is truncated at the budget — it occupies the
 // node only that long — and fails validation as a walltime-overrun kill.
 func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 	c := tr.c
-	d := tr.runtime(tr.t, n)
+	d := tr.inner.RuntimeOn(n)
 	if c.dataBW > 0 {
-		d += c.remoteInputBytes(tr.req.WorkflowID, tr.t, n) / c.dataBW
+		d += c.remoteInputBytes(tr.wfID, tr.t, n) / c.dataBW
 	}
 	if c.warmFor(tr.t.Name) {
 		if sec, ok := c.predictor.Predict(tr.t.Name, tr.t.InputBytes, c.ctx.MeasuredSpeed(n)); ok {
 			tr.predicted = sec
 			if c.overrunSlack > 0 {
 				budget := sec * c.overrunSlack
-				if st := c.workflows[tr.req.WorkflowID]; st != nil && st.overruns != nil {
-					for i := 0; i < st.overruns[tr.idx]; i++ {
+				if tr.st.overruns != nil {
+					for i := 0; i < tr.st.overruns[tr.idx]; i++ {
 						budget *= c.overrunInfl
 					}
 				}
@@ -446,67 +455,66 @@ func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 }
 
 // ValidateOn implements rm.SubmissionHooks: walltime-overrun kills, OOM
-// enforcement, and injected transient failures.
+// enforcement, then the inner end's injected transient failure — the
+// runner's fault plan, the only failure its ValidateOn reports — re-rendered
+// as the CWS's.
 func (tr *taskRun) ValidateOn(n *cluster.Node) error {
 	if tr.overrun {
-		c := tr.c
-		c.overrunKills++
-		if st := c.workflows[tr.req.WorkflowID]; st != nil {
-			if st.overruns == nil {
-				st.overruns = make([]int, st.wf.Len())
-			}
-			st.overruns[tr.idx]++
+		tr.c.overrunKills++
+		if tr.st.overruns == nil {
+			tr.st.overruns = make([]int, tr.st.wf.Len())
 		}
+		tr.st.overruns[tr.idx]++
 		return fmt.Errorf("cwsi: task %s walltime-overrun killed at %.1fs (predicted %.1fs, attempt %d)",
-			tr.req.TaskID, tr.budget, tr.predicted, tr.attempt)
+			tr.t.ID, tr.budget, tr.predicted, tr.attempt)
 	}
 	if tr.grantedMem < tr.t.PeakMem() {
 		return fmt.Errorf("cwsi: task %s OOM-killed: granted %.0fB, peak %.0fB",
-			tr.req.TaskID, tr.grantedMem, tr.t.PeakMem())
+			tr.t.ID, tr.grantedMem, tr.t.PeakMem())
 	}
-	if tr.c.injectFail != nil && tr.c.injectFail(tr.req.WorkflowID, tr.req.TaskID, tr.attempt) {
-		return fmt.Errorf("cwsi: injected transient failure of %s (attempt %d)", tr.req.TaskID, tr.attempt)
+	if tr.inner.ValidateOn(n) != nil {
+		return fmt.Errorf("cwsi: injected transient failure of %s (attempt %d)", tr.t.ID, tr.attempt)
 	}
 	return nil
 }
 
-// Done implements rm.SubmissionHooks: provenance capture, locality notes,
-// then the requester's callback.
+// Done implements rm.SubmissionHooks: locality notes and prediction
+// accuracy, the provenance record, then the inner end's completion.
 func (tr *taskRun) Done(r rm.Result) {
 	c := tr.c
 	if !r.Failed {
-		c.noteOutput(tr.req.WorkflowID, tr.req.TaskID, r.Node)
+		c.noteOutput(tr.wfID, tr.t.ID, r.Node)
 		if tr.predicted > 0 {
 			c.predErr.Observe(tr.predicted, float64(r.FinishedAt-r.StartedAt))
 		}
 	}
-	c.record(tr.req, tr.t, tr.attempt, tr.submittedAt, r)
-	if tr.req.Done != nil {
-		tr.req.Done(r)
-	} else if tr.req.Handler != nil {
-		tr.req.Handler.OnTaskDone(tr.req.TaskID, r)
-	}
+	c.record(tr, r)
+	tr.inner.Done(r)
 	// The attempt is dead: the manager dropped its references before calling
-	// Done and the requester's callback has returned (r.Submission must not
-	// be retained past it — see rm.Result). Recycle the record so
-	// steady-state submission allocates only at peak concurrency.
+	// Done and the inner callback has returned (r.Submission must not be
+	// retained past it — see rm.Result). Recycle the record so steady-state
+	// submission allocates only at peak concurrency.
 	*tr = taskRun{}
 	c.freeRuns = append(c.freeRuns, tr)
 }
 
-// subID renders "wf/task#attempt" on a reusable scratch buffer — one string
-// allocation instead of fmt's boxing and formatting.
-func (c *CWS) subID(wfID string, taskID dag.TaskID, attempt int) string {
-	b := append(c.idScratch[:0], wfID...)
-	b = append(b, '/')
-	b = append(b, taskID...)
-	b = append(b, '#')
-	b = strconv.AppendInt(b, int64(attempt), 10)
-	c.idScratch = b
-	return string(b)
+// Backoff implements rm.AttemptHook: the policy's retry decision annotates
+// the failed attempt's provenance record.
+func (tr *taskRun) Backoff(d sim.Time) {
+	tr.c.prov.AnnotateRetry(tr.wfID, tr.t.ID, float64(d), tr.st.retryLabel)
 }
 
-func (c *CWS) record(req TaskRequest, t *dag.Task, attempt int, submittedAt sim.Time, r rm.Result) {
+// Resubmit implements rm.AttemptHook: without a recovery policy a task gets
+// the workflow's maxRetries immediate retries (see Bind), then fails it.
+func (tr *taskRun) Resubmit(cause error) error {
+	if tr.attempt <= tr.st.maxRetries {
+		return nil
+	}
+	return fmt.Errorf("cwsi: task %s failed after %d retries: %v", tr.t.ID, tr.st.maxRetries, cause)
+}
+
+func (c *CWS) record(tr *taskRun, r rm.Result) {
+	t := tr.t
 	errMsg := ""
 	if r.Err != nil {
 		errMsg = r.Err.Error()
@@ -518,11 +526,11 @@ func (c *CWS) record(req TaskRequest, t *dag.Task, attempt int, submittedAt sim.
 		nodeName, machineType, speedFactor = r.Node.Name(), r.Node.Type.Name, r.Node.Type.SpeedFactor
 	}
 	rec := provenance.TaskRecord{
-		WorkflowID:  req.WorkflowID,
-		TaskID:      req.TaskID,
+		WorkflowID:  tr.wfID,
+		TaskID:      t.ID,
 		Name:        t.Name,
-		Attempt:     attempt,
-		SubmittedAt: submittedAt,
+		Attempt:     tr.attempt,
+		SubmittedAt: tr.submittedAt,
 		StartedAt:   r.StartedAt,
 		FinishedAt:  r.FinishedAt,
 		Node:        nodeName,
@@ -535,7 +543,7 @@ func (c *CWS) record(req TaskRequest, t *dag.Task, attempt int, submittedAt sim.
 		OutputBytes: t.OutputBytes,
 		Failed:      r.Failed,
 		Error:       errMsg,
-		Params:      req.Params,
+		Params:      tr.params,
 	}
 	// AddTask triggers the provenance→predict observer (CWS.train), which
 	// folds the record into the online models before the generation bump
@@ -543,7 +551,7 @@ func (c *CWS) record(req TaskRequest, t *dag.Task, attempt int, submittedAt sim.
 	c.prov.AddTask(rec)
 	c.prioGen++ // provenance advanced; memoized priorities may be stale
 	if c.observer != nil {
-		c.observer(req.WorkflowID, req.TaskID, attempt, r)
+		c.observer(tr.wfID, t.ID, tr.attempt, r)
 	}
 }
 
@@ -608,181 +616,23 @@ func (a *rmAdapter) PickNode(s *rm.Submission, candidates []*cluster.Node) *clus
 // CWS strategy currently installed.
 func (a *rmAdapter) FirstFitOnly() bool { return rm.DeclaresFirstFit(a.cws.strategy) }
 
-// StartWorkflow begins driving a registered workflow without running the
-// engine, so several workflows can share one cluster concurrently (the
-// multi-tenant setting the CWS evaluation uses). onDone fires once with the
-// workflow's makespan or an error.
-//
-// Without a recovery policy (SetRecovery), failed tasks are resubmitted
-// immediately up to maxRetries times and the first terminal failure fails the
-// workflow. With a policy, the policy's attempt budget replaces maxRetries,
-// resubmissions wait out the policy's backoff (recorded into provenance), the
-// breaker can abandon retries cluster-wide, and a terminal failure degrades
-// gracefully: the task's unreachable descendants are abandoned and the rest
-// of the workflow completes on the healthy capacity.
-func (c *CWS) StartWorkflow(id string, maxRetries int, onDone func(sim.Time, error)) error {
+// RunWorkflow drives a registered workflow through the CWS on a fresh
+// StreamRunner (see Bind; no recovery policy, so a failed task is
+// resubmitted at once up to maxRetries times). It runs the engine and
+// returns the makespan.
+func (c *CWS) RunWorkflow(id string, maxRetries int) (sim.Time, error) {
 	st := c.workflows[id]
 	if st == nil {
-		return fmt.Errorf("cwsi: workflow %q not registered", id)
+		return 0, fmt.Errorf("cwsi: workflow %q not registered", id)
 	}
-	var run *wfRun
-	if n := len(c.freeWfRuns); n > 0 {
-		run = c.freeWfRuns[n-1]
-		c.freeWfRuns = c.freeWfRuns[:n-1]
-	} else {
-		run = new(wfRun)
-	}
-	eng := c.mgr.Cluster().Engine()
-	*run = wfRun{
-		c:          c,
-		id:         id,
-		x:          run.x,
-		eng:        eng,
-		start:      eng.Now(),
-		wf:         st.wf,
-		remaining:  st.wf.Len(),
-		retries:    append(run.retries[:0], make([]int, st.wf.Len())...),
-		maxRetries: maxRetries,
-		limit:      maxRetries,
-		onDone:     onDone,
-	}
-	if err := run.x.Reset(st.wf); err != nil {
-		return err
-	}
-	if c.recovery != nil {
-		run.limit = c.recovery.Attempts() - 1
-		run.breaker = c.recovery.NewBreaker()
-	}
-	run.submitReady()
-	return nil
-}
-
-// wfRun is one StartWorkflow execution: readiness and write-offs come from a
-// dag.WorkflowExpander, and wfRun is the shared completion handler
-// (TaskDoneHandler), so driving a task costs one TaskRequest instead of a
-// fresh Done closure per submission.
-type wfRun struct {
-	c          *CWS
-	id         string
-	x          dag.WorkflowExpander
-	wf         *dag.Workflow
-	eng        *sim.Engine
-	start      sim.Time
-	remaining  int
-	retries    []int // per task, by insertion position in wf
-	finished   bool
-	maxRetries int
-	limit      int
-	breaker    *fault.Breaker
-	onDone     func(sim.Time, error)
-}
-
-func (run *wfRun) fail(err error) {
-	if !run.finished {
-		run.finished = true
-		run.onDone(0, err)
-	}
-}
-
-// complete counts n more tasks terminal and finishes the workflow when none
-// remain.
-func (run *wfRun) complete(n int) {
-	run.remaining -= n
-	if run.remaining == 0 && !run.finished {
-		run.finished = true
-		run.c.WorkflowDone(run.id)
-		run.onDone(run.eng.Now()-run.start, nil)
-	}
-}
-
-// release returns a settled run — every task terminal, so no attempt or
-// retry timer still references it — to the CWS pool.
-func (run *wfRun) release() {
-	c := run.c
-	run.x.Reset(nil)
-	*run = wfRun{x: run.x, retries: run.retries[:0]}
-	c.freeWfRuns = append(c.freeWfRuns, run)
-}
-
-// submitReady submits every task the expander reports ready.
-func (run *wfRun) submitReady() {
-	for t, _, ok := run.x.Next(); ok; t, _, ok = run.x.Next() {
-		run.submit(t.ID)
-	}
-}
-
-func (run *wfRun) submit(id dag.TaskID) {
-	err := run.c.SubmitTask(TaskRequest{WorkflowID: run.id, TaskID: id, Handler: run})
-	if err != nil {
-		run.fail(err)
-	}
-}
-
-// OnTaskDone implements TaskDoneHandler.
-func (run *wfRun) OnTaskDone(taskID dag.TaskID, r rm.Result) {
-	c := run.c
-	if r.Failed {
-		c.recStats.Failures++
-		run.breaker.Record(true)
-		i, _ := run.wf.Index(taskID)
-		if run.retries[i] < run.limit && !run.breaker.Open() {
-			run.retries[i]++
-			if c.recovery == nil {
-				run.submit(taskID)
-				return
-			}
-			d := c.recovery.Backoff(run.retries[i], c.recoveryRNG)
-			c.recStats.Retries++
-			c.recStats.BackoffSec += float64(d)
-			c.prov.AnnotateRetry(run.id, taskID, float64(d), c.recoveryLabel)
-			run.eng.After(d, func() { run.submit(taskID) })
-			return
-		}
-		c.recStats.TerminalFailures++
-		if c.recovery == nil {
-			run.fail(fmt.Errorf("cwsi: task %s failed after %d retries: %v", taskID, run.maxRetries, r.Err))
-			return
-		}
-		skipped := run.x.TaskFailed(taskID)
-		c.recStats.Skipped += skipped
-		run.complete(1 + skipped)
-	} else {
-		run.breaker.Record(false)
-		run.x.TaskDone(taskID)
-		run.complete(1)
-		if !run.finished {
-			run.submitReady()
-		}
-	}
-	if run.remaining == 0 {
-		run.release()
-	}
-}
-
-// RunWorkflow drives a registered workflow through the CWS: tasks are
-// submitted as dependencies complete and failed tasks are resubmitted up to
-// maxRetries times. It runs the engine and returns the makespan.
-func (c *CWS) RunWorkflow(id string, maxRetries int) (sim.Time, error) {
-	eng := c.mgr.Cluster().Engine()
-	var makespan sim.Time
-	var runErr error
-	done := false
-	err := c.StartWorkflow(id, maxRetries, func(ms sim.Time, err error) {
-		makespan, runErr = ms, err
-		done = true
-		if err != nil {
-			eng.Halt()
-		}
-	})
+	x, err := dag.NewWorkflowExpander(st.wf)
 	if err != nil {
 		return 0, err
 	}
-	eng.Run()
-	if runErr != nil {
-		return 0, runErr
+	sr := &rm.StreamRunner{Manager: c.mgr, Source: x}
+	if err := c.Bind(sr, id, maxRetries); err != nil {
+		return 0, err
 	}
-	if !done {
-		return 0, fmt.Errorf("cwsi: workflow %q stalled (cluster too small for a request?)", id)
-	}
-	return makespan, nil
+	ms := sr.Run()
+	return ms, sr.Err()
 }

@@ -5,6 +5,7 @@ import (
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
+	"hhcw/internal/fault"
 	"hhcw/internal/predict"
 	"hhcw/internal/randx"
 	"hhcw/internal/rm"
@@ -317,5 +318,40 @@ func TestTaskParamsRecordedInProvenance(t *testing.T) {
 	recs := cws.Provenance().ByWorkflow("w")
 	if len(recs) != 1 || recs[0].Params["--threads"] != "4" {
 		t.Fatalf("params not recorded: %+v", recs)
+	}
+}
+
+// A CWS-driven run arms no attempt timeouts: Bind runs the runner on a copy
+// of the policy without its timeout, while the provenance retry label keeps
+// the policy as given.
+func TestBindArmsNoAttemptTimeouts(t *testing.T) {
+	eng := sim.NewEngine()
+	cl := smallCluster(eng, 2, 4)
+	cws := New(rm.NewTaskManager(cl, nil), Baseline{}, nil)
+	w := dag.New("w")
+	w.Add(&dag.Task{ID: "long", Name: "long", NominalDur: 100})
+	if err := cws.RegisterWorkflow("w", w); err != nil {
+		t.Fatal(err)
+	}
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fault.RetryPolicy{MaxAttempts: 2, BaseDelaySec: 5, TimeoutSec: 50}
+	sr := &rm.StreamRunner{Manager: cws.Manager(), Source: x, Retry: &p}
+	if err := cws.Bind(sr, "w", 0); err != nil {
+		t.Fatal(err)
+	}
+	eng.At(10, func() { cl.FailNode(cl.Nodes()[0]) })
+	// Failed at 10, 5s backoff, then 100s on node 1 — past the 50s timeout.
+	if ms := sr.Run(); ms != 115 || sr.Err() != nil {
+		t.Fatalf("makespan %v, err %v; want 115 and no error", ms, sr.Err())
+	}
+	if st := sr.Stats(); st.Timeouts != 0 || st.Failures != 1 {
+		t.Fatalf("stats = %+v, want one node failure and no timeout", st)
+	}
+	recs := cws.Provenance().ByWorkflow("w")
+	if len(recs) != 2 || recs[0].RetryPolicy != p.String() || p.TimeoutSec != 50 {
+		t.Fatalf("records %+v, policy %+v: want the failed attempt labelled with the policy as given", recs, p)
 	}
 }

@@ -184,8 +184,8 @@ func (p Predictive) PickNode(s *rm.Submission, candidates []*cluster.Node, ctx *
 
 // SetOverrunPolicy arms predicted-walltime enforcement: an attempt whose
 // execution would exceed predicted × slack is killed at that budget and
-// fails with a walltime-overrun error, which routes through the installed
-// recovery policy (SetRecovery) like any other failure — backoff,
+// fails with a walltime-overrun error, which routes through the driving
+// runner's recovery policy (see Bind) like any other failure — backoff,
 // provenance retry annotation, circuit breaker, graceful degradation. Each
 // overrun of a task inflates its next budget by the inflation factor
 // (budget = predicted × slack × inflation^priorOverruns), so even a model

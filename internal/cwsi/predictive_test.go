@@ -33,6 +33,26 @@ func overrunWorkflow() *dag.Workflow {
 	return w
 }
 
+// runWithRecovery drives the registered workflow id on a StreamRunner under
+// the default recovery policy and returns the run's recovery accounting.
+func runWithRecovery(t *testing.T, c *CWS, id string) rm.RunStats {
+	t.Helper()
+	x, err := dag.NewWorkflowExpander(c.ctx.Workflow(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fault.DefaultRetryPolicy()
+	sr := &rm.StreamRunner{Manager: c.Manager(), Source: x, Retry: &p, RetryRNG: randx.New(7)}
+	if err := c.Bind(sr, id, 0); err != nil {
+		t.Fatal(err)
+	}
+	sr.Run()
+	if err := sr.Err(); err != nil {
+		t.Fatalf("misprediction must not fail the workflow: %v", err)
+	}
+	return sr.Stats()
+}
+
 func completedSet(c *CWS, wfID string) []string {
 	var ids []string
 	for _, rec := range c.Provenance().ByWorkflow(wfID) {
@@ -67,13 +87,10 @@ func TestOverrunMispredictionConverges(t *testing.T) {
 
 	cws := New(rm.NewTaskManager(smallCluster(sim.NewEngine(), 2, 4), nil), Baseline{}, tenthPredictor{})
 	cws.SetOverrunPolicy(1.5, 2)
-	cws.SetRecovery(fault.DefaultRetryPolicy(), randx.New(7))
 	if err := cws.RegisterWorkflow("w", overrunWorkflow()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("w", 0); err != nil {
-		t.Fatalf("misprediction must not fail the workflow: %v", err)
-	}
+	st := runWithRecovery(t, cws, "w")
 	if got := completedSet(cws, "w"); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("completed %v, want golden set %v", got, want)
 	}
@@ -83,7 +100,6 @@ func TestOverrunMispredictionConverges(t *testing.T) {
 	if got := cws.OverrunKills(); got != 3*4 {
 		t.Errorf("overrun kills = %d, want %d", got, 3*4)
 	}
-	st := cws.RecoveryStats()
 	if st.Failures != 3*4 || st.Retries != 3*4 {
 		t.Errorf("recovery stats = %+v, want 12 failed attempts and 12 retries", st)
 	}
@@ -128,17 +144,14 @@ func TestOverrunMispredictionConverges(t *testing.T) {
 // no retries, single-attempt completion.
 func TestOverrunDisabledBySlackZero(t *testing.T) {
 	cws := New(rm.NewTaskManager(smallCluster(sim.NewEngine(), 2, 4), nil), Baseline{}, tenthPredictor{})
-	cws.SetRecovery(fault.DefaultRetryPolicy(), randx.New(7))
 	if err := cws.RegisterWorkflow("w", overrunWorkflow()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("w", 0); err != nil {
-		t.Fatal(err)
-	}
+	st := runWithRecovery(t, cws, "w")
 	if cws.OverrunKills() != 0 {
 		t.Fatalf("overrun kills = %d with no policy installed", cws.OverrunKills())
 	}
-	if st := cws.RecoveryStats(); st.Failures != 0 {
+	if st.Failures != 0 {
 		t.Fatalf("recovery stats = %+v, want none", st)
 	}
 }

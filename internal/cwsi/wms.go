@@ -36,24 +36,28 @@ func (r RunResult) Waste() float64 {
 // workflow-aware — that is the whole point of the interface.
 func RunNextflowStyle(engineName string, cl *cluster.Cluster, w *dag.Workflow, strategy Strategy) (RunResult, error) {
 	mgr := rm.NewTaskManager(cl, nil)
-	var makespan sim.Time
+	var cws *CWS
 	stratName := "fifo"
 	if strategy != nil {
-		cws := New(mgr, strategy, nil)
+		cws = New(mgr, strategy, nil)
 		if err := cws.RegisterWorkflow(w.Name, w); err != nil {
 			return RunResult{}, err
 		}
-		ms, err := cws.RunWorkflow(w.Name, 0)
-		if err != nil {
+		stratName = strategy.Name()
+	}
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
+		return RunResult{}, err
+	}
+	sr := &rm.StreamRunner{Manager: mgr, Source: x, WorkflowID: w.Name}
+	if cws != nil {
+		if err := cws.Bind(sr, w.Name, 0); err != nil {
 			return RunResult{}, err
 		}
-		makespan, stratName = ms, strategy.Name()
-	} else {
-		x, err := dag.NewWorkflowExpander(w)
-		if err != nil {
-			return RunResult{}, err
-		}
-		makespan = (&rm.StreamRunner{Manager: mgr, Source: x, WorkflowID: w.Name}).Run()
+	}
+	makespan := sr.Run()
+	if err := sr.Err(); err != nil {
+		return RunResult{}, err
 	}
 	used := 0.0
 	for _, t := range w.Tasks() {
@@ -196,23 +200,32 @@ func RunConcurrent(cl *cluster.Cluster, wfs []*dag.Workflow, strategy Strategy) 
 	res := &ConcurrentResult{Strategy: strategy.Name(), Makespans: make([]sim.Time, len(wfs))}
 	var firstErr error
 	remaining := len(wfs)
+	eng := cl.Engine()
+	start := eng.Now()
 	for i, w := range wfs {
-		i, w := i, w
-		if err := cws.RegisterWorkflow(fmt.Sprintf("%s#%d", w.Name, i), w); err != nil {
+		id := fmt.Sprintf("%s#%d", w.Name, i)
+		if err := cws.RegisterWorkflow(id, w); err != nil {
 			return nil, err
 		}
-		err := cws.StartWorkflow(fmt.Sprintf("%s#%d", w.Name, i), 0, func(ms sim.Time, err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			res.Makespans[i] = ms
-			remaining--
-		})
+		x, err := dag.NewWorkflowExpander(w)
 		if err != nil {
 			return nil, err
 		}
+		sr := &rm.StreamRunner{Manager: mgr, Source: x}
+		if err := cws.Bind(sr, id, 0); err != nil {
+			return nil, err
+		}
+		sr.OnComplete = func() {
+			if err := sr.Err(); err != nil && firstErr == nil {
+				firstErr = err
+			} else if err == nil {
+				res.Makespans[i] = eng.Now() - start
+			}
+			remaining--
+		}
+		sr.Start()
 	}
-	cl.Engine().Run()
+	eng.Run()
 	if firstErr != nil {
 		return nil, firstErr
 	}

@@ -103,11 +103,12 @@ func TestRunConcurrentAwareHelpsUnderContention(t *testing.T) {
 	}
 }
 
-func TestStartWorkflowUnregistered(t *testing.T) {
+func TestBindUnregistered(t *testing.T) {
 	cl := flatCluster(1, 4)
-	cws := New(rm.NewTaskManager(cl, nil), Baseline{}, nil)
-	if err := cws.StartWorkflow("ghost", 0, func(sim.Time, error) {}); err == nil {
-		t.Fatal("unregistered workflow started")
+	mgr := rm.NewTaskManager(cl, nil)
+	cws := New(mgr, Baseline{}, nil)
+	if err := cws.Bind(&rm.StreamRunner{Manager: mgr}, "ghost", 0); err == nil {
+		t.Fatal("unregistered workflow bound")
 	}
 }
 

@@ -266,54 +266,9 @@ func (am *AppManager) RunPerJob(pipelines []*Pipeline, resources []ResourceDesc)
 	}
 	// Resubmission rounds per pipeline.
 	for i, pl := range pipelines {
-		mgr := managers[i]
-		for round := 0; round < mgr.resubmitRounds(); round++ {
-			n := 0
-			for _, tasks := range failedAll[i] {
-				n += len(tasks)
-			}
-			if n == 0 {
-				break
-			}
-			nodes := 0
-			maxNodes := 0
-			for _, tasks := range failedAll[i] {
-				for _, t := range tasks {
-					nodes += t.Nodes
-					if t.Nodes > maxNodes {
-						maxNodes = t.Nodes
-					}
-				}
-			}
-			if nodes > resources[i].Nodes {
-				nodes = resources[i].Nodes
-			}
-			if nodes < maxNodes {
-				nodes = maxNodes
-			}
-			res := resources[i]
-			res.Nodes = nodes
-			rp := &Pipeline{Name: pl.Name + "-resubmit"}
-			for si, tasks := range failedAll[i] {
-				if len(tasks) == 0 {
-					continue
-				}
-				rp.Stages = append(rp.Stages, &Stage{Name: fmt.Sprintf("resubmit-%d", si), Tasks: tasks})
-			}
-			reports[i].RecoveryDelaySec += float64(mgr.recoveryPause(round + 1))
-			before := countExecuted([]*Pipeline{pl})
-			var err error
-			failedAll[i], err = mgr.runJob(res, []*Pipeline{rp}, reports[i], false)
-			if err != nil {
-				return reports, err
-			}
-			reports[i].Rounds++
-			reports[i].ResubmittedOK += countExecuted([]*Pipeline{pl}) - before
+		if err := managers[i].resubmit(pl.Name+"-resubmit", []*Pipeline{pl}, failedAll[i], reports[i]); err != nil {
+			return reports, err
 		}
-		for _, tasks := range failedAll[i] {
-			reports[i].TasksFailed += len(tasks)
-		}
-		reports[i].TasksExecuted = countExecuted([]*Pipeline{pl})
 	}
 	return reports, nil
 }
@@ -322,26 +277,30 @@ func (am *AppManager) RunPerJob(pipelines []*Pipeline, resources []ResourceDesc)
 // and returns the report. It drives the sim engine.
 func (am *AppManager) Run(pipelines ...*Pipeline) (*Report, error) {
 	rep := &Report{}
-	var failedByStage [][]*Task // preserves original stage order
-
 	// Round 0: full job.
 	failed, err := am.runJob(am.Resource, pipelines, rep, true)
 	if err != nil {
 		return nil, err
 	}
 	rep.Rounds = 1
-	failedByStage = failed
+	if err := am.resubmit("resubmit", pipelines, failed, rep); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
 
-	// Resubmission rounds: smaller jobs sized to the failed work.
+// resubmit runs the resubmission rounds after the first job of pipelines,
+// whose failed tasks come grouped by stage: each round reruns the failed
+// work as one pipeline named name in a smaller job, until nothing fails or
+// the round budget is spent. It then books the terminal counts into rep.
+func (am *AppManager) resubmit(name string, pipelines []*Pipeline, failed [][]*Task, rep *Report) error {
 	for round := 0; round < am.resubmitRounds(); round++ {
-		n := 0
-		maxNodes := 0
-		for _, tasks := range failedByStage {
+		n, nodes, maxNodes := 0, 0, 0
+		for _, tasks := range failed {
 			for _, t := range tasks {
 				n++
-				if t.Nodes > maxNodes {
-					maxNodes = t.Nodes
-				}
+				nodes += t.Nodes
+				maxNodes = max(maxNodes, t.Nodes)
 			}
 		}
 		if n == 0 {
@@ -349,47 +308,31 @@ func (am *AppManager) Run(pipelines ...*Pipeline) (*Report, error) {
 		}
 		// Job size correlates with the failed-task count (§4.2), bounded
 		// by the original allocation.
-		nodes := 0
-		for _, tasks := range failedByStage {
-			for _, t := range tasks {
-				nodes += t.Nodes
-			}
-		}
-		if nodes > am.Resource.Nodes {
-			nodes = am.Resource.Nodes
-		}
-		if nodes < maxNodes {
-			nodes = maxNodes
-		}
 		res := am.Resource
-		res.Nodes = nodes
-
+		res.Nodes = max(min(nodes, am.Resource.Nodes), maxNodes)
 		// Preserve stage order: one synthetic pipeline, one stage per
 		// original stage with failures.
-		rp := &Pipeline{Name: "resubmit"}
-		for i, tasks := range failedByStage {
-			if len(tasks) == 0 {
-				continue
+		rp := &Pipeline{Name: name}
+		for i, tasks := range failed {
+			if len(tasks) > 0 {
+				rp.Stages = append(rp.Stages, &Stage{Name: fmt.Sprintf("resubmit-%d", i), Tasks: tasks})
 			}
-			st := &Stage{Name: fmt.Sprintf("resubmit-%d", i)}
-			st.Tasks = tasks
-			rp.Stages = append(rp.Stages, st)
 		}
 		rep.RecoveryDelaySec += float64(am.recoveryPause(round + 1))
 		before := countExecuted(pipelines)
-		failedByStage, err = am.runJob(res, []*Pipeline{rp}, rep, false)
-		if err != nil {
-			return nil, err
+		var err error
+		if failed, err = am.runJob(res, []*Pipeline{rp}, rep, false); err != nil {
+			return err
 		}
 		rep.Rounds++
 		rep.ResubmittedOK += countExecuted(pipelines) - before
 	}
 	// Terminal failures.
-	for _, tasks := range failedByStage {
+	for _, tasks := range failed {
 		rep.TasksFailed += len(tasks)
 	}
 	rep.TasksExecuted = countExecuted(pipelines)
-	return rep, nil
+	return nil
 }
 
 func countExecuted(pipelines []*Pipeline) int {

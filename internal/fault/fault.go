@@ -14,8 +14,8 @@
 //     and deterministic jitter, per-attempt virtual-time timeouts, and
 //     max-attempt circuit breaking with graceful degradation.
 //
-// Runtimes (rm.StreamRunner, cwsi.CWS, entk.AppManager) consume RetryPolicy
-// instead of ad-hoc retry counters, which is where RADICAL-Pilot/Parsl put
+// Runtimes (rm.StreamRunner, which also drives the CWS path, and
+// entk.AppManager) consume RetryPolicy instead of ad-hoc retry counters, which is where RADICAL-Pilot/Parsl put
 // recovery too: in the pilot/runtime layer, not in each driver.
 package fault
 

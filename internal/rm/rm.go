@@ -130,7 +130,7 @@ func (s *Submission) done(r Result) {
 type Result struct {
 	// Submission is the submission this result terminates. It is valid for
 	// the duration of the Done callback; runners that pool their submission
-	// records (StreamRunner, the CWSI) recycle it afterwards, so callbacks
+	// records (StreamRunner) recycle it afterwards, so callbacks
 	// must copy any fields they keep rather than retain the pointer.
 	Submission  *Submission
 	Node        *cluster.Node

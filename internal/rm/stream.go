@@ -29,6 +29,11 @@ import (
 // Expander.TaskFailed) so the rest of the workflow degrades gracefully on the
 // healthy capacity instead of stalling.
 //
+// With Hook set, every attempt also runs through an AttemptHook — the seam
+// the Common Workflow Scheduler drives its workflows through (see
+// AttemptHook). Without a recovery policy such a run resubmits a failed task
+// at once for as long as the hook allows, and fails (Err) when it refuses.
+//
 // MaxResident == 0 leaves admission unthrottled: every ready task is
 // submitted the moment it becomes ready. A positive MaxResident bounds
 // emitted-but-not-terminal tasks; scheduling is still deterministic, and for
@@ -36,7 +41,7 @@ import (
 // shards) the schedule is provably identical to the unthrottled one as long
 // as the window exceeds the cluster's concurrency (see docs/scale.md).
 //
-// A runner is reusable: Run zeroes every per-run counter, and Reset clears
+// A runner is reusable: Start zeroes every per-run counter, and Reset clears
 // the per-run wiring so a warm session's pooled runner audits identically to
 // a fresh one.
 type StreamRunner struct {
@@ -71,6 +76,12 @@ type StreamRunner struct {
 	Observe func(t *dag.Task, r Result)
 	// MaxResident caps tasks emitted but not yet terminal (0 = unlimited).
 	MaxResident int
+	// Hook, when non-nil, wraps every attempt. The runner calls it as it
+	// submits attempt n of the task t at insertion index idx, with s filled
+	// in and s.Hooks set to the runner's own callbacks; the hook returned
+	// must call through to those, and the runner installs it as s.Hooks in
+	// their place. Hook may lower s.Mem.
+	Hook func(s *Submission, t *dag.Task, idx, n int) AttemptHook
 
 	total        int
 	doneCount    int
@@ -78,16 +89,19 @@ type StreamRunner struct {
 	peakResident int
 	finishAt     sim.Time
 	stats        RunStats
+	err          error
 	// freeAttempts recycles attempt records; an attempt stays live across
 	// its own retries and is recycled at its task's terminal result, so
 	// steady-state submission allocates only at peak concurrency.
 	freeAttempts []*attempt
 	// ids memoizes first-attempt submission IDs when the source is a
-	// materialized dag.WorkflowExpander, whose tasks are resident anyway
-	// (memoIDs). An ID is a pure function of (WorkflowID, TaskID), so the
-	// memo survives Reset as a capacity cache and is cleared only when
-	// WorkflowID changes — warm sessions replaying the same workflow shape
-	// re-derive zero ID strings. Streaming sources bypass it.
+	// materialized dag.WorkflowExpander, whose tasks are resident anyway,
+	// and the run repeats the previous run's WorkflowID (memoIDs). An ID is
+	// a pure function of (WorkflowID, TaskID), so the memo survives Reset as
+	// a capacity cache and is cleared only when WorkflowID changes — warm
+	// sessions replaying the same workflow shape re-derive zero ID strings,
+	// while a runner reused across distinct workflows (the service's pooled
+	// drivers) never fills a memo it cannot hit. Streaming sources bypass it.
 	ids     map[dag.TaskID]string
 	idsWf   string
 	memoIDs bool
@@ -105,7 +119,26 @@ type attempt struct {
 	failN      int
 	timeoutEv  *sim.Event
 	resubmitFn func()
+	hook       AttemptHook
 	sub        Submission
+}
+
+// AttemptHook wraps one attempt of a StreamRunner task (see
+// StreamRunner.Hook). The manager calls its RuntimeOn, ValidateOn and Done
+// in place of the runner's, and each calls through to the runner's own: so
+// a hook can adjust the runner's runtime, fail the attempt before the
+// runner's injected failure is checked, and see the result before the
+// runner acts on it. The runner's Done then calls back into the hook, still
+// inside the hook's Done, when it decides a failed attempt's retry.
+type AttemptHook interface {
+	SubmissionHooks
+	// Backoff is told the delay of the retry the recovery policy scheduled
+	// after this attempt failed.
+	Backoff(d sim.Time)
+	// Resubmit decides, on a runner without a recovery policy, what becomes
+	// of the task whose attempt failed with cause: nil resubmits it at once
+	// (neither retry nor backoff is counted); an error fails the run with it.
+	Resubmit(cause error) error
 }
 
 // RuntimeOn implements SubmissionHooks.
@@ -139,6 +172,9 @@ func (a *attempt) Done(r Result) {
 			d := sr.Retry.Backoff(a.attempt, sr.RetryRNG)
 			sr.stats.Retries++
 			sr.stats.BackoffSec += float64(d)
+			if a.hook != nil {
+				a.hook.Backoff(d)
+			}
 			if a.resubmitFn == nil {
 				a.resubmitFn = func() {
 					a.attempt++
@@ -148,15 +184,32 @@ func (a *attempt) Done(r Result) {
 			sr.Manager.eng.After(d, a.resubmitFn)
 			return
 		}
+		asked := sr.Retry == nil && a.hook != nil && sr.err == nil
+		if asked {
+			if sr.err = a.hook.Resubmit(r.Err); sr.err == nil {
+				a.attempt++
+				sr.start(a)
+				return
+			}
+		}
 		sr.stats.TerminalFailures++
 		task := a.task
-		id := task.ID
+		id := task.ID // retire recycles task
 		sr.recycle(a)
 		sr.retire(task, r)
+		if asked {
+			// The hook failed the run: it writes nothing off, submits no
+			// further task and never completes. Attempts in flight drain.
+			if sr.OnComplete != nil {
+				sr.OnComplete()
+			}
+			return
+		}
 		skipped := sr.Source.TaskFailed(id)
 		sr.stats.Skipped += skipped
-		sr.taskDone(1 + skipped)
-		sr.pull()
+		if !sr.taskDone(1 + skipped) {
+			sr.pull()
+		}
 		return
 	}
 	sr.Breaker.Record(false)
@@ -169,36 +222,51 @@ func (a *attempt) Done(r Result) {
 	// and taskDone must see the grown denominator or it would declare the
 	// run complete with stages still pending.
 	sr.Source.TaskDone(id)
-	sr.taskDone(1)
-	sr.pull()
+	if !sr.taskDone(1) {
+		sr.pull()
+	}
 }
 
 // Run pulls the expansion through the manager until it drains and returns
-// the makespan in virtual seconds.
+// the makespan in virtual seconds (0 when the run failed; see Err).
 func (sr *StreamRunner) Run() sim.Time {
-	if sr.Runtime == nil {
-		sr.Runtime = DefaultRuntime
-	}
-	sr.doneCount, sr.resident, sr.peakResident, sr.finishAt, sr.stats = 0, 0, 0, 0, RunStats{}
-	_, sr.memoIDs = sr.Source.(*dag.WorkflowExpander)
-	if sr.memoIDs {
-		if sr.ids == nil {
-			sr.ids = make(map[dag.TaskID]string, sr.Source.Total())
-		} else if sr.WorkflowID != sr.idsWf {
-			clear(sr.ids)
-		}
-		sr.idsWf = sr.WorkflowID
-	}
-	sr.total = sr.Source.Total()
 	startAt := sr.Manager.eng.Now()
-	sr.pull()
+	sr.Start()
 	sr.Manager.eng.Run()
+	if sr.err != nil {
+		return 0
+	}
 	if sr.doneCount != sr.total {
 		panic(fmt.Sprintf("rm: workflow %s stalled: %d/%d tasks done (cluster too small for some request?)",
 			sr.Source.Name(), sr.doneCount, sr.total))
 	}
 	return sr.finishAt - startAt
 }
+
+// Start submits the expansion's ready tasks without running the engine, so
+// several runners can share one manager — concurrent workflows on one
+// cluster. The run then proceeds as the engine runs; OnComplete reports its
+// end.
+func (sr *StreamRunner) Start() {
+	if sr.Runtime == nil {
+		sr.Runtime = DefaultRuntime
+	}
+	sr.doneCount, sr.resident, sr.peakResident, sr.finishAt, sr.stats, sr.err = 0, 0, 0, 0, RunStats{}, nil
+	_, materialized := sr.Source.(*dag.WorkflowExpander)
+	sr.memoIDs = materialized && sr.WorkflowID == sr.idsWf
+	if materialized && !sr.memoIDs {
+		clear(sr.ids)
+		sr.idsWf = sr.WorkflowID
+	} else if sr.memoIDs && sr.ids == nil {
+		sr.ids = make(map[dag.TaskID]string, sr.Source.Total())
+	}
+	sr.total = sr.Source.Total()
+	sr.pull()
+}
+
+// Err returns the error that failed the run (see AttemptHook.Resubmit), or
+// nil.
+func (sr *StreamRunner) Err() error { return sr.err }
 
 // Reset clears every per-run field — source, wiring, recovery policy and
 // accounting — so a pooled runner audits identically to a zero one. The
@@ -207,14 +275,15 @@ func (sr *StreamRunner) Run() sim.Time {
 func (sr *StreamRunner) Reset() {
 	sr.Source, sr.Runtime, sr.WorkflowID = nil, nil, ""
 	sr.Retry, sr.RetryRNG, sr.Breaker, sr.FailPlan = nil, nil, nil, nil
-	sr.OnComplete, sr.Observe, sr.MaxResident = nil, nil, 0
+	sr.OnComplete, sr.Observe, sr.MaxResident, sr.Hook = nil, nil, 0, nil
 	sr.total, sr.doneCount, sr.resident, sr.peakResident = 0, 0, 0, 0
-	sr.finishAt, sr.stats, sr.memoIDs = 0, RunStats{}, false
+	sr.finishAt, sr.stats, sr.err, sr.memoIDs = 0, RunStats{}, nil, false
 }
 
-// pull admits ready tasks while the residency window allows.
+// pull admits ready tasks while the residency window allows and the run has
+// not failed.
 func (sr *StreamRunner) pull() {
-	for sr.MaxResident <= 0 || sr.resident < sr.MaxResident {
+	for sr.err == nil && (sr.MaxResident <= 0 || sr.resident < sr.MaxResident) {
 		t, idx, ok := sr.Source.Next()
 		if !ok {
 			return
@@ -275,6 +344,10 @@ func (sr *StreamRunner) start(a *attempt) {
 		InputBytes: a.task.InputBytes,
 		Hooks:      a,
 	}
+	if sr.Hook != nil {
+		a.hook = sr.Hook(&a.sub, a.task, a.idx, a.attempt)
+		a.sub.Hooks = a.hook
+	}
 	sr.Manager.Submit(&a.sub)
 	if sr.Retry != nil && sr.Retry.TimeoutSec > 0 {
 		n := a.attempt
@@ -303,19 +376,23 @@ func (sr *StreamRunner) recycle(a *attempt) {
 	sr.freeAttempts = append(sr.freeAttempts, a)
 }
 
-// taskDone advances the terminal count by n and fires OnComplete when the
-// whole expansion has settled. Total is re-read per terminal task because
-// dynamic sources grow it as the run progresses; for static sources it is
-// the same constant every time.
-func (sr *StreamRunner) taskDone(n int) {
+// taskDone advances the terminal count by n and, when the whole expansion
+// has settled, fires OnComplete and reports true. Total is re-read per
+// terminal task because dynamic sources grow it as the run progresses; for
+// static sources it is the same constant every time. A settled run has
+// nothing left to pull, and the runner touches none of its state after
+// OnComplete, which may therefore Reset the runner and start it afresh.
+func (sr *StreamRunner) taskDone(n int) bool {
 	sr.doneCount += n
 	sr.total = sr.Source.Total()
-	if sr.doneCount == sr.total {
-		sr.finishAt = sr.Manager.eng.Now()
-		if sr.OnComplete != nil {
-			sr.OnComplete()
-		}
+	if sr.doneCount != sr.total {
+		return false
 	}
+	sr.finishAt = sr.Manager.eng.Now()
+	if sr.OnComplete != nil {
+		sr.OnComplete()
+	}
+	return true
 }
 
 // PeakResident returns the high-water mark of tasks emitted but not yet

@@ -160,6 +160,7 @@ type tenantState struct {
 // serviceRun is one in-flight execution of a Config.
 type serviceRun struct {
 	cfg     Config
+	sub     *Substrate
 	eng     *sim.Engine
 	cl      *cluster.Cluster
 	cws     *cwsi.CWS
@@ -170,9 +171,10 @@ type serviceRun struct {
 	only          int // -1 = all tenants; otherwise the sole armed tenant
 	activeChains  int
 	inFlightTotal int
-	failPlans     map[string]map[dag.TaskID]int // per-in-flight-workflow transient-failure budgets
-	decayTau      float64                       // fair-share usage decay time constant
-	lastDecay     sim.Time                      // last uniform decay instant (all tenants share it)
+	retry         *fault.RetryPolicy // the recovery policy of fault runs, nil otherwise
+	retryRNG      *randx.Source      // backoff jitter, shared by every workflow's runner
+	decayTau      float64            // fair-share usage decay time constant
+	lastDecay     sim.Time           // last uniform decay instant (all tenants share it)
 	err           error
 }
 
@@ -219,6 +221,17 @@ type Substrate struct {
 	mgr  *rm.TaskManager
 	cws  *cwsi.CWS
 	warm bool
+	// drivers pools settled workflow drivers, so a warm service admits
+	// workflows without reallocating runners, attempt records or readiness
+	// tables.
+	drivers []*driver
+}
+
+// driver is one admitted workflow's task driver: a StreamRunner over an
+// expander of the workflow, bound to the CWS.
+type driver struct {
+	sr rm.StreamRunner
+	x  dag.WorkflowExpander
 }
 
 // NewSubstrate builds a cold substrate for the given cluster shape.
@@ -277,9 +290,8 @@ var substrateAuditSkip = []string{
 	"rm.TaskManager.freeRunning",
 	"provenance.Store.freeIdx",
 	"cwsi.CWS.freeRuns",
-	"cwsi.CWS.freeWfRuns",
-	"cwsi.CWS.idScratch",
 	"cwsi.rmAdapter.keys",
+	"service.Substrate.drivers",
 }
 
 // Audit resets the substrate and deep-diffs it against a freshly constructed
@@ -349,6 +361,7 @@ func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 
 	sv := &serviceRun{
 		cfg:      cfg,
+		sub:      sub,
 		eng:      sub.eng,
 		cl:       sub.cl,
 		byID:     map[string]*tenantState{},
@@ -422,13 +435,7 @@ func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 			retry = fault.DefaultRetryPolicy()
 		}
 		sv.inj = fault.NewInjector(sub.cl, rng.Fork(), cfg.Faults)
-		sv.cws.SetRecovery(retry, rng.Fork())
-		if cfg.Faults.TaskFailProb > 0 {
-			sv.failPlans = map[string]map[dag.TaskID]int{}
-			sv.cws.SetFaultInjection(func(wfID string, taskID dag.TaskID, attempt int) bool {
-				return attempt <= sv.failPlans[wfID][taskID]
-			})
-		}
+		sv.retry, sv.retryRNG = &retry, rng.Fork()
 		sv.inj.Start()
 	}
 
@@ -510,45 +517,67 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 		sv.fail(fmt.Errorf("service: %w", err))
 		return
 	}
-	if sv.failPlans != nil {
-		// One plan fork per admission, drawn from the tenant's workload
-		// stream right after the workflow itself — the fixed order that keeps
-		// solo and contended runs on identical per-workflow fault plans.
-		plan := sv.cfg.Faults.PlanTaskFailures(w.Len(), ts.wfRNG.Fork())
-		m := map[dag.TaskID]int{}
-		for i, task := range w.Tasks() {
-			if plan[i] > 0 {
-				m[task.ID] = plan[i]
-			}
-		}
-		sv.failPlans[wfID] = m
+	// One runner per workflow, on the shared recovery policy and jitter
+	// source with a breaker of its own.
+	var d *driver
+	if n := len(sv.sub.drivers); n > 0 {
+		d = sv.sub.drivers[n-1]
+		sv.sub.drivers = sv.sub.drivers[:n-1]
+	} else {
+		d = &driver{sr: rm.StreamRunner{Manager: sv.sub.mgr}}
 	}
-	err = sv.cws.StartWorkflow(wfID, 0, func(ms sim.Time, err error) {
-		if err != nil {
-			ts.wfFailed++
-		} else {
-			ts.completed++
-			ts.makespans = append(ts.makespans, float64(ms))
-		}
-		// The workflow is fully accounted: release its scheduler and
-		// provenance structure so session state stays bounded.
-		sv.cws.ReleaseWorkflow(wfID)
-		delete(sv.failPlans, wfID)
-		ts.inFlight--
-		sv.inFlightTotal--
-		// Deterministic requeue: the freed slot goes to the oldest deferred
-		// arrival, at the completion timestamp.
-		if len(ts.deferredQ) > 0 {
-			at := ts.deferredQ[0]
-			ts.deferredQ = ts.deferredQ[1:]
-			sv.admit(ts, at)
-			return
-		}
-		sv.maybeStopInjector()
-	})
-	if err != nil {
+	if err := d.x.Reset(w); err != nil {
 		sv.fail(fmt.Errorf("service: %w", err))
+		return
 	}
+	sr := &d.sr
+	sr.Source = &d.x
+	if sv.retry != nil {
+		sr.Retry, sr.RetryRNG, sr.Breaker = sv.retry, sv.retryRNG, sv.retry.NewBreaker()
+		if sv.cfg.Faults.TaskFailProb > 0 {
+			// One plan fork per admission, drawn from the tenant's workload
+			// stream right after the workflow itself — the fixed order that
+			// keeps solo and contended runs on identical per-workflow plans.
+			plan := sv.cfg.Faults.PlanTaskFailures(w.Len(), ts.wfRNG.Fork())
+			sr.FailPlan = func(i int) int { return plan[i] }
+		}
+	}
+	if err := sv.cws.Bind(sr, wfID, 0); err != nil {
+		sv.fail(fmt.Errorf("service: %w", err))
+		return
+	}
+	sr.OnComplete = func() { sv.settle(d, ts, wfID, now) }
+	sr.Start()
+}
+
+// settle accounts the workflow d drove since start, completed or failed,
+// and hands its in-flight slot to the oldest deferred arrival. A completed
+// run is settled (see rm.StreamRunner.OnComplete), so its driver returns to
+// the pool at once; a failed one may still have attempts in flight.
+func (sv *serviceRun) settle(d *driver, ts *tenantState, wfID string, start sim.Time) {
+	if d.sr.Err() != nil {
+		ts.wfFailed++
+	} else {
+		ts.completed++
+		ts.makespans = append(ts.makespans, float64(sv.eng.Now()-start))
+		d.sr.Reset()
+		d.x.Reset(nil)
+		sv.sub.drivers = append(sv.sub.drivers, d)
+	}
+	// The workflow is fully accounted: release its scheduler and provenance
+	// structure so session state stays bounded.
+	sv.cws.ReleaseWorkflow(wfID)
+	ts.inFlight--
+	sv.inFlightTotal--
+	// Deterministic requeue: the freed slot goes to the oldest deferred
+	// arrival, at the completion timestamp.
+	if len(ts.deferredQ) > 0 {
+		at := ts.deferredQ[0]
+		ts.deferredQ = ts.deferredQ[1:]
+		sv.admit(ts, at)
+		return
+	}
+	sv.maybeStopInjector()
 }
 
 // fail aborts the run at the next opportunity; arrival chains stop re-arming.

@@ -3,7 +3,7 @@
 // differ. It is the warm-run dirty-state auditor: a post-Reset session
 // diffed against a freshly constructed one must come back clean, and any
 // state that leaked across the reset is reported by its exact field path
-// ("core.Session.cws.recStats.Retries: 3 != 0"), so the failure names the
+// ("core.Session.runner.stats.Retries: 3 != 0"), so the failure names the
 // subsystem that forgot to truncate.
 //
 // Comparison semantics are chosen for the reset contract rather than
