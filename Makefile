@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench-module cover fuzz chaos sweep bench bench-json bench-json-short profile experiments examples compose clean
+.PHONY: all build vet test test-race bench-module cli-digests cover fuzz chaos sweep bench bench-json bench-json-short profile experiments examples compose clean
 
-all: build vet test test-race bench-module chaos
+all: build vet test test-race bench-module cli-digests chaos
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,19 @@ test-race:
 # benchmark unnoticed.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Byte-identity of four CLI reports against digests committed in
+# testdata/cli-digests.sha256: the CWS storm sweep, the §3.5 waste study,
+# the service arrivals sweep and the stormy prediction ablation. A refactor
+# that must not change behaviour leaves all four stdouts unchanged. The
+# sweeps pin -workers 1 because their headers print the worker count.
+cli-digests:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/wfsim -faults storm -env k8s-cws -sweep 25 -workers 1 > "$$tmp/wfsim-storm-cws-sweep25.txt" && \
+	$(GO) run ./cmd/cwsbench -waste > "$$tmp/cwsbench-waste.txt" && \
+	$(GO) run ./cmd/sweeprun -arrivals -seeds 25 -workers 1 > "$$tmp/sweeprun-arrivals-seeds25.txt" && \
+	$(GO) run ./cmd/sweeprun -predict -faults storm -seeds 25 -workers 1 > "$$tmp/sweeprun-predict-storm-seeds25.txt" && \
+	cd "$$tmp" && sha256sum -c "$(CURDIR)/testdata/cli-digests.sha256"
 
 # Full-suite coverage profile (atomic mode: the sweep pool is concurrent).
 # CI runs this in the test job, uploads coverage.out as an artifact, and the

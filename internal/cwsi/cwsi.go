@@ -115,10 +115,10 @@ type Strategy interface {
 // wfState is a registered workflow's scheduler state. Every per-task table
 // is indexed by the task's insertion position in wf (dag.Workflow.Index).
 type wfState struct {
-	wf       *dag.Workflow
-	ranks    []float64
-	attempts []int // per task, attempts submitted through SubmitTask
-	done     bool
+	wf    *dag.Workflow
+	ranks []float64
+	tasks []taskState
+	done  bool
 
 	// The policy-less retry budget and the recovery policy's provenance
 	// label of the runner driving the workflow (see Bind).
@@ -134,6 +134,12 @@ type wfState struct {
 	overruns []int
 }
 
+// taskState is a registered task's slot in its workflow's wfState.
+type taskState struct {
+	attempts int           // attempts submitted through SubmitTask
+	out      *cluster.Node // where its outputs live once an attempt succeeded (see locality.go)
+}
+
 // CWS is the Common Workflow Scheduler.
 type CWS struct {
 	mgr       *rm.TaskManager
@@ -145,8 +151,7 @@ type CWS struct {
 	ctx       *Context
 
 	// Data-plane model (see locality.go).
-	dataBW  float64
-	outputs map[outKey]*cluster.Node
+	dataBW float64
 
 	// prioGen is the priority-cache generation: strategies' Priority values
 	// are memoized per submission under this generation and recomputed only
@@ -216,7 +221,6 @@ func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	c.strategy = strategy
 	clear(c.workflows)
 	c.dataBW = 0
-	clear(c.outputs)
 	c.prioGen = 1
 	clear(c.measuredSpeed)
 	c.observer = nil
@@ -254,13 +258,14 @@ func (c *CWS) SetTaskObserver(fn func(wfID string, taskID dag.TaskID, attempt in
 }
 
 // ReleaseWorkflow drops a finished workflow's scheduler state (DAG, ranks,
-// attempt counters) and the provenance store's registered-workflow entry, so
-// a long-running service that registers workflows per arrival keeps
-// O(in-flight) rather than O(arrivals) state. Task records already captured
-// are untouched (retention stays governed by provenance.SetCompact). It is
-// the caller's responsibility to release only workflows with no tasks still
-// pending or running; the entry simply disappears for strategy Context
-// lookups. Releasing an unknown id is a no-op.
+// attempt counters, output locations) and the provenance store's
+// registered-workflow entry, so a long-running service that registers
+// workflows per arrival keeps O(in-flight) rather than O(arrivals) state.
+// Task records already captured are untouched (retention stays governed by
+// provenance.SetCompact). It is the caller's responsibility to release only
+// workflows with no tasks still pending or running; the entry simply
+// disappears for strategy Context lookups. Releasing an unknown id is a
+// no-op.
 func (c *CWS) ReleaseWorkflow(id string) {
 	if _, ok := c.workflows[id]; !ok {
 		return
@@ -279,9 +284,9 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 		return fmt.Errorf("cwsi: workflow %q: %w", id, err)
 	}
 	c.workflows[id] = &wfState{
-		wf:       w,
-		ranks:    w.UpwardRanks(dag.NominalDur),
-		attempts: make([]int, w.Len()),
+		wf:    w,
+		ranks: w.UpwardRanks(dag.NominalDur),
+		tasks: make([]taskState, w.Len()),
 	}
 	c.prov.RegisterWorkflow(id, w)
 	c.prioGen++
@@ -301,8 +306,8 @@ func (c *CWS) SubmitTask(req TaskRequest) error {
 		return fmt.Errorf("cwsi: task %q not in workflow %q", req.TaskID, req.WorkflowID)
 	}
 	t := st.wf.At(idx)
-	st.attempts[idx]++
-	attempt := st.attempts[idx]
+	st.tasks[idx].attempts++
+	attempt := st.tasks[idx].attempts
 	d := &direct{req: req, t: t}
 	d.sub = rm.Submission{
 		ID:         req.WorkflowID + "/" + string(req.TaskID) + "#" + strconv.Itoa(attempt),
@@ -432,7 +437,7 @@ func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 	c := tr.c
 	d := tr.inner.RuntimeOn(n)
 	if c.dataBW > 0 {
-		d += c.remoteInputBytes(tr.wfID, tr.t, n) / c.dataBW
+		d += remoteInputBytes(tr.st, tr.t, n) / c.dataBW
 	}
 	if c.warmFor(tr.t.Name) {
 		if sec, ok := c.predictor.Predict(tr.t.Name, tr.t.InputBytes, c.ctx.MeasuredSpeed(n)); ok {
@@ -483,7 +488,7 @@ func (tr *taskRun) ValidateOn(n *cluster.Node) error {
 func (tr *taskRun) Done(r rm.Result) {
 	c := tr.c
 	if !r.Failed {
-		c.noteOutput(tr.wfID, tr.t.ID, r.Node)
+		c.noteOutput(tr.st, tr.idx, r.Node)
 		if tr.predicted > 0 {
 			c.predErr.Observe(tr.predicted, float64(r.FinishedAt-r.StartedAt))
 		}

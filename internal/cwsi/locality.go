@@ -19,20 +19,11 @@ import (
 // disables; node-local inputs are free, as on node-local NVMe).
 func (c *CWS) SetDataBandwidth(bps float64) { c.dataBW = bps }
 
-// outKey identifies one task's output location. A struct key keeps the hot
-// lookup paths (remoteInputBytes runs per placement) free of the string
-// concatenation a composite "wf/task" key would allocate.
-type outKey struct {
-	wf   string
-	task dag.TaskID
-}
-
-// outputNode records where a task's outputs live after completion.
-func (c *CWS) noteOutput(wfID string, taskID dag.TaskID, node *cluster.Node) {
-	if c.outputs == nil {
-		c.outputs = make(map[outKey]*cluster.Node, 64)
-	}
-	c.outputs[outKey{wfID, taskID}] = node
+// noteOutput records that the task at position idx of st's workflow left its
+// outputs on node. Locations live on the workflow's own state, so they go
+// with it when the workflow is released.
+func (c *CWS) noteOutput(st *wfState, idx int, node *cluster.Node) {
+	st.tasks[idx].out = node
 	c.prioGen++ // locality changed; memoized priorities may be stale
 }
 
@@ -40,9 +31,8 @@ func (c *CWS) noteOutput(wfID string, taskID dag.TaskID, node *cluster.Node) {
 // node n (produced there by dependencies). Inputs of root tasks count as
 // remote (staged from shared storage).
 func (ctx *Context) LocalInputBytes(wfID string, taskID dag.TaskID, n *cluster.Node) float64 {
-	c := ctx.cws
-	st := c.workflows[wfID]
-	if st == nil || c.outputs == nil {
+	st := ctx.cws.workflows[wfID]
+	if st == nil {
 		return 0
 	}
 	t := st.wf.Task(taskID)
@@ -51,10 +41,8 @@ func (ctx *Context) LocalInputBytes(wfID string, taskID dag.TaskID, n *cluster.N
 	}
 	local := 0.0
 	for _, dep := range t.Deps {
-		if c.outputs[outKey{wfID, dep}] == n {
-			if dt := st.wf.Task(dep); dt != nil {
-				local += dt.OutputBytes
-			}
+		if j, ok := st.wf.Index(dep); ok && st.tasks[j].out == n {
+			local += st.wf.At(j).OutputBytes
 		}
 	}
 	return local
@@ -62,20 +50,20 @@ func (ctx *Context) LocalInputBytes(wfID string, taskID dag.TaskID, n *cluster.N
 
 // remoteInputBytes is the complement of LocalInputBytes over the task's
 // dependency outputs plus its external input size.
-func (c *CWS) remoteInputBytes(wfID string, t *dag.Task, n *cluster.Node) float64 {
-	st := c.workflows[wfID]
+func remoteInputBytes(st *wfState, t *dag.Task, n *cluster.Node) float64 {
 	if st == nil {
 		return t.InputBytes
 	}
 	remote := 0.0
 	fromDeps := 0.0
 	for _, dep := range t.Deps {
-		dt := st.wf.Task(dep)
-		if dt == nil {
+		j, ok := st.wf.Index(dep)
+		if !ok {
 			continue
 		}
+		dt := st.wf.At(j)
 		fromDeps += dt.OutputBytes
-		if c.outputs == nil || c.outputs[outKey{wfID, dep}] != n {
+		if st.tasks[j].out != n {
 			remote += dt.OutputBytes
 		}
 	}

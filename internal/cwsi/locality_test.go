@@ -171,3 +171,38 @@ func TestLocalInputBytesAccounting(t *testing.T) {
 		t.Fatalf("locality on producer = %v, want 5e9", got)
 	}
 }
+
+// TestReleaseWorkflowDropsOutputLocations: output locations belong to their
+// workflow, so a service that registers, runs and releases workflow after
+// workflow keeps none of them. Re-registering a released ID must start from
+// a cold locality view on every node.
+func TestReleaseWorkflowDropsOutputLocations(t *testing.T) {
+	eng := sim.NewEngine()
+	cl := cluster.New(eng, "d", cluster.Spec{
+		Type:  cluster.NodeType{Name: "n", Cores: 4, MemBytes: 64e9},
+		Count: 2,
+	})
+	cws := New(rm.NewTaskManager(cl, nil), Baseline{}, nil)
+	ids := []string{"acme/wf-0", "acme/wf-1", "beta/wf-0"}
+	for _, id := range ids {
+		if err := cws.RegisterWorkflow(id, dataChain(3, 5e9)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cws.RunWorkflow(id, 0); err != nil {
+			t.Fatal(err)
+		}
+		cws.ReleaseWorkflow(id)
+	}
+	for _, id := range ids {
+		if err := cws.RegisterWorkflow(id, dataChain(3, 5e9)); err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range []dag.TaskID{"s1", "s2"} {
+			for _, n := range cl.Nodes() {
+				if got := cws.ctx.LocalInputBytes(id, task, n); got != 0 {
+					t.Fatalf("%s/%s on %s: %v input bytes local after release, want 0", id, task, n.Name(), got)
+				}
+			}
+		}
+	}
+}

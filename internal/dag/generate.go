@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"math"
 	"strconv"
 	"strings"
 
@@ -20,6 +21,11 @@ type GenOpts struct {
 	Cores    int     // cores per task (default 1)
 	MaxCores int     // if >0, cores drawn uniformly in [Cores, MaxCores]
 	MeanMem  float64 // mean memory request (bytes)
+
+	// Lognormal parameters fixed per GenOpts, derived once by defaults():
+	// duration (MeanDur, CVDur), memory (MeanMem, 0.3) and data (cv 0.2,
+	// whose mean each task scales).
+	dur, mem, data lognormal
 }
 
 func (o *GenOpts) defaults() {
@@ -38,6 +44,44 @@ func (o *GenOpts) defaults() {
 	if o.MeanMem == 0 {
 		o.MeanMem = 4e9
 	}
+	o.dur = newLognormal(o.MeanDur, o.CVDur)
+	o.mem = newLognormal(o.MeanMem, 0.3)
+	o.data = newLognormal(0, 0.2)
+}
+
+// lognormal is randx.LogNormalMeanCV with the parameters it derives from
+// (mean, cv) computed once instead of per draw. They are the same float
+// operations on the same inputs, and draw keeps LogNormalMeanCV's guards, so
+// every draw is bit-identical and consumes the same random numbers.
+type lognormal struct {
+	mean, cv float64
+	halfVar  float64 // σ²/2
+	sigma    float64
+	mu       float64 // log(mean) − σ²/2, set while mean > 0
+}
+
+func newLognormal(mean, cv float64) lognormal {
+	sigma2 := math.Log(1 + cv*cv)
+	return lognormal{cv: cv, halfVar: sigma2 / 2, sigma: math.Sqrt(sigma2)}.withMean(mean)
+}
+
+// withMean returns p retargeted to mean, at one math.Log.
+func (p lognormal) withMean(mean float64) lognormal {
+	p.mean = mean
+	if mean > 0 {
+		p.mu = math.Log(mean) - p.halfVar
+	}
+	return p
+}
+
+func (p *lognormal) draw(rng *randx.Source) float64 {
+	if p.mean <= 0 {
+		return 0
+	}
+	if p.cv <= 0 {
+		return p.mean
+	}
+	return rng.LogNormal(p.mu, p.sigma)
 }
 
 // arena slab-allocates one generated workflow's Task structs, dependency
@@ -98,21 +142,22 @@ func (a *arena) takeDeps(mark int) []TaskID {
 // (cores, duration, memory, I/O fraction, input size, output size) is
 // load-bearing: it fixes the RNG stream, and with it every golden
 // fingerprint downstream.
-func (o GenOpts) fill(t *Task, rng *randx.Source, id string, name string, deps []TaskID) *Task {
+func (o *GenOpts) fill(t *Task, rng *randx.Source, id string, name string, deps []TaskID) *Task {
 	t.ID, t.Name, t.Deps = TaskID(id), name, deps
 	t.Cores = o.Cores
 	if o.MaxCores > o.Cores {
 		t.Cores = o.Cores + rng.Intn(o.MaxCores-o.Cores+1)
 	}
-	t.NominalDur = rng.LogNormalMeanCV(o.MeanDur, o.CVDur)
+	t.NominalDur = o.dur.draw(rng)
 	// Data sizes correlate with runtime (longer tasks process more data),
 	// which is what makes size-aware scheduling (§3.5's "file size"
 	// strategy) informative in practice.
 	sizeScale := t.NominalDur / o.MeanDur
-	t.MemBytes = rng.LogNormalMeanCV(o.MeanMem, 0.3)
+	t.MemBytes = o.mem.draw(rng)
 	t.IOFrac = rng.Uniform(0.05, 0.3)
-	t.InputBytes = rng.LogNormalMeanCV(o.MeanData*sizeScale, 0.2)
-	t.OutputBytes = rng.LogNormalMeanCV(o.MeanData*sizeScale, 0.2)
+	data := o.data.withMean(o.MeanData * sizeScale)
+	t.InputBytes = data.draw(rng)
+	t.OutputBytes = data.draw(rng)
 	return t
 }
 

@@ -64,17 +64,54 @@ func usable(o Observation) bool {
 	return true
 }
 
+// models is a per-task-name model table: one name→slot map over a dense
+// model slice, so observing a seen name costs one lookup and no allocation.
+type models[M any] struct {
+	slot map[string]int32
+	rows []M
+}
+
+// get returns a copy of name's model; the zero model before its first
+// observation.
+func (t *models[M]) get(name string) M {
+	if i, ok := t.slot[name]; ok {
+		return t.rows[i]
+	}
+	var zero M
+	return zero
+}
+
+// at returns name's model, opening a zero one on first sight.
+func (t *models[M]) at(name string) *M {
+	i, ok := t.slot[name]
+	if !ok {
+		if t.slot == nil {
+			// Workflows name a handful of processes: one allocation each
+			// for the map and the rows covers the usual model.
+			t.slot = make(map[string]int32, 8)
+			t.rows = make([]M, 0, 8)
+		}
+		i = int32(len(t.rows))
+		t.slot[name] = i
+		var zero M
+		t.rows = append(t.rows, zero)
+	}
+	return &t.rows[i]
+}
+
 // MeanPredictor predicts the historical mean runtime per task name,
 // normalized to the reference machine. This is the simplest online baseline.
 type MeanPredictor struct {
-	sums   map[string]float64
-	counts map[string]int
+	m models[meanModel]
+}
+
+type meanModel struct {
+	sum float64
+	n   int
 }
 
 // NewMean returns an empty mean predictor.
-func NewMean() *MeanPredictor {
-	return &MeanPredictor{sums: map[string]float64{}, counts: map[string]int{}}
-}
+func NewMean() *MeanPredictor { return &MeanPredictor{} }
 
 // Name implements RuntimePredictor.
 func (p *MeanPredictor) Name() string { return "mean" }
@@ -85,30 +122,31 @@ func (p *MeanPredictor) Observe(o Observation) {
 	if !usable(o) {
 		return
 	}
-	p.sums[o.TaskName] += o.RuntimeSec * o.SpeedFactor
-	p.counts[o.TaskName]++
+	m := p.m.at(o.TaskName)
+	m.sum += o.RuntimeSec * o.SpeedFactor
+	m.n++
 }
 
 // Samples implements Sampler.
-func (p *MeanPredictor) Samples(taskName string) int { return p.counts[taskName] }
+func (p *MeanPredictor) Samples(taskName string) int { return p.m.get(taskName).n }
 
 // Predict implements RuntimePredictor.
 func (p *MeanPredictor) Predict(taskName string, _, speedFactor float64) (float64, bool) {
-	n := p.counts[taskName]
-	if n == 0 {
+	m := p.m.get(taskName)
+	if m.n == 0 {
 		return 0, false
 	}
 	if speedFactor <= 0 {
 		speedFactor = 1
 	}
-	return p.sums[taskName] / float64(n) / speedFactor, true
+	return m.sum / float64(m.n) / speedFactor, true
 }
 
 // RegressionPredictor fits, per task name, an online simple linear
 // regression runtime = a + b·inputBytes on reference-normalized runtimes —
 // the "number of file inputs, input sizes" features §3.4 names.
 type RegressionPredictor struct {
-	models map[string]*olsModel
+	m models[olsModel]
 }
 
 type olsModel struct {
@@ -155,9 +193,7 @@ func (m *olsModel) predict(x float64) (float64, bool) {
 }
 
 // NewRegression returns an empty regression predictor.
-func NewRegression() *RegressionPredictor {
-	return &RegressionPredictor{models: map[string]*olsModel{}}
-}
+func NewRegression() *RegressionPredictor { return &RegressionPredictor{} }
 
 // Name implements RuntimePredictor.
 func (p *RegressionPredictor) Name() string { return "regression" }
@@ -167,28 +203,15 @@ func (p *RegressionPredictor) Observe(o Observation) {
 	if !usable(o) {
 		return
 	}
-	m := p.models[o.TaskName]
-	if m == nil {
-		m = &olsModel{}
-		p.models[o.TaskName] = m
-	}
-	m.observe(o.InputBytes, o.RuntimeSec*o.SpeedFactor)
+	p.m.at(o.TaskName).observe(o.InputBytes, o.RuntimeSec*o.SpeedFactor)
 }
 
 // Samples implements Sampler.
-func (p *RegressionPredictor) Samples(taskName string) int {
-	if m := p.models[taskName]; m != nil {
-		return int(m.n)
-	}
-	return 0
-}
+func (p *RegressionPredictor) Samples(taskName string) int { return int(p.m.get(taskName).n) }
 
 // Predict implements RuntimePredictor.
 func (p *RegressionPredictor) Predict(taskName string, inputBytes, speedFactor float64) (float64, bool) {
-	m := p.models[taskName]
-	if m == nil {
-		return 0, false
-	}
+	m := p.m.get(taskName)
 	y, ok := m.predict(inputBytes)
 	if !ok {
 		return 0, false
@@ -207,14 +230,16 @@ func (p *RegressionPredictor) Predict(taskName string, inputBytes, speedFactor f
 // workflows or workflows with a lack of historical data". Observations
 // refine the rate online.
 type LotaruPredictor struct {
-	rates  map[string]float64 // bytes/sec on reference machine
-	weight map[string]float64
+	m models[lotaruModel]
+}
+
+type lotaruModel struct {
+	rate   float64 // bytes/sec on reference machine
+	weight float64
 }
 
 // NewLotaru returns an empty Lotaru-style predictor.
-func NewLotaru() *LotaruPredictor {
-	return &LotaruPredictor{rates: map[string]float64{}, weight: map[string]float64{}}
-}
+func NewLotaru() *LotaruPredictor { return &LotaruPredictor{} }
 
 // Name implements RuntimePredictor.
 func (p *LotaruPredictor) Name() string { return "lotaru" }
@@ -233,9 +258,10 @@ func (p *LotaruPredictor) Profile(taskName string, sampleBytes, sampleSec, speed
 }
 
 func (p *LotaruPredictor) fold(name string, rate, w float64) {
-	total := p.weight[name] + w
-	p.rates[name] = (p.rates[name]*p.weight[name] + rate*w) / total
-	p.weight[name] = total
+	m := p.m.at(name)
+	total := m.weight + w
+	m.rate = (m.rate*m.weight + rate*w) / total
+	m.weight = total
 }
 
 // Observe implements RuntimePredictor, refining the rate online. A rate
@@ -250,12 +276,12 @@ func (p *LotaruPredictor) Observe(o Observation) {
 
 // Samples implements Sampler: the accumulated model weight, counting both
 // Profile seeds and online observations (each folds with weight 1).
-func (p *LotaruPredictor) Samples(taskName string) int { return int(p.weight[taskName]) }
+func (p *LotaruPredictor) Samples(taskName string) int { return int(p.m.get(taskName).weight) }
 
 // Predict implements RuntimePredictor.
 func (p *LotaruPredictor) Predict(taskName string, inputBytes, speedFactor float64) (float64, bool) {
-	rate, ok := p.rates[taskName]
-	if !ok || rate <= 0 {
+	rate := p.m.get(taskName).rate
+	if rate <= 0 {
 		return 0, false
 	}
 	if speedFactor <= 0 {
@@ -267,15 +293,17 @@ func (p *LotaruPredictor) Predict(taskName string, inputBytes, speedFactor float
 // MemPredictor estimates peak memory per task name as max-so-far plus a
 // safety margin — the conservative policy real WMSs use to avoid OOM kills.
 type MemPredictor struct {
-	peak   map[string]float64
-	counts map[string]int
+	m      models[memModel]
 	Margin float64 // fractional head-room, e.g. 0.2 = +20 %
 }
 
-// NewMem returns a memory predictor with the given safety margin.
-func NewMem(margin float64) *MemPredictor {
-	return &MemPredictor{peak: map[string]float64{}, counts: map[string]int{}, Margin: margin}
+type memModel struct {
+	peak float64
+	n    int
 }
+
+// NewMem returns a memory predictor with the given safety margin.
+func NewMem(margin float64) *MemPredictor { return &MemPredictor{Margin: margin} }
 
 // Observe folds a completed execution. Only the peak-memory field is read
 // (memory does not scale with machine speed, so a zero SpeedFactor is fine
@@ -284,22 +312,23 @@ func (p *MemPredictor) Observe(o Observation) {
 	if math.IsNaN(o.PeakMem) || math.IsInf(o.PeakMem, 0) || o.PeakMem <= 0 {
 		return
 	}
-	p.counts[o.TaskName]++
-	if o.PeakMem > p.peak[o.TaskName] {
-		p.peak[o.TaskName] = o.PeakMem
+	m := p.m.at(o.TaskName)
+	m.n++
+	if o.PeakMem > m.peak {
+		m.peak = o.PeakMem
 	}
 }
 
 // Samples implements Sampler.
-func (p *MemPredictor) Samples(taskName string) int { return p.counts[taskName] }
+func (p *MemPredictor) Samples(taskName string) int { return p.m.get(taskName).n }
 
 // Predict returns the padded peak, or ok=false before any observation.
 func (p *MemPredictor) Predict(taskName string) (float64, bool) {
-	v, ok := p.peak[taskName]
-	if !ok {
+	m := p.m.get(taskName)
+	if m.n == 0 {
 		return 0, false
 	}
-	return v * (1 + p.Margin), true
+	return m.peak * (1 + p.Margin), true
 }
 
 // ByName maps a CLI/config predictor name to a constructor. "off" and ""

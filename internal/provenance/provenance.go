@@ -80,19 +80,43 @@ type statAgg struct {
 	maxRT    float64
 }
 
+// nameAgg is one process name's slot: its record index list and both
+// running aggregates, reached by a single name lookup per record.
+type nameAgg struct {
+	name string
+	list int32 // position in Store.lists; -1 until a record is retained
+	stat statAgg
+	ref  refAgg
+}
+
+// wfAgg is one workflow's slot: its record index list and its tenant slot,
+// resolved at the workflow's first attributed record (-1 until then).
+type wfAgg struct {
+	list   int32
+	tenant int32
+}
+
 // Store is the central provenance store.
+//
+// Every per-record aggregate lives in a dense slot table reached by one map
+// lookup: nameSlot maps each process name to its slot in names, wfSlot each
+// workflow ID to its slot in wfs, tenantSlot each tenant to its slot in
+// tenants. The record index lists of names and workflows alike sit in lists,
+// in the order they were drawn.
 type Store struct {
 	records    []TaskRecord
-	byWorkflow map[string][]int
-	byName     map[string][]int
-	refByName  map[string]refAgg
-	statByName map[string]statAgg
+	nameSlot   map[string]int32
+	names      []nameAgg
+	wfSlot     map[string]int32
+	wfs        []wfAgg
+	lists      [][]int
 	nodeEvents []NodeEvent
 	workflows  map[string]*dag.Workflow
 	// Tenant dimension (see SetTenantResolver): running per-tenant
 	// aggregates, O(tenants) regardless of record retention.
-	tenantOf func(wfID string) string
-	byTenant map[string]tenantAgg
+	tenantOf   func(wfID string) string
+	tenantSlot map[string]int32
+	tenants    []tenantAgg
 	// compact drops record retention: AddTask folds into the running
 	// aggregates and discards the record, keeping memory O(process names)
 	// at any task count (see SetCompact).
@@ -101,9 +125,10 @@ type Store struct {
 	// observer, when set, sees every record AddTask ingests (see
 	// SetTaskObserver).
 	observer func(TaskRecord)
-	// freeIdx recycles the byWorkflow/byName index slices across Reset:
-	// warm sessions replay the same workflow shapes, so steady-state
-	// indexing reuses harvested capacity instead of regrowing from nil.
+	// freeIdx recycles the index lists across Reset: warm sessions replay the
+	// same keys in the same order, and Reset pushes the lists back in reverse
+	// of the order they were drawn, so each key of a replay draws exactly the
+	// capacity it filled last run.
 	freeIdx [][]int
 }
 
@@ -112,12 +137,10 @@ func NewStore() *Store {
 	return &Store{
 		// A store that records anything records at least a workflow's worth
 		// of tasks; skip the first several append-doublings.
-		records:    make([]TaskRecord, 0, 64),
-		byWorkflow: map[string][]int{},
-		byName:     map[string][]int{},
-		refByName:  map[string]refAgg{},
-		statByName: map[string]statAgg{},
-		workflows:  map[string]*dag.Workflow{},
+		records:   make([]TaskRecord, 0, 64),
+		nameSlot:  map[string]int32{},
+		wfSlot:    map[string]int32{},
+		workflows: map[string]*dag.Workflow{},
 	}
 }
 
@@ -130,20 +153,22 @@ func NewStore() *Store {
 func (s *Store) Reset() {
 	clear(s.records)
 	s.records = s.records[:0]
-	for _, v := range s.byWorkflow {
-		s.freeIdx = append(s.freeIdx, v[:0])
+	for i := len(s.lists) - 1; i >= 0; i-- {
+		s.freeIdx = append(s.freeIdx, s.lists[i][:0])
 	}
-	for _, v := range s.byName {
-		s.freeIdx = append(s.freeIdx, v[:0])
-	}
-	clear(s.byWorkflow)
-	clear(s.byName)
-	clear(s.refByName)
-	clear(s.statByName)
+	clear(s.lists)
+	s.lists = s.lists[:0]
+	clear(s.nameSlot)
+	clear(s.names)
+	s.names = s.names[:0]
+	clear(s.wfSlot)
+	s.wfs = s.wfs[:0]
 	s.nodeEvents = s.nodeEvents[:0]
 	clear(s.workflows)
 	s.tenantOf = nil
-	clear(s.byTenant)
+	clear(s.tenantSlot)
+	clear(s.tenants)
+	s.tenants = s.tenants[:0]
 	s.compact = false
 	s.folded = 0
 }
@@ -168,14 +193,18 @@ func (s *Store) ReleaseWorkflow(id string) { delete(s.workflows, id) }
 // resolves by prefix.
 func (s *Store) SetTenantResolver(fn func(wfID string) string) {
 	s.tenantOf = fn
-	if s.byTenant == nil {
-		s.byTenant = map[string]tenantAgg{}
+	if s.tenantSlot == nil {
+		s.tenantSlot = map[string]int32{}
+	}
+	for i := range s.wfs {
+		s.wfs[i].tenant = -1 // resolved by the previous resolver
 	}
 }
 
 // tenantAgg is the per-tenant running aggregate, folded on every AddTask so
 // it survives compact mode unchanged.
 type tenantAgg struct {
+	tenant   string
 	execs    int
 	failures int
 	started  int
@@ -196,19 +225,14 @@ type TenantStats struct {
 // StatsByTenant returns per-tenant summaries sorted by tenant ID, read from
 // the running aggregates — O(tenants), valid in compact mode.
 func (s *Store) StatsByTenant() []TenantStats {
-	tenants := make([]string, 0, len(s.byTenant))
-	for t := range s.byTenant {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	out := make([]TenantStats, 0, len(tenants))
-	for _, t := range tenants {
-		a := s.byTenant[t]
+	out := make([]TenantStats, 0, len(s.tenants))
+	for _, a := range s.tenants {
 		out = append(out, TenantStats{
-			Tenant: t, Executions: a.execs, Failures: a.failures,
+			Tenant: a.tenant, Executions: a.execs, Failures: a.failures,
 			Started: a.started, QueueWaitSum: a.waitSum, CoreSeconds: a.coreSec,
 		})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
 
@@ -235,31 +259,38 @@ func (s *Store) Folded() int { return s.folded }
 func (s *Store) SetTaskObserver(fn func(TaskRecord)) { s.observer = fn }
 
 // AddTask appends a task execution record (unless the store is compact) and
-// folds it into the per-name running aggregates.
+// folds it into the per-name, per-workflow and per-tenant aggregates: one
+// lookup per key, each reaching a dense slot.
 func (s *Store) AddTask(r TaskRecord) {
 	if s.observer != nil {
 		s.observer(r)
 	}
+	na := &s.names[s.nameOf(r.Name)]
+	tenant := int32(-1)
 	if s.compact {
 		s.folded++
+		if s.tenantOf != nil {
+			tenant = s.tenantIdx(s.tenantOf(r.WorkflowID))
+		}
 	} else {
 		idx := len(s.records)
 		s.records = append(s.records, r)
-		wfIdx, ok := s.byWorkflow[r.WorkflowID]
-		if !ok {
-			wfIdx = s.popIdx()
+		wf := &s.wfs[s.wfOf(r.WorkflowID)]
+		s.lists[wf.list] = append(s.lists[wf.list], idx)
+		if na.list < 0 {
+			na.list = s.newList()
 		}
-		s.byWorkflow[r.WorkflowID] = append(wfIdx, idx)
-		nameIdx, ok := s.byName[r.Name]
-		if !ok {
-			nameIdx = s.popIdx()
+		s.lists[na.list] = append(s.lists[na.list], idx)
+		if s.tenantOf != nil {
+			if wf.tenant < 0 {
+				wf.tenant = s.tenantIdx(s.tenantOf(r.WorkflowID))
+			}
+			tenant = wf.tenant
 		}
-		s.byName[r.Name] = append(nameIdx, idx)
 	}
 
-	if s.tenantOf != nil {
-		t := s.tenantOf(r.WorkflowID)
-		a := s.byTenant[t]
+	if tenant >= 0 {
+		a := &s.tenants[tenant]
 		a.execs++
 		if r.Failed {
 			a.failures++
@@ -271,14 +302,12 @@ func (s *Store) AddTask(r TaskRecord) {
 				a.coreSec += float64(r.Cores) * float64(r.Runtime())
 			}
 		}
-		s.byTenant[t] = a
 	}
 
-	st := s.statByName[r.Name]
+	st := &na.stat
 	st.execs++
 	if r.Failed {
 		st.failures++
-		s.statByName[r.Name] = st
 		return
 	}
 	rt := float64(r.Runtime())
@@ -288,27 +317,60 @@ func (s *Store) AddTask(r TaskRecord) {
 	if rt > st.maxRT {
 		st.maxRT = rt
 	}
-	s.statByName[r.Name] = st
 
 	sf := r.SpeedFactor
 	if sf <= 0 {
 		sf = 1
 	}
-	a := s.refByName[r.Name]
-	a.sum += float64(r.Runtime()) * sf
-	a.n++
-	s.refByName[r.Name] = a
+	na.ref.sum += float64(r.Runtime()) * sf
+	na.ref.n++
 }
 
-// popIdx takes a zero-length, capacity-bearing index slice from the Reset
-// harvest, or nil when the pool is dry (a fresh key on a cold store).
-func (s *Store) popIdx() []int {
-	if n := len(s.freeIdx); n > 0 {
-		sl := s.freeIdx[n-1]
-		s.freeIdx = s.freeIdx[:n-1]
-		return sl
+// nameOf returns name's slot, opening one on first sight.
+func (s *Store) nameOf(name string) int32 {
+	i, ok := s.nameSlot[name]
+	if !ok {
+		i = int32(len(s.names))
+		s.nameSlot[name] = i
+		s.names = append(s.names, nameAgg{name: name, list: -1})
 	}
-	return nil
+	return i
+}
+
+// wfOf returns workflow id's slot, opening one (with its index list) on
+// first sight.
+func (s *Store) wfOf(id string) int32 {
+	i, ok := s.wfSlot[id]
+	if !ok {
+		i = int32(len(s.wfs))
+		s.wfSlot[id] = i
+		s.wfs = append(s.wfs, wfAgg{list: s.newList(), tenant: -1})
+	}
+	return i
+}
+
+// tenantIdx returns tenant's slot, opening one on first sight.
+func (s *Store) tenantIdx(tenant string) int32 {
+	i, ok := s.tenantSlot[tenant]
+	if !ok {
+		i = int32(len(s.tenants))
+		s.tenantSlot[tenant] = i
+		s.tenants = append(s.tenants, tenantAgg{tenant: tenant})
+	}
+	return i
+}
+
+// newList opens an index list, taking a zero-length, capacity-bearing slice
+// from the Reset harvest, or nil when the pool is dry (a fresh key on a cold
+// store).
+func (s *Store) newList() int32 {
+	var sl []int
+	if n := len(s.freeIdx); n > 0 {
+		sl = s.freeIdx[n-1]
+		s.freeIdx = s.freeIdx[:n-1]
+	}
+	s.lists = append(s.lists, sl)
+	return int32(len(s.lists) - 1)
 }
 
 // MeanRefRuntime returns the running mean of the speed-normalized runtimes
@@ -316,10 +378,11 @@ func (s *Store) popIdx() []int {
 // matches insertion order, so the result is bit-identical to rescanning the
 // records — but O(1) per call.
 func (s *Store) MeanRefRuntime(name string) (float64, bool) {
-	a := s.refByName[name]
-	if a.n == 0 {
+	i, ok := s.nameSlot[name]
+	if !ok || s.names[i].ref.n == 0 {
 		return 0, false
 	}
+	a := s.names[i].ref
 	return a.sum / float64(a.n), true
 }
 
@@ -330,7 +393,10 @@ func (s *Store) AddNodeEvent(e NodeEvent) { s.nodeEvents = append(s.nodeEvents, 
 // of (wfID, taskID): the policy chose to resubmit that attempt after
 // delaySec of backoff. It reports whether a matching record was found.
 func (s *Store) AnnotateRetry(wfID string, taskID dag.TaskID, delaySec float64, policy string) bool {
-	idx := s.byWorkflow[wfID]
+	var idx []int
+	if w, ok := s.wfSlot[wfID]; ok {
+		idx = s.lists[s.wfs[w].list]
+	}
 	for i := len(idx) - 1; i >= 0; i-- {
 		r := &s.records[idx[i]]
 		if r.TaskID == taskID && r.Failed {
@@ -350,12 +416,18 @@ func (s *Store) All() []TaskRecord { return append([]TaskRecord(nil), s.records.
 
 // ByWorkflow returns records for a workflow in insertion order.
 func (s *Store) ByWorkflow(id string) []TaskRecord {
-	return s.collect(s.byWorkflow[id])
+	if w, ok := s.wfSlot[id]; ok {
+		return s.collect(s.lists[s.wfs[w].list])
+	}
+	return s.collect(nil)
 }
 
 // ByTaskName returns records for a process name in insertion order.
 func (s *Store) ByTaskName(name string) []TaskRecord {
-	return s.collect(s.byName[name])
+	if n, ok := s.nameSlot[name]; ok && s.names[n].list >= 0 {
+		return s.collect(s.lists[s.names[n].list])
+	}
+	return s.collect(nil)
 }
 
 func (s *Store) collect(idx []int) []TaskRecord {
@@ -427,16 +499,11 @@ type Stats struct {
 // StatsByName returns per-process summaries sorted by name, read from the
 // running aggregates — O(names), not O(records).
 func (s *Store) StatsByName() []Stats {
-	names := make([]string, 0, len(s.statByName))
-	for n := range s.statByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Stats, 0, len(names))
-	for _, n := range names {
-		a := s.statByName[n]
+	out := make([]Stats, 0, len(s.names))
+	for _, na := range s.names {
+		a := na.stat
 		st := Stats{
-			Name:       n,
+			Name:       na.name,
 			Executions: a.execs,
 			Failures:   a.failures,
 			MaxRuntime: a.maxRT,
@@ -447,6 +514,7 @@ func (s *Store) StatsByName() []Stats {
 		}
 		out = append(out, st)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -107,7 +107,7 @@ func (m *TaskManager) shadowOn(s *Submission, n *cluster.Node) (sim.Time, bool) 
 		}
 	}
 	m.resScratch = rs[:0]
-	// Map iteration order is random; (end, ID) is a deterministic total order.
+	// (end, ID) is a total order, whatever the records' slots.
 	sort.Slice(rs, func(i, j int) bool {
 		if rs[i].end != rs[j].end {
 			return rs[i].end < rs[j].end

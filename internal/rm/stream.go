@@ -94,15 +94,17 @@ type StreamRunner struct {
 	// its own retries and is recycled at its task's terminal result, so
 	// steady-state submission allocates only at peak concurrency.
 	freeAttempts []*attempt
-	// ids memoizes first-attempt submission IDs when the source is a
-	// materialized dag.WorkflowExpander, whose tasks are resident anyway,
-	// and the run repeats the previous run's WorkflowID (memoIDs). An ID is
-	// a pure function of (WorkflowID, TaskID), so the memo survives Reset as
-	// a capacity cache and is cleared only when WorkflowID changes — warm
-	// sessions replaying the same workflow shape re-derive zero ID strings,
-	// while a runner reused across distinct workflows (the service's pooled
-	// drivers) never fills a memo it cannot hit. Streaming sources bypass it.
-	ids     map[dag.TaskID]string
+	// ids memoizes first-attempt submission IDs by insertion index when the
+	// source is a materialized dag.WorkflowExpander, whose tasks are resident
+	// anyway, and the run repeats the previous run's WorkflowID (memoIDs). An
+	// ID is a pure function of (WorkflowID, TaskID), so the memo survives
+	// Reset as a capacity cache and is cleared only when WorkflowID changes —
+	// warm sessions replaying the same workflow shape re-derive zero ID
+	// strings, while a runner reused across distinct workflows (the service's
+	// pooled drivers) never fills a memo it cannot hit. One WorkflowID may
+	// name different shapes across runs, so a hit is checked against the
+	// task's ID. Streaming sources bypass it.
+	ids     []string
 	idsWf   string
 	memoIDs bool
 }
@@ -254,13 +256,14 @@ func (sr *StreamRunner) Start() {
 	sr.doneCount, sr.resident, sr.peakResident, sr.finishAt, sr.stats, sr.err = 0, 0, 0, 0, RunStats{}, nil
 	_, materialized := sr.Source.(*dag.WorkflowExpander)
 	sr.memoIDs = materialized && sr.WorkflowID == sr.idsWf
+	sr.total = sr.Source.Total()
 	if materialized && !sr.memoIDs {
 		clear(sr.ids)
+		sr.ids = sr.ids[:0]
 		sr.idsWf = sr.WorkflowID
-	} else if sr.memoIDs && sr.ids == nil {
-		sr.ids = make(map[dag.TaskID]string, sr.Source.Total())
+	} else if sr.memoIDs && len(sr.ids) < sr.total {
+		sr.ids = append(sr.ids, make([]string, sr.total-len(sr.ids))...)
 	}
-	sr.total = sr.Source.Total()
 	sr.pull()
 }
 
@@ -313,23 +316,24 @@ func (sr *StreamRunner) submit(t *dag.Task, idx int) {
 	sr.start(a)
 }
 
-// firstID returns t's first-attempt submission ID, memoized for
-// materialized sources.
-func (sr *StreamRunner) firstID(t *dag.Task) string {
-	if !sr.memoIDs {
+// firstID returns the first-attempt submission ID of t, emitted at insertion
+// index idx, memoized for materialized sources.
+func (sr *StreamRunner) firstID(t *dag.Task, idx int) string {
+	if !sr.memoIDs || idx >= len(sr.ids) {
 		return sr.WorkflowID + "/" + string(t.ID)
 	}
-	id, ok := sr.ids[t.ID]
-	if !ok {
-		id = sr.WorkflowID + "/" + string(t.ID)
-		sr.ids[t.ID] = id
+	// Every memoized ID starts with WorkflowID + "/"; compare the rest.
+	if id := sr.ids[idx]; len(id) == len(sr.WorkflowID)+1+len(t.ID) && id[len(sr.WorkflowID)+1:] == string(t.ID) {
+		return id
 	}
+	id := sr.WorkflowID + "/" + string(t.ID)
+	sr.ids[idx] = id
 	return id
 }
 
 // start submits the attempt currently described by a.
 func (sr *StreamRunner) start(a *attempt) {
-	id := sr.firstID(a.task)
+	id := sr.firstID(a.task, a.idx)
 	if a.attempt > 1 {
 		id += "#" + strconv.Itoa(a.attempt)
 	}
