@@ -28,17 +28,23 @@ test-race:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Byte-identity of four CLI reports against digests committed in
+# Byte-identity of eight CLI reports against digests committed in
 # testdata/cli-digests.sha256: the CWS storm sweep, the §3.5 waste study,
-# the service arrivals sweep and the stormy prediction ablation. A refactor
-# that must not change behaviour leaves all four stdouts unchanged. The
-# sweeps pin -workers 1 because their headers print the worker count.
+# the service arrivals sweep, the stormy prediction ablation, and the §6
+# JAWS runs (fusion, cached rerun and fair-share cap; the multi-user service
+# with partial and full cache hits; the JSON report; the migration example).
+# A refactor that must not change behaviour leaves every stdout unchanged.
+# The sweeps pin -workers 1 because their headers print the worker count.
 cli-digests:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/wfsim -faults storm -env k8s-cws -sweep 25 -workers 1 > "$$tmp/wfsim-storm-cws-sweep25.txt" && \
 	$(GO) run ./cmd/cwsbench -waste > "$$tmp/cwsbench-waste.txt" && \
 	$(GO) run ./cmd/sweeprun -arrivals -seeds 25 -workers 1 > "$$tmp/sweeprun-arrivals-seeds25.txt" && \
 	$(GO) run ./cmd/sweeprun -predict -faults storm -seeds 25 -workers 1 > "$$tmp/sweeprun-predict-storm-seeds25.txt" && \
+	$(GO) run ./cmd/jawsrun > "$$tmp/jawsrun.txt" && \
+	$(GO) run ./cmd/jawsrun -stats > "$$tmp/jawsrun-stats.txt" && \
+	$(GO) run ./cmd/jawsrun -json > "$$tmp/jawsrun-json.txt" && \
+	$(GO) run ./examples/jaws_migration > "$$tmp/jaws-migration.txt" && \
 	cd "$$tmp" && sha256sum -c "$(CURDIR)/testdata/cli-digests.sha256"
 
 # Full-suite coverage profile (atomic mode: the sweep pool is concurrent).
