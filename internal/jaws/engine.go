@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 	"hhcw/internal/storage"
@@ -12,7 +13,9 @@ import (
 // Engine is the Cromwell-like execution engine: it expands scatters into
 // shards, runs them through a site's resource manager, caches calls, and —
 // unlike stock Cromwell, which "does not implement fair share policies"
-// (§6.2) — optionally caps per-user concurrency.
+// (§6.2) — optionally caps per-user concurrency. Each workflow runs as one
+// rm.StreamRunner over the def's ScatterExpander: the task driver every
+// other subsystem runs on.
 type Engine struct {
 	cl    *cluster.Cluster
 	mgr   *rm.TaskManager
@@ -20,26 +23,22 @@ type Engine struct {
 
 	// CallCaching enables result reuse for identical calls.
 	CallCaching bool
-	// MaxConcurrentPerUser bounds each user's running shards (0 =
-	// unbounded, the §6.2 anti-pattern).
+	// MaxConcurrentPerUser bounds the running shards of each started
+	// workflow (0 = unbounded, the §6.2 anti-pattern); a shard rerun after
+	// a node failure keeps its slot. The cap is per user as long as each
+	// user runs one workflow at a time, as every caller does.
 	MaxConcurrentPerUser int
 
 	cache map[string]bool // signature → done
-
-	// Per-user throttling state.
-	running map[string]int
-	waiting map[string][]func()
 }
 
 // NewEngine builds an engine over a cluster with its own task manager.
 func NewEngine(cl *cluster.Cluster, store *storage.Store) *Engine {
 	return &Engine{
-		cl:      cl,
-		mgr:     rm.NewTaskManager(cl, nil),
-		store:   store,
-		cache:   map[string]bool{},
-		running: map[string]int{},
-		waiting: map[string][]func(){},
+		cl:    cl,
+		mgr:   rm.NewTaskManager(cl, nil),
+		store: store,
+		cache: map[string]bool{},
 	}
 }
 
@@ -74,123 +73,63 @@ func (e *Engine) Run(def *WorkflowDef, user string) (*RunReport, error) {
 
 // Start begins executing a workflow without driving the simulator, so
 // several users' workflows can share the engine concurrently. The returned
-// flag becomes true when the workflow finishes.
+// flag becomes true when the workflow finishes. Cache hits are looked up
+// here, once: they are never submitted, and a fully cached workflow is done
+// on return, with makespan 0.
 func (e *Engine) Start(def *WorkflowDef, user string) (*RunReport, *bool, error) {
-	if err := def.Validate(); err != nil {
+	var cached func(t *TaskDef, s int) bool
+	if e.CallCaching {
+		cached = func(t *TaskDef, s int) bool { return e.cache[def.Signature(t, s)] }
+	}
+	x, err := def.expand(cached)
+	if err != nil {
 		return nil, nil, err
 	}
 	eng := e.cl.Engine()
-	rep := &RunReport{Workflow: def.Name, User: user}
+	rep := &RunReport{Workflow: def.Name, User: user, CacheHits: def.TotalShards() - x.Total()}
 	start := eng.Now()
 	done := new(bool)
-
-	remainingDeps := map[string]int{}
-	remainingShards := map[string]int{}
-	totalRemaining := len(def.Tasks)
-	for _, t := range def.Tasks {
-		remainingDeps[t.Name] = len(t.After)
-		remainingShards[t.Name] = t.Shards()
-	}
-
-	var launchTask func(t *TaskDef)
-	taskDone := func(t *TaskDef) {
-		totalRemaining--
-		if totalRemaining == 0 {
+	sr := &rm.StreamRunner{
+		Manager:     e.mgr,
+		Source:      x,
+		WorkflowID:  user + "/" + def.Name,
+		MaxResident: e.MaxConcurrentPerUser,
+		Runtime: func(t *dag.Task, n *cluster.Node) float64 {
+			d := def.Task(t.Name)
+			return d.OverheadSec + d.DurationSec/n.Type.SpeedFactor
+		},
+		Hook: func(s *rm.Submission, _ *dag.Task, _, _ int) rm.AttemptHook { return rerun{s.Hooks} },
+		Observe: func(t *dag.Task, _ rm.Result) {
+			p, shard, _ := x.locate(t.ID)
+			d := x.order[p]
+			rep.ShardsExecuted++
+			rep.TaskSeconds += d.OverheadSec + d.DurationSec
+			// Each shard stages outputs to the shared filesystem.
+			e.store.Put(storage.File{
+				Name:  fmt.Sprintf("%s/%s/shard-%04d.out", def.Name, d.Name, shard),
+				Bytes: 50e6,
+			})
+			rep.FilesystemOps++
+			if e.CallCaching {
+				e.cache[def.Signature(d, shard)] = true
+			}
+		},
+		OnComplete: func() {
 			rep.Makespan = eng.Now() - start
 			*done = true
-		}
-		for _, c := range def.Children(t.Name) {
-			remainingDeps[c.Name]--
-			if remainingDeps[c.Name] == 0 {
-				launchTask(c)
-			}
-		}
+		},
 	}
-	launchTask = func(t *TaskDef) {
-		// submit runs one attempt of a shard. Shards rerun on node failure
-		// (workflow managers "efficiently handle fault-tolerance") under the
-		// "-retry" ID suffix.
-		var submit func(shard int, sig, suffix string)
-		submit = func(shard int, sig, suffix string) {
-			e.mgr.Submit(&rm.Submission{
-				ID:         fmt.Sprintf("%s/%s/%s#%d%s", user, def.Name, t.Name, shard, suffix),
-				WorkflowID: user + "/" + def.Name,
-				Name:       t.Name,
-				Cores:      t.Cores,
-				Mem:        t.MemBytes,
-				Runtime: func(n *cluster.Node) float64 {
-					return t.OverheadSec + t.DurationSec/n.Type.SpeedFactor
-				},
-				Done: func(r rm.Result) {
-					e.release(user)
-					if r.Failed {
-						e.admit(user, func() { submit(shard, sig, "-retry") })
-						return
-					}
-					e.completeShard(def, t, shard, sig, rep)
-					remainingShards[t.Name]--
-					if remainingShards[t.Name] == 0 {
-						taskDone(t)
-					}
-				},
-			})
-		}
-		for shard := 0; shard < t.Shards(); shard++ {
-			shard := shard
-			sig := def.Signature(t, shard)
-			if e.CallCaching && e.cache[sig] {
-				rep.CacheHits++
-				remainingShards[t.Name]--
-				if remainingShards[t.Name] == 0 {
-					// Defer to an event so ordering matches execution.
-					eng.After(0, func() { taskDone(t) })
-				}
-				continue
-			}
-			e.admit(user, func() { submit(shard, sig, "") })
-		}
-	}
-	for _, t := range def.Tasks {
-		if len(t.After) == 0 {
-			launchTask(t)
-		}
-	}
+	sr.Start()
 	return rep, done, nil
 }
 
-func (e *Engine) completeShard(def *WorkflowDef, t *TaskDef, shard int, sig string, rep *RunReport) {
-	rep.ShardsExecuted++
-	rep.TaskSeconds += t.OverheadSec + t.DurationSec
-	// Each shard stages outputs to the shared filesystem.
-	e.store.Put(storage.File{
-		Name:  fmt.Sprintf("%s/%s/shard-%04d.out", def.Name, t.Name, shard),
-		Bytes: 50e6,
-	})
-	rep.FilesystemOps++
-	if e.CallCaching {
-		e.cache[sig] = true
-	}
-}
+// rerun is the engine's attempt hook: a shard lost with its node reruns at
+// once (workflow managers "efficiently handle fault-tolerance"), as often as
+// it takes.
+type rerun struct{ rm.SubmissionHooks }
 
-// admit runs fn now if the user is under their concurrency cap, else queues.
-func (e *Engine) admit(user string, fn func()) {
-	if e.MaxConcurrentPerUser > 0 && e.running[user] >= e.MaxConcurrentPerUser {
-		e.waiting[user] = append(e.waiting[user], fn)
-		return
-	}
-	e.running[user]++
-	fn()
-}
-
-func (e *Engine) release(user string) {
-	e.running[user]--
-	if q := e.waiting[user]; len(q) > 0 && (e.MaxConcurrentPerUser == 0 || e.running[user] < e.MaxConcurrentPerUser) {
-		fn := q[0]
-		e.waiting[user] = q[1:]
-		e.running[user]++
-		fn()
-	}
-}
+func (rerun) Backoff(sim.Time)     {}
+func (rerun) Resubmit(error) error { return nil }
 
 // Store returns the engine's shared filesystem.
 func (e *Engine) Store() *storage.Store { return e.store }

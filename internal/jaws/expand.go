@@ -28,8 +28,13 @@ import (
 type ScatterExpander struct {
 	def *WorkflowDef
 
-	order []*TaskDef // Kahn order — identical to Compile's insertion order
+	order []*TaskDef // Kahn order — Compile's insertion order
 	base  []int      // eager insertion index of each def's shard 0
+	total int        // shards to run: every shard but the call-cache hits
+
+	// hit marks each def's call-cache hits (nil for a def without any). A
+	// hit is settled as its def is emitted, never handed out.
+	hit [][]bool
 
 	// upstream counts remaining dependency-shard completions per def;
 	// children lists dependent def positions (with After multiplicity), in
@@ -117,60 +122,52 @@ func (f *flight) report(s int) bool {
 // Expand returns a streaming expander over the def — the lazy counterpart of
 // Compile. The workflow is validated first; the same descriptions compile
 // and expand.
-func (def *WorkflowDef) Expand() (*ScatterExpander, error) {
-	if err := def.Validate(); err != nil {
+func (def *WorkflowDef) Expand() (*ScatterExpander, error) { return def.expand(nil) }
+
+// expand is Expand with call caching: cached, when non-nil, reports whether
+// shard s of task t is a cache hit. Hits are left out of Total and settled
+// as their def is emitted, releasing dependents exactly as a completion
+// would, so a run never submits them. TaskFailed's write-off counts whole
+// defs, hits included: only the engine caches, and its runs rerun every
+// failed shard, so they never fail terminally.
+func (def *WorkflowDef) expand(cached func(t *TaskDef, s int) bool) (*ScatterExpander, error) {
+	order, pos, err := def.order()
+	if err != nil {
 		return nil, err
 	}
-	// Kahn order over def names, replicated verbatim from Compile so the
-	// insertion indices line up.
-	indeg := map[string]int{}
-	childNames := map[string][]string{}
-	for _, t := range def.Tasks {
-		indeg[t.Name] = len(t.After)
-		for _, d := range t.After {
-			childNames[d] = append(childNames[d], t.Name)
-		}
-	}
-	var readyNames []string
-	for _, t := range def.Tasks {
-		if indeg[t.Name] == 0 {
-			readyNames = append(readyNames, t.Name)
-		}
-	}
+	n := len(order)
 	x := &ScatterExpander{
-		def:   def,
-		order: make([]*TaskDef, 0, len(def.Tasks)),
-		pos:   make(map[string]int, len(def.Tasks)),
+		def:      def,
+		order:    order,
+		pos:      pos,
+		base:     make([]int, n),
+		hit:      make([][]bool, n),
+		upstream: make([]int, n),
+		children: make([][]int, n),
+		skipped:  make([]bool, n),
+		flights:  make([]flight, n),
 	}
-	for len(readyNames) > 0 {
-		name := readyNames[0]
-		readyNames = readyNames[1:]
-		x.pos[name] = len(x.order)
-		x.order = append(x.order, def.Task(name))
-		for _, c := range childNames[name] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				readyNames = append(readyNames, c)
+	idx := 0
+	for p, t := range order {
+		x.base[p] = idx
+		idx += t.Shards()
+		x.total += t.Shards()
+		for s := 0; cached != nil && s < t.Shards(); s++ {
+			if cached(t, s) {
+				if x.hit[p] == nil {
+					x.hit[p] = make([]bool, t.Shards())
+				}
+				x.hit[p][s] = true
+				x.total--
 			}
 		}
 	}
-	n := len(x.order)
-	x.base = make([]int, n)
-	x.upstream = make([]int, n)
-	x.children = make([][]int, n)
-	x.skipped = make([]bool, n)
-	x.flights = make([]flight, n)
-	idx := 0
-	for p, t := range x.order {
-		x.base[p] = idx
-		idx += t.Shards()
-	}
 	// Iterating defs in ascending Kahn position keeps each children list
 	// ascending without sorting — the same order eager edge creation yields.
-	for p, t := range x.order {
+	for p, t := range order {
 		for _, d := range t.After {
-			dp := x.pos[d]
-			x.upstream[p] += x.order[dp].Shards()
+			dp := pos[d]
+			x.upstream[p] += order[dp].Shards()
 			x.children[dp] = append(x.children[dp], p)
 		}
 		if len(t.After) == 0 {
@@ -184,7 +181,7 @@ func (def *WorkflowDef) Expand() (*ScatterExpander, error) {
 func (x *ScatterExpander) Name() string { return x.def.Name }
 
 // Total implements dag.Expander.
-func (x *ScatterExpander) Total() int { return x.def.TotalShards() }
+func (x *ScatterExpander) Total() int { return x.total }
 
 // Next implements dag.Expander, materializing the front def's next shard.
 func (x *ScatterExpander) Next() (*dag.Task, int, bool) {
@@ -198,6 +195,12 @@ func (x *ScatterExpander) Next() (*dag.Task, int, bool) {
 		}
 		s := x.emitCursor
 		x.emitCursor++
+		if h := x.hit[p]; h != nil && h[s] {
+			x.flights[p].emit()
+			x.flights[p].report(s)
+			x.release(p)
+			continue
+		}
 		t := x.grabTask()
 		// Start a fresh chunk rather than regrow one under live IDs.
 		if need := len(d.Name) + len("/shard") + 20; x.ids.Cap()-x.ids.Len() < need {
@@ -258,8 +261,11 @@ func (x *ScatterExpander) settle(id dag.TaskID) int {
 }
 
 // TaskDone implements dag.Expander.
-func (x *ScatterExpander) TaskDone(id dag.TaskID) {
-	p := x.settle(id)
+func (x *ScatterExpander) TaskDone(id dag.TaskID) { x.release(x.settle(id)) }
+
+// release counts one settled shard of def p against each dependent def,
+// readying those it was the last upstream shard of.
+func (x *ScatterExpander) release(p int) {
 	for _, c := range x.children[p] {
 		x.upstream[c]--
 		if x.upstream[c] == 0 && !x.skipped[c] {

@@ -71,16 +71,14 @@ func Fuse(def *WorkflowDef, chain []string) (*WorkflowDef, error) {
 			fused.OverheadSec = m.OverheadSec // one overhead, the largest
 		}
 		for _, d := range m.After {
-			if !inChain[d] {
+			if !inChain[d] && !extDeps[d] {
 				extDeps[d] = true
+				fused.After = append(fused.After, d) // first-seen order
 			}
 		}
 	}
-	for d := range extDeps {
-		fused.After = append(fused.After, d)
-	}
 
-	out := &WorkflowDef{Name: def.Name + "-fused", byName: map[string]*TaskDef{}}
+	out := &WorkflowDef{Name: def.Name + "-fused"}
 	for _, t := range def.Tasks {
 		if inChain[t.Name] {
 			continue
@@ -95,10 +93,8 @@ func Fuse(def *WorkflowDef, chain []string) (*WorkflowDef, error) {
 			c.After = append(c.After, d)
 		}
 		out.Tasks = append(out.Tasks, &c)
-		out.byName[c.Name] = &c
 	}
 	out.Tasks = append(out.Tasks, fused)
-	out.byName[fused.Name] = fused
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}

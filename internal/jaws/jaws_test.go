@@ -500,7 +500,7 @@ func (p *placementRecorder) PickNode(s *rm.Submission, candidates []*cluster.Nod
 }
 
 // A node failure under running scatter shards reruns exactly those shards
-// under the "-retry" ID suffix, counts every shard once, and completes.
+// as their second attempts ("#2"), counts every shard once, and completes.
 func TestEngineRerunsShardsOnNodeFailure(t *testing.T) {
 	eng := sim.NewEngine()
 	cl, store := testSite(eng, 2, 4)
@@ -531,7 +531,7 @@ task merge dur=10s overhead=0s after=fan
 		t.Fatalf("%d shards lost on the failed node, want 4", len(lost))
 	}
 	for _, id := range lost {
-		retry := id + "-retry"
+		retry := id + "#2"
 		if rec.placed[retry] == nil {
 			t.Errorf("shard %s was not rerun as %s", id, retry)
 		} else if rec.placed[retry] == cl.Nodes()[0] {
@@ -540,7 +540,7 @@ task merge dur=10s overhead=0s after=fan
 	}
 	retries := 0
 	for id := range rec.placed {
-		if strings.HasSuffix(id, "-retry") {
+		if strings.HasSuffix(id, "#2") {
 			retries++
 		}
 	}

@@ -43,7 +43,11 @@ func (t *TaskDef) Shards() int {
 	return 1
 }
 
-// WorkflowDef is a parsed workflow description.
+// WorkflowDef is a parsed workflow description. A struct literal is as good
+// as a parsed one: Validate (and with it Compile, Expand and the engine)
+// indexes its tasks by name the first time it sees them. Share a literal
+// across goroutines only once it has been validated; from then on every
+// method only reads it.
 type WorkflowDef struct {
 	Name  string
 	Tasks []*TaskDef
@@ -65,81 +69,81 @@ func (w *WorkflowDef) TotalShards() int {
 
 // Validate checks name uniqueness, dependency existence and acyclicity.
 func (w *WorkflowDef) Validate() error {
+	_, _, err := w.order()
+	return err
+}
+
+// order validates the def and returns its tasks in Kahn order, with each
+// task name's position in that order: roots in declaration order, then
+// every task once its last dependency has been dequeued, the dependents of
+// one task visited in declaration order. Compile adds tasks, and the
+// streaming expander emits them, in this order. order also builds the name
+// index Task and Signature read, unless it is already current.
+func (w *WorkflowDef) order() ([]*TaskDef, map[string]int, error) {
 	if w.Name == "" {
-		return fmt.Errorf("jaws: workflow without a name")
+		return nil, nil, fmt.Errorf("jaws: workflow without a name")
 	}
-	seen := map[string]bool{}
-	for _, t := range w.Tasks {
+	pos := make(map[string]int, len(w.Tasks)) // declaration position, then Kahn position
+	indexed := len(w.byName) == len(w.Tasks)
+	for i, t := range w.Tasks {
 		if t.Name == "" {
-			return fmt.Errorf("jaws: task without a name in %q", w.Name)
+			return nil, nil, fmt.Errorf("jaws: task without a name in %q", w.Name)
 		}
-		if seen[t.Name] {
-			return fmt.Errorf("jaws: duplicate task %q", t.Name)
+		if _, dup := pos[t.Name]; dup {
+			return nil, nil, fmt.Errorf("jaws: duplicate task %q", t.Name)
 		}
-		seen[t.Name] = true
+		pos[t.Name] = i
 		// "/" is the shard-ID separator: a task literally named "x/shard0001"
 		// would collide with shard 1 of a scattered task "x" at compile time.
 		if strings.Contains(t.Name, "/") {
-			return fmt.Errorf("jaws: task name %q contains %q (reserved for shard IDs)", t.Name, "/")
+			return nil, nil, fmt.Errorf("jaws: task name %q contains %q (reserved for shard IDs)", t.Name, "/")
 		}
 		if t.DurationSec < 0 || t.OverheadSec < 0 {
-			return fmt.Errorf("jaws: task %q has negative timing", t.Name)
+			return nil, nil, fmt.Errorf("jaws: task %q has negative timing", t.Name)
 		}
+		indexed = indexed && w.byName[t.Name] == t
 	}
-	for _, t := range w.Tasks {
+	indeg := make([]int, len(w.Tasks))
+	children := make([][]int, len(w.Tasks))
+	for i, t := range w.Tasks {
 		for _, d := range t.After {
-			if !seen[d] {
-				return fmt.Errorf("jaws: task %q depends on unknown task %q", t.Name, d)
+			j, ok := pos[d]
+			if !ok {
+				return nil, nil, fmt.Errorf("jaws: task %q depends on unknown task %q", t.Name, d)
 			}
+			indeg[i]++
+			children[j] = append(children[j], i)
 		}
 	}
-	// Cycle check via Kahn.
-	indeg := map[string]int{}
-	for _, t := range w.Tasks {
-		indeg[t.Name] = len(t.After)
-	}
-	children := map[string][]string{}
-	for _, t := range w.Tasks {
-		for _, d := range t.After {
-			children[d] = append(children[d], t.Name)
+	queue := make([]int, 0, len(w.Tasks))
+	for i := range w.Tasks {
+		if indeg[i] == 0 {
+			queue = append(queue, i)
 		}
 	}
-	var ready []string
-	for _, t := range w.Tasks {
-		if indeg[t.Name] == 0 {
-			ready = append(ready, t.Name)
-		}
-	}
-	done := 0
-	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
-		done++
-		for _, c := range children[n] {
+	for k := 0; k < len(queue); k++ {
+		for _, c := range children[queue[k]] {
 			indeg[c]--
 			if indeg[c] == 0 {
-				ready = append(ready, c)
+				queue = append(queue, c)
 			}
 		}
 	}
-	if done != len(w.Tasks) {
-		return fmt.Errorf("jaws: workflow %q contains a cycle", w.Name)
+	if len(queue) != len(w.Tasks) {
+		return nil, nil, fmt.Errorf("jaws: workflow %q contains a cycle", w.Name)
 	}
-	return nil
-}
-
-// Children returns tasks that depend on name.
-func (w *WorkflowDef) Children(name string) []*TaskDef {
-	var out []*TaskDef
-	for _, t := range w.Tasks {
-		for _, d := range t.After {
-			if d == name {
-				out = append(out, t)
-				break
-			}
+	order := make([]*TaskDef, len(queue))
+	for k, i := range queue {
+		order[k] = w.Tasks[i]
+		pos[order[k].Name] = k
+	}
+	if !indexed {
+		w.byName = make(map[string]*TaskDef, len(w.Tasks))
+		for _, t := range w.Tasks {
+			w.byName[t.Name] = t
 		}
 	}
-	return out
+	return order, pos, nil
 }
 
 // Parse reads the mini-WDL text format:
@@ -151,7 +155,7 @@ func (w *WorkflowDef) Children(name string) []*TaskDef {
 // Lines starting with # are comments. Durations accept s/m/h suffixes; memory
 // accepts K/M/G suffixes.
 func Parse(text string) (*WorkflowDef, error) {
-	w := &WorkflowDef{byName: map[string]*TaskDef{}}
+	w := &WorkflowDef{}
 	defaultContainer := ""
 	for lineNo, raw := range strings.Split(text, "\n") {
 		line := strings.TrimSpace(raw)
@@ -204,7 +208,6 @@ func Parse(text string) (*WorkflowDef, error) {
 				}
 			}
 			w.Tasks = append(w.Tasks, t)
-			w.byName[t.Name] = t
 		default:
 			return nil, fmt.Errorf("jaws: line %d: unknown directive %q", lineNo+1, fields[0])
 		}

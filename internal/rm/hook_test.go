@@ -190,3 +190,24 @@ func TestStreamRunnerRestartFromOnComplete(t *testing.T) {
 		t.Fatalf("completions at %v, want [20 40 60]", finishes)
 	}
 }
+
+// An empty expansion completes the moment it starts: OnComplete fires once
+// and the makespan is 0, even when the engine's clock is already past 0.
+func TestStreamRunnerEmptyExpansionCompletes(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewTaskManager(testCluster(eng, 1, 8), nil)
+	eng.After(100, func() {})
+	eng.Run()
+	x, err := dag.NewWorkflowExpander(dag.New("empty"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	completions := 0
+	sr := &StreamRunner{Manager: m, Source: x, WorkflowID: "empty", OnComplete: func() { completions++ }}
+	if got := sr.Run(); got != 0 {
+		t.Fatalf("makespan = %v, want 0", got)
+	}
+	if completions != 1 {
+		t.Fatalf("OnComplete fired %d times, want 1", completions)
+	}
+}

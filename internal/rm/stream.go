@@ -248,7 +248,8 @@ func (sr *StreamRunner) Run() sim.Time {
 // Start submits the expansion's ready tasks without running the engine, so
 // several runners can share one manager — concurrent workflows on one
 // cluster. The run then proceeds as the engine runs; OnComplete reports its
-// end.
+// end. An empty expansion settles at once: OnComplete fires inside Start and
+// the makespan is 0.
 func (sr *StreamRunner) Start() {
 	if sr.Runtime == nil {
 		sr.Runtime = DefaultRuntime
@@ -263,6 +264,10 @@ func (sr *StreamRunner) Start() {
 		sr.idsWf = sr.WorkflowID
 	} else if sr.memoIDs && len(sr.ids) < sr.total {
 		sr.ids = append(sr.ids, make([]string, sr.total-len(sr.ids))...)
+	}
+	if sr.total == 0 {
+		sr.taskDone(0)
+		return
 	}
 	sr.pull()
 }
