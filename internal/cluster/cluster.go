@@ -231,8 +231,8 @@ func (c *Cluster) Allocate(n *Node, cores, gpus int, mem float64) (*Alloc, error
 	if n.down {
 		return nil, fmt.Errorf("cluster: node %s is down", n.Name())
 	}
-	if cores < 0 || gpus < 0 || mem < 0 {
-		return nil, fmt.Errorf("cluster: negative resource request (%d cores, %d gpus, %.0f mem)", cores, gpus, mem)
+	if cores < 0 || gpus < 0 || !(mem >= 0) { // !(mem >= 0) also rejects NaN
+		return nil, fmt.Errorf("cluster: negative or NaN resource request (%d cores, %d gpus, %.0f mem)", cores, gpus, mem)
 	}
 	if cores > n.freeCores || gpus > n.freeGPUs || mem > n.freeMem {
 		return nil, fmt.Errorf("cluster: node %s cannot fit %d cores/%d gpus/%.0fB (free %d/%d/%.0fB)",
@@ -257,8 +257,8 @@ func (c *Cluster) AllocateInto(dst *Alloc, n *Node, cores, gpus int, mem float64
 	if n.down {
 		return fmt.Errorf("cluster: node %s is down", n.Name())
 	}
-	if cores < 0 || gpus < 0 || mem < 0 {
-		return fmt.Errorf("cluster: negative resource request (%d cores, %d gpus, %.0f mem)", cores, gpus, mem)
+	if cores < 0 || gpus < 0 || !(mem >= 0) { // !(mem >= 0) also rejects NaN
+		return fmt.Errorf("cluster: negative or NaN resource request (%d cores, %d gpus, %.0f mem)", cores, gpus, mem)
 	}
 	if cores > n.freeCores || gpus > n.freeGPUs || mem > n.freeMem {
 		return fmt.Errorf("cluster: node %s cannot fit %d cores/%d gpus/%.0fB (free %d/%d/%.0fB)",

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +53,14 @@ func TestAllocateOverCapacity(t *testing.T) {
 	}
 	if _, err := c.Allocate(n, -1, 0, 0); err == nil {
 		t.Fatal("negative allocation succeeded")
+	}
+	// NaN compares false against everything; accepted, it would poison the
+	// node's free-memory ledger.
+	if _, err := c.Allocate(n, 1, 0, math.NaN()); err == nil {
+		t.Fatal("NaN-memory allocation succeeded")
+	}
+	if err := c.AllocateInto(&Alloc{}, n, 1, 0, math.NaN()); err == nil {
+		t.Fatal("NaN-memory AllocateInto succeeded")
 	}
 	// Failed allocations must not leak capacity.
 	if n.FreeCores() != 4 || n.FreeGPUs() != 2 || n.FreeMem() != 100 {

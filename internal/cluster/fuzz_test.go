@@ -25,7 +25,8 @@ func (r *fuzzBytes) next() int {
 // FuzzFirstFitMatchesScan builds a cluster of random node shapes and count,
 // replays an allocate / release / fail / repair tape decoded from ops, and
 // after every operation requires FirstFit from a random start, and
-// AppendCandidates, to agree with the rescan oracle.
+// AppendCandidates, to agree with the rescan oracle, and every segment of the
+// index to agree with a rebuild from its leaves.
 //
 // Encoding of shape: up to three (count%12, cores%17, gpus%4, mem%9 GB)
 // node types, one byte per field. Each op is one byte, op%4 selecting allocate
@@ -97,7 +98,7 @@ func FuzzFirstFitMatchesScan(f *testing.F) {
 			if got, want := c.AppendCandidates(nil, cores, gpus, mem), oracleFeasible(c, cores, gpus, mem); !sameNodes(got, want) {
 				t.Fatalf("AppendCandidates(%d,%d,%v) = %d nodes, oracle %d", cores, gpus, mem, len(got), len(want))
 			}
+			checkIndexInvariants(t, c)
 		}
-		checkIndexInvariants(t, c)
 	})
 }

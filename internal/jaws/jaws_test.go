@@ -1,6 +1,7 @@
 package jaws
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -73,6 +74,40 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(c); err == nil {
 			t.Errorf("Parse(%q) accepted", c)
 		}
+	}
+}
+
+// TestParseRejectsNonFiniteQuantities: a NaN, infinite or negative memory,
+// duration or overhead is refused by name. Accepted, a mem=NaN task upstream
+// of a 100G task on one 64 GB node would poison the node's free-memory
+// ledger and let the 100G task place.
+func TestParseRejectsNonFiniteQuantities(t *testing.T) {
+	cases := []struct{ attr, field string }{
+		{"mem=NaN", "MemBytes"},
+		{"mem=-4G", "MemBytes"},
+		{"mem=+Inf", "MemBytes"},
+		{"mem=1e300G", "MemBytes"}, // overflows to +Inf without a parse error
+		{"dur=NaN", "DurationSec"},
+		{"dur=+Inf", "DurationSec"},
+		{"dur=-5s", "DurationSec"},
+		{"overhead=NaN", "OverheadSec"},
+		{"overhead=-1m", "OverheadSec"},
+	}
+	for _, c := range cases {
+		text := "workflow w\ntask a cpu=1 mem=1G dur=10s\ntask bad cpu=1 dur=10s " + c.attr + " after=a\n"
+		_, err := Parse(text)
+		if err == nil {
+			t.Errorf("Parse accepted %s", c.attr)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"bad"`) || !strings.Contains(msg, c.field) {
+			t.Errorf("Parse(%s) error %q does not name task \"bad\" and field %s", c.attr, msg, c.field)
+		}
+	}
+	// A struct literal goes through the same check on its way to the engine.
+	def := &WorkflowDef{Name: "lit", Tasks: []*TaskDef{{Name: "a", Cores: 1, DurationSec: 10, MemBytes: math.NaN()}}}
+	if err := def.Validate(); err == nil || !strings.Contains(err.Error(), "MemBytes") {
+		t.Fatalf("Validate on a NaN-memory literal = %v", err)
 	}
 }
 

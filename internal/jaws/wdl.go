@@ -8,6 +8,7 @@ package jaws
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,8 +99,15 @@ func (w *WorkflowDef) order() ([]*TaskDef, map[string]int, error) {
 		if strings.Contains(t.Name, "/") {
 			return nil, nil, fmt.Errorf("jaws: task name %q contains %q (reserved for shard IDs)", t.Name, "/")
 		}
-		if t.DurationSec < 0 || t.OverheadSec < 0 {
-			return nil, nil, fmt.Errorf("jaws: task %q has negative timing", t.Name)
+		for _, f := range [...]struct {
+			field, attr string
+			v           float64
+		}{{"MemBytes", "mem", t.MemBytes}, {"DurationSec", "dur", t.DurationSec}, {"OverheadSec", "overhead", t.OverheadSec}} {
+			// A NaN or infinite value would poison the node ledgers and the
+			// clock downstream; !(v >= 0) also catches NaN.
+			if !(f.v >= 0) || math.IsInf(f.v, 1) {
+				return nil, nil, fmt.Errorf("jaws: task %q: %s (%s=%v) must be finite and >= 0", t.Name, f.field, f.attr, f.v)
+			}
 		}
 		indexed = indexed && w.byName[t.Name] == t
 	}

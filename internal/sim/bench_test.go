@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkEngineThroughput measures raw event dispatch rate — the
 // simulator's core cost, which bounds how large a virtual system we can
@@ -37,6 +40,55 @@ func BenchmarkEngineCancel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev := e.At(Time(i)+1, func() {})
 		ev.Cancel()
+		e.Step()
+	}
+}
+
+// BenchmarkEngineSameDelayCohort measures a wave of 1024 timers scheduled at
+// one delay and popped as one cohort by Run — a dispatch round's task ends.
+// ns/op is per event.
+func BenchmarkEngineSameDelayCohort(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		k := min(1024, b.N-done)
+		for i := 0; i < k; i++ {
+			e.After(1, fn)
+		}
+		e.Run()
+		done += k
+	}
+}
+
+// BenchmarkEngineSteadyPipeline keeps 1024 events pending and, per op, fires
+// one and schedules one at a fixed delay: the pattern a queue that copied its
+// live entries on every push would pay for.
+func BenchmarkEngineSteadyPipeline(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		e.At(Time(i+1), fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+		e.After(1024, fn)
+	}
+}
+
+// BenchmarkEngineDeepHeap is EngineDeepQueue with the 16k far-future events
+// scheduled in shuffled order, so they fill the heap rather than the sorted
+// run; each op then pushes and pops one near event through the deep heap.
+func BenchmarkEngineDeepHeap(b *testing.B) {
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(1))
+	for _, i := range rng.Perm(16384) {
+		e.At(Time(1e9+float64(i)), func() {})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.At(Time(float64(i)+1), func() {})
 		e.Step()
 	}
 }

@@ -13,33 +13,72 @@ func (e entry) less(o entry) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-// heap4 is a 4-ary min-heap of entries ordered by (at, seq). Compared to the
-// previous container/heap queue it is monomorphic (no `any` boxing, no
-// interface dispatch per comparison) and index-free: Cancel never removes an
-// event from the queue — cancelled events are discarded at pop — so there is
-// no heap-position bookkeeping at all. The wider fan-out roughly halves tree
-// depth, trading a few extra comparisons per level (cheap, cache-resident)
-// for fewer cache-missing levels on deep queues.
-type heap4 struct {
-	a []entry
+// queue holds the pending events ordered by (at, seq) in two parts:
+//
+//   - run is a sorted run of in-order timers. An entry whose time is at or
+//     after the run's last entry is appended to it; seq only grows, so the
+//     run stays sorted by (at, seq) without any comparison beyond that one.
+//     A wave of timers scheduled for one future time — every task end of a
+//     dispatch round — pushes and pops in O(1) each.
+//   - heap is a 4-ary min-heap taking every other entry. It is monomorphic
+//     (no `any` boxing, no interface dispatch per comparison) and
+//     index-free: Cancel never removes an event from the queue — cancelled
+//     events are discarded at pop — so there is no heap-position
+//     bookkeeping at all. The wider fan-out roughly halves tree depth,
+//     trading a few extra comparisons per level (cheap, cache-resident) for
+//     fewer cache-missing levels on deep queues.
+//
+// A pop takes the smaller of the run's head and the heap's top under
+// entry.less, so the merged order is exactly the single-heap order. run[:head]
+// is the consumed prefix; it is reclaimed when the run drains, or compacted
+// when an append would otherwise grow a slice that is at least half consumed,
+// so appends stay amortized O(1) and never copy the live entries per push.
+type queue struct {
+	run  []entry
+	head int
+	heap []entry
 }
 
-func (h *heap4) len() int { return len(h.a) }
+func (q *queue) len() int { return len(q.run) - q.head + len(q.heap) }
 
-// reset empties the heap in place, zeroing entries so *Event references are
-// dropped but keeping the backing array for reuse.
-func (h *heap4) reset() {
-	clear(h.a)
-	h.a = h.a[:0]
+// reset empties the queue in place, zeroing entries so *Event references are
+// dropped but keeping both backing arrays for reuse.
+func (q *queue) reset() {
+	clear(q.run)
+	q.run = q.run[:0]
+	q.head = 0
+	clear(q.heap)
+	q.heap = q.heap[:0]
+}
+
+// runFirst reports whether the run's head is the queue's minimum; it is
+// false whenever the run is empty, which costs one predictable branch.
+func (q *queue) runFirst() bool {
+	return q.head < len(q.run) && (len(q.heap) == 0 || q.run[q.head].less(q.heap[0]))
 }
 
 // min returns the smallest entry without removing it. Callers must check
 // len() > 0 first.
-func (h *heap4) min() entry { return h.a[0] }
+func (q *queue) min() entry {
+	if q.runFirst() {
+		return q.run[q.head]
+	}
+	return q.heap[0]
+}
 
-func (h *heap4) push(x entry) {
-	a := append(h.a, x)
-	h.a = a
+func (q *queue) push(x entry) {
+	if n := len(q.run); n == q.head || !x.less(q.run[n-1]) {
+		if n == cap(q.run) && q.head > 0 && q.head >= n/2 {
+			live := copy(q.run, q.run[q.head:])
+			clear(q.run[live:n])
+			q.run = q.run[:live]
+			q.head = 0
+		}
+		q.run = append(q.run, x)
+		return
+	}
+	a := append(q.heap, x)
+	q.heap = a
 	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 4
@@ -51,23 +90,44 @@ func (h *heap4) push(x entry) {
 	}
 }
 
-func (h *heap4) pop() entry {
-	a := h.a
+func (q *queue) pop() entry {
+	if q.runFirst() {
+		return q.popRun()
+	}
+	return q.popHeap()
+}
+
+// popRun removes the run's head. Once the run drains, its slice restarts at
+// zero, so a run that keeps draining never needs compacting.
+func (q *queue) popRun() entry {
+	x := q.run[q.head]
+	q.run[q.head] = entry{} // drop the *Event reference so the slab can be collected
+	q.head++
+	if q.head == len(q.run) {
+		q.run = q.run[:0]
+		q.head = 0
+	}
+	return x
+}
+
+func (q *queue) popHeap() entry {
+	a := q.heap
 	top := a[0]
 	n := len(a) - 1
 	x := a[n]
 	a[n] = entry{} // drop the *Event reference so the slab can be collected
-	h.a = a[:n]
+	q.heap = a[:n]
 	if n > 0 {
-		h.siftDown(x)
+		q.siftDown(x)
 	}
 	return top
 }
 
-// siftDown re-inserts x starting from the root, moving the smallest child up
-// into the hole instead of swapping — one store per level rather than three.
-func (h *heap4) siftDown(x entry) {
-	a := h.a
+// siftDown re-inserts x starting from the heap's root, moving the smallest
+// child up into the hole instead of swapping — one store per level rather
+// than three.
+func (q *queue) siftDown(x entry) {
+	a := q.heap
 	n := len(a)
 	i := 0
 	for {
@@ -92,4 +152,22 @@ func (h *heap4) siftDown(x entry) {
 		i = m
 	}
 	a[i] = x
+}
+
+// appendCohort pops every entry due at time at, in (at, seq) order, onto dst
+// and returns it. The caller guarantees min().at == at.
+func (q *queue) appendCohort(dst []*Event, at Time) []*Event {
+	for {
+		if q.runFirst() {
+			if q.run[q.head].at != at {
+				return dst
+			}
+			dst = append(dst, q.popRun().ev)
+			continue
+		}
+		if len(q.heap) == 0 || q.heap[0].at != at {
+			return dst
+		}
+		dst = append(dst, q.popHeap().ev)
+	}
 }

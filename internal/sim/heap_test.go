@@ -1,12 +1,12 @@
 package sim
 
-// Cross-check tests for the typed 4-ary event queue. A reference engine
-// built on container/heap (the pre-optimization implementation, kept here
-// verbatim in miniature) runs the same randomized schedules as the real
-// Engine; the observable firing sequences must match event for event. These
-// tests are the license to optimize the hot path: any ordering bug the
-// rework could introduce — tie-break, cancellation, batching, deadline —
-// shows up as a divergence from the reference.
+// Cross-check tests for the event queue (sorted run plus 4-ary heap). A
+// reference engine built on container/heap (the pre-optimization
+// implementation, kept here verbatim in miniature) runs the same randomized
+// schedules as the real Engine; the observable firing sequences must match
+// event for event. These tests are the license to optimize the hot path: any
+// ordering bug the rework could introduce — tie-break, cancellation,
+// batching, deadline — shows up as a divergence from the reference.
 
 import (
 	"container/heap"
@@ -44,10 +44,11 @@ func (q *refQueue) Pop() any {
 }
 
 type refEngine struct {
-	now   Time
-	seq   uint64
-	queue refQueue
-	fired uint64
+	now    Time
+	seq    uint64
+	queue  refQueue
+	fired  uint64
+	halted bool
 }
 
 func (e *refEngine) at(t Time, fn func()) *refEvent {
@@ -58,7 +59,8 @@ func (e *refEngine) at(t Time, fn func()) *refEvent {
 }
 
 func (e *refEngine) runUntil(deadline Time) Time {
-	for len(e.queue) > 0 {
+	e.halted = false
+	for len(e.queue) > 0 && !e.halted {
 		next := e.queue[0]
 		if next.at > deadline {
 			break
@@ -71,11 +73,28 @@ func (e *refEngine) runUntil(deadline Time) Time {
 		e.fired++
 		next.fn()
 	}
-	if deadline != Never && e.now < deadline {
+	if deadline != Never && e.now < deadline && !e.halted {
 		e.now = deadline
 	}
 	return e.now
 }
+
+// step pops events one at a time until one that is not cancelled fires.
+func (e *refEngine) step() bool {
+	for len(e.queue) > 0 {
+		next := heap.Pop(&e.queue).(*refEvent)
+		if next.cancel {
+			continue
+		}
+		e.now = next.at
+		e.fired++
+		next.fn()
+		return true
+	}
+	return false
+}
+
+func (e *refEngine) reset() { *e = refEngine{queue: e.queue[:0]} }
 
 // firing is one observed event execution.
 type firing struct {
@@ -193,12 +212,22 @@ func TestHeapCrossCheckInterleaved(t *testing.T) {
 			delays []Time
 		}
 		tape := map[int]decision{}
+		// Every third iteration gives all children one delay: the wave of
+		// equal timers that the queue's sorted run absorbs.
+		equalDelay := Time(-1)
+		if iter%3 == 0 {
+			equalDelay = Time(1 + rng.Intn(6))
+		}
 		decide := func(myID int) decision {
 			d, ok := tape[myID]
 			if !ok {
 				d.n = rng.Intn(3)
 				for k := 0; k < d.n; k++ {
-					d.delays = append(d.delays, Time(rng.Intn(7)))
+					delay := Time(rng.Intn(7))
+					if equalDelay >= 0 {
+						delay = equalDelay
+					}
+					d.delays = append(d.delays, delay)
 				}
 				tape[myID] = d
 			}

@@ -9,13 +9,18 @@
 // produces bit-identical results across runs.
 //
 // The event core is the hottest path in the repository: every task start,
-// task end, fault, retry timer, and sample tick is one Event. Three
+// task end, fault, retry timer, and sample tick is one Event. Four
 // structural choices keep it fast without weakening the ordering contract:
 //
 //   - the pending queue is a typed 4-ary min-heap on (time, seq) — no
 //     interface boxing, no per-comparison dynamic dispatch, and no heap-index
 //     bookkeeping (Cancel only sets a flag; cancelled events are discarded
 //     when popped, exactly as before);
+//   - beside the heap sits a sorted run of in-order timers: an event due at
+//     or after the run's last entry is appended to it in O(1), and a pop
+//     takes the smaller of the run's head and the heap's top under the same
+//     (time, seq) order, so a wave of task ends scheduled for one time never
+//     sifts through the heap and the firing order is unchanged;
 //   - Events are allocated from slabs of eventSlabSize, so scheduling costs
 //     one heap allocation per slab instead of one per event, while handles
 //     stay ordinary *Event pointers with unchanged Cancel semantics (a slab
@@ -76,7 +81,7 @@ func (e *Event) Time() Time { return e.at }
 type Engine struct {
 	now    Time
 	seq    uint64
-	queue  heap4
+	queue  queue
 	fired  uint64
 	halted bool
 
@@ -99,13 +104,14 @@ func NewEngine() *Engine {
 }
 
 // Reset returns the engine to its just-constructed state (clock at zero, no
-// history, nothing pending) while retaining allocated capacity: the heap
-// backing array and the batch buffer survive, and the current slab tail keeps
-// being consumed. Slabs are still never reused — an Event handed out before
-// Reset is never handed out again — so stale *Event handles held across runs
-// keep the no-aliasing Cancel semantics. The warm contract is exact: an event
-// population scheduled after Reset receives the same seqs, pops in the same
-// order, and fires at the same times as on a fresh engine.
+// history, nothing pending) while retaining allocated capacity: the queue's
+// run and heap backing arrays and the batch buffer survive, and the current
+// slab tail keeps being consumed. Slabs are still never reused — an Event
+// handed out before Reset is never handed out again — so stale *Event
+// handles held across runs keep the no-aliasing Cancel semantics. The warm
+// contract is exact: an event population scheduled after Reset receives the
+// same seqs, pops in the same order, and fires at the same times as on a
+// fresh engine.
 func (e *Engine) Reset() {
 	e.now, e.seq, e.fired, e.halted = 0, 0, 0, false
 	clear(e.batch)
@@ -133,10 +139,10 @@ func (e *Engine) alloc() *Event {
 	return ev
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would silently reorder causality.
+// At schedules fn to run at absolute virtual time t. Scheduling in the past,
+// or at NaN, panics: it would silently reorder causality.
 func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
+	if !(t >= e.now) { // also catches NaN, which would break the (at, seq) order
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
@@ -197,10 +203,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		// Pop the whole timestamp cohort at once. Successive pops yield
 		// ascending seq, so the batch is already in FIFO firing order;
 		// events scheduled while it fires get larger seqs and sort after.
-		at := head.at
-		for e.queue.len() > 0 && e.queue.min().at == at {
-			e.batch = append(e.batch, e.queue.pop().ev)
-		}
+		e.batch = e.queue.appendCohort(e.batch, head.at)
 	}
 	if deadline != Never && e.now < deadline && !e.halted {
 		e.now = deadline

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -119,6 +120,30 @@ func TestEnginePastPanics(t *testing.T) {
 		e.At(1, func() {})
 	})
 	e.Run()
+}
+
+// TestEngineNaNPanics: a NaN time compares false against everything, so a
+// queued one would break the (at, seq) order the queue relies on. Both
+// At(NaN) and After(NaN) must panic and leave nothing queued.
+func TestEngineNaNPanics(t *testing.T) {
+	for name, schedule := range map[string]func(e *Engine){
+		"At":    func(e *Engine) { e.At(Time(math.NaN()), func() {}) },
+		"After": func(e *Engine) { e.After(Time(math.NaN()), func() {}) },
+	} {
+		e := NewEngine()
+		e.At(3, func() {})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(NaN) did not panic", name)
+				}
+			}()
+			schedule(e)
+		}()
+		if e.Pending() != 1 {
+			t.Errorf("%s(NaN): pending = %d, want 1", name, e.Pending())
+		}
+	}
 }
 
 func TestEngineStep(t *testing.T) {
