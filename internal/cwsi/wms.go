@@ -89,8 +89,14 @@ func RunAirflowBigWorker(cl *cluster.Cluster, w *dag.Workflow) (RunResult, error
 	eng := cl.Engine()
 	start := eng.Now()
 
-	// Reserve every node completely for the whole run.
+	// Reserve every node completely for the whole run, and hand the
+	// reservations back on every exit, the error exits included.
 	var allocs []*cluster.Alloc
+	defer func() {
+		for _, a := range allocs {
+			cl.Release(a)
+		}
+	}()
 	for _, n := range cl.UpNodes() {
 		a, err := cl.Allocate(n, n.Type.Cores, n.Type.GPUs, n.Type.MemBytes)
 		if err != nil {
@@ -160,9 +166,6 @@ func RunAirflowBigWorker(cl *cluster.Cluster, w *dag.Workflow) (RunResult, error
 	eng.Run()
 	if remaining != 0 {
 		return RunResult{}, fmt.Errorf("cwsi: big-worker run stalled with %d tasks left", remaining)
-	}
-	for _, a := range allocs {
-		cl.Release(a)
 	}
 	makespan := finish - start
 	requested := 0.0

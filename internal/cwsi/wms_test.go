@@ -148,3 +148,37 @@ func TestRunAirflowBigWorkerReleasesCluster(t *testing.T) {
 		}
 	}
 }
+
+// Both error exits release the reservations already made: a task no worker
+// can hold stalls the run, and a node that is not wholly free fails the
+// reservation loop after the first node was reserved.
+func TestRunAirflowBigWorkerReleasesOnError(t *testing.T) {
+	allFree := func(cl *cluster.Cluster, want int) {
+		t.Helper()
+		free := 0
+		for _, n := range cl.Nodes() {
+			free += n.FreeCores()
+		}
+		if free != want {
+			t.Fatalf("%d of %d cores free after the error", free, want)
+		}
+	}
+	stall := flatCluster(2, 4)
+	w := dag.New("too-wide")
+	w.Add(&dag.Task{ID: "a", Cores: 16, NominalDur: 10})
+	if _, err := RunAirflowBigWorker(stall, w); err == nil {
+		t.Fatal("a 16-core task on 4-core workers did not stall")
+	}
+	allFree(stall, 8)
+
+	busy := flatCluster(2, 4)
+	held, err := busy.Allocate(busy.Nodes()[1], 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunAirflowBigWorker(busy, dag.Chain(randx.New(1), 2, dag.GenOpts{MeanDur: 10})); err == nil {
+		t.Fatal("reservation of a partly used node succeeded")
+	}
+	allFree(busy, 7)
+	busy.Release(held)
+}

@@ -450,6 +450,12 @@ func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 	if sv.err != nil {
 		return nil, sv.err
 	}
+	if sv.inFlightTotal > 0 {
+		// The engine drained with admitted work unsettled: some task can
+		// never be placed (a fault injector would still hold the engine
+		// open, since it stops only once nothing is in flight).
+		return nil, fmt.Errorf("service: engine drained with %d admitted workflows unsettled; a task fits no node", sv.inFlightTotal)
+	}
 	if cfg.inspect != nil {
 		cfg.inspect(sv)
 	}

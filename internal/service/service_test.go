@@ -39,6 +39,24 @@ func smallScenario(fairShare bool) Config {
 	}
 }
 
+// A workload whose every task is wider than any node can never settle: the
+// run must fail naming the stuck workflows, not end with them counted as
+// neither completed nor failed.
+func TestRunUnplaceableWorkloadErrors(t *testing.T) {
+	cfg := smallScenario(false) // 4-core nodes
+	wide := LayeredWorkload(2, 3, dag.GenOpts{MeanDur: 90, CVDur: 0.5, Cores: 8, MaxCores: 8, MeanMem: 1e9})
+	for i := range cfg.Tenants {
+		cfg.Tenants[i].Workload = wide
+	}
+	res, err := Run(cfg, 99)
+	if err == nil {
+		t.Fatalf("unplaceable workload ran without error: %+v", res)
+	}
+	if !strings.Contains(err.Error(), "16 admitted workflows unsettled") {
+		t.Fatalf("error %q does not name the 16 unsettled workflows", err)
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	for _, fs := range []bool{false, true} {
 		a, err := Run(smallScenario(fs), 99)
