@@ -8,7 +8,6 @@ package cloud
 import (
 	"fmt"
 
-	"hhcw/internal/metrics"
 	"hhcw/internal/sim"
 	"hhcw/internal/storage"
 )
@@ -126,7 +125,7 @@ func (q *Queue) InFlight() int { return q.inflight }
 // Consumed returns acknowledged messages.
 func (q *Queue) Consumed() int { return q.consumed }
 
-// Env bundles the cloud account: engine, object store, queue, metric sink.
+// Env bundles the cloud account: engine, object store, queue, instances.
 type Env struct {
 	Eng    *sim.Engine
 	S3     *storage.Store
@@ -134,17 +133,15 @@ type Env struct {
 	nextID int
 
 	instances []*Instance
-	runningN  *metrics.Gauge
 }
 
 // NewEnv creates a cloud environment on eng. The S3 store has effectively
 // unbounded bandwidth per object (network costs live in step durations).
 func NewEnv(eng *sim.Engine) *Env {
 	return &Env{
-		Eng:      eng,
-		S3:       storage.NewStore("s3", 0, 0, 0),
-		Queue:    NewQueue(),
-		runningN: metrics.NewGauge("cloud.instances"),
+		Eng:   eng,
+		S3:    storage.NewStore("s3", 0, 0, 0),
+		Queue: NewQueue(),
 	}
 }
 
@@ -160,7 +157,6 @@ func (e *Env) Launch(t InstanceType, onReady func(*Instance)) *Instance {
 		}
 		inst.state = Running
 		inst.readyAt = e.Eng.Now()
-		e.runningN.AddDelta(e.Eng.Now(), 1)
 		if onReady != nil {
 			onReady(inst)
 		}
@@ -173,18 +169,12 @@ func (e *Env) Terminate(inst *Instance) {
 	if inst.state == Terminated {
 		return
 	}
-	if inst.state == Running {
-		e.runningN.AddDelta(e.Eng.Now(), -1)
-	}
 	inst.state = Terminated
 	inst.stoppedAt = e.Eng.Now()
 }
 
 // Instances returns all launched instances.
 func (e *Env) Instances() []*Instance { return e.instances }
-
-// RunningSeries exposes the running-instance trajectory.
-func (e *Env) RunningSeries() *metrics.Gauge { return e.runningN }
 
 // TotalCost returns the accumulated instance cost in dollars at now.
 func (e *Env) TotalCost(now sim.Time) float64 {

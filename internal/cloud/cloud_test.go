@@ -71,8 +71,8 @@ func TestTerminateDuringLaunch(t *testing.T) {
 	if called {
 		t.Fatal("onReady fired for terminated instance")
 	}
-	if env.RunningSeries().Value() != 0 {
-		t.Fatal("running gauge leaked")
+	if inst.State() != Terminated {
+		t.Fatalf("instance state %v after terminate during launch", inst.State())
 	}
 }
 

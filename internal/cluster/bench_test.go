@@ -15,7 +15,6 @@ func BenchmarkIndexChurn(b *testing.B) {
 		Type:  NodeType{Name: "n", Cores: 8, MemBytes: 64e9},
 		Count: 128,
 	})
-	c.FoldMetrics()
 	wave := make([]Alloc, 128*8)
 	place := func(a *Alloc) {
 		n := c.FirstFit(0, 1, 0, 1e9)

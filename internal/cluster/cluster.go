@@ -5,14 +5,13 @@
 //
 // The cluster is a passive resource ledger: resource managers (internal/rm)
 // and pilots (internal/pilot) decide placement; the cluster enforces capacity
-// invariants and records utilization.
+// invariants and integrates core utilization.
 package cluster
 
 import (
 	"fmt"
 	"sort"
 
-	"hhcw/internal/metrics"
 	"hhcw/internal/randx"
 	"hhcw/internal/sim"
 )
@@ -95,10 +94,12 @@ type Cluster struct {
 	eng *sim.Engine
 
 	totalCores int
-	totalGPUs  int
-	usedCores  *metrics.Gauge
-	usedGPUs   *metrics.Gauge
-	downNodes  *metrics.Gauge
+	// usedCores is the number of cores allocated now. coreSec integrates it
+	// over virtual time up to usedAt, the instant it last changed, so
+	// Utilization needs no per-event samples.
+	usedCores int
+	usedAt    sim.Time
+	coreSec   float64
 
 	// onNodeDown callbacks fire when a node fails, letting runtimes kill
 	// and resubmit affected work.
@@ -111,13 +112,7 @@ type Cluster struct {
 
 // New builds a cluster on the given engine from (type, count) specs.
 func New(eng *sim.Engine, name string, specs ...Spec) *Cluster {
-	c := &Cluster{
-		Name:      name,
-		eng:       eng,
-		usedCores: metrics.NewGauge(name + ".used_cores"),
-		usedGPUs:  metrics.NewGauge(name + ".used_gpus"),
-		downNodes: metrics.NewGauge(name + ".down_nodes"),
-	}
+	c := &Cluster{Name: name, eng: eng}
 	id := 0
 	for _, s := range specs {
 		nt := s.Type
@@ -143,7 +138,6 @@ func New(eng *sim.Engine, name string, specs ...Spec) *Cluster {
 			id++
 			c.nodes = append(c.nodes, n)
 			c.totalCores += tcopy.Cores
-			c.totalGPUs += tcopy.GPUs
 		}
 	}
 	c.idx = newCapIndex(c.nodes)
@@ -152,9 +146,9 @@ func New(eng *sim.Engine, name string, specs ...Spec) *Cluster {
 
 // Reset returns the cluster to its just-constructed state in place: every
 // node back to full free capacity, up, and at epoch zero; the segment index
-// rebuilt over the same backing arrays; the utilization gauges truncated.
+// rebuilt over the same backing arrays; the utilization integral zeroed.
 // Construction-time identity survives — node slabs, memoized node names,
-// folded-metrics mode, and registered OnNodeDown/OnNodeUp subscribers are all
+// and registered OnNodeDown/OnNodeUp subscribers are all
 // retained, which is exactly why warm sessions must not re-register their
 // callbacks after Reset.
 func (c *Cluster) Reset() {
@@ -166,9 +160,7 @@ func (c *Cluster) Reset() {
 		n.epoch = 0
 	}
 	c.idx.reset()
-	c.usedCores.Reset()
-	c.usedGPUs.Reset()
-	c.downNodes.Reset()
+	c.usedCores, c.usedAt, c.coreSec = 0, 0, 0
 }
 
 // Spec pairs a node type with a node count for cluster construction.
@@ -189,9 +181,6 @@ func (c *Cluster) Types() []*NodeType { return c.types }
 // TotalCores returns the cluster-wide core count.
 func (c *Cluster) TotalCores() int { return c.totalCores }
 
-// TotalGPUs returns the cluster-wide GPU count.
-func (c *Cluster) TotalGPUs() int { return c.totalGPUs }
-
 // NodeCount returns the number of nodes.
 func (c *Cluster) NodeCount() int { return len(c.nodes) }
 
@@ -206,23 +195,19 @@ func (c *Cluster) UpNodes() []*Node {
 	return up
 }
 
-// UsedCoresSeries exposes the allocated-cores trajectory for Fig-4-style
-// utilization plots.
-func (c *Cluster) UsedCoresSeries() *metrics.Gauge { return c.usedCores }
+// FoldMetrics does nothing. The cluster keeps no per-event series, only the
+// running core-second integral behind Utilization, so there is nothing left
+// to fold; the method remains only because the benchmark module still calls
+// it.
+func (c *Cluster) FoldMetrics() {}
 
-// UsedGPUsSeries exposes the allocated-GPU trajectory.
-func (c *Cluster) UsedGPUsSeries() *metrics.Gauge { return c.usedGPUs }
-
-// FoldMetrics switches the cluster's trajectory series (used cores, used
-// GPUs, down nodes) to running-aggregate mode so a million-allocation run
-// retains no per-event samples. Whole-run Utilization/GPUUtilization stay
-// bit-identical (the folded integral accumulates the same terms in the same
-// order); point-level trajectory queries become unavailable. Must be called
-// before any allocation or fault activity.
-func (c *Cluster) FoldMetrics() {
-	c.usedCores.Fold()
-	c.usedGPUs.Fold()
-	c.downNodes.Fold()
+// addUsedCores moves the allocated-core level by delta at the current
+// instant, first closing the core-second integral at the old level.
+func (c *Cluster) addUsedCores(delta int) {
+	now := c.eng.Now()
+	c.coreSec += float64(c.usedCores) * float64(now-c.usedAt)
+	c.usedCores += delta
+	c.usedAt = now
 }
 
 // Allocate reserves cores/GPUs/memory on node n. It returns an error when
@@ -242,8 +227,7 @@ func (c *Cluster) Allocate(n *Node, cores, gpus int, mem float64) (*Alloc, error
 	n.freeGPUs -= gpus
 	n.freeMem -= mem
 	c.idx.update(n)
-	c.usedCores.AddDelta(c.eng.Now(), float64(cores))
-	c.usedGPUs.AddDelta(c.eng.Now(), float64(gpus))
+	c.addUsedCores(cores)
 	return &Alloc{Node: n, Cores: cores, GPUs: gpus, Mem: mem, epoch: n.epoch}, nil
 }
 
@@ -268,8 +252,7 @@ func (c *Cluster) AllocateInto(dst *Alloc, n *Node, cores, gpus int, mem float64
 	n.freeGPUs -= gpus
 	n.freeMem -= mem
 	c.idx.update(n)
-	c.usedCores.AddDelta(c.eng.Now(), float64(cores))
-	c.usedGPUs.AddDelta(c.eng.Now(), float64(gpus))
+	c.addUsedCores(cores)
 	*dst = Alloc{Node: n, Cores: cores, GPUs: gpus, Mem: mem, epoch: n.epoch}
 	return nil
 }
@@ -281,7 +264,6 @@ func (c *Cluster) AllocateInto(dst *Alloc, n *Node, cores, gpus int, mem float64
 func (c *Cluster) AllocateAll(nodes []*Node) ([]*Alloc, error) {
 	slab := make([]Alloc, len(nodes))
 	out := make([]*Alloc, len(nodes))
-	now := c.eng.Now()
 	for i, n := range nodes {
 		if n.down {
 			for _, a := range out[:i] {
@@ -300,8 +282,7 @@ func (c *Cluster) AllocateAll(nodes []*Node) ([]*Alloc, error) {
 		n.freeGPUs -= n.Type.GPUs
 		n.freeMem -= n.Type.MemBytes
 		c.idx.update(n)
-		c.usedCores.AddDelta(now, float64(n.Type.Cores))
-		c.usedGPUs.AddDelta(now, float64(n.Type.GPUs))
+		c.addUsedCores(n.Type.Cores)
 		slab[i] = Alloc{Node: n, Cores: n.Type.Cores, GPUs: n.Type.GPUs, Mem: n.Type.MemBytes, epoch: n.epoch}
 		out[i] = &slab[i]
 	}
@@ -310,7 +291,7 @@ func (c *Cluster) AllocateAll(nodes []*Node) ([]*Alloc, error) {
 
 // Release returns an allocation's resources. Releasing twice is a no-op, so
 // failure paths can release defensively. A revoked allocation (node failed
-// after the grant) only settles the utilization gauges: the node's free
+// after the grant) only settles the used-core level: the node's free
 // counters were reset by RepairNode, and crediting them again would
 // manufacture capacity beyond the node's physical total.
 func (c *Cluster) Release(a *Alloc) {
@@ -318,8 +299,7 @@ func (c *Cluster) Release(a *Alloc) {
 		return
 	}
 	a.released = true
-	c.usedCores.AddDelta(c.eng.Now(), -float64(a.Cores))
-	c.usedGPUs.AddDelta(c.eng.Now(), -float64(a.GPUs))
+	c.addUsedCores(-a.Cores)
 	if a.Revoked() {
 		return
 	}
@@ -346,7 +326,6 @@ func (c *Cluster) FailNode(n *Node) {
 	n.down = true
 	n.epoch++
 	c.idx.update(n)
-	c.downNodes.AddDelta(c.eng.Now(), 1)
 	for _, fn := range c.onNodeDown {
 		fn(n)
 	}
@@ -365,27 +344,26 @@ func (c *Cluster) RepairNode(n *Node) {
 	n.freeGPUs = n.Type.GPUs
 	n.freeMem = n.Type.MemBytes
 	c.idx.update(n)
-	c.downNodes.AddDelta(c.eng.Now(), -1)
 	for _, fn := range c.onNodeUp {
 		fn(n)
 	}
 }
 
-// Utilization returns time-averaged core utilization over [from,to] as a
-// fraction of total cores.
-func (c *Cluster) Utilization(from, to sim.Time) float64 {
-	if c.totalCores == 0 || to <= from {
+// Utilization returns time-averaged core utilization over [0,until] as a
+// fraction of total cores. until must not precede the last allocation or
+// release: the integral keeps no samples to answer for an earlier window.
+func (c *Cluster) Utilization(until sim.Time) float64 {
+	if c.totalCores == 0 || until <= 0 {
 		return 0
 	}
-	return c.usedCores.Integral(from, to) / (float64(c.totalCores) * float64(to-from))
-}
-
-// GPUUtilization returns time-averaged GPU utilization over [from,to].
-func (c *Cluster) GPUUtilization(from, to sim.Time) float64 {
-	if c.totalGPUs == 0 || to <= from {
-		return 0
+	if until < c.usedAt {
+		panic(fmt.Sprintf("cluster: Utilization(%v) before the last allocation change at %v", until, c.usedAt))
 	}
-	return c.usedGPUs.Integral(from, to) / (float64(c.totalGPUs) * float64(to-from))
+	coreSec := c.coreSec
+	if until > c.usedAt {
+		coreSec += float64(c.usedCores) * float64(until-c.usedAt)
+	}
+	return coreSec / (float64(c.totalCores) * float64(until))
 }
 
 // FaultInjector schedules random node failures, modeling the hardware faults

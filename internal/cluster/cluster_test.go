@@ -103,23 +103,17 @@ func TestUtilization(t *testing.T) {
 	eng.At(20, func() {})
 	eng.Run()
 	// 4 cores for 10s out of 8 cores for 20s = 0.25.
-	if got := c.Utilization(0, 20); got != 0.25 {
+	if got := c.Utilization(20); got != 0.25 {
 		t.Fatalf("Utilization = %v, want 0.25", got)
 	}
-}
-
-func TestGPUUtilization(t *testing.T) {
-	eng := sim.NewEngine()
-	c := twoNodeCluster(eng) // 4 GPUs total
-	n := c.Nodes()[0]
-	var a *Alloc
-	eng.At(0, func() { a, _ = c.Allocate(n, 0, 2, 0) })
-	eng.At(5, func() { c.Release(a) })
-	eng.At(10, func() {})
-	eng.Run()
-	if got := c.GPUUtilization(0, 10); got != 0.25 {
-		t.Fatalf("GPUUtilization = %v, want 0.25", got)
-	}
+	// The integral keeps no samples: a window ending before the last
+	// release (t=10) cannot be answered.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Utilization(5) before the last release did not panic")
+		}
+	}()
+	c.Utilization(5)
 }
 
 func TestFaultInjectorCount(t *testing.T) {
@@ -165,8 +159,8 @@ func TestFrontierShape(t *testing.T) {
 	if c.TotalCores() != 448000 {
 		t.Fatalf("Frontier cores = %d, want 448000", c.TotalCores())
 	}
-	if c.TotalGPUs() != 64000 {
-		t.Fatalf("Frontier GPUs = %d, want 64000", c.TotalGPUs())
+	if gpus := c.NodeCount() * c.Types()[0].GPUs; gpus != 64000 {
+		t.Fatalf("Frontier GPUs = %d, want 64000", gpus)
 	}
 }
 
@@ -232,10 +226,7 @@ func TestClusterAccessors(t *testing.T) {
 	if c.Engine() != eng {
 		t.Fatal("Engine accessor")
 	}
-	if c.UsedCoresSeries() == nil || c.UsedGPUsSeries() == nil {
-		t.Fatal("series accessors nil")
-	}
-	if c.Utilization(5, 5) != 0 || c.GPUUtilization(5, 5) != 0 {
-		t.Fatal("zero-window utilization should be 0")
+	if c.Utilization(0) != 0 {
+		t.Fatal("zero-span utilization should be 0")
 	}
 }

@@ -25,14 +25,16 @@ func (r *fuzzBytes) next() int {
 // FuzzFirstFitMatchesScan builds a cluster of random node shapes and count,
 // replays an allocate / release / fail / repair tape decoded from ops, and
 // after every operation requires FirstFit from a random start, and
-// AppendCandidates, to agree with the rescan oracle, and every segment of the
-// index to agree with a rebuild from its leaves.
+// AppendCandidates, to agree with the rescan oracle, every segment of the
+// index to agree with a rebuild from its leaves, and Utilization to equal the
+// integral of the allocated-core step series the test records itself.
 //
 // Encoding of shape: up to three (count%12, cores%17, gpus%4, mem%9 GB)
-// node types, one byte per field. Each op is one byte, op%4 selecting allocate
-// (node, cores%9, gpus%3, mem%9 GB from the next bytes), release (live
-// allocation next%live), fail or repair (node next%nodes), followed by one
-// query: from next%(nodes+3)-1, then cores%10, gpus%3, mem%10 GB.
+// node types, one byte per field. Each op is one byte: op>>2 eighths of a
+// second pass first, then op%4 selects allocate (node, cores%9, gpus%3, mem%9
+// GB from the next bytes), release (live allocation next%live), fail or
+// repair (node next%nodes), followed by one query: from next%(nodes+3)-1,
+// then cores%10, gpus%3, mem%10 GB.
 func FuzzFirstFitMatchesScan(f *testing.F) {
 	f.Add([]byte{5, 8, 1, 4}, []byte{0, 0, 4, 0, 2, 1, 1, 0, 0})
 	f.Add([]byte{7, 4, 0, 2, 9, 16, 2, 8, 3, 1, 3, 1}, []byte{0, 3, 8, 2, 8, 4, 2, 0, 0, 1, 0, 2, 5, 0, 3, 5, 7, 0, 1})
@@ -46,6 +48,11 @@ func FuzzFirstFitMatchesScan(f *testing.F) {
 		}
 	}
 	f.Add([]byte{3, 2, 0, 1, 3, 4, 1, 2, 3, 8, 2, 4}, storm)
+	// Time passing between grants, a failure under live allocations, and
+	// their revoked releases after the repair.
+	f.Add([]byte{4, 8, 1, 4}, []byte{0, 0, 3, 0, 1, 0, 0, 0, 0, 21, 1, 2, 0, 0, 0, 0, 0, 0,
+		14, 1, 0, 0, 0, 0, 0, 11, 1, 0, 0, 0, 0, 0, 43, 0, 0, 0, 0, 0, 0, 0, 0,
+		9, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, shape, ops []byte) {
 		sr := &fuzzBytes{b: shape}
 		var specs []Spec
@@ -61,23 +68,29 @@ func FuzzFirstFitMatchesScan(f *testing.F) {
 				Count: count,
 			})
 		}
-		c := New(sim.NewEngine(), "fz", specs...)
+		eng := sim.NewEngine()
+		c := New(eng, "fz", specs...)
 		nodes := c.NodeCount()
 		or := &fuzzBytes{b: ops}
 		var live []*Alloc
+		var level coreLevel
 		for or.more() {
-			switch or.next() % 4 {
+			op := or.next()
+			eng.RunUntil(eng.Now() + sim.Time(op>>2)/8)
+			switch op % 4 {
 			case 0:
 				if nodes > 0 {
 					n := c.Nodes()[or.next()%nodes]
 					if a, err := c.Allocate(n, or.next()%9, or.next()%3, float64(or.next()%9)*1e9); err == nil {
 						live = append(live, a)
+						level.change(eng.Now(), a.Cores)
 					}
 				}
 			case 1:
 				if len(live) > 0 {
 					i := or.next() % len(live)
 					c.Release(live[i])
+					level.change(eng.Now(), -live[i].Cores)
 					live[i] = live[len(live)-1]
 					live = live[:len(live)-1]
 				}
@@ -99,6 +112,7 @@ func FuzzFirstFitMatchesScan(f *testing.F) {
 				t.Fatalf("AppendCandidates(%d,%d,%v) = %d nodes, oracle %d", cores, gpus, mem, len(got), len(want))
 			}
 			checkIndexInvariants(t, c)
+			checkUtilization(t, c, &level)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"hhcw/internal/metrics"
 	"hhcw/internal/randx"
 	"hhcw/internal/sim"
 )
@@ -147,24 +148,58 @@ func compareAllQueries(t *testing.T, c *Cluster) {
 	}
 }
 
+// coreLevel is a test's own record of allocated cores: one step sample at
+// every grant and at every release of a live allocation, revoked or not.
+// The cluster's running integral must integrate exactly this trajectory.
+type coreLevel struct {
+	cores int
+	steps metrics.Series
+}
+
+func (l *coreLevel) change(now sim.Time, delta int) {
+	l.cores += delta
+	l.steps.Add(now, float64(l.cores))
+}
+
+// checkUtilization requires Utilization at the current instant to equal the
+// recorded step series' integral over [0, now], bit for bit.
+func checkUtilization(t *testing.T, c *Cluster, l *coreLevel) {
+	t.Helper()
+	now := c.Engine().Now()
+	want := 0.0
+	if c.TotalCores() > 0 && now > 0 {
+		want = l.steps.Integral(0, now) / (float64(c.TotalCores()) * float64(now))
+	}
+	if got := c.Utilization(now); got != want {
+		t.Fatalf("Utilization(%v) = %v, recorded series gives %v (level %d)", now, got, want, l.cores)
+	}
+}
+
 func TestIndexMatchesRescanUnderChaos(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		eng := sim.NewEngine()
 		c := Heterogeneous(eng, 7) // 21 nodes, 3 families, not a power of two
 		r := randx.New(seed)
+		clock := randx.New(seed + 1000) // time steps, apart from the op tape
 		var live []*Alloc
+		var level coreLevel
 		for op := 0; op < 600; op++ {
+			// Advance virtual time by 0 (same-instant changes) or a
+			// fractional step, so the integral sums non-trivial terms.
+			eng.RunUntil(eng.Now() + sim.Time(clock.Intn(3))*sim.Time(clock.Float64()))
 			switch r.Intn(5) {
 			case 0, 1: // allocate (twice the weight: keeps the cluster busy)
 				n := c.Nodes()[r.Intn(c.NodeCount())]
 				a, err := c.Allocate(n, 1+r.Intn(8), r.Intn(3), float64(r.Intn(16))*4e9)
 				if err == nil {
 					live = append(live, a)
+					level.change(eng.Now(), a.Cores)
 				}
-			case 2: // release
+			case 2: // release, of a revoked allocation too
 				if len(live) > 0 {
 					i := r.Intn(len(live))
 					c.Release(live[i])
+					level.change(eng.Now(), -live[i].Cores)
 					live[i] = live[len(live)-1]
 					live = live[:len(live)-1]
 				}
@@ -177,6 +212,7 @@ func TestIndexMatchesRescanUnderChaos(t *testing.T) {
 			// Every operation: an update that stops one level too soon
 			// leaves an ancestor stale that no single query may expose.
 			checkIndexInvariants(t, c)
+			checkUtilization(t, c, &level)
 		}
 	}
 }

@@ -240,7 +240,7 @@ func runStream(runner *rm.StreamRunner, x dag.Expander, cl *cluster.Cluster, arm
 	// re-read it so the result reflects what actually expanded.
 	res.TasksRun = x.Total()
 	res.MakespanSec = float64(ms)
-	res.UtilizationCore = cl.Utilization(0, ms)
+	res.UtilizationCore = cl.Utilization(ms)
 	res.setRecovery(runner.Stats())
 	return nil
 }
@@ -376,10 +376,10 @@ func (s *Session) auditDiff() []string {
 }
 
 // NewSession implements SessionEnvironment for the streaming environment as
-// a cold passthrough: RunExpander's substrate is lean, folded, and O(window)
-// per run by design, so each run constructs it fresh. Without this override,
-// the promoted KubernetesEnv.NewSession would silently route streaming
-// sweeps through the eager path.
+// a cold passthrough: RunExpander's substrate is O(window) per run by design,
+// so each run constructs it fresh. Without this override, the promoted
+// KubernetesEnv.NewSession would silently route streaming sweeps through the
+// eager path.
 func (e *StreamingEnv) NewSession() (RunSession, error) {
 	if e.Nodes <= 0 || (!e.Heterogeneous && e.CoresPerNode <= 0) {
 		return nil, fmt.Errorf("core: kubernetes env needs nodes and cores")

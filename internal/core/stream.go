@@ -12,14 +12,11 @@ import (
 // RunExpander executes a streaming expansion on the kubernetes substrate —
 // the extreme-scale run path. It is the warm session's FIFO path (runStream:
 // same task driver, same fault-layer fork order, same runtime scaling) on a
-// freshly built substrate, with two differences that keep memory bounded at
-// any task count:
-//
-//   - the cluster's metric series fold to running aggregates and the manager
-//     runs lean, so observational state is O(in-flight), not O(events);
-//   - terminal tasks are retired into a compact provenance store (running
-//     aggregates only, no record retention) and their Task structs recycled,
-//     under the StreamWindow residency cap.
+// freshly built substrate, with one difference that keeps memory bounded at
+// any task count: terminal tasks are retired into a compact provenance store
+// (running aggregates only, no record retention) and their Task structs
+// recycled, under the StreamWindow residency cap. The cluster and manager
+// keep only counts and a running utilization integral, O(1) at any scale.
 //
 // CWS strategies need the whole DAG for ranking and are rejected here; run
 // materialized workflows through RunSeeded for those studies.
@@ -34,12 +31,7 @@ func (e *KubernetesEnv) RunExpander(x dag.Expander, rng *randx.Source) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	// Fold observational series to running aggregates: with them retained,
-	// metric memory is O(events) and would dominate a million-task run.
-	// Whole-run Utilization stays bit-identical (see metrics.Series.Fold).
-	cl.FoldMetrics()
 	mgr := rm.NewTaskManager(cl, nil)
-	mgr.SetLean()
 	arm, err := e.armFaults(cl, rng, x.Total(), new(forkPool))
 	if err != nil {
 		return nil, err

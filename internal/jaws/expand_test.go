@@ -137,8 +137,8 @@ func TestScatterExpanderEagerEquivalence(t *testing.T) {
 			if msS != msE {
 				t.Fatalf("makespan: streaming %v != eager %v", msS, msE)
 			}
-			utE := mgrE.Cluster().Utilization(0, msE)
-			utS := mgrS.Cluster().Utilization(0, msS)
+			utE := mgrE.Cluster().Utilization(msE)
+			utS := mgrS.Cluster().Utilization(msS)
 			if utS != utE {
 				t.Fatalf("utilization: streaming %v != eager %v", utS, utE)
 			}
@@ -241,8 +241,6 @@ func TestStreamingScatterMemoryCeiling(t *testing.T) {
 	for i, n := range sizes {
 		x := scatterDef(t, n)
 		_, mgr := expandTestCluster(128, 8)
-		mgr.SetLean()
-		mgr.Cluster().FoldMetrics()
 		var peakHeap uint64
 		retired := 0
 		sr := &rm.StreamRunner{

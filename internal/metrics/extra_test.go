@@ -11,16 +11,13 @@ func TestSeriesAccessors(t *testing.T) {
 	if s.Len() != 0 || len(s.Points()) != 0 {
 		t.Fatal("empty series accessors wrong")
 	}
-	if (s.Last() != Point{}) {
-		t.Fatal("empty Last should be zero Point")
-	}
 	s.Add(1, 10)
 	s.Add(2, 20)
 	if s.Len() != 2 || len(s.Points()) != 2 {
 		t.Fatalf("Len/Points = %d/%d", s.Len(), len(s.Points()))
 	}
-	if s.Last() != (Point{T: 2, V: 20}) {
-		t.Fatalf("Last = %+v", s.Last())
+	if p := s.Points()[1]; p != (Point{T: 2, V: 20}) {
+		t.Fatalf("last point = %+v", p)
 	}
 	if s.Mean() != 15 {
 		t.Fatalf("Mean = %v", s.Mean())

@@ -21,79 +21,22 @@ type Point struct {
 
 // Series is an append-only time series. Samples must be appended in
 // nondecreasing time order (the sim kernel guarantees this naturally).
-//
-// A series normally retains every sample. Fold switches it to
-// running-aggregate mode for extreme-scale runs where O(samples) retention
-// is the memory hot spot: Add then maintains the exact step-integral, count,
-// first/last and max instead of the sample list. Integral over the full
-// recorded span (and Max, Last, Len) stay bit-identical to the retained
-// form — the accumulation performs the same float additions in the same
-// order — while point-level queries (Points, At, Mean, window integrals)
-// become unavailable and panic.
 type Series struct {
 	Name   string
 	points []Point
-
-	folded bool
-	n      int
-	first  Point
-	last   Point
-	integ  float64 // exact integral of the step series over [first.T, last.T]
-	maxV   float64
 }
 
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
 
-// Fold switches the series to running-aggregate mode (see Series). It must
-// be called before any sample is recorded.
-func (s *Series) Fold() {
-	if s.folded {
-		return
-	}
-	if len(s.points) > 0 {
-		panic(fmt.Sprintf("metrics: Fold on series %q with retained samples", s.Name))
-	}
-	s.folded = true
-}
-
-// Folded reports whether the series is in running-aggregate mode.
-func (s *Series) Folded() bool { return s.folded }
-
 // Reset discards every recorded observation, returning the series to its
 // just-constructed state while retaining the sample buffer's capacity — the
 // warm-run contract: a Reset series records bit-identically to a fresh one.
-// Folded-ness survives: it is construction-time configuration, not
-// observation.
-func (s *Series) Reset() {
-	s.points = s.points[:0]
-	s.n = 0
-	s.first, s.last = Point{}, Point{}
-	s.integ, s.maxV = 0, 0
-}
+func (s *Series) Reset() { s.points = s.points[:0] }
 
 // Add appends a sample. Out-of-order samples panic: they indicate a causality
 // bug in the caller.
 func (s *Series) Add(t sim.Time, v float64) {
-	if s.folded {
-		if s.n > 0 && t < s.last.T {
-			panic(fmt.Sprintf("metrics: out-of-order sample on %q: %v after %v", s.Name, t, s.last.T))
-		}
-		if s.n == 0 {
-			s.first = Point{t, v}
-			s.maxV = v
-		} else {
-			// The term the retained Integral would add for the previous
-			// sample: its value held until this one.
-			s.integ += s.last.V * float64(t-s.last.T)
-			if v > s.maxV {
-				s.maxV = v
-			}
-		}
-		s.last = Point{t, v}
-		s.n++
-		return
-	}
 	if n := len(s.points); n > 0 && t < s.points[n-1].T {
 		panic(fmt.Sprintf("metrics: out-of-order sample on %q: %v after %v", s.Name, t, s.points[n-1].T))
 	}
@@ -107,40 +50,15 @@ func (s *Series) Add(t sim.Time, v float64) {
 }
 
 // Len returns the number of samples.
-func (s *Series) Len() int {
-	if s.folded {
-		return s.n
-	}
-	return len(s.points)
-}
+func (s *Series) Len() int { return len(s.points) }
 
 // Points returns the underlying samples (not a copy; callers must not
-// mutate). It panics on a folded series, which retains none.
-func (s *Series) Points() []Point {
-	if s.folded {
-		panic(fmt.Sprintf("metrics: Points on folded series %q", s.Name))
-	}
-	return s.points
-}
-
-// Last returns the most recent sample, or a zero Point if empty.
-func (s *Series) Last() Point {
-	if s.folded {
-		return s.last
-	}
-	if len(s.points) == 0 {
-		return Point{}
-	}
-	return s.points[len(s.points)-1]
-}
+// mutate).
+func (s *Series) Points() []Point { return s.points }
 
 // At returns the value of the series at time t under step interpolation
 // (value holds until the next sample). Before the first sample it returns 0.
-// It panics on a folded series.
 func (s *Series) At(t sim.Time) float64 {
-	if s.folded {
-		panic(fmt.Sprintf("metrics: At on folded series %q", s.Name))
-	}
 	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t })
 	if i == 0 {
 		return 0
@@ -150,12 +68,6 @@ func (s *Series) At(t sim.Time) float64 {
 
 // Max returns the maximum sample value (0 if empty).
 func (s *Series) Max() float64 {
-	if s.folded {
-		if s.n == 0 {
-			return 0
-		}
-		return s.maxV
-	}
 	max := 0.0
 	for i, p := range s.points {
 		if i == 0 || p.V > max {
@@ -167,11 +79,7 @@ func (s *Series) Max() float64 {
 
 // Mean returns the arithmetic mean of sample values (0 if empty). For
 // time-weighted means over step series, use Integral / duration instead.
-// It panics on a folded series.
 func (s *Series) Mean() float64 {
-	if s.folded {
-		panic(fmt.Sprintf("metrics: Mean on folded series %q", s.Name))
-	}
 	if len(s.points) == 0 {
 		return 0
 	}
@@ -184,26 +92,7 @@ func (s *Series) Mean() float64 {
 
 // Integral returns the time integral of the step-interpolated series over
 // [from,to]: sum of value×duration. Useful for node-seconds and core-seconds.
-//
-// A folded series answers only full-span queries — from at or before the
-// first sample and to at or after the last — where the running accumulation
-// is bit-identical to a rescan of retained points; window queries inside the
-// recorded span panic, since the points they would need are gone.
 func (s *Series) Integral(from, to sim.Time) float64 {
-	if s.folded {
-		if to <= from || s.n == 0 {
-			return 0
-		}
-		if from > s.first.T || to < s.last.T {
-			panic(fmt.Sprintf("metrics: windowed Integral [%v,%v] on folded series %q (recorded span [%v,%v])",
-				from, to, s.Name, s.first.T, s.last.T))
-		}
-		total := s.integ
-		if to > s.last.T {
-			total += s.last.V * float64(to-s.last.T)
-		}
-		return total
-	}
 	if to <= from || len(s.points) == 0 {
 		return 0
 	}

