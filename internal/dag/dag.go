@@ -118,7 +118,7 @@ type Workflow struct {
 	validated bool
 	// topo (with its positions in topoIdx) and roots memoize TopoOrder and
 	// Roots under the same invalidation rule; every consumer (Validate,
-	// Levels, CriticalPath, UpwardRanks, runners) only reads them, and each
+	// CriticalPath, UpwardRanks, runners) only reads them, and each
 	// workflow run re-derives both from the same unchanged DAG.
 	topo    []*Task
 	topoIdx []int32
@@ -325,21 +325,6 @@ func (w *Workflow) Children(id TaskID) []*Task {
 	return out
 }
 
-// Parents returns direct predecessors of id.
-func (w *Workflow) Parents(id TaskID) []*Task {
-	t := w.Task(id)
-	if t == nil {
-		return nil
-	}
-	out := make([]*Task, 0, len(t.Deps))
-	for _, d := range t.Deps {
-		if p := w.Task(d); p != nil {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Roots returns tasks with no dependencies, in insertion order. The result
 // is memoized until the structure changes; callers must treat the returned
 // slice as read-only.
@@ -451,31 +436,6 @@ func (w *Workflow) topoPositions() []int32 {
 	return w.topoIdx
 }
 
-// Levels assigns each task its depth (longest path from any root, roots = 0)
-// and returns tasks grouped by level. It panics on cyclic workflows; call
-// Validate first.
-func (w *Workflow) Levels() [][]*Task {
-	topo := w.topoPositions()
-	level := make([]int32, len(w.list))
-	maxLevel := int32(0)
-	for _, i := range topo {
-		l := level[i]
-		if l > maxLevel {
-			maxLevel = l
-		}
-		for _, c := range w.successors(i) {
-			if l+1 > level[c] {
-				level[c] = l + 1
-			}
-		}
-	}
-	out := make([][]*Task, maxLevel+1)
-	for _, i := range topo {
-		out[level[i]] = append(out[level[i]], w.list[i])
-	}
-	return out
-}
-
 // DurFn maps a task to an (estimated or actual) duration; rank and critical
 // path computations are parameterized on it so they work with predictions.
 type DurFn func(*Task) float64
@@ -531,38 +491,4 @@ func (w *Workflow) UpwardRanks(fn DurFn) []float64 {
 		rank[i] = fn(w.list[i]) + best
 	}
 	return rank
-}
-
-// TotalWork returns the sum of nominal core-seconds over all tasks — the
-// lower bound on makespan × cores for any schedule.
-func (w *Workflow) TotalWork() float64 {
-	sum := 0.0
-	for _, t := range w.list {
-		sum += t.CPUSeconds()
-	}
-	return sum
-}
-
-// Descendants returns the transitive successors of id (not including id),
-// sorted by ID for determinism; empty for an ID not in the workflow.
-func (w *Workflow) Descendants(id TaskID) []TaskID {
-	i, ok := w.index[id]
-	if !ok {
-		return nil
-	}
-	seen := make([]bool, len(w.list))
-	var out []TaskID
-	var walk func(int32)
-	walk = func(x int32) {
-		for _, c := range w.successors(x) {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, w.list[c].ID)
-				walk(c)
-			}
-		}
-	}
-	walk(i)
-	slices.Sort(out)
-	return out
 }

@@ -101,22 +101,11 @@ func TestRootsLeavesChildrenParents(t *testing.T) {
 	if got := len(w.Children("src")); got != 2 {
 		t.Fatalf("children(src) = %d, want 2", got)
 	}
-	if got := len(w.Parents("sink")); got != 2 {
+	if got := len(w.Task("sink").Deps); got != 2 {
 		t.Fatalf("parents(sink) = %d, want 2", got)
 	}
 	if w.EdgeCount() != 4 {
 		t.Fatalf("EdgeCount = %d, want 4", w.EdgeCount())
-	}
-}
-
-func TestLevels(t *testing.T) {
-	w := Diamond(randx.New(3), GenOpts{})
-	levels := w.Levels()
-	if len(levels) != 3 {
-		t.Fatalf("levels = %d, want 3", len(levels))
-	}
-	if len(levels[1]) != 2 {
-		t.Fatalf("middle level = %d tasks, want 2", len(levels[1]))
 	}
 }
 
@@ -158,26 +147,6 @@ func TestUpwardRanks(t *testing.T) {
 	rank := func(id TaskID) float64 { i, _ := w.Index(id); return ranks[i] }
 	if rank("a") != 3 || rank("b") != 2 || rank("c") != 1 {
 		t.Fatalf("ranks = %v", ranks)
-	}
-}
-
-func TestDescendants(t *testing.T) {
-	w := Diamond(randx.New(4), GenOpts{})
-	d := w.Descendants("src")
-	if len(d) != 3 {
-		t.Fatalf("descendants(src) = %v", d)
-	}
-	if len(w.Descendants("sink")) != 0 {
-		t.Fatal("sink should have no descendants")
-	}
-}
-
-func TestTotalWork(t *testing.T) {
-	w := New("w")
-	w.Add(&Task{ID: "a", NominalDur: 10, Cores: 2})
-	w.Add(&Task{ID: "b", NominalDur: 5, Cores: 1})
-	if got := w.TotalWork(); got != 25 {
-		t.Fatalf("TotalWork = %v, want 25", got)
 	}
 }
 

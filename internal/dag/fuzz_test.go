@@ -163,23 +163,6 @@ func checkStructure(t *testing.T, w *Workflow, ref *refWorkflow) {
 		t.Fatalf("CriticalPath = %v, reference %v", cp, wcp)
 	}
 	sameOrder(t, "CriticalPath", path, wpath)
-	levels, wlevels := w.Levels(), ref.Levels()
-	if len(levels) != len(wlevels) {
-		t.Fatalf("Levels: %d, reference %d", len(levels), len(wlevels))
-	}
-	for l := range levels {
-		sameOrder(t, fmt.Sprint("Levels[", l, "]"), taskIDs(levels[l]), taskIDs(wlevels[l]))
-	}
-	for _, id := range fuzzIDs {
-		got := w.Descendants(id)
-		if ref.tasks[id] == nil {
-			if len(got) != 0 {
-				t.Fatalf("Descendants(%s) of an absent task: %v", id, got)
-			}
-			continue
-		}
-		sameOrder(t, "Descendants("+string(id)+")", got, ref.Descendants(id))
-	}
 }
 
 // checkReplay drives x and the reference expander through the same

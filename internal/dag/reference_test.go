@@ -2,7 +2,6 @@ package dag
 
 import (
 	"fmt"
-	"sort"
 )
 
 // refWorkflow is the map-based Workflow the index-addressed one replaced,
@@ -141,32 +140,6 @@ func (w *refWorkflow) TopoOrder() ([]*Task, error) {
 	return out, nil
 }
 
-func (w *refWorkflow) Levels() [][]*Task {
-	topo, err := w.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	level := make(map[TaskID]int, len(topo))
-	maxLevel := 0
-	for _, t := range topo {
-		l := 0
-		for _, d := range t.Deps {
-			if level[d]+1 > l {
-				l = level[d] + 1
-			}
-		}
-		level[t.ID] = l
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	out := make([][]*Task, maxLevel+1)
-	for _, t := range topo {
-		out[level[t.ID]] = append(out[level[t.ID]], t)
-	}
-	return out
-}
-
 func (w *refWorkflow) CriticalPath(fn DurFn) (float64, []TaskID) {
 	topo, err := w.TopoOrder()
 	if err != nil {
@@ -224,26 +197,6 @@ func (w *refWorkflow) UpwardRanks(fn DurFn) map[TaskID]float64 {
 		rank[t.ID] = fn(t) + best
 	}
 	return rank
-}
-
-func (w *refWorkflow) Descendants(id TaskID) []TaskID {
-	seen := map[TaskID]bool{}
-	var walk func(TaskID)
-	walk = func(x TaskID) {
-		for _, c := range w.children[x] {
-			if !seen[c] {
-				seen[c] = true
-				walk(c)
-			}
-		}
-	}
-	walk(id)
-	out := make([]TaskID, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // refExpander is the map-based WorkflowExpander, verbatim.

@@ -74,16 +74,6 @@ func TestSparseGridDeterministic(t *testing.T) {
 	}
 }
 
-func TestScalePoint(t *testing.T) {
-	got := ScalePoint([]float64{-1, 0, 1}, []float64{0, 10, 100}, []float64{1, 20, 200})
-	want := []float64{0, 15, 200}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ScalePoint = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestFrontierConfigCounts(t *testing.T) {
 	cfg := FrontierConfig()
 	if got := cfg.Microstructures(); got != 125 {

@@ -125,13 +125,3 @@ func pointKey(pt []float64) string {
 	// Quantize to avoid float-noise duplicates.
 	return string(appendPointKey(make([]byte, 0, len(pt)*9), pt))
 }
-
-// ScalePoint maps a [-1,1] grid point into physical parameter ranges
-// [lo[i], hi[i]].
-func ScalePoint(pt []float64, lo, hi []float64) []float64 {
-	out := make([]float64, len(pt))
-	for i, v := range pt {
-		out[i] = lo[i] + (v+1)/2*(hi[i]-lo[i])
-	}
-	return out
-}

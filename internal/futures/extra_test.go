@@ -13,23 +13,6 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-func TestAppsListing(t *testing.T) {
-	_, e := newExec()
-	apps := e.Apps()
-	if len(apps) != 3 {
-		t.Fatalf("Apps = %v", apps)
-	}
-	seen := map[string]bool{}
-	for _, a := range apps {
-		seen[a] = true
-	}
-	for _, want := range []string{"transform", "cluster", "broken"} {
-		if !seen[want] {
-			t.Fatalf("missing app %q in %v", want, apps)
-		}
-	}
-}
-
 func TestTransientFailureFirstN(t *testing.T) {
 	eng, e := newExec()
 	e.RegisterApp(App{Name: "flaky", DurationSec: 5, Outputs: []string{"o"},

@@ -122,15 +122,6 @@ func (e *Executor) RegisterApp(a App) {
 	e.apps[a.Name] = a
 }
 
-// Apps returns the registered app names (unordered).
-func (e *Executor) Apps() []string {
-	out := make([]string, 0, len(e.apps))
-	for n := range e.apps {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Lookup resolves a future ID from the global dictionary.
 func (e *Executor) Lookup(id string) (*AppFuture, bool) {
 	f, ok := e.registry[id]

@@ -24,9 +24,9 @@ func PoolWorkers(total, workers int) int {
 	return workers
 }
 
-// ForEach runs fn(idx) for every index in [0, total) on a pool of workers —
-// the ensemble-execution primitive Run is built on, exported so other
-// multi-seed drivers (the service-mode arrival sweeps) inherit the same
+// ForEachWorker runs fn(worker, idx) for every index in [0, total) on a pool
+// of workers — the ensemble-execution primitive Run is built on, exported so
+// other multi-seed drivers (the service-mode arrival sweeps) inherit the same
 // determinism contract: each index is processed by exactly one worker, any
 // per-index state must be written into caller-owned slots keyed by idx, and
 // when several indices fail the error of the LOWEST index is returned, so
@@ -34,17 +34,13 @@ func PoolWorkers(total, workers int) int {
 // interleaving. workers <= 0 means NumCPU; see PoolWorkers for the clamp.
 // progress, when non-nil, is called under a lock with the completed count
 // after each index.
-func ForEach(total, workers int, progress func(done, total int), fn func(idx int) error) error {
-	return ForEachWorker(total, workers, progress, func(_, idx int) error { return fn(idx) })
-}
-
-// ForEachWorker is ForEach with the worker's identity exposed: fn receives
-// (worker, idx) where worker is a stable index in [0, PoolWorkers(total,
-// workers)). Each worker is one goroutine for the lifetime of the call, so
-// state keyed by the worker index — a warm-run session, a scratch arena — is
-// touched by exactly one goroutine at a time and needs no locking. Job
-// assignment to workers is racy by design; only per-index results (and the
-// lowest-index error) are deterministic.
+//
+// worker is a stable index in [0, PoolWorkers(total, workers)). Each worker
+// is one goroutine for the lifetime of the call, so state keyed by the
+// worker index — a warm-run session, a scratch arena — is touched by exactly
+// one goroutine at a time and needs no locking. Job assignment to workers is
+// racy by design; only per-index results (and the lowest-index error) are
+// deterministic.
 func ForEachWorker(total, workers int, progress func(done, total int), fn func(worker, idx int) error) error {
 	if total <= 0 {
 		return nil

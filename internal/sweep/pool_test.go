@@ -10,7 +10,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 16, 0} {
 		const n = 500
 		counts := make([]int32, n)
-		err := ForEach(n, workers, nil, func(idx int) error {
+		err := ForEachWorker(n, workers, nil, func(_, idx int) error {
 			atomic.AddInt32(&counts[idx], 1)
 			return nil
 		})
@@ -30,7 +30,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 // failing ensemble reports the same error at any worker count.
 func TestForEachLowestErrorWins(t *testing.T) {
 	for _, workers := range []int{1, 7} {
-		err := ForEach(100, workers, nil, func(idx int) error {
+		err := ForEachWorker(100, workers, nil, func(_, idx int) error {
 			if idx%10 == 3 {
 				return fmt.Errorf("boom %d", idx)
 			}
@@ -43,17 +43,17 @@ func TestForEachLowestErrorWins(t *testing.T) {
 }
 
 func TestForEachProgressAndEmpty(t *testing.T) {
-	if err := ForEach(0, 4, nil, func(int) error { return fmt.Errorf("never") }); err != nil {
+	if err := ForEachWorker(0, 4, nil, func(int, int) error { return fmt.Errorf("never") }); err != nil {
 		t.Fatal(err)
 	}
 	var calls, last int
-	err := ForEach(25, 4, func(done, total int) {
+	err := ForEachWorker(25, 4, func(done, total int) {
 		calls++
 		last = done
 		if total != 25 {
 			t.Errorf("total = %d", total)
 		}
-	}, func(int) error { return nil })
+	}, func(int, int) error { return nil })
 	if err != nil || calls != 25 || last != 25 {
 		t.Fatalf("err=%v calls=%d last=%d", err, calls, last)
 	}

@@ -20,7 +20,6 @@ package sweep
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hhcw/internal/core"
@@ -462,19 +461,4 @@ func (r *Report) Fingerprint() string {
 		fmt.Fprintf(&b, "%s|%s|%d|%s\n", run.Workflow, run.Env, run.Seed, run.Result.Fingerprint())
 	}
 	return b.String()
-}
-
-// SortedEnvNames returns the env names of a report's cells, sorted and
-// deduplicated — a convenience for renderers that pivot the table.
-func (r *Report) SortedEnvNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, c := range r.Cells {
-		if !seen[c.Env] {
-			seen[c.Env] = true
-			names = append(names, c.Env)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -208,9 +208,6 @@ func TestTableAndHelpers(t *testing.T) {
 			t.Fatalf("table missing %q:\n%s", want, tab)
 		}
 	}
-	if names := rep.SortedEnvNames(); len(names) != 2 || names[0] != "a-env" || names[1] != "b-env" {
-		t.Fatalf("SortedEnvNames = %v", names)
-	}
 	if rep.Cell("montage", "nope") != nil {
 		t.Fatal("Cell returned a match for unknown env")
 	}
