@@ -349,11 +349,9 @@ func countExecuted(pipelines []*Pipeline) int {
 	return n
 }
 
-// runJob acquires one pilot, runs the given pipelines concurrently, and
-// returns failed tasks grouped by a global stage index (pipeline-major).
 // runJob acquires one pilot, runs the given pipelines concurrently, drives
 // the engine to completion, and returns failed tasks grouped by a global
-// stage index.
+// stage index (pipeline-major).
 func (am *AppManager) runJob(res ResourceDesc, pipelines []*Pipeline, rep *Report, first bool) ([][]*Task, error) {
 	finish, err := am.startJob(res, pipelines, rep, first)
 	if err != nil {

@@ -29,11 +29,6 @@ type Series struct {
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
 
-// Reset discards every recorded observation, returning the series to its
-// just-constructed state while retaining the sample buffer's capacity — the
-// warm-run contract: a Reset series records bit-identically to a fresh one.
-func (s *Series) Reset() { s.points = s.points[:0] }
-
 // Add appends a sample. Out-of-order samples panic: they indicate a causality
 // bug in the caller.
 func (s *Series) Add(t sim.Time, v float64) {
@@ -150,13 +145,6 @@ func (c *Counter) Inc(t sim.Time, delta float64) {
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.value }
 
-// Reset zeroes the count and discards the recorded trajectory (see
-// Series.Reset).
-func (c *Counter) Reset() {
-	c.value = 0
-	c.Series.Reset()
-}
-
 // Gauge is an up/down level that records its trajectory (e.g. tasks running).
 type Gauge struct {
 	Series
@@ -181,13 +169,6 @@ func (g *Gauge) AddDelta(t sim.Time, delta float64) {
 
 // Value returns the current level.
 func (g *Gauge) Value() float64 { return g.value }
-
-// Reset zeroes the level and discards the recorded trajectory (see
-// Series.Reset).
-func (g *Gauge) Reset() {
-	g.value = 0
-	g.Series.Reset()
-}
 
 // Agg summarizes a set of scalar observations: the mean/max pairs the paper's
 // Table 1 and Table 2 report.
