@@ -147,10 +147,9 @@ func New(eng *sim.Engine, name string, specs ...Spec) *Cluster {
 // Reset returns the cluster to its just-constructed state in place: every
 // node back to full free capacity, up, and at epoch zero; the segment index
 // rebuilt over the same backing arrays; the utilization integral zeroed.
-// Construction-time identity survives — node slabs, memoized node names,
-// and registered OnNodeDown/OnNodeUp subscribers are all
-// retained, which is exactly why warm sessions must not re-register their
-// callbacks after Reset.
+// Construction-time identity survives — node slabs, memoized node names, and
+// registered OnNodeDown/OnNodeUp subscribers are all retained, which is
+// exactly why warm sessions must not re-register their callbacks after Reset.
 func (c *Cluster) Reset() {
 	for _, n := range c.nodes {
 		n.freeCores = n.Type.Cores

@@ -301,8 +301,8 @@ func (m *TaskManager) SetStrategy(s Strategy) { m.strategy = s }
 // Cluster returns the underlying cluster.
 func (m *TaskManager) Cluster() *cluster.Cluster { return m.cl }
 
-// QueueLen returns the number of pending submissions. A cancelled one counts
-// until the next schedule pass, which the cancellation kicks, compacts it.
+// QueueLen returns the number of pending submissions. A cancelled submission
+// still counts until the schedule pass its cancellation kicks compacts it.
 func (m *TaskManager) QueueLen() int { return len(m.pending) }
 
 // RunningCount returns the number of executing submissions.
