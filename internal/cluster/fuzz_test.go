@@ -48,11 +48,19 @@ func FuzzFirstFitMatchesScan(f *testing.F) {
 		}
 	}
 	f.Add([]byte{3, 2, 0, 1, 3, 4, 1, 2, 3, 8, 2, 4}, storm)
-	// Time passing between grants, a failure under live allocations, and
-	// their revoked releases after the repair.
-	f.Add([]byte{4, 8, 1, 4}, []byte{0, 0, 3, 0, 1, 0, 0, 0, 0, 21, 1, 2, 0, 0, 0, 0, 0, 0,
-		14, 1, 0, 0, 0, 0, 0, 11, 1, 0, 0, 0, 0, 0, 43, 0, 0, 0, 0, 0, 0, 0, 0,
-		9, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0})
+	// Time passing between grants: two grants, a failure under the first,
+	// its repair, the revoked and then the live release, a fresh grant, and
+	// a failure that changes no level, so the check integrates a tail.
+	f.Add([]byte{4, 8, 1, 4}, []byte{
+		0, 0, 3, 0, 1, 0, 0, 0, 0, // t=0: grant 3 cores on node 0
+		20, 1, 2, 0, 0, 0, 0, 0, 0, // +5/8 s: grant 2 cores on node 1
+		14, 0, 0, 0, 0, 0, // +3/8 s: fail node 0 under its grant
+		11, 0, 0, 0, 0, 0, // +2/8 s: repair node 0
+		41, 0, 0, 0, 0, 0, // +10/8 s: release the revoked grant
+		9, 0, 0, 0, 0, 0, // +2/8 s: release the live grant
+		4, 2, 8, 1, 4, 0, 0, 0, 0, // +1/8 s: grant all of node 2
+		6, 3, 0, 0, 0, 0, // +1/8 s: fail idle node 3
+	})
 	f.Fuzz(func(t *testing.T, shape, ops []byte) {
 		sr := &fuzzBytes{b: shape}
 		var specs []Spec
