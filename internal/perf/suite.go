@@ -278,9 +278,10 @@ func Suite(short bool) []Spec {
 		{Name: "ScheduleMillionTask", Bench: func(b *testing.B) {
 			// The extreme-scale run path end to end: a million-shard scatter
 			// streamed through the lazy expander, the event engine and the
-			// task manager, under a fixed admission window. Gates both cost (allocs/op, B/op — resident
-			// state must stay O(window), not O(tasks)) and exact domain
-			// outputs (makespan, completions, peak residency).
+			// task manager, under a fixed admission window. Gates both cost
+			// (allocs/op, B/op — resident state must stay O(window), not
+			// O(tasks)) and exact domain outputs (makespan, completions, peak
+			// residency).
 			b.ReportAllocs()
 			wdl := fmt.Sprintf(`
 workflow millionscatter
