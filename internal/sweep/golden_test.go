@@ -34,6 +34,9 @@ const (
 	// variant exercises fault cancellations and retry timers through the
 	// event queue.
 	goldenChaos200 = "8189b6e3d9818244f9b7a34f7c7a3f354099f51130665195f689b9592404e5f0"
+	// montage-8 on hpc (pilot job) + cloud (elastic instance fleet), seeds
+	// 1..200 — the two substrates that run without an rm.TaskManager.
+	goldenPilotCloud200 = "ab393fcaa06f0f224954eb5d5446629e50694f6723f34f000428aa6e29299a8d"
 )
 
 func goldenWorkflow() WorkflowSpec {
@@ -84,6 +87,31 @@ func TestGoldenSweep200Fingerprint(t *testing.T) {
 	for _, w := range goldenWorkerCounts() {
 		if got := fingerprintHash(t, cfg, w); got != goldenSweep200 {
 			t.Errorf("workers=%d: fingerprint sha256 = %s, want golden %s", w, got, goldenSweep200)
+		}
+	}
+}
+
+// TestGoldenPilotCloud200Fingerprint pins the 200-seed ensemble on the pilot
+// and cloud-fleet environments across builds, at workers 1, 4, and NumCPU.
+func TestGoldenPilotCloud200Fingerprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("200-seed golden pilot/cloud sweep in -short mode")
+	}
+	cfg := Config{
+		Workflows: []WorkflowSpec{goldenWorkflow()},
+		Envs: []EnvSpec{
+			{Name: "hpc", New: func() core.Environment {
+				return &core.HPCEnv{Nodes: 4, CoresPerNode: 8, BootstrapSec: 85}
+			}},
+			{Name: "cloud", New: func() core.Environment {
+				return &core.CloudEnv{MaxInstances: 4}
+			}},
+		},
+		Seeds: Seeds(1, 200),
+	}
+	for _, w := range goldenWorkerCounts() {
+		if got := fingerprintHash(t, cfg, w); got != goldenPilotCloud200 {
+			t.Errorf("workers=%d: fingerprint sha256 = %s, want golden %s", w, got, goldenPilotCloud200)
 		}
 	}
 }
