@@ -19,15 +19,6 @@ func TestSeriesAccessors(t *testing.T) {
 	if p := s.Points()[1]; p != (Point{T: 2, V: 20}) {
 		t.Fatalf("last point = %+v", p)
 	}
-	if s.Mean() != 15 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-	if NewSeries("empty").Mean() != 0 {
-		t.Fatal("empty Mean should be 0")
-	}
-	if s.Max() != 20 {
-		t.Fatalf("Max = %v", s.Max())
-	}
 }
 
 func TestTimeWeightedMeanDegenerate(t *testing.T) {

@@ -51,40 +51,6 @@ func (s *Series) Len() int { return len(s.points) }
 // mutate).
 func (s *Series) Points() []Point { return s.points }
 
-// At returns the value of the series at time t under step interpolation
-// (value holds until the next sample). Before the first sample it returns 0.
-func (s *Series) At(t sim.Time) float64 {
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t })
-	if i == 0 {
-		return 0
-	}
-	return s.points[i-1].V
-}
-
-// Max returns the maximum sample value (0 if empty).
-func (s *Series) Max() float64 {
-	max := 0.0
-	for i, p := range s.points {
-		if i == 0 || p.V > max {
-			max = p.V
-		}
-	}
-	return max
-}
-
-// Mean returns the arithmetic mean of sample values (0 if empty). For
-// time-weighted means over step series, use Integral / duration instead.
-func (s *Series) Mean() float64 {
-	if len(s.points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range s.points {
-		sum += p.V
-	}
-	return sum / float64(len(s.points))
-}
-
 // Integral returns the time integral of the step-interpolated series over
 // [from,to]: sum of value×duration. Useful for node-seconds and core-seconds.
 func (s *Series) Integral(from, to sim.Time) float64 {
