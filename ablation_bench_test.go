@@ -393,16 +393,16 @@ func BenchmarkAblation_FairShareCap(b *testing.B) {
 				e.MaxConcurrentPerUser = cap
 				flood, _ := jaws.Parse("workflow flood\ntask f dur=300s overhead=0s scatter=64")
 				small, _ := jaws.Parse("workflow small\ntask q dur=60s overhead=0s")
-				fr, fd, err := e.Start(flood, "hog")
+				fr, frun, err := e.Start(flood, "hog")
 				if err != nil {
 					b.Fatal(err)
 				}
-				sr, sd, err := e.Start(small, "alice")
+				sr, srun, err := e.Start(small, "alice")
 				if err != nil {
 					b.Fatal(err)
 				}
 				eng.Run()
-				if !*fd || !*sd {
+				if frun.Err() != nil || srun.Err() != nil {
 					b.Fatal("stalled")
 				}
 				smallMs = float64(sr.Makespan)

@@ -375,13 +375,13 @@ func BenchmarkClaim_FairShare(b *testing.B) {
 			if _, _, err := e.Start(flood, "hog"); err != nil {
 				b.Fatal(err)
 			}
-			rep, done, err := e.Start(small, "alice")
+			rep, run, err := e.Start(small, "alice")
 			if err != nil {
 				b.Fatal(err)
 			}
 			eng.Run()
-			if !*done {
-				b.Fatal("small workflow stalled")
+			if err := run.Err(); err != nil {
+				b.Fatal(err)
 			}
 			return float64(rep.Makespan)
 		}

@@ -151,14 +151,13 @@ func main() {
 		})
 		e := jaws.NewEngine(cl, storage.NewStore("s", 0, 0, 0))
 		e.MaxConcurrentPerUser = cap
-		fr, fd, err := e.Start(flood, "hog")
+		fr, frun, err := e.Start(flood, "hog")
 		app.Check(err)
-		sr, sd, err := e.Start(small, "alice")
+		sr, srun, err := e.Start(small, "alice")
 		app.Check(err)
 		eng.Run()
-		if !*fd || !*sd {
-			app.Fatalf("workflows stalled")
-		}
+		app.Check(frun.Err())
+		app.Check(srun.Err())
 		label := "no per-user cap (anti-pattern)"
 		if cap > 0 {
 			label = fmt.Sprintf("per-user cap = %d", cap)

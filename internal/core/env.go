@@ -204,6 +204,11 @@ func (e *HPCEnv) Run(w *dag.Workflow) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.run(x)
+}
+
+// run drives x through a StreamRunner on the pilot.
+func (e *HPCEnv) run(x dag.Expander) (*Result, error) {
 	cores := e.CoresPerNode
 	if cores <= 0 {
 		cores = 56
@@ -229,55 +234,37 @@ func (e *HPCEnv) Run(w *dag.Workflow) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	remaining := w.Len()
+	// A failed task fails the run, once the rest has drained.
 	var failErr error
-	var submitReady func()
-	submitReady = func() {
-		for t, _, ok := x.Next(); ok; t, _, ok = x.Next() {
-			task := t
-			nodes := (task.Cores + cores - 1) / cores
-			if nodes < 1 {
-				nodes = 1
+	sr := &rm.StreamRunner{
+		Manager:    p,
+		Source:     x,
+		WorkflowID: x.Name(),
+		Runtime:    func(t *dag.Task, _ *cluster.Node) float64 { return t.NominalDur },
+		Observe: func(_ *dag.Task, r rm.Result) {
+			if r.Failed && failErr == nil {
+				failErr = r.Err
 			}
-			err := p.SubmitTask(&pilot.Task{
-				ID:          string(task.ID),
-				Nodes:       nodes,
-				DurationSec: task.NominalDur,
-				Done: func(r pilot.TaskResult) {
-					if r.Failed {
-						failErr = r.Err
-						return
-					}
-					remaining--
-					x.TaskDone(task.ID)
-					submitReady()
-				},
-			})
-			if err != nil {
-				failErr = err
-			}
-		}
+		},
 	}
-	p.OnActive(submitReady)
-	eng.Run()
+	sr.Run()
+	p.Release()
 	if failErr != nil {
 		return nil, fmt.Errorf("core: hpc run failed: %w", failErr)
 	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("core: hpc run stalled with %d tasks", remaining)
+	if err := sr.Err(); err != nil {
+		return nil, err
 	}
 	ms := p.Overhead() + p.TTX()
 	res := &Result{
 		Environment: e.Name(),
 		MakespanSec: float64(ms),
-		TasksRun:    w.Len(),
+		TasksRun:    x.Total(),
 	}
 	if ms > 0 {
 		res.UtilizationCore = p.BusyNodesSeries().Integral(p.StartedAt(), p.StartedAt()+ms) /
 			(float64(e.Nodes) * float64(ms))
 	}
-	p.Release()
 	return res, nil
 }
 
@@ -300,86 +287,145 @@ func (e *CloudEnv) Run(w *dag.Workflow) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.run(x)
+}
+
+// run drives x through a StreamRunner on the fleet.
+func (e *CloudEnv) run(x dag.Expander) (*Result, error) {
 	itype := e.Instance
 	if itype.Name == "" {
 		itype = cloud.T3Medium
 	}
 	eng := sim.NewEngine()
-	env := cloud.NewEnv(eng)
-
-	// Elastic fleet: instances launch on demand up to the cap, park when
-	// idle (tasks may become ready later), and terminate when the
-	// workflow drains.
-	var ready []*dag.Task
-	pullReady := func() {
-		for t, _, ok := x.Next(); ok; t, _, ok = x.Next() {
-			ready = append(ready, t)
-		}
+	f := &fleet{env: cloud.NewEnv(eng), itype: itype, max: e.MaxInstances}
+	sr := &rm.StreamRunner{
+		Manager:    f,
+		Source:     x,
+		WorkflowID: x.Name(),
+		Runtime:    func(t *dag.Task, _ *cluster.Node) float64 { return t.NominalDur / instSpeed(itype) },
 	}
-	pullReady()
-	remaining := w.Len()
-	busySec := 0.0
-
-	launched := 0
-	var idle []func() // parked instance continuations
-	var instances []*cloud.Instance
-
-	var dispatch func()
-	startWorker := func() {
-		var loop func()
-		loop = func() {
-			if len(ready) == 0 {
-				idle = append(idle, loop)
-				return
-			}
-			t := ready[0]
-			ready = ready[1:]
-			dur := t.NominalDur / instSpeed(itype)
-			eng.After(sim.Time(dur), func() {
-				busySec += dur
-				remaining--
-				x.TaskDone(t.ID)
-				pullReady()
-				dispatch()
-				loop()
-			})
-		}
-		loop()
-	}
-	dispatch = func() {
-		// Wake parked instances first, then launch up to the cap.
-		for len(ready) > 0 && len(idle) > 0 {
-			wake := idle[0]
-			idle = idle[1:]
-			wake()
-		}
-		for demand := len(ready); demand > 0 && launched < e.MaxInstances; demand-- {
-			launched++
-			inst := env.Launch(itype, func(*cloud.Instance) { startWorker() })
-			instances = append(instances, inst)
-		}
-	}
-	dispatch()
-	eng.Run()
-	for _, inst := range instances {
-		env.Terminate(inst)
-	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("core: cloud run stalled with %d tasks", remaining)
+	sr.Run()
+	if err := sr.Err(); err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Environment: e.Name(),
 		MakespanSec: float64(eng.Now()),
-		TasksRun:    w.Len(),
+		TasksRun:    x.Total(),
 	}
 	allocated := 0.0
-	for _, inst := range env.Instances() {
+	for _, inst := range f.env.Instances() {
+		f.env.Terminate(inst)
 		allocated += inst.UptimeSec(eng.Now())
 	}
 	if allocated > 0 {
-		res.UtilizationCore = busySec / allocated
+		res.UtilizationCore = f.busySec / allocated
 	}
 	return res, nil
+}
+
+// fleet is CloudEnv's elastic instance pool as an rm.Executor. An instance
+// runs one task at a time, whatever its shape, and parks when nothing
+// waits. A dispatch wakes parked instances, then launches one instance per
+// task still waiting, up to max, not counting instances still booting. A
+// completion dispatches only after the runner has submitted what it
+// readied, and then hands the freed instance the next task. There are no
+// cluster nodes: RuntimeOn and ValidateOn see nil.
+type fleet struct {
+	env               *cloud.Env
+	itype             cloud.InstanceType
+	max               int
+	ready             []waiting
+	idle, workers     []*instance // parked, in parking order; launched, in launch order
+	busySec           float64
+	finishing, kicked bool // inside a completion; a dispatch is due now
+}
+
+// waiting is a submission not started yet, and when it came.
+type waiting struct {
+	s  *rm.Submission
+	at sim.Time
+}
+
+// instance is one fleet member and the attempt it runs.
+type instance struct {
+	cur   waiting
+	start sim.Time
+	dur   float64
+	ev    *sim.Event
+}
+
+// Engine implements rm.Executor.
+func (f *fleet) Engine() *sim.Engine { return f.env.Eng }
+
+// Submit implements rm.Executor.
+func (f *fleet) Submit(s *rm.Submission) {
+	f.ready = append(f.ready, waiting{s, f.env.Eng.Now()})
+	if !f.finishing && !f.kicked {
+		f.kicked = true
+		f.env.Eng.After(0, func() {
+			f.kicked = false
+			f.dispatch()
+		})
+	}
+}
+
+// Abort implements rm.Executor.
+func (f *fleet) Abort(id string, err error) bool {
+	now := f.env.Eng.Now()
+	for i, q := range f.ready {
+		if q.s.ID == id {
+			f.ready = append(f.ready[:i], f.ready[i+1:]...)
+			q.s.Finish(rm.Result{Submission: q.s, SubmittedAt: q.at, StartedAt: now, FinishedAt: now, Failed: true, Err: err})
+			return true
+		}
+	}
+	for _, w := range f.workers {
+		if w.cur.s != nil && w.cur.s.ID == id {
+			w.ev.Cancel()
+			w.dur = float64(now - w.start)
+			f.finish(w, err)
+			return true
+		}
+	}
+	return false
+}
+
+func (f *fleet) dispatch() {
+	for len(f.ready) > 0 && len(f.idle) > 0 {
+		w := f.idle[0]
+		f.idle = f.idle[1:]
+		f.next(w)
+	}
+	for demand := len(f.ready); demand > 0 && len(f.workers) < f.max; demand-- {
+		w := &instance{}
+		f.env.Launch(f.itype, func(*cloud.Instance) { f.next(w) })
+		f.workers = append(f.workers, w)
+	}
+}
+
+// next starts the oldest waiting task on w, or parks w.
+func (f *fleet) next(w *instance) {
+	if len(f.ready) == 0 {
+		f.idle = append(f.idle, w)
+		return
+	}
+	w.cur, f.ready = f.ready[0], f.ready[1:]
+	w.start, w.dur = f.env.Eng.Now(), w.cur.s.RuntimeOn(nil)
+	w.ev = f.env.Eng.After(sim.Time(w.dur), func() { f.finish(w, w.cur.s.ValidateOn(nil)) })
+}
+
+// finish reports w's attempt and moves w on.
+func (f *fleet) finish(w *instance, err error) {
+	q := w.cur
+	w.cur = waiting{}
+	f.busySec += w.dur
+	f.finishing = true
+	q.s.Finish(rm.Result{Submission: q.s, SubmittedAt: q.at, StartedAt: w.start,
+		FinishedAt: f.env.Eng.Now(), Failed: err != nil, Err: err})
+	f.finishing = false
+	f.dispatch()
+	f.next(w)
 }
 
 func instSpeed(t cloud.InstanceType) float64 {

@@ -86,88 +86,40 @@ func RunAirflowBigWorker(cl *cluster.Cluster, w *dag.Workflow) (RunResult, error
 	if err != nil {
 		return RunResult{}, err
 	}
-	eng := cl.Engine()
-	start := eng.Now()
-
 	// Reserve every node completely for the whole run, and hand the
-	// reservations back on every exit, the error exits included.
+	// reservations back on every exit, the error exits included. The
+	// workers are the reserved nodes again, as a cluster of their own that
+	// only the Airflow scheduler packs.
 	var allocs []*cluster.Alloc
 	defer func() {
 		for _, a := range allocs {
 			cl.Release(a)
 		}
 	}()
+	var workers []cluster.Spec
 	for _, n := range cl.UpNodes() {
 		a, err := cl.Allocate(n, n.Type.Cores, n.Type.GPUs, n.Type.MemBytes)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("cwsi: big-worker reservation failed: %w", err)
 		}
 		allocs = append(allocs, a)
+		workers = append(workers, cluster.Spec{Type: *n.Type, Count: 1})
 	}
-
-	// Internal capacity ledger per worker.
-	type worker struct {
-		node      *cluster.Node
-		freeCores int
-		freeMem   float64
-	}
-	var workers []*worker
-	for _, a := range allocs {
-		workers = append(workers, &worker{node: a.Node, freeCores: a.Cores, freeMem: a.Mem})
-	}
-
-	var ready []*dag.Task
-	pullReady := func() {
-		for t, _, ok := x.Next(); ok; t, _, ok = x.Next() {
-			ready = append(ready, t)
-		}
-	}
-	remaining := w.Len()
 	usedCoreSec := 0.0
-	var finish sim.Time
-
-	var schedule func()
-	runTask := func(t *dag.Task, wk *worker) {
-		dur := rm.DefaultRuntime(t, wk.node)
-		usedCoreSec += dur * float64(t.Cores)
-		eng.After(sim.Time(dur), func() {
-			wk.freeCores += t.Cores
-			wk.freeMem += t.MemBytes
-			remaining--
-			if remaining == 0 {
-				finish = eng.Now()
-			}
-			x.TaskDone(t.ID)
-			pullReady()
-			schedule()
-		})
+	sr := &rm.StreamRunner{
+		Manager:    rm.NewTaskManager(cluster.New(cl.Engine(), "bigworker", workers...), nil),
+		Source:     x,
+		WorkflowID: w.Name,
+		Runtime: func(t *dag.Task, n *cluster.Node) float64 {
+			d := rm.DefaultRuntime(t, n)
+			usedCoreSec += d * float64(t.Cores)
+			return d
+		},
 	}
-	schedule = func() {
-		var later []*dag.Task
-		for _, t := range ready {
-			placed := false
-			for _, wk := range workers {
-				if wk.freeCores >= t.Cores && wk.freeMem >= t.MemBytes {
-					wk.freeCores -= t.Cores
-					wk.freeMem -= t.MemBytes
-					runTask(t, wk)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				later = append(later, t)
-			}
-		}
-		ready = later
+	makespan := sr.Run()
+	if err := sr.Err(); err != nil {
+		return RunResult{}, err
 	}
-	pullReady()
-	eng.After(0, schedule)
-	eng.Run()
-	if remaining != 0 {
-		return RunResult{}, fmt.Errorf("cwsi: big-worker run stalled with %d tasks left", remaining)
-	}
-	makespan := finish - start
 	requested := 0.0
 	for _, a := range allocs {
 		requested += float64(a.Cores) * float64(makespan)
@@ -201,8 +153,7 @@ func RunConcurrent(cl *cluster.Cluster, wfs []*dag.Workflow, strategy Strategy) 
 	}
 	cws := New(mgr, strategy, nil)
 	res := &ConcurrentResult{Strategy: strategy.Name(), Makespans: make([]sim.Time, len(wfs))}
-	var firstErr error
-	remaining := len(wfs)
+	runners := make([]*rm.StreamRunner, len(wfs))
 	eng := cl.Engine()
 	start := eng.Now()
 	for i, w := range wfs {
@@ -218,22 +169,16 @@ func RunConcurrent(cl *cluster.Cluster, wfs []*dag.Workflow, strategy Strategy) 
 		if err := cws.Bind(sr, id, 0); err != nil {
 			return nil, err
 		}
-		sr.OnComplete = func() {
-			if err := sr.Err(); err != nil && firstErr == nil {
-				firstErr = err
-			} else if err == nil {
-				res.Makespans[i] = eng.Now() - start
-			}
-			remaining--
-		}
+		sr.OnComplete = func() { res.Makespans[i] = eng.Now() - start }
+		runners[i] = sr
 		sr.Start()
 	}
 	eng.Run()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("cwsi: %d workflows stalled", remaining)
+	// The first failed or stalled workflow fails the run.
+	for _, sr := range runners {
+		if err := sr.Err(); err != nil {
+			return nil, err
+		}
 	}
 	var sum sim.Time
 	for _, ms := range res.Makespans {

@@ -1,6 +1,7 @@
 package cwsi
 
 import (
+	"errors"
 	"testing"
 
 	"hhcw/internal/cluster"
@@ -181,4 +182,24 @@ func TestRunAirflowBigWorkerReleasesOnError(t *testing.T) {
 	}
 	allFree(busy, 7)
 	busy.Release(held)
+}
+
+// A task wider than every node stalls the concurrent and big-worker runs,
+// which return the runner's *rm.StallError.
+func TestStalledWMSRunsReturnStallError(t *testing.T) {
+	wide := func() *dag.Workflow {
+		w := dag.New("wide")
+		w.Add(&dag.Task{ID: "a", Cores: 1, NominalDur: 10})
+		w.Add(&dag.Task{ID: "b", Cores: 64, NominalDur: 10, Deps: []dag.TaskID{"a"}})
+		return w
+	}
+	var se *rm.StallError
+	_, err := RunConcurrent(flatCluster(2, 8), []*dag.Workflow{wide()}, nil)
+	if !errors.As(err, &se) || se.Done != 1 || se.Total != 2 {
+		t.Fatalf("RunConcurrent: err = %v, want a 1/2 *rm.StallError", err)
+	}
+	_, err = RunAirflowBigWorker(flatCluster(2, 8), wide())
+	if !errors.As(err, &se) || se.Workflow != "wide" || se.Done != 1 || se.Total != 2 {
+		t.Fatalf("RunAirflowBigWorker: err = %v, want a 1/2 *rm.StallError", err)
+	}
 }

@@ -45,9 +45,9 @@ type Expander interface {
 }
 
 // WorkflowExpander adapts a materialized Workflow to the Expander interface.
-// It is the reference readiness tracker every driver of an eagerly built DAG
-// shares — rm.StreamRunner (FIFO and CWS runs alike), the pilot and cloud
-// environments — and the order the streaming expanders must reproduce. It is
+// It is the reference readiness tracker every run of an eagerly built DAG
+// shares — through rm.StreamRunner, on rm, a pilot, the cloud fleet or the
+// big-worker pool — and the order the streaming expanders must reproduce. It is
 // deliberately O(tasks) resident, since the workflow already is: readiness is
 // a table indexed by insertion position and the ready FIFO holds positions.
 // The zero value is ready for Reset.

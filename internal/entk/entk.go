@@ -10,12 +10,17 @@
 // consecutive batch job (i.e., the next EnTK run)", with a smaller job whose
 // size "correlates to the number of failed tasks", preserving the order of
 // the original stages.
+//
+// Each batch job is a pilot, and each pipeline in it one rm.StreamRunner
+// over the pipeline's StageExpander, submitting to the pilot.
 package entk
 
 import (
+	"errors"
 	"fmt"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/fault"
 	"hhcw/internal/metrics"
 	"hhcw/internal/pilot"
@@ -361,10 +366,24 @@ func (am *AppManager) runJob(res ResourceDesc, pipelines []*Pipeline, rep *Repor
 	return finish()
 }
 
-// startJob submits the pilot and wires the stage logic without driving the
+// startJob expands the pipelines, submits the pilot and, once its agent is
+// active, starts one StreamRunner per pipeline on it, without driving the
 // engine; call the returned finish after the engine drains. This split lets
 // several jobs run concurrently (RunPerJob).
 func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Report, first bool) (func() ([][]*Task, error), error) {
+	job := &job{stageIndex: map[*Stage]int{}, active: len(pipelines)}
+	for _, pl := range pipelines {
+		job.register(pl)
+	}
+	runs := make([]*pipelineRun, len(pipelines))
+	for i, pl := range pipelines {
+		x, err := pl.expand()
+		if err != nil {
+			return nil, err
+		}
+		job.register(pl) // stages appended by PostExec hooks of leading empty stages
+		runs[i] = &pipelineRun{StageExpander: x, job: job}
+	}
 	if am.Policy != nil {
 		if cap := am.Policy(res.Nodes); res.Walltime > cap {
 			res.Walltime = cap
@@ -381,26 +400,10 @@ func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Rep
 	if err != nil {
 		return nil, err
 	}
-
-	// Global stage indexing for order-preserving resubmission.
-	stageIndex := map[*Stage]int{}
-	idx := 0
-	for _, pl := range pipelines {
-		for _, s := range pl.Stages {
-			stageIndex[s] = idx
-			idx++
-		}
-	}
-
-	job := &jobRun{
-		p:             p,
-		stageIndex:    stageIndex,
-		failedByStage: make([][]*Task, idx),
-		active:        len(pipelines),
-	}
+	job.p = p
 	p.OnActive(func() {
-		for _, pl := range pipelines {
-			job.runStage(pl, 0)
+		for _, r := range runs {
+			r.start()
 		}
 	})
 	finish := func() ([][]*Task, error) {
@@ -423,117 +426,127 @@ func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Rep
 			rep.Scheduled = copySeries(p.ScheduledSeries().Points())
 			rep.BusyNodes = copySeries(p.BusyNodesSeries().Points())
 		}
-		return job.failedByStage, nil
+		return job.failed, nil
 	}
 	return finish, nil
 }
 
-// jobRun is one startJob invocation's dispatch state: the pilot, the global
-// stage index for order-preserving resubmission, and the count of pipelines
-// still executing. Bundling it lets stages and task attempts be plain
-// records instead of a lattice of capturing closures on the hot path.
-type jobRun struct {
-	p             *pilot.Pilot
-	stageIndex    map[*Stage]int
-	failedByStage [][]*Task
-	active        int
+// job is one batch job: the pilot, the global stage index failed tasks are
+// grouped by for order-preserving resubmission, and the count of pipelines
+// still running.
+type job struct {
+	p          *pilot.Pilot
+	stageIndex map[*Stage]int
+	failed     [][]*Task
+	active     int
 }
 
-// recordFailed appends a task to its stage's global failure bucket.
-func (j *jobRun) recordFailed(stage *Stage, t *Task) {
-	gi := j.stageIndex[stage]
-	j.failedByStage[gi] = append(j.failedByStage[gi], t)
-}
-
-// firePostExec runs a stage's PostExec hook once and registers any stages
-// the hook appended, preserving resubmission order.
-func (j *jobRun) firePostExec(pl *Pipeline, stage *Stage) {
-	if stage.PostExec == nil || stage.postExecFired {
-		return
-	}
-	stage.postExecFired = true
-	stage.PostExec(pl, stage)
+// register indexes the pipeline's stages not indexed yet, in order: at job
+// start, then as PostExec hooks append stages.
+func (j *job) register(pl *Pipeline) {
 	for _, s := range pl.Stages {
 		if _, known := j.stageIndex[s]; !known {
-			j.stageIndex[s] = len(j.failedByStage)
-			j.failedByStage = append(j.failedByStage, nil)
+			j.stageIndex[s] = len(j.failed)
+			j.failed = append(j.failed, nil)
 		}
 	}
 }
 
-// runStage submits stage si of pipeline pl, advancing to the next stage when
-// it drains (or releasing the pilot when every pipeline has finished).
-func (j *jobRun) runStage(pl *Pipeline, si int) {
-	if si >= len(pl.Stages) {
-		j.active--
-		if j.active == 0 {
-			j.p.Release()
-		}
-		return
-	}
-	stage := pl.Stages[si]
-	if len(stage.Tasks) == 0 {
-		j.firePostExec(pl, stage)
-		j.runStage(pl, si+1)
-		return
-	}
-	sr := &stageRun{job: j, pl: pl, si: si, stage: stage, remaining: len(stage.Tasks)}
-	for _, task := range stage.Tasks {
-		task.state = Scheduling
-		task.attempts++
-		a := &taskAttempt{sr: sr, task: task}
-		a.pt = pilot.Task{
-			ID:           fmt.Sprintf("%s/%s/%s#%d", pl.Name, stage.Name, task.ID, task.attempts),
-			Nodes:        task.Nodes,
-			DurationSec:  task.DurationSec,
-			Fail:         task.attempts <= task.FailAttempts,
-			FailAfterSec: task.DurationSec / 2,
-			Handler:      a,
-		}
-		if err := j.p.SubmitTask(&a.pt); err != nil {
-			task.state = Failed
-			j.recordFailed(stage, task)
-			sr.remaining--
-			if sr.remaining == 0 {
-				// Mirrors the historical synchronous-rejection path, which
-				// advances without firing PostExec.
-				j.runStage(pl, si+1)
-			}
-		}
+// pipelineDone releases the pilot once every pipeline has finished.
+func (j *job) pipelineDone() {
+	j.active--
+	if j.active == 0 {
+		j.p.Release()
 	}
 }
 
-// stageRun tracks one in-flight stage: how many tasks are still outstanding
-// and where to go when the last one completes.
-type stageRun struct {
-	job       *jobRun
-	pl        *Pipeline
-	si        int
-	stage     *Stage
-	remaining int
+// pipelineRun is a pipeline's StageExpander run the AppManager's way. A
+// failed task is collected for the next batch job and completes its stage
+// like a success: later stages still run, and PostExec still fires, except
+// on a stage whose every task the pilot refused, which advances without it.
+// Each submission counts an attempt and asks for the task's nodes whole;
+// while FailAttempts lasts, an attempt fails at half the task's duration.
+type pipelineRun struct {
+	*StageExpander
+	job *job
+	sr  rm.StreamRunner
+	ran bool // a task of the armed stage was not refused
 }
 
-// taskAttempt is one task submission: the pilot task embedded alongside the
-// completion context, so submitting a task costs a single allocation.
-type taskAttempt struct {
-	sr   *stageRun
-	task *Task
-	pt   pilot.Task
+// start runs the pipeline's stages on the job's pilot.
+func (r *pipelineRun) start() {
+	r.sr = rm.StreamRunner{
+		Manager:    r.job.p,
+		Source:     r,
+		WorkflowID: r.p.Name,
+		Runtime:    func(t *dag.Task, _ *cluster.Node) float64 { return t.NominalDur },
+		FailPlan:   r.failPlan,
+		Observe:    r.observe,
+		OnComplete: r.job.pipelineDone,
+	}
+	r.sr.Start()
 }
 
-// OnTaskDone implements pilot.TaskHandler.
-func (a *taskAttempt) OnTaskDone(r pilot.TaskResult) {
-	sr, task := a.sr, a.task
-	if r.Failed {
+// task returns the Task at insertion index idx, which the armed stage holds.
+func (r *pipelineRun) task(idx int) *Task {
+	st := &r.stages[r.curExp]
+	return st.tasks[idx-st.base]
+}
+
+// Next implements dag.Expander.
+func (r *pipelineRun) Next() (*dag.Task, int, bool) {
+	t, idx, ok := r.StageExpander.Next()
+	if !ok {
+		return nil, 0, false
+	}
+	task := r.task(idx)
+	task.state = Scheduling
+	task.attempts++
+	t.Cores = task.Nodes * r.job.p.CoresPerNode()
+	if r.failPlan(idx) > 0 {
+		t.NominalDur = task.DurationSec / 2
+	}
+	return t, idx, true
+}
+
+// failPlan is the runner's FailPlan: the attempt at idx fails while the
+// task's FailAttempts last.
+func (r *pipelineRun) failPlan(idx int) int {
+	if t := r.task(idx); t.attempts <= t.FailAttempts {
+		return 1
+	}
+	return 0
+}
+
+// observe books a terminal result on its Task before the runner reports it.
+func (r *pipelineRun) observe(t *dag.Task, res rm.Result) {
+	task := r.task(r.inflight[t.ID])
+	task.state = Executed
+	if res.Failed {
 		task.state = Failed
-		sr.job.recordFailed(sr.stage, task)
-	} else {
-		task.state = Executed
+		gi := r.job.stageIndex[r.stages[r.curExp].src]
+		r.job.failed[gi] = append(r.job.failed[gi], task)
 	}
-	sr.remaining--
-	if sr.remaining == 0 {
-		sr.job.firePostExec(sr.pl, sr.stage)
-		sr.job.runStage(sr.pl, sr.si+1)
+	r.ran = r.ran || !errors.Is(res.Err, pilot.ErrRejected)
+}
+
+// TaskFailed implements dag.Expander: the task settles its stage like a
+// success and writes nothing off.
+func (r *pipelineRun) TaskFailed(id dag.TaskID) int {
+	r.TaskDone(id)
+	return 0
+}
+
+// TaskDone implements dag.Expander.
+func (r *pipelineRun) TaskDone(id dag.TaskID) {
+	last := r.remaining == 1
+	if last && !r.ran {
+		r.stages[r.curExp].src.postExecFired = true
+	}
+	r.StageExpander.TaskDone(id)
+	if last {
+		r.ran = false
+		r.job.register(r.p)
 	}
 }
 

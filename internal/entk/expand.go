@@ -25,7 +25,9 @@ import (
 //
 // Compile's other restrictions carry over: node counts map to core requests
 // one-for-one, and per-task FailAttempts knobs are dropped (failure
-// injection comes from the executing environment's fault profile).
+// injection comes from the executing environment's fault profile). The
+// AppManager runs the same expander on its pilots with the batch-job
+// semantics instead (see pipelineRun).
 type StageExpander struct {
 	name   string
 	p      *Pipeline
@@ -39,7 +41,7 @@ type StageExpander struct {
 	remaining int // unfinished tasks of the in-flight stage
 	dead      bool
 
-	inflight map[dag.TaskID]int // emitted task -> stages index
+	inflight map[dag.TaskID]int // emitted task -> insertion index
 	total    int
 	seen     map[dag.TaskID]bool
 }
@@ -61,6 +63,19 @@ func (p *Pipeline) Expand() (*StageExpander, error) {
 	if p.Name == "" {
 		return nil, fmt.Errorf("entk: cannot expand a pipeline without a name")
 	}
+	x, err := p.expand()
+	if err != nil {
+		return nil, err
+	}
+	if x.total == 0 {
+		return nil, fmt.Errorf("entk: pipeline %q expands to an empty workflow", p.Name)
+	}
+	return x, nil
+}
+
+// expand builds the expander without Expand's two refusals: the AppManager
+// runs unnamed and empty pipelines.
+func (p *Pipeline) expand() (*StageExpander, error) {
 	x := &StageExpander{
 		name:     p.Name,
 		p:        p,
@@ -75,9 +90,6 @@ func (p *Pipeline) Expand() (*StageExpander, error) {
 	}
 	if err := x.advance(); err != nil {
 		return nil, err
-	}
-	if x.total == 0 {
-		return nil, fmt.Errorf("entk: pipeline %q expands to an empty workflow", p.Name)
 	}
 	return x, nil
 }
@@ -110,8 +122,8 @@ func (x *StageExpander) buildStage(si int) error {
 }
 
 // advance walks the sequence cursor to the next non-empty stage and arms it.
-// Empty stages fire their PostExec hooks in passing (mirroring the
-// AppManager), and stages appended by any hook are built on reach.
+// Empty stages fire their PostExec hooks in passing, and stages appended by
+// any hook are built on reach.
 func (x *StageExpander) advance() error {
 	for x.seq < len(x.p.Stages) {
 		for x.built <= x.seq {
@@ -133,7 +145,7 @@ func (x *StageExpander) advance() error {
 	return nil
 }
 
-// firePostExec runs a stage's hook once, like jobRun.firePostExec.
+// firePostExec runs a stage's hook once.
 func (x *StageExpander) firePostExec(st *Stage) {
 	if st.PostExec == nil || st.postExecFired {
 		return
@@ -177,7 +189,7 @@ func (x *StageExpander) Next() (*dag.Task, int, bool) {
 		NominalDur: t.DurationSec,
 		Params:     map[string]string{"nodes": fmt.Sprint(nodes)},
 	}
-	x.inflight[id] = x.curExp
+	x.inflight[id] = st.base + i
 	return out, st.base + i, true
 }
 

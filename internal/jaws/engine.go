@@ -60,23 +60,23 @@ type RunReport struct {
 // the workflow completes. Multiple Run calls may be issued before running
 // the engine via Start/Wait for concurrent-user experiments.
 func (e *Engine) Run(def *WorkflowDef, user string) (*RunReport, error) {
-	rep, done, err := e.Start(def, user)
+	rep, sr, err := e.Start(def, user)
 	if err != nil {
 		return nil, err
 	}
 	e.cl.Engine().Run()
-	if !*done {
-		return nil, fmt.Errorf("jaws: workflow %q stalled (cluster too small for a task?)", def.Name)
+	if err := sr.Err(); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
 
 // Start begins executing a workflow without driving the simulator, so
-// several users' workflows can share the engine concurrently. The returned
-// flag becomes true when the workflow finishes. Cache hits are looked up
-// here, once: they are never submitted, and a fully cached workflow is done
-// on return, with makespan 0.
-func (e *Engine) Start(def *WorkflowDef, user string) (*RunReport, *bool, error) {
+// several users' workflows can share the engine concurrently. Once the
+// engine has drained, the returned runner's Err reports a workflow that
+// stalled. Cache hits are looked up here, once: they are never submitted,
+// and a fully cached workflow is done on return, with makespan 0.
+func (e *Engine) Start(def *WorkflowDef, user string) (*RunReport, *rm.StreamRunner, error) {
 	var cached func(t *TaskDef, s int) bool
 	if e.CallCaching {
 		cached = func(t *TaskDef, s int) bool { return e.cache[def.Signature(t, s)] }
@@ -88,7 +88,6 @@ func (e *Engine) Start(def *WorkflowDef, user string) (*RunReport, *bool, error)
 	eng := e.cl.Engine()
 	rep := &RunReport{Workflow: def.Name, User: user, CacheHits: def.TotalShards() - x.Total()}
 	start := eng.Now()
-	done := new(bool)
 	sr := &rm.StreamRunner{
 		Manager:     e.mgr,
 		Source:      x,
@@ -114,13 +113,10 @@ func (e *Engine) Start(def *WorkflowDef, user string) (*RunReport, *bool, error)
 				e.cache[def.Signature(d, shard)] = true
 			}
 		},
-		OnComplete: func() {
-			rep.Makespan = eng.Now() - start
-			*done = true
-		},
+		OnComplete: func() { rep.Makespan = eng.Now() - start },
 	}
 	sr.Start()
-	return rep, done, nil
+	return rep, sr, nil
 }
 
 // rerun is the engine's attempt hook: a shard lost with its node reruns at

@@ -1,6 +1,7 @@
 package jaws
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -213,5 +214,24 @@ func TestEngineMatchesCompiledStreamRun(t *testing.T) {
 		if rep.Makespan != makespan {
 			t.Fatalf("%s: engine makespan %v, compiled %v", def.Name, rep.Makespan, makespan)
 		}
+	}
+}
+
+// A shard wider than every node stalls the workflow, and Run returns the
+// runner's *rm.StallError.
+func TestEngineRunStallReturnsStallError(t *testing.T) {
+	cl := cluster.New(sim.NewEngine(), "site", cluster.Spec{
+		Type:  cluster.NodeType{Name: "n", Cores: 4, MemBytes: 64e9},
+		Count: 2,
+	})
+	e := NewEngine(cl, storage.NewStore("scratch", 0, 0, 0))
+	def := &WorkflowDef{Name: "wide", Tasks: []*TaskDef{
+		{Name: "prep", Cores: 1, DurationSec: 10},
+		{Name: "align", Cores: 8, DurationSec: 10, Scatter: 2, After: []string{"prep"}},
+	}}
+	_, err := e.Run(def, "u")
+	var se *rm.StallError
+	if !errors.As(err, &se) || se.Done != 1 || se.Total != 3 {
+		t.Fatalf("err = %v, want a 1/3 *rm.StallError", err)
 	}
 }

@@ -352,16 +352,16 @@ task quick dur=60s overhead=0s
 		cl, store := testSite(eng, 2, 4) // 8 cores: heavily contended
 		e := NewEngine(cl, store)
 		e.MaxConcurrentPerUser = cap
-		bigRep, bigDone, err := e.Start(mustParse(t, bigWDL), "hog")
+		bigRep, bigRun, err := e.Start(mustParse(t, bigWDL), "hog")
 		if err != nil {
 			t.Fatal(err)
 		}
-		smallRep, smallDone, err := e.Start(mustParse(t, smallWDL), "alice")
+		smallRep, smallRun, err := e.Start(mustParse(t, smallWDL), "alice")
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
-		if !*bigDone || !*smallDone {
+		if bigRun.Err() != nil || smallRun.Err() != nil {
 			t.Fatal("workflows stalled")
 		}
 		return bigRep.Makespan, smallRep.Makespan

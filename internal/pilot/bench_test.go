@@ -27,14 +27,12 @@ func BenchmarkPilotScale10k(b *testing.B) {
 		const n = 10000
 		done := 0
 		for j := 0; j < n; j++ {
-			if err := p.SubmitTask(&Task{
-				ID:          fmt.Sprintf("t%05d", j),
-				Nodes:       1 + j%4, // heterogeneous shapes
-				DurationSec: 300 + float64(j%7)*100,
-				Done:        func(TaskResult) { done++ },
-			}); err != nil {
-				b.Fatal(err)
-			}
+			// heterogeneous shapes
+			p.Submit(task(fmt.Sprintf("t%05d", j), 1+j%4, 300+float64(j%7)*100, func(r rm.Result) {
+				if !r.Failed {
+					done++
+				}
+			}))
 		}
 		eng.Run()
 		if done != n {

@@ -1,7 +1,12 @@
 package pilot
 
 import (
+	"errors"
+	"fmt"
 	"testing"
+
+	"hhcw/internal/cluster"
+	"hhcw/internal/rm"
 )
 
 func TestStateStrings(t *testing.T) {
@@ -29,7 +34,7 @@ func TestOnActiveAfterActive(t *testing.T) {
 func TestStartedAtAndSeries(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6, BootstrapSec: 5})
-	p.SubmitTask(&Task{ID: "t", Nodes: 1, DurationSec: 10})
+	p.Submit(task("t", 1, 10, nil))
 	eng.Run()
 	if p.StartedAt() != 0 {
 		t.Fatalf("StartedAt = %v", p.StartedAt())
@@ -60,8 +65,10 @@ func TestReleaseIdempotentAndBlocksSubmit(t *testing.T) {
 	if p.State() != Done {
 		t.Fatal("not done after release")
 	}
-	if err := p.SubmitTask(&Task{ID: "x", Nodes: 1, DurationSec: 1}); err == nil {
-		t.Fatal("submit after release accepted")
+	var err error
+	p.Submit(task("x", 1, 1, func(r rm.Result) { err = r.Err }))
+	if !errors.Is(err, ErrRejected) {
+		t.Fatalf("submit after release: err = %v, want ErrRejected", err)
 	}
 	// Nodes returned to the batch pool: a new pilot can start.
 	p2, err := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6})
@@ -69,7 +76,7 @@ func TestReleaseIdempotentAndBlocksSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := false
-	p2.SubmitTask(&Task{ID: "y", Nodes: 1, DurationSec: 1, Done: func(TaskResult) { done = true }})
+	p2.Submit(task("y", 1, 1, func(rm.Result) { done = true }))
 	eng.Run()
 	if !done {
 		t.Fatal("second pilot did not run")
@@ -79,14 +86,15 @@ func TestReleaseIdempotentAndBlocksSubmit(t *testing.T) {
 func TestPilotFailedTaskWithFailFlag(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6})
-	var res TaskResult
-	p.SubmitTask(&Task{ID: "bad", Nodes: 1, DurationSec: 100, Fail: true, FailAfterSec: 30,
-		Done: func(r TaskResult) { res = r }})
+	var res rm.Result
+	bad := task("bad", 1, 30, func(r rm.Result) { res = r })
+	bad.Validate = func(n *cluster.Node) error { return fmt.Errorf("application error on %s", n.Name()) }
+	p.Submit(bad)
 	eng.Run()
 	if !res.Failed || res.FinishedAt != 30 {
 		t.Fatalf("failed=%v at %v, want failure at 30", res.Failed, res.FinishedAt)
 	}
-	if p.FailedTasks() != 1 {
-		t.Fatalf("FailedTasks = %d", p.FailedTasks())
+	if p.failCount != 1 {
+		t.Fatalf("FailedTasks = %d", p.failCount)
 	}
 }

@@ -8,9 +8,14 @@
 // a launching rate (tasks started on nodes, ~51/s), plus a fixed bootstrap
 // overhead (Fig 4's OVH, ~85 s). Node failures inside the allocation kill
 // the tasks running there; the pool shrinks accordingly.
+//
+// A Pilot is an rm.Executor, so rm.StreamRunner drives workflows on it like
+// on any other substrate. Tasks are node-granular: a submission asks for
+// ⌈Cores / cores per node⌉ whole nodes of the allocation.
 package pilot
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -37,53 +42,10 @@ type Config struct {
 	LaunchRate float64
 }
 
-// Task is a node-granular pilot task (the paper's EnTK tasks request whole
-// nodes: 4 for AdditiveFOAM, 1 for ExaCA, 8 for ExaConstit).
-type Task struct {
-	ID    string
-	Nodes int
-	// DurationSec is the task's execution time once launched.
-	DurationSec float64
-	// Fail simulates an application-level failure: the task terminates
-	// unsuccessfully after FailAfterSec (or DurationSec when zero).
-	Fail         bool
-	FailAfterSec float64
-	// Done receives the terminal result exactly once.
-	Done func(TaskResult)
-	// Handler is the interface form of Done, consulted only when Done is
-	// nil. Callers that submit many tasks can embed Task in a per-attempt
-	// record implementing TaskHandler, replacing the per-task closure (and
-	// its captured-variable boxes) with a single allocation.
-	Handler TaskHandler
-}
-
-// TaskHandler receives a task's terminal result exactly once.
-type TaskHandler interface {
-	OnTaskDone(TaskResult)
-}
-
-// notifyDone dispatches the terminal result to Done or, failing that,
-// Handler.
-func (t *Task) notifyDone(res TaskResult) {
-	switch {
-	case t.Done != nil:
-		t.Done(res)
-	case t.Handler != nil:
-		t.Handler.OnTaskDone(res)
-	}
-}
-
-// TaskResult is a pilot task's terminal record.
-type TaskResult struct {
-	Task        *Task
-	SubmittedAt sim.Time
-	ScheduledAt sim.Time
-	LaunchedAt  sim.Time
-	FinishedAt  sim.Time
-	Nodes       []*cluster.Node
-	Failed      bool
-	Err         error
-}
+// ErrRejected marks the failure of a submission the pilot refused outright:
+// one asking for no nodes or more nodes than the pilot holds, or one
+// submitted after the pilot finished.
+var ErrRejected = errors.New("pilot: task rejected")
 
 // State is the pilot lifecycle state.
 type State int
@@ -118,6 +80,7 @@ type Pilot struct {
 	state State
 
 	alloc     *rm.BatchAlloc
+	nodeCores int // cores per node: the unit a submission's Cores is counted in
 	freeNodes []*cluster.Node
 	dead      map[int]bool // node ID → failed
 
@@ -147,9 +110,9 @@ type Pilot struct {
 }
 
 type pending struct {
-	task        *Task
+	sub         *rm.Submission
+	nodeCount   int
 	submittedAt sim.Time
-	scheduledAt sim.Time
 	nodes       []*cluster.Node
 	endEv       *sim.Event
 	launchedAt  sim.Time
@@ -169,6 +132,10 @@ func Submit(bm *rm.BatchManager, cl *cluster.Cluster, cfg Config) (*Pilot, error
 		launchCount: metrics.NewCounter("pilot.launched"),
 		runningN:    metrics.NewGauge("pilot.running"),
 		busyNodes:   metrics.NewGauge("pilot.busy_nodes"),
+		nodeCores:   1,
+	}
+	if nodes := cl.Nodes(); len(nodes) > 0 && nodes[0].Type.Cores > 0 {
+		p.nodeCores = nodes[0].Type.Cores
 	}
 	job := &rm.BatchJob{
 		ID:       fmt.Sprintf("pilot-%d-nodes", cfg.Nodes),
@@ -211,12 +178,6 @@ func (p *Pilot) TTX() sim.Time {
 // StartedAt returns when the allocation was granted.
 func (p *Pilot) StartedAt() sim.Time { return p.startedAt }
 
-// CompletedTasks returns the number of successfully finished tasks.
-func (p *Pilot) CompletedTasks() int { return p.doneCount }
-
-// FailedTasks returns the number of failed tasks.
-func (p *Pilot) FailedTasks() int { return p.failCount }
-
 // RunningSeries exposes the running-task trajectory (Fig 5 orange line).
 func (p *Pilot) RunningSeries() *metrics.Gauge { return p.runningN }
 
@@ -230,8 +191,11 @@ func (p *Pilot) LaunchedSeries() *metrics.Counter { return p.launchCount }
 // BusyNodesSeries exposes the busy-node trajectory for utilization plots.
 func (p *Pilot) BusyNodesSeries() *metrics.Gauge { return p.busyNodes }
 
-// FreeNodes returns the number of idle, healthy nodes in the allocation.
-func (p *Pilot) FreeNodes() int { return len(p.freeNodes) }
+// CoresPerNode returns the cores a submission's Cores counts per node.
+func (p *Pilot) CoresPerNode() int { return p.nodeCores }
+
+// Engine returns the engine the pilot runs on (rm.Executor).
+func (p *Pilot) Engine() *sim.Engine { return p.eng }
 
 // Release ends the pilot and returns the allocation.
 func (p *Pilot) Release() {
@@ -271,7 +235,7 @@ func (p *Pilot) onExpire() {
 	for _, id := range ids {
 		r := p.running[id]
 		r.endEv.Cancel()
-		p.finish(r, true, fmt.Errorf("pilot: walltime expired"))
+		p.finish(r, fmt.Errorf("pilot: walltime expired"))
 	}
 	for _, q := range append(p.queue, p.scheduled...) {
 		p.fail(q, fmt.Errorf("pilot: walltime expired before task ran"))
@@ -279,23 +243,49 @@ func (p *Pilot) onExpire() {
 	p.queue, p.scheduled = nil, nil
 }
 
-// SubmitTask hands a task to the agent. Tasks submitted before the agent is
-// active queue up and flow once bootstrapping completes.
-func (p *Pilot) SubmitTask(t *Task) error {
-	if p.state == Done {
-		return fmt.Errorf("pilot: submit on finished pilot")
+// Submit hands a task to the agent (rm.Executor). Tasks submitted before the
+// agent is active queue up and flow once bootstrapping completes. A task the
+// pilot refuses fails at once, inside Submit, with an error wrapping
+// ErrRejected.
+func (p *Pilot) Submit(s *rm.Submission) {
+	n := (s.Cores + p.nodeCores - 1) / p.nodeCores
+	var err error
+	switch {
+	case p.state == Done:
+		err = fmt.Errorf("%w: %s submitted to a finished pilot", ErrRejected, s.ID)
+	case n <= 0:
+		err = fmt.Errorf("%w: %s requests %d nodes", ErrRejected, s.ID, n)
+	case n > p.cfg.Nodes:
+		err = fmt.Errorf("%w: %s requests %d nodes, pilot has %d", ErrRejected, s.ID, n, p.cfg.Nodes)
 	}
-	if t.Nodes <= 0 {
-		return fmt.Errorf("pilot: task %s requests %d nodes", t.ID, t.Nodes)
+	now := p.eng.Now()
+	if err != nil {
+		s.Finish(rm.Result{Submission: s, SubmittedAt: now, StartedAt: now, FinishedAt: now, Failed: true, Err: err})
+		return
 	}
-	if t.Nodes > p.cfg.Nodes {
-		return fmt.Errorf("pilot: task %s requests %d nodes, pilot has %d", t.ID, t.Nodes, p.cfg.Nodes)
-	}
-	p.queue = append(p.queue, &pending{task: t, submittedAt: p.eng.Now()})
+	p.queue = append(p.queue, &pending{sub: s, nodeCount: n, submittedAt: now})
 	if p.state == Active {
 		p.pumpScheduler()
 	}
-	return nil
+}
+
+// Abort ends a queued or running task as failed with err (rm.Executor).
+func (p *Pilot) Abort(id string, err error) bool {
+	if q, ok := p.running[id]; ok {
+		q.endEv.Cancel()
+		p.finish(q, err)
+		return true
+	}
+	for _, list := range []*[]*pending{&p.queue, &p.scheduled} {
+		for i, q := range *list {
+			if q.sub.ID == id {
+				*list = append((*list)[:i], (*list)[i+1:]...)
+				p.fail(q, err)
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // pumpScheduler moves tasks from queue to scheduled at SchedRate.
@@ -316,7 +306,6 @@ func (p *Pilot) pumpScheduler() {
 		}
 		q := p.queue[0]
 		p.queue = p.queue[1:]
-		q.scheduledAt = p.eng.Now()
 		p.scheduled = append(p.scheduled, q)
 		p.schedCount.Inc(p.eng.Now(), 1)
 		if p.cfg.SchedRate > 0 {
@@ -336,7 +325,7 @@ func (p *Pilot) pumpLauncher() {
 	// skip-over, like the agent's continuous scheduler).
 	fitIdx := -1
 	for i, q := range p.scheduled {
-		if q.task.Nodes <= len(p.freeNodes) {
+		if q.nodeCount <= len(p.freeNodes) {
 			fitIdx = i
 			break
 		}
@@ -358,7 +347,7 @@ func (p *Pilot) pumpLauncher() {
 		// Re-find a fitting task; the pool may have changed.
 		idx := -1
 		for i, q := range p.scheduled {
-			if q.task.Nodes <= len(p.freeNodes) {
+			if q.nodeCount <= len(p.freeNodes) {
 				idx = i
 				break
 			}
@@ -368,8 +357,8 @@ func (p *Pilot) pumpLauncher() {
 		}
 		q := p.scheduled[idx]
 		p.scheduled = append(p.scheduled[:idx], p.scheduled[idx+1:]...)
-		q.nodes = p.freeNodes[:q.task.Nodes]
-		p.freeNodes = p.freeNodes[q.task.Nodes:]
+		q.nodes = p.freeNodes[:q.nodeCount]
+		p.freeNodes = p.freeNodes[q.nodeCount:]
 		p.launch(q)
 		if p.cfg.LaunchRate > 0 {
 			p.nextLaunchFree = p.eng.Now() + sim.Time(1/p.cfg.LaunchRate)
@@ -385,66 +374,51 @@ func (p *Pilot) launch(q *pending) {
 		p.sawFirstTask = true
 		p.firstTaskAt = now
 	}
-	p.running[q.task.ID] = q
+	p.running[q.sub.ID] = q
 	p.runningN.AddDelta(now, 1)
-	p.busyNodes.AddDelta(now, float64(q.task.Nodes))
+	p.busyNodes.AddDelta(now, float64(q.nodeCount))
 	p.launchCount.Inc(now, 1)
-	dur := q.task.DurationSec
-	if q.task.Fail && q.task.FailAfterSec > 0 {
-		dur = q.task.FailAfterSec
-	}
-	q.endEv = p.eng.After(sim.Time(dur), func() {
-		if q.task.Fail {
-			p.finish(q, true, fmt.Errorf("pilot: task %s failed (application error)", q.task.ID))
-			return
-		}
-		p.finish(q, false, nil)
+	q.endEv = p.eng.After(sim.Time(q.sub.RuntimeOn(q.nodes[0])), func() {
+		p.finish(q, q.sub.ValidateOn(q.nodes[0]))
 	})
 }
 
-func (p *Pilot) finish(q *pending, failed bool, err error) {
+// finish ends a launched task, failed when err is non-nil.
+func (p *Pilot) finish(q *pending, err error) {
 	now := p.eng.Now()
-	delete(p.running, q.task.ID)
+	delete(p.running, q.sub.ID)
 	p.runningN.AddDelta(now, -1)
-	p.busyNodes.AddDelta(now, -float64(q.task.Nodes))
+	p.busyNodes.AddDelta(now, -float64(q.nodeCount))
 	// Return healthy nodes to the pool.
 	for _, n := range q.nodes {
 		if !p.dead[n.ID] {
 			p.freeNodes = append(p.freeNodes, n)
 		}
 	}
-	if failed {
+	if err != nil {
 		p.failCount++
 	} else {
 		p.doneCount++
 	}
 	p.lastDoneAt = now
-	res := TaskResult{
-		Task:        q.task,
+	q.sub.Finish(rm.Result{
+		Submission:  q.sub,
+		Node:        q.nodes[0],
 		SubmittedAt: q.submittedAt,
-		ScheduledAt: q.scheduledAt,
-		LaunchedAt:  q.launchedAt,
+		StartedAt:   q.launchedAt,
 		FinishedAt:  now,
-		Nodes:       q.nodes,
-		Failed:      failed,
+		Failed:      err != nil,
 		Err:         err,
-	}
-	q.task.notifyDone(res)
+	})
 	p.pumpLauncher()
 	p.pumpScheduler()
 }
 
+// fail ends a task that never launched.
 func (p *Pilot) fail(q *pending, err error) {
-	res := TaskResult{
-		Task:        q.task,
-		SubmittedAt: q.submittedAt,
-		ScheduledAt: q.scheduledAt,
-		FinishedAt:  p.eng.Now(),
-		Failed:      true,
-		Err:         err,
-	}
+	now := p.eng.Now()
 	p.failCount++
-	q.task.notifyDone(res)
+	q.sub.Finish(rm.Result{Submission: q.sub, SubmittedAt: q.submittedAt, StartedAt: now, FinishedAt: now, Failed: true, Err: err})
 }
 
 func (p *Pilot) onNodeDown(n *cluster.Node) {
@@ -479,9 +453,9 @@ func (p *Pilot) onNodeDown(n *cluster.Node) {
 			}
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].task.ID < victims[j].task.ID })
+	sort.Slice(victims, func(i, j int) bool { return victims[i].sub.ID < victims[j].sub.ID })
 	for _, q := range victims {
 		q.endEv.Cancel()
-		p.finish(q, true, fmt.Errorf("pilot: node %s failed", n.Name()))
+		p.finish(q, fmt.Errorf("pilot: node %s failed", n.Name()))
 	}
 }

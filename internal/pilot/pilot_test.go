@@ -1,6 +1,7 @@
 package pilot
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -18,6 +19,17 @@ func setup(nodes int) (*sim.Engine, *cluster.Cluster, *rm.BatchManager) {
 	return eng, cl, rm.NewBatchManager(cl, nil)
 }
 
+// task builds a submission of nodes whole nodes of setup's 8-core type that
+// runs dur seconds; done, when non-nil, receives its result.
+func task(id string, nodes int, dur float64, done func(rm.Result)) *rm.Submission {
+	return &rm.Submission{
+		ID:      id,
+		Cores:   8 * nodes,
+		Runtime: func(*cluster.Node) float64 { return dur },
+		Done:    done,
+	}
+}
+
 func TestPilotLifecycle(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, err := Submit(bm, cl, Config{Nodes: 4, Walltime: 10000, BootstrapSec: 85})
@@ -29,8 +41,8 @@ func TestPilotLifecycle(t *testing.T) {
 	}
 	activeAt := sim.Time(-1)
 	p.OnActive(func() { activeAt = eng.Now() })
-	var res TaskResult
-	p.SubmitTask(&Task{ID: "t1", Nodes: 2, DurationSec: 100, Done: func(r TaskResult) { res = r }})
+	var res rm.Result
+	p.Submit(task("t1", 2, 100, func(r rm.Result) { res = r }))
 	eng.Run()
 	if activeAt != 85 {
 		t.Fatalf("agent active at %v, want 85", activeAt)
@@ -41,8 +53,8 @@ func TestPilotLifecycle(t *testing.T) {
 	if res.Failed || res.FinishedAt != 185 {
 		t.Fatalf("task result: failed=%v finished=%v, want 185", res.Failed, res.FinishedAt)
 	}
-	if p.CompletedTasks() != 1 {
-		t.Fatalf("completed = %d", p.CompletedTasks())
+	if p.doneCount != 1 {
+		t.Fatalf("completed = %d", p.doneCount)
 	}
 	p.Release()
 	if p.State() != Done {
@@ -54,9 +66,9 @@ func TestPilotQueuesUntilNodesFree(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 10000})
 	var ends []sim.Time
-	done := func(r TaskResult) { ends = append(ends, r.FinishedAt) }
-	p.SubmitTask(&Task{ID: "a", Nodes: 2, DurationSec: 50, Done: done})
-	p.SubmitTask(&Task{ID: "b", Nodes: 2, DurationSec: 50, Done: done})
+	done := func(r rm.Result) { ends = append(ends, r.FinishedAt) }
+	p.Submit(task("a", 2, 50, done))
+	p.Submit(task("b", 2, 50, done))
 	eng.Run()
 	if len(ends) != 2 || ends[0] != 50 || ends[1] != 100 {
 		t.Fatalf("ends = %v, want [50 100]", ends)
@@ -69,10 +81,10 @@ func TestPilotSkipOverScheduling(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, _ := Submit(bm, cl, Config{Nodes: 4, Walltime: 10000})
 	var order []string
-	done := func(r TaskResult) { order = append(order, r.Task.ID) }
-	p.SubmitTask(&Task{ID: "hog", Nodes: 2, DurationSec: 100, Done: done})
-	p.SubmitTask(&Task{ID: "big", Nodes: 4, DurationSec: 10, Done: done})
-	p.SubmitTask(&Task{ID: "small", Nodes: 2, DurationSec: 10, Done: done})
+	done := func(r rm.Result) { order = append(order, r.Submission.ID) }
+	p.Submit(task("hog", 2, 100, done))
+	p.Submit(task("big", 4, 10, done))
+	p.Submit(task("small", 2, 10, done))
 	eng.Run()
 	// small (2 nodes) fits alongside hog; big must wait for all 4.
 	if len(order) != 3 || order[0] != "small" {
@@ -85,7 +97,7 @@ func TestPilotSchedulingRate(t *testing.T) {
 	p, _ := Submit(bm, cl, Config{Nodes: 10, Walltime: 1e6, SchedRate: 10}) // 10 tasks/s
 	n := 100
 	for i := 0; i < n; i++ {
-		p.SubmitTask(&Task{ID: fmt.Sprintf("t%03d", i), Nodes: 1, DurationSec: 0.001})
+		p.Submit(task(fmt.Sprintf("t%03d", i), 1, 0.001, nil))
 	}
 	eng.Run()
 	// 100 tasks at 10/s ≈ 10s of scheduling.
@@ -94,8 +106,8 @@ func TestPilotSchedulingRate(t *testing.T) {
 	if last.T < 9.5 || last.T > 11 {
 		t.Fatalf("last scheduling event at %v, want ~10s", last.T)
 	}
-	if p.CompletedTasks() != n {
-		t.Fatalf("completed = %d", p.CompletedTasks())
+	if p.doneCount != n {
+		t.Fatalf("completed = %d", p.doneCount)
 	}
 }
 
@@ -103,7 +115,7 @@ func TestPilotLaunchRateBoundsConcurrencyRamp(t *testing.T) {
 	eng, cl, bm := setup(100)
 	p, _ := Submit(bm, cl, Config{Nodes: 100, Walltime: 1e6, SchedRate: 0, LaunchRate: 2})
 	for i := 0; i < 50; i++ {
-		p.SubmitTask(&Task{ID: fmt.Sprintf("t%03d", i), Nodes: 1, DurationSec: 1000})
+		p.Submit(task(fmt.Sprintf("t%03d", i), 1, 1000, nil))
 	}
 	eng.RunUntil(10)
 	// At 2 launches/s, ~20 tasks running after 10 s despite 100 free nodes.
@@ -118,19 +130,19 @@ func TestPilotNodeFailureKillsTask(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, _ := Submit(bm, cl, Config{Nodes: 4, Walltime: 1e6})
 	var failed, ok []string
-	done := func(r TaskResult) {
+	done := func(r rm.Result) {
 		if r.Failed {
-			failed = append(failed, r.Task.ID)
+			failed = append(failed, r.Submission.ID)
 		} else {
-			ok = append(ok, r.Task.ID)
+			ok = append(ok, r.Submission.ID)
 		}
 	}
-	p.SubmitTask(&Task{ID: "a", Nodes: 2, DurationSec: 100, Done: done})
-	p.SubmitTask(&Task{ID: "b", Nodes: 2, DurationSec: 100, Done: done})
+	p.Submit(task("a", 2, 100, done))
+	p.Submit(task("b", 2, 100, done))
 	eng.At(50, func() {
 		// Fail one node of task a.
 		for _, q := range p.running {
-			if q.task.ID == "a" {
+			if q.sub.ID == "a" {
 				cl.FailNode(q.nodes[0])
 				return
 			}
@@ -146,8 +158,8 @@ func TestPilotNodeFailureKillsTask(t *testing.T) {
 	}
 	// Pool lost the dead node: 4 - 2(b ran and returned) ... after run all
 	// healthy nodes return: 3 healthy free.
-	if p.FreeNodes() != 3 {
-		t.Fatalf("free nodes = %d, want 3", p.FreeNodes())
+	if len(p.freeNodes) != 3 {
+		t.Fatalf("free nodes = %d, want 3", len(p.freeNodes))
 	}
 }
 
@@ -157,12 +169,12 @@ func TestPilotResubmitAfterNodeFailure(t *testing.T) {
 	attempts := 0
 	var submit func(id string)
 	submit = func(id string) {
-		p.SubmitTask(&Task{ID: id, Nodes: 1, DurationSec: 100, Done: func(r TaskResult) {
+		p.Submit(task(id, 1, 100, func(r rm.Result) {
 			attempts++
 			if r.Failed {
 				submit(id + "r")
 			}
-		}})
+		}))
 	}
 	submit("a")
 	eng.At(10, func() {
@@ -174,8 +186,8 @@ func TestPilotResubmitAfterNodeFailure(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (fail + success)", attempts)
 	}
-	if p.CompletedTasks() != 1 || p.FailedTasks() != 1 {
-		t.Fatalf("completed=%d failed=%d", p.CompletedTasks(), p.FailedTasks())
+	if p.doneCount != 1 || p.failCount != 1 {
+		t.Fatalf("completed=%d failed=%d", p.doneCount, p.failCount)
 	}
 }
 
@@ -183,8 +195,8 @@ func TestPilotWalltimeExpiryFailsEverything(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 50})
 	results := map[string]bool{}
-	p.SubmitTask(&Task{ID: "run", Nodes: 2, DurationSec: 100, Done: func(r TaskResult) { results["run"] = r.Failed }})
-	p.SubmitTask(&Task{ID: "wait", Nodes: 2, DurationSec: 100, Done: func(r TaskResult) { results["wait"] = r.Failed }})
+	p.Submit(task("run", 2, 100, func(r rm.Result) { results["run"] = r.Failed }))
+	p.Submit(task("wait", 2, 100, func(r rm.Result) { results["wait"] = r.Failed }))
 	eng.Run()
 	if !results["run"] || !results["wait"] {
 		t.Fatalf("walltime expiry should fail all tasks: %v", results)
@@ -197,24 +209,30 @@ func TestPilotWalltimeExpiryFailsEverything(t *testing.T) {
 func TestPilotSubmitErrors(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6})
-	if err := p.SubmitTask(&Task{ID: "big", Nodes: 5, DurationSec: 1}); err == nil {
-		t.Fatal("oversized task accepted")
+	// A refused task fails inside Submit, before the engine runs.
+	submit := func(id string, nodes int) error {
+		var err error
+		p.Submit(task(id, nodes, 1, func(r rm.Result) { err = r.Err }))
+		return err
 	}
-	if err := p.SubmitTask(&Task{ID: "zero", Nodes: 0, DurationSec: 1}); err == nil {
-		t.Fatal("zero-node task accepted")
+	if err := submit("big", 5); !errors.Is(err, ErrRejected) {
+		t.Fatalf("oversized task: err = %v, want ErrRejected", err)
+	}
+	if err := submit("zero", 0); !errors.Is(err, ErrRejected) {
+		t.Fatalf("zero-node task: err = %v, want ErrRejected", err)
 	}
 	eng.Run()
 	p.Release()
-	if err := p.SubmitTask(&Task{ID: "late", Nodes: 1, DurationSec: 1}); err == nil {
-		t.Fatal("submit after release accepted")
+	if err := submit("late", 1); !errors.Is(err, ErrRejected) {
+		t.Fatalf("submit after release: err = %v, want ErrRejected", err)
 	}
 }
 
 func TestPilotTTX(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6, BootstrapSec: 10})
-	p.SubmitTask(&Task{ID: "a", Nodes: 1, DurationSec: 30})
-	p.SubmitTask(&Task{ID: "b", Nodes: 1, DurationSec: 50})
+	p.Submit(task("a", 1, 30, nil))
+	p.Submit(task("b", 1, 50, nil))
 	eng.Run()
 	if p.TTX() != 50 { // both start at 10, last ends at 60
 		t.Fatalf("TTX = %v, want 50", p.TTX())
@@ -224,7 +242,7 @@ func TestPilotTTX(t *testing.T) {
 func TestPilotUtilizationSeries(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, _ := Submit(bm, cl, Config{Nodes: 4, Walltime: 1e6})
-	p.SubmitTask(&Task{ID: "a", Nodes: 4, DurationSec: 100})
+	p.Submit(task("a", 4, 100, nil))
 	eng.Run()
 	// Busy-node integral: 4 nodes × 100s.
 	got := p.BusyNodesSeries().Integral(0, 100)

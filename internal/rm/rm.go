@@ -98,14 +98,29 @@ type SubmissionHooks interface {
 	Done(Result)
 }
 
-func (s *Submission) runtimeOn(n *cluster.Node) float64 {
+// Executor runs the attempts a StreamRunner submits: a TaskManager, a pilot
+// agent, or CloudEnv's instance fleet. Submit queues s; s.RuntimeOn is asked
+// when s starts and s.ValidateOn when it ends (with a nil node where there
+// are no cluster nodes), and s.Finish gets the result exactly once, inside
+// Submit if the executor refuses s. Abort fails a queued or running attempt
+// and reports whether it found it. Engine is the executor's clock.
+type Executor interface {
+	Submit(s *Submission)
+	Abort(id string, err error) bool
+	Engine() *sim.Engine
+}
+
+// RuntimeOn returns the execution time on node n, through Hooks or Runtime.
+func (s *Submission) RuntimeOn(n *cluster.Node) float64 {
 	if s.Hooks != nil {
 		return s.Hooks.RuntimeOn(n)
 	}
 	return s.Runtime(n)
 }
 
-func (s *Submission) validateOn(n *cluster.Node) error {
+// ValidateOn reports whether the execution on node n failed, through Hooks
+// or Validate.
+func (s *Submission) ValidateOn(n *cluster.Node) error {
 	if s.Hooks != nil {
 		return s.Hooks.ValidateOn(n)
 	}
@@ -115,7 +130,8 @@ func (s *Submission) validateOn(n *cluster.Node) error {
 	return nil
 }
 
-func (s *Submission) done(r Result) {
+// Finish delivers the terminal result, through Hooks or Done.
+func (s *Submission) Finish(r Result) {
 	if s.Hooks != nil {
 		s.Hooks.Done(r)
 		return
@@ -301,6 +317,9 @@ func (m *TaskManager) SetStrategy(s Strategy) { m.strategy = s }
 // Cluster returns the underlying cluster.
 func (m *TaskManager) Cluster() *cluster.Cluster { return m.cl }
 
+// Engine returns the engine the manager runs on (Executor).
+func (m *TaskManager) Engine() *sim.Engine { return m.eng }
+
 // QueueLen returns the number of pending submissions. A cancelled submission
 // still counts until the schedule pass its cancellation kicks compacts it.
 func (m *TaskManager) QueueLen() int { return len(m.pending) }
@@ -374,7 +393,7 @@ func (m *TaskManager) Abort(id string, err error) bool {
 			now := m.eng.Now()
 			m.failed++
 			m.kick()
-			s.done(Result{
+			s.Finish(Result{
 				Submission:  s,
 				SubmittedAt: s.submittedAt,
 				StartedAt:   now,
@@ -480,7 +499,7 @@ func (m *TaskManager) grabRunning() *running {
 	}
 	r := &running{}
 	r.endFn = func() {
-		if err := r.sub.validateOn(r.alloc.Node); err != nil {
+		if err := r.sub.ValidateOn(r.alloc.Node); err != nil {
 			m.finish(r, true, err)
 			return
 		}
@@ -492,7 +511,7 @@ func (m *TaskManager) grabRunning() *running {
 // start dispatches s on the reservation already written into r.allocBox.
 func (m *TaskManager) start(s *Submission, r *running) {
 	now := m.eng.Now()
-	dur := s.runtimeOn(r.allocBox.Node)
+	dur := s.RuntimeOn(r.allocBox.Node)
 	if dur < 0 {
 		dur = 0
 	}
@@ -534,7 +553,7 @@ func (m *TaskManager) finish(r *running, failed bool, err error) {
 	// callback: Done may submit follow-up work that schedules immediately.
 	r.sub, r.alloc, r.endEv, r.start = nil, nil, nil, 0
 	m.freeRunning = append(m.freeRunning, r)
-	sub.done(res)
+	sub.Finish(res)
 	m.kick()
 }
 

@@ -13,12 +13,13 @@ import (
 )
 
 // StreamRunner is the task driver: it pulls ready tasks from a dag.Expander
-// and submits them to a TaskManager as capacity (and the MaxResident window)
-// allows, resubmits failed attempts under the recovery policy, and retires
-// each task — observed by the Observe hook, then recycled by the expander —
-// the moment it turns terminal. A materialized workflow runs through
-// dag.WorkflowExpander; lazy sources (jaws scatter, entk stages, workflow
-// refs) stream, so resident state is O(in-flight), not O(tasks).
+// and submits them to an Executor (a TaskManager, a pilot, an instance
+// fleet) as capacity and the MaxResident window allow, resubmits failed
+// attempts under the recovery policy, and retires each task — observed by
+// the Observe hook, then recycled by the expander — the moment it turns
+// terminal. A materialized workflow runs through dag.WorkflowExpander; lazy
+// sources (jaws scatter, entk stages, workflow refs) stream, so resident
+// state is O(in-flight), not O(tasks).
 //
 // Submission IDs are "<WorkflowID>/<task>" for a task's first attempt and
 // "<WorkflowID>/<task>#<n>" for its nth. With Retry set the runner is also the
@@ -45,7 +46,7 @@ import (
 // the per-run wiring so a warm session's pooled runner audits identically to
 // a fresh one.
 type StreamRunner struct {
-	Manager *TaskManager
+	Manager Executor
 	Source  dag.Expander
 	// Runtime maps a task and node to an execution time. If nil, nominal
 	// duration scaled by node speed is used.
@@ -183,7 +184,7 @@ func (a *attempt) Done(r Result) {
 					a.sr.start(a)
 				}
 			}
-			sr.Manager.eng.After(d, a.resubmitFn)
+			sr.Manager.Engine().After(d, a.resubmitFn)
 			return
 		}
 		asked := sr.Retry == nil && a.hook != nil && sr.err == nil
@@ -229,20 +230,29 @@ func (a *attempt) Done(r Result) {
 	}
 }
 
-// Run pulls the expansion through the manager until it drains and returns
+// Run pulls the expansion through the executor until it drains and returns
 // the makespan in virtual seconds (0 when the run failed; see Err).
 func (sr *StreamRunner) Run() sim.Time {
-	startAt := sr.Manager.eng.Now()
+	eng := sr.Manager.Engine()
+	startAt := eng.Now()
 	sr.Start()
-	sr.Manager.eng.Run()
-	if sr.err != nil {
+	eng.Run()
+	if sr.Err() != nil {
 		return 0
 	}
-	if sr.doneCount != sr.total {
-		panic(fmt.Sprintf("rm: workflow %s stalled: %d/%d tasks done (cluster too small for some request?)",
-			sr.Source.Name(), sr.doneCount, sr.total))
-	}
 	return sr.finishAt - startAt
+}
+
+// StallError reports a run whose engine drained before every task settled:
+// some request fits no node, so the tasks left can never start.
+type StallError struct {
+	Workflow    string // the expansion's name
+	Done, Total int    // tasks settled, tasks expected
+}
+
+func (e *StallError) Error() string {
+	return fmt.Sprintf("rm: workflow %s stalled: %d/%d tasks done (cluster too small for some request?)",
+		e.Workflow, e.Done, e.Total)
 }
 
 // Start submits the expansion's ready tasks without running the engine, so
@@ -272,9 +282,15 @@ func (sr *StreamRunner) Start() {
 	sr.pull()
 }
 
-// Err returns the error that failed the run (see AttemptHook.Resubmit), or
-// nil.
-func (sr *StreamRunner) Err() error { return sr.err }
+// Err returns the error that failed the run, or nil: the hook's refusal
+// (see AttemptHook.Resubmit), or a *StallError once the engine has drained
+// with the run unsettled.
+func (sr *StreamRunner) Err() error {
+	if sr.err == nil && sr.doneCount != sr.total && sr.Manager.Engine().Pending() == 0 {
+		sr.err = &StallError{Workflow: sr.Source.Name(), Done: sr.doneCount, Total: sr.total}
+	}
+	return sr.err
+}
 
 // Reset clears every per-run field — source, wiring, recovery policy and
 // accounting — so a pooled runner audits identically to a zero one. The
@@ -357,14 +373,16 @@ func (sr *StreamRunner) start(a *attempt) {
 		a.hook = sr.Hook(&a.sub, a.task, a.idx, a.attempt)
 		a.sub.Hooks = a.hook
 	}
-	sr.Manager.Submit(&a.sub)
+	// The timeout is armed first: an executor that refuses the attempt
+	// finishes it inside Submit, which cancels the timeout and recycles a.
 	if sr.Retry != nil && sr.Retry.TimeoutSec > 0 {
 		n := a.attempt
-		a.timeoutEv = sr.Manager.eng.After(sim.Time(sr.Retry.TimeoutSec), func() {
+		a.timeoutEv = sr.Manager.Engine().After(sim.Time(sr.Retry.TimeoutSec), func() {
 			sr.Manager.Abort(id, fmt.Errorf("rm: %s attempt %d exceeded %.0fs: %w",
 				id, n, sr.Retry.TimeoutSec, fault.ErrTimeout))
 		})
 	}
+	sr.Manager.Submit(&a.sub)
 }
 
 // retire hands the terminal task to the Observe hook, then back to the
@@ -397,7 +415,7 @@ func (sr *StreamRunner) taskDone(n int) bool {
 	if sr.doneCount != sr.total {
 		return false
 	}
-	sr.finishAt = sr.Manager.eng.Now()
+	sr.finishAt = sr.Manager.Engine().Now()
 	if sr.OnComplete != nil {
 		sr.OnComplete()
 	}

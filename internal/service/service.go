@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -223,8 +224,8 @@ type Substrate struct {
 	warm bool
 	// drivers pools settled workflow drivers, so a warm service admits
 	// workflows without reallocating runners, attempt records or readiness
-	// tables.
-	drivers []*driver
+	// tables; all holds every driver made, pooled or not.
+	drivers, all []*driver
 }
 
 // driver is one admitted workflow's task driver: a StreamRunner over an
@@ -292,6 +293,7 @@ var substrateAuditSkip = []string{
 	"cwsi.CWS.freeRuns",
 	"cwsi.rmAdapter.keys",
 	"service.Substrate.drivers",
+	"service.Substrate.all",
 }
 
 // Audit resets the substrate and deep-diffs it against a freshly constructed
@@ -453,8 +455,16 @@ func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 	if sv.inFlightTotal > 0 {
 		// The engine drained with admitted work unsettled: some task can
 		// never be placed (a fault injector would still hold the engine
-		// open, since it stops only once nothing is in flight).
-		return nil, fmt.Errorf("service: engine drained with %d admitted workflows unsettled; a task fits no node", sv.inFlightTotal)
+		// open, since it stops only once nothing is in flight). Each
+		// unsettled runner reports its stall; name the first.
+		var stall error
+		for _, d := range sv.sub.all {
+			if err := d.sr.Err(); errors.As(err, new(*rm.StallError)) {
+				stall = err
+				break
+			}
+		}
+		return nil, fmt.Errorf("service: engine drained with %d admitted workflows unsettled; a task fits no node: %w", sv.inFlightTotal, stall)
 	}
 	if cfg.inspect != nil {
 		cfg.inspect(sv)
@@ -531,6 +541,7 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 		sv.sub.drivers = sv.sub.drivers[:n-1]
 	} else {
 		d = &driver{sr: rm.StreamRunner{Manager: sv.sub.mgr}}
+		sv.sub.all = append(sv.sub.all, d)
 	}
 	if err := d.x.Reset(w); err != nil {
 		sv.fail(fmt.Errorf("service: %w", err))

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"hhcw/internal/dag"
 	"hhcw/internal/fault"
 	"hhcw/internal/randx"
+	"hhcw/internal/rm"
 )
 
 func faultyProfile() fault.Profile {
@@ -54,6 +56,10 @@ func TestRunUnplaceableWorkloadErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "16 admitted workflows unsettled") {
 		t.Fatalf("error %q does not name the 16 unsettled workflows", err)
+	}
+	var se *rm.StallError
+	if !errors.As(err, &se) || se.Done != 0 {
+		t.Fatalf("error %q does not wrap a stalled runner's *rm.StallError", err)
 	}
 }
 

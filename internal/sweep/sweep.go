@@ -247,9 +247,9 @@ func newEnvSession(spec EnvSpec) core.RunSession {
 // same streams, in the same fork order, as a fresh randx.New(seed) and
 // Fork per job. Both sources belong to the worker and are reseeded for its
 // next job, so neither Gen nor the run may keep them after returning. A
-// substrate panic (e.g. a stalled workflow) is converted into an error so
-// one bad seed aborts the sweep deterministically instead of killing the
-// process.
+// substrate panic (e.g. an EnTK PostExec appending an invalid stage) is
+// converted into an error so one bad seed aborts the sweep deterministically
+// instead of killing the process.
 func runOne(cfg Config, j job, sess core.RunSession, gen, run *randx.Source) (rr RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
