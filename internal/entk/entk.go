@@ -9,10 +9,8 @@
 // (e.g. from node faults) are collected and re-submitted "as part of the
 // consecutive batch job (i.e., the next EnTK run)", with a smaller job whose
 // size "correlates to the number of failed tasks", preserving the order of
-// the original stages.
-//
-// Each batch job is a pilot, and each pipeline in it one rm.StreamRunner
-// over the pipeline's StageExpander, submitting to the pilot.
+// the original stages. Each batch job is a pilot, and each pipeline in it
+// one rm.StreamRunner over the pipeline's StageExpander.
 package entk
 
 import (

@@ -7,11 +7,8 @@
 // (§4.3, Fig 5): a scheduling rate (tasks assigned to resources, ~269/s) and
 // a launching rate (tasks started on nodes, ~51/s), plus a fixed bootstrap
 // overhead (Fig 4's OVH, ~85 s). Node failures inside the allocation kill
-// the tasks running there; the pool shrinks accordingly.
-//
-// A Pilot is an rm.Executor, so rm.StreamRunner drives workflows on it like
-// on any other substrate. Tasks are node-granular: a submission asks for
-// ⌈Cores / cores per node⌉ whole nodes of the allocation.
+// the tasks running there; the pool shrinks accordingly. A Pilot is an
+// rm.Executor: a submission asks for ⌈Cores / cores per node⌉ whole nodes.
 package pilot
 
 import (

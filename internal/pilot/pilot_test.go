@@ -250,3 +250,30 @@ func TestPilotUtilizationSeries(t *testing.T) {
 		t.Fatalf("busy-node integral = %v, want 400", got)
 	}
 }
+
+// Abort fails a queued task and a running one with the given error, and the
+// running task's nodes go to the next task at once.
+func TestPilotAbort(t *testing.T) {
+	eng, cl, bm := setup(2)
+	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6})
+	got := map[string]rm.Result{}
+	done := func(r rm.Result) { got[r.Submission.ID] = r }
+	p.Submit(task("run", 2, 100, done))
+	p.Submit(task("wait", 2, 100, done))
+	p.Submit(task("next", 2, 10, done))
+	boom := errors.New("aborted")
+	eng.At(10, func() {
+		if !p.Abort("wait", boom) || !p.Abort("run", boom) || p.Abort("ghost", boom) {
+			t.Error("Abort found the wrong tasks")
+		}
+	})
+	eng.Run()
+	for _, id := range []string{"run", "wait"} {
+		if r := got[id]; !r.Failed || !errors.Is(r.Err, boom) || r.FinishedAt != 10 {
+			t.Fatalf("%s: %+v, want failed with the abort error at 10", id, r)
+		}
+	}
+	if r := got["next"]; r.Failed || r.StartedAt != 10 || r.FinishedAt != 20 {
+		t.Fatalf("next: %+v, want a 10..20 run on the freed nodes", r)
+	}
+}

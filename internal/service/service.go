@@ -172,6 +172,7 @@ type serviceRun struct {
 	only          int // -1 = all tenants; otherwise the sole armed tenant
 	activeChains  int
 	inFlightTotal int
+	admitted      []*driver          // every admission's driver, settled or not
 	retry         *fault.RetryPolicy // the recovery policy of fault runs, nil otherwise
 	retryRNG      *randx.Source      // backoff jitter, shared by every workflow's runner
 	decayTau      float64            // fair-share usage decay time constant
@@ -224,8 +225,8 @@ type Substrate struct {
 	warm bool
 	// drivers pools settled workflow drivers, so a warm service admits
 	// workflows without reallocating runners, attempt records or readiness
-	// tables; all holds every driver made, pooled or not.
-	drivers, all []*driver
+	// tables.
+	drivers []*driver
 }
 
 // driver is one admitted workflow's task driver: a StreamRunner over an
@@ -293,7 +294,6 @@ var substrateAuditSkip = []string{
 	"cwsi.CWS.freeRuns",
 	"cwsi.rmAdapter.keys",
 	"service.Substrate.drivers",
-	"service.Substrate.all",
 }
 
 // Audit resets the substrate and deep-diffs it against a freshly constructed
@@ -458,7 +458,7 @@ func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 		// open, since it stops only once nothing is in flight). Each
 		// unsettled runner reports its stall; name the first.
 		var stall error
-		for _, d := range sv.sub.all {
+		for _, d := range sv.admitted {
 			if err := d.sr.Err(); errors.As(err, new(*rm.StallError)) {
 				stall = err
 				break
@@ -541,7 +541,6 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 		sv.sub.drivers = sv.sub.drivers[:n-1]
 	} else {
 		d = &driver{sr: rm.StreamRunner{Manager: sv.sub.mgr}}
-		sv.sub.all = append(sv.sub.all, d)
 	}
 	if err := d.x.Reset(w); err != nil {
 		sv.fail(fmt.Errorf("service: %w", err))
@@ -564,6 +563,7 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 		return
 	}
 	sr.OnComplete = func() { sv.settle(d, ts, wfID, now) }
+	sv.admitted = append(sv.admitted, d)
 	sr.Start()
 }
 
