@@ -100,8 +100,6 @@ type Pilot struct {
 	launchCount *metrics.Counter
 	runningN    *metrics.Gauge
 	busyNodes   *metrics.Gauge
-	doneCount   int
-	failCount   int
 
 	onActive []func()
 }
@@ -392,11 +390,6 @@ func (p *Pilot) finish(q *pending, err error) {
 			p.freeNodes = append(p.freeNodes, n)
 		}
 	}
-	if err != nil {
-		p.failCount++
-	} else {
-		p.doneCount++
-	}
 	p.lastDoneAt = now
 	q.sub.Finish(rm.Result{
 		Submission:  q.sub,
@@ -414,7 +407,6 @@ func (p *Pilot) finish(q *pending, err error) {
 // fail ends a task that never launched.
 func (p *Pilot) fail(q *pending, err error) {
 	now := p.eng.Now()
-	p.failCount++
 	q.sub.Finish(rm.Result{Submission: q.sub, SubmittedAt: q.submittedAt, StartedAt: now, FinishedAt: now, Failed: true, Err: err})
 }
 

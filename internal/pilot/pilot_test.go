@@ -53,9 +53,6 @@ func TestPilotLifecycle(t *testing.T) {
 	if res.Failed || res.FinishedAt != 185 {
 		t.Fatalf("task result: failed=%v finished=%v, want 185", res.Failed, res.FinishedAt)
 	}
-	if p.doneCount != 1 {
-		t.Fatalf("completed = %d", p.doneCount)
-	}
 	p.Release()
 	if p.State() != Done {
 		t.Fatal("Release did not finish pilot")
@@ -95,9 +92,13 @@ func TestPilotSkipOverScheduling(t *testing.T) {
 func TestPilotSchedulingRate(t *testing.T) {
 	eng, cl, bm := setup(10)
 	p, _ := Submit(bm, cl, Config{Nodes: 10, Walltime: 1e6, SchedRate: 10}) // 10 tasks/s
-	n := 100
+	n, completed := 100, 0
 	for i := 0; i < n; i++ {
-		p.Submit(task(fmt.Sprintf("t%03d", i), 1, 0.001, nil))
+		p.Submit(task(fmt.Sprintf("t%03d", i), 1, 0.001, func(r rm.Result) {
+			if !r.Failed {
+				completed++
+			}
+		}))
 	}
 	eng.Run()
 	// 100 tasks at 10/s ≈ 10s of scheduling.
@@ -106,8 +107,8 @@ func TestPilotSchedulingRate(t *testing.T) {
 	if last.T < 9.5 || last.T > 11 {
 		t.Fatalf("last scheduling event at %v, want ~10s", last.T)
 	}
-	if p.doneCount != n {
-		t.Fatalf("completed = %d", p.doneCount)
+	if completed != n {
+		t.Fatalf("completed = %d", completed)
 	}
 }
 
@@ -166,12 +167,13 @@ func TestPilotNodeFailureKillsTask(t *testing.T) {
 func TestPilotResubmitAfterNodeFailure(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, _ := Submit(bm, cl, Config{Nodes: 4, Walltime: 1e6})
-	attempts := 0
+	attempts, failed := 0, 0
 	var submit func(id string)
 	submit = func(id string) {
 		p.Submit(task(id, 1, 100, func(r rm.Result) {
 			attempts++
 			if r.Failed {
+				failed++
 				submit(id + "r")
 			}
 		}))
@@ -186,8 +188,8 @@ func TestPilotResubmitAfterNodeFailure(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (fail + success)", attempts)
 	}
-	if p.doneCount != 1 || p.failCount != 1 {
-		t.Fatalf("completed=%d failed=%d", p.doneCount, p.failCount)
+	if attempts-failed != 1 || failed != 1 {
+		t.Fatalf("completed=%d failed=%d", attempts-failed, failed)
 	}
 }
 
