@@ -4,6 +4,7 @@ package hhcw_test
 // a downstream user of the library would actually run.
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -96,8 +97,13 @@ func TestCWSProvenanceFeedsPredictionFeedsScheduling(t *testing.T) {
 	}
 	// Train offline predictors from the same store (the §3.4 pipeline).
 	lot := predict.NewLotaru()
-	for _, obs := range cws.Provenance().Observations() {
-		lot.Observe(obs)
+	for _, r := range cws.Provenance().All() {
+		if !r.Failed {
+			lot.Observe(predict.Observation{
+				TaskName: r.Name, InputBytes: r.InputBytes, RuntimeSec: float64(r.Runtime()),
+				PeakMem: r.PeakMem, MachineName: r.MachineType, SpeedFactor: r.SpeedFactor,
+			})
+		}
 	}
 	if _, ok := lot.Predict("salmon", 2e9, 1.4); !ok {
 		t.Fatal("lotaru untrainable from provenance observations")
@@ -232,18 +238,29 @@ func TestProvenanceExportRoundTrip(t *testing.T) {
 	if _, err := cws.RunWorkflow("d", 0); err != nil {
 		t.Fatal(err)
 	}
-	up, err := cws.Provenance().Lineage("d", "sink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(up) != 2 {
-		t.Fatalf("sink lineage = %d records, want 2", len(up))
-	}
 	doc, err := cws.Provenance().ExportPROV()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(doc), "wasGeneratedBy") {
 		t.Fatal("PROV export missing relations")
+	}
+	var prov struct {
+		Workflows map[string][]struct {
+			Task string
+			Deps []string
+		}
+	}
+	if err := json.Unmarshal(doc, &prov); err != nil {
+		t.Fatal(err)
+	}
+	sinkDeps := -1
+	for _, td := range prov.Workflows["d"] {
+		if td.Task == "sink" {
+			sinkDeps = len(td.Deps)
+		}
+	}
+	if sinkDeps != 2 {
+		t.Fatalf("sink lineage = %d upstream tasks, want 2", sinkDeps)
 	}
 }

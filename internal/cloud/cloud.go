@@ -119,9 +119,6 @@ func (q *Queue) Return(msg string) {
 // Len returns queued (not in-flight) messages.
 func (q *Queue) Len() int { return len(q.msgs) }
 
-// InFlight returns messages currently being processed.
-func (q *Queue) InFlight() int { return q.inflight }
-
 // Consumed returns acknowledged messages.
 func (q *Queue) Consumed() int { return q.consumed }
 
@@ -216,9 +213,6 @@ func NewASG(env *Env, cfg ASGConfig) (*ASG, error) {
 	g.Scale()
 	return g, nil
 }
-
-// Live returns the current launching+running instance count.
-func (g *ASG) Live() int { return g.live }
 
 // Scale adjusts capacity toward queue depth. Call after enqueuing work.
 func (g *ASG) Scale() {

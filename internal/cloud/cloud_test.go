@@ -16,17 +16,17 @@ func TestQueueSemantics(t *testing.T) {
 	if !ok || m != "a" {
 		t.Fatalf("Receive = %q %v", m, ok)
 	}
-	if q.InFlight() != 1 || q.Len() != 1 {
-		t.Fatalf("inflight=%d len=%d", q.InFlight(), q.Len())
+	if q.inflight != 1 || q.Len() != 1 {
+		t.Fatalf("inflight=%d len=%d", q.inflight, q.Len())
 	}
 	q.Delete()
-	if q.Consumed() != 1 || q.InFlight() != 0 {
-		t.Fatalf("consumed=%d inflight=%d", q.Consumed(), q.InFlight())
+	if q.Consumed() != 1 || q.inflight != 0 {
+		t.Fatalf("consumed=%d inflight=%d", q.Consumed(), q.inflight)
 	}
 	m2, _ := q.Receive()
 	q.Return(m2)
-	if q.Len() != 1 || q.InFlight() != 0 {
-		t.Fatalf("after Return: len=%d inflight=%d", q.Len(), q.InFlight())
+	if q.Len() != 1 || q.inflight != 0 {
+		t.Fatalf("after Return: len=%d inflight=%d", q.Len(), q.inflight)
 	}
 	q.Receive()
 	q.Delete()
@@ -173,11 +173,11 @@ func TestASGScaleIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Live() != 5 {
-		t.Fatalf("live = %d, want 5", g.Live())
+	if g.live != 5 {
+		t.Fatalf("live = %d, want 5", g.live)
 	}
 	eng.Run()
-	if g.Live() != 0 {
-		t.Fatalf("live after drain = %d", g.Live())
+	if g.live != 0 {
+		t.Fatalf("live after drain = %d", g.live)
 	}
 }

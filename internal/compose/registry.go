@@ -106,17 +106,6 @@ func (r *Registry) maxDepth() int {
 	return dag.DefaultMaxRefDepth
 }
 
-// CompileNamed compiles the named entry with the given binding params and
-// returns a private copy the caller may freely mutate or expand. The result
-// may itself contain WorkflowRef tasks (composed entries reference others).
-func (r *Registry) CompileNamed(name string, params map[string]string) (*dag.Workflow, error) {
-	w, err := r.resolve(name, params)
-	if err != nil {
-		return nil, err
-	}
-	return w.Clone(), nil
-}
-
 // resolve returns the prepared (compiled, edge-inferred, validated) template
 // for one (name, params) binding, caching it for reuse across splice points
 // and sweep workers. The returned workflow is shared — callers must not

@@ -59,29 +59,18 @@ func TestRegistryBasics(t *testing.T) {
 	mustPanic(t, "slash name", func() { reg.Register("a/b", Workflow{W: innerWF()}) })
 	mustPanic(t, "nil compiler", func() { reg.Register("nilc", nil) })
 
-	// CompileNamed hands out private copies: mutating one must not leak into
-	// the cached template.
-	w1, err := reg.CompileNamed("inner", nil)
-	if err != nil {
+	if _, err := reg.resolve("inner", nil); err != nil {
 		t.Fatal(err)
-	}
-	w1.Task("a").InputBytes = 999
-	w2, err := reg.CompileNamed("inner", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.Task("a").InputBytes == 999 {
-		t.Fatal("CompileNamed shares task structs across calls")
 	}
 
 	// Params against a non-parameterized entry are an error, not silently
 	// ignored.
-	if _, err := reg.CompileNamed("inner", map[string]string{"seed": "1"}); err == nil ||
+	if _, err := reg.resolve("inner", map[string]string{"seed": "1"}); err == nil ||
 		!strings.Contains(err.Error(), "no binding params") {
 		t.Fatalf("params on plain compiler: %v", err)
 	}
 	// Unknown entries name what IS registered.
-	if _, err := reg.CompileNamed("ghost", nil); err == nil ||
+	if _, err := reg.resolve("ghost", nil); err == nil ||
 		!strings.Contains(err.Error(), "alpha, inner") {
 		t.Fatalf("unknown entry error: %v", err)
 	}
@@ -102,16 +91,16 @@ func TestRegistryParamCompiler(t *testing.T) {
 		}
 		return w, nil
 	}))
-	w3, err := reg.CompileNamed("sized", map[string]string{"n": "3"})
+	w3, err := reg.resolve("sized", map[string]string{"n": "3"})
 	if err != nil || w3.Len() != 3 {
 		t.Fatalf("n=3: len=%d err=%v", w3.Len(), err)
 	}
-	w1, err := reg.CompileNamed("sized", nil)
+	w1, err := reg.resolve("sized", nil)
 	if err != nil || w1.Len() != 1 {
 		t.Fatalf("no params: len=%d err=%v", w1.Len(), err)
 	}
 	// Same binding resolves from the cache: the compiler runs once per RefKey.
-	if _, err := reg.CompileNamed("sized", map[string]string{"n": "3"}); err != nil {
+	if _, err := reg.resolve("sized", map[string]string{"n": "3"}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 2 {

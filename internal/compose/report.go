@@ -165,7 +165,6 @@ func FromEnTK(name string, r *entk.Report) RunSummary {
 		UtilizationCore:  r.Utilization,
 		Retries:          r.ResubmittedOK,
 		TerminalFailures: r.TasksFailed,
-		BackoffSec:       r.RecoveryDelaySec,
 		Extra: map[string]float64{
 			"overhead_sec": float64(r.Overhead),
 			"ttx_sec":      float64(r.TTX),

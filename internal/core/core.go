@@ -46,7 +46,8 @@ func WithData(in, out float64) TaskOption {
 	return func(t *dag.Task) { t.InputBytes, t.OutputBytes = in, out }
 }
 
-// WithParam attaches a task-specific parameter (forwarded through the CWSI).
+// WithParam attaches a task-specific parameter, which the CWS records with
+// each attempt's provenance.
 func WithParam(k, v string) TaskOption {
 	return func(t *dag.Task) {
 		if t.Params == nil {

@@ -93,7 +93,6 @@ type SeededEnvironment interface {
 type KubernetesEnv struct {
 	Nodes        int
 	CoresPerNode int
-	MemPerNode   float64
 	// Strategy enables the Common Workflow Scheduler; nil = plain FIFO.
 	Strategy cwsi.Strategy
 	// Predictor optionally feeds CWS strategies with learned runtimes.
@@ -110,7 +109,7 @@ type KubernetesEnv struct {
 	PredictMinSamples int
 	// Heterogeneous swaps the uniform node pool for cluster.Heterogeneous:
 	// Nodes nodes each of three machine types (8c/1.0×, 16c/1.4×, 32c/2.0×).
-	// CoresPerNode and MemPerNode are ignored.
+	// CoresPerNode is ignored.
 	Heterogeneous bool
 	// Faults, when an enabled profile, arms deterministic fault injection:
 	// node crashes/reclaims/I/O episodes on the substrate, transient task
@@ -189,8 +188,11 @@ type HPCEnv struct {
 	// Resource shaping (zero values = no agent overhead / unlimited rates).
 	BootstrapSec          float64
 	SchedRate, LaunchRate float64
-	WalltimeSec           float64
 }
+
+// hpcWalltimeSec is the pilot's walltime: a day, longer than any workflow
+// the environment runs.
+const hpcWalltimeSec = 24 * 3600
 
 // Name implements Environment.
 func (e *HPCEnv) Name() string { return "hpc-pilot" }
@@ -213,10 +215,6 @@ func (e *HPCEnv) run(x dag.Expander) (*Result, error) {
 	if cores <= 0 {
 		cores = 56
 	}
-	wall := e.WalltimeSec
-	if wall <= 0 {
-		wall = 24 * 3600
-	}
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, "hpc", cluster.Spec{
 		Type:  cluster.NodeType{Name: "hpc", Cores: cores, GPUs: 8, MemBytes: 512e9},
@@ -225,7 +223,7 @@ func (e *HPCEnv) run(x dag.Expander) (*Result, error) {
 	bm := rm.NewBatchManager(cl, nil)
 	p, err := pilot.Submit(bm, cl, pilot.Config{
 		Nodes:        e.Nodes,
-		Walltime:     sim.Time(wall),
+		Walltime:     hpcWalltimeSec,
 		Account:      "core",
 		BootstrapSec: e.BootstrapSec,
 		SchedRate:    e.SchedRate,

@@ -94,6 +94,10 @@ func (e *KubernetesEnv) NewSession() (RunSession, error) {
 	return s, nil
 }
 
+// k8sMemPerNode is every uniform Kubernetes node's memory: a terabyte keeps
+// memory out of the way of core packing.
+const k8sMemPerNode = 1e12
+
 // substrate validates the node configuration and builds the engine and
 // cluster every kubernetes run path executes on.
 func (e *KubernetesEnv) substrate() (*sim.Engine, *cluster.Cluster, error) {
@@ -104,12 +108,8 @@ func (e *KubernetesEnv) substrate() (*sim.Engine, *cluster.Cluster, error) {
 	if e.Heterogeneous {
 		return eng, cluster.Heterogeneous(eng, e.Nodes), nil
 	}
-	mem := e.MemPerNode
-	if mem == 0 {
-		mem = 1e12
-	}
 	return eng, cluster.New(eng, "k8s", cluster.Spec{
-		Type:  cluster.NodeType{Name: "node", Cores: e.CoresPerNode, MemBytes: mem},
+		Type:  cluster.NodeType{Name: "node", Cores: e.CoresPerNode, MemBytes: k8sMemPerNode},
 		Count: e.Nodes,
 	}), nil
 }

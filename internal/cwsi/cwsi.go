@@ -13,7 +13,6 @@ package cwsi
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
@@ -22,31 +21,6 @@ import (
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
-
-// Interface is the CWSI wire surface as a WMS sees it. CWS implements it;
-// WMS adapters (see wms.go) speak it.
-type Interface interface {
-	// RegisterWorkflow transfers the workflow DAG — task dependencies,
-	// resource requests, data sizes, task-specific parameters.
-	RegisterWorkflow(id string, w *dag.Workflow) error
-	// SubmitTask submits one ready-to-run task of a registered workflow.
-	SubmitTask(req TaskRequest) error
-	// WorkflowDone tells the CWS no more tasks of this workflow will come.
-	WorkflowDone(id string)
-}
-
-// TaskRequest is a CWSI task submission.
-type TaskRequest struct {
-	WorkflowID string
-	TaskID     dag.TaskID
-	// Runtime computes actual execution time on a node. If nil, the
-	// default heterogeneity model (rm.DefaultRuntime) is used.
-	Runtime func(t *dag.Task, n *cluster.Node) float64
-	// Done is invoked with the terminal result (after provenance capture).
-	Done func(rm.Result)
-	// Params are task-invocation parameters, stored for provenance.
-	Params map[string]string
-}
 
 // Context gives strategies access to everything the CWS knows: the DAG, the
 // provenance store, and the trained predictor.
@@ -117,8 +91,9 @@ type Strategy interface {
 type wfState struct {
 	wf    *dag.Workflow
 	ranks []float64
-	tasks []taskState
-	done  bool
+	// outs[i] is the node holding task i's outputs once an attempt
+	// succeeded (see locality.go).
+	outs []*cluster.Node
 
 	// The policy-less retry budget and the recovery policy's provenance
 	// label of the runner driving the workflow (see Bind).
@@ -132,12 +107,6 @@ type wfState struct {
 	// overruns counts walltime-overrun kills per task, inflating the next
 	// attempt's budget (see SetOverrunPolicy). Lazily allocated.
 	overruns []int
-}
-
-// taskState is a registered task's slot in its workflow's wfState.
-type taskState struct {
-	attempts int           // attempts submitted through SubmitTask
-	out      *cluster.Node // where its outputs live once an attempt succeeded (see locality.go)
 }
 
 // CWS is the Common Workflow Scheduler.
@@ -176,7 +145,6 @@ type CWS struct {
 	minPredSamples int     // warmth gate; <1 means 1
 	overrunSlack   float64 // kill budget = predicted × slack; 0 disarms
 	overrunInfl    float64 // per-overrun budget inflation; >= 1
-	overrunKills   int
 	predErr        predict.Errors
 }
 
@@ -226,7 +194,6 @@ func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	c.observer = nil
 	c.minPredSamples = 0
 	c.overrunSlack, c.overrunInfl = 0, 0
-	c.overrunKills = 0
 	c.predErr = predict.Errors{}
 }
 
@@ -258,7 +225,7 @@ func (c *CWS) SetTaskObserver(fn func(wfID string, taskID dag.TaskID, attempt in
 }
 
 // ReleaseWorkflow drops a finished workflow's scheduler state (DAG, ranks,
-// attempt counters, output locations) and the provenance store's
+// overrun counts, output locations) and the provenance store's
 // registered-workflow entry, so a long-running service that registers
 // workflows per arrival keeps O(in-flight) rather than O(arrivals) state.
 // Task records already captured are untouched (retention stays governed by
@@ -275,7 +242,9 @@ func (c *CWS) ReleaseWorkflow(id string) {
 	c.prioGen++ // Context lookups for id now miss; memoized priorities may be stale
 }
 
-// RegisterWorkflow implements Interface.
+// RegisterWorkflow transfers a workflow's DAG to the CWS (§3.1): task
+// dependencies, resource requests, data sizes and task-specific parameters.
+// Bind then drives its tasks through the CWS.
 func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 	if _, dup := c.workflows[id]; dup {
 		return fmt.Errorf("cwsi: workflow %q already registered", id)
@@ -286,66 +255,11 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 	c.workflows[id] = &wfState{
 		wf:    w,
 		ranks: w.UpwardRanks(dag.NominalDur),
-		tasks: make([]taskState, w.Len()),
+		outs:  make([]*cluster.Node, w.Len()),
 	}
 	c.prov.RegisterWorkflow(id, w)
 	c.prioGen++
 	return nil
-}
-
-// SubmitTask implements Interface. The attempt runs through the same
-// taskRun a runner-driven attempt does (see Bind), with the request's
-// runtime model and completion callback as its inner end.
-func (c *CWS) SubmitTask(req TaskRequest) error {
-	st := c.workflows[req.WorkflowID]
-	if st == nil {
-		return fmt.Errorf("cwsi: workflow %q not registered", req.WorkflowID)
-	}
-	idx, ok := st.wf.Index(req.TaskID)
-	if !ok {
-		return fmt.Errorf("cwsi: task %q not in workflow %q", req.TaskID, req.WorkflowID)
-	}
-	t := st.wf.At(idx)
-	st.tasks[idx].attempts++
-	attempt := st.tasks[idx].attempts
-	d := &direct{req: req, t: t}
-	d.sub = rm.Submission{
-		ID:         req.WorkflowID + "/" + string(req.TaskID) + "#" + strconv.Itoa(attempt),
-		WorkflowID: req.WorkflowID,
-		TaskID:     req.TaskID,
-		Name:       t.Name,
-		Cores:      t.Cores,
-		GPUs:       t.GPUs,
-		Mem:        t.MemBytes,
-		InputBytes: t.InputBytes,
-		Hooks:      d,
-	}
-	c.begin(st, &d.sub, t, idx, attempt).params = req.Params
-	c.mgr.Submit(&d.sub)
-	return nil
-}
-
-// direct is the inner end of an attempt submitted through SubmitTask: the
-// request's runtime model and completion callback.
-type direct struct {
-	req TaskRequest
-	t   *dag.Task
-	sub rm.Submission
-}
-
-func (d *direct) RuntimeOn(n *cluster.Node) float64 {
-	if d.req.Runtime != nil {
-		return d.req.Runtime(d.t, n)
-	}
-	return rm.DefaultRuntime(d.t, n)
-}
-
-func (d *direct) ValidateOn(*cluster.Node) error { return nil }
-
-func (d *direct) Done(r rm.Result) {
-	if d.req.Done != nil {
-		d.req.Done(r)
-	}
 }
 
 // Bind readies sr to drive the registered workflow id through the CWS:
@@ -405,9 +319,8 @@ func (c *CWS) begin(st *wfState, s *rm.Submission, t *dag.Task, idx, n int) *tas
 	return tr
 }
 
-// taskRun is one CWS task attempt, wrapping the attempt's inner callbacks
-// (the driving runner's, or a SubmitTask request's) in a single pooled
-// record that implements rm.AttemptHook.
+// taskRun is one CWS task attempt, wrapping the driving runner's callbacks
+// in a single pooled record that implements rm.AttemptHook.
 type taskRun struct {
 	c           *CWS
 	st          *wfState
@@ -416,7 +329,6 @@ type taskRun struct {
 	t           *dag.Task
 	idx         int // t's insertion position, keying the wfState tables
 	attempt     int
-	params      map[string]string
 	grantedMem  float64
 	submittedAt sim.Time
 
@@ -465,7 +377,6 @@ func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 // as the CWS's.
 func (tr *taskRun) ValidateOn(n *cluster.Node) error {
 	if tr.overrun {
-		tr.c.overrunKills++
 		if tr.st.overruns == nil {
 			tr.st.overruns = make([]int, tr.st.wf.Len())
 		}
@@ -548,7 +459,7 @@ func (c *CWS) record(tr *taskRun, r rm.Result) {
 		OutputBytes: t.OutputBytes,
 		Failed:      r.Failed,
 		Error:       errMsg,
-		Params:      tr.params,
+		Params:      t.Params,
 	}
 	// AddTask triggers the provenance→predict observer (CWS.train), which
 	// folds the record into the online models before the generation bump
@@ -557,13 +468,6 @@ func (c *CWS) record(tr *taskRun, r rm.Result) {
 	c.prioGen++ // provenance advanced; memoized priorities may be stale
 	if c.observer != nil {
 		c.observer(tr.wfID, t.ID, tr.attempt, r)
-	}
-}
-
-// WorkflowDone implements Interface.
-func (c *CWS) WorkflowDone(id string) {
-	if st := c.workflows[id]; st != nil {
-		st.done = true
 	}
 }
 

@@ -1,12 +1,14 @@
 package cwsi
 
 import (
+	"encoding/json"
 	"testing"
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
 	"hhcw/internal/fault"
 	"hhcw/internal/predict"
+	"hhcw/internal/provenance"
 	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
@@ -43,18 +45,6 @@ func TestRegisterWorkflowErrors(t *testing.T) {
 	}
 }
 
-func TestSubmitTaskErrors(t *testing.T) {
-	eng := sim.NewEngine()
-	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 4), nil), Baseline{}, nil)
-	if err := cws.SubmitTask(TaskRequest{WorkflowID: "nope", TaskID: "a"}); err == nil {
-		t.Fatal("unknown workflow accepted")
-	}
-	cws.RegisterWorkflow("w", chainWorkflow())
-	if err := cws.SubmitTask(TaskRequest{WorkflowID: "w", TaskID: "ghost"}); err == nil {
-		t.Fatal("unknown task accepted")
-	}
-}
-
 func TestRunWorkflowMakespanAndProvenance(t *testing.T) {
 	eng := sim.NewEngine()
 	cws := New(rm.NewTaskManager(smallCluster(eng, 2, 4), nil), Baseline{}, nil)
@@ -72,7 +62,7 @@ func TestRunWorkflowMakespanAndProvenance(t *testing.T) {
 	if cws.Provenance().Len() != 2 {
 		t.Fatalf("provenance records = %d, want 2", cws.Provenance().Len())
 	}
-	recs := cws.Provenance().ByWorkflow("w")
+	recs := records(cws, "w")
 	if recs[0].Name != "a" || recs[0].Failed {
 		t.Fatalf("first record: %+v", recs[0])
 	}
@@ -83,6 +73,9 @@ func TestRunWorkflowUnregistered(t *testing.T) {
 	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 1), nil), Baseline{}, nil)
 	if _, err := cws.RunWorkflow("nope", 0); err == nil {
 		t.Fatal("unregistered workflow ran")
+	}
+	if err := cws.Bind(&rm.StreamRunner{Manager: cws.Manager()}, "nope", 0); err == nil {
+		t.Fatal("unregistered workflow bound")
 	}
 }
 
@@ -105,14 +98,42 @@ func TestRunWorkflowRetriesNodeFailure(t *testing.T) {
 		t.Fatalf("makespan = %v, want 110", ms)
 	}
 	// Provenance has the failed attempt and the successful one.
-	recs := cws.Provenance().ByWorkflow("w")
+	recs := records(cws, "w")
 	if len(recs) != 2 || !recs[0].Failed || recs[1].Failed {
 		t.Fatalf("attempts: %+v", recs)
 	}
 	// Node trace captured the failure (§3.3).
-	if events := cws.Provenance().NodeEvents(); len(events) != 1 || events[0].Kind != "down" {
-		t.Fatalf("node events: %+v", events)
+	if traces := provExport(t, cws).NodeTraces; len(traces) != 1 || traces[0].Kind != "down" {
+		t.Fatalf("node traces: %+v", traces)
 	}
+}
+
+// records returns the provenance records of workflow wfID in insertion
+// order.
+func records(c *CWS, wfID string) []provenance.TaskRecord {
+	var out []provenance.TaskRecord
+	for _, r := range c.Provenance().All() {
+		if r.WorkflowID == wfID {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// provExport decodes the parts of the CWS's PROV export the tests read.
+func provExport(t *testing.T, cws *CWS) (doc struct {
+	NodeTraces []struct{ Kind string }    `json:"nodeTraces"`
+	Workflows  map[string]json.RawMessage `json:"workflows"`
+}) {
+	t.Helper()
+	raw, err := cws.Provenance().ExportPROV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
 }
 
 func TestRunWorkflowRetriesExhausted(t *testing.T) {
@@ -203,7 +224,7 @@ func TestHEFTPicksFastestNode(t *testing.T) {
 	if ms != 50 { // must land on the 2x node
 		t.Fatalf("makespan = %v, want 50 (fast node)", ms)
 	}
-	if recs := cws.Provenance().ByWorkflow("w"); recs[0].MachineType != "fast" {
+	if recs := records(cws, "w"); recs[0].MachineType != "fast" {
 		t.Fatalf("placed on %s, want fast", recs[0].MachineType)
 	}
 }
@@ -232,7 +253,7 @@ func TestTaremaColdFallsBackAndWarmSteers(t *testing.T) {
 	if _, err := cws.RunWorkflow("w2", 0); err != nil {
 		t.Fatal(err)
 	}
-	recs := cws.Provenance().ByWorkflow("w2")
+	recs := records(cws, "w2")
 	if recs[0].MachineType != "fast" {
 		t.Fatalf("warm Tarema placed long task on %s, want fast", recs[0].MachineType)
 	}
@@ -294,29 +315,20 @@ func TestRunResultWaste(t *testing.T) {
 
 func TestTaskParamsRecordedInProvenance(t *testing.T) {
 	// §3.1: "task-specific parameters vary for each task invocation and are
-	// passed on" — the CWS must keep them for provenance.
+	// passed on" — the CWS keeps each attempt's parameters for provenance.
 	eng := sim.NewEngine()
 	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 4), nil), Baseline{}, nil)
 	w := dag.New("w")
-	w.Add(&dag.Task{ID: "t", Name: "tool", NominalDur: 10})
+	w.Add(&dag.Task{ID: "t", Name: "tool", NominalDur: 10,
+		Params: map[string]string{"--threads": "4", "--input": "a.vcf"}})
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	done := false
-	err := cws.SubmitTask(TaskRequest{
-		WorkflowID: "w", TaskID: "t",
-		Params: map[string]string{"--threads": "4", "--input": "a.vcf"},
-		Done:   func(rm.Result) { done = true },
-	})
-	if err != nil {
+	if _, err := cws.RunWorkflow("w", 0); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
-	if !done {
-		t.Fatal("task did not run")
-	}
-	recs := cws.Provenance().ByWorkflow("w")
-	if len(recs) != 1 || recs[0].Params["--threads"] != "4" {
+	recs := records(cws, "w")
+	if len(recs) != 1 || recs[0].Params["--threads"] != "4" || recs[0].Params["--input"] != "a.vcf" {
 		t.Fatalf("params not recorded: %+v", recs)
 	}
 }
@@ -350,7 +362,7 @@ func TestBindArmsNoAttemptTimeouts(t *testing.T) {
 	if st := sr.Stats(); st.Timeouts != 0 || st.Failures != 1 {
 		t.Fatalf("stats = %+v, want one node failure and no timeout", st)
 	}
-	recs := cws.Provenance().ByWorkflow("w")
+	recs := records(cws, "w")
 	if len(recs) != 2 || recs[0].RetryPolicy != p.String() || p.TimeoutSec != 50 {
 		t.Fatalf("records %+v, policy %+v: want the failed attempt labelled with the policy as given", recs, p)
 	}

@@ -23,7 +23,7 @@ func (c *CWS) SetDataBandwidth(bps float64) { c.dataBW = bps }
 // outputs on node. Locations live on the workflow's own state, so they go
 // with it when the workflow is released.
 func (c *CWS) noteOutput(st *wfState, idx int, node *cluster.Node) {
-	st.tasks[idx].out = node
+	st.outs[idx] = node
 	c.prioGen++ // locality changed; memoized priorities may be stale
 }
 
@@ -41,7 +41,7 @@ func (ctx *Context) LocalInputBytes(wfID string, taskID dag.TaskID, n *cluster.N
 	}
 	local := 0.0
 	for _, dep := range t.Deps {
-		if j, ok := st.wf.Index(dep); ok && st.tasks[j].out == n {
+		if j, ok := st.wf.Index(dep); ok && st.outs[j] == n {
 			local += st.wf.At(j).OutputBytes
 		}
 	}
@@ -63,7 +63,7 @@ func remoteInputBytes(st *wfState, t *dag.Task, n *cluster.Node) float64 {
 		}
 		dt := st.wf.At(j)
 		fromDeps += dt.OutputBytes
-		if st.tasks[j].out != n {
+		if st.outs[j] != n {
 			remote += dt.OutputBytes
 		}
 	}

@@ -86,7 +86,7 @@ func TestDataLocalStrategySticksToProducerNode(t *testing.T) {
 	if ms != 400 { // 4 × 100 s, zero staging
 		t.Fatalf("DataLocal makespan = %v, want 400", ms)
 	}
-	recs := cws.Provenance().ByWorkflow("w")
+	recs := records(cws, "w")
 	node := recs[0].Node
 	for _, r := range recs {
 		if r.Node != node {
@@ -159,7 +159,7 @@ func TestLocalInputBytesAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After the run, s0's output is on the node that ran it.
-	recs := cws.Provenance().ByWorkflow("w")
+	recs := records(cws, "w")
 	producer := recs[0].Node
 	var pn *cluster.Node
 	for _, n := range cl.Nodes() {

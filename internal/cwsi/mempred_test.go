@@ -89,7 +89,7 @@ func TestMemPredictionOOMRetriesWithFullRequest(t *testing.T) {
 	if ms != 200 { // 100 s OOM attempt + 100 s full-request retry
 		t.Fatalf("makespan = %v, want 200", ms)
 	}
-	recs := cws.Provenance().ByWorkflow("w")
+	recs := records(cws, "w")
 	if len(recs) != 2 || !recs[0].Failed || recs[1].Failed {
 		t.Fatalf("attempts: %+v", recs)
 	}

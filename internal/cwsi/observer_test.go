@@ -1,7 +1,6 @@
 package cwsi
 
 import (
-	"strings"
 	"testing"
 
 	"hhcw/internal/dag"
@@ -23,7 +22,7 @@ func TestTaskObserverSeesEveryAttempt(t *testing.T) {
 	}
 	var log []seen
 	cws.SetTaskObserver(func(wfID string, taskID dag.TaskID, attempt int, r rm.Result) {
-		if got := cws.Provenance().Len() + cws.Provenance().Folded(); got != len(log)+1 {
+		if got := cws.Provenance().Len(); got != len(log)+1 {
 			t.Errorf("observer fired before provenance capture: %d records at call %d", got, len(log))
 		}
 		log = append(log, seen{wfID, taskID, attempt, r.Node != nil})
@@ -57,17 +56,17 @@ func TestReleaseWorkflowDropsState(t *testing.T) {
 	if _, err := cws.RunWorkflow("wf", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.Provenance().Lineage("wf", "b"); err != nil {
-		t.Fatalf("lineage before release: %v", err)
+	if _, ok := provExport(t, cws).Workflows["wf"]; !ok {
+		t.Fatal("registered structure missing before release")
 	}
 	cws.ReleaseWorkflow("wf")
 	if cws.ctx.Workflow("wf") != nil {
 		t.Fatal("scheduler state survived release")
 	}
-	if _, err := cws.Provenance().Lineage("wf", "b"); err == nil || !strings.Contains(err.Error(), "not registered") {
-		t.Fatalf("provenance structure survived release: %v", err)
+	if _, ok := provExport(t, cws).Workflows["wf"]; ok {
+		t.Fatal("provenance structure survived release")
 	}
-	if got := len(cws.Provenance().ByWorkflow("wf")); got != 2 {
+	if got := len(records(cws, "wf")); got != 2 {
 		t.Fatalf("task records lost on release: %d, want 2", got)
 	}
 	// Released id is registerable again — the service reuses nothing, but

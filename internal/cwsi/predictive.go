@@ -202,9 +202,6 @@ func (c *CWS) SetOverrunPolicy(slack, inflation float64) {
 	c.overrunSlack, c.overrunInfl = slack, inflation
 }
 
-// OverrunKills returns how many attempts the overrun policy has killed.
-func (c *CWS) OverrunKills() int { return c.overrunKills }
-
 // PredictionErrors returns the accumulated placement-time prediction
 // accuracy: one (predicted, actual) pair per successful attempt that had a
 // warm prediction when it was placed.

@@ -55,7 +55,7 @@ func runWithRecovery(t *testing.T, c *CWS, id string) rm.RunStats {
 
 func completedSet(c *CWS, wfID string) []string {
 	var ids []string
-	for _, rec := range c.Provenance().ByWorkflow(wfID) {
+	for _, rec := range records(c, wfID) {
 		if !rec.Failed {
 			ids = append(ids, string(rec.TaskID))
 		}
@@ -97,9 +97,6 @@ func TestOverrunMispredictionConverges(t *testing.T) {
 
 	// Budgets 15/30/60 are overrun-killed; 120 admits the 100s truth: three
 	// kills per task, all recovered, none terminal.
-	if got := cws.OverrunKills(); got != 3*4 {
-		t.Errorf("overrun kills = %d, want %d", got, 3*4)
-	}
 	if st.Failures != 3*4 || st.Retries != 3*4 {
 		t.Errorf("recovery stats = %+v, want 12 failed attempts and 12 retries", st)
 	}
@@ -113,7 +110,7 @@ func TestOverrunMispredictionConverges(t *testing.T) {
 	// The kills and the retry plumbing are first-class provenance: failed
 	// attempts carry the overrun error and the policy's backoff annotation.
 	var overruns, annotated int
-	for _, rec := range cws.Provenance().ByWorkflow("w") {
+	for _, rec := range records(cws, "w") {
 		if rec.Failed && strings.Contains(rec.Error, "walltime-overrun") {
 			overruns++
 			if rec.RetryDelaySec > 0 {
@@ -148,8 +145,10 @@ func TestOverrunDisabledBySlackZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := runWithRecovery(t, cws, "w")
-	if cws.OverrunKills() != 0 {
-		t.Fatalf("overrun kills = %d with no policy installed", cws.OverrunKills())
+	for _, rec := range records(cws, "w") {
+		if rec.Failed {
+			t.Fatalf("failed attempt %+v with no policy installed", rec)
+		}
 	}
 	if st.Failures != 0 {
 		t.Fatalf("recovery stats = %+v, want none", st)

@@ -64,7 +64,7 @@ func TestSpreadRunsWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two independent tasks spread across both nodes.
-	recs := cws.Provenance().ByWorkflow("w")
+	recs := records(cws, "w")
 	if recs[0].Node == recs[1].Node {
 		t.Fatalf("spread put both tasks on %s", recs[0].Node)
 	}

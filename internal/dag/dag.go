@@ -38,7 +38,8 @@ type Task struct {
 	InputBytes  float64
 	OutputBytes float64
 
-	// Params are the task-specific parameters the CWSI forwards verbatim.
+	// Params are the task-specific parameters of the invocation (§3.1); the
+	// CWS records them with each attempt's provenance.
 	// For a WorkflowRef task they double as the binding parameters handed to
 	// the registry compiler that materializes the referenced sub-workflow.
 	Params map[string]string

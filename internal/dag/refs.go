@@ -125,13 +125,3 @@ func ValidateRefs(w *Workflow, resolve RefResolver, maxDepth int) error {
 	}
 	return walk(w, []string{w.Name}, 0)
 }
-
-// HasRefs reports whether any task of w is a WorkflowRef.
-func (w *Workflow) HasRefs() bool {
-	for _, t := range w.list {
-		if t.IsRef() {
-			return true
-		}
-	}
-	return false
-}

@@ -144,7 +144,4 @@ func TestCloneIndependence(t *testing.T) {
 	if w.Len() != c.Len() || c.Name != w.Name {
 		t.Fatalf("clone shape mismatch")
 	}
-	if w.HasRefs() {
-		t.Fatal("plain workflow claims refs")
-	}
 }

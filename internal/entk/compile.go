@@ -62,7 +62,6 @@ func (p *Pipeline) Compile() (*dag.Workflow, error) {
 				Cores:      nodes,
 				NominalDur: t.DurationSec,
 				Deps:       append([]dag.TaskID(nil), prev...),
-				Params:     map[string]string{"nodes": fmt.Sprint(nodes)},
 			})
 			ids = append(ids, id)
 		}

@@ -19,10 +19,8 @@ import (
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
-	"hhcw/internal/fault"
 	"hhcw/internal/metrics"
 	"hhcw/internal/pilot"
-	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
@@ -145,9 +143,6 @@ type Report struct {
 	TasksExecuted int
 	TasksFailed   int // terminal failures across all rounds
 	ResubmittedOK int // tasks that failed once but succeeded on resubmission
-	// RecoveryDelaySec is total virtual time spent in recovery-policy backoff
-	// between resubmission rounds (0 without a policy).
-	RecoveryDelaySec float64
 
 	// Measured agent throughputs of the first job (Fig 5 slopes).
 	MeasuredSchedRate  float64
@@ -164,15 +159,8 @@ type Report struct {
 type AppManager struct {
 	Resource ResourceDesc
 	// MaxResubmitRounds bounds the consecutive smaller jobs for failed
-	// tasks (the paper's runs needed one). Ignored when Recovery is set.
+	// tasks (the paper's runs needed one).
 	MaxResubmitRounds int
-	// Recovery, when set, replaces the ad-hoc MaxResubmitRounds counter
-	// with the shared fault.RetryPolicy: the round budget is Attempts()-1
-	// and each resubmission job waits out the policy's capped exponential
-	// backoff in virtual time before it is submitted.
-	Recovery *fault.RetryPolicy
-	// RecoveryRNG supplies deterministic backoff jitter (may be nil).
-	RecoveryRNG *randx.Source
 	// Policy, when set, caps every job's walltime to the facility limit
 	// for its node count — "each ensemble respects Frontier's job
 	// scheduling policy in terms of walltime limits per amount of
@@ -181,32 +169,6 @@ type AppManager struct {
 
 	cl *cluster.Cluster
 	bm *rm.BatchManager
-}
-
-// resubmitRounds returns the resubmission-round budget: the shared policy's
-// retry count when installed, the legacy counter otherwise.
-func (am *AppManager) resubmitRounds() int {
-	if am.Recovery != nil {
-		return am.Recovery.Attempts() - 1
-	}
-	return am.MaxResubmitRounds
-}
-
-// recoveryPause waits out the policy backoff before resubmission round
-// `round` (1-based) in virtual time and returns the delay taken. Without a
-// policy it returns immediately.
-func (am *AppManager) recoveryPause(round int) sim.Time {
-	if am.Recovery == nil {
-		return 0
-	}
-	d := am.Recovery.Backoff(round, am.RecoveryRNG)
-	if d > 0 {
-		// An empty event advances the clock; Run drains it before the next
-		// pilot submission, so the smaller job starts after the backoff.
-		am.cl.Engine().After(d, func() {})
-		am.cl.Engine().Run()
-	}
-	return d
 }
 
 // NewAppManager creates an AppManager over a cluster and batch manager.
@@ -234,8 +196,6 @@ func (am *AppManager) RunPerJob(pipelines []*Pipeline, resources []ResourceDesc)
 		managers[i] = &AppManager{
 			Resource:          resources[i],
 			MaxResubmitRounds: am.MaxResubmitRounds,
-			Recovery:          am.Recovery,
-			RecoveryRNG:       am.RecoveryRNG,
 			Policy:            am.Policy,
 			cl:                am.cl,
 			bm:                am.bm,
@@ -297,7 +257,7 @@ func (am *AppManager) Run(pipelines ...*Pipeline) (*Report, error) {
 // work as one pipeline named name in a smaller job, until nothing fails or
 // the round budget is spent. It then books the terminal counts into rep.
 func (am *AppManager) resubmit(name string, pipelines []*Pipeline, failed [][]*Task, rep *Report) error {
-	for round := 0; round < am.resubmitRounds(); round++ {
+	for round := 0; round < am.MaxResubmitRounds; round++ {
 		n, nodes, maxNodes := 0, 0, 0
 		for _, tasks := range failed {
 			for _, t := range tasks {
@@ -321,7 +281,6 @@ func (am *AppManager) resubmit(name string, pipelines []*Pipeline, failed [][]*T
 				rp.Stages = append(rp.Stages, &Stage{Name: fmt.Sprintf("resubmit-%d", i), Tasks: tasks})
 			}
 		}
-		rep.RecoveryDelaySec += float64(am.recoveryPause(round + 1))
 		before := countExecuted(pipelines)
 		var err error
 		if failed, err = am.runJob(res, []*Pipeline{rp}, rep, false); err != nil {
@@ -399,7 +358,9 @@ func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Rep
 		return nil, err
 	}
 	job.p = p
+	active := false
 	p.OnActive(func() {
+		active = true
 		for _, r := range runs {
 			r.start()
 		}
@@ -408,6 +369,10 @@ func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Rep
 		if p.State() == pilot.Pending {
 			return nil, fmt.Errorf("entk: pilot for %d nodes was never granted (cluster has %d healthy nodes)",
 				res.Nodes, len(am.cl.UpNodes()))
+		}
+		if !active {
+			return nil, fmt.Errorf("entk: pilot for %d nodes expired at its %gs walltime before its %gs bootstrap completed",
+				res.Nodes, float64(res.Walltime), res.BootstrapSec)
 		}
 		if first {
 			rep.Overhead = p.Overhead()

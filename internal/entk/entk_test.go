@@ -2,6 +2,7 @@ package entk
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"hhcw/internal/cluster"
@@ -93,6 +94,24 @@ func TestOverheadReported(t *testing.T) {
 	}
 	if rep.JobRuntime != 185 {
 		t.Fatalf("JobRuntime = %v, want 185 (OVH+TTX)", rep.JobRuntime)
+	}
+}
+
+// A job whose walltime ends while the pilot bootstraps runs nothing on the
+// reclaimed nodes, and the run says why.
+func TestPilotExpiredDuringBootstrap(t *testing.T) {
+	eng, cl, bm := setup(2)
+	am := NewAppManager(cl, bm, ResourceDesc{Nodes: 2, Walltime: 10, BootstrapSec: 85})
+	p := simplePipeline([]float64{100})
+	_, err := am.Run(p)
+	if err == nil || !strings.Contains(err.Error(), "expired") {
+		t.Fatalf("err = %v, want the expired pilot named", err)
+	}
+	if st := p.Stages[0].Tasks[0].State(); st == Executed {
+		t.Fatalf("task ran on an expired pilot (state %v)", st)
+	}
+	if eng.Now() != 85 {
+		t.Fatalf("engine drained at %v, want 85 (the bootstrap event, nothing after)", eng.Now())
 	}
 }
 

@@ -187,7 +187,6 @@ func (x *StageExpander) Next() (*dag.Task, int, bool) {
 		Name:       st.name,
 		Cores:      nodes,
 		NominalDur: t.DurationSec,
-		Params:     map[string]string{"nodes": fmt.Sprint(nodes)},
 	}
 	x.inflight[id] = st.base + i
 	return out, st.base + i, true

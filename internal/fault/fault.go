@@ -14,9 +14,11 @@
 //     and deterministic jitter, per-attempt virtual-time timeouts, and
 //     max-attempt circuit breaking with graceful degradation.
 //
-// Runtimes (rm.StreamRunner, which also drives the CWS path, and
-// entk.AppManager) consume RetryPolicy instead of ad-hoc retry counters, which is where RADICAL-Pilot/Parsl put
-// recovery too: in the pilot/runtime layer, not in each driver.
+// The task driver, rm.StreamRunner, consumes RetryPolicy on every substrate
+// (the CWS path included) instead of ad-hoc retry counters, which is where
+// RADICAL-Pilot/Parsl put recovery too: in the pilot/runtime layer, not in
+// each driver. entk.AppManager's resubmission jobs keep their own round
+// budget (MaxResubmitRounds).
 package fault
 
 import (
@@ -137,7 +139,6 @@ type Breaker struct {
 
 	consecutive int
 	open        bool
-	trips       int
 }
 
 // Record folds one terminal attempt outcome into the breaker.
@@ -152,20 +153,11 @@ func (b *Breaker) Record(failed bool) {
 	b.consecutive++
 	if b.Threshold > 0 && b.consecutive >= b.Threshold && !b.open {
 		b.open = true
-		b.trips++
 	}
 }
 
 // Open reports whether the circuit is open. A nil breaker is never open.
 func (b *Breaker) Open() bool { return b != nil && b.open }
-
-// Trips returns how many times the circuit opened.
-func (b *Breaker) Trips() int {
-	if b == nil {
-		return 0
-	}
-	return b.trips
-}
 
 // Reset closes the circuit and clears the consecutive-failure count.
 func (b *Breaker) Reset() {

@@ -53,7 +53,7 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 func TestBreaker(t *testing.T) {
 	var nilB *Breaker
 	nilB.Record(true) // must not panic
-	if nilB.Open() || nilB.Trips() != 0 {
+	if nilB.Open() {
 		t.Fatal("nil breaker must be inert")
 	}
 	b := (RetryPolicy{BreakThreshold: 3}).NewBreaker()
@@ -66,8 +66,8 @@ func TestBreaker(t *testing.T) {
 		t.Fatal("breaker opened below threshold")
 	}
 	b.Record(true)
-	if !b.Open() || b.Trips() != 1 {
-		t.Fatalf("breaker should be open after 3 consecutive failures: open=%v trips=%d", b.Open(), b.Trips())
+	if !b.Open() {
+		t.Fatal("breaker should be open after 3 consecutive failures")
 	}
 	b.Reset()
 	if b.Open() {

@@ -163,8 +163,6 @@ type Injector struct {
 	pending  []*sim.Event
 	slowTill sim.Time
 	stats    InjectStats
-
-	onReclaimWarn []func(*cluster.Node)
 }
 
 // NewInjector binds a profile to a cluster. Start arms the processes.
@@ -177,12 +175,6 @@ func (in *Injector) Stats() InjectStats { return in.stats }
 
 // Profile returns the profile the injector runs.
 func (in *Injector) Profile() Profile { return in.prof }
-
-// OnReclaimWarning registers a callback fired when a node receives its
-// reclaim notice, ReclaimWarnSec before it goes down.
-func (in *Injector) OnReclaimWarning(fn func(*cluster.Node)) {
-	in.onReclaimWarn = append(in.onReclaimWarn, fn)
-}
 
 // RuntimeScale returns the current I/O-episode runtime multiplier (1 outside
 // episodes). Substrates consult it when computing a task's execution time.
@@ -287,9 +279,6 @@ func (in *Injector) reclaimOne() {
 		return
 	}
 	in.stats.Reclaims++
-	for _, fn := range in.onReclaimWarn {
-		fn(n)
-	}
 	ev := in.eng.After(sim.Time(in.prof.ReclaimWarnSec), func() {
 		if in.stopped {
 			return

@@ -129,24 +129,24 @@ func TestInjectorReclaimWarning(t *testing.T) {
 	inj := NewInjector(cl, randx.New(5), Profile{
 		Name: "spot", ReclaimPerHour: 12, ReclaimWarnSec: 120, NodeMTTRSec: 60,
 	})
-	warnings := 0
-	var warnAt []sim.Time
-	inj.OnReclaimWarning(func(n *cluster.Node) {
-		warnings++
-		warnAt = append(warnAt, eng.Now())
-		if n.Down() {
-			t.Error("warned about an already-down node")
-		}
-	})
+	// The profile fails nodes only by reclaim, so every node loss is one,
+	// ReclaimWarnSec after its notice.
+	var downAt []sim.Time
+	cl.OnNodeDown(func(*cluster.Node) { downAt = append(downAt, eng.Now()) })
 	inj.Start()
 	eng.RunUntil(2 * 3600)
 	inj.Stop()
 	eng.Run()
-	if warnings == 0 || inj.Stats().Reclaims == 0 {
-		t.Fatalf("no reclaims at 12/h: warnings=%d stats=%+v", warnings, inj.Stats())
+	reclaims := inj.Stats().Reclaims
+	if len(downAt) == 0 || reclaims == 0 {
+		t.Fatalf("no reclaims at 12/h: downs=%d stats=%+v", len(downAt), inj.Stats())
 	}
-	if warnings != inj.Stats().Reclaims {
-		t.Fatalf("warnings %d != reclaims %d", warnings, inj.Stats().Reclaims)
+	// Stop cancels the losses still inside their notice window.
+	if len(downAt) > reclaims {
+		t.Fatalf("%d node losses from %d reclaims", len(downAt), reclaims)
+	}
+	if downAt[0] < 120 {
+		t.Fatalf("first reclaim took its node at t=%v, inside the 120s notice", downAt[0])
 	}
 }
 

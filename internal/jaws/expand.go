@@ -51,10 +51,9 @@ type ScatterExpander struct {
 
 	// pos maps def names to Kahn positions; a terminal report's ID decodes
 	// to (position, shard) through it (see locate). flights tracks each
-	// def's emitted shards awaiting their report; resident counts them.
-	pos      map[string]int
-	flights  []flight
-	resident int
+	// def's emitted shards awaiting their report.
+	pos     map[string]int
+	flights []flight
 
 	// ids is the current chunk shard IDs are written into (see Next).
 	ids strings.Builder
@@ -213,7 +212,6 @@ func (x *ScatterExpander) Next() (*dag.Task, int, bool) {
 		t.MemBytes = d.MemBytes
 		t.NominalDur = d.DurationSec + d.OverheadSec
 		x.flights[p].emit()
-		x.resident++
 		return t, x.base[p] + s, true
 	}
 	x.ready = x.ready[:0]
@@ -256,7 +254,6 @@ func (x *ScatterExpander) settle(id dag.TaskID) int {
 	if !ok || !x.flights[p].report(s) {
 		panic(fmt.Sprintf("jaws: expander %q got a terminal report for unknown shard %q", x.def.Name, id))
 	}
-	x.resident--
 	return p
 }
 
@@ -297,11 +294,6 @@ func (x *ScatterExpander) TaskFailed(id dag.TaskID) int {
 
 // Retire implements dag.Expander, recycling the shard's Task struct.
 func (x *ScatterExpander) Retire(t *dag.Task) { x.free = append(x.free, t) }
-
-// Resident returns how many emitted shards await their terminal report —
-// the expander's own resident state is O(defs + the widest span of
-// unreported shards of a def).
-func (x *ScatterExpander) Resident() int { return x.resident }
 
 func (x *ScatterExpander) grabTask() *dag.Task {
 	if n := len(x.free); n > 0 {

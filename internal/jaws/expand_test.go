@@ -199,7 +199,7 @@ func TestScatterExpanderFailureSkips(t *testing.T) {
 	if rest != 24 { // 23 remaining align shards + stats
 		t.Fatalf("emitted %d post-failure tasks, want 24", rest)
 	}
-	if got := x.Resident(); got != 0 {
+	if got := resident(x); got != 0 {
 		t.Fatalf("resident after drain: %d", got)
 	}
 }
@@ -347,8 +347,8 @@ func expectUnknownShard(t *testing.T, id dag.TaskID, report func()) {
 // Terminal reports must name a shard that was emitted and has not reported
 // yet; anything else — an unknown ID, a shard not emitted yet, a duplicate
 // done or failed report — panics exactly as the map-addressed table did.
-// Reports arrive out of order, and Resident must track the in-flight count
-// throughout.
+// Reports arrive out of order, and the flight tables must track the
+// in-flight count throughout.
 func TestScatterExpanderRejectsBadReports(t *testing.T) {
 	def, err := Parse(expandWDL)
 	if err != nil {
@@ -383,8 +383,8 @@ func TestScatterExpanderRejectsBadReports(t *testing.T) {
 			inflight = append(inflight, task.ID)
 			x.Retire(task)
 		}
-		if x.Resident() != len(inflight) {
-			t.Fatalf("Resident() = %d, %d shards in flight", x.Resident(), len(inflight))
+		if resident(x) != len(inflight) {
+			t.Fatalf("resident = %d, %d shards in flight", resident(x), len(inflight))
 		}
 		if len(inflight) == 0 {
 			break
@@ -395,8 +395,8 @@ func TestScatterExpanderRejectsBadReports(t *testing.T) {
 		inflight = inflight[:len(inflight)-1]
 		x.TaskDone(id)
 		reported++
-		if x.Resident() != len(inflight) {
-			t.Fatalf("Resident() = %d after reporting %q, %d in flight", x.Resident(), id, len(inflight))
+		if resident(x) != len(inflight) {
+			t.Fatalf("resident = %d after reporting %q, %d in flight", resident(x), id, len(inflight))
 		}
 		expectUnknownShard(t, id, func() { x.TaskDone(id) })
 		expectUnknownShard(t, id, func() { x.TaskFailed(id) })
@@ -406,8 +406,23 @@ func TestScatterExpanderRejectsBadReports(t *testing.T) {
 	}
 }
 
+// resident returns how many emitted shards of x its flight tables hold as
+// awaiting their terminal report.
+func resident(x *ScatterExpander) int {
+	n := 0
+	for _, f := range x.flights {
+		for _, done := range f.reported {
+			if !done {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // residentProbe forwards an expander and checks, at every call, that the
-// ScatterExpander's Resident equals the shards emitted and not yet reported.
+// ScatterExpander's flight tables hold exactly the shards emitted and not
+// yet reported.
 type residentProbe struct {
 	*ScatterExpander
 	t        *testing.T
@@ -416,8 +431,8 @@ type residentProbe struct {
 
 func (p *residentProbe) check() {
 	p.t.Helper()
-	if got := p.ScatterExpander.Resident(); got != p.inflight {
-		p.t.Fatalf("Resident() = %d, %d shards in flight", got, p.inflight)
+	if got := resident(p.ScatterExpander); got != p.inflight {
+		p.t.Fatalf("resident = %d, %d shards in flight", got, p.inflight)
 	}
 }
 
@@ -443,9 +458,9 @@ func (p *residentProbe) TaskFailed(id dag.TaskID) int {
 	return n
 }
 
-// Resident must match the in-flight count through a faulty run: retried
-// shards, a terminally failed shard with cascade skips, and a window that
-// keeps admission throttled.
+// The flight tables must match the in-flight count through a faulty run:
+// retried shards, a terminally failed shard with cascade skips, and a window
+// that keeps admission throttled.
 func TestScatterExpanderResidentUnderFaults(t *testing.T) {
 	def, err := Parse(expandWDL)
 	if err != nil {
@@ -468,7 +483,7 @@ func TestScatterExpanderResidentUnderFaults(t *testing.T) {
 	if st := sr.Stats(); st.Retries == 0 || st.TerminalFailures != 1 || st.Skipped == 0 {
 		t.Fatalf("fault plan did not bite: %+v", st)
 	}
-	if x.Resident() != 0 {
-		t.Fatalf("resident after drain: %d", x.Resident())
+	if resident(x) != 0 {
+		t.Fatalf("resident after drain: %d", resident(x))
 	}
 }

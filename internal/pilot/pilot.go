@@ -209,6 +209,9 @@ func (p *Pilot) onGranted(a *rm.BatchAlloc) {
 	p.state = Bootstrapping
 	p.freeNodes = append([]*cluster.Node(nil), a.Nodes...)
 	p.eng.After(sim.Time(p.cfg.BootstrapSec), func() {
+		if p.state != Bootstrapping {
+			return // expired or released while bootstrapping
+		}
 		p.state = Active
 		p.activeAt = p.eng.Now()
 		for _, fn := range p.onActive {

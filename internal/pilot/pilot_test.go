@@ -208,6 +208,24 @@ func TestPilotWalltimeExpiryFailsEverything(t *testing.T) {
 	}
 }
 
+// A walltime that ends during bootstrap leaves the pilot done: the agent
+// never becomes active on the reclaimed nodes.
+func TestPilotExpiryDuringBootstrap(t *testing.T) {
+	eng, cl, bm := setup(2)
+	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 10, BootstrapSec: 85})
+	activated := false
+	p.OnActive(func() { activated = true })
+	eng.Run()
+	if activated || p.State() != Done {
+		t.Fatalf("activated=%v state=%v after expiry at 10s during an 85s bootstrap", activated, p.State())
+	}
+	var res rm.Result
+	p.Submit(task("late", 1, 10, func(r rm.Result) { res = r }))
+	if !res.Failed || !errors.Is(res.Err, ErrRejected) {
+		t.Fatalf("submission to the expired pilot: %+v", res)
+	}
+}
+
 func TestPilotSubmitErrors(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6})

@@ -162,10 +162,10 @@ func TestReleaseWorkflowKeepsRecords(t *testing.T) {
 	s.RegisterWorkflow("wf", w)
 	s.AddTask(TaskRecord{WorkflowID: "wf", TaskID: "a", Name: "a", Node: "n"})
 	s.ReleaseWorkflow("wf")
-	if _, err := s.Lineage("wf", "a"); err == nil {
-		t.Fatal("lineage resolvable after release")
+	if doc := exportDoc(t, s); len(doc.Workflows) != 0 {
+		t.Fatalf("released workflow still exported: %+v", doc.Workflows)
 	}
-	if len(s.ByWorkflow("wf")) != 1 {
+	if len(byWorkflow(s, "wf")) != 1 {
 		t.Fatal("records dropped by release")
 	}
 	s.ReleaseWorkflow("ghost") // no-op

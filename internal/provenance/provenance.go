@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"hhcw/internal/dag"
-	"hhcw/internal/predict"
 	"hhcw/internal/sim"
 )
 
@@ -80,11 +79,10 @@ type statAgg struct {
 	maxRT    float64
 }
 
-// nameAgg is one process name's slot: its record index list and both
-// running aggregates, reached by a single name lookup per record.
+// nameAgg is one process name's slot: both running aggregates, reached by a
+// single name lookup per record.
 type nameAgg struct {
 	name string
-	list int32 // position in Store.lists; -1 until a record is retained
 	stat statAgg
 	ref  refAgg
 }
@@ -92,7 +90,7 @@ type nameAgg struct {
 // wfAgg is one workflow's slot: its record index list and its tenant slot,
 // resolved at the workflow's first attributed record (-1 until then).
 type wfAgg struct {
-	list   int32
+	recs   []int
 	tenant int32
 }
 
@@ -101,15 +99,13 @@ type wfAgg struct {
 // Every per-record aggregate lives in a dense slot table reached by one map
 // lookup: nameSlot maps each process name to its slot in names, wfSlot each
 // workflow ID to its slot in wfs, tenantSlot each tenant to its slot in
-// tenants. The record index lists of names and workflows alike sit in lists,
-// in the order they were drawn.
+// tenants.
 type Store struct {
 	records    []TaskRecord
 	nameSlot   map[string]int32
 	names      []nameAgg
 	wfSlot     map[string]int32
 	wfs        []wfAgg
-	lists      [][]int
 	nodeEvents []NodeEvent
 	workflows  map[string]*dag.Workflow
 	// Tenant dimension (see SetTenantResolver): running per-tenant
@@ -121,13 +117,12 @@ type Store struct {
 	// aggregates and discards the record, keeping memory O(process names)
 	// at any task count (see SetCompact).
 	compact bool
-	folded  int
 	// observer, when set, sees every record AddTask ingests (see
 	// SetTaskObserver).
 	observer func(TaskRecord)
-	// freeIdx recycles the index lists across Reset: warm sessions replay the
-	// same keys in the same order, and Reset pushes the lists back in reverse
-	// of the order they were drawn, so each key of a replay draws exactly the
+	// freeIdx recycles the workflows' index lists across Reset: warm sessions
+	// replay the same workflows in the same order, and Reset pushes the lists
+	// back in reverse, so each workflow of a replay draws exactly the
 	// capacity it filled last run.
 	freeIdx [][]int
 }
@@ -153,15 +148,14 @@ func NewStore() *Store {
 func (s *Store) Reset() {
 	clear(s.records)
 	s.records = s.records[:0]
-	for i := len(s.lists) - 1; i >= 0; i-- {
-		s.freeIdx = append(s.freeIdx, s.lists[i][:0])
+	for i := len(s.wfs) - 1; i >= 0; i-- {
+		s.freeIdx = append(s.freeIdx, s.wfs[i].recs[:0])
 	}
-	clear(s.lists)
-	s.lists = s.lists[:0]
 	clear(s.nameSlot)
 	clear(s.names)
 	s.names = s.names[:0]
 	clear(s.wfSlot)
+	clear(s.wfs)
 	s.wfs = s.wfs[:0]
 	s.nodeEvents = s.nodeEvents[:0]
 	clear(s.workflows)
@@ -170,20 +164,20 @@ func (s *Store) Reset() {
 	clear(s.tenants)
 	s.tenants = s.tenants[:0]
 	s.compact = false
-	s.folded = 0
 }
 
-// RegisterWorkflow stores workflow structure for lineage queries.
+// RegisterWorkflow stores workflow structure for the export's dependency
+// listing (ExportPROV).
 func (s *Store) RegisterWorkflow(id string, w *dag.Workflow) {
 	s.workflows[id] = w
 }
 
-// ReleaseWorkflow drops the registered workflow structure for id — the
-// lineage index for a workflow an open-system service has finished with.
-// Task records and aggregates are untouched; Lineage for the id starts
-// failing with "not registered". A service admitting workflows per arrival
-// pairs each RegisterWorkflow with a release so structure memory stays
-// O(in-flight), not O(arrivals).
+// ReleaseWorkflow drops the registered workflow structure for id, once an
+// open-system service has finished with the workflow. Task records and
+// aggregates are untouched; ExportPROV no longer lists the workflow's
+// dependencies. A service admitting workflows per arrival pairs each
+// RegisterWorkflow with a release so structure memory stays O(in-flight),
+// not O(arrivals).
 func (s *Store) ReleaseWorkflow(id string) { delete(s.workflows, id) }
 
 // SetTenantResolver installs the workflow-ID→tenant mapping that turns on
@@ -240,22 +234,19 @@ func (s *Store) StatsByTenant() []TenantStats {
 // folds every record into the running aggregates (StatsByName,
 // MeanRefRuntime) and drops it, so a million-task streaming run keeps
 // provenance memory bounded by the number of distinct process names.
-// Record-level queries (All, ByWorkflow, Lineage, Observations, ExportPROV,
-// AnnotateRetry) see only records added while retention was on.
+// Record-level queries (All, ExportPROV, AnnotateRetry) see only records
+// added while retention was on. Len counts retained records only; a task
+// observer (SetTaskObserver) sees every record.
 func (s *Store) SetCompact(on bool) { s.compact = on }
 
 // Compact reports whether record retention is off.
 func (s *Store) Compact() bool { return s.compact }
 
-// Folded returns the number of records folded into aggregates without being
-// retained. Len() + Folded() is the total executions observed.
-func (s *Store) Folded() int { return s.folded }
-
 // SetTaskObserver installs a hook invoked with every record AddTask
 // ingests, whether or not the record is retained (compact mode folds and
 // drops records, but the observer still sees each one exactly once). This
 // is the §3.4 provenance→prediction feed: online predictors subscribe here
-// and train as attempts complete, instead of rescanning Observations().
+// and train as attempts complete.
 func (s *Store) SetTaskObserver(fn func(TaskRecord)) { s.observer = fn }
 
 // AddTask appends a task execution record (unless the store is compact) and
@@ -268,7 +259,6 @@ func (s *Store) AddTask(r TaskRecord) {
 	na := &s.names[s.nameOf(r.Name)]
 	tenant := int32(-1)
 	if s.compact {
-		s.folded++
 		if s.tenantOf != nil {
 			tenant = s.tenantIdx(s.tenantOf(r.WorkflowID))
 		}
@@ -276,11 +266,7 @@ func (s *Store) AddTask(r TaskRecord) {
 		idx := len(s.records)
 		s.records = append(s.records, r)
 		wf := &s.wfs[s.wfOf(r.WorkflowID)]
-		s.lists[wf.list] = append(s.lists[wf.list], idx)
-		if na.list < 0 {
-			na.list = s.newList()
-		}
-		s.lists[na.list] = append(s.lists[na.list], idx)
+		wf.recs = append(wf.recs, idx)
 		if s.tenantOf != nil {
 			if wf.tenant < 0 {
 				wf.tenant = s.tenantIdx(s.tenantOf(r.WorkflowID))
@@ -332,7 +318,7 @@ func (s *Store) nameOf(name string) int32 {
 	if !ok {
 		i = int32(len(s.names))
 		s.nameSlot[name] = i
-		s.names = append(s.names, nameAgg{name: name, list: -1})
+		s.names = append(s.names, nameAgg{name: name})
 	}
 	return i
 }
@@ -344,7 +330,14 @@ func (s *Store) wfOf(id string) int32 {
 	if !ok {
 		i = int32(len(s.wfs))
 		s.wfSlot[id] = i
-		s.wfs = append(s.wfs, wfAgg{list: s.newList(), tenant: -1})
+		// Take a zero-length, capacity-bearing list from the Reset harvest,
+		// or nil when the pool is dry (a fresh key on a cold store).
+		var recs []int
+		if n := len(s.freeIdx); n > 0 {
+			recs = s.freeIdx[n-1]
+			s.freeIdx = s.freeIdx[:n-1]
+		}
+		s.wfs = append(s.wfs, wfAgg{recs: recs, tenant: -1})
 	}
 	return i
 }
@@ -358,19 +351,6 @@ func (s *Store) tenantIdx(tenant string) int32 {
 		s.tenants = append(s.tenants, tenantAgg{tenant: tenant})
 	}
 	return i
-}
-
-// newList opens an index list, taking a zero-length, capacity-bearing slice
-// from the Reset harvest, or nil when the pool is dry (a fresh key on a cold
-// store).
-func (s *Store) newList() int32 {
-	var sl []int
-	if n := len(s.freeIdx); n > 0 {
-		sl = s.freeIdx[n-1]
-		s.freeIdx = s.freeIdx[:n-1]
-	}
-	s.lists = append(s.lists, sl)
-	return int32(len(s.lists) - 1)
 }
 
 // MeanRefRuntime returns the running mean of the speed-normalized runtimes
@@ -395,7 +375,7 @@ func (s *Store) AddNodeEvent(e NodeEvent) { s.nodeEvents = append(s.nodeEvents, 
 func (s *Store) AnnotateRetry(wfID string, taskID dag.TaskID, delaySec float64, policy string) bool {
 	var idx []int
 	if w, ok := s.wfSlot[wfID]; ok {
-		idx = s.lists[s.wfs[w].list]
+		idx = s.wfs[w].recs
 	}
 	for i := len(idx) - 1; i >= 0; i-- {
 		r := &s.records[idx[i]]
@@ -413,78 +393,6 @@ func (s *Store) Len() int { return len(s.records) }
 
 // All returns a copy of all task records.
 func (s *Store) All() []TaskRecord { return append([]TaskRecord(nil), s.records...) }
-
-// ByWorkflow returns records for a workflow in insertion order.
-func (s *Store) ByWorkflow(id string) []TaskRecord {
-	if w, ok := s.wfSlot[id]; ok {
-		return s.collect(s.lists[s.wfs[w].list])
-	}
-	return s.collect(nil)
-}
-
-// ByTaskName returns records for a process name in insertion order.
-func (s *Store) ByTaskName(name string) []TaskRecord {
-	if n, ok := s.nameSlot[name]; ok && s.names[n].list >= 0 {
-		return s.collect(s.lists[s.names[n].list])
-	}
-	return s.collect(nil)
-}
-
-func (s *Store) collect(idx []int) []TaskRecord {
-	out := make([]TaskRecord, len(idx))
-	for i, j := range idx {
-		out[i] = s.records[j]
-	}
-	return out
-}
-
-// NodeEvents returns all node trace entries.
-func (s *Store) NodeEvents() []NodeEvent { return append([]NodeEvent(nil), s.nodeEvents...) }
-
-// Observations converts successful records into predictor training data —
-// the §3.4 pipeline from provenance to runtime prediction.
-func (s *Store) Observations() []predict.Observation {
-	var out []predict.Observation
-	for _, r := range s.records {
-		if r.Failed {
-			continue
-		}
-		out = append(out, predict.Observation{
-			TaskName:    r.Name,
-			InputBytes:  r.InputBytes,
-			RuntimeSec:  float64(r.Runtime()),
-			PeakMem:     r.PeakMem,
-			MachineName: r.MachineType,
-			SpeedFactor: r.SpeedFactor,
-		})
-	}
-	return out
-}
-
-// Lineage returns the upstream task records that produced inputs for taskID
-// in workflow wfID (direct dependencies only), using the registered
-// workflow structure.
-func (s *Store) Lineage(wfID string, taskID dag.TaskID) ([]TaskRecord, error) {
-	w := s.workflows[wfID]
-	if w == nil {
-		return nil, fmt.Errorf("provenance: workflow %q not registered", wfID)
-	}
-	t := w.Task(taskID)
-	if t == nil {
-		return nil, fmt.Errorf("provenance: task %q not in workflow %q", taskID, wfID)
-	}
-	deps := map[dag.TaskID]bool{}
-	for _, d := range t.Deps {
-		deps[d] = true
-	}
-	var out []TaskRecord
-	for _, r := range s.ByWorkflow(wfID) {
-		if deps[r.TaskID] {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
 
 // Stats summarizes one process name across executions.
 type Stats struct {

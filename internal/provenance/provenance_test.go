@@ -18,6 +18,18 @@ func rec(wf string, task dag.TaskID, name string, start, end sim.Time, failed bo
 	}
 }
 
+// byWorkflow returns the retained records of workflow id in insertion
+// order, read through the workflow's index list.
+func byWorkflow(s *Store, id string) []TaskRecord {
+	var out []TaskRecord
+	if w, ok := s.wfSlot[id]; ok {
+		for _, j := range s.wfs[w].recs {
+			out = append(out, s.records[j])
+		}
+	}
+	return out
+}
+
 func TestAddAndQuery(t *testing.T) {
 	s := NewStore()
 	s.AddTask(rec("wf1", "a", "salmon", 0, 10, false))
@@ -26,14 +38,14 @@ func TestAddAndQuery(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if got := len(s.ByWorkflow("wf1")); got != 2 {
-		t.Fatalf("ByWorkflow(wf1) = %d", got)
+	if got := len(byWorkflow(s, "wf1")); got != 2 {
+		t.Fatalf("records of wf1 = %d", got)
 	}
-	if got := len(s.ByTaskName("salmon")); got != 2 {
-		t.Fatalf("ByTaskName(salmon) = %d", got)
+	if st := s.StatsByName(); len(st) != 2 || st[1].Name != "salmon" || st[1].Executions != 2 {
+		t.Fatalf("StatsByName = %+v", st)
 	}
-	if got := len(s.ByWorkflow("missing")); got != 0 {
-		t.Fatalf("ByWorkflow(missing) = %d", got)
+	if got := len(byWorkflow(s, "missing")); got != 0 {
+		t.Fatalf("records of missing = %d", got)
 	}
 }
 
@@ -41,43 +53,6 @@ func TestRuntime(t *testing.T) {
 	r := rec("w", "a", "x", 5, 17, false)
 	if r.Runtime() != 12 {
 		t.Fatalf("Runtime = %v", r.Runtime())
-	}
-}
-
-func TestObservationsSkipFailures(t *testing.T) {
-	s := NewStore()
-	s.AddTask(rec("w", "a", "x", 0, 10, false))
-	s.AddTask(rec("w", "b", "x", 0, 10, true))
-	obs := s.Observations()
-	if len(obs) != 1 {
-		t.Fatalf("Observations = %d, want 1 (failures excluded)", len(obs))
-	}
-	if obs[0].RuntimeSec != 10 || obs[0].TaskName != "x" {
-		t.Fatalf("obs = %+v", obs[0])
-	}
-}
-
-func TestLineage(t *testing.T) {
-	w := dag.New("w")
-	w.Add(&dag.Task{ID: "a"})
-	w.Add(&dag.Task{ID: "b", Deps: []dag.TaskID{"a"}})
-	s := NewStore()
-	s.RegisterWorkflow("w", w)
-	s.AddTask(rec("w", "a", "x", 0, 10, false))
-	s.AddTask(rec("w", "b", "y", 10, 20, false))
-
-	up, err := s.Lineage("w", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(up) != 1 || up[0].TaskID != "a" {
-		t.Fatalf("lineage = %+v", up)
-	}
-	if _, err := s.Lineage("ghost", "a"); err == nil {
-		t.Fatal("unknown workflow accepted")
-	}
-	if _, err := s.Lineage("w", "ghost"); err == nil {
-		t.Fatal("unknown task accepted")
 	}
 }
 
@@ -108,10 +83,26 @@ func TestNodeEvents(t *testing.T) {
 	s := NewStore()
 	s.AddNodeEvent(NodeEvent{At: 5, Node: "n1", Kind: "down"})
 	s.AddNodeEvent(NodeEvent{At: 9, Node: "n1", Kind: "up"})
-	ev := s.NodeEvents()
-	if len(ev) != 2 || ev[0].Kind != "down" {
+	ev := exportDoc(t, s).NodeTraces
+	if len(ev) != 2 || ev[0].At != 5 || ev[0].Node != "n1" || ev[0].Kind != "down" || ev[1].Kind != "up" {
 		t.Fatalf("events = %+v", ev)
 	}
+}
+
+// exportDoc decodes the parts of s's PROV export the tests read.
+func exportDoc(t *testing.T, s *Store) (doc struct {
+	NodeTraces []NodeEvent          `json:"nodeTraces"`
+	Workflows  map[string][]provDep `json:"workflows"`
+}) {
+	t.Helper()
+	raw, err := s.ExportPROV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
 }
 
 func TestExportPROV(t *testing.T) {
@@ -143,6 +134,10 @@ func TestExportPROV(t *testing.T) {
 	}
 	if len(acts) != 2 {
 		t.Fatalf("activities = %d, want 2", len(acts))
+	}
+	deps := exportDoc(t, s).Workflows["w"]
+	if len(deps) != 2 || deps[1].Task != "b" || len(deps[1].Deps) != 1 || deps[1].Deps[0] != "a" {
+		t.Fatalf("exported dependencies = %+v", deps)
 	}
 }
 

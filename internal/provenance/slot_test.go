@@ -19,13 +19,11 @@ import (
 type mapStore struct {
 	records    []TaskRecord
 	byWorkflow map[string][]int
-	byName     map[string][]int
 	refByName  map[string]refAgg
 	statByName map[string]statAgg
 	tenantOf   func(string) string
 	byTenant   map[string]tenantAgg
 	compact    bool
-	folded     int
 }
 
 func newMapStore() *mapStore {
@@ -37,7 +35,6 @@ func newMapStore() *mapStore {
 func (m *mapStore) reset() {
 	*m = mapStore{
 		byWorkflow: map[string][]int{},
-		byName:     map[string][]int{},
 		refByName:  map[string]refAgg{},
 		statByName: map[string]statAgg{},
 		byTenant:   map[string]tenantAgg{},
@@ -45,13 +42,9 @@ func (m *mapStore) reset() {
 }
 
 func (m *mapStore) addTask(r TaskRecord) {
-	if m.compact {
-		m.folded++
-	} else {
-		idx := len(m.records)
+	if !m.compact {
+		m.byWorkflow[r.WorkflowID] = append(m.byWorkflow[r.WorkflowID], len(m.records))
 		m.records = append(m.records, r)
-		m.byWorkflow[r.WorkflowID] = append(m.byWorkflow[r.WorkflowID], idx)
-		m.byName[r.Name] = append(m.byName[r.Name], idx)
 	}
 	if m.tenantOf != nil {
 		t := m.tenantOf(r.WorkflowID)
@@ -203,9 +196,8 @@ func TestSlotStoreMatchesMapStore(t *testing.T) {
 
 	check := func(round, step int) {
 		t.Helper()
-		if s.Len() != len(ref.records) || s.Folded() != ref.folded {
-			t.Fatalf("round %d step %d: Len/Folded = %d/%d, reference %d/%d",
-				round, step, s.Len(), s.Folded(), len(ref.records), ref.folded)
+		if s.Len() != len(ref.records) {
+			t.Fatalf("round %d step %d: Len = %d, reference %d", round, step, s.Len(), len(ref.records))
 		}
 		if got, want := s.StatsByName(), ref.statsByName(); !bitsEqual(got, want) {
 			t.Fatalf("round %d step %d: StatsByName\n got %+v\nwant %+v", round, step, got, want)
@@ -225,13 +217,10 @@ func TestSlotStoreMatchesMapStore(t *testing.T) {
 				t.Fatalf("round %d step %d: MeanRefRuntime(%s) = (%v,%v), reference (%v,%v)",
 					round, step, n, gotM, gotOK, wantM, wantOK)
 			}
-			if got, want := s.ByTaskName(n), ref.collect(ref.byName[n]); !bitsEqual(got, want) {
-				t.Fatalf("round %d step %d: ByTaskName(%s) differs", round, step, n)
-			}
 		}
 		for _, w := range append(wfIDs, "unseen/wf") {
-			if got, want := s.ByWorkflow(w), ref.collect(ref.byWorkflow[w]); !bitsEqual(got, want) {
-				t.Fatalf("round %d step %d: ByWorkflow(%s) differs", round, step, w)
+			if got, want := byWorkflow(s, w), ref.collect(ref.byWorkflow[w]); !bitsEqual(got, want) {
+				t.Fatalf("round %d step %d: records of %s differ", round, step, w)
 			}
 		}
 	}

@@ -33,7 +33,7 @@ type BatchJob struct {
 
 // BatchAlloc is a granted set of whole nodes. Nodes keeps its original
 // membership even after failures (owners use it to test placement), while
-// DownNodes counts how many of them the manager has reaped.
+// UpNodes counts the ones the manager has not reaped.
 type BatchAlloc struct {
 	Job       *BatchJob
 	Nodes     []*cluster.Node
@@ -45,10 +45,6 @@ type BatchAlloc struct {
 	released  bool
 	downNodes int
 }
-
-// DownNodes returns how many of the allocation's nodes have failed since the
-// job started.
-func (a *BatchAlloc) DownNodes() int { return a.downNodes }
 
 // UpNodes returns the number of still-healthy nodes in the allocation.
 func (a *BatchAlloc) UpNodes() int { return len(a.Nodes) - a.downNodes }
@@ -68,7 +64,6 @@ func (a *BatchAlloc) Release() {
 	}
 	a.mgr.dropLive(a)
 	a.mgr.usage[a.Job.Account] += float64(len(a.Nodes)) * float64(now-a.StartedAt)
-	a.mgr.runningJobs--
 	a.mgr.kick()
 }
 
@@ -101,13 +96,11 @@ type BatchManager struct {
 	cl     *cluster.Cluster
 	policy WalltimePolicy
 
-	queue       []*BatchJob
-	usage       map[string]float64 // account → node-seconds consumed
-	runningJobs int
-	live        []*BatchAlloc // submission-ordered, for deterministic reaping
+	queue []*BatchJob
+	usage map[string]float64 // account → node-seconds consumed
+	live  []*BatchAlloc      // submission-ordered, for deterministic reaping
 
 	started         int
-	expired         int
 	schedulePending bool
 	// Steady-state scratch, reused across schedule passes.
 	kickFn      func()
@@ -207,20 +200,8 @@ func (m *BatchManager) Submit(j *BatchJob) error {
 	return nil
 }
 
-// QueueLen returns the number of queued jobs.
-func (m *BatchManager) QueueLen() int { return len(m.queue) }
-
-// RunningJobs returns the number of active allocations.
-func (m *BatchManager) RunningJobs() int { return m.runningJobs }
-
 // Started returns the number of jobs that began execution.
 func (m *BatchManager) Started() int { return m.started }
-
-// Expired returns the number of jobs killed by walltime.
-func (m *BatchManager) Expired() int { return m.expired }
-
-// AccountUsage returns node-seconds consumed by completed jobs of account.
-func (m *BatchManager) AccountUsage(account string) float64 { return m.usage[account] }
 
 func (m *BatchManager) kick() {
 	if m.schedulePending {
@@ -271,12 +252,10 @@ func (m *BatchManager) start(j *BatchJob, nodes []*cluster.Node) bool {
 		Job: j, Nodes: append([]*cluster.Node(nil), nodes...), StartedAt: now,
 		mgr: m, allocs: allocs,
 	}
-	m.runningJobs++
 	m.live = append(m.live, alloc)
 	m.started++
 	if j.Walltime > 0 {
 		alloc.expireEv = m.eng.After(j.Walltime, func() {
-			m.expired++
 			alloc.Release()
 			if j.OnExpire != nil {
 				j.OnExpire()

@@ -20,13 +20,13 @@ func TestTaskManagerAccessors(t *testing.T) {
 		t.Fatalf("default strategy = %q", m.Strategy().Name())
 	}
 	m.SetStrategy(FIFO{})
-	if m.QueueLen() != 0 {
+	if len(m.pending) != 0 {
 		t.Fatal("fresh queue not empty")
 	}
 	m.Submit(&Submission{ID: "a", Cores: 8, Runtime: fixedRuntime(1)}) // too big for any node: queues
 	eng.Run()
-	if m.QueueLen() != 1 {
-		t.Fatalf("oversized submission should stay queued, queue=%d", m.QueueLen())
+	if len(m.pending) != 1 {
+		t.Fatalf("oversized submission should stay queued, queue=%d", len(m.pending))
 	}
 	if sum, n := m.QueueWait(); sum != 0 || n != 0 {
 		t.Fatalf("never-started task counted in QueueWait: sum %v over %d", sum, n)
@@ -76,12 +76,12 @@ func TestBatchQueueLen(t *testing.T) {
 	m := NewBatchManager(testCluster(eng, 2, 4), nil)
 	m.Submit(&BatchJob{ID: "a", Account: "x", Nodes: 2, Walltime: 100})
 	m.Submit(&BatchJob{ID: "b", Account: "x", Nodes: 2, Walltime: 100})
-	if m.QueueLen() != 2 {
-		t.Fatalf("queue before scheduling = %d", m.QueueLen())
+	if len(m.queue) != 2 {
+		t.Fatalf("queue before scheduling = %d", len(m.queue))
 	}
 	eng.RunUntil(1)
-	if m.QueueLen() != 1 { // one granted, one waiting
-		t.Fatalf("queue after grant = %d", m.QueueLen())
+	if len(m.queue) != 1 { // one granted, one waiting
+		t.Fatalf("queue after grant = %d", len(m.queue))
 	}
 	eng.Run()
 }
@@ -132,8 +132,8 @@ func TestMakespanBounds(t *testing.T) {
 func TestRunningSeriesAndFIFOName(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 4), nil)
-	if m.RunningCount() != 0 {
-		t.Fatalf("fresh manager runs %d", m.RunningCount())
+	if len(m.running) != 0 {
+		t.Fatalf("fresh manager runs %d", len(m.running))
 	}
 	if (FIFO{}).Name() != "fifo" {
 		t.Fatal("FIFO name")

@@ -22,7 +22,7 @@ import (
 //     Node == nil whose QueueWait() covers the full pending span (StartedAt
 //     pinned to the abort time, as documented on Abort) — and that wait does
 //     not leak into the manager's QueueWait().
-//   - Cancelled entries are compacted: at drain QueueLen() counts exactly the
+//   - Cancelled entries are compacted: at drain the pending queue counts exactly the
 //     submissions that never started, never ended and were never cancelled.
 //
 // The per-tenant p99 queue-wait SLO metrics in internal/service are computed
@@ -116,8 +116,8 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 		}
 		// The leftover queue at drain: whatever never became feasible, minus
 		// everything cancelled, aborted or placed.
-		if want := len(submitted) - len(results) - cancelled; m.QueueLen() != want {
-			t.Fatalf("seed %d: final queue %d, want %d live pending", seed, m.QueueLen(), want)
+		if want := len(submitted) - len(results) - cancelled; len(m.pending) != want {
+			t.Fatalf("seed %d: final queue %d, want %d live pending", seed, len(m.pending), want)
 		}
 	}
 }

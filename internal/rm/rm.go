@@ -320,13 +320,6 @@ func (m *TaskManager) Cluster() *cluster.Cluster { return m.cl }
 // Engine returns the engine the manager runs on (Executor).
 func (m *TaskManager) Engine() *sim.Engine { return m.eng }
 
-// QueueLen returns the number of pending submissions. A cancelled submission
-// still counts until the schedule pass its cancellation kicks compacts it.
-func (m *TaskManager) QueueLen() int { return len(m.pending) }
-
-// RunningCount returns the number of executing submissions.
-func (m *TaskManager) RunningCount() int { return len(m.running) }
-
 // Completed returns the count of successful completions.
 func (m *TaskManager) Completed() int { return m.completed }
 

@@ -60,8 +60,8 @@ func TestTaskManagerRunsTask(t *testing.T) {
 	if res.FinishedAt != 10 {
 		t.Fatalf("finished at %v, want 10", res.FinishedAt)
 	}
-	if m.Completed() != 1 || m.RunningCount() != 0 {
-		t.Fatalf("completed=%d running=%d", m.Completed(), m.RunningCount())
+	if m.Completed() != 1 || len(m.running) != 0 {
+		t.Fatalf("completed=%d running=%d", m.Completed(), len(m.running))
 	}
 }
 
@@ -258,10 +258,10 @@ func TestBatchManagerGrantAndRelease(t *testing.T) {
 		alloc.Release()
 	})
 	eng.Run()
-	if m.RunningJobs() != 0 || m.Started() != 1 {
-		t.Fatalf("running=%d started=%d", m.RunningJobs(), m.Started())
+	if len(m.live) != 0 || m.Started() != 1 {
+		t.Fatalf("running=%d started=%d", len(m.live), m.Started())
 	}
-	if got := m.AccountUsage("a"); got != 20 { // 2 nodes × 10s
+	if got := m.usage["a"]; got != 20 { // 2 nodes × 10s
 		t.Fatalf("usage = %v, want 20", got)
 	}
 }
@@ -275,8 +275,8 @@ func TestBatchManagerWalltimeExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if !expired || m.Expired() != 1 {
-		t.Fatalf("expired=%v count=%d", expired, m.Expired())
+	if !expired || len(m.live) != 0 {
+		t.Fatalf("expired=%v, %d allocations still live", expired, len(m.live))
 	}
 	if eng.Now() != 50 {
 		t.Fatalf("expiry at %v, want 50", eng.Now())
@@ -362,7 +362,7 @@ func TestResultQueueWait(t *testing.T) {
 }
 
 // Cancel marks a pending submission so it never starts, and the schedule
-// pass it kicks compacts the entry away: QueueLen counts a cancelled
+// pass it kicks compacts the entry away: the pending queue counts a cancelled
 // submission only until that pass.
 func TestCancelUpdatesQueueGaugeImmediately(t *testing.T) {
 	eng := sim.NewEngine()
@@ -372,7 +372,7 @@ func TestCancelUpdatesQueueGaugeImmediately(t *testing.T) {
 	m.Submit(&Submission{ID: "p1", Cores: 1, Runtime: fixedRuntime(5), Done: done})
 	m.Submit(&Submission{ID: "p2", Cores: 1, Runtime: fixedRuntime(5), Done: done})
 	// No schedule pass has run yet: all three count as queued.
-	if got := m.QueueLen(); got != 3 {
+	if got := len(m.pending); got != 3 {
 		t.Fatalf("queue before cancel = %d, want 3", got)
 	}
 	if !m.Cancel("p1") {
@@ -384,7 +384,7 @@ func TestCancelUpdatesQueueGaugeImmediately(t *testing.T) {
 	// Mid-run cancel inside an event: hold is running, p1 compacted, p2
 	// pending.
 	eng.At(1, func() {
-		if got := m.QueueLen(); got != 1 {
+		if got := len(m.pending); got != 1 {
 			t.Errorf("queue at t=1 = %d, want 1", got)
 		}
 		if !m.Cancel("p2") {
@@ -392,7 +392,7 @@ func TestCancelUpdatesQueueGaugeImmediately(t *testing.T) {
 		}
 	})
 	eng.At(2, func() {
-		if got := m.QueueLen(); got != 0 {
+		if got := len(m.pending); got != 0 {
 			t.Errorf("queue after the pass the mid-run Cancel kicked = %d, want 0", got)
 		}
 	})
@@ -400,7 +400,7 @@ func TestCancelUpdatesQueueGaugeImmediately(t *testing.T) {
 	if m.Completed() != 1 {
 		t.Fatalf("completed = %d, want 1 (only hold)", m.Completed())
 	}
-	if got := m.QueueLen(); got != 0 {
+	if got := len(m.pending); got != 0 {
 		t.Fatalf("final queue = %d, want 0", got)
 	}
 }
@@ -415,7 +415,7 @@ func TestAbortPendingUpdatesQueueGauge(t *testing.T) {
 	m.Submit(&Submission{ID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: func(Result) {}})
 	m.Submit(&Submission{ID: "p", Cores: 1, Runtime: fixedRuntime(5), Done: func(r Result) { res = r }})
 	eng.At(2, func() {
-		if got := m.QueueLen(); got != 1 {
+		if got := len(m.pending); got != 1 {
 			t.Errorf("queue before abort = %d, want 1", got)
 		}
 		if !m.Abort("p", errAbort) {
@@ -429,7 +429,7 @@ func TestAbortPendingUpdatesQueueGauge(t *testing.T) {
 		}
 	})
 	eng.At(3, func() {
-		if got := m.QueueLen(); got != 0 {
+		if got := len(m.pending); got != 0 {
 			t.Errorf("queue after the pass the Abort kicked = %d, want 0", got)
 		}
 	})

@@ -12,7 +12,7 @@ import (
 //	Priority = -(fairUsage / weight)
 //
 // where fairUsage is core-seconds consumed, exponentially decayed with the
-// config's FairShareDecaySec time constant — the classic fair-share decay
+// fairShareDecaySec time constant — the classic fair-share decay
 // rule. The tenant furthest below its recent share always drains first.
 // Usage only changes when a task attempt terminates — the same moments the
 // CWS bumps its priority-cache generation — so the memoized priorities the

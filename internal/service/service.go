@@ -48,21 +48,12 @@ type Tenant struct {
 type Config struct {
 	Nodes        int
 	CoresPerNode int
-	MemPerNode   float64 // 0 means 1e12 (memory out of the way)
 
 	Tenants []Tenant
 
 	// FairShare selects the deficit-weighted fair-share strategy; false runs
 	// the plain FIFO baseline (the §6 starvation pathology).
 	FairShare bool
-
-	// FairShareDecaySec is the time constant of the exponential decay
-	// applied to per-tenant usage (0 means 1800 s). Without decay the
-	// deficit has an infinite window and stale imbalances — one tenant's
-	// big workflow an hour ago — distort priorities long after the episode;
-	// the decay makes the deficit track *recent* consumption, which is what
-	// fair share is supposed to equalize.
-	FairShareDecaySec float64
 
 	// HorizonSec stops every arrival process at this virtual time; the
 	// service then drains admitted work and the run ends.
@@ -175,10 +166,17 @@ type serviceRun struct {
 	admitted      []*driver          // every admission's driver, settled or not
 	retry         *fault.RetryPolicy // the recovery policy of fault runs, nil otherwise
 	retryRNG      *randx.Source      // backoff jitter, shared by every workflow's runner
-	decayTau      float64            // fair-share usage decay time constant
 	lastDecay     sim.Time           // last uniform decay instant (all tenants share it)
 	err           error
 }
+
+// fairShareDecaySec is the time constant of the exponential decay applied
+// to per-tenant fair-share usage. Without decay the deficit has an infinite
+// window and stale imbalances — one tenant's big workflow an hour ago —
+// distort priorities long after the episode; the decay makes the deficit
+// track *recent* consumption, which is what fair share is supposed to
+// equalize.
+const fairShareDecaySec = 1800
 
 // decayUsage applies the uniform exponential decay to every tenant's
 // fair-share usage up to now. All tenants decay at the same instants by the
@@ -189,7 +187,7 @@ func (sv *serviceRun) decayUsage(now sim.Time) {
 	if dt <= 0 {
 		return
 	}
-	f := math.Exp(-dt / sv.decayTau)
+	f := math.Exp(-dt / fairShareDecaySec)
 	for _, ts := range sv.tenants {
 		ts.fairUsage *= f
 	}
@@ -207,7 +205,7 @@ func (sv *serviceRun) tenantOf(wfID string) *tenantState {
 
 // Substrate is a warm service substrate: one engine + cluster + task manager
 // + CWS instance, reusable across any number of runs that share the same
-// cluster shape (Nodes, CoresPerNode, MemPerNode). Between runs the
+// cluster shape (Nodes, CoresPerNode). Between runs the
 // substrate is reset in place — event queues truncated, node capacities
 // restored, scheduler and provenance state cleared — instead of rebuilt, so
 // an ensemble's steady-state construction cost is near zero. The determinism
@@ -216,7 +214,6 @@ func (sv *serviceRun) tenantOf(wfID string) *tenantState {
 // A Substrate is single-goroutine: share nothing, one per worker.
 type Substrate struct {
 	nodes, cores int
-	mem          float64
 
 	eng  *sim.Engine
 	cl   *cluster.Cluster
@@ -236,27 +233,27 @@ type driver struct {
 	x  dag.WorkflowExpander
 }
 
-// NewSubstrate builds a cold substrate for the given cluster shape.
-// memPerNode <= 0 means the 1e12 default (memory out of the way). Returns
+// svcMemPerNode is every service node's memory: a terabyte keeps memory out
+// of the way of core packing.
+const svcMemPerNode = 1e12
+
+// NewSubstrate builds a cold substrate for the given cluster shape. Returns
 // nil for a non-positive shape — runs on a nil Substrate fall back to the
 // cold path, where config validation reports the error.
-func NewSubstrate(nodes, coresPerNode int, memPerNode float64) *Substrate {
+func NewSubstrate(nodes, coresPerNode int) *Substrate {
 	if nodes <= 0 || coresPerNode <= 0 {
 		return nil
 	}
-	if memPerNode <= 0 {
-		memPerNode = 1e12
-	}
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, "svc", cluster.Spec{
-		Type:  cluster.NodeType{Name: "svc-node", Cores: coresPerNode, GPUs: 2, MemBytes: memPerNode},
+		Type:  cluster.NodeType{Name: "svc-node", Cores: coresPerNode, GPUs: 2, MemBytes: svcMemPerNode},
 		Count: nodes,
 	})
 	mgr := rm.NewTaskManager(cl, nil)
 	// The per-run strategy is installed by cws.Reset at the top of each run;
 	// Baseline here is just the construction placeholder.
 	cws := cwsi.New(mgr, cwsi.Baseline{}, nil)
-	return &Substrate{nodes: nodes, cores: coresPerNode, mem: memPerNode, eng: eng, cl: cl, mgr: mgr, cws: cws}
+	return &Substrate{nodes: nodes, cores: coresPerNode, eng: eng, cl: cl, mgr: mgr, cws: cws}
 }
 
 // matches reports whether the substrate's cluster shape serves cfg.
@@ -264,11 +261,7 @@ func (sub *Substrate) matches(cfg *Config) bool {
 	if sub == nil {
 		return false
 	}
-	mem := cfg.MemPerNode
-	if mem <= 0 {
-		mem = 1e12
-	}
-	return sub.nodes == cfg.Nodes && sub.cores == cfg.CoresPerNode && sub.mem == mem
+	return sub.nodes == cfg.Nodes && sub.cores == cfg.CoresPerNode
 }
 
 // reset truncates the engine/cluster/manager in place. The CWS is reset
@@ -302,7 +295,7 @@ var substrateAuditSkip = []string{
 func (sub *Substrate) Audit() []string {
 	sub.reset()
 	sub.cws.Reset(cwsi.Baseline{}, nil)
-	fresh := NewSubstrate(sub.nodes, sub.cores, sub.mem)
+	fresh := NewSubstrate(sub.nodes, sub.cores)
 	return statediff.Diff(sub, fresh, statediff.Config{Skip: substrateAuditSkip})
 }
 
@@ -318,23 +311,14 @@ func (sub *Substrate) Run(cfg Config, seed int64) (*Result, error) {
 	return run(sub, cfg, seed, -1)
 }
 
-// RunSolo executes the session with only tenant index `only` armed, on the
+// runSolo executes the session with only tenant index `only` armed, on the
 // identical per-tenant random streams a full Run would use — the solo
 // baseline that makespan-inflation and wait-inflation SLOs compare against.
 // The solo run always schedules under FIFO: it measures the tenant's
 // uncontended behavior, not the strategy's.
-func RunSolo(cfg Config, seed int64, only int) (*Result, error) {
-	return runSolo(nil, cfg, seed, only)
-}
-
-// RunSolo is the warm-substrate form of the package-level RunSolo.
-func (sub *Substrate) RunSolo(cfg Config, seed int64, only int) (*Result, error) {
-	return runSolo(sub, cfg, seed, only)
-}
-
 func runSolo(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 	if only < 0 || only >= len(cfg.Tenants) {
-		return nil, fmt.Errorf("service: RunSolo tenant index %d out of range", only)
+		return nil, fmt.Errorf("service: solo run tenant index %d out of range", only)
 	}
 	cfg.FairShare = false
 	return run(sub, cfg, seed, only)
@@ -355,23 +339,19 @@ func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 	// config, else a one-shot cold build (also the path of the package-level
 	// Run functions).
 	if !sub.matches(&cfg) {
-		sub = NewSubstrate(cfg.Nodes, cfg.CoresPerNode, cfg.MemPerNode)
+		sub = NewSubstrate(cfg.Nodes, cfg.CoresPerNode)
 	} else if sub.warm {
 		sub.reset()
 	}
 	sub.warm = true
 
 	sv := &serviceRun{
-		cfg:      cfg,
-		sub:      sub,
-		eng:      sub.eng,
-		cl:       sub.cl,
-		byID:     map[string]*tenantState{},
-		only:     only,
-		decayTau: cfg.FairShareDecaySec,
-	}
-	if sv.decayTau <= 0 {
-		sv.decayTau = 1800
+		cfg:  cfg,
+		sub:  sub,
+		eng:  sub.eng,
+		cl:   sub.cl,
+		byID: map[string]*tenantState{},
+		only: only,
 	}
 
 	// Fixed fork order — part of the determinism contract, and shared with

@@ -88,7 +88,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		if !built[worker] {
 			built[worker] = true
 			c := scen(false)
-			subs[worker] = NewSubstrate(c.Nodes, c.CoresPerNode, c.MemPerNode)
+			subs[worker] = NewSubstrate(c.Nodes, c.CoresPerNode)
 		}
 		fifo, err := subs[worker].RunWithBaselines(scen(false), seed)
 		if err != nil {

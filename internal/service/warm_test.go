@@ -33,7 +33,7 @@ func warmTestConfig(t *testing.T, fairShare bool, faults string) Config {
 // preceding reset was complete.
 func TestSubstrateWarmMatchesCold(t *testing.T) {
 	cfg0 := warmTestConfig(t, false, "")
-	sub := NewSubstrate(cfg0.Nodes, cfg0.CoresPerNode, cfg0.MemPerNode)
+	sub := NewSubstrate(cfg0.Nodes, cfg0.CoresPerNode)
 	if sub == nil {
 		t.Fatal("NewSubstrate returned nil for a valid shape")
 	}
@@ -69,7 +69,7 @@ func TestSubstrateWarmMatchesCold(t *testing.T) {
 // construction field for field.
 func TestSubstrateAuditCleanAfterChaos(t *testing.T) {
 	cfg0 := warmTestConfig(t, true, "")
-	sub := NewSubstrate(cfg0.Nodes, cfg0.CoresPerNode, cfg0.MemPerNode)
+	sub := NewSubstrate(cfg0.Nodes, cfg0.CoresPerNode)
 	for _, faults := range []string{"", "mtbf", "spot", "storm"} {
 		cfg := warmTestConfig(t, true, faults)
 		if _, err := sub.RunWithBaselines(cfg, 4); err != nil {
@@ -86,7 +86,7 @@ func TestSubstrateAuditCleanAfterChaos(t *testing.T) {
 // bypassed, not misused: results equal the cold path's bit for bit.
 func TestSubstrateShapeMismatchFallsBackCold(t *testing.T) {
 	cfg := warmTestConfig(t, true, "")
-	sub := NewSubstrate(cfg.Nodes+1, cfg.CoresPerNode, cfg.MemPerNode) // wrong shape
+	sub := NewSubstrate(cfg.Nodes+1, cfg.CoresPerNode) // wrong shape
 	warm, err := sub.Run(cfg, 6)
 	if err != nil {
 		t.Fatal(err)

@@ -83,15 +83,6 @@ func (s *Store) Delete(name string) {
 // Len returns the number of stored files.
 func (s *Store) Len() int { return len(s.files) }
 
-// TotalBytes returns the sum of stored file sizes.
-func (s *Store) TotalBytes() float64 {
-	sum := 0.0
-	for _, f := range s.files {
-		sum += f.Bytes
-	}
-	return sum
-}
-
 // List returns stored file names in sorted order.
 func (s *Store) List() []string {
 	out := make([]string, 0, len(s.files))
@@ -126,9 +117,6 @@ type TransferService struct {
 	links map[string]Link
 
 	inflight map[string][]*xfer // linkKey → active transfers
-
-	completed int
-	moved     float64
 }
 
 // xfer is one in-flight transfer on a shared link.
@@ -184,8 +172,6 @@ func (t *TransferService) Transfer(src, dst *Store, name string, done func(error
 		dst.files[name] = f
 		dst.Ops++
 		dst.BytesWritten += f.Bytes
-		t.moved += f.Bytes
-		t.completed++
 		done(nil)
 	}
 	t.eng.After(sim.Time(l.LatencySec), func() {
@@ -247,9 +233,3 @@ func (t *TransferService) reschedule(key string, bw float64) {
 		})
 	}
 }
-
-// BytesMoved returns the total bytes transferred so far.
-func (t *TransferService) BytesMoved() float64 { return t.moved }
-
-// CompletedTransfers returns the number of finished transfers.
-func (t *TransferService) CompletedTransfers() int { return t.completed }

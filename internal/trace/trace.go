@@ -112,12 +112,3 @@ func (d *Doc) Span() float64 {
 	}
 	return hi - lo
 }
-
-// Lanes returns the number of distinct node lanes.
-func (d *Doc) Lanes() int {
-	seen := map[int]bool{}
-	for _, e := range d.TraceEvents {
-		seen[e.TID] = true
-	}
-	return len(seen)
-}
