@@ -369,17 +369,17 @@ func (f *fleet) Submit(s *rm.Submission) {
 }
 
 // Abort implements rm.Executor.
-func (f *fleet) Abort(id string, err error) bool {
+func (f *fleet) Abort(s *rm.Submission, err error) bool {
 	now := f.env.Eng.Now()
 	for i, q := range f.ready {
-		if q.s.ID == id {
+		if q.s == s {
 			f.ready = append(f.ready[:i], f.ready[i+1:]...)
 			q.s.Finish(rm.Result{Submission: q.s, SubmittedAt: q.at, StartedAt: now, FinishedAt: now, Failed: true, Err: err})
 			return true
 		}
 	}
 	for _, w := range f.workers {
-		if w.cur.s != nil && w.cur.s.ID == id {
+		if w.cur.s == s {
 			w.ev.Cancel()
 			w.dur = float64(now - w.start)
 			f.finish(w, err)

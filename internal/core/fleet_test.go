@@ -6,6 +6,7 @@ import (
 
 	"hhcw/internal/cloud"
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
@@ -18,15 +19,16 @@ func TestFleetAbort(t *testing.T) {
 	f := &fleet{env: cloud.NewEnv(eng), itype: cloud.T3Medium, max: 1} // boots in 60 s
 	got := map[string]rm.Result{}
 	sub := func(id string, dur float64) *rm.Submission {
-		return &rm.Submission{ID: id, Runtime: func(*cluster.Node) float64 { return dur },
+		return &rm.Submission{TaskID: dag.TaskID(id), Runtime: func(*cluster.Node) float64 { return dur },
 			Done: func(r rm.Result) { got[id] = r }}
 	}
-	f.Submit(sub("run", 100))
-	f.Submit(sub("wait", 100))
+	run, wait := sub("run", 100), sub("wait", 100)
+	f.Submit(run)
+	f.Submit(wait)
 	f.Submit(sub("next", 10))
 	boom := errors.New("aborted")
 	eng.At(70, func() {
-		if !f.Abort("wait", boom) || !f.Abort("run", boom) || f.Abort("ghost", boom) {
+		if !f.Abort(wait, boom) || !f.Abort(run, boom) || f.Abort(sub("run", 100), boom) {
 			t.Error("Abort found the wrong submissions")
 		}
 	})

@@ -345,8 +345,6 @@ var sessionAuditSkip = []string{
 	"rm.TaskManager.resScratch",
 	"rm.TaskManager.freeRunning", // pooled records, zeroed on recycle
 	"rm.StreamRunner.freeAttempts",
-	"rm.StreamRunner.ids", // memoized IDs, pure f(WorkflowID, TaskID)
-	"rm.StreamRunner.idsWf",
 	"provenance.Store.freeIdx", // harvested index-slice capacity
 	"cwsi.CWS.freeRuns",
 	"cwsi.rmAdapter.keys", // priority-sort scratch, refilled per round

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
@@ -26,7 +27,7 @@ type keyedStrategy struct {
 func (s *keyedStrategy) Name() string { return "keyed" }
 func (s *keyedStrategy) Priority(sub *rm.Submission, _ *Context) float64 {
 	s.calls++
-	return s.keys[sub.ID]
+	return s.keys[string(sub.TaskID)]
 }
 func (s *keyedStrategy) PickNode(_ *rm.Submission, candidates []*cluster.Node, _ *Context) *cluster.Node {
 	return candidates[0]
@@ -48,7 +49,7 @@ func TestPrioritizeSingletonFastPath(t *testing.T) {
 	if got := a.Prioritize(nil); got != nil {
 		t.Fatalf("Prioritize(nil) = %v", got)
 	}
-	one := []*rm.Submission{{ID: "a"}}
+	one := []*rm.Submission{{TaskID: "a"}}
 	got := a.Prioritize(one)
 	if len(got) != 1 || got[0] != one[0] {
 		t.Fatalf("singleton reordered: %v", got)
@@ -85,19 +86,19 @@ func TestPrioritizeMatchesInsertionSortReference(t *testing.T) {
 			pending := make([]*rm.Submission, n)
 			for i := range pending {
 				id := fmt.Sprintf("s%02d", i)
-				pending[i] = &rm.Submission{ID: id}
+				pending[i] = &rm.Submission{TaskID: dag.TaskID(id)}
 				// Few distinct keys forces heavy ties, the case where an
 				// unstable sort would diverge from the insertion kernel.
 				strat.keys[id] = float64(r.Intn(4))
 			}
 			want := referencePrioritize(pending, func(s *rm.Submission) float64 {
-				return strat.keys[s.ID]
+				return strat.keys[string(s.TaskID)]
 			})
 			got := a.Prioritize(append([]*rm.Submission(nil), pending...))
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d n %d: order diverges at %d: got %s want %s",
-						seed, n, i, got[i].ID, want[i].ID)
+						seed, n, i, got[i].TaskID, want[i].TaskID)
 				}
 			}
 		}
@@ -110,7 +111,7 @@ func TestPrioritizeMatchesInsertionSortReference(t *testing.T) {
 func TestPrioritizeCacheInvalidation(t *testing.T) {
 	strat := &keyedStrategy{keys: map[string]float64{"a": 1, "b": 2, "c": 3}}
 	a := newTestAdapter(strat)
-	pending := []*rm.Submission{{ID: "a"}, {ID: "b"}, {ID: "c"}}
+	pending := []*rm.Submission{{TaskID: "a"}, {TaskID: "b"}, {TaskID: "c"}}
 	a.Prioritize(pending)
 	if strat.calls != 3 {
 		t.Fatalf("first pass consulted Priority %d times, want 3", strat.calls)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/rm"
 )
 
@@ -49,9 +50,9 @@ func (c *CWS) ProfileNodes(refDurSec float64) ([]ProfileReport, error) {
 		pin := &pinStrategy{wantType: nt.Name}
 		c.strategy = pin // probes run serially, so the pin stays valid
 		c.mgr.Submit(&rm.Submission{
-			ID:    "cws-probe-" + nt.Name,
-			Name:  "cws-probe",
-			Cores: 1,
+			TaskID: dag.TaskID("cws-probe-" + nt.Name),
+			Name:   "cws-probe",
+			Cores:  1,
 			Runtime: func(n *cluster.Node) float64 {
 				return refDurSec / n.Type.SpeedFactor
 			},

@@ -16,10 +16,13 @@ import "slices"
 // therefore bit-identical (same fingerprints), which the equivalence tests in
 // internal/sweep assert over seeds, fault profiles, and worker counts.
 //
-// Call discipline: Next until it reports no ready task; report each terminal
-// task via exactly one of TaskDone/TaskFailed (which may make more tasks
-// ready); Retire a task only after its terminal report. Implementations are
-// single-goroutine, like the engine that drives them.
+// Call discipline: Next until it reports no ready task. When a task turns
+// terminal, Retire it first, then report it, by the ID it was emitted with,
+// via exactly one of TaskDone/TaskFailed (which may make more tasks ready).
+// Retire may recycle the Task struct, so the caller keeps the ID before
+// retiring; a caller whose run has failed may retire a task without
+// reporting it. rm.StreamRunner, the one caller, keeps this order.
+// Implementations are single-goroutine, like the engine that drives them.
 type Expander interface {
 	// Name labels the expansion (the workflow name).
 	Name() string
@@ -38,9 +41,9 @@ type Expander interface {
 	// TaskFailed records a terminal failure and writes off every not-yet
 	// emitted transitive successor, returning how many were newly skipped.
 	TaskFailed(id TaskID) int
-	// Retire releases a task handed out by Next after its terminal report;
-	// implementations may recycle the Task struct. The caller must drop all
-	// references to t first.
+	// Retire releases a task handed out by Next once it is terminal, before
+	// its TaskDone/TaskFailed report; implementations may recycle the Task
+	// struct. The caller must drop all references to t first.
 	Retire(t *Task)
 }
 

@@ -115,7 +115,7 @@ type runLog struct {
 func (l *runLog) PickNode(s *rm.Submission, candidates []*cluster.Node) *cluster.Node {
 	n := l.FIFO.PickNode(s, candidates)
 	if n != nil {
-		s.Hooks = loggedRun{SubmissionHooks: s.Hooks, log: l, id: s.ID}
+		s.Hooks = loggedRun{SubmissionHooks: s.Hooks, log: l, id: s.ID()}
 	}
 	return n
 }

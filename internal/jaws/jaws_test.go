@@ -529,7 +529,7 @@ type placementRecorder struct {
 func (p *placementRecorder) PickNode(s *rm.Submission, candidates []*cluster.Node) *cluster.Node {
 	n := p.FIFO.PickNode(s, candidates)
 	if n != nil {
-		p.placed[s.ID] = n
+		p.placed[s.ID()] = n
 	}
 	return n
 }

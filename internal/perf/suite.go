@@ -242,16 +242,16 @@ func Suite(short bool) []Spec {
 				}
 				r := randx.New(4242)
 				for j := 0; j < dqTasks; j++ {
-					id := fmt.Sprintf("dq%04d", j)
+					id := dag.TaskID(fmt.Sprintf("dq%04d", j))
 					cores := 1 + r.Intn(8)
 					mem := float64(1+r.Intn(8)) * 4e9
 					dur := 30 + r.Float64()*300
 					at := sim.Time(r.Float64() * 120)
 					eng.At(at, func() {
 						m.Submit(&rm.Submission{
-							ID:    id,
-							Cores: cores,
-							Mem:   mem,
+							TaskID: id,
+							Cores:  cores,
+							Mem:    mem,
 							Runtime: func(*cluster.Node) float64 {
 								return dur
 							},

@@ -83,7 +83,7 @@ type Pilot struct {
 
 	queue     []*pending // submitted, not yet scheduled
 	scheduled []*pending // assigned resources conceptually, awaiting launch
-	running   map[string]*pending
+	running   map[*rm.Submission]*pending
 
 	nextSchedFree  sim.Time // earliest time the scheduler can process the next task
 	nextLaunchFree sim.Time
@@ -122,7 +122,7 @@ func Submit(bm *rm.BatchManager, cl *cluster.Cluster, cfg Config) (*Pilot, error
 		eng:         cl.Engine(),
 		state:       Pending,
 		dead:        map[int]bool{},
-		running:     map[string]*pending{},
+		running:     map[*rm.Submission]*pending{},
 		schedCount:  metrics.NewCounter("pilot.scheduled"),
 		launchCount: metrics.NewCounter("pilot.launched"),
 		runningN:    metrics.NewGauge("pilot.running"),
@@ -225,15 +225,14 @@ func (p *Pilot) onGranted(a *rm.BatchAlloc) {
 func (p *Pilot) onExpire() {
 	p.state = Done
 	// Kill everything still running; pending tasks fail too.
-	ids := make([]string, 0, len(p.running))
-	for id := range p.running {
-		ids = append(ids, id)
+	victims := make([]*pending, 0, len(p.running))
+	for _, q := range p.running {
+		victims = append(victims, q)
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		r := p.running[id]
-		r.endEv.Cancel()
-		p.finish(r, fmt.Errorf("pilot: walltime expired"))
+	sortByID(victims)
+	for _, q := range victims {
+		q.endEv.Cancel()
+		p.finish(q, fmt.Errorf("pilot: walltime expired"))
 	}
 	for _, q := range append(p.queue, p.scheduled...) {
 		p.fail(q, fmt.Errorf("pilot: walltime expired before task ran"))
@@ -250,11 +249,11 @@ func (p *Pilot) Submit(s *rm.Submission) {
 	var err error
 	switch {
 	case p.state == Done:
-		err = fmt.Errorf("%w: %s submitted to a finished pilot", ErrRejected, s.ID)
+		err = fmt.Errorf("%w: %s submitted to a finished pilot", ErrRejected, s.ID())
 	case n <= 0:
-		err = fmt.Errorf("%w: %s requests %d nodes", ErrRejected, s.ID, n)
+		err = fmt.Errorf("%w: %s requests %d nodes", ErrRejected, s.ID(), n)
 	case n > p.cfg.Nodes:
-		err = fmt.Errorf("%w: %s requests %d nodes, pilot has %d", ErrRejected, s.ID, n, p.cfg.Nodes)
+		err = fmt.Errorf("%w: %s requests %d nodes, pilot has %d", ErrRejected, s.ID(), n, p.cfg.Nodes)
 	}
 	now := p.eng.Now()
 	if err != nil {
@@ -267,16 +266,16 @@ func (p *Pilot) Submit(s *rm.Submission) {
 	}
 }
 
-// Abort ends a queued or running task as failed with err (rm.Executor).
-func (p *Pilot) Abort(id string, err error) bool {
-	if q, ok := p.running[id]; ok {
+// Abort ends the queued or running task s as failed with err (rm.Executor).
+func (p *Pilot) Abort(s *rm.Submission, err error) bool {
+	if q, ok := p.running[s]; ok {
 		q.endEv.Cancel()
 		p.finish(q, err)
 		return true
 	}
 	for _, list := range []*[]*pending{&p.queue, &p.scheduled} {
 		for i, q := range *list {
-			if q.sub.ID == id {
+			if q.sub == s {
 				*list = append((*list)[:i], (*list)[i+1:]...)
 				p.fail(q, err)
 				return true
@@ -372,7 +371,7 @@ func (p *Pilot) launch(q *pending) {
 		p.sawFirstTask = true
 		p.firstTaskAt = now
 	}
-	p.running[q.sub.ID] = q
+	p.running[q.sub] = q
 	p.runningN.AddDelta(now, 1)
 	p.busyNodes.AddDelta(now, float64(q.nodeCount))
 	p.launchCount.Inc(now, 1)
@@ -384,7 +383,7 @@ func (p *Pilot) launch(q *pending) {
 // finish ends a launched task, failed when err is non-nil.
 func (p *Pilot) finish(q *pending, err error) {
 	now := p.eng.Now()
-	delete(p.running, q.sub.ID)
+	delete(p.running, q.sub)
 	p.runningN.AddDelta(now, -1)
 	p.busyNodes.AddDelta(now, -float64(q.nodeCount))
 	// Return healthy nodes to the pool.
@@ -445,9 +444,15 @@ func (p *Pilot) onNodeDown(n *cluster.Node) {
 			}
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].sub.ID < victims[j].sub.ID })
+	sortByID(victims)
 	for _, q := range victims {
 		q.endEv.Cancel()
 		p.finish(q, fmt.Errorf("pilot: node %s failed", n.Name()))
 	}
+}
+
+// sortByID puts tasks in submission-ID order, the order the pilot fails
+// them in, whatever order the running map yields them in.
+func sortByID(qs []*pending) {
+	sort.Slice(qs, func(i, j int) bool { return rm.IDLess(qs[i].sub, qs[j].sub) })
 }

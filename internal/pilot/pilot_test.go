@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
@@ -23,7 +24,7 @@ func setup(nodes int) (*sim.Engine, *cluster.Cluster, *rm.BatchManager) {
 // runs dur seconds; done, when non-nil, receives its result.
 func task(id string, nodes int, dur float64, done func(rm.Result)) *rm.Submission {
 	return &rm.Submission{
-		ID:      id,
+		TaskID:  dag.TaskID(id),
 		Cores:   8 * nodes,
 		Runtime: func(*cluster.Node) float64 { return dur },
 		Done:    done,
@@ -78,7 +79,7 @@ func TestPilotSkipOverScheduling(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, _ := Submit(bm, cl, Config{Nodes: 4, Walltime: 10000})
 	var order []string
-	done := func(r rm.Result) { order = append(order, r.Submission.ID) }
+	done := func(r rm.Result) { order = append(order, string(r.Submission.TaskID)) }
 	p.Submit(task("hog", 2, 100, done))
 	p.Submit(task("big", 4, 10, done))
 	p.Submit(task("small", 2, 10, done))
@@ -133,9 +134,9 @@ func TestPilotNodeFailureKillsTask(t *testing.T) {
 	var failed, ok []string
 	done := func(r rm.Result) {
 		if r.Failed {
-			failed = append(failed, r.Submission.ID)
+			failed = append(failed, string(r.Submission.TaskID))
 		} else {
-			ok = append(ok, r.Submission.ID)
+			ok = append(ok, string(r.Submission.TaskID))
 		}
 	}
 	p.Submit(task("a", 2, 100, done))
@@ -143,7 +144,7 @@ func TestPilotNodeFailureKillsTask(t *testing.T) {
 	eng.At(50, func() {
 		// Fail one node of task a.
 		for _, q := range p.running {
-			if q.sub.ID == "a" {
+			if q.sub.TaskID == "a" {
 				cl.FailNode(q.nodes[0])
 				return
 			}
@@ -277,13 +278,14 @@ func TestPilotAbort(t *testing.T) {
 	eng, cl, bm := setup(2)
 	p, _ := Submit(bm, cl, Config{Nodes: 2, Walltime: 1e6})
 	got := map[string]rm.Result{}
-	done := func(r rm.Result) { got[r.Submission.ID] = r }
-	p.Submit(task("run", 2, 100, done))
-	p.Submit(task("wait", 2, 100, done))
+	done := func(r rm.Result) { got[string(r.Submission.TaskID)] = r }
+	run, wait := task("run", 2, 100, done), task("wait", 2, 100, done)
+	p.Submit(run)
+	p.Submit(wait)
 	p.Submit(task("next", 2, 10, done))
 	boom := errors.New("aborted")
 	eng.At(10, func() {
-		if !p.Abort("wait", boom) || !p.Abort("run", boom) || p.Abort("ghost", boom) {
+		if !p.Abort(wait, boom) || !p.Abort(run, boom) || p.Abort(task("run", 2, 100, done), boom) {
 			t.Error("Abort found the wrong tasks")
 		}
 	})

@@ -112,7 +112,7 @@ func (m *TaskManager) shadowOn(s *Submission, n *cluster.Node) (sim.Time, bool) 
 		if rs[i].end != rs[j].end {
 			return rs[i].end < rs[j].end
 		}
-		return rs[i].sub.ID < rs[j].sub.ID
+		return IDLess(rs[i].sub, rs[j].sub)
 	})
 	for _, r := range rs {
 		cores += r.alloc.Cores

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/sim"
 )
 
@@ -23,15 +24,15 @@ func backfillScenario(t *testing.T, strat Strategy, withOracle bool) map[string]
 	durs := map[string]float64{"A": 100, "B": 100, "C": 50, "D": 200}
 	if withOracle {
 		m.SetDurationOracle(func(s *Submission, n *cluster.Node) (float64, bool) {
-			return durs[s.ID], true
+			return durs[string(s.TaskID)], true
 		})
 	}
 	starts := map[string]sim.Time{}
-	done := func(r Result) { starts[r.Submission.ID] = r.StartedAt }
-	m.Submit(&Submission{ID: "A", Cores: 3, Runtime: fixedRuntime(100), Done: done})
-	m.Submit(&Submission{ID: "B", Cores: 4, Runtime: fixedRuntime(100), Done: done})
-	m.Submit(&Submission{ID: "C", Cores: 1, Runtime: fixedRuntime(50), Done: done})
-	m.Submit(&Submission{ID: "D", Cores: 1, Runtime: fixedRuntime(200), Done: done})
+	done := func(r Result) { starts[string(r.Submission.TaskID)] = r.StartedAt }
+	m.Submit(&Submission{TaskID: "A", Cores: 3, Runtime: fixedRuntime(100), Done: done})
+	m.Submit(&Submission{TaskID: "B", Cores: 4, Runtime: fixedRuntime(100), Done: done})
+	m.Submit(&Submission{TaskID: "C", Cores: 1, Runtime: fixedRuntime(50), Done: done})
+	m.Submit(&Submission{TaskID: "D", Cores: 1, Runtime: fixedRuntime(200), Done: done})
 	eng.Run()
 	if len(starts) != 4 {
 		t.Fatalf("only %d of 4 submissions completed: %v", len(starts), starts)
@@ -87,11 +88,11 @@ func TestBackfillColdOracleIsGreedy(t *testing.T) {
 	}), nil)
 	m.SetDurationOracle(func(s *Submission, n *cluster.Node) (float64, bool) { return 0, false })
 	starts := map[string]sim.Time{}
-	done := func(r Result) { starts[r.Submission.ID] = r.StartedAt }
-	m.Submit(&Submission{ID: "A", Cores: 3, Runtime: fixedRuntime(100), Done: done})
-	m.Submit(&Submission{ID: "B", Cores: 4, Runtime: fixedRuntime(100), Done: done})
-	m.Submit(&Submission{ID: "C", Cores: 1, Runtime: fixedRuntime(50), Done: done})
-	m.Submit(&Submission{ID: "D", Cores: 1, Runtime: fixedRuntime(200), Done: done})
+	done := func(r Result) { starts[string(r.Submission.TaskID)] = r.StartedAt }
+	m.Submit(&Submission{TaskID: "A", Cores: 3, Runtime: fixedRuntime(100), Done: done})
+	m.Submit(&Submission{TaskID: "B", Cores: 4, Runtime: fixedRuntime(100), Done: done})
+	m.Submit(&Submission{TaskID: "C", Cores: 1, Runtime: fixedRuntime(50), Done: done})
+	m.Submit(&Submission{TaskID: "D", Cores: 1, Runtime: fixedRuntime(200), Done: done})
 	eng.Run()
 	if starts["D"] != 50 || starts["B"] != 250 {
 		t.Fatalf("cold oracle diverged from greedy: D@%v (want 50), B@%v (want 250)",
@@ -114,14 +115,16 @@ func TestBackfillFirstFitSkipsReservedNode(t *testing.T) {
 		}), strat)
 		durs := map[string]float64{"A": 100, "B": 300, "H": 100, "S": 200}
 		m.SetDurationOracle(func(s *Submission, n *cluster.Node) (float64, bool) {
-			return durs[s.ID], true
+			return durs[string(s.TaskID)], true
 		})
 		starts := map[string]sim.Time{}
 		nodes := map[string]int{}
-		done := func(r Result) { starts[r.Submission.ID], nodes[r.Submission.ID] = r.StartedAt, r.Node.ID }
+		done := func(r Result) {
+			starts[string(r.Submission.TaskID)], nodes[string(r.Submission.TaskID)] = r.StartedAt, r.Node.ID
+		}
 		for _, id := range []string{"A", "B", "H", "S"} {
 			cores := map[string]int{"A": 3, "B": 3, "H": 4, "S": 1}[id]
-			m.Submit(&Submission{ID: id, Cores: cores, Runtime: fixedRuntime(durs[id]), Done: done})
+			m.Submit(&Submission{TaskID: dag.TaskID(id), Cores: cores, Runtime: fixedRuntime(durs[id]), Done: done})
 		}
 		eng.Run()
 		if starts["S"] != 0 || nodes["S"] != 1 {

@@ -190,6 +190,31 @@ func TestStreamRunnerAttemptTimeout(t *testing.T) {
 	}
 }
 
+// An attempt that times out while still queued fails terminally, and its
+// record goes back to the runner's pool inside the abort: the next task
+// reuses it at once. The aborted submission must not stay queued behind
+// that reuse, or a later schedule pass would start the recycled record.
+func TestStreamRunnerQueuedTimeoutRecyclesCleanly(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewTaskManager(testCluster(eng, 1, 1), nil)
+	w := dag.New("w")
+	for _, id := range []dag.TaskID{"a", "b", "c", "d"} {
+		w.Add(&dag.Task{ID: id, NominalDur: 10, Cores: 1})
+	}
+	mr := &StreamRunner{Manager: m, Retry: &fault.RetryPolicy{MaxAttempts: 1, TimeoutSec: 5}}
+	ms, results := runWorkflow(t, mr, w)
+	if err := mr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	st := mr.Stats()
+	if len(results) != 4 || st.Attempts != 4 || st.Timeouts != 4 || st.TerminalFailures != 4 {
+		t.Fatalf("results %d, stats %+v: want 4 attempts, each timed out and terminal", len(results), st)
+	}
+	if ms != 5 || len(m.pending) != 0 || len(m.running) != 0 {
+		t.Fatalf("makespan %v, %d pending, %d running: want 5, 0, 0", ms, len(m.pending), len(m.running))
+	}
+}
+
 func TestStreamRunnerBreakerStopsRetries(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 2, 8), nil)
@@ -224,7 +249,7 @@ func TestTaskManagerRunsQueuedWorkAfterRepair(t *testing.T) {
 	n := cl.Nodes()[0]
 	cl.FailNode(n)
 	var res Result
-	m.Submit(&Submission{ID: "queued", Cores: 2, Runtime: fixedRuntime(10), Done: func(r Result) { res = r }})
+	m.Submit(&Submission{TaskID: "queued", Cores: 2, Runtime: fixedRuntime(10), Done: func(r Result) { res = r }})
 	eng.At(100, func() { cl.RepairNode(n) })
 	eng.Run()
 	if res.Submission == nil || res.Failed {

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/randx"
 	"hhcw/internal/sim"
 )
@@ -28,7 +30,7 @@ import (
 // tapeOp is one replayable scheduler-facing operation.
 type tapeOp struct {
 	At    float64 `json:"at"`
-	Op    string  `json:"op"` // submit | cancel | abort | fail | repair
+	Op    string  `json:"op"` // submit | cancel (abort while pending) | abort | fail | repair
 	ID    string  `json:"id,omitempty"`
 	Cores int     `json:"cores,omitempty"`
 	GPUs  int     `json:"gpus,omitempty"`
@@ -137,7 +139,7 @@ func (c *checkedFIFO) mismatch(s *Submission, want, got []*cluster.Node) {
 	c.mismatched = true
 	c.dumpFailure(s, want, got)
 	c.t.Errorf("seed %d, first-fit %v, oracle %v: index candidates diverge from full rescan for %s (%d cores/%d gpus/%.0f mem): index %d nodes, rescan %d",
-		c.seed, c.firstFit, c.m.oracle != nil, s.ID, s.Cores, s.GPUs, s.Mem, len(got), len(want))
+		c.seed, c.firstFit, c.m.oracle != nil, s.TaskID, s.Cores, s.GPUs, s.Mem, len(got), len(want))
 }
 
 // dumpFailure writes the replayable tape plus the diverging query to
@@ -156,7 +158,7 @@ func (c *checkedFIFO) dumpFailure(s *Submission, want, got []*cluster.Node) {
 		"oracle":    c.m.oracle != nil,
 		"tape":      c.tape,
 		"query": map[string]any{
-			"id": s.ID, "cores": s.Cores, "gpus": s.GPUs, "mem": s.Mem,
+			"id": s.TaskID, "cores": s.Cores, "gpus": s.GPUs, "mem": s.Mem,
 			"at": float64(c.cl.Engine().Now()),
 		},
 		"rescan_candidates": names(want),
@@ -201,23 +203,36 @@ func genTape(r *randx.Source, nodes int) []tapeOp {
 	return tape
 }
 
+// tapeAbort aborts the submission a tape operation names, if it has been
+// submitted; with pendingOnly, a cancel, only while it is still pending.
+// It reports whether the manager found the submission.
+func tapeAbort(m *TaskManager, s *Submission, pendingOnly bool) bool {
+	if s == nil || pendingOnly && !slices.Contains(m.pending, s) {
+		return false
+	}
+	return m.Abort(s, fmt.Errorf("tape abort"))
+}
+
 // replayTape schedules every tape operation at its virtual time; done, if
-// not nil, receives every submission's terminal result.
+// not nil, receives every submission's terminal result. A cancel aborts a
+// pending submission, which then finishes failed, and leaves a running one
+// alone.
 func replayTape(eng *sim.Engine, cl *cluster.Cluster, m *TaskManager, tape []tapeOp, done func(Result)) {
+	subs := map[string]*Submission{}
 	for _, op := range tape {
 		op := op
 		switch op.Op {
 		case "submit":
 			eng.At(sim.Time(op.At), func() {
-				m.Submit(&Submission{
-					ID: op.ID, Cores: op.Cores, GPUs: op.GPUs, Mem: op.Mem,
+				s := &Submission{
+					TaskID: dag.TaskID(op.ID), Cores: op.Cores, GPUs: op.GPUs, Mem: op.Mem,
 					Runtime: fixedRuntime(op.Dur), Done: done,
-				})
+				}
+				subs[op.ID] = s
+				m.Submit(s)
 			})
-		case "cancel":
-			eng.At(sim.Time(op.At), func() { m.Cancel(op.ID) })
-		case "abort":
-			eng.At(sim.Time(op.At), func() { m.Abort(op.ID, fmt.Errorf("tape abort")) })
+		case "cancel", "abort":
+			eng.At(sim.Time(op.At), func() { tapeAbort(m, subs[op.ID], op.Op == "cancel") })
 		case "fail":
 			eng.At(sim.Time(op.At), func() { cl.FailNode(cl.Nodes()[op.Node]) })
 		case "repair":
@@ -236,7 +251,7 @@ func tapeOracle(tape []tapeOp) DurationOracle {
 		}
 	}
 	return func(s *Submission, _ *cluster.Node) (float64, bool) {
-		d, ok := dur[s.ID]
+		d, ok := dur[string(s.TaskID)]
 		return d, ok
 	}
 }
@@ -307,7 +322,7 @@ func tapeDigest(newCluster func(*sim.Engine) *cluster.Cluster, seed int64, strat
 		if r.Node != nil {
 			node = r.Node.Name()
 		}
-		fmt.Fprintf(&b, "%s@%s %v-%v %v;", r.Submission.ID, node, r.StartedAt, r.FinishedAt, r.Failed)
+		fmt.Fprintf(&b, "%s@%s %v-%v %v;", r.Submission.TaskID, node, r.StartedAt, r.FinishedAt, r.Failed)
 	})
 	eng.Run()
 	return b.String()

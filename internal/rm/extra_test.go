@@ -23,7 +23,7 @@ func TestTaskManagerAccessors(t *testing.T) {
 	if len(m.pending) != 0 {
 		t.Fatal("fresh queue not empty")
 	}
-	m.Submit(&Submission{ID: "a", Cores: 8, Runtime: fixedRuntime(1)}) // too big for any node: queues
+	m.Submit(&Submission{TaskID: "a", Cores: 8, Runtime: fixedRuntime(1)}) // too big for any node: queues
 	eng.Run()
 	if len(m.pending) != 1 {
 		t.Fatalf("oversized submission should stay queued, queue=%d", len(m.pending))
@@ -33,8 +33,8 @@ func TestTaskManagerAccessors(t *testing.T) {
 	}
 	// Started waits add up: one starts at once, the other after it (5 s).
 	m2 := NewTaskManager(testCluster(eng, 1, 4), nil)
-	m2.Submit(&Submission{ID: "a", Cores: 1, Runtime: fixedRuntime(5)})
-	m2.Submit(&Submission{ID: "b", Cores: 4, Runtime: fixedRuntime(5)})
+	m2.Submit(&Submission{TaskID: "a", Cores: 1, Runtime: fixedRuntime(5)})
+	m2.Submit(&Submission{TaskID: "b", Cores: 4, Runtime: fixedRuntime(5)})
 	eng.Run()
 	if sum, n := m2.QueueWait(); sum != 5 || n != 2 {
 		t.Fatalf("QueueWait = %v over %d, want 5 over 2", sum, n)
@@ -45,8 +45,8 @@ func TestSubmitPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 4), nil)
 	for _, s := range []*Submission{
-		{ID: "", Runtime: fixedRuntime(1)},
-		{ID: "x"},
+		{TaskID: "", Runtime: fixedRuntime(1)},
+		{TaskID: "x"},
 	} {
 		s := s
 		func() {
@@ -64,7 +64,7 @@ func TestNegativeRuntimeClamped(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 4), nil)
 	var res Result
-	m.Submit(&Submission{ID: "n", Cores: 1, Runtime: fixedRuntime(-5), Done: func(r Result) { res = r }})
+	m.Submit(&Submission{TaskID: "n", Cores: 1, Runtime: fixedRuntime(-5), Done: func(r Result) { res = r }})
 	eng.Run()
 	if res.FinishedAt != res.StartedAt {
 		t.Fatalf("negative runtime not clamped: %v → %v", res.StartedAt, res.FinishedAt)

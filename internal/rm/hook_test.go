@@ -51,9 +51,9 @@ func (h *logHook) Resubmit(cause error) error {
 func hookedRunner(m *TaskManager, budget int, log *[]string) *StreamRunner {
 	sr := &StreamRunner{Manager: m}
 	sr.Hook = func(s *Submission, t *dag.Task, idx, n int) AttemptHook {
-		*log = append(*log, fmt.Sprintf("submit %s mem=%g", s.ID, s.Mem))
+		*log = append(*log, fmt.Sprintf("submit %s mem=%g", s.ID(), s.Mem))
 		s.Mem /= 2
-		return &logHook{inner: s.Hooks, id: s.ID, n: n, budget: budget, log: log}
+		return &logHook{inner: s.Hooks, id: s.ID(), n: n, budget: budget, log: log}
 	}
 	return sr
 }

@@ -1,29 +1,30 @@
 package rm
 
 import (
-	"fmt"
 	"testing"
 
 	"hhcw/internal/cluster"
+	"hhcw/internal/dag"
 	"hhcw/internal/randx"
 	"hhcw/internal/sim"
 )
 
 // Queue-wait accounting property, checked over random submit/cancel/abort/
-// node-churn tapes (the crosscheck harness's generator):
+// node-churn tapes (the crosscheck harness's generator; a cancel aborts a
+// submission only while it is pending):
 //
 //   - QueueWait() is exactly the sum, in start order, of the waits of the
 //     submissions that actually started on a node, and counts exactly them —
-//     nothing more, nothing less. In particular cancelled submissions NEVER
-//     contribute. The reference sum is built in the same order, so the
-//     comparison is exact.
+//     nothing more, nothing less. In particular submissions aborted while
+//     pending NEVER contribute. The reference sum is built in the same
+//     order, so the comparison is exact.
 //   - Every started submission's Result carries that same wait.
 //   - Abort of a still-pending submission yields a terminal Result with
 //     Node == nil whose QueueWait() covers the full pending span (StartedAt
 //     pinned to the abort time, as documented on Abort) — and that wait does
 //     not leak into the manager's QueueWait().
-//   - Cancelled entries are compacted: at drain the pending queue counts exactly the
-//     submissions that never started, never ended and were never cancelled.
+//   - Aborted entries leave the queue: at drain the pending queue counts
+//     exactly the submissions that never started and never ended.
 //
 // The per-tenant p99 queue-wait SLO metrics in internal/service are computed
 // from exactly these two sources, so this pins their provenance.
@@ -37,15 +38,17 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 		results := make(map[string]Result)
 		submitted := make(map[string]sim.Time)
 		startWait := make(map[string]float64)
-		wantSum, cancelled := 0.0, 0
+		subs := make(map[string]*Submission)
+		cancelled := make(map[string]bool)
+		wantSum := 0.0
 		for _, op := range tape {
 			op := op
 			switch op.Op {
 			case "submit":
 				eng.At(sim.Time(op.At), func() {
 					submitted[op.ID] = eng.Now()
-					m.Submit(&Submission{
-						ID: op.ID, Cores: op.Cores, GPUs: op.GPUs, Mem: op.Mem,
+					subs[op.ID] = &Submission{
+						TaskID: dag.TaskID(op.ID), Cores: op.Cores, GPUs: op.GPUs, Mem: op.Mem,
 						// The manager asks for the runtime once, at
 						// placement: record the wait in start order.
 						Runtime: func(*cluster.Node) float64 {
@@ -60,16 +63,15 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 							}
 							results[op.ID] = r
 						},
-					})
+					}
+					m.Submit(subs[op.ID])
 				})
-			case "cancel":
+			case "cancel", "abort":
 				eng.At(sim.Time(op.At), func() {
-					if m.Cancel(op.ID) {
-						cancelled++
+					if tapeAbort(m, subs[op.ID], op.Op == "cancel") && op.Op == "cancel" {
+						cancelled[op.ID] = true
 					}
 				})
-			case "abort":
-				eng.At(sim.Time(op.At), func() { m.Abort(op.ID, fmt.Errorf("tape abort")) })
 			case "fail":
 				eng.At(sim.Time(op.At), func() { cl.FailNode(cl.Nodes()[op.Node]) })
 			case "repair":
@@ -78,6 +80,13 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 		}
 		eng.Run()
 
+		// A cancel found its submission pending, so it finished failed
+		// without a node, as one of the pending aborts counted below.
+		for id := range cancelled {
+			if r, ok := results[id]; !ok || r.Node != nil || !r.Failed {
+				t.Fatalf("seed %d: cancelled %s ended as %+v (%v), want a nodeless failure", seed, id, r, ok)
+			}
+		}
 		pendingAborts := 0
 		for id, r := range results {
 			if r.SubmittedAt != submitted[id] {
@@ -115,8 +124,8 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 			t.Fatalf("seed %d: QueueWait sum %v, start-order reference %v", seed, sum, wantSum)
 		}
 		// The leftover queue at drain: whatever never became feasible, minus
-		// everything cancelled, aborted or placed.
-		if want := len(submitted) - len(results) - cancelled; len(m.pending) != want {
+		// everything aborted or placed.
+		if want := len(submitted) - len(results); len(m.pending) != want {
 			t.Fatalf("seed %d: final queue %d, want %d live pending", seed, len(m.pending), want)
 		}
 	}

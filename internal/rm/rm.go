@@ -15,8 +15,11 @@
 package rm
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
@@ -24,12 +27,17 @@ import (
 )
 
 // Submission is one task handed to a TaskManager, carrying the resource
-// requests and (via CWSI) workflow identity the scheduler may exploit.
+// requests and (via CWSI) workflow identity the scheduler may exploit. Its
+// ID is not stored: ID renders it from WorkflowID, TaskID and Attempt when
+// something reads it, and IDLess orders submissions by it without
+// rendering.
 type Submission struct {
-	ID         string
 	WorkflowID string
 	TaskID     dag.TaskID
-	Name       string // process/tool name
+	// Attempt numbers the task's attempts from 1; ID marks the second and
+	// later ones.
+	Attempt int
+	Name    string // process/tool name
 
 	Cores int
 	GPUs  int
@@ -59,7 +67,6 @@ type Submission struct {
 	Hooks SubmissionHooks
 
 	submittedAt sim.Time
-	cancelled   bool
 	// placed marks the submission as dispatched within the current schedule
 	// pass — a flag on the submission itself so the pass needs no per-round
 	// map allocation.
@@ -68,6 +75,35 @@ type Submission struct {
 	// (see PriorityCache); gen 0 means "never cached".
 	prioKey float64
 	prioGen uint64
+}
+
+// ID returns the submission ID: WorkflowID + "/" + TaskID, with "#n" added
+// for attempt n > 1. It builds the string on every call; orders compare
+// with IDLess instead.
+func (s *Submission) ID() string {
+	var b [128]byte
+	return string(s.appendID(b[:0]))
+}
+
+// appendID appends the ID to b.
+func (s *Submission) appendID(b []byte) []byte {
+	b = append(b, s.WorkflowID...)
+	b = append(b, '/')
+	b = append(b, s.TaskID...)
+	if s.Attempt > 1 {
+		b = append(b, '#')
+		b = strconv.AppendInt(b, int64(s.Attempt), 10)
+	}
+	return b
+}
+
+// IDLess reports whether a.ID() < b.ID(). It renders both IDs into stack
+// buffers, so the orders that sort by ID (victims of a node failure, a
+// backfill reservation's release order, a pilot's walltime kills) allocate
+// nothing for IDs that fit them.
+func IDLess(a, b *Submission) bool {
+	var ab, bb [128]byte
+	return bytes.Compare(a.appendID(ab[:0]), b.appendID(bb[:0])) < 0
 }
 
 // PriorityCache returns the priority memoized under generation gen, if any.
@@ -102,11 +138,12 @@ type SubmissionHooks interface {
 // agent, or CloudEnv's instance fleet. Submit queues s; s.RuntimeOn is asked
 // when s starts and s.ValidateOn when it ends (with a nil node where there
 // are no cluster nodes), and s.Finish gets the result exactly once, inside
-// Submit if the executor refuses s. Abort fails a queued or running attempt
-// and reports whether it found it. Engine is the executor's clock.
+// Submit if the executor refuses s. Abort fails the queued or running
+// attempt s, matched by pointer, and reports whether it found it. Engine is
+// the executor's clock.
 type Executor interface {
 	Submit(s *Submission)
-	Abort(id string, err error) bool
+	Abort(s *Submission, err error) bool
 	Engine() *sim.Engine
 }
 
@@ -337,11 +374,11 @@ func (m *TaskManager) SetLean() {}
 
 // Submit queues a submission for scheduling.
 func (m *TaskManager) Submit(s *Submission) {
-	if s.ID == "" {
-		panic("rm: submission with empty ID")
+	if s.TaskID == "" {
+		panic("rm: submission with empty TaskID")
 	}
 	if s.Runtime == nil && s.Hooks == nil {
-		panic(fmt.Sprintf("rm: submission %s without Runtime or Hooks", s.ID))
+		panic(fmt.Sprintf("rm: submission %s without Runtime or Hooks", s.ID()))
 	}
 	if s.Cores <= 0 {
 		s.Cores = 1
@@ -353,51 +390,38 @@ func (m *TaskManager) Submit(s *Submission) {
 	m.kick()
 }
 
-// Cancel removes a pending submission (running ones are not preempted). It
-// reports whether the submission was found pending. A schedule pass is
-// kicked so the entry is compacted away.
-func (m *TaskManager) Cancel(id string) bool {
-	for _, s := range m.pending {
-		if s.ID == id && !s.cancelled {
-			s.cancelled = true
-			m.kick()
-			return true
-		}
-	}
-	return false
-}
-
 // Abort terminates a pending or running submission with a failure carrying
 // err — the enforcement hook for the recovery layer's virtual-time attempt
 // timeouts. It reports whether the submission was found. For a submission
 // aborted while still pending, Result.Node is nil and StartedAt equals the
-// abort time. It scans the running set: only attempt timeouts abort.
-func (m *TaskManager) Abort(id string, err error) bool {
+// abort time, and s leaves the pending queue before its Done runs: the
+// submitter may recycle s there. It scans the running set and the queue:
+// only attempt timeouts abort.
+func (m *TaskManager) Abort(s *Submission, err error) bool {
 	for _, r := range m.running {
-		if r.sub.ID == id {
+		if r.sub == s {
 			r.endEv.Cancel()
 			m.finish(r, true, err)
 			return true
 		}
 	}
-	for _, s := range m.pending {
-		if s.ID == id && !s.cancelled {
-			s.cancelled = true
-			now := m.eng.Now()
-			m.failed++
-			m.kick()
-			s.Finish(Result{
-				Submission:  s,
-				SubmittedAt: s.submittedAt,
-				StartedAt:   now,
-				FinishedAt:  now,
-				Failed:      true,
-				Err:         err,
-			})
-			return true
-		}
+	i := slices.Index(m.pending, s)
+	if i < 0 {
+		return false
 	}
-	return false
+	m.pending = slices.Delete(m.pending, i, i+1)
+	now := m.eng.Now()
+	m.failed++
+	m.kick()
+	s.Finish(Result{
+		Submission:  s,
+		SubmittedAt: s.submittedAt,
+		StartedAt:   now,
+		FinishedAt:  now,
+		Failed:      true,
+		Err:         err,
+	})
+	return true
 }
 
 // kick coalesces schedule passes into one per event timestamp.
@@ -409,20 +433,11 @@ func (m *TaskManager) kick() {
 	m.eng.After(0, m.kickFn)
 }
 
-// schedule is the dispatch hot path: one cancelled-entry compaction pass,
-// one prioritized placement sweep over the pending queue driven by the
-// cluster's free-capacity index (no per-submission node rescan), and one
-// placed-entry compaction — all on reusable scratch, so a steady-state pass
-// allocates nothing.
+// schedule is the dispatch hot path: one prioritized placement sweep over
+// the pending queue driven by the cluster's free-capacity index (no
+// per-submission node rescan), and one placed-entry compaction — all on
+// reusable scratch, so a steady-state pass allocates nothing.
 func (m *TaskManager) schedule() {
-	// Drop cancelled entries first.
-	live := m.pending[:0]
-	for _, s := range m.pending {
-		if !s.cancelled {
-			live = append(live, s)
-		}
-	}
-	m.pending = live
 	if len(m.pending) == 0 {
 		return
 	}
@@ -558,7 +573,7 @@ func (m *TaskManager) handleNodeDown(n *cluster.Node) {
 		}
 	}
 	// Fail victims in submission-ID order, whatever their slots.
-	sort.Slice(victims, func(i, j int) bool { return victims[i].sub.ID < victims[j].sub.ID })
+	sort.Slice(victims, func(i, j int) bool { return IDLess(victims[i].sub, victims[j].sub) })
 	for _, r := range victims {
 		r.endEv.Cancel()
 		m.finish(r, true, fmt.Errorf("rm: node %s failed", n.Name()))

@@ -52,7 +52,7 @@ func TestTaskManagerRunsTask(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 4), nil)
 	var res Result
-	m.Submit(&Submission{ID: "a", Cores: 2, Runtime: fixedRuntime(10), Done: func(r Result) { res = r }})
+	m.Submit(&Submission{TaskID: "a", Cores: 2, Runtime: fixedRuntime(10), Done: func(r Result) { res = r }})
 	eng.Run()
 	if res.Submission == nil || res.Failed {
 		t.Fatalf("task did not complete: %+v", res)
@@ -69,10 +69,10 @@ func TestTaskManagerQueuesWhenFull(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 4), nil)
 	var order []string
-	done := func(r Result) { order = append(order, r.Submission.ID) }
+	done := func(r Result) { order = append(order, string(r.Submission.TaskID)) }
 	// Two 3-core tasks cannot run together on a 4-core node.
-	m.Submit(&Submission{ID: "a", Cores: 3, Runtime: fixedRuntime(10), Done: done})
-	m.Submit(&Submission{ID: "b", Cores: 3, Runtime: fixedRuntime(10), Done: done})
+	m.Submit(&Submission{TaskID: "a", Cores: 3, Runtime: fixedRuntime(10), Done: done})
+	m.Submit(&Submission{TaskID: "b", Cores: 3, Runtime: fixedRuntime(10), Done: done})
 	eng.Run()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("order = %v", order)
@@ -87,7 +87,7 @@ func TestTaskManagerParallelWhenFits(t *testing.T) {
 	m := NewTaskManager(testCluster(eng, 2, 4), nil)
 	n := 0
 	for _, id := range []string{"a", "b"} {
-		m.Submit(&Submission{ID: id, Cores: 4, Runtime: fixedRuntime(10), Done: func(Result) { n++ }})
+		m.Submit(&Submission{TaskID: dag.TaskID(id), Cores: 4, Runtime: fixedRuntime(10), Done: func(Result) { n++ }})
 	}
 	eng.Run()
 	if n != 2 || eng.Now() != 10 {
@@ -95,21 +95,24 @@ func TestTaskManagerParallelWhenFits(t *testing.T) {
 	}
 }
 
-func TestTaskManagerCancel(t *testing.T) {
+// Abort of a pending submission keeps it from ever starting, and a
+// submission the manager never saw is not found.
+func TestTaskManagerAbortPendingNeverRuns(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 1), nil)
 	ran := false
-	m.Submit(&Submission{ID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: func(Result) {}})
-	m.Submit(&Submission{ID: "x", Cores: 1, Runtime: fixedRuntime(5), Done: func(Result) { ran = true }})
-	if !m.Cancel("x") {
-		t.Fatal("Cancel returned false for pending submission")
+	m.Submit(&Submission{TaskID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: func(Result) {}})
+	x := &Submission{TaskID: "x", Cores: 1, Runtime: fixedRuntime(5), Done: func(r Result) { ran = r.Node != nil }}
+	m.Submit(x)
+	if !m.Abort(x, errors.New("abort")) {
+		t.Fatal("Abort returned false for pending submission")
 	}
 	eng.Run()
 	if ran {
-		t.Fatal("cancelled submission ran")
+		t.Fatal("aborted submission ran")
 	}
-	if m.Cancel("ghost") {
-		t.Fatal("Cancel returned true for unknown id")
+	if m.Abort(&Submission{TaskID: "x"}, errors.New("abort")) {
+		t.Fatal("Abort returned true for a submission never submitted")
 	}
 }
 
@@ -121,17 +124,17 @@ func TestTaskManagerNodeFailureFailsRunning(t *testing.T) {
 	var okIDs []string
 	done := func(r Result) {
 		if r.Failed {
-			failedIDs = append(failedIDs, r.Submission.ID)
+			failedIDs = append(failedIDs, string(r.Submission.TaskID))
 		} else {
-			okIDs = append(okIDs, r.Submission.ID)
+			okIDs = append(okIDs, string(r.Submission.TaskID))
 		}
 	}
-	m.Submit(&Submission{ID: "a", Cores: 4, Runtime: fixedRuntime(100), Done: done})
-	m.Submit(&Submission{ID: "b", Cores: 4, Runtime: fixedRuntime(100), Done: done})
+	m.Submit(&Submission{TaskID: "a", Cores: 4, Runtime: fixedRuntime(100), Done: done})
+	m.Submit(&Submission{TaskID: "b", Cores: 4, Runtime: fixedRuntime(100), Done: done})
 	eng.At(50, func() {
 		// Fail the node running "a".
 		for _, r := range m.running {
-			if r.sub.ID == "a" {
+			if r.sub.TaskID == "a" {
 				cl.FailNode(r.alloc.Node)
 				return
 			}
@@ -157,7 +160,7 @@ func TestTaskManagerResubmitAfterFailure(t *testing.T) {
 	attempts := 0
 	var submit func(id string)
 	submit = func(id string) {
-		m.Submit(&Submission{ID: id, Cores: 1, Runtime: fixedRuntime(100), Done: func(r Result) {
+		m.Submit(&Submission{TaskID: dag.TaskID(id), Cores: 1, Runtime: fixedRuntime(100), Done: func(r Result) {
 			attempts++
 			if r.Failed && attempts < 3 {
 				submit(id + "r")
@@ -361,44 +364,46 @@ func TestResultQueueWait(t *testing.T) {
 	}
 }
 
-// Cancel marks a pending submission so it never starts, and the schedule
-// pass it kicks compacts the entry away: the pending queue counts a cancelled
-// submission only until that pass.
-func TestCancelUpdatesQueueGaugeImmediately(t *testing.T) {
+// Abort of a pending submission takes it out of the pending queue at once,
+// and a second Abort no longer finds it.
+func TestAbortPendingLeavesQueueAtOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 1), nil)
 	done := func(Result) {}
-	m.Submit(&Submission{ID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: done})
-	m.Submit(&Submission{ID: "p1", Cores: 1, Runtime: fixedRuntime(5), Done: done})
-	m.Submit(&Submission{ID: "p2", Cores: 1, Runtime: fixedRuntime(5), Done: done})
+	errAbort := errors.New("abort")
+	p1 := &Submission{TaskID: "p1", Cores: 1, Runtime: fixedRuntime(5), Done: done}
+	p2 := &Submission{TaskID: "p2", Cores: 1, Runtime: fixedRuntime(5), Done: done}
+	m.Submit(&Submission{TaskID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: done})
+	m.Submit(p1)
+	m.Submit(p2)
 	// No schedule pass has run yet: all three count as queued.
 	if got := len(m.pending); got != 3 {
-		t.Fatalf("queue before cancel = %d, want 3", got)
+		t.Fatalf("queue before abort = %d, want 3", got)
 	}
-	if !m.Cancel("p1") {
-		t.Fatal("Cancel(p1) = false")
+	if !m.Abort(p1, errAbort) {
+		t.Fatal("Abort(p1) = false")
 	}
-	if m.Cancel("p1") {
-		t.Fatal("second Cancel(p1) = true")
+	if got := len(m.pending); got != 2 {
+		t.Fatalf("queue right after Abort(p1) = %d, want 2", got)
 	}
-	// Mid-run cancel inside an event: hold is running, p1 compacted, p2
-	// pending.
+	if m.Abort(p1, errAbort) {
+		t.Fatal("second Abort(p1) = true")
+	}
+	// Mid-run abort inside an event: hold is running, p2 pending.
 	eng.At(1, func() {
 		if got := len(m.pending); got != 1 {
 			t.Errorf("queue at t=1 = %d, want 1", got)
 		}
-		if !m.Cancel("p2") {
-			t.Error("Cancel(p2) = false")
+		if !m.Abort(p2, errAbort) {
+			t.Error("Abort(p2) = false")
 		}
-	})
-	eng.At(2, func() {
 		if got := len(m.pending); got != 0 {
-			t.Errorf("queue after the pass the mid-run Cancel kicked = %d, want 0", got)
+			t.Errorf("queue right after the mid-run Abort = %d, want 0", got)
 		}
 	})
 	eng.Run()
-	if m.Completed() != 1 {
-		t.Fatalf("completed = %d, want 1 (only hold)", m.Completed())
+	if m.Completed() != 1 || m.Failed() != 2 {
+		t.Fatalf("completed/failed = %d/%d, want 1/2 (only hold ran)", m.Completed(), m.Failed())
 	}
 	if got := len(m.pending); got != 0 {
 		t.Fatalf("final queue = %d, want 0", got)
@@ -406,25 +411,29 @@ func TestCancelUpdatesQueueGaugeImmediately(t *testing.T) {
 }
 
 // Abort of a still-pending submission fails it at once, counts it in
-// Failed, and the pass it kicks compacts it out of the queue.
+// Failed, and takes it out of the queue.
 func TestAbortPendingUpdatesQueueGauge(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTaskManager(testCluster(eng, 1, 1), nil)
 	var res Result
 	errAbort := errors.New("attempt deadline")
-	m.Submit(&Submission{ID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: func(Result) {}})
-	m.Submit(&Submission{ID: "p", Cores: 1, Runtime: fixedRuntime(5), Done: func(r Result) { res = r }})
+	p := &Submission{TaskID: "p", Cores: 1, Runtime: fixedRuntime(5), Done: func(r Result) { res = r }}
+	m.Submit(&Submission{TaskID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: func(Result) {}})
+	m.Submit(p)
 	eng.At(2, func() {
 		if got := len(m.pending); got != 1 {
 			t.Errorf("queue before abort = %d, want 1", got)
 		}
-		if !m.Abort("p", errAbort) {
+		if !m.Abort(p, errAbort) {
 			t.Error("Abort(p) = false")
 		}
 		if got := m.Failed(); got != 1 {
 			t.Errorf("Failed() immediately after pending Abort = %d, want 1", got)
 		}
-		if m.Abort("p", errAbort) {
+		if got := len(m.pending); got != 0 {
+			t.Errorf("queue immediately after pending Abort = %d, want 0", got)
+		}
+		if m.Abort(p, errAbort) {
 			t.Error("second Abort(p) = true")
 		}
 	})

@@ -3,7 +3,6 @@ package rm
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
@@ -21,8 +20,10 @@ import (
 // sources (jaws scatter, entk stages, workflow refs) stream, so resident
 // state is O(in-flight), not O(tasks).
 //
-// Submission IDs are "<WorkflowID>/<task>" for a task's first attempt and
-// "<WorkflowID>/<task>#<n>" for its nth. With Retry set the runner is also the
+// Each attempt's Submission carries the WorkflowID, the task's ID and the
+// attempt number; its ID, "<WorkflowID>/<task>" for a task's first attempt
+// and "<WorkflowID>/<task>#<n>" for its nth, is built only when something
+// reads it (see Submission.ID). With Retry set the runner is also the
 // chaos harness: failed attempts (node loss, injected transient faults,
 // timeouts) are resubmitted after the policy's capped exponential backoff
 // until the attempt budget is exhausted or the Breaker opens, and a
@@ -95,19 +96,6 @@ type StreamRunner struct {
 	// its own retries and is recycled at its task's terminal result, so
 	// steady-state submission allocates only at peak concurrency.
 	freeAttempts []*attempt
-	// ids memoizes first-attempt submission IDs by insertion index when the
-	// source is a materialized dag.WorkflowExpander, whose tasks are resident
-	// anyway, and the run repeats the previous run's WorkflowID (memoIDs). An
-	// ID is a pure function of (WorkflowID, TaskID), so the memo survives
-	// Reset as a capacity cache and is cleared only when WorkflowID changes —
-	// warm sessions replaying the same workflow shape re-derive zero ID
-	// strings, while a runner reused across distinct workflows (the service's
-	// pooled drivers) never fills a memo it cannot hit. One WorkflowID may
-	// name different shapes across runs, so a hit is checked against the
-	// task's ID. Streaming sources bypass it.
-	ids     []string
-	idsWf   string
-	memoIDs bool
 }
 
 // attempt is one task's submission state: the Submission and every
@@ -265,16 +253,7 @@ func (sr *StreamRunner) Start() {
 		sr.Runtime = DefaultRuntime
 	}
 	sr.doneCount, sr.resident, sr.peakResident, sr.finishAt, sr.stats, sr.err = 0, 0, 0, 0, RunStats{}, nil
-	_, materialized := sr.Source.(*dag.WorkflowExpander)
-	sr.memoIDs = materialized && sr.WorkflowID == sr.idsWf
 	sr.total = sr.Source.Total()
-	if materialized && !sr.memoIDs {
-		clear(sr.ids)
-		sr.ids = sr.ids[:0]
-		sr.idsWf = sr.WorkflowID
-	} else if sr.memoIDs && len(sr.ids) < sr.total {
-		sr.ids = append(sr.ids, make([]string, sr.total-len(sr.ids))...)
-	}
 	if sr.total == 0 {
 		sr.taskDone(0)
 		return
@@ -294,14 +273,14 @@ func (sr *StreamRunner) Err() error {
 
 // Reset clears every per-run field — source, wiring, recovery policy and
 // accounting — so a pooled runner audits identically to a zero one. The
-// Manager binding, pooled attempt records and the submission-ID memo
-// survive; the next Run starts from the same state a fresh runner would.
+// Manager binding and pooled attempt records survive; the next Run starts
+// from the same state a fresh runner would.
 func (sr *StreamRunner) Reset() {
 	sr.Source, sr.Runtime, sr.WorkflowID = nil, nil, ""
 	sr.Retry, sr.RetryRNG, sr.Breaker, sr.FailPlan = nil, nil, nil, nil
 	sr.OnComplete, sr.Observe, sr.MaxResident, sr.Hook = nil, nil, 0, nil
 	sr.total, sr.doneCount, sr.resident, sr.peakResident = 0, 0, 0, 0
-	sr.finishAt, sr.stats, sr.err, sr.memoIDs = 0, RunStats{}, nil, false
+	sr.finishAt, sr.stats, sr.err = 0, RunStats{}, nil
 }
 
 // pull admits ready tasks while the residency window allows and the run has
@@ -337,31 +316,12 @@ func (sr *StreamRunner) submit(t *dag.Task, idx int) {
 	sr.start(a)
 }
 
-// firstID returns the first-attempt submission ID of t, emitted at insertion
-// index idx, memoized for materialized sources.
-func (sr *StreamRunner) firstID(t *dag.Task, idx int) string {
-	if !sr.memoIDs || idx >= len(sr.ids) {
-		return sr.WorkflowID + "/" + string(t.ID)
-	}
-	// Every memoized ID starts with WorkflowID + "/"; compare the rest.
-	if id := sr.ids[idx]; len(id) == len(sr.WorkflowID)+1+len(t.ID) && id[len(sr.WorkflowID)+1:] == string(t.ID) {
-		return id
-	}
-	id := sr.WorkflowID + "/" + string(t.ID)
-	sr.ids[idx] = id
-	return id
-}
-
 // start submits the attempt currently described by a.
 func (sr *StreamRunner) start(a *attempt) {
-	id := sr.firstID(a.task, a.idx)
-	if a.attempt > 1 {
-		id += "#" + strconv.Itoa(a.attempt)
-	}
 	a.sub = Submission{
-		ID:         id,
 		WorkflowID: sr.WorkflowID,
 		TaskID:     a.task.ID,
+		Attempt:    a.attempt,
 		Name:       a.task.Name,
 		Cores:      a.task.Cores,
 		GPUs:       a.task.GPUs,
@@ -375,11 +335,12 @@ func (sr *StreamRunner) start(a *attempt) {
 	}
 	// The timeout is armed first: an executor that refuses the attempt
 	// finishes it inside Submit, which cancels the timeout and recycles a.
+	// Until then a.sub is this attempt, so the timeout aborts it by pointer.
 	if sr.Retry != nil && sr.Retry.TimeoutSec > 0 {
-		n := a.attempt
+		s := &a.sub
 		a.timeoutEv = sr.Manager.Engine().After(sim.Time(sr.Retry.TimeoutSec), func() {
-			sr.Manager.Abort(id, fmt.Errorf("rm: %s attempt %d exceeded %.0fs: %w",
-				id, n, sr.Retry.TimeoutSec, fault.ErrTimeout))
+			sr.Manager.Abort(s, fmt.Errorf("rm: %s attempt %d exceeded %.0fs: %w",
+				s.ID(), s.Attempt, sr.Retry.TimeoutSec, fault.ErrTimeout))
 		})
 	}
 	sr.Manager.Submit(&a.sub)
