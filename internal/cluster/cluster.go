@@ -385,7 +385,7 @@ func (f *FaultInjector) ScheduleNodeFailures(count int, horizon sim.Time) []*Nod
 	if count > len(nodes) {
 		count = len(nodes)
 	}
-	perm := f.rng.Perm(len(nodes))
+	perm := f.rng.Perm(make([]int, len(nodes)))
 	type plan struct {
 		at   sim.Time
 		node *Node

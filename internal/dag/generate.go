@@ -263,6 +263,7 @@ func RandomLayered(rng *randx.Source, levels, width int, opts GenOpts) *Workflow
 	opts.defaults()
 	w, ar := newGen(dims("layered-", levels, width), levels*width, 3*levels*width)
 	var prevLayer []TaskID
+	perm := make([]int, 0, max(width, 0)) // one scratch for every task's parent draw
 	for l := 0; l < levels; l++ {
 		n := 1 + rng.Intn(width)
 		if l == 0 {
@@ -278,7 +279,7 @@ func RandomLayered(rng *randx.Source, levels, width int, opts GenOpts) *Workflow
 				if k > len(prevLayer) {
 					k = len(prevLayer)
 				}
-				perm := rng.Perm(len(prevLayer))
+				perm = rng.Perm(perm[:len(prevLayer)])
 				for j := 0; j < k; j++ {
 					ar.deps = append(ar.deps, prevLayer[perm[j]])
 				}

@@ -229,7 +229,7 @@ func injectFailures(rng *randx.Source, tasks []*entk.Task, transient, persistent
 	if total > len(tasks) {
 		total = len(tasks)
 	}
-	perm := rng.Perm(len(tasks))
+	perm := rng.Perm(make([]int, len(tasks)))
 	for i := 0; i < total; i++ {
 		if i < transient {
 			tasks[perm[i]].FailAttempts = 1

@@ -147,7 +147,7 @@ func equivalenceDefs() []*WorkflowDef {
 	for seed := int64(1); seed <= 40; seed++ {
 		def := randomDef(seed)
 		def.Name = fmt.Sprintf("rand%d", seed)
-		perm := randx.New(seed + 1000).Perm(len(def.Tasks))
+		perm := randx.New(seed + 1000).Perm(make([]int, len(def.Tasks)))
 		shuffled := make([]*TaskDef, len(def.Tasks))
 		for i, j := range perm {
 			shuffled[i] = def.Tasks[j]

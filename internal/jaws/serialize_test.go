@@ -55,7 +55,7 @@ func randomDef(seed int64) *WorkflowDef {
 		}
 		if i > 0 {
 			k := 1 + rng.Intn(2)
-			perm := rng.Perm(i)
+			perm := rng.Perm(make([]int, i))
 			for j := 0; j < k && j < i; j++ {
 				t.After = append(t.After, fmt.Sprintf("t%02d", perm[j]))
 			}

@@ -16,7 +16,7 @@ func TestIntnAndInt63(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	s := New(4)
-	p := s.Perm(20)
+	p := s.Perm(make([]int, 20))
 	seen := make([]bool, 20)
 	for _, v := range p {
 		if v < 0 || v >= 20 || seen[v] {

@@ -101,8 +101,17 @@ func (s *Source) Exp(mean float64) float64 {
 // Bernoulli returns true with probability p.
 func (s *Source) Bernoulli(p float64) bool { return s.rng.Float64() < p }
 
-// Perm returns a random permutation of [0,n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
+// Perm fills m with a random permutation of [0,len(m)) and returns it. It
+// runs math/rand's Perm loop, so it draws exactly what rand.Perm(len(m))
+// draws and yields the same permutation, into the caller's buffer.
+func (s *Source) Perm(m []int) []int {
+	for i := range m {
+		j := s.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
 
 // Zipf samples k in [1,n] with probability proportional to 1/k^alpha, for
 // any alpha >= 0: alpha = 0 is uniform, and unlike math/rand's Zipf, alpha

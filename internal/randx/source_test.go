@@ -35,17 +35,27 @@ func requireSameStream(t *testing.T, label string, got *Source, ref *rand.Rand, 
 			t.Fatalf("%s draw %d (kind %d): %#x != %#x", label, i, i%6, g, w)
 		}
 	}
-	gp, wp := got.Perm(n%64), ref.Perm(n%64)
+	// Perm fills a caller buffer, here a dirty one, with rand.Perm's
+	// permutation, and leaves both streams at the same point.
+	buf := make([]int, n%64)
+	for i := range buf {
+		buf[i] = -1 - i
+	}
+	gp, wp := got.Perm(buf), ref.Perm(n%64)
 	for i := range wp {
 		if gp[i] != wp[i] {
 			t.Fatalf("%s: Perm(%d) = %v, want %v", label, n%64, gp, wp)
 		}
 	}
+	if g, w := got.Int63(), ref.Int63(); g != w {
+		t.Fatalf("%s: draw after Perm(%d): %#x != %#x", label, n%64, g, w)
+	}
 }
 
 // FuzzSourceMatchesMathRand pins Source to math/rand bit for bit: a fresh
 // Source against rand.New(rand.NewSource(seed)), then the same Source
-// reseeded in place mid-stream against a fresh reference. The seed corpus
+// reseeded in place mid-stream against a fresh reference, Perm into a
+// caller buffer against rand.Perm included. The seed corpus
 // covers the reduction's edges: zero (which math/rand remaps to 89482311),
 // ±1, ±(2³¹−1) (which reduce to zero), 2³¹ and the int64 extremes.
 func FuzzSourceMatchesMathRand(f *testing.F) {

@@ -698,19 +698,21 @@ func runWithBaselines(sub *Substrate, cfg Config, seed int64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		attachBaseline(&res.Tenants[i], &solo.Tenants[0])
+		attachBaseline(&res.Tenants[i], solo.Tenants[0].P99WaitSec, solo.Tenants[0].MeanMakespanSec)
 	}
 	return res, nil
 }
 
-func attachBaseline(tr *TenantResult, solo *TenantResult) {
-	tr.SoloP99WaitSec = solo.P99WaitSec
-	tr.SoloMeanMakespanSec = solo.MeanMakespanSec
-	if solo.P99WaitSec > 0 {
-		tr.WaitInflationP99 = tr.P99WaitSec / solo.P99WaitSec
+// attachBaseline fills tr's solo-baseline fields from the tenant's solo p99
+// wait and mean makespan.
+func attachBaseline(tr *TenantResult, soloP99, soloMakespan float64) {
+	tr.SoloP99WaitSec = soloP99
+	tr.SoloMeanMakespanSec = soloMakespan
+	if soloP99 > 0 {
+		tr.WaitInflationP99 = tr.P99WaitSec / soloP99
 	}
-	if solo.MeanMakespanSec > 0 {
-		tr.MakespanInflation = tr.MeanMakespanSec / solo.MeanMakespanSec
+	if soloMakespan > 0 {
+		tr.MakespanInflation = tr.MeanMakespanSec / soloMakespan
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 
 	"hhcw/internal/metrics"
@@ -9,7 +10,15 @@ import (
 
 // SweepConfig drives a multi-seed service-mode ensemble.
 type SweepConfig struct {
-	Scenario func(fairShare bool) Config // nil means ContendedScenario
+	// Scenario returns the FIFO (false) or fair-share (true) config; nil
+	// means ContendedScenario. Both strategies share one set of FIFO solo
+	// baselines per seed, so the two configs must agree on everything a
+	// solo run reads. Sweep rejects them with ErrSoloMismatch when they
+	// differ in Nodes, CoresPerNode, HorizonSec, Faults, Retry, Compact,
+	// the tenant count, or a tenant's ID, MaxInFlight or MaxDeferred. Each
+	// tenant's Arrivals and Workload must match too; they cannot be
+	// compared, so nothing checks them.
+	Scenario func(fairShare bool) Config
 	Seeds    int
 	Seed0    int64
 	Workers  int // <= 0 means NumCPU
@@ -61,9 +70,49 @@ type SweepResult struct {
 	Fingerprint  string
 }
 
-// Sweep runs the scenario over cfg.Seeds seeds under both strategies (with
-// per-tenant solo baselines) on a worker pool, then reduces in a fixed
-// order. Results are bit-identical at any worker count: each seed's runs
+// ErrSoloMismatch reports a sweep scenario whose FIFO and fair-share
+// configs would give different solo baselines.
+var ErrSoloMismatch = errors.New("service: fifo and fair-share scenarios give different solo baselines")
+
+// soloMismatch names the first comparable field a FIFO solo run reads in
+// which a and b differ, or returns "" when they agree on all of them.
+func soloMismatch(a, b *Config) string {
+	switch {
+	case a.Nodes != b.Nodes:
+		return "Nodes"
+	case a.CoresPerNode != b.CoresPerNode:
+		return "CoresPerNode"
+	case a.HorizonSec != b.HorizonSec:
+		return "HorizonSec"
+	case a.Faults != b.Faults:
+		return "Faults"
+	case a.Retry != b.Retry:
+		return "Retry"
+	case a.Compact != b.Compact:
+		return "Compact"
+	case len(a.Tenants) != len(b.Tenants):
+		return "the tenant count"
+	}
+	for i := range a.Tenants {
+		x, y := &a.Tenants[i], &b.Tenants[i]
+		switch {
+		case x.ID != y.ID:
+			return fmt.Sprintf("tenant %d ID", i)
+		case x.MaxInFlight != y.MaxInFlight:
+			return fmt.Sprintf("tenant %q MaxInFlight", x.ID)
+		case x.MaxDeferred != y.MaxDeferred:
+			return fmt.Sprintf("tenant %q MaxDeferred", x.ID)
+		}
+	}
+	return ""
+}
+
+// Sweep runs the scenario over cfg.Seeds seeds under both strategies on a
+// worker pool, then reduces in a fixed order. Each seed runs its contended
+// FIFO run and the per-tenant FIFO solo baselines once, then the contended
+// fair-share run, which is compared against the same baselines: a solo run
+// always schedules under FIFO, so the fair-share config would only repeat
+// them. Results are bit-identical at any worker count: each seed's runs
 // land in per-index slots and every aggregate folds strategy-major,
 // seed-ascending.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
@@ -74,29 +123,36 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if scen == nil {
 		scen = ContendedScenario
 	}
+	fifoCfg, fairCfg := scen(false), scen(true)
+	if f := soloMismatch(&fifoCfg, &fairCfg); f != "" {
+		return nil, fmt.Errorf("%w: %s differs", ErrSoloMismatch, f)
+	}
 	type pair struct{ fifo, fair *Result }
 	pairs := make([]pair, cfg.Seeds)
 	// One warm substrate per worker, built lazily from the scenario's shape
 	// and reused (reset in place) across every run the worker executes: both
-	// strategies, all seeds, and each run's per-tenant solo baselines. A nil
-	// substrate (degenerate scenario shape) runs cold, where validation
-	// reports the config error.
+	// strategies, all seeds, and each seed's solo baselines. A nil substrate
+	// (degenerate scenario shape) runs cold, where validation reports the
+	// config error.
 	subs := make([]*Substrate, sweep.PoolWorkers(cfg.Seeds, cfg.Workers))
 	built := make([]bool, len(subs))
 	err := sweep.ForEachWorker(cfg.Seeds, cfg.Workers, cfg.Progress, func(worker, idx int) error {
 		seed := cfg.Seed0 + int64(idx)
 		if !built[worker] {
 			built[worker] = true
-			c := scen(false)
-			subs[worker] = NewSubstrate(c.Nodes, c.CoresPerNode)
+			subs[worker] = NewSubstrate(fifoCfg.Nodes, fifoCfg.CoresPerNode)
 		}
 		fifo, err := subs[worker].RunWithBaselines(scen(false), seed)
 		if err != nil {
 			return fmt.Errorf("service: fifo seed %d: %w", seed, err)
 		}
-		fair, err := subs[worker].RunWithBaselines(scen(true), seed)
+		fair, err := subs[worker].Run(scen(true), seed)
 		if err != nil {
 			return fmt.Errorf("service: fairshare seed %d: %w", seed, err)
+		}
+		for i := range fair.Tenants {
+			ft := &fifo.Tenants[i]
+			attachBaseline(&fair.Tenants[i], ft.SoloP99WaitSec, ft.SoloMeanMakespanSec)
 		}
 		pairs[idx] = pair{fifo, fair}
 		return nil

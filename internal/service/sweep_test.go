@@ -1,7 +1,9 @@
 package service
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -86,5 +88,66 @@ func TestContendedScenarioAcceptance(t *testing.T) {
 	}
 	if deferred == 0 {
 		t.Fatal("no admissions were ever deferred across the ensemble")
+	}
+}
+
+// TestSweepRejectsSoloMismatch: the two strategies share one set of solo
+// baselines, so a scenario that tightens an admission budget only under
+// fair share is refused rather than compared against the wrong baseline.
+func TestSweepRejectsSoloMismatch(t *testing.T) {
+	scen := func(fairShare bool) Config {
+		cfg := ContendedScenario(fairShare)
+		if fairShare {
+			cfg.Tenants[1].MaxInFlight = 4
+		}
+		return cfg
+	}
+	_, err := Sweep(SweepConfig{Scenario: scen, Seeds: 2, Seed0: 1, Workers: 1})
+	if !errors.Is(err, ErrSoloMismatch) || !strings.Contains(err.Error(), `tenant "medium" MaxInFlight`) {
+		t.Fatalf("err = %v, want ErrSoloMismatch naming medium's MaxInFlight", err)
+	}
+	// Fields a FIFO solo run never reads may differ.
+	scen = func(fairShare bool) Config {
+		cfg := ContendedScenario(fairShare)
+		if fairShare {
+			cfg.Tenants[0].Weight = 9
+			cfg.Tenants[0].QuotaCores = 24
+		}
+		return cfg
+	}
+	if _, err := Sweep(SweepConfig{Scenario: scen, Seeds: 1, Seed0: 1, Workers: 1}); err != nil {
+		t.Fatalf("weight and quota differences rejected: %v", err)
+	}
+}
+
+// TestSweepRunsPerSeed counts the runs each seed executes on the substrate:
+// the contended FIFO run, one solo baseline per tenant, and the contended
+// fair-share run — five for three tenants, where running the baselines per
+// strategy took eight.
+func TestSweepRunsPerSeed(t *testing.T) {
+	const seeds = 3
+	var runs int
+	scen := func(fairShare bool) Config {
+		cfg := ContendedScenario(fairShare)
+		cfg.inspect = func(*serviceRun) { runs++ }
+		return cfg
+	}
+	res, err := Sweep(SweepConfig{Scenario: scen, Seeds: seeds, Seed0: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := seeds * (2 + len(ContendedScenario(false).Tenants)); runs != want {
+		t.Fatalf("%d runs for %d seeds, want %d", runs, seeds, want)
+	}
+	// The fair-share runs carry the FIFO runs' solo baselines.
+	for i := 0; i < seeds; i++ {
+		fifo, fair := res.Runs[i], res.Runs[seeds+i]
+		for ti := range fifo.Tenants {
+			f, s := &fifo.Tenants[ti], &fair.Tenants[ti]
+			if s.SoloP99WaitSec != f.SoloP99WaitSec || s.SoloMeanMakespanSec != f.SoloMeanMakespanSec {
+				t.Fatalf("seed %d tenant %s: fair-share baseline %v/%v, fifo %v/%v", fifo.Seed, f.Tenant,
+					s.SoloP99WaitSec, s.SoloMeanMakespanSec, f.SoloP99WaitSec, f.SoloMeanMakespanSec)
+			}
+		}
 	}
 }

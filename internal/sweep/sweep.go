@@ -1,26 +1,35 @@
-// Package sweep is a parallel multi-seed ensemble runner. It executes N
-// independent (workflow family, environment, seed) simulations concurrently
-// across a worker pool and reduces them into deterministic, order-independent
-// aggregates — the distributional view (min/median/p90/max makespan,
-// utilization, speedup vs a baseline) in which the paper's headline numbers
-// (CWS's 10.8 % average makespan cut, EnTK's ~90 % utilization) are stated.
+// Package sweep is a parallel multi-seed ensemble runner. It executes the
+// (workflow family, environment, seed) simulations of an ensemble
+// concurrently across a worker pool and reduces them into deterministic,
+// order-independent aggregates — the distributional view (min/median/p90/max
+// makespan, utilization, speedup vs a baseline) in which the paper's
+// headline numbers (CWS's 10.8 % average makespan cut, EnTK's ~90 %
+// utilization) are stated.
+//
+// The unit of work is a (workflow, seed) group: its workflow is generated
+// once and every environment runs on that one instance, in env order, so an
+// ensemble of W workflows × E envs × S seeds generates W × S workflows, not
+// W × E × S. Every env reads the workflow and none mutates it.
 //
 // Determinism contract: the same Config (workflows, environments, seeds)
 // produces a bit-identical Report regardless of Workers. Every worker owns
 // its substrate privately — a warm core.RunSession per environment, reset in
-// place between jobs, or a fresh Environment per job for envs that don't
-// support sessions — plus its two randx sources (workflow generation and
-// the run's fork), reseeded in place from each job's seed, so nothing is
+// place between runs, or a fresh Environment per run for envs that don't
+// support sessions — plus its two randx sources: the generator's, reseeded
+// in place from each group's seed, and the runs', reseeded before each run
+// from the one value a Fork after generation would draw. So every run sees
+// the streams a fresh randx.New(seed) and Fork would give it, nothing is
 // shared mutably between goroutines, and the reduction folds results in the
-// fixed (workflow, env, seed) job order — never in completion order. The
-// warm path is bit-identical to the cold one (core.Session's contract,
-// enforced by the golden corpus), so session reuse affects wall-clock and
-// allocation only, never the Report.
+// fixed (workflow, env, seed) order — never in completion order. The warm
+// path is bit-identical to the cold one (core.Session's contract, enforced
+// by the golden corpus), so session reuse affects wall-clock and allocation
+// only, never the Report.
 package sweep
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"hhcw/internal/core"
 	"hhcw/internal/dag"
@@ -31,8 +40,10 @@ import (
 // WorkflowSpec names a workflow family and how to generate one instance from
 // a seeded source. Gen must be a pure function of rng (no shared state): it
 // is called concurrently from many workers, each with its own Source. That
-// Source belongs to the worker and is reseeded for the worker's next job, so
-// Gen must not keep rng after it returns.
+// Source belongs to the worker and is reseeded for the worker's next group,
+// so Gen must not keep rng after it returns. Gen is called once per
+// (workflow, seed); every env of the ensemble reads the workflow it returns,
+// and none may mutate it.
 type WorkflowSpec struct {
 	Name string
 	Gen  func(rng *randx.Source) *dag.Workflow
@@ -40,17 +51,17 @@ type WorkflowSpec struct {
 
 // EnvSpec names an environment and how to build a fresh instance. New must
 // return a new Environment per call; environments own a private sim.Engine
-// per Run, so a fresh value per job keeps workers fully isolated.
+// per Run, so a fresh value per run keeps workers fully isolated.
 type EnvSpec struct {
 	Name string
 	New  func() core.Environment
 	// NewSession, when non-nil, supplies a warm-run session for this env:
 	// each worker acquires one and reuses it (reset in place) across all of
-	// its jobs on this env instead of rebuilding the substrate per run. When
+	// its runs on this env instead of rebuilding the substrate per run. When
 	// nil, New's result is probed for core.SessionEnvironment and its
 	// NewSession is used; envs supporting neither run cold (a fresh New per
-	// job). A session-construction error falls back to the cold path so the
-	// underlying config error surfaces with normal job attribution.
+	// run). A session-construction error falls back to the cold path so the
+	// underlying config error surfaces with normal run attribution.
 	NewSession func() (core.RunSession, error)
 }
 
@@ -60,8 +71,9 @@ type Config struct {
 	Workflows []WorkflowSpec
 	Envs      []EnvSpec
 	Seeds     []int64
-	// Workers is the pool size; <= 0 means runtime.NumCPU(). It affects
-	// wall-clock time only, never the Report.
+	// Workers is the pool size; <= 0 means runtime.NumCPU(). The pool never
+	// exceeds the number of (workflow, seed) groups. It affects wall-clock
+	// time only, never the Report.
 	Workers int
 	// Baseline names the EnvSpec whose makespan is the denominator of the
 	// per-seed speedup column; empty disables speedups.
@@ -130,22 +142,12 @@ type Report struct {
 	Cells []Cell      // fixed (workflow, env) order
 }
 
-type job struct {
-	wi, ei, si int
-}
-
-// jobAt maps a flat index to its (workflow, env, seed) coordinates. Job
-// order is the reduction order: workflow-major, then env, then seed —
-// computed on demand instead of materializing a jobs slice.
-func jobAt(cfg *Config, idx int) job {
-	nSeeds := len(cfg.Seeds)
-	perWf := len(cfg.Envs) * nSeeds
-	return job{wi: idx / perWf, ei: idx % perWf / nSeeds, si: idx % nSeeds}
-}
-
-// Run executes the ensemble and reduces it. Any simulation error aborts the
-// sweep; when several workers fail, the error of the lowest job index is
-// returned so failures are as deterministic as successes.
+// Run executes the ensemble and reduces it. Its unit of work is one
+// (workflow, seed) group: the workflow is generated once and every env runs
+// on it in env order, each result landing in its (workflow, env, seed) slot.
+// Any simulation error aborts the sweep; when several simulations fail, the
+// error of the lowest (workflow, env, seed) index is returned so failures
+// are as deterministic as successes.
 func Run(cfg Config) (*Report, error) {
 	if len(cfg.Workflows) == 0 || len(cfg.Envs) == 0 || len(cfg.Seeds) == 0 {
 		return nil, fmt.Errorf("sweep: config needs workflows, envs, and seeds")
@@ -160,36 +162,63 @@ func Run(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("sweep: env %q has no factory", e.Name)
 		}
 	}
-	total := len(cfg.Workflows) * len(cfg.Envs) * len(cfg.Seeds)
-	results := make([]RunResult, total) // each index written by exactly one worker
+	nEnvs, nSeeds := len(cfg.Envs), len(cfg.Seeds)
+	groups := len(cfg.Workflows) * nSeeds
+	total := groups * nEnvs
+	// Each index of results and errs is written by exactly one worker.
+	results := make([]RunResult, total)
+	errs := make([]error, total)
+	var (
+		mu   sync.Mutex
+		done int
+	)
 	// One warm-state slot per worker: slot [worker] is touched only by that
 	// worker's goroutine (ForEachWorker's contract), so session and source
 	// reuse needs no locking and never crosses goroutines.
-	workers := make([]workerState, PoolWorkers(total, cfg.Workers))
-	err := ForEachWorker(total, cfg.Workers, cfg.Progress, func(worker, idx int) error {
-		j := jobAt(&cfg, idx)
+	workers := make([]workerState, PoolWorkers(groups, cfg.Workers))
+	// fn records each simulation's error in errs and returns nil: the error
+	// to report is the lowest simulation index's, not the lowest group's.
+	_ = ForEachWorker(groups, cfg.Workers, nil, func(worker, g int) error {
+		wi, si := g/nSeeds, g%nSeeds
 		ws := &workers[worker]
-		rr, err := runOne(cfg, j, ws.acquire(&cfg, j.ei), &ws.gen, &ws.run)
-		if err != nil {
-			// The session may hold arbitrarily corrupted state after a panic;
-			// drop it so any jobs this worker still drains (the sweep aborts,
-			// but workers finish the queue) run on a fresh substrate.
-			ws.drop(j.ei)
-			return fmt.Errorf("sweep: %s on %s seed %d: %w",
-				cfg.Workflows[j.wi].Name, cfg.Envs[j.ei].Name, cfg.Seeds[j.si], err)
+		w, runSeed, genErr := generate(cfg.Workflows[wi].Gen, &ws.gen, cfg.Seeds[si])
+		for ei := range cfg.Envs {
+			idx := (wi*nEnvs+ei)*nSeeds + si
+			err := genErr
+			if err == nil {
+				results[idx], err = runOne(&cfg, wi, ei, si, ws.acquire(&cfg, ei), w, ws.run.Reseed(runSeed))
+				if err != nil {
+					// The session may hold arbitrarily corrupted state after
+					// a panic; drop it so the runs this worker still drains
+					// (the sweep aborts, but workers finish the queue) get a
+					// fresh substrate.
+					ws.drop(ei)
+				}
+			}
+			if err != nil {
+				errs[idx] = fmt.Errorf("sweep: %s on %s seed %d: %w",
+					cfg.Workflows[wi].Name, cfg.Envs[ei].Name, cfg.Seeds[si], err)
+			}
+			if cfg.Progress != nil {
+				mu.Lock()
+				done++
+				cfg.Progress(done, total)
+				mu.Unlock()
+			}
 		}
-		results[idx] = rr
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return reduce(cfg, results), nil
 }
 
 // workerState is one worker's reusable state: a warm session per
-// environment and the two sources every job reseeds. Session slots resolve
-// lazily on first use — a worker that never draws jobs for an env never
+// environment and the two sources every group reseeds. Session slots
+// resolve lazily on first use — a worker that never runs an env never
 // builds its substrate — and a nil slot after resolution means the env runs
 // cold.
 type workerState struct {
@@ -220,9 +249,9 @@ func (ws *workerState) drop(ei int) {
 
 // newEnvSession resolves the warm session for one EnvSpec: the explicit
 // NewSession constructor when set, otherwise a probe of New's result for
-// core.SessionEnvironment. nil means the env runs every job cold — including
+// core.SessionEnvironment. nil means the env runs every run cold — including
 // when session construction fails, so the underlying config error surfaces
-// through the cold path with normal job attribution instead of being
+// through the cold path with normal run attribution instead of being
 // swallowed here.
 func newEnvSession(spec EnvSpec) core.RunSession {
 	if spec.NewSession != nil {
@@ -239,40 +268,46 @@ func newEnvSession(spec EnvSpec) core.RunSession {
 	return nil
 }
 
-// runOne executes a single job in full isolation: the worker's gen source
-// reseeded in place from the job's seed, a freshly generated workflow, the
-// run source forked from gen into the worker's run slot, and either the
-// worker's warm session for the job's env (reset in place before the run)
-// or, when sess is nil, a fresh environment. Reseeding in place yields the
-// same streams, in the same fork order, as a fresh randx.New(seed) and
-// Fork per job. Both sources belong to the worker and are reseeded for its
-// next job, so neither Gen nor the run may keep them after returning. A
-// substrate panic (e.g. an EnTK PostExec appending an invalid stage) is
+// generate builds one group's workflow: the worker's gen source reseeded in
+// place from the seed, the workflow drawn from it, then the seed of the
+// runs' source — the one value ForkInto would draw. Reseeding in place
+// yields the same streams as a fresh randx.New(seed). A panic in Gen becomes
+// an error.
+func generate(gen func(*randx.Source) *dag.Workflow, src *randx.Source, seed int64) (w *dag.Workflow, runSeed int64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			w, err = nil, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	rng := src.Reseed(seed)
+	if w = gen(rng); w == nil {
+		return nil, 0, fmt.Errorf("generator returned nil workflow")
+	}
+	return w, rng.Int63(), nil
+}
+
+// runOne runs the group's workflow on env ei: on the worker's warm session
+// (reset in place before the run) or, when sess is nil, on a fresh
+// environment. rng is the worker's run source, reseeded for this run, so
+// substrate randomness (fault injection) is a pure function of the seed and
+// every env of the group sees the same stream. The source and the workflow
+// are shared with the group's other runs, so no run may keep rng or mutate
+// w. A substrate panic (e.g. an EnTK PostExec appending an invalid stage) is
 // converted into an error so one bad seed aborts the sweep deterministically
 // instead of killing the process.
-func runOne(cfg Config, j job, sess core.RunSession, gen, run *randx.Source) (rr RunResult, err error) {
+func runOne(cfg *Config, wi, ei, si int, sess core.RunSession, w *dag.Workflow, rng *randx.Source) (rr RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rr, err = RunResult{}, fmt.Errorf("panic: %v", p)
 		}
 	}()
-	spec := cfg.Workflows[j.wi]
-	seed := cfg.Seeds[j.si]
-	rng := gen.Reseed(seed)
-	w := spec.Gen(rng)
-	if w == nil {
-		return RunResult{}, fmt.Errorf("generator returned nil workflow")
-	}
 	var res *core.Result
 	if sess != nil {
-		// Substrate randomness (fault injection) forks off the same source
-		// right after workflow generation, so a chaos run is a pure function
-		// of the job's seed — the same contract, now fault-aware and warm.
-		res, err = sess.RunSeeded(w, rng.ForkInto(run))
+		res, err = sess.RunSeeded(w, rng)
 	} else {
-		env := cfg.Envs[j.ei].New()
+		env := cfg.Envs[ei].New()
 		if se, ok := env.(core.SeededEnvironment); ok {
-			res, err = se.RunSeeded(w, rng.ForkInto(run))
+			res, err = se.RunSeeded(w, rng)
 		} else {
 			res, err = env.Run(w)
 		}
@@ -282,10 +317,10 @@ func runOne(cfg Config, j job, sess core.RunSession, gen, run *randx.Source) (rr
 	}
 	r := *res
 	r.Provenance = nil
-	return RunResult{Workflow: spec.Name, Env: cfg.Envs[j.ei].Name, Seed: seed, Result: r}, nil
+	return RunResult{Workflow: cfg.Workflows[wi].Name, Env: cfg.Envs[ei].Name, Seed: cfg.Seeds[si], Result: r}, nil
 }
 
-// reduce folds results in job order into per-(workflow, env) cells. Per-cell
+// reduce folds results in (workflow, env, seed) order into per-(workflow, env) cells. Per-cell
 // order statistics are computed through one reused scratch slice (filled in
 // run order, summarized in place), so reduction allocates the Cells slice
 // and two scratch buffers regardless of how many cells × metrics it folds —

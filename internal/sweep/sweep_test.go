@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -88,26 +89,66 @@ type failingEnv struct{ err error }
 func (e *failingEnv) Name() string                            { return "failing" }
 func (e *failingEnv) Run(*dag.Workflow) (*core.Result, error) { return nil, e.err }
 
-// A failing run aborts the sweep and reports the lowest-index failure, so
-// error behaviour is as deterministic as success behaviour.
+// seedEnv fails with err on the workflow generated for one seed and
+// succeeds on the others without running them.
+type seedEnv struct {
+	failOn string
+	err    error
+}
+
+func (e *seedEnv) Name() string { return "seed-env" }
+func (e *seedEnv) Run(w *dag.Workflow) (*core.Result, error) {
+	if w.Name == e.failOn {
+		return nil, e.err
+	}
+	return &core.Result{}, nil
+}
+
+// A failing run aborts the sweep and reports the lowest (workflow, env,
+// seed) index's failure, so error behaviour is as deterministic as success
+// behaviour. That is not the first failing (workflow, seed) group's: when
+// env 1 fails at seed 5 and env 0 only at seed 9, env 0's failure wins.
 func TestRunErrorDeterministic(t *testing.T) {
 	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		_, err := Run(Config{
+	seeds := Seeds(5, 5)
+	// Name each workflow after its seed, recovered from the first draw.
+	seedOf := map[int64]int64{}
+	for _, s := range seeds {
+		seedOf[randx.New(s).Int63()] = s
+	}
+	tagged := WorkflowSpec{Name: "tagged", Gen: func(r *randx.Source) *dag.Workflow {
+		return dag.New(fmt.Sprintf("seed-%d", seedOf[r.Int63()]))
+	}}
+	failOn := func(name, tag string) EnvSpec {
+		return EnvSpec{Name: name, New: func() core.Environment { return &seedEnv{failOn: tag, err: boom} }}
+	}
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{
 			Workflows: []WorkflowSpec{montageSpec(4)},
 			Envs: []EnvSpec{
 				{Name: "bad", New: func() core.Environment { return &failingEnv{err: boom} }},
 				k8sSpec("ok"),
 			},
-			Seeds:   Seeds(5, 8),
-			Workers: workers,
-		})
-		if err == nil || !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
-		}
-		// Lowest job index = first env, first seed.
-		if !strings.Contains(err.Error(), "seed 5") || !strings.Contains(err.Error(), "bad") {
-			t.Fatalf("workers=%d: error not attributed to lowest job index: %v", workers, err)
+			Seeds: Seeds(5, 8),
+		}, "on bad seed 5:"},
+		{Config{
+			Workflows: []WorkflowSpec{tagged},
+			Envs:      []EnvSpec{failOn("env0", "seed-9"), failOn("env1", "seed-5")},
+			Seeds:     seeds,
+		}, "on env0 seed 9:"},
+	} {
+		for _, workers := range []int{1, 4} {
+			c.cfg.Workers = workers
+			_, err := Run(c.cfg)
+			if err == nil || !errors.Is(err, boom) {
+				t.Fatalf("workers=%d: err = %v, want wrapped boom", workers, err)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("workers=%d: error not attributed to the lowest index (%q): %v", workers, c.want, err)
+			}
 		}
 	}
 }
@@ -129,18 +170,28 @@ func TestRunRecoversWorkerPanic(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "panic: stalled") {
 		t.Fatalf("err = %v, want recovered panic", err)
 	}
+	_, err = Run(Config{
+		Workflows: []WorkflowSpec{{Name: "gen-panics", Gen: func(*randx.Source) *dag.Workflow { panic("no workflow") }}},
+		Envs:      []EnvSpec{k8sSpec("k8s")},
+		Seeds:     Seeds(1, 4),
+		Workers:   2,
+	})
+	if err == nil || !strings.Contains(err.Error(), "gen-panics on k8s seed 1: panic: no workflow") {
+		t.Fatalf("err = %v, want recovered generator panic at seed 1", err)
+	}
 }
 
+// Progress fires once per simulation, not once per (workflow, seed) group.
 func TestProgressCallback(t *testing.T) {
 	var calls []int
 	_, err := Run(Config{
 		Workflows: []WorkflowSpec{montageSpec(4)},
-		Envs:      []EnvSpec{k8sSpec("k8s")},
+		Envs:      []EnvSpec{k8sSpec("k8s"), k8sSpec("k8s-2")},
 		Seeds:     Seeds(1, 6),
 		Workers:   3,
 		Progress: func(done, total int) {
-			if total != 6 {
-				t.Errorf("total = %d, want 6", total)
+			if total != 12 {
+				t.Errorf("total = %d, want 12", total)
 			}
 			calls = append(calls, done)
 		},
@@ -148,8 +199,8 @@ func TestProgressCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != 6 {
-		t.Fatalf("progress called %d times, want 6", len(calls))
+	if len(calls) != 12 {
+		t.Fatalf("progress called %d times, want 12", len(calls))
 	}
 	for i, d := range calls {
 		if d != i+1 {
