@@ -94,6 +94,9 @@ type Cluster struct {
 	eng *sim.Engine
 
 	totalCores int
+	// downCount is the number of nodes down now, kept by FailNode and
+	// RepairNode so UpCount needs no scan.
+	downCount int
 	// usedCores is the number of cores allocated now. coreSec integrates it
 	// over virtual time up to usedAt, the instant it last changed, so
 	// Utilization needs no per-event samples.
@@ -159,6 +162,7 @@ func (c *Cluster) Reset() {
 		n.epoch = 0
 	}
 	c.idx.reset()
+	c.downCount = 0
 	c.usedCores, c.usedAt, c.coreSec = 0, 0, 0
 }
 
@@ -182,6 +186,10 @@ func (c *Cluster) TotalCores() int { return c.totalCores }
 
 // NodeCount returns the number of nodes.
 func (c *Cluster) NodeCount() int { return len(c.nodes) }
+
+// UpCount returns the number of nodes that are not down, without building
+// the list UpNodes returns.
+func (c *Cluster) UpCount() int { return len(c.nodes) - c.downCount }
 
 // UpNodes returns nodes that are not down.
 func (c *Cluster) UpNodes() []*Node {
@@ -324,6 +332,7 @@ func (c *Cluster) FailNode(n *Node) {
 	}
 	n.down = true
 	n.epoch++
+	c.downCount++
 	c.idx.update(n)
 	for _, fn := range c.onNodeDown {
 		fn(n)
@@ -339,6 +348,7 @@ func (c *Cluster) RepairNode(n *Node) {
 		return
 	}
 	n.down = false
+	c.downCount--
 	n.freeCores = n.Type.Cores
 	n.freeGPUs = n.Type.GPUs
 	n.freeMem = n.Type.MemBytes

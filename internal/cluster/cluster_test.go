@@ -93,6 +93,28 @@ func TestFailNode(t *testing.T) {
 	}
 }
 
+// UpCount must equal len(UpNodes()) through failures, repeated failures and
+// repairs of one node, repairs of an up node, and Reset.
+func TestUpCount(t *testing.T) {
+	eng := sim.NewEngine()
+	c := New(eng, "t", Spec{Type: NodeType{Name: "n", Cores: 4}, Count: 5})
+	rng := randx.New(3)
+	for i := 0; i < 200; i++ {
+		n := c.Nodes()[rng.Intn(5)]
+		if rng.Bernoulli(0.5) {
+			c.FailNode(n)
+		} else {
+			c.RepairNode(n)
+		}
+		if i == 120 {
+			c.Reset()
+		}
+		if got, want := c.UpCount(), len(c.UpNodes()); got != want {
+			t.Fatalf("step %d: UpCount = %d, want %d", i, got, want)
+		}
+	}
+}
+
 func TestUtilization(t *testing.T) {
 	eng := sim.NewEngine()
 	c := twoNodeCluster(eng) // 8 cores total

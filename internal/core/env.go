@@ -29,6 +29,9 @@ type Result struct {
 	Retries          int     // policy-scheduled resubmissions
 	TerminalFailures int     // tasks abandoned after exhausting the policy (incl. skipped descendants)
 	BackoffSec       float64 // total recovery backoff injected
+	// NodeFailures counts the node crashes and spot reclaims the fault
+	// injector set off. It is not part of the fingerprint.
+	NodeFailures int
 
 	// Prediction-loop accounting — all zero unless the environment ran with
 	// an online predictor (KubernetesEnv.Predict).

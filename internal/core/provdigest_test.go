@@ -78,10 +78,12 @@ func TestProvenanceDigestCWSStorm(t *testing.T) {
 	}
 	env := &KubernetesEnv{Nodes: 4, CoresPerNode: 8, Strategy: cwsi.Rank{}, Faults: storm}
 	opts := dag.GenOpts{MeanDur: 300, CVDur: 0.8, Cores: 1, MaxCores: 4, MeanMem: 2e9}
-	counts := map[string]int{"injected": 0}
+	// The digest hashes error text; it covers both failure texts of the
+	// storm (injected failures and node failures) only if both occur.
+	counts := map[string]int{"injected": 0, "node ": 0}
 	got := runProvDigest(t, env, func(r *randx.Source) *dag.Workflow { return dag.MontageLike(r, 8, opts) }, 4, counts)
-	if counts["injected"] == 0 || counts["<annotated>"] == 0 {
-		t.Fatalf("storm runs injected no failures or annotated no retries (%v); the digest would be vacuous", counts)
+	if counts["injected"] == 0 || counts["node "] == 0 || counts["<annotated>"] == 0 {
+		t.Fatalf("storm runs injected no failures, failed no node or annotated no retries (%v); the digest would be vacuous", counts)
 	}
 	if got != goldenProvCWSStorm {
 		t.Errorf("provenance digest = %s, want golden %s", got, goldenProvCWSStorm)

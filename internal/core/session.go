@@ -54,9 +54,10 @@ type SessionEnvironment interface {
 // reusing buffers. The run's RNG forks (injector, task plan, retry jitter,
 // or the prediction path's retry jitter) are session-owned sources, each
 // allocated the first time a run needs it and reseeded in place by later
-// runs, in exactly the cold path's fork order. The rest of the per-run state
-// (fault injector, retry policy, runtime predictor) is constructed fresh
-// each run.
+// runs, in exactly the cold path's fork order. The fault layer is
+// session-owned too: one injector, reset onto each run's fork, and one
+// task-failure plan and retry policy, refilled per run. The runtime
+// predictor is constructed fresh each run.
 type Session struct {
 	env      KubernetesEnv // configuration copy; per-run knobs re-derive from it
 	name     string
@@ -70,6 +71,7 @@ type Session struct {
 	runner *rm.StreamRunner     // the task driver, bound to the CWS on CWS runs
 	x      dag.WorkflowExpander // the runner's source, rebound to each run's workflow
 	forks  forkPool             // the run's RNG forks, reseeded in place
+	arm    faultArm             // the run's fault layer, re-armed in place
 	warm   bool
 }
 
@@ -91,6 +93,10 @@ func (e *KubernetesEnv) NewSession() (RunSession, error) {
 		s.cws = cwsi.New(s.mgr, s.strat, nil)
 	}
 	s.runner = &rm.StreamRunner{Manager: s.mgr}
+	if e.Faults.Enabled() {
+		// Each run resets the injector onto its own fork (armFaults).
+		s.arm.setInjector(fault.NewInjector(s.cl, nil, e.Faults))
+	}
 	return s, nil
 }
 
@@ -125,18 +131,48 @@ func (s *Session) reset() {
 	s.cl.Reset()
 	s.mgr.Reset()
 	s.forks.reset()
+	s.arm.reset()
 	s.runner.Reset()
 	s.x.Reset(nil)
 }
 
 // faultArm is one run's armed fault layer: the node-fault injector, the
 // transient task-failure plan indexed by insertion order, and the recovery
-// policy with its jitter source. The zero value is a fault-free run.
+// policy with its jitter source. The zero value is a fault-free run. The warm
+// session keeps one across runs; reset keeps the injector, the plan's
+// storage and the runner callbacks for the next armFaults.
 type faultArm struct {
 	inj      *fault.Injector
 	plan     []int
-	retry    *fault.RetryPolicy
+	retry    *fault.RetryPolicy // nil, or policy
+	policy   fault.RetryPolicy
 	retryRNG *randx.Source
+
+	// The runner's callbacks, bound once with the injector.
+	failFn    func(int) int
+	stopFn    func()
+	runtimeFn func(*dag.Task, *cluster.Node) float64
+}
+
+// setInjector installs inj and binds the runner callbacks.
+func (a *faultArm) setInjector(inj *fault.Injector) {
+	a.inj = inj
+	a.failFn, a.stopFn, a.runtimeFn = a.failures, inj.Stop, a.runtime
+}
+
+// setRetry arms the recovery policy p.
+func (a *faultArm) setRetry(p fault.RetryPolicy) {
+	a.policy = p
+	a.retry = &a.policy
+}
+
+// reset disarms the arm, keeping its injector and plan storage.
+func (a *faultArm) reset() {
+	if a.inj != nil {
+		a.inj.Reset(nil)
+	}
+	a.plan = a.plan[:0]
+	a.retry, a.policy, a.retryRNG = nil, fault.RetryPolicy{}, nil
 }
 
 // forkPool hands out a run's RNG forks. The warm session keeps one across
@@ -163,24 +199,27 @@ func (p *forkPool) fork(rng *randx.Source) *randx.Source {
 
 func (p *forkPool) reset() { p.srcs = p.srcs[:0] }
 
-// armFaults arms the fault layer for a run of n tasks on cl, drawing its
-// forks from forks. Fork order is fixed (injector, task plan, retry jitter)
-// — it is part of the determinism contract every run path shares, warm or
-// cold.
-func (e *KubernetesEnv) armFaults(cl *cluster.Cluster, rng *randx.Source, n int, forks *forkPool) (faultArm, error) {
+// armFaults arms the fault layer in arm for a run of n tasks on cl, drawing
+// its forks from forks. Fork order is fixed (injector, task plan, retry
+// jitter) — it is part of the determinism contract every run path shares,
+// warm or cold. An injector already in arm (the warm session's) is reset
+// onto the run's fork instead of built.
+func (e *KubernetesEnv) armFaults(arm *faultArm, cl *cluster.Cluster, rng *randx.Source, n int, forks *forkPool) error {
 	if !e.Faults.Enabled() {
-		return faultArm{}, nil
+		return nil
 	}
 	if rng == nil {
-		return faultArm{}, fmt.Errorf("core: fault profile %q needs a seeded source", e.Faults.Name)
+		return fmt.Errorf("core: fault profile %q needs a seeded source", e.Faults.Name)
 	}
-	retry := e.retryPolicy()
-	return faultArm{
-		inj:      fault.NewInjector(cl, forks.fork(rng), e.Faults),
-		plan:     e.Faults.PlanTaskFailures(n, forks.fork(rng)),
-		retry:    &retry,
-		retryRNG: forks.fork(rng),
-	}, nil
+	if arm.inj == nil {
+		arm.setInjector(fault.NewInjector(cl, forks.fork(rng), e.Faults))
+	} else {
+		arm.inj.Reset(forks.fork(rng))
+	}
+	arm.plan = e.Faults.PlanTaskFailuresInto(arm.plan, n, forks.fork(rng))
+	arm.setRetry(e.retryPolicy())
+	arm.retryRNG = forks.fork(rng)
+	return nil
 }
 
 // retryPolicy is the configured recovery policy, DefaultRetryPolicy if unset.
@@ -227,9 +266,9 @@ func runStream(runner *rm.StreamRunner, x dag.Expander, cl *cluster.Cluster, arm
 		if cws == nil {
 			// CWS attempts run at rm.DefaultRuntime: the I/O-episode
 			// slowdown reaches only the FIFO path.
-			runner.Runtime = arm.runtime
+			runner.Runtime = arm.runtimeFn
 		}
-		runner.FailPlan, runner.OnComplete = arm.failures, arm.inj.Stop
+		runner.FailPlan, runner.OnComplete = arm.failFn, arm.stopFn
 		arm.inj.Start()
 	}
 	ms := runner.Run()
@@ -242,6 +281,10 @@ func runStream(runner *rm.StreamRunner, x dag.Expander, cl *cluster.Cluster, arm
 	res.MakespanSec = float64(ms)
 	res.UtilizationCore = cl.Utilization(ms)
 	res.setRecovery(runner.Stats())
+	if arm.inj != nil {
+		st := arm.inj.Stats()
+		res.NodeFailures = st.NodeFailures + st.Reclaims
+	}
 	return nil
 }
 
@@ -265,19 +308,18 @@ func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
 	}
 	s.warm = true
 	res := &Result{Environment: s.name}
-	arm, err := s.env.armFaults(s.cl, rng, w.Len(), &s.forks)
-	if err != nil {
+	if err := s.env.armFaults(&s.arm, s.cl, rng, w.Len(), &s.forks); err != nil {
 		return nil, err
 	}
 	if s.cws != nil {
-		if err := s.armCWS(w, rng, &arm); err != nil {
+		if err := s.armCWS(w, rng, &s.arm); err != nil {
 			return nil, err
 		}
 	}
 	if err := s.x.Reset(w); err != nil {
 		return nil, err
 	}
-	if err := runStream(s.runner, &s.x, s.cl, &arm, s.cws, res); err != nil {
+	if err := runStream(s.runner, &s.x, s.cl, &s.arm, s.cws, res); err != nil {
 		return nil, err
 	}
 	if s.cws != nil {
@@ -323,8 +365,7 @@ func (s *Session) armCWS(w *dag.Workflow, rng *randx.Source, arm *faultArm) erro
 		cws.SetOverrunPolicy(1.5, 2)
 		cws.EnablePredictedBackfill()
 		if arm.retry == nil {
-			retry := e.retryPolicy()
-			arm.retry = &retry
+			arm.setRetry(e.retryPolicy())
 			if rng != nil {
 				arm.retryRNG = s.forks.fork(rng)
 			}
@@ -347,7 +388,10 @@ var sessionAuditSkip = []string{
 	"rm.StreamRunner.freeAttempts",
 	"provenance.Store.freeIdx", // harvested index-slice capacity
 	"cwsi.CWS.freeRuns",
-	"cwsi.rmAdapter.keys", // priority-sort scratch, refilled per round
+	"cwsi.rmAdapter.keys",       // priority-sort scratch, refilled per round
+	"rm.TaskManager.victims",    // node-down scratch, refilled per failure
+	"rm.TaskManager.downErrs",   // memoized failure causes of stable nodes
+	"fault.Injector.nodeTimers", // handlers bound to stable node identity
 }
 
 // Audit implements RunSession: it resets the session and deep-diffs it

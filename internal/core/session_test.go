@@ -154,6 +154,16 @@ func TestSessionAuditCatchesLeakedInjector(t *testing.T) {
 	requirePath(t, s.auditDiff(), "runner.FailPlan")
 }
 
+// TestSessionAuditCatchesLeakedInjectorState arms the session's reused
+// injector after reset — an injector that kept its per-run state — and
+// requires the audit to name it.
+func TestSessionAuditCatchesLeakedInjectorState(t *testing.T) {
+	s := auditableSession(t)
+	s.arm.inj.Reset(randx.New(5))
+	s.arm.inj.Start()
+	requirePath(t, s.auditDiff(), "arm.inj")
+}
+
 // TestSessionAuditCatchesLeakedNodeState downs a node after reset and
 // requires the audit to name the node's state path.
 func TestSessionAuditCatchesLeakedNodeState(t *testing.T) {

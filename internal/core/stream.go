@@ -32,8 +32,8 @@ func (e *KubernetesEnv) RunExpander(x dag.Expander, rng *randx.Source) (*Result,
 		return nil, err
 	}
 	mgr := rm.NewTaskManager(cl, nil)
-	arm, err := e.armFaults(cl, rng, x.Total(), new(forkPool))
-	if err != nil {
+	var arm faultArm
+	if err := e.armFaults(&arm, cl, rng, x.Total(), new(forkPool)); err != nil {
 		return nil, err
 	}
 	store := provenance.NewStore()

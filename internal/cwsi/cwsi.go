@@ -373,7 +373,7 @@ func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 
 // ValidateOn implements rm.SubmissionHooks: walltime-overrun kills, OOM
 // enforcement, then the inner end's injected transient failure — the
-// runner's fault plan, the only failure its ValidateOn reports — re-rendered
+// runner's fault plan, the only failure its ValidateOn reports — relabelled
 // as the CWS's.
 func (tr *taskRun) ValidateOn(n *cluster.Node) error {
 	if tr.overrun {
@@ -388,8 +388,15 @@ func (tr *taskRun) ValidateOn(n *cluster.Node) error {
 		return fmt.Errorf("cwsi: task %s OOM-killed: granted %.0fB, peak %.0fB",
 			tr.t.ID, tr.grantedMem, tr.t.PeakMem())
 	}
-	if tr.inner.ValidateOn(n) != nil {
-		return fmt.Errorf("cwsi: injected transient failure of %s (attempt %d)", tr.t.ID, tr.attempt)
+	if err := tr.inner.ValidateOn(n); err != nil {
+		// The inner failure is the runner's fresh value, held by no one
+		// else: relabel it rather than build a second.
+		te, ok := err.(*rm.TransientError)
+		if !ok {
+			te = &rm.TransientError{}
+		}
+		te.Layer, te.Task, te.Attempt = "cwsi", tr.t.ID, tr.attempt
+		return te
 	}
 	return nil
 }

@@ -368,7 +368,7 @@ func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Rep
 	finish := func() ([][]*Task, error) {
 		if p.State() == pilot.Pending {
 			return nil, fmt.Errorf("entk: pilot for %d nodes was never granted (cluster has %d healthy nodes)",
-				res.Nodes, len(am.cl.UpNodes()))
+				res.Nodes, am.cl.UpCount())
 		}
 		if !active {
 			return nil, fmt.Errorf("entk: pilot for %d nodes expired at its %gs walltime before its %gs bootstrap completed",

@@ -328,20 +328,20 @@ func RunFull(cl *cluster.Cluster, bm *rm.BatchManager, cfg Config, stage3Nodes i
 	res := &Result{}
 	var err error
 
-	am0 := entk.NewAppManager(cl, bm, StageResources(0, len(cl.UpNodes())))
+	am0 := entk.NewAppManager(cl, bm, StageResources(0, cl.UpCount()))
 	am0.Policy = rm.FrontierPolicy
 	if res.Stage0, err = am0.Run(Stage0Pipeline(cfg)); err != nil {
 		return nil, fmt.Errorf("exaam: stage 0: %w", err)
 	}
 	// Stage 1 runs as two batch jobs with the paper's allocations:
 	// AdditiveFOAM on up to 40 nodes, then ExaCA on up to 125.
-	am1a := entk.NewAppManager(cl, bm, entk.FrontierResource(minInt(len(cl.UpNodes()), 40), 2*3600))
+	am1a := entk.NewAppManager(cl, bm, entk.FrontierResource(minInt(cl.UpCount(), 40), 2*3600))
 	am1a.Policy = rm.FrontierPolicy
 	af, err := am1a.Run(Stage1AFPipeline(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("exaam: stage 1 (AdditiveFOAM): %w", err)
 	}
-	am1b := entk.NewAppManager(cl, bm, StageResources(1, len(cl.UpNodes())))
+	am1b := entk.NewAppManager(cl, bm, StageResources(1, cl.UpCount()))
 	am1b.Policy = rm.FrontierPolicy
 	ca, err := am1b.Run(Stage1CAPipeline(cfg))
 	if err != nil {
@@ -349,7 +349,7 @@ func RunFull(cl *cluster.Cluster, bm *rm.BatchManager, cfg Config, stage3Nodes i
 	}
 	res.Stage1AF, res.Stage1CA = af, ca
 	res.Stage1 = ca // backwards-compatible: the dominant half
-	if up := len(cl.UpNodes()); stage3Nodes <= 0 || stage3Nodes > up {
+	if up := cl.UpCount(); stage3Nodes <= 0 || stage3Nodes > up {
 		stage3Nodes = up
 	}
 	am3 := entk.NewAppManager(cl, bm, StageResources(3, stage3Nodes))
@@ -357,7 +357,7 @@ func RunFull(cl *cluster.Cluster, bm *rm.BatchManager, cfg Config, stage3Nodes i
 	if res.Stage3, err = am3.Run(Stage3Pipeline(cfg)); err != nil {
 		return nil, fmt.Errorf("exaam: stage 3: %w", err)
 	}
-	amOpt := entk.NewAppManager(cl, bm, StageResources(0, len(cl.UpNodes())))
+	amOpt := entk.NewAppManager(cl, bm, StageResources(0, cl.UpCount()))
 	amOpt.Policy = rm.FrontierPolicy
 	if res.Optimize, err = amOpt.Run(OptimizePipeline()); err != nil {
 		return nil, fmt.Errorf("exaam: optimize: %w", err)

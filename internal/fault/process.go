@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hhcw/internal/cluster"
@@ -121,7 +122,17 @@ func (p Profile) PlanTaskFailures(n int, rng *randx.Source) []int {
 	if n <= 0 {
 		return nil
 	}
-	plan := make([]int, n)
+	return p.PlanTaskFailuresInto(nil, n, rng)
+}
+
+// PlanTaskFailuresInto is PlanTaskFailures reusing plan's storage: it returns
+// plan resized to n (grown if needed) and overwritten with the same draws.
+func (p Profile) PlanTaskFailuresInto(plan []int, n int, rng *randx.Source) []int {
+	if n <= 0 {
+		return plan[:0]
+	}
+	plan = slices.Grow(plan[:0], n)[:n]
+	clear(plan)
 	if p.TaskFailProb <= 0 || rng == nil {
 		return plan
 	}
@@ -147,12 +158,17 @@ type InjectStats struct {
 
 // Injector drives a Profile's node-level failure processes against a cluster
 // on its sim engine. All randomness comes from the single Source handed to
-// NewInjector, so a chaos run is a pure function of (workflow seed, profile).
+// NewInjector (or Reset), so a chaos run is a pure function of (workflow
+// seed, profile).
 //
 // The injector never takes down the last healthy node — the recovery layer
 // needs somewhere to retry to (graceful degradation, not total blackout) —
 // and Stop cancels every outstanding event so the engine can drain once the
 // driving workload completes.
+//
+// Its timers fire through handlers bound once: one per renewal process at
+// construction, one repair and one reclaim handler per node the first time
+// that node needs it. Arming an event allocates no closure.
 type Injector struct {
 	eng  *sim.Engine
 	cl   *cluster.Cluster
@@ -163,11 +179,61 @@ type Injector struct {
 	pending  []*sim.Event
 	slowTill sim.Time
 	stats    InjectStats
+
+	// procs are the renewal processes: node crashes, reclaims and I/O
+	// episodes, in that order.
+	procs [3]renewal
+	// nodeTimers holds each node's repair and reclaim handlers, indexed by
+	// node ID and bound on first use.
+	nodeTimers []nodeTimers
+}
+
+// renewal is one exponential renewal process: its mean inter-arrival time
+// and the handler that fires its action and re-arms it.
+type renewal struct {
+	mean float64
+	tick func()
+}
+
+// nodeTimers are one node's fault handlers: the repair that brings it back
+// and the end of a reclaim's warning, which takes it down.
+type nodeTimers struct {
+	repair, reclaim func()
 }
 
 // NewInjector binds a profile to a cluster. Start arms the processes.
 func NewInjector(cl *cluster.Cluster, rng *randx.Source, prof Profile) *Injector {
-	return &Injector{eng: cl.Engine(), cl: cl, rng: rng, prof: prof}
+	in := &Injector{eng: cl.Engine(), cl: cl, rng: rng, prof: prof}
+	in.procs[0].mean = prof.NodeMTBFSec
+	if prof.ReclaimPerHour > 0 {
+		in.procs[1].mean = 3600 / prof.ReclaimPerHour
+	}
+	if prof.IOEpisodePerHour > 0 {
+		in.procs[2].mean = 3600 / prof.IOEpisodePerHour
+	}
+	for i, fire := range [...]func(){in.crashOne, in.reclaimOne, in.ioEpisode} {
+		r := &in.procs[i]
+		r.tick = func() {
+			if in.stopped {
+				return
+			}
+			fire()
+			in.armRenewal(r)
+		}
+	}
+	return in
+}
+
+// Reset readies the injector for another run on the same cluster and
+// profile, drawing from rng: it is then indistinguishable from
+// NewInjector(cl, rng, prof), except that the outstanding-event list keeps
+// its capacity and the handlers stay bound. The engine must have been reset
+// too: events of the previous run are dropped, not cancelled.
+func (in *Injector) Reset(rng *randx.Source) {
+	in.rng = rng
+	in.stopped, in.slowTill, in.stats = false, 0, InjectStats{}
+	clear(in.pending)
+	in.pending = in.pending[:0]
 }
 
 // Stats returns what has been injected so far.
@@ -190,13 +256,13 @@ func (in *Injector) RuntimeScale() float64 {
 // cancelled) after Stop.
 func (in *Injector) Start() {
 	if in.prof.NodeMTBFSec > 0 {
-		in.armRenewal(in.prof.NodeMTBFSec, func() { in.crashOne() })
+		in.armRenewal(&in.procs[0])
 	}
 	if in.prof.ReclaimPerHour > 0 {
-		in.armRenewal(3600/in.prof.ReclaimPerHour, func() { in.reclaimOne() })
+		in.armRenewal(&in.procs[1])
 	}
 	if in.prof.IOEpisodePerHour > 0 && in.prof.IOEpisodeDurSec > 0 {
-		in.armRenewal(3600/in.prof.IOEpisodePerHour, func() { in.ioEpisode() })
+		in.armRenewal(&in.procs[2])
 	}
 }
 
@@ -211,20 +277,13 @@ func (in *Injector) Stop() {
 	in.pending = in.pending[:0]
 }
 
-// armRenewal schedules fire after an Exp(mean) delay and re-arms after each
-// firing — an exponential renewal process.
-func (in *Injector) armRenewal(meanSec float64, fire func()) {
+// armRenewal schedules r's next firing after an Exp(mean) delay; each firing
+// re-arms it — an exponential renewal process.
+func (in *Injector) armRenewal(r *renewal) {
 	if in.stopped {
 		return
 	}
-	ev := in.eng.After(sim.Time(in.rng.Exp(meanSec)), func() {
-		if in.stopped {
-			return
-		}
-		fire()
-		in.armRenewal(meanSec, fire)
-	})
-	in.track(ev)
+	in.track(in.eng.After(sim.Time(in.rng.Exp(r.mean)), r.tick))
 }
 
 // track remembers an outstanding event for Stop-time cancellation,
@@ -251,13 +310,50 @@ func (in *Injector) track(ev *sim.Event) {
 }
 
 // victim picks a node to take down, or nil when doing so would leave the
-// cluster without healthy capacity (the last-node guard).
+// cluster without healthy capacity (the last-node guard). It draws the k-th
+// up node in ID order, the node UpNodes()[k] would be, without building the
+// list.
 func (in *Injector) victim() *cluster.Node {
-	up := in.cl.UpNodes()
-	if len(up) < 2 {
+	up := in.cl.UpCount()
+	if up < 2 {
 		return nil
 	}
-	return up[in.rng.Intn(len(up))]
+	k := in.rng.Intn(up)
+	for _, n := range in.cl.Nodes() {
+		if n.Down() {
+			continue
+		}
+		if k == 0 {
+			return n
+		}
+		k--
+	}
+	panic("fault: cluster up count exceeds its up nodes")
+}
+
+// timers returns n's handlers, binding them on first use.
+func (in *Injector) timers(n *cluster.Node) *nodeTimers {
+	if in.nodeTimers == nil {
+		in.nodeTimers = make([]nodeTimers, in.cl.NodeCount())
+	}
+	t := &in.nodeTimers[n.ID]
+	if t.repair == nil {
+		t.repair = func() {
+			if in.stopped {
+				return
+			}
+			in.stats.NodeRepairs++
+			in.cl.RepairNode(n)
+		}
+		t.reclaim = func() {
+			if in.stopped {
+				return
+			}
+			in.cl.FailNode(n)
+			in.scheduleRepair(n)
+		}
+	}
+	return t
 }
 
 func (in *Injector) crashOne() {
@@ -279,28 +375,14 @@ func (in *Injector) reclaimOne() {
 		return
 	}
 	in.stats.Reclaims++
-	ev := in.eng.After(sim.Time(in.prof.ReclaimWarnSec), func() {
-		if in.stopped {
-			return
-		}
-		in.cl.FailNode(n)
-		in.scheduleRepair(n)
-	})
-	in.track(ev)
+	in.track(in.eng.After(sim.Time(in.prof.ReclaimWarnSec), in.timers(n).reclaim))
 }
 
 func (in *Injector) scheduleRepair(n *cluster.Node) {
 	if in.prof.NodeMTTRSec <= 0 {
 		return
 	}
-	ev := in.eng.After(sim.Time(in.rng.Exp(in.prof.NodeMTTRSec)), func() {
-		if in.stopped {
-			return
-		}
-		in.stats.NodeRepairs++
-		in.cl.RepairNode(n)
-	})
-	in.track(ev)
+	in.track(in.eng.After(sim.Time(in.rng.Exp(in.prof.NodeMTTRSec)), in.timers(n).repair))
 }
 
 func (in *Injector) ioEpisode() {

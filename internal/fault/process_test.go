@@ -239,3 +239,89 @@ func TestInjectorPendingBounded(t *testing.T) {
 		t.Fatalf("pending after Stop = %d, want 0", len(in.pending))
 	}
 }
+
+// PlanTaskFailuresInto must draw exactly what PlanTaskFailures draws, in a
+// dirty buffer of any capacity, and leave the source where it would.
+func TestPlanTaskFailuresInto(t *testing.T) {
+	p := Profile{TaskFailProb: 0.3, TaskFailPersist: 2}
+	buf := []int{9, 9, 9, 9, 9, 9, 9, 9}
+	for _, n := range []int{5, 40, 3, 0, 12} {
+		ra, rb := randx.New(int64(n)+1), randx.New(int64(n)+1)
+		want := p.PlanTaskFailures(n, ra)
+		buf = p.PlanTaskFailuresInto(buf, n, rb)
+		if fmt.Sprint(buf) != fmt.Sprint(want) {
+			t.Fatalf("n=%d: into %v, want %v", n, buf, want)
+		}
+		if ra.Int63() != rb.Int63() {
+			t.Fatalf("n=%d: the two forms left the source in different states", n)
+		}
+		for i := range buf {
+			buf[i] = 9 // dirty it for the next round
+		}
+	}
+}
+
+// nodeDowns runs inj's storm on cl for six virtual hours and returns each
+// node failure as "time:node", in order.
+func nodeDowns(eng *sim.Engine, cl *cluster.Cluster, inj *Injector) []string {
+	var log []string
+	cl.OnNodeDown(func(n *cluster.Node) { log = append(log, fmt.Sprintf("%.6f:%d", float64(eng.Now()), n.ID)) })
+	inj.Start()
+	eng.RunUntil(6 * 3600)
+	inj.Stop()
+	eng.Run()
+	return log
+}
+
+// A reset injector replays, on a reset engine and cluster, exactly the fault
+// sequence and stats of a fresh injector with the same source, although its
+// handlers were bound and fired in the previous run.
+func TestInjectorResetMatchesFresh(t *testing.T) {
+	eng := sim.NewEngine()
+	cl := testCluster(eng, 6)
+	fresh := NewInjector(cl, randx.New(11), Storm())
+	want := nodeDowns(eng, cl, fresh)
+	wantStats := fresh.Stats()
+	if wantStats.NodeFailures == 0 || wantStats.Reclaims == 0 || wantStats.NodeRepairs == 0 {
+		t.Fatalf("storm under-delivered: %+v", wantStats)
+	}
+
+	eng2 := sim.NewEngine()
+	cl2 := testCluster(eng2, 6)
+	inj := NewInjector(cl2, randx.New(99), Storm())
+	nodeDowns(eng2, cl2, inj) // a different run first
+	eng2.Reset()
+	cl2.Reset()
+	inj.Reset(randx.New(11))
+	if inj.stopped || len(inj.pending) != 0 || inj.stats != (InjectStats{}) {
+		t.Fatalf("Reset left state behind: stopped=%v pending=%d stats=%+v", inj.stopped, len(inj.pending), inj.stats)
+	}
+	got := nodeDowns(eng2, cl2, inj)
+	if fmt.Sprint(got) != fmt.Sprint(want) || inj.Stats() != wantStats {
+		t.Fatalf("reset injector diverged:\n got %v %+v\nwant %v %+v", got, inj.Stats(), want, wantStats)
+	}
+}
+
+// victim draws the node UpNodes()[rng.Intn(len)] would be, with the same
+// single draw, whichever nodes are down.
+func TestVictimMatchesUpNodes(t *testing.T) {
+	eng := sim.NewEngine()
+	cl := testCluster(eng, 7)
+	inj := NewInjector(cl, randx.New(5), Profile{})
+	ref := randx.New(5)
+	for _, id := range []int{2, 5, 0} {
+		cl.FailNode(cl.Nodes()[id])
+		for i := 0; i < 20; i++ {
+			up := cl.UpNodes()
+			if got, want := inj.victim(), up[ref.Intn(len(up))]; got != want {
+				t.Fatalf("victim = node %d, want node %d", got.ID, want.ID)
+			}
+		}
+	}
+	for _, n := range cl.Nodes()[1:] {
+		cl.FailNode(n)
+	}
+	if n := inj.victim(); n != nil {
+		t.Fatalf("victim = node %d with one node up, want nil (last-node guard)", n.ID)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"hhcw/internal/dag"
 	"hhcw/internal/entk"
 	"hhcw/internal/exaam"
+	"hhcw/internal/fault"
 	"hhcw/internal/jaws"
 	"hhcw/internal/metrics"
 	"hhcw/internal/randx"
@@ -42,6 +43,7 @@ func Suite(short bool) []Spec {
 	svcSeeds := 6
 	fanDepth := 7
 	predSeeds := 20
+	stormSeeds := 50
 	if short {
 		depth, seeds, cwsSeeds = 4096, 10, 1
 		dqPerType, dqTasks, dqChurn = 12, 400, 4
@@ -49,6 +51,7 @@ func Suite(short bool) []Spec {
 		svcSeeds = 2
 		fanDepth = 4
 		predSeeds = 5
+		stormSeeds = 10
 	}
 	return []Spec{
 		{Name: "EngineThroughput", Bench: func(b *testing.B) {
@@ -431,6 +434,35 @@ task gather cpu=1 dur=10s after=work
 			}
 			b.ReportMetric(sw.Strategies[1].MaxMinP99Ratio, "fair_maxmin_p99")
 		}},
+		{Name: "SweepStorm", Bench: func(b *testing.B) {
+			// The fault path end to end: the ensemble families on FIFO and
+			// CWS-rank under the storm profile, swept on one worker. Node
+			// crashes, reclaims, injected failures and retries are all on
+			// the measured path; allocs/op gates their bookkeeping, and the
+			// work counts (deterministic per seed) gate exactly.
+			b.ReportAllocs()
+			cfg := stormSweep(stormSeeds)
+			var rep *sweep.Report
+			for i := 0; i < b.N; i++ {
+				var err error
+				rep, err = sweep.Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			var failed, retries, nodes int
+			for i := range rep.Runs {
+				r := rep.Runs[i].Result
+				failed += r.FailedAttempts
+				retries += r.Retries
+				nodes += r.NodeFailures
+			}
+			b.ReportMetric(float64(len(rep.Runs)*b.N)/b.Elapsed().Seconds(), "sims_per_s")
+			b.ReportMetric(float64(failed), "failed_attempts_per_op")
+			b.ReportMetric(float64(retries), "retries_per_op")
+			b.ReportMetric(float64(nodes), "node_failures_per_op")
+		}},
 		{Name: "CWSMakespanCut", Bench: func(b *testing.B) {
 			b.ReportAllocs()
 			opts := dag.GenOpts{MeanDur: 300, CVDur: 1.5, Cores: 1, MaxCores: 4, MeanMem: 2e9}
@@ -508,4 +540,30 @@ func collect(specs []Spec, short bool, logf func(string, ...any)) (*Report, erro
 // returns the populated, validated report.
 func Collect(short bool, logf func(string, ...any)) (*Report, error) {
 	return collect(Suite(short), short, logf)
+}
+
+// stormSweep is the ensemble of SweepStorm: the four workflow families of
+// the ensemble benchmark on FIFO and CWS-rank (4×8 cores) under
+// fault.Storm(), seeds 1..seeds, on one worker.
+func stormSweep(seeds int) sweep.Config {
+	opts := dag.GenOpts{MeanDur: 300, CVDur: 1.5, Cores: 1, MaxCores: 4, MeanMem: 2e9}
+	storm := fault.Storm()
+	return sweep.Config{
+		Workflows: []sweep.WorkflowSpec{
+			{Name: "montage-16", Gen: func(r *randx.Source) *dag.Workflow { return dag.MontageLike(r, 16, opts) }},
+			{Name: "epigenomics-6x5", Gen: func(r *randx.Source) *dag.Workflow { return dag.EpigenomicsLike(r, 6, 5, opts) }},
+			{Name: "forkjoin-3x12", Gen: func(r *randx.Source) *dag.Workflow { return dag.ForkJoin(r, 3, 12, opts) }},
+			{Name: "rnaseq-12", Gen: func(r *randx.Source) *dag.Workflow { return dag.RNASeqLike(r, 12, opts) }},
+		},
+		Envs: []sweep.EnvSpec{
+			{Name: "fifo", New: func() core.Environment {
+				return &core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: storm}
+			}},
+			{Name: "cws-rank", New: func() core.Environment {
+				return &core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Strategy: cwsi.Rank{}, Faults: storm}
+			}},
+		},
+		Seeds:   sweep.Seeds(1, seeds),
+		Workers: 1,
+	}
 }

@@ -14,7 +14,7 @@ package pilot
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/metrics"
@@ -84,6 +84,8 @@ type Pilot struct {
 	queue     []*pending // submitted, not yet scheduled
 	scheduled []*pending // assigned resources conceptually, awaiting launch
 	running   map[*rm.Submission]*pending
+	// victims collects the tasks a node failure kills.
+	victims []*pending
 
 	nextSchedFree  sim.Time // earliest time the scheduler can process the next task
 	nextLaunchFree sim.Time
@@ -434,8 +436,9 @@ func (p *Pilot) onNodeDown(n *cluster.Node) {
 			break
 		}
 	}
-	// Kill tasks using this node (deterministic order).
-	var victims []*pending
+	// Kill tasks using this node (deterministic order). The scratch is
+	// detached while their callbacks run.
+	victims := p.victims[:0]
 	for _, q := range p.running {
 		for _, qn := range q.nodes {
 			if qn == n {
@@ -444,15 +447,21 @@ func (p *Pilot) onNodeDown(n *cluster.Node) {
 			}
 		}
 	}
-	sortByID(victims)
-	for _, q := range victims {
-		q.endEv.Cancel()
-		p.finish(q, fmt.Errorf("pilot: node %s failed", n.Name()))
+	if len(victims) > 0 {
+		p.victims = nil
+		sortByID(victims)
+		cause := &rm.NodeFailedError{Layer: "pilot", Node: n.Name()}
+		for _, q := range victims {
+			q.endEv.Cancel()
+			p.finish(q, cause)
+		}
+		clear(victims)
 	}
+	p.victims = victims[:0]
 }
 
 // sortByID puts tasks in submission-ID order, the order the pilot fails
 // them in, whatever order the running map yields them in.
 func sortByID(qs []*pending) {
-	sort.Slice(qs, func(i, j int) bool { return rm.IDLess(qs[i].sub, qs[j].sub) })
+	slices.SortFunc(qs, func(a, b *pending) int { return rm.CompareID(a.sub, b.sub) })
 }

@@ -132,9 +132,12 @@ func TestPilotNodeFailureKillsTask(t *testing.T) {
 	eng, cl, bm := setup(4)
 	p, _ := Submit(bm, cl, Config{Nodes: 4, Walltime: 1e6})
 	var failed, ok []string
+	var cause error
+	var dead *cluster.Node
 	done := func(r rm.Result) {
 		if r.Failed {
 			failed = append(failed, string(r.Submission.TaskID))
+			cause = r.Err
 		} else {
 			ok = append(ok, string(r.Submission.TaskID))
 		}
@@ -145,7 +148,8 @@ func TestPilotNodeFailureKillsTask(t *testing.T) {
 		// Fail one node of task a.
 		for _, q := range p.running {
 			if q.sub.TaskID == "a" {
-				cl.FailNode(q.nodes[0])
+				dead = q.nodes[0]
+				cl.FailNode(dead)
 				return
 			}
 		}
@@ -154,6 +158,10 @@ func TestPilotNodeFailureKillsTask(t *testing.T) {
 	eng.Run()
 	if len(failed) != 1 || failed[0] != "a" {
 		t.Fatalf("failed = %v", failed)
+	}
+	var nf *rm.NodeFailedError
+	if want := "pilot: node " + dead.Name() + " failed"; cause == nil || cause.Error() != want || !errors.As(cause, &nf) {
+		t.Fatalf("cause = %v, want %q as *rm.NodeFailedError", cause, want)
 	}
 	if len(ok) != 1 || ok[0] != "b" {
 		t.Fatalf("ok = %v", ok)
@@ -206,6 +214,21 @@ func TestPilotWalltimeExpiryFailsEverything(t *testing.T) {
 	}
 	if p.State() != Done {
 		t.Fatal("pilot not done after expiry")
+	}
+}
+
+// Walltime expiry kills the running tasks in submission-ID order, whatever
+// order the running map yields them in.
+func TestPilotWalltimeKillsInIDOrder(t *testing.T) {
+	eng, cl, bm := setup(6)
+	p, _ := Submit(bm, cl, Config{Nodes: 6, Walltime: 50})
+	var killed []string
+	for _, id := range []string{"c", "a#2", "b", "a", "f", "d"} {
+		p.Submit(task(id, 1, 100, func(r rm.Result) { killed = append(killed, string(r.Submission.TaskID)) }))
+	}
+	eng.Run()
+	if got, want := fmt.Sprint(killed), "[a a#2 b c d f]"; got != want {
+		t.Fatalf("kill order %s, want %s", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package rm
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"hhcw/internal/dag"
@@ -49,6 +50,9 @@ func FuzzSubmissionIDOrder(f *testing.F) {
 		b := &Submission{WorkflowID: wb, TaskID: dag.TaskID(tb), Attempt: nb}
 		if got, want := IDLess(a, b), a.ID() < b.ID(); got != want {
 			t.Fatalf("IDLess(%q, %q) = %v, want %v", a.ID(), b.ID(), got, want)
+		}
+		if got, want := CompareID(a, b), strings.Compare(a.ID(), b.ID()); got != want {
+			t.Fatalf("CompareID(%q, %q) = %d, want %d", a.ID(), b.ID(), got, want)
 		}
 	})
 }

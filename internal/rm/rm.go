@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"hhcw/internal/cluster"
@@ -87,12 +86,17 @@ func (s *Submission) ID() string {
 
 // appendID appends the ID to b.
 func (s *Submission) appendID(b []byte) []byte {
-	b = append(b, s.WorkflowID...)
+	return appendID(b, s.WorkflowID, s.TaskID, s.Attempt)
+}
+
+// appendID appends the ID of attempt n of task in workflow wf to b.
+func appendID(b []byte, wf string, task dag.TaskID, n int) []byte {
+	b = append(b, wf...)
 	b = append(b, '/')
-	b = append(b, s.TaskID...)
-	if s.Attempt > 1 {
+	b = append(b, task...)
+	if n > 1 {
 		b = append(b, '#')
-		b = strconv.AppendInt(b, int64(s.Attempt), 10)
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
 	return b
 }
@@ -101,9 +105,13 @@ func (s *Submission) appendID(b []byte) []byte {
 // buffers, so the orders that sort by ID (victims of a node failure, a
 // backfill reservation's release order, a pilot's walltime kills) allocate
 // nothing for IDs that fit them.
-func IDLess(a, b *Submission) bool {
+func IDLess(a, b *Submission) bool { return CompareID(a, b) < 0 }
+
+// CompareID compares a.ID() with b.ID() as strings.Compare does, rendering
+// both into stack buffers: the slices.SortFunc form of IDLess.
+func CompareID(a, b *Submission) int {
 	var ab, bb [128]byte
-	return bytes.Compare(a.appendID(ab[:0]), b.appendID(bb[:0])) < 0
+	return bytes.Compare(a.appendID(ab[:0]), b.appendID(bb[:0]))
 }
 
 // PriorityCache returns the priority memoized under generation gen, if any.
@@ -283,6 +291,11 @@ type TaskManager struct {
 	candScratch  []*cluster.Node
 	freeRunning  []*running
 	resScratch   []*running
+	// victims collects the running records a node failure kills.
+	victims []*running
+	// downErrs memoizes each node's failure cause, indexed by node ID: the
+	// value is immutable, so every failure of the node shares one.
+	downErrs []*NodeFailedError
 }
 
 type running struct {
@@ -566,19 +579,39 @@ func (m *TaskManager) finish(r *running, failed bool, err error) {
 }
 
 func (m *TaskManager) handleNodeDown(n *cluster.Node) {
-	var victims []*running
+	victims := m.victims[:0]
 	for _, r := range m.running {
 		if r.alloc.Node == n {
 			victims = append(victims, r)
 		}
 	}
-	// Fail victims in submission-ID order, whatever their slots.
-	sort.Slice(victims, func(i, j int) bool { return IDLess(victims[i].sub, victims[j].sub) })
-	for _, r := range victims {
-		r.endEv.Cancel()
-		m.finish(r, true, fmt.Errorf("rm: node %s failed", n.Name()))
+	if len(victims) > 0 {
+		// Fail victims in submission-ID order, whatever their slots. The
+		// scratch is detached while their callbacks run.
+		m.victims = nil
+		slices.SortFunc(victims, func(a, b *running) int { return CompareID(a.sub, b.sub) })
+		cause := m.downErr(n)
+		for _, r := range victims {
+			r.endEv.Cancel()
+			m.finish(r, true, cause)
+		}
+		clear(victims)
 	}
+	m.victims = victims[:0]
 	m.kick()
+}
+
+// downErr returns n's failure cause, built on n's first failure.
+func (m *TaskManager) downErr(n *cluster.Node) *NodeFailedError {
+	if m.downErrs == nil {
+		m.downErrs = make([]*NodeFailedError, m.cl.NodeCount())
+	}
+	e := m.downErrs[n.ID]
+	if e == nil {
+		e = &NodeFailedError{Layer: "rm", Node: n.Name()}
+		m.downErrs[n.ID] = e
+	}
+	return e
 }
 
 // RunStats aggregates one StreamRunner run's failure/recovery accounting.

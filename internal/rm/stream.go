@@ -110,6 +110,7 @@ type attempt struct {
 	failN      int
 	timeoutEv  *sim.Event
 	resubmitFn func()
+	timeoutFn  func()
 	hook       AttemptHook
 	sub        Submission
 }
@@ -138,7 +139,7 @@ func (a *attempt) RuntimeOn(n *cluster.Node) float64 { return a.sr.Runtime(a.tas
 // ValidateOn implements SubmissionHooks.
 func (a *attempt) ValidateOn(n *cluster.Node) error {
 	if a.attempt <= a.failN {
-		return fmt.Errorf("rm: injected transient failure of %s (attempt %d)", a.task.ID, a.attempt)
+		return &TransientError{Layer: "rm", Task: a.task.ID, Attempt: a.attempt}
 	}
 	return nil
 }
@@ -337,13 +338,20 @@ func (sr *StreamRunner) start(a *attempt) {
 	// finishes it inside Submit, which cancels the timeout and recycles a.
 	// Until then a.sub is this attempt, so the timeout aborts it by pointer.
 	if sr.Retry != nil && sr.Retry.TimeoutSec > 0 {
-		s := &a.sub
-		a.timeoutEv = sr.Manager.Engine().After(sim.Time(sr.Retry.TimeoutSec), func() {
-			sr.Manager.Abort(s, fmt.Errorf("rm: %s attempt %d exceeded %.0fs: %w",
-				s.ID(), s.Attempt, sr.Retry.TimeoutSec, fault.ErrTimeout))
-		})
+		if a.timeoutFn == nil {
+			a.timeoutFn = func() { a.sr.timeout(a) }
+		}
+		a.timeoutEv = sr.Manager.Engine().After(sim.Time(sr.Retry.TimeoutSec), a.timeoutFn)
 	}
 	sr.Manager.Submit(&a.sub)
+}
+
+// timeout aborts the live attempt a at its recovery-policy deadline.
+func (sr *StreamRunner) timeout(a *attempt) {
+	s := &a.sub
+	sr.Manager.Abort(s, &TimeoutError{
+		WorkflowID: s.WorkflowID, Task: s.TaskID, Attempt: s.Attempt, LimitSec: sr.Retry.TimeoutSec,
+	})
 }
 
 // retire hands the terminal task to the Observe hook, then back to the
@@ -357,10 +365,10 @@ func (sr *StreamRunner) retire(t *dag.Task, r Result) {
 }
 
 // recycle returns a dead attempt record to the pool, keeping its resubmit
-// closure, which is bound to the record at its first retry.
+// and timeout closures, each bound to the record the first time it is needed.
 func (sr *StreamRunner) recycle(a *attempt) {
-	fn := a.resubmitFn
-	*a = attempt{resubmitFn: fn}
+	resubmit, timeout := a.resubmitFn, a.timeoutFn
+	*a = attempt{resubmitFn: resubmit, timeoutFn: timeout}
 	sr.freeAttempts = append(sr.freeAttempts, a)
 }
 

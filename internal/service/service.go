@@ -283,6 +283,8 @@ var substrateAuditSkip = []string{
 	"rm.TaskManager.candScratch",
 	"rm.TaskManager.resScratch",
 	"rm.TaskManager.freeRunning",
+	"rm.TaskManager.victims",
+	"rm.TaskManager.downErrs",
 	"provenance.Store.freeIdx",
 	"cwsi.CWS.freeRuns",
 	"cwsi.rmAdapter.keys",
