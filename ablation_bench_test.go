@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"testing"
 
-	"hhcw/internal/atlas"
-	"hhcw/internal/cloud"
 	"hhcw/internal/cluster"
 	"hhcw/internal/core"
 	"hhcw/internal/cwsi"
@@ -245,59 +243,6 @@ task merge dur=5m overhead=1m after=align
 	}
 }
 
-// BenchmarkAblation_DataLocality compares placement strategies on a
-// data-heavy workflow when remote-input staging costs real time: round-
-// robin load balancing scatters each chain's stages across nodes and pays
-// staging on every hop; the locality-aware strategy keeps chains on their
-// producers' nodes.
-func BenchmarkAblation_DataLocality(b *testing.B) {
-	mkWorkflow := func() *dag.Workflow {
-		rng := randx.New(77)
-		w := dag.New("datachains")
-		for c := 0; c < 3; c++ {
-			var prev dag.TaskID
-			for s := 0; s < 4; s++ {
-				id := dag.TaskID(fmt.Sprintf("c%d-s%d", c, s))
-				var deps []dag.TaskID
-				var in float64
-				if prev != "" {
-					deps = []dag.TaskID{prev}
-					in = 10e9
-				}
-				// Varied durations desynchronize the chains, so naive
-				// first-fit shuffles them across nodes.
-				w.Add(&dag.Task{ID: id, Name: "stage", NominalDur: rng.Uniform(60, 140),
-					InputBytes: in, OutputBytes: 10e9, Deps: deps})
-				prev = id
-			}
-		}
-		return w
-	}
-	for _, strat := range []cwsi.Strategy{&cwsi.RoundRobin{}, cwsi.DataLocal{}} {
-		strat := strat
-		b.Run(strat.Name(), func(b *testing.B) {
-			var makespan float64
-			for i := 0; i < b.N; i++ {
-				cl := cluster.New(sim.NewEngine(), "d", cluster.Spec{
-					Type:  cluster.NodeType{Name: "n", Cores: 2, MemBytes: 64e9},
-					Count: 4,
-				})
-				cws := cwsi.New(rm.NewTaskManager(cl, nil), strat, nil)
-				cws.SetDataBandwidth(100e6) // 100 MB/s inter-node
-				if err := cws.RegisterWorkflow("w", mkWorkflow()); err != nil {
-					b.Fatal(err)
-				}
-				ms, err := cws.RunWorkflow("w", 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				makespan = float64(ms)
-			}
-			b.ReportMetric(makespan, "makespan_s")
-		})
-	}
-}
-
 // BenchmarkAblation_MemoryPrediction compares makespan on a memory-
 // constrained cluster with user-declared (inflated) requests vs CWS
 // memory right-sizing (§3.4/§6.1 resource prediction).
@@ -342,38 +287,6 @@ func BenchmarkAblation_MemoryPrediction(b *testing.B) {
 			b.ReportMetric(makespan, "makespan_s")
 		})
 	}
-}
-
-// BenchmarkAblation_SpotInstances compares on-demand vs spot execution of
-// the Atlas cloud pipeline: cost drops ~3x, makespan pays a requeue tax.
-func BenchmarkAblation_SpotInstances(b *testing.B) {
-	mkCatalog := func() []atlas.SRARun { return atlas.GenerateCatalog(randx.New(31), 60) }
-	b.Run("ondemand", func(b *testing.B) {
-		var cost, hours float64
-		for i := 0; i < b.N; i++ {
-			rep, err := atlas.RunCloud(sim.NewEngine(), randx.New(32), mkCatalog(), 6, cloud.T3Medium)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cost, hours = rep.CostUSD, rep.Makespan/3600
-		}
-		b.ReportMetric(cost, "cost_usd")
-		b.ReportMetric(hours, "makespan_h")
-	})
-	b.Run("spot", func(b *testing.B) {
-		var cost, hours, interrupts float64
-		for i := 0; i < b.N; i++ {
-			rep, err := atlas.RunCloudSpot(sim.NewEngine(), randx.New(32), mkCatalog(), 6,
-				cloud.SpotConfig{Type: cloud.T3Medium, DiscountFactor: 0.3, InterruptionRate: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cost, hours, interrupts = rep.CostUSD, rep.Makespan/3600, float64(rep.Interruptions)
-		}
-		b.ReportMetric(cost, "cost_usd")
-		b.ReportMetric(hours, "makespan_h")
-		b.ReportMetric(interrupts, "interruptions")
-	})
 }
 
 // BenchmarkAblation_FairShareCap sweeps the per-user concurrency cap and

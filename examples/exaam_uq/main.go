@@ -46,7 +46,8 @@ func main() {
 		fmt.Printf("%-28s %8d %8d %7.0fs %7.1f%%\n", name, tasks, failed, ttx, util*100)
 	}
 	print("stage0 grid+prep", res.Stage0.TasksExecuted, res.Stage0.TasksFailed, float64(res.Stage0.TTX), res.Stage0.Utilization)
-	print("stage1 AdditiveFOAM+ExaCA", res.Stage1.TasksExecuted, res.Stage1.TasksFailed, float64(res.Stage1.TTX), res.Stage1.Utilization)
+	print("stage1 AdditiveFOAM", res.Stage1AF.TasksExecuted, res.Stage1AF.TasksFailed, float64(res.Stage1AF.TTX), res.Stage1AF.Utilization)
+	print("stage1 ExaCA", res.Stage1CA.TasksExecuted, res.Stage1CA.TasksFailed, float64(res.Stage1CA.TTX), res.Stage1CA.Utilization)
 	print("stage3 ExaConstit", res.Stage3.TasksExecuted, res.Stage3.TasksFailed, float64(res.Stage3.TTX), res.Stage3.Utilization)
 	print("optimize", res.Optimize.TasksExecuted, res.Optimize.TasksFailed, float64(res.Optimize.TTX), res.Optimize.Utilization)
 	note := "no faults hit the ensemble"

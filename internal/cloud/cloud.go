@@ -108,14 +108,6 @@ func (q *Queue) Delete() {
 	}
 }
 
-// Return puts an in-flight message back (visibility timeout / worker death).
-func (q *Queue) Return(msg string) {
-	if q.inflight > 0 {
-		q.inflight--
-	}
-	q.msgs = append(q.msgs, msg)
-}
-
 // Len returns queued (not in-flight) messages.
 func (q *Queue) Len() int { return len(q.msgs) }
 

@@ -181,9 +181,6 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 // Types returns the node types in declaration order.
 func (c *Cluster) Types() []*NodeType { return c.types }
 
-// TotalCores returns the cluster-wide core count.
-func (c *Cluster) TotalCores() int { return c.totalCores }
-
 // NodeCount returns the number of nodes.
 func (c *Cluster) NodeCount() int { return len(c.nodes) }
 

@@ -178,8 +178,8 @@ func TestFaultInjectorClampsToClusterSize(t *testing.T) {
 func TestFrontierShape(t *testing.T) {
 	eng := sim.NewEngine()
 	c := Frontier(eng, 8000)
-	if c.TotalCores() != 448000 {
-		t.Fatalf("Frontier cores = %d, want 448000", c.TotalCores())
+	if c.totalCores != 448000 {
+		t.Fatalf("Frontier cores = %d, want 448000", c.totalCores)
 	}
 	if gpus := c.NodeCount() * c.Types()[0].GPUs; gpus != 64000 {
 		t.Fatalf("Frontier GPUs = %d, want 64000", gpus)

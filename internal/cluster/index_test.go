@@ -167,8 +167,8 @@ func checkUtilization(t *testing.T, c *Cluster, l *coreLevel) {
 	t.Helper()
 	now := c.Engine().Now()
 	want := 0.0
-	if c.TotalCores() > 0 && now > 0 {
-		want = l.steps.Integral(0, now) / (float64(c.TotalCores()) * float64(now))
+	if c.totalCores > 0 && now > 0 {
+		want = l.steps.Integral(0, now) / (float64(c.totalCores) * float64(now))
 	}
 	if got := c.Utilization(now); got != want {
 		t.Fatalf("Utilization(%v) = %v, recorded series gives %v (level %d)", now, got, want, l.cores)

@@ -392,6 +392,8 @@ var sessionAuditSkip = []string{
 	"rm.TaskManager.victims",    // node-down scratch, refilled per failure
 	"rm.TaskManager.downErrs",   // memoized failure causes of stable nodes
 	"fault.Injector.nodeTimers", // handlers bound to stable node identity
+	"cwsi.CWS.retryPolicy",      // memoized retry-policy label and its key
+	"cwsi.CWS.retryLabel",
 }
 
 // Audit implements RunSession: it resets the session and deep-diffs it

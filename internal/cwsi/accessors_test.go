@@ -41,22 +41,16 @@ func TestAccessorsAndNames(t *testing.T) {
 	}
 
 	names := map[string]Strategy{
-		"fifo":       Baseline{},
-		"rank":       Rank{},
-		"heft":       HEFT{},
-		"tarema":     Tarema{},
-		"spread":     Spread{},
-		"roundrobin": &RoundRobin{},
-		"datalocal":  DataLocal{},
+		"fifo":   Baseline{},
+		"rank":   Rank{},
+		"heft":   HEFT{},
+		"tarema": Tarema{},
+		"spread": Spread{},
 	}
 	for want, s := range names {
 		if s.Name() != want {
 			t.Fatalf("strategy name = %q, want %q", s.Name(), want)
 		}
-	}
-	pin := &pinStrategy{wantType: "x"}
-	if pin.Name() != "pin/x" {
-		t.Fatalf("pin name = %q", pin.Name())
 	}
 	adapter := &rmAdapter{cws: cws}
 	if adapter.Name() != "cws/fifo" {

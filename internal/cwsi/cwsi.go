@@ -16,6 +16,7 @@ import (
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
+	"hhcw/internal/fault"
 	"hhcw/internal/predict"
 	"hhcw/internal/provenance"
 	"hhcw/internal/rm"
@@ -61,9 +62,7 @@ func (c *Context) PredictRuntime(wfID string, taskID dag.TaskID, n *cluster.Node
 		return 0
 	}
 	if c.cws.predictor != nil {
-		// Prefer Kubestone-style measured machine characteristics over the
-		// declared spec (§3.4); they coincide unless hardware misbehaves.
-		if sec, ok := c.cws.predictor.Predict(t.Name, t.InputBytes, c.MeasuredSpeed(n)); ok {
+		if sec, ok := c.cws.predictor.Predict(t.Name, t.InputBytes, n.Type.SpeedFactor); ok {
 			return sec
 		}
 	}
@@ -91,9 +90,6 @@ type Strategy interface {
 type wfState struct {
 	wf    *dag.Workflow
 	ranks []float64
-	// outs[i] is the node holding task i's outputs once an attempt
-	// succeeded (see locality.go).
-	outs []*cluster.Node
 
 	// The policy-less retry budget and the recovery policy's provenance
 	// label of the runner driving the workflow (see Bind).
@@ -119,13 +115,10 @@ type CWS struct {
 	workflows map[string]*wfState
 	ctx       *Context
 
-	// Data-plane model (see locality.go).
-	dataBW float64
-
 	// prioGen is the priority-cache generation: strategies' Priority values
 	// are memoized per submission under this generation and recomputed only
 	// after it advances — which happens whenever the knowledge Priority may
-	// depend on changes (provenance records, data locality, new workflows).
+	// depend on changes (provenance records, new or released workflows).
 	prioGen uint64
 	// freeRuns recycles taskRun attempt records: an attempt is dead once its
 	// Done hook returns (the manager drops every reference before invoking
@@ -133,9 +126,11 @@ type CWS struct {
 	freeRuns []*taskRun
 	// hook is newAttempt bound once, so Bind allocates no method value.
 	hook func(s *rm.Submission, t *dag.Task, idx, n int) rm.AttemptHook
-
-	// Measured machine characteristics (see profiling.go).
-	measuredSpeed map[string]float64
+	// retryPolicy and retryLabel memoize the provenance label of the last
+	// recovery policy Bind saw (retryLabel is "" until the first), so a
+	// session that binds the same policy every run renders it once.
+	retryPolicy fault.RetryPolicy
+	retryLabel  string
 
 	// observer, when set, sees every terminal task attempt right after
 	// provenance capture (see SetTaskObserver).
@@ -175,22 +170,21 @@ func New(mgr *rm.TaskManager, strategy Strategy, predictor predict.RuntimePredic
 // Reset returns the scheduler to its just-constructed state over the same
 // manager, installing the strategy and predictor the next run will use (the
 // arguments New would have received). Every per-run knob — memory predictor,
-// data bandwidth, task observer, prediction gates — reverts to its
+// task observer, prediction gates — reverts to its
 // construction default, the provenance store truncates in place, and the
 // priority-cache generation restarts at 1 exactly as New sets it.
 // Construction wiring survives untouched: the provenance→predict observer,
 // the rmAdapter installed as the manager's strategy, the bound runner hook,
 // and the cluster OnNodeDown trace subscription are set once in New and must
-// not be registered again on a warm substrate. Pooled attempt records are retained.
+// not be registered again on a warm substrate. Pooled attempt records and
+// the memoized retry-policy label are retained.
 func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	c.prov.Reset()
 	c.predictor = predictor
 	c.memPred = nil
 	c.strategy = strategy
 	clear(c.workflows)
-	c.dataBW = 0
 	c.prioGen = 1
-	clear(c.measuredSpeed)
 	c.observer = nil
 	c.minPredSamples = 0
 	c.overrunSlack, c.overrunInfl = 0, 0
@@ -225,7 +219,7 @@ func (c *CWS) SetTaskObserver(fn func(wfID string, taskID dag.TaskID, attempt in
 }
 
 // ReleaseWorkflow drops a finished workflow's scheduler state (DAG, ranks,
-// overrun counts, output locations) and the provenance store's
+// overrun counts) and the provenance store's
 // registered-workflow entry, so a long-running service that registers
 // workflows per arrival keeps O(in-flight) rather than O(arrivals) state.
 // Task records already captured are untouched (retention stays governed by
@@ -255,7 +249,6 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 	c.workflows[id] = &wfState{
 		wf:    w,
 		ranks: w.UpwardRanks(dag.NominalDur),
-		outs:  make([]*cluster.Node, w.Len()),
 	}
 	c.prov.RegisterWorkflow(id, w)
 	c.prioGen++
@@ -264,7 +257,7 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 
 // Bind readies sr to drive the registered workflow id through the CWS:
 // its submissions carry id, and every attempt runs through a taskRun —
-// memory right-sizing, data staging, walltime-overrun kills, OOM
+// memory right-sizing, walltime-overrun kills, OOM
 // enforcement, and one provenance record per attempt. Set sr's Source (an
 // expander over the registered workflow) and recovery policy first, then
 // Start or Run it. The CWS arms no attempt timeouts, so Bind clears the
@@ -278,7 +271,10 @@ func (c *CWS) Bind(sr *rm.StreamRunner, id string, maxRetries int) error {
 	}
 	st.maxRetries, st.retryLabel = maxRetries, ""
 	if sr.Retry != nil {
-		st.retryLabel = sr.Retry.String()
+		if c.retryLabel == "" || *sr.Retry != c.retryPolicy {
+			c.retryPolicy, c.retryLabel = *sr.Retry, sr.Retry.String()
+		}
+		st.retryLabel = c.retryLabel
 		if sr.Retry.TimeoutSec > 0 {
 			p := *sr.Retry
 			p.TimeoutSec = 0
@@ -340,19 +336,15 @@ type taskRun struct {
 	budget    float64
 }
 
-// RuntimeOn implements rm.SubmissionHooks: the inner execution time plus
-// staging of non-local input bytes when the data-plane model is on. With an
+// RuntimeOn implements rm.SubmissionHooks: the inner execution time. With an
 // armed overrun policy and a warm model, an attempt that would exceed its
 // predicted walltime budget is truncated at the budget — it occupies the
 // node only that long — and fails validation as a walltime-overrun kill.
 func (tr *taskRun) RuntimeOn(n *cluster.Node) float64 {
 	c := tr.c
 	d := tr.inner.RuntimeOn(n)
-	if c.dataBW > 0 {
-		d += remoteInputBytes(tr.st, tr.t, n) / c.dataBW
-	}
 	if c.warmFor(tr.t.Name) {
-		if sec, ok := c.predictor.Predict(tr.t.Name, tr.t.InputBytes, c.ctx.MeasuredSpeed(n)); ok {
+		if sec, ok := c.predictor.Predict(tr.t.Name, tr.t.InputBytes, n.Type.SpeedFactor); ok {
 			tr.predicted = sec
 			if c.overrunSlack > 0 {
 				budget := sec * c.overrunSlack
@@ -401,15 +393,12 @@ func (tr *taskRun) ValidateOn(n *cluster.Node) error {
 	return nil
 }
 
-// Done implements rm.SubmissionHooks: locality notes and prediction
-// accuracy, the provenance record, then the inner end's completion.
+// Done implements rm.SubmissionHooks: prediction accuracy, the provenance
+// record, then the inner end's completion.
 func (tr *taskRun) Done(r rm.Result) {
 	c := tr.c
-	if !r.Failed {
-		c.noteOutput(tr.st, tr.idx, r.Node)
-		if tr.predicted > 0 {
-			c.predErr.Observe(tr.predicted, float64(r.FinishedAt-r.StartedAt))
-		}
+	if !r.Failed && tr.predicted > 0 {
+		c.predErr.Observe(tr.predicted, float64(r.FinishedAt-r.StartedAt))
 	}
 	c.record(tr, r)
 	tr.inner.Done(r)

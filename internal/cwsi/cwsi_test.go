@@ -367,3 +367,41 @@ func TestBindArmsNoAttemptTimeouts(t *testing.T) {
 		t.Fatalf("records %+v, policy %+v: want the failed attempt labelled with the policy as given", recs, p)
 	}
 }
+
+// Bind renders a recovery policy's provenance label once and reuses it while
+// the policy stays the same, across Reset too; a different policy, or none,
+// gets its own label.
+func TestBindLabelsEachPolicy(t *testing.T) {
+	eng := sim.NewEngine()
+	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 4), nil), Baseline{}, nil)
+	p1 := fault.RetryPolicy{MaxAttempts: 2, BaseDelaySec: 5}
+	p2 := fault.RetryPolicy{MaxAttempts: 3, BaseDelaySec: 5, TimeoutSec: 50}
+	bind := func(id string, p *fault.RetryPolicy) string {
+		t.Helper()
+		w := dag.New(id)
+		w.Add(&dag.Task{ID: "t", Name: "t", NominalDur: 1})
+		if err := cws.RegisterWorkflow(id, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := cws.Bind(&rm.StreamRunner{Manager: cws.Manager(), Retry: p}, id, 0); err != nil {
+			t.Fatal(err)
+		}
+		return cws.workflows[id].retryLabel
+	}
+	if got := bind("a", &p1); got != p1.String() {
+		t.Fatalf("label %q, want %q", got, p1.String())
+	}
+	if got := bind("b", &p2); got != p2.String() {
+		t.Fatalf("label %q, want %q", got, p2.String())
+	}
+	if got := bind("c", nil); got != "" {
+		t.Fatalf("label without a policy %q, want empty", got)
+	}
+	cws.Reset(Baseline{}, nil)
+	if got := bind("a", &p2); got != p2.String() {
+		t.Fatalf("label after Reset %q, want %q", got, p2.String())
+	}
+	if got := bind("b", &p1); got != p1.String() {
+		t.Fatalf("label %q, want %q", got, p1.String())
+	}
+}

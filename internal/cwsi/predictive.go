@@ -166,7 +166,7 @@ func (p Predictive) PickNode(s *rm.Submission, candidates []*cluster.Node, ctx *
 		return pick
 	}
 	best, bestSec := pick, 0.0
-	if sec, ok := ctx.cws.predictor.Predict(s.Name, s.InputBytes, ctx.MeasuredSpeed(pick)); ok {
+	if sec, ok := ctx.cws.predictor.Predict(s.Name, s.InputBytes, pick.Type.SpeedFactor); ok {
 		bestSec = sec
 	} else {
 		return pick
@@ -175,7 +175,7 @@ func (p Predictive) PickNode(s *rm.Submission, candidates []*cluster.Node, ctx *
 		if n == pick {
 			continue
 		}
-		if sec, ok := ctx.cws.predictor.Predict(s.Name, s.InputBytes, ctx.MeasuredSpeed(n)); ok && sec < bestSec {
+		if sec, ok := ctx.cws.predictor.Predict(s.Name, s.InputBytes, n.Type.SpeedFactor); ok && sec < bestSec {
 			best, bestSec = n, sec
 		}
 	}
@@ -220,15 +220,13 @@ func (c *CWS) EnablePredictedBackfill() {
 		if !c.warmFor(s.Name) {
 			return 0, false
 		}
-		return c.predictor.Predict(s.Name, s.InputBytes, c.ctx.MeasuredSpeed(n))
+		return c.predictor.Predict(s.Name, s.InputBytes, n.Type.SpeedFactor)
 	})
 }
 
 // train is the provenance→predict observer (§3.4): installed on the
 // provenance store at construction, it folds every successful attempt into
-// the runtime and memory models as it is recorded. Speed factors prefer the
-// profiled machine characteristics (ProfileNodes) over the declared spec;
-// they coincide unless hardware misbehaves.
+// the runtime and memory models as it is recorded.
 func (c *CWS) train(rec provenance.TaskRecord) {
 	if rec.Failed {
 		return
@@ -239,16 +237,12 @@ func (c *CWS) train(rec provenance.TaskRecord) {
 	if c.predictor == nil {
 		return
 	}
-	sf := rec.SpeedFactor
-	if v, ok := c.measuredSpeed[rec.MachineType]; ok {
-		sf = v
-	}
 	c.predictor.Observe(predict.Observation{
 		TaskName:    rec.Name,
 		InputBytes:  rec.InputBytes,
 		RuntimeSec:  float64(rec.FinishedAt - rec.StartedAt),
 		PeakMem:     rec.PeakMem,
 		MachineName: rec.MachineType,
-		SpeedFactor: sf,
+		SpeedFactor: rec.SpeedFactor,
 	})
 }

@@ -107,7 +107,7 @@ func TestPrioritizeMatchesInsertionSortReference(t *testing.T) {
 
 // TestPrioritizeCacheInvalidation pins the memoization contract: priorities
 // are computed once per submission per generation, and recomputed after the
-// generation advances (provenance or locality updates bump it).
+// generation advances (provenance updates and new workflows bump it).
 func TestPrioritizeCacheInvalidation(t *testing.T) {
 	strat := &keyedStrategy{keys: map[string]float64{"a": 1, "b": 2, "c": 3}}
 	a := newTestAdapter(strat)
@@ -120,7 +120,7 @@ func TestPrioritizeCacheInvalidation(t *testing.T) {
 	if strat.calls != 3 {
 		t.Fatalf("second pass re-consulted Priority (calls=%d): cache not hit", strat.calls)
 	}
-	a.cws.prioGen++ // what noteOutput / provenance updates do
+	a.cws.prioGen++ // what provenance updates do
 	a.Prioritize(pending)
 	if strat.calls != 6 {
 		t.Fatalf("post-invalidation pass consulted Priority %d times, want 6", strat.calls)

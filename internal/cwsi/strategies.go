@@ -61,26 +61,6 @@ func (Spread) PickNode(_ *rm.Submission, candidates []*cluster.Node, _ *Context)
 	return best
 }
 
-// RoundRobin is workflow-oblivious FIFO with rotating placement — the
-// classic load-balancing policy that maximally defeats data locality by
-// construction. Stateful: create one per manager.
-type RoundRobin struct{ next int }
-
-// Name implements Strategy.
-func (*RoundRobin) Name() string { return "roundrobin" }
-
-// Priority implements Strategy: submission order.
-func (*RoundRobin) Priority(*rm.Submission, *Context) float64 { return 0 }
-
-// PickNode implements Strategy: rotate over the feasible nodes.
-func (r *RoundRobin) PickNode(_ *rm.Submission, candidates []*cluster.Node, _ *Context) *cluster.Node {
-	if len(candidates) == 0 {
-		return nil
-	}
-	r.next++
-	return candidates[r.next%len(candidates)]
-}
-
 // Rank prioritizes tasks by upward rank in their workflow DAG: tasks with
 // more critical work below them start first, shortening the critical path
 // under contention.

@@ -176,66 +176,6 @@ func NewAppManager(cl *cluster.Cluster, bm *rm.BatchManager, res ResourceDesc) *
 	return &AppManager{Resource: res, MaxResubmitRounds: 1, cl: cl, bm: bm}
 }
 
-// RunPerJob executes each pipeline in its own batch job with its own
-// resource description — §4's requirement (ii): "either having one large
-// batch job for all workflows or setting a workflow per batch job with the
-// different numbers of acquired compute nodes and runtime." Jobs run
-// concurrently (subject to batch-queue capacity); each gets its own report.
-// resources must be parallel to pipelines.
-func (am *AppManager) RunPerJob(pipelines []*Pipeline, resources []ResourceDesc) ([]*Report, error) {
-	if len(pipelines) != len(resources) {
-		return nil, fmt.Errorf("entk: %d pipelines but %d resource descriptions", len(pipelines), len(resources))
-	}
-	reports := make([]*Report, len(pipelines))
-	managers := make([]*AppManager, len(pipelines))
-	failedAll := make([][][]*Task, len(pipelines))
-	var firstErr error
-	// One manager per job keeps resource descriptions and resubmission
-	// state independent.
-	for i := range pipelines {
-		managers[i] = &AppManager{
-			Resource:          resources[i],
-			MaxResubmitRounds: am.MaxResubmitRounds,
-			Policy:            am.Policy,
-			cl:                am.cl,
-			bm:                am.bm,
-		}
-	}
-	// Start every job before driving the engine, so the pilots coexist
-	// (batch queueing serializes only those that do not fit together).
-	finishers := make([]func() ([][]*Task, error), len(pipelines))
-	for i, pl := range pipelines {
-		reports[i] = &Report{}
-		finish, err := managers[i].startJob(resources[i], []*Pipeline{pl}, reports[i], true)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("entk: pipeline %q: %w", pl.Name, err)
-		}
-		finishers[i] = finish
-	}
-	if firstErr != nil {
-		return reports, firstErr
-	}
-	am.cl.Engine().Run()
-	for i := range pipelines {
-		failed, err := finishers[i]()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("entk: pipeline %q: %w", pipelines[i].Name, err)
-		}
-		reports[i].Rounds = 1
-		failedAll[i] = failed
-	}
-	if firstErr != nil {
-		return reports, firstErr
-	}
-	// Resubmission rounds per pipeline.
-	for i, pl := range pipelines {
-		if err := managers[i].resubmit(pl.Name+"-resubmit", []*Pipeline{pl}, failedAll[i], reports[i]); err != nil {
-			return reports, err
-		}
-	}
-	return reports, nil
-}
-
 // Run executes the pipelines to completion (including resubmission rounds)
 // and returns the report. It drives the sim engine.
 func (am *AppManager) Run(pipelines ...*Pipeline) (*Report, error) {
@@ -315,19 +255,6 @@ func countExecuted(pipelines []*Pipeline) int {
 // the engine to completion, and returns failed tasks grouped by a global
 // stage index (pipeline-major).
 func (am *AppManager) runJob(res ResourceDesc, pipelines []*Pipeline, rep *Report, first bool) ([][]*Task, error) {
-	finish, err := am.startJob(res, pipelines, rep, first)
-	if err != nil {
-		return nil, err
-	}
-	am.cl.Engine().Run()
-	return finish()
-}
-
-// startJob expands the pipelines, submits the pilot and, once its agent is
-// active, starts one StreamRunner per pipeline on it, without driving the
-// engine; call the returned finish after the engine drains. This split lets
-// several jobs run concurrently (RunPerJob).
-func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Report, first bool) (func() ([][]*Task, error), error) {
 	job := &job{stageIndex: map[*Stage]int{}, active: len(pipelines)}
 	for _, pl := range pipelines {
 		job.register(pl)
@@ -365,33 +292,31 @@ func (am *AppManager) startJob(res ResourceDesc, pipelines []*Pipeline, rep *Rep
 			r.start()
 		}
 	})
-	finish := func() ([][]*Task, error) {
-		if p.State() == pilot.Pending {
-			return nil, fmt.Errorf("entk: pilot for %d nodes was never granted (cluster has %d healthy nodes)",
-				res.Nodes, am.cl.UpCount())
-		}
-		if !active {
-			return nil, fmt.Errorf("entk: pilot for %d nodes expired at its %gs walltime before its %gs bootstrap completed",
-				res.Nodes, float64(res.Walltime), res.BootstrapSec)
-		}
-		if first {
-			rep.Overhead = p.Overhead()
-			rep.TTX = p.TTX()
-			end := p.StartedAt() + p.Overhead() + p.TTX()
-			rep.JobRuntime = end - p.StartedAt()
-			if res.Nodes > 0 && rep.JobRuntime > 0 {
-				rep.Utilization = p.BusyNodesSeries().Integral(p.StartedAt(), end) /
-					(float64(res.Nodes) * float64(rep.JobRuntime))
-			}
-			rep.MeasuredSchedRate = measuredRate(p.ScheduledSeries().Points())
-			rep.MeasuredLaunchRate = measuredRate(p.LaunchedSeries().Points())
-			rep.Running = copySeries(p.RunningSeries().Points())
-			rep.Scheduled = copySeries(p.ScheduledSeries().Points())
-			rep.BusyNodes = copySeries(p.BusyNodesSeries().Points())
-		}
-		return job.failed, nil
+	am.cl.Engine().Run()
+	if p.State() == pilot.Pending {
+		return nil, fmt.Errorf("entk: pilot for %d nodes was never granted (cluster has %d healthy nodes)",
+			res.Nodes, am.cl.UpCount())
 	}
-	return finish, nil
+	if !active {
+		return nil, fmt.Errorf("entk: pilot for %d nodes expired at its %gs walltime before its %gs bootstrap completed",
+			res.Nodes, float64(res.Walltime), res.BootstrapSec)
+	}
+	if first {
+		rep.Overhead = p.Overhead()
+		rep.TTX = p.TTX()
+		end := p.StartedAt() + p.Overhead() + p.TTX()
+		rep.JobRuntime = end - p.StartedAt()
+		if res.Nodes > 0 && rep.JobRuntime > 0 {
+			rep.Utilization = p.BusyNodesSeries().Integral(p.StartedAt(), end) /
+				(float64(res.Nodes) * float64(rep.JobRuntime))
+		}
+		rep.MeasuredSchedRate = measuredRate(p.ScheduledSeries().Points())
+		rep.MeasuredLaunchRate = measuredRate(p.LaunchedSeries().Points())
+		rep.Running = copySeries(p.RunningSeries().Points())
+		rep.Scheduled = copySeries(p.ScheduledSeries().Points())
+		rep.BusyNodes = copySeries(p.BusyNodesSeries().Points())
+	}
+	return job.failed, nil
 }
 
 // job is one batch job: the pilot, the global stage index failed tasks are

@@ -94,57 +94,6 @@ func Stage0Pipeline(cfg Config) *entk.Pipeline {
 	return p
 }
 
-// Stage1Pipeline builds the melt-pool + microstructure application:
-// AdditiveFOAM pre-processing, even and odd AdditiveFOAM runs, a gather
-// step, ExaCA over the thermal×micro cartesian product, and ExaCA analysis.
-// RunFull executes the two halves as separate batch jobs with the paper's
-// allocations (AdditiveFOAM 40 nodes, ExaCA 125 nodes); see
-// Stage1AFPipeline/Stage1CAPipeline.
-func Stage1Pipeline(cfg Config) *entk.Pipeline {
-	rng := randx.New(cfg.Seed + 1)
-	p := &entk.Pipeline{Name: "uq-stage1"}
-
-	pre := p.AddStage(&entk.Stage{Name: "af-pre"})
-	pre.AddTask(&entk.Task{ID: "af-preprocess", Nodes: 1, DurationSec: 120})
-
-	// "AdditiveFOAM ... requires even and odd runs to generate all melt
-	// pool thermal histories."
-	even := p.AddStage(&entk.Stage{Name: "additivefoam-even"})
-	for i := 0; i < cfg.meltPools(); i++ {
-		even.AddTask(&entk.Task{
-			ID:          fmt.Sprintf("af-even-%03d", i),
-			Nodes:       additiveFOAMNodes,
-			DurationSec: rng.LogNormalMeanCV(1300, 0.15),
-		})
-	}
-	odd := p.AddStage(&entk.Stage{Name: "additivefoam-odd"})
-	for i := 0; i < cfg.meltPools(); i++ {
-		odd.AddTask(&entk.Task{
-			ID:          fmt.Sprintf("af-odd-%03d", i),
-			Nodes:       additiveFOAMNodes,
-			DurationSec: rng.LogNormalMeanCV(1300, 0.15),
-		})
-	}
-	gather := p.AddStage(&entk.Stage{Name: "af-gather"})
-	gather.AddTask(&entk.Task{ID: "af-postprocess", Nodes: 1, DurationSec: 300})
-
-	// ExaCA over the cartesian product of melt-pool cases and
-	// microstructure parameters.
-	ca := p.AddStage(&entk.Stage{Name: "exaca"})
-	for i := 0; i < cfg.meltPools(); i++ {
-		for j := 0; j < cfg.MicroParams; j++ {
-			ca.AddTask(&entk.Task{
-				ID:          fmt.Sprintf("exaca-%03d-%02d", i, j),
-				Nodes:       exaCANodes,
-				DurationSec: rng.LogNormalMeanCV(12600, 0.1),
-			})
-		}
-	}
-	an := p.AddStage(&entk.Stage{Name: "exaca-analysis"})
-	an.AddTask(&entk.Task{ID: "exaca-post", Nodes: 1, DurationSec: 300})
-	return p
-}
-
 // Stage1AFPipeline builds the AdditiveFOAM half of stage 1 (its own batch
 // job: "AdditiveFOAM workflow utilized 40 compute nodes for 2 hours").
 func Stage1AFPipeline(cfg Config) *entk.Pipeline {
@@ -313,11 +262,9 @@ func minInt(a, b int) int {
 }
 
 // Result bundles per-stage EnTK reports for the full pipeline. Stage1AF and
-// Stage1CA are the two stage-1 batch jobs (AdditiveFOAM, ExaCA); Stage1
-// aliases Stage1CA for backwards compatibility.
+// Stage1CA are the two stage-1 batch jobs (AdditiveFOAM, ExaCA).
 type Result struct {
-	Stage0, Stage1, Stage3, Optimize *entk.Report
-	Stage1AF, Stage1CA               *entk.Report
+	Stage0, Stage1AF, Stage1CA, Stage3, Optimize *entk.Report
 }
 
 // RunFull executes the three-stage UQ pipeline on the given cluster, each
@@ -348,7 +295,6 @@ func RunFull(cl *cluster.Cluster, bm *rm.BatchManager, cfg Config, stage3Nodes i
 		return nil, fmt.Errorf("exaam: stage 1 (ExaCA): %w", err)
 	}
 	res.Stage1AF, res.Stage1CA = af, ca
-	res.Stage1 = ca // backwards-compatible: the dominant half
 	if up := cl.UpCount(); stage3Nodes <= 0 || stage3Nodes > up {
 		stage3Nodes = up
 	}
@@ -367,18 +313,6 @@ func RunFull(cl *cluster.Cluster, bm *rm.BatchManager, cfg Config, stage3Nodes i
 
 // TotalExecuted sums successful tasks across stages.
 func (r *Result) TotalExecuted() int {
-	n := r.Stage0.TasksExecuted + r.Stage3.TasksExecuted
-	if r.Stage1AF != nil {
-		n += r.Stage1AF.TasksExecuted
-	}
-	if r.Stage1CA != nil {
-		n += r.Stage1CA.TasksExecuted
-	}
-	if r.Stage1AF == nil && r.Stage1CA == nil && r.Stage1 != nil {
-		n += r.Stage1.TasksExecuted
-	}
-	if r.Optimize != nil {
-		n += r.Optimize.TasksExecuted
-	}
-	return n
+	return r.Stage0.TasksExecuted + r.Stage1AF.TasksExecuted + r.Stage1CA.TasksExecuted +
+		r.Stage3.TasksExecuted + r.Optimize.TasksExecuted
 }

@@ -96,17 +96,20 @@ func TestStagePipelineShapes(t *testing.T) {
 		t.Fatalf("prep tasks = %d, want 3", got)
 	}
 
-	s1 := Stage1Pipeline(cfg)
-	if len(s1.Stages) != 6 { // pre, even, odd, gather, exaca, analysis
-		t.Fatalf("stage1 stages = %d, want 6", len(s1.Stages))
+	af, ca := Stage1AFPipeline(cfg), Stage1CAPipeline(cfg)
+	if len(af.Stages) != 4 { // pre, even, odd, gather
+		t.Fatalf("stage1 AdditiveFOAM stages = %d, want 4", len(af.Stages))
 	}
-	if got := len(s1.Stages[1].Tasks); got != 3 {
+	if len(ca.Stages) != 2 { // exaca, analysis
+		t.Fatalf("stage1 ExaCA stages = %d, want 2", len(ca.Stages))
+	}
+	if got := len(af.Stages[1].Tasks); got != 3 {
 		t.Fatalf("even runs = %d, want 3", got)
 	}
-	if got := len(s1.Stages[4].Tasks); got != 6 { // 3 cases × 2 micro
+	if got := len(ca.Stages[0].Tasks); got != 6 { // 3 cases × 2 micro
 		t.Fatalf("exaca tasks = %d, want 6", got)
 	}
-	for _, task := range s1.Stages[1].Tasks {
+	for _, task := range af.Stages[1].Tasks {
 		if task.Nodes != 4 {
 			t.Fatalf("AdditiveFOAM task nodes = %d, want 4", task.Nodes)
 		}
@@ -149,7 +152,7 @@ func TestRunFullSmallScale(t *testing.T) {
 	if res.Stage3.TasksFailed != 0 {
 		t.Fatalf("stage3 failures = %d", res.Stage3.TasksFailed)
 	}
-	if res.Stage1.TTX <= 0 || res.Stage3.TTX <= 0 {
+	if res.Stage1CA.TTX <= 0 || res.Stage3.TTX <= 0 {
 		t.Fatal("stage TTX not recorded")
 	}
 }

@@ -1,10 +1,10 @@
 // Package fault is the unified deterministic fault-injection and
 // recovery-policy layer. The paper's robustness story (§4.3: EnTK resubmits
 // failed ExaAM tasks in smaller consecutive jobs at 8000-node scale) used to
-// be reproduced by four unrelated mechanisms — cluster.FaultInjector,
-// exaam.injectFailures, entk's resubmission rounds, and cloud.SpotFleet
-// reclaims — none of which composed. This package factors both sides of the
-// problem into one place:
+// be reproduced by unrelated mechanisms — cluster.FaultInjector,
+// exaam.injectFailures, entk's resubmission rounds and a separate cloud spot
+// fleet — none of which composed. This package factors both sides of the
+// problem into one place, and spot reclaims live only here:
 //
 //   - failure processes (process.go): exponential-MTBF node faults, transient
 //     task failures with configurable persistence, spot-style reclaims with a

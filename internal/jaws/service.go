@@ -61,16 +61,6 @@ func (s *Service) AddSite(name string, cl *cluster.Cluster) *Site {
 // Site returns a registered site, or nil.
 func (s *Service) Site(name string) *Site { return s.sites[name] }
 
-// Sites lists site names in sorted order.
-func (s *Service) Sites() []string {
-	out := make([]string, 0, len(s.sites))
-	for n := range s.sites {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SubmitResult is a completed service submission.
 type SubmitResult struct {
 	Report *RunReport
@@ -141,60 +131,6 @@ func (s *Service) Submit(def *WorkflowDef, user, siteName string, inputs []strin
 	}
 	s.history = append(s.history, res)
 	return res, nil
-}
-
-// EstimateSec predicts a submission's end-to-end time at a site: input
-// staging plus a capacity-based runtime estimate (total task seconds divided
-// by the site's parallel capacity for the workflow's widest shape).
-func (s *Service) EstimateSec(def *WorkflowDef, siteName string, inputs []string) (float64, error) {
-	site := s.sites[siteName]
-	if site == nil {
-		return 0, fmt.Errorf("jaws: unknown site %q", siteName)
-	}
-	staging := 0.0
-	for _, name := range inputs {
-		f, _, ok := s.central.Get(name)
-		if !ok {
-			return 0, fmt.Errorf("jaws: input %q not in central store", name)
-		}
-		staging += s.transfer.EstimateSec(s.central.Name, site.Engine.Store().Name, f.Bytes)
-	}
-	cl := site.Engine.Cluster()
-	totalCores := cl.TotalCores()
-	work, critical := 0.0, 0.0
-	for _, t := range def.Tasks {
-		per := t.DurationSec + t.OverheadSec
-		work += per * float64(t.Shards()*t.Cores)
-		critical += per
-	}
-	runtime := critical
-	if totalCores > 0 {
-		if packed := work / float64(totalCores); packed > runtime {
-			runtime = packed
-		}
-	}
-	return staging + runtime, nil
-}
-
-// SubmitAuto routes the workflow to the site with the lowest estimated
-// end-to-end time — §6.3's "adopting workflow managers to route jobs and
-// data across multiple sites seamlessly".
-func (s *Service) SubmitAuto(def *WorkflowDef, user string, inputs []string) (*SubmitResult, error) {
-	if len(s.sites) == 0 {
-		return nil, fmt.Errorf("jaws: no sites registered")
-	}
-	bestSite := ""
-	bestEst := 0.0
-	for _, name := range s.Sites() {
-		est, err := s.EstimateSec(def, name, inputs)
-		if err != nil {
-			return nil, err
-		}
-		if bestSite == "" || est < bestEst {
-			bestSite, bestEst = name, est
-		}
-	}
-	return s.Submit(def, user, bestSite, inputs)
 }
 
 // UserStats is the organization-wide per-user summary the central service

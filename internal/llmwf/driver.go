@@ -114,29 +114,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// RegisterRNASeq registers the §5 Salmon pipeline steps as futures apps and
-// returns their function specs, for NL-driven transcriptomics runs.
-func RegisterRNASeq(exec *futures.Executor) []FunctionSpec {
-	apps := []futures.App{
-		{Name: "prefetch", DurationSec: 36, Outputs: []string{"run.sra"}},
-		{Name: "fasterq-dump", DurationSec: 84, Outputs: []string{"run.fastq"}},
-		{Name: "salmon", DurationSec: 576, Outputs: []string{"quant.sf"}},
-		{Name: "deseq2", DurationSec: 11, Outputs: []string{"counts.tsv"}},
-	}
-	descs := map[string]string{
-		"prefetch":     "Download an .sra run from the archive",
-		"fasterq-dump": "Convert .sra to fastq",
-		"salmon":       "Pseudo-align and quantify reads",
-		"deseq2":       "Normalize counts",
-	}
-	var specs []FunctionSpec
-	for _, a := range apps {
-		exec.RegisterApp(a)
-		specs = append(specs, AdaptersForApp(a.Name, descs[a.Name])...)
-	}
-	return specs
-}
-
 // RegisterPhyloflow registers the §2.1 demonstration apps on an executor and
 // returns their function specs. failStep, when non-empty, marks that app to
 // fail its first execution (for the agent-engine recovery demos).

@@ -260,13 +260,36 @@ func TestCallString(t *testing.T) {
 	}
 }
 
+// registerRNASeq registers the §5 Salmon pipeline steps as futures apps and
+// returns their function specs, the second template a planner routes to.
+func registerRNASeq(exec *futures.Executor) []FunctionSpec {
+	apps := []futures.App{
+		{Name: "prefetch", DurationSec: 36, Outputs: []string{"run.sra"}},
+		{Name: "fasterq-dump", DurationSec: 84, Outputs: []string{"run.fastq"}},
+		{Name: "salmon", DurationSec: 576, Outputs: []string{"quant.sf"}},
+		{Name: "deseq2", DurationSec: 11, Outputs: []string{"counts.tsv"}},
+	}
+	descs := map[string]string{
+		"prefetch":     "Download an .sra run from the archive",
+		"fasterq-dump": "Convert .sra to fastq",
+		"salmon":       "Pseudo-align and quantify reads",
+		"deseq2":       "Normalize counts",
+	}
+	var specs []FunctionSpec
+	for _, a := range apps {
+		exec.RegisterApp(a)
+		specs = append(specs, AdaptersForApp(a.Name, descs[a.Name])...)
+	}
+	return specs
+}
+
 func TestMultiTemplatePlanning(t *testing.T) {
 	// One planner knowing both templates routes each instruction to the
 	// right workflow.
 	eng := sim.NewEngine()
 	exec := futures.NewExecutor(eng)
 	specs := RegisterPhyloflow(exec, "")
-	specs = append(specs, RegisterRNASeq(exec)...)
+	specs = append(specs, registerRNASeq(exec)...)
 	llm := NewMockLLM(PhyloflowTemplate, RNASeqTemplate)
 
 	stats, err := RunFunctionCalling(eng, exec, llm, specs,

@@ -14,7 +14,6 @@ package service
 
 import (
 	"fmt"
-	"math"
 
 	"hhcw/internal/randx"
 	"hhcw/internal/sim"
@@ -42,86 +41,4 @@ func (p Poisson) Next(_ sim.Time, rng *randx.Source) sim.Time {
 		panic("service: Poisson arrivals with non-positive rate")
 	}
 	return sim.Time(rng.Exp(3600 / p.RatePerHour))
-}
-
-// Burst alternates between a quiet base rate and burst episodes: within each
-// PeriodSec window, the first BurstFrac fraction runs at BurstRatePerHour and
-// the remainder at BaseRatePerHour — a square-wave intensity, the campaign
-// submission pattern where a tenant's pipeline fires batches on a cadence.
-type Burst struct {
-	BaseRatePerHour  float64
-	BurstRatePerHour float64
-	PeriodSec        float64
-	BurstFrac        float64 // fraction of each period spent bursting, (0,1)
-}
-
-// Name implements Arrivals.
-func (b Burst) Name() string {
-	return fmt.Sprintf("burst(%.3g/%.3g/h,T=%.0fs)", b.BaseRatePerHour, b.BurstRatePerHour, b.PeriodSec)
-}
-
-// Rate returns the instantaneous rate at t.
-func (b Burst) Rate(t sim.Time) float64 {
-	phase := float64(t) / b.PeriodSec
-	if phase-float64(int(phase)) < b.BurstFrac {
-		return b.BurstRatePerHour
-	}
-	return b.BaseRatePerHour
-}
-
-// Next implements Arrivals by thinning against the peak rate.
-func (b Burst) Next(now sim.Time, rng *randx.Source) sim.Time {
-	if b.PeriodSec <= 0 || b.BurstFrac <= 0 || b.BurstFrac >= 1 {
-		panic("service: Burst arrivals need PeriodSec > 0 and BurstFrac in (0,1)")
-	}
-	peak := b.BurstRatePerHour
-	if b.BaseRatePerHour > peak {
-		peak = b.BaseRatePerHour
-	}
-	return thin(now, rng, peak, b.Rate)
-}
-
-// Diurnal is a sinusoidally modulated Poisson process: rate(t) = mean ×
-// (1 + Amplitude·sin(2πt/Period)) — the day/night submission cycle of an
-// interactive user base.
-type Diurnal struct {
-	MeanRatePerHour float64
-	Amplitude       float64 // relative swing in [0,1)
-	PeriodSec       float64
-}
-
-// Name implements Arrivals.
-func (d Diurnal) Name() string {
-	return fmt.Sprintf("diurnal(%.3g/h,a=%.2f)", d.MeanRatePerHour, d.Amplitude)
-}
-
-// Rate returns the instantaneous rate at t.
-func (d Diurnal) Rate(t sim.Time) float64 {
-	return d.MeanRatePerHour * (1 + d.Amplitude*math.Sin(2*math.Pi*float64(t)/d.PeriodSec))
-}
-
-// Next implements Arrivals by thinning against the peak rate.
-func (d Diurnal) Next(now sim.Time, rng *randx.Source) sim.Time {
-	if d.MeanRatePerHour <= 0 || d.Amplitude < 0 || d.Amplitude >= 1 || d.PeriodSec <= 0 {
-		panic("service: Diurnal arrivals need rate > 0, amplitude in [0,1), period > 0")
-	}
-	peak := d.MeanRatePerHour * (1 + d.Amplitude)
-	return thin(now, rng, peak, d.Rate)
-}
-
-// thin draws the next arrival of an inhomogeneous Poisson process with the
-// given instantaneous rate by Lewis–Shedler thinning against peakPerHour:
-// candidate points arrive at the peak rate and survive with probability
-// rate/peak. Candidate count is bounded so a pathological rate function
-// cannot spin forever; the fallback returns the last rejected candidate.
-func thin(now sim.Time, rng *randx.Source, peakPerHour float64, rate func(sim.Time) float64) sim.Time {
-	t := now
-	for i := 0; i < 4096; i++ {
-		t += sim.Time(rng.Exp(3600 / peakPerHour))
-		r := rate(t)
-		if r >= peakPerHour || rng.Bernoulli(r/peakPerHour) {
-			break
-		}
-	}
-	return t - now
 }

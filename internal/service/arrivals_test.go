@@ -23,8 +23,6 @@ func drawN(a Arrivals, seed int64, n int) []sim.Time {
 func TestArrivalsDeterministic(t *testing.T) {
 	profiles := []Arrivals{
 		Poisson{RatePerHour: 30},
-		Burst{BaseRatePerHour: 5, BurstRatePerHour: 60, PeriodSec: 3600, BurstFrac: 0.25},
-		Diurnal{MeanRatePerHour: 20, Amplitude: 0.8, PeriodSec: 86400},
 	}
 	for _, p := range profiles {
 		a := drawN(p, 7, 500)
@@ -49,42 +47,6 @@ func TestPoissonMeanRate(t *testing.T) {
 	}
 }
 
-// Thinning must concentrate Burst arrivals inside the burst window in
-// proportion to the rate ratio.
-func TestBurstConcentratesInWindow(t *testing.T) {
-	b := Burst{BaseRatePerHour: 5, BurstRatePerHour: 50, PeriodSec: 3600, BurstFrac: 0.25}
-	inst := drawN(b, 11, 5000)
-	inBurst := 0
-	for _, at := range inst {
-		phase := math.Mod(float64(at), b.PeriodSec) / b.PeriodSec
-		if phase < b.BurstFrac {
-			inBurst++
-		}
-	}
-	// Expected share: 50×0.25 / (50×0.25 + 5×0.75) ≈ 0.77.
-	if frac := float64(inBurst) / float64(len(inst)); frac < 0.70 || frac > 0.84 {
-		t.Fatalf("burst-window share %.3f, want ≈0.77", frac)
-	}
-}
-
-// Diurnal arrivals must be denser on the rising half-period (sin > 0) than
-// the falling one.
-func TestDiurnalModulation(t *testing.T) {
-	d := Diurnal{MeanRatePerHour: 20, Amplitude: 0.9, PeriodSec: 7200}
-	inst := drawN(d, 5, 5000)
-	peakHalf := 0
-	for _, at := range inst {
-		if math.Mod(float64(at), d.PeriodSec) < d.PeriodSec/2 {
-			peakHalf++
-		}
-	}
-	// With amplitude 0.9, the first half-period carries ≈ (1+0.9·2/π)/2 ≈ 0.79
-	// of the mass.
-	if frac := float64(peakHalf) / float64(len(inst)); frac < 0.72 || frac > 0.86 {
-		t.Fatalf("peak-half share %.3f, want ≈0.79", frac)
-	}
-}
-
 func TestArrivalsRejectDegenerateParams(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -97,16 +59,4 @@ func TestArrivalsRejectDegenerateParams(t *testing.T) {
 	}
 	rng := randx.New(1)
 	mustPanic("poisson rate=0", func() { Poisson{}.Next(0, rng) })
-	mustPanic("burst period=0", func() {
-		Burst{BaseRatePerHour: 1, BurstRatePerHour: 2, BurstFrac: 0.5}.Next(0, rng)
-	})
-	mustPanic("burst frac=1", func() {
-		Burst{BaseRatePerHour: 1, BurstRatePerHour: 2, PeriodSec: 100, BurstFrac: 1}.Next(0, rng)
-	})
-	mustPanic("diurnal amp=1", func() {
-		Diurnal{MeanRatePerHour: 1, Amplitude: 1, PeriodSec: 100}.Next(0, rng)
-	})
-	mustPanic("diurnal rate=0", func() {
-		Diurnal{Amplitude: 0.5, PeriodSec: 100}.Next(0, rng)
-	})
 }

@@ -288,6 +288,8 @@ var substrateAuditSkip = []string{
 	"provenance.Store.freeIdx",
 	"cwsi.CWS.freeRuns",
 	"cwsi.rmAdapter.keys",
+	"cwsi.CWS.retryPolicy",
+	"cwsi.CWS.retryLabel",
 	"service.Substrate.drivers",
 }
 

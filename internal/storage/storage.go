@@ -149,13 +149,6 @@ func (t *TransferService) LinkFor(from, to string) Link {
 	return t.links[linkKey(from, to)]
 }
 
-// EstimateSec returns the virtual seconds a transfer of size bytes takes
-// from→to.
-func (t *TransferService) EstimateSec(from, to string, bytes float64) float64 {
-	l := t.LinkFor(from, to)
-	return l.LatencySec + safeDiv(bytes, l.BandwidthBps)
-}
-
 // Transfer copies name from src to dst, invoking done(err) when the copy
 // completes in virtual time. A missing source fails immediately (done is
 // still called asynchronously, at now). Bandwidth is shared fairly with the

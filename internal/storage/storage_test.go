@@ -133,19 +133,6 @@ func TestTransferDefaultLinkInstant(t *testing.T) {
 	}
 }
 
-func TestEstimateSec(t *testing.T) {
-	eng := sim.NewEngine()
-	ts := NewTransferService(eng)
-	ts.SetLink("x", "y", Link{BandwidthBps: 1e6, LatencySec: 1})
-	if got := ts.EstimateSec("x", "y", 2e6); got != 3 {
-		t.Fatalf("EstimateSec = %v, want 3", got)
-	}
-	// Directed: reverse is default (instant).
-	if got := ts.EstimateSec("y", "x", 2e6); got != 0 {
-		t.Fatalf("reverse estimate = %v, want 0", got)
-	}
-}
-
 // Property: transferring any set of files conserves sizes and completes all
 // callbacks.
 func TestTransferConservation(t *testing.T) {

@@ -6,14 +6,16 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// uncalledAllowed names the exported functions and methods under internal/
-// that may have no caller in non-test code, each with the reason it stays.
-// Keys are "package.Name" for functions and "package.Type.Name" for methods.
+// uncalledAllowed names the exported functions, methods and types under
+// internal/ that may have no use in non-test code, each with the reason it
+// stays. Keys are "package.Name" for functions and types and
+// "package.Type.Name" for methods.
 var uncalledAllowed = map[string]string{
 	"core.WithCores":                 "task option of the composition API",
 	"core.WithGPUs":                  "task option of the composition API",
@@ -30,21 +32,17 @@ var uncalledAllowed = map[string]string{
 	"provenance.Store.StatsByTenant": "test oracle for the service's per-tenant accounting",
 	"cluster.Cluster.FoldMetrics":    "documented no-op that bench/ calls",
 	"rm.TaskManager.SetLean":         "documented no-op that bench/ calls",
-	"entk.AppManager.RunPerJob":      "§4 per-workflow batch jobs (README, EXPERIMENTS); not yet wired into cmd/",
-	"exaam.Stage1Pipeline":           "§4 ExaAM stage 1 pipeline; not yet wired into cmd/",
-	"atlas.RunCloudSpot":             "§5 spot fleet (README); not yet wired into cmd/",
-	"jaws.Service.SubmitAuto":        "§6 automatic site routing (README); not yet wired into cmd/",
-	"llmwf.RegisterRNASeq":           "§2 RNA-seq function registry; not yet wired into cmd/",
-	"cwsi.CWS.ProfileNodes":          "§3.4 node profiling (README); not yet wired into cmd/",
-	"cwsi.CWS.SetDataBandwidth":      "§3.1 data-locality model (README); not yet wired into cmd/",
 	"rm.TimeoutError.Unwrap":         "errors.Is calls it to find fault.ErrTimeout",
+	"core.StreamingEnv":              "reference environment of the eager ≡ streaming battery",
+	"cwsi.Tarema":                    "§3's named strategy; BenchmarkAblation_Strategies measures it",
 }
 
-// TestExportedInternalFuncsHaveCallers fails on any exported function or
-// method declared under internal/ whose name no non-test file under
+// TestExportedInternalFuncsHaveCallers fails on any exported function,
+// method or type declared under internal/ whose name no non-test file under
 // internal/, cmd/, examples/ or bench/ mentions outside its own declaration.
-// Matching is by identifier, so a method counts as called when any type's
-// method or interface method of the same name is used anywhere.
+// A method's receiver does not count as a use of its type. Matching is by
+// identifier, so a method counts as called when any type's method or
+// interface method of the same name is used anywhere.
 func TestExportedInternalFuncsHaveCallers(t *testing.T) {
 	type decl struct {
 		key string
@@ -66,17 +64,35 @@ func TestExportedInternalFuncsHaveCallers(t *testing.T) {
 			}
 			internal := root == "internal"
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if internal && ok && fd.Name.IsExported() {
-					key := f.Name.Name + "." + fd.Name.Name
-					if fd.Recv != nil {
-						key = f.Name.Name + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				// A declared name used inside its own declaration, and a
+				// method's receiver type, do not count as uses.
+				var own []string
+				var recv *ast.Ident
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					own = append(own, d.Name.Name)
+					key := f.Name.Name + "." + d.Name.Name
+					if d.Recv != nil {
+						recv = recvIdent(d.Recv.List[0].Type)
+						key = f.Name.Name + "." + recv.Name + "." + d.Name.Name
 					}
-					decls = append(decls, decl{key, fset.Position(fd.Pos())})
+					if internal && d.Name.IsExported() {
+						decls = append(decls, decl{key, fset.Position(d.Pos())})
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						own = append(own, ts.Name.Name)
+						if internal && ts.Name.IsExported() {
+							decls = append(decls, decl{f.Name.Name + "." + ts.Name.Name, fset.Position(ts.Pos())})
+						}
+					}
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
-					id, isIdent := n.(*ast.Ident)
-					if isIdent && !(ok && id.Name == fd.Name.Name) {
+					if id, ok := n.(*ast.Ident); ok && id != recv && !slices.Contains(own, id.Name) {
 						uses[id.Name]++
 					}
 					return true
@@ -106,14 +122,14 @@ func TestExportedInternalFuncsHaveCallers(t *testing.T) {
 	}
 	sort.Strings(uncalled)
 	if len(uncalled) > 0 {
-		t.Errorf("exported functions no non-test code calls (delete them, or allowlist one with its reason):\n%s",
+		t.Errorf("exported functions and types no non-test code uses (delete them, or allowlist one with its reason):\n%s",
 			strings.Join(uncalled, "\n"))
 	}
 }
 
-// recvType names a method receiver's type, without pointer or type
-// parameters.
-func recvType(e ast.Expr) string {
+// recvIdent returns the identifier naming a method receiver's type, without
+// pointer or type parameters.
+func recvIdent(e ast.Expr) *ast.Ident {
 	for {
 		switch x := e.(type) {
 		case *ast.StarExpr:
@@ -123,9 +139,9 @@ func recvType(e ast.Expr) string {
 		case *ast.IndexListExpr:
 			e = x.X
 		case *ast.Ident:
-			return x.Name
+			return x
 		default:
-			return "?"
+			return ast.NewIdent("?")
 		}
 	}
 }
