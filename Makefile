@@ -28,16 +28,16 @@ test-race:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Byte-identity of eleven CLI reports against digests committed in
+# Byte-identity of twelve CLI reports against digests committed in
 # testdata/cli-digests.sha256: the CWS storm sweep, the §3.5 waste study
 # (with the Airflow big-worker baseline),
 # the service arrivals sweep, the stormy prediction ablation, the §6
 # JAWS runs (fusion, cached rerun and fair-share cap; the multi-user service
 # with partial and full cache hits; the JSON report; the migration example),
-# the §4 EnTK pilot's Fig. 4/5 time series and the full ExaAM campaign
+# the §4 EnTK pilot's Fig. 4/5 time series, the full ExaAM campaign
 # (Fig. 3: five EnTK applications with dynamic stages, injected failures and
-# resubmission jobs), and the §5 Atlas tables (cloud fleet and storage
-# transfers).
+# resubmission jobs) and the ExaAM UQ example's resubmission job, and the §5
+# Atlas tables (cloud fleet and storage transfers).
 # A refactor that must not change behaviour leaves every stdout unchanged.
 # The sweeps pin -workers 1 because their headers print the worker count.
 cli-digests:
@@ -52,6 +52,7 @@ cli-digests:
 	$(GO) run ./examples/jaws_migration > "$$tmp/jaws-migration.txt" && \
 	$(GO) run ./cmd/entkrun -series > "$$tmp/entkrun-series.txt" && \
 	$(GO) run ./cmd/entkrun -full > "$$tmp/entkrun-full.txt" && \
+	$(GO) run ./examples/exaam_uq > "$$tmp/exaam-uq.txt" && \
 	$(GO) run ./cmd/atlasrun > "$$tmp/atlasrun.txt" && \
 	cd "$$tmp" && sha256sum -c "$(CURDIR)/testdata/cli-digests.sha256"
 

@@ -48,7 +48,6 @@ func main() {
 	env := &core.KubernetesEnv{
 		Nodes: 4, CoresPerNode: 16,
 		Faults: fault.MTBF(),
-		Retry:  fault.DefaultRetryPolicy(),
 	}
 	res, err := env.RunSeeded(w, randx.New(7))
 	if err != nil {
@@ -58,12 +57,11 @@ func main() {
 		res.MakespanSec, res.UtilizationCore*100, res.TasksRun, res.FailedAttempts, res.Retries)
 
 	// The same root, expanded lazily at runtime: references splice into the
-	// frontier as their inputs resolve, under bounded residency.
+	// frontier as their inputs resolve.
 	lazy := &compose.LazyEnv{
 		KubernetesEnv: core.KubernetesEnv{
 			Nodes: 4, CoresPerNode: 16,
 			Faults: fault.MTBF(),
-			Retry:  fault.DefaultRetryPolicy(),
 		},
 		Registry: reg,
 	}

@@ -1,7 +1,7 @@
 // exaam_uq: the §4 ExaAM uncertainty-quantification pipeline at laptop
 // scale — three EnTK applications (grid generation, melt-pool + micro-
-// structure, local properties) on a simulated 128-node allocation, with a
-// node fault injected mid-run to show the resubmission machinery.
+// structure, local properties) on a simulated 128-node allocation, with
+// three task failures injected to show the resubmission machinery.
 package main
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/exaam"
-	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
@@ -22,20 +21,18 @@ func main() {
 
 	// A reduced UQ study: 5 melt-pool cases × 2 microstructure parameters,
 	// 3 loading directions × 2 temperatures × 1 RVE → 60 ExaConstit runs.
+	// Three property tasks fail once, as §4.3's node-fault victims did;
+	// EnTK resubmits them in a follow-up batch job.
 	cfg := exaam.Config{
 		GridDim: 2, GridLevel: 2, MeltPoolCases: 5,
 		MicroParams: 2, LoadingDirections: 3, Temperatures: 2, RVEs: 1,
-		Seed: 11,
+		TransientFailures: 3,
+		Seed:              11,
 	}
 	fmt.Printf("UQ grid points: %d (Smolyak sparse grid, dim=%d level=%d)\n",
 		len(exaam.SparseGrid(cfg.GridDim, cfg.GridLevel)), cfg.GridDim, cfg.GridLevel)
 	fmt.Printf("microstructures: %d, ExaConstit ensemble members: %d\n\n",
 		cfg.Microstructures(), cfg.PropertyTasks())
-
-	// Kill one node during the property stage; EnTK resubmits its victims
-	// in a follow-up batch job.
-	fi := cluster.NewFaultInjector(cl, randx.New(3))
-	fi.ScheduleNodeFailures(1, 9000)
 
 	res, err := exaam.RunFull(cl, bm, cfg, 128)
 	if err != nil {

@@ -47,8 +47,7 @@ func TestComposeOnceRunEverywhere(t *testing.T) {
 	}
 	envs := []core.Environment{
 		&core.KubernetesEnv{Nodes: 3, CoresPerNode: 8},
-		&core.KubernetesEnv{Nodes: 3, CoresPerNode: 8, Strategy: cwsi.Rank{},
-			Predictor: func() predict.RuntimePredictor { return predict.NewRegression() }},
+		&core.KubernetesEnv{Nodes: 3, CoresPerNode: 8, Strategy: cwsi.Rank{}, Predict: "regression"},
 		&core.HPCEnv{Nodes: 8, CoresPerNode: 8, BootstrapSec: 85, SchedRate: 100, LaunchRate: 50},
 		&core.CloudEnv{MaxInstances: 8, Instance: cloud.C6aLarge},
 	}
@@ -119,15 +118,17 @@ func TestCWSProvenanceFeedsPredictionFeedsScheduling(t *testing.T) {
 	}
 }
 
-// TestExaAMOnFaultyFrontier runs the UQ stage 3 with real node failures from
-// the fault injector (not just task-level injection) and checks EnTK's
-// resubmission recovers everything.
+// TestExaAMOnFaultyFrontier runs the UQ stage 3 with real node failures (not
+// just task-level injection) and checks EnTK's resubmission recovers
+// everything.
 func TestExaAMOnFaultyFrontier(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := cluster.Frontier(eng, 256)
 	bm := rm.NewBatchManager(cl, nil)
-	fi := cluster.NewFaultInjector(cl, randx.New(13))
-	fi.ScheduleNodeFailures(3, 3000)
+	// Three of the pilot's nodes fail while the ensemble runs on them.
+	for i, n := range cl.Nodes()[:3] {
+		eng.At(sim.Time(1000+500*i), func() { cl.FailNode(n) })
+	}
 
 	cfg := exaam.Config{GridDim: 2, GridLevel: 1, MeltPoolCases: 5, MicroParams: 2,
 		LoadingDirections: 4, Temperatures: 2, RVEs: 2, Seed: 13}
@@ -142,6 +143,9 @@ func TestExaAMOnFaultyFrontier(t *testing.T) {
 	}
 	if rep.TasksFailed != 0 {
 		t.Fatalf("terminal failures = %d", rep.TasksFailed)
+	}
+	if rep.Rounds < 2 || rep.ResubmittedOK == 0 {
+		t.Fatalf("rounds %d, resubmitted %d: the node failures killed no task", rep.Rounds, rep.ResubmittedOK)
 	}
 }
 

@@ -184,8 +184,6 @@ type Report struct {
 	Efficiency float64
 	// CostUSD is the instance cost (cloud only).
 	CostUSD float64
-	// FailedSteps counts step failures (the paper observed none).
-	FailedSteps int
 	// Outputs is the store holding per-run results (cloud runs: the S3
 	// bucket), usable for atlas assembly.
 	Outputs *storage.Store

@@ -1,7 +1,8 @@
 // Package cluster models a heterogeneous HPC cluster: nodes with cores, GPUs
 // and memory, grouped into node types with distinct machine speed factors
 // (the heterogeneity Lotaru/Tarema exploit, §3.4), plus allocation tracking
-// and fault injection (the node failures EnTK recovers from, §4.3).
+// and node failure and repair (the node failures EnTK recovers from, §4.3,
+// which internal/fault injects).
 //
 // The cluster is a passive resource ledger: resource managers (internal/rm)
 // and pilots (internal/pilot) decide placement; the cluster enforces capacity
@@ -10,9 +11,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
-	"hhcw/internal/randx"
 	"hhcw/internal/sim"
 )
 
@@ -370,45 +369,6 @@ func (c *Cluster) Utilization(until sim.Time) float64 {
 		coreSec += float64(c.usedCores) * float64(until-c.usedAt)
 	}
 	return coreSec / (float64(c.totalCores) * float64(until))
-}
-
-// FaultInjector schedules random node failures, modeling the hardware faults
-// the paper's Frontier run hit (a single node failure killed 8 tasks, §4.3).
-type FaultInjector struct {
-	cluster *Cluster
-	rng     *randx.Source
-}
-
-// NewFaultInjector returns an injector bound to the cluster.
-func NewFaultInjector(c *Cluster, rng *randx.Source) *FaultInjector {
-	return &FaultInjector{cluster: c, rng: rng}
-}
-
-// ScheduleNodeFailures schedules exactly count distinct node failures at
-// uniform random times in (0, horizon). It returns the failed nodes in
-// failure-time order.
-func (f *FaultInjector) ScheduleNodeFailures(count int, horizon sim.Time) []*Node {
-	nodes := f.cluster.UpNodes()
-	if count > len(nodes) {
-		count = len(nodes)
-	}
-	perm := f.rng.Perm(make([]int, len(nodes)))
-	type plan struct {
-		at   sim.Time
-		node *Node
-	}
-	plans := make([]plan, count)
-	for i := 0; i < count; i++ {
-		plans[i] = plan{at: sim.Time(f.rng.Float64() * float64(horizon)), node: nodes[perm[i]]}
-	}
-	sort.Slice(plans, func(i, j int) bool { return plans[i].at < plans[j].at })
-	out := make([]*Node, count)
-	for i, p := range plans {
-		p := p
-		out[i] = p.node
-		f.cluster.eng.At(p.at, func() { f.cluster.FailNode(p.node) })
-	}
-	return out
 }
 
 // Frontier builds a Frontier-like cluster: the paper's runs used nodes with

@@ -138,43 +138,6 @@ func TestUtilization(t *testing.T) {
 	c.Utilization(5)
 }
 
-func TestFaultInjectorCount(t *testing.T) {
-	eng := sim.NewEngine()
-	c := New(eng, "t", Spec{Type: NodeType{Name: "n", Cores: 1}, Count: 50})
-	fi := NewFaultInjector(c, randx.New(1))
-	failed := fi.ScheduleNodeFailures(5, 100)
-	if len(failed) != 5 {
-		t.Fatalf("planned %d failures, want 5", len(failed))
-	}
-	eng.Run()
-	down := 0
-	for _, n := range c.Nodes() {
-		if n.Down() {
-			down++
-		}
-	}
-	if down != 5 {
-		t.Fatalf("%d nodes down, want 5", down)
-	}
-	// Distinct nodes.
-	seen := map[int]bool{}
-	for _, n := range failed {
-		if seen[n.ID] {
-			t.Fatal("duplicate node failed")
-		}
-		seen[n.ID] = true
-	}
-}
-
-func TestFaultInjectorClampsToClusterSize(t *testing.T) {
-	eng := sim.NewEngine()
-	c := New(eng, "t", Spec{Type: NodeType{Name: "n", Cores: 1}, Count: 3})
-	fi := NewFaultInjector(c, randx.New(2))
-	if got := len(fi.ScheduleNodeFailures(10, 100)); got != 3 {
-		t.Fatalf("clamped failures = %d, want 3", got)
-	}
-}
-
 func TestFrontierShape(t *testing.T) {
 	eng := sim.NewEngine()
 	c := Frontier(eng, 8000)

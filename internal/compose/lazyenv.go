@@ -10,8 +10,7 @@ import (
 // runtime expansion: instead of statically expanding with Registry.Expand
 // and running eagerly, the workflow is wrapped in a dag.RefExpander and
 // driven through core.RunExpander / rm.StreamRunner, so referenced
-// sub-workflows splice into the frontier only as their inputs resolve, under
-// the environment's bounded residency window (StreamWindow).
+// sub-workflows splice into the frontier only as their inputs resolve.
 //
 // Name() delegates to the inner environment, so a lazy result's fingerprint
 // is directly comparable to the static-expansion one — the equivalence the

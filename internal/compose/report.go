@@ -140,15 +140,14 @@ func FromResult(name string, res *core.Result) RunSummary {
 // FromAtlas normalizes a Transcriptomics Atlas experiment (§5).
 func FromAtlas(name string, r *atlas.Report) RunSummary {
 	s := RunSummary{
-		Name:             name,
-		Subsystem:        "atlas",
-		Environment:      r.Env.String(),
-		Tasks:            r.Files,
-		MakespanSec:      r.Makespan,
-		UtilizationCore:  r.Efficiency,
-		TerminalFailures: r.FailedSteps,
-		CostUSD:          r.CostUSD,
-		Extra:            map[string]float64{"pipeline_sec": r.PipelineSeconds()},
+		Name:            name,
+		Subsystem:       "atlas",
+		Environment:     r.Env.String(),
+		Tasks:           r.Files,
+		MakespanSec:     r.Makespan,
+		UtilizationCore: r.Efficiency,
+		CostUSD:         r.CostUSD,
+		Extra:           map[string]float64{"pipeline_sec": r.PipelineSeconds()},
 	}
 	s.Fingerprint = fingerprintOf(&s)
 	return s

@@ -6,7 +6,6 @@ import (
 
 	"hhcw/internal/cwsi"
 	"hhcw/internal/dag"
-	"hhcw/internal/predict"
 )
 
 func TestCompileSequence(t *testing.T) {
@@ -189,8 +188,7 @@ func TestKubernetesEnvWithCWS(t *testing.T) {
 	w := testWorkflow(t)
 	env := &KubernetesEnv{
 		Nodes: 3, CoresPerNode: 4,
-		Strategy:  cwsi.Rank{},
-		Predictor: func() predict.RuntimePredictor { return predict.NewMean() },
+		Strategy: cwsi.Rank{},
 	}
 	res, err := env.Run(w)
 	if err != nil {

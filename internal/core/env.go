@@ -10,7 +10,6 @@ import (
 	"hhcw/internal/dag"
 	"hhcw/internal/fault"
 	"hhcw/internal/pilot"
-	"hhcw/internal/predict"
 	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
@@ -98,8 +97,6 @@ type KubernetesEnv struct {
 	CoresPerNode int
 	// Strategy enables the Common Workflow Scheduler; nil = plain FIFO.
 	Strategy cwsi.Strategy
-	// Predictor optionally feeds CWS strategies with learned runtimes.
-	Predictor func() predict.RuntimePredictor
 	// Predict closes the full prediction loop (§3.4) by name: "mean",
 	// "regression" or "lotaru" wraps Strategy (Baseline if nil) in
 	// cwsi.Predictive and arms online training from provenance, memory
@@ -116,15 +113,9 @@ type KubernetesEnv struct {
 	Heterogeneous bool
 	// Faults, when an enabled profile, arms deterministic fault injection:
 	// node crashes/reclaims/I/O episodes on the substrate, transient task
-	// failures in the workload, all recovered under Retry.
-	Faults fault.Profile
-	// Retry is the recovery policy for fault runs; the zero value selects
+	// failures in the workload, all recovered under
 	// fault.DefaultRetryPolicy.
-	Retry fault.RetryPolicy
-	// StreamWindow bounds resident tasks on the streaming run path
-	// (RunExpander); 0 = unthrottled, which reproduces the eager schedule
-	// exactly. Ignored by the eager Run/RunSeeded path.
-	StreamWindow int
+	Faults fault.Profile
 }
 
 // Name implements Environment. Fault-injected, heterogeneous and
@@ -337,7 +328,8 @@ type fleet struct {
 	itype             cloud.InstanceType
 	max               int
 	ready             []waiting
-	idle, workers     []*instance // parked, in parking order; launched, in launch order
+	idle              []*instance // parked, in parking order
+	launched          int
 	busySec           float64
 	finishing, kicked bool // inside a completion; a dispatch is due now
 }
@@ -353,7 +345,6 @@ type instance struct {
 	cur   waiting
 	start sim.Time
 	dur   float64
-	ev    *sim.Event
 }
 
 // Engine implements rm.Executor.
@@ -371,37 +362,16 @@ func (f *fleet) Submit(s *rm.Submission) {
 	}
 }
 
-// Abort implements rm.Executor.
-func (f *fleet) Abort(s *rm.Submission, err error) bool {
-	now := f.env.Eng.Now()
-	for i, q := range f.ready {
-		if q.s == s {
-			f.ready = append(f.ready[:i], f.ready[i+1:]...)
-			q.s.Finish(rm.Result{Submission: q.s, SubmittedAt: q.at, StartedAt: now, FinishedAt: now, Failed: true, Err: err})
-			return true
-		}
-	}
-	for _, w := range f.workers {
-		if w.cur.s == s {
-			w.ev.Cancel()
-			w.dur = float64(now - w.start)
-			f.finish(w, err)
-			return true
-		}
-	}
-	return false
-}
-
 func (f *fleet) dispatch() {
 	for len(f.ready) > 0 && len(f.idle) > 0 {
 		w := f.idle[0]
 		f.idle = f.idle[1:]
 		f.next(w)
 	}
-	for demand := len(f.ready); demand > 0 && len(f.workers) < f.max; demand-- {
+	for demand := len(f.ready); demand > 0 && f.launched < f.max; demand-- {
 		w := &instance{}
 		f.env.Launch(f.itype, func(*cloud.Instance) { f.next(w) })
-		f.workers = append(f.workers, w)
+		f.launched++
 	}
 }
 
@@ -413,7 +383,7 @@ func (f *fleet) next(w *instance) {
 	}
 	w.cur, f.ready = f.ready[0], f.ready[1:]
 	w.start, w.dur = f.env.Eng.Now(), w.cur.s.RuntimeOn(nil)
-	w.ev = f.env.Eng.After(sim.Time(w.dur), func() { f.finish(w, w.cur.s.ValidateOn(nil)) })
+	f.env.Eng.After(sim.Time(w.dur), func() { f.finish(w, w.cur.s.ValidateOn(nil)) })
 }
 
 // finish reports w's attempt and moves w on.

@@ -160,9 +160,10 @@ func (a *faultArm) setInjector(inj *fault.Injector) {
 	a.failFn, a.stopFn, a.runtimeFn = a.failures, inj.Stop, a.runtime
 }
 
-// setRetry arms the recovery policy p.
-func (a *faultArm) setRetry(p fault.RetryPolicy) {
-	a.policy = p
+// setRetry arms fault.DefaultRetryPolicy, the recovery policy of every
+// fault and prediction run.
+func (a *faultArm) setRetry() {
+	a.policy = fault.DefaultRetryPolicy()
 	a.retry = &a.policy
 }
 
@@ -217,17 +218,9 @@ func (e *KubernetesEnv) armFaults(arm *faultArm, cl *cluster.Cluster, rng *randx
 		arm.inj.Reset(forks.fork(rng))
 	}
 	arm.plan = e.Faults.PlanTaskFailuresInto(arm.plan, n, forks.fork(rng))
-	arm.setRetry(e.retryPolicy())
+	arm.setRetry()
 	arm.retryRNG = forks.fork(rng)
 	return nil
-}
-
-// retryPolicy is the configured recovery policy, DefaultRetryPolicy if unset.
-func (e *KubernetesEnv) retryPolicy() fault.RetryPolicy {
-	if e.Retry == (fault.RetryPolicy{}) {
-		return fault.DefaultRetryPolicy()
-	}
-	return e.Retry
 }
 
 // failures returns the planned transient failures of the task at insertion
@@ -253,7 +246,7 @@ func (a *faultArm) runtime(t *dag.Task, n *cluster.Node) float64 {
 func runStream(runner *rm.StreamRunner, x dag.Expander, cl *cluster.Cluster, arm *faultArm, cws *cwsi.CWS, res *Result) error {
 	runner.Source, runner.WorkflowID = x, x.Name()
 	if arm.retry != nil {
-		runner.Retry, runner.RetryRNG, runner.Breaker = arm.retry, arm.retryRNG, arm.retry.NewBreaker()
+		runner.Retry, runner.RetryRNG = arm.retry, arm.retryRNG
 	}
 	if cws != nil {
 		// maxRetries 1 is the budget of policy-less runs (fault-free,
@@ -342,8 +335,6 @@ func (s *Session) armCWS(w *dag.Workflow, rng *randx.Source, arm *faultArm) erro
 	var p predict.RuntimePredictor
 	if s.predCtor != nil {
 		p = s.predCtor()
-	} else if e.Predictor != nil {
-		p = e.Predictor()
 	}
 	cws := s.cws
 	// Reset unconditionally (a no-op on the first, still-fresh run): this is
@@ -365,7 +356,7 @@ func (s *Session) armCWS(w *dag.Workflow, rng *randx.Source, arm *faultArm) erro
 		cws.SetOverrunPolicy(1.5, 2)
 		cws.EnablePredictedBackfill()
 		if arm.retry == nil {
-			arm.setRetry(e.retryPolicy())
+			arm.setRetry()
 			if rng != nil {
 				arm.retryRNG = s.forks.fork(rng)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hhcw/internal/dag"
-	"hhcw/internal/provenance"
 	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 )
@@ -12,11 +11,10 @@ import (
 // RunExpander executes a streaming expansion on the kubernetes substrate —
 // the extreme-scale run path. It is the warm session's FIFO path (runStream:
 // same task driver, same fault-layer fork order, same runtime scaling) on a
-// freshly built substrate, with one difference that keeps memory bounded at
-// any task count: terminal tasks are retired into a compact provenance store
-// (running aggregates only, no record retention) and their Task structs
-// recycled, under the StreamWindow residency cap. The cluster and manager
-// keep only counts and a running utilization integral, O(1) at any scale.
+// freshly built substrate, with terminal tasks recycled by the expander as
+// they settle. It keeps no provenance: the result's Provenance is nil. The
+// cluster and manager keep only counts and a running utilization integral,
+// O(1) at any scale.
 //
 // CWS strategies need the whole DAG for ranking and are rejected here; run
 // materialized workflows through RunSeeded for those studies.
@@ -36,38 +34,8 @@ func (e *KubernetesEnv) RunExpander(x dag.Expander, rng *randx.Source) (*Result,
 	if err := e.armFaults(&arm, cl, rng, x.Total(), new(forkPool)); err != nil {
 		return nil, err
 	}
-	store := provenance.NewStore()
-	store.SetCompact(true)
-	wfID := x.Name()
-	runner := &rm.StreamRunner{
-		Manager:     mgr,
-		MaxResident: e.StreamWindow,
-		Observe: func(t *dag.Task, r rm.Result) {
-			rec := provenance.TaskRecord{
-				WorkflowID:  wfID,
-				TaskID:      t.ID,
-				Name:        t.Name,
-				SubmittedAt: r.SubmittedAt,
-				StartedAt:   r.StartedAt,
-				FinishedAt:  r.FinishedAt,
-				Cores:       t.Cores,
-				MemRequest:  t.MemBytes,
-				PeakMem:     t.PeakMem(),
-				Failed:      r.Failed,
-			}
-			if r.Err != nil {
-				rec.Error = r.Err.Error()
-			}
-			if r.Node != nil {
-				rec.Node = r.Node.Name()
-				rec.MachineType = r.Node.Type.Name
-				rec.SpeedFactor = r.Node.Type.SpeedFactor
-			}
-			store.AddTask(rec)
-		},
-	}
-	res := &Result{Environment: e.Name(), Provenance: store}
-	if err := runStream(runner, x, cl, &arm, nil, res); err != nil {
+	res := &Result{Environment: e.Name()}
+	if err := runStream(&rm.StreamRunner{Manager: mgr}, x, cl, &arm, nil, res); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -8,8 +8,8 @@ import (
 	"hhcw/internal/cwsi"
 	"hhcw/internal/dag"
 	"hhcw/internal/fault"
-	"hhcw/internal/provenance"
 	"hhcw/internal/randx"
+	"hhcw/internal/rm"
 )
 
 func streamTestWorkflow(seed int64) *dag.Workflow {
@@ -54,9 +54,10 @@ func TestStreamingEnvMatchesEager(t *testing.T) {
 	}
 }
 
-// A positive stream window must not change the schedule when the ready
-// cohorts are shape-uniform and the window exceeds cluster concurrency — the
-// bounded-window contract documented in docs/scale.md.
+// A positive residency window (rm.StreamRunner.MaxResident) must not change
+// the streaming path's schedule when the ready cohorts are shape-uniform and
+// the window exceeds cluster concurrency — the bounded-window contract
+// documented in docs/scale.md.
 func TestStreamWindowUniformShapes(t *testing.T) {
 	build := func() *dag.Workflow {
 		w := dag.New("uniform-scatter")
@@ -84,9 +85,17 @@ func TestStreamWindowUniformShapes(t *testing.T) {
 	// 4×8 = 32 cores; any window above that must reproduce the unthrottled
 	// schedule on this shape-uniform workload.
 	for _, window := range []int{33, 64, 200} {
-		env := &StreamingEnv{KubernetesEnv{Nodes: 4, CoresPerNode: 8, StreamWindow: window}}
-		r, err := env.RunSeeded(build(), randx.New(1))
+		_, cl, err := base.substrate()
 		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := dag.NewWorkflowExpander(build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner := &rm.StreamRunner{Manager: rm.NewTaskManager(cl, nil), MaxResident: window}
+		r := &Result{Environment: base.Name()}
+		if err := runStream(runner, x, cl, new(faultArm), nil, r); err != nil {
 			t.Fatal(err)
 		}
 		if r.Fingerprint() != r0.Fingerprint() {
@@ -95,8 +104,8 @@ func TestStreamWindowUniformShapes(t *testing.T) {
 	}
 }
 
-// Streaming runs reject CWS strategies (they need the whole DAG) and produce
-// a compact provenance store: aggregates only, no retained records.
+// Streaming runs reject CWS strategies (they need the whole DAG) and keep
+// no provenance, so -trace and -provenance refuse their results.
 func TestStreamingEnvContract(t *testing.T) {
 	env := &StreamingEnv{KubernetesEnv{Nodes: 4, CoresPerNode: 8, Strategy: cwsi.Rank{}}}
 	if _, err := env.RunSeeded(streamTestWorkflow(1), randx.New(1)); err == nil ||
@@ -110,21 +119,10 @@ func TestStreamingEnvContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, isStore := res.Provenance.(*provenance.Store)
-	if !isStore {
-		t.Fatalf("Provenance is %T, want *provenance.Store", res.Provenance)
+	if res.TasksRun != w.Len() {
+		t.Fatalf("ran %d of %d tasks", res.TasksRun, w.Len())
 	}
-	if !store.Compact() || store.Len() != 0 {
-		t.Fatalf("store not compact: compact=%v len=%d", store.Compact(), store.Len())
-	}
-	execs := 0
-	for _, st := range store.StatsByName() {
-		execs += st.Executions
-	}
-	if execs != w.Len() {
-		t.Fatalf("compact store aggregated %d executions, want %d", execs, w.Len())
-	}
-	if _, ok := store.MeanRefRuntime(w.Tasks()[0].Name); !ok {
-		t.Fatal("compact store lost reference-runtime aggregates")
+	if res.Provenance != nil {
+		t.Fatalf("Provenance is %T, want nil", res.Provenance)
 	}
 }

@@ -17,8 +17,8 @@ func TestAccessorsAndNames(t *testing.T) {
 	if cws.Manager() != mgr {
 		t.Fatal("Manager accessor")
 	}
-	if cws.Predictor() != p {
-		t.Fatal("Predictor accessor")
+	if cws.predictor != p {
+		t.Fatal("predictor not installed")
 	}
 	w := chainWorkflow()
 	if err := cws.RegisterWorkflow("w", w); err != nil {

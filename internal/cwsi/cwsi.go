@@ -194,9 +194,6 @@ func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 // Provenance exposes the central provenance store (§3.3).
 func (c *CWS) Provenance() *provenance.Store { return c.prov }
 
-// Predictor returns the online runtime predictor, if any.
-func (c *CWS) Predictor() predict.RuntimePredictor { return c.predictor }
-
 // SetMemPredictor enables memory right-sizing (§3.4, §6.1): first attempts
 // of a task are submitted with the predicted peak (plus the predictor's
 // safety margin) instead of the user's — typically inflated — request, so
@@ -210,7 +207,7 @@ func (c *CWS) Manager() *rm.TaskManager { return c.mgr }
 // SetTaskObserver installs a hook invoked once per terminal task attempt,
 // immediately after provenance capture and before the requester's own Done
 // callback. The service layer uses it for per-tenant accounting (queue
-// waits, core-seconds, quota release): the observer fires at exactly the
+// waits, core-seconds): the observer fires at exactly the
 // moments the priority-cache generation advances, so a fair-share strategy
 // whose priorities derive from observer-maintained state is never stale.
 // r.Submission must not be retained past the call (see rm.Result).
@@ -222,11 +219,10 @@ func (c *CWS) SetTaskObserver(fn func(wfID string, taskID dag.TaskID, attempt in
 // overrun counts) and the provenance store's
 // registered-workflow entry, so a long-running service that registers
 // workflows per arrival keeps O(in-flight) rather than O(arrivals) state.
-// Task records already captured are untouched (retention stays governed by
-// provenance.SetCompact). It is the caller's responsibility to release only
-// workflows with no tasks still pending or running; the entry simply
-// disappears for strategy Context lookups. Releasing an unknown id is a
-// no-op.
+// Task records already captured are untouched. It is the caller's
+// responsibility to release only workflows with no tasks still pending or
+// running; the entry simply disappears for strategy Context lookups.
+// Releasing an unknown id is a no-op.
 func (c *CWS) ReleaseWorkflow(id string) {
 	if _, ok := c.workflows[id]; !ok {
 		return
@@ -260,10 +256,8 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 // memory right-sizing, walltime-overrun kills, OOM
 // enforcement, and one provenance record per attempt. Set sr's Source (an
 // expander over the registered workflow) and recovery policy first, then
-// Start or Run it. The CWS arms no attempt timeouts, so Bind clears the
-// policy's timeout (the provenance label keeps the policy as given).
-// Without a policy, a failed task is resubmitted at once up to maxRetries
-// times; then the run fails (sr.Err).
+// Start or Run it. Without a policy, a failed task is resubmitted at once up
+// to maxRetries times; then the run fails (sr.Err).
 func (c *CWS) Bind(sr *rm.StreamRunner, id string, maxRetries int) error {
 	st := c.workflows[id]
 	if st == nil {
@@ -275,11 +269,6 @@ func (c *CWS) Bind(sr *rm.StreamRunner, id string, maxRetries int) error {
 			c.retryPolicy, c.retryLabel = *sr.Retry, sr.Retry.String()
 		}
 		st.retryLabel = c.retryLabel
-		if sr.Retry.TimeoutSec > 0 {
-			p := *sr.Retry
-			p.TimeoutSec = 0
-			sr.Retry = &p
-		}
 	}
 	sr.WorkflowID, sr.Hook = id, c.hook
 	return nil
@@ -431,12 +420,6 @@ func (c *CWS) record(tr *taskRun, r rm.Result) {
 	if r.Err != nil {
 		errMsg = r.Err.Error()
 	}
-	// A submission aborted while still pending (attempt timeout) never got a
-	// node; record it with an empty placement.
-	nodeName, machineType, speedFactor := "", "", 0.0
-	if r.Node != nil {
-		nodeName, machineType, speedFactor = r.Node.Name(), r.Node.Type.Name, r.Node.Type.SpeedFactor
-	}
 	rec := provenance.TaskRecord{
 		WorkflowID:  tr.wfID,
 		TaskID:      t.ID,
@@ -445,9 +428,9 @@ func (c *CWS) record(tr *taskRun, r rm.Result) {
 		SubmittedAt: tr.submittedAt,
 		StartedAt:   r.StartedAt,
 		FinishedAt:  r.FinishedAt,
-		Node:        nodeName,
-		MachineType: machineType,
-		SpeedFactor: speedFactor,
+		Node:        r.Node.Name(),
+		MachineType: r.Node.Type.Name,
+		SpeedFactor: r.Node.Type.SpeedFactor,
 		Cores:       t.Cores,
 		MemRequest:  t.MemBytes,
 		PeakMem:     t.PeakMem(),

@@ -333,41 +333,6 @@ func TestTaskParamsRecordedInProvenance(t *testing.T) {
 	}
 }
 
-// A CWS-driven run arms no attempt timeouts: Bind runs the runner on a copy
-// of the policy without its timeout, while the provenance retry label keeps
-// the policy as given.
-func TestBindArmsNoAttemptTimeouts(t *testing.T) {
-	eng := sim.NewEngine()
-	cl := smallCluster(eng, 2, 4)
-	cws := New(rm.NewTaskManager(cl, nil), Baseline{}, nil)
-	w := dag.New("w")
-	w.Add(&dag.Task{ID: "long", Name: "long", NominalDur: 100})
-	if err := cws.RegisterWorkflow("w", w); err != nil {
-		t.Fatal(err)
-	}
-	x, err := dag.NewWorkflowExpander(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := fault.RetryPolicy{MaxAttempts: 2, BaseDelaySec: 5, TimeoutSec: 50}
-	sr := &rm.StreamRunner{Manager: cws.Manager(), Source: x, Retry: &p}
-	if err := cws.Bind(sr, "w", 0); err != nil {
-		t.Fatal(err)
-	}
-	eng.At(10, func() { cl.FailNode(cl.Nodes()[0]) })
-	// Failed at 10, 5s backoff, then 100s on node 1 — past the 50s timeout.
-	if ms := sr.Run(); ms != 115 || sr.Err() != nil {
-		t.Fatalf("makespan %v, err %v; want 115 and no error", ms, sr.Err())
-	}
-	if st := sr.Stats(); st.Timeouts != 0 || st.Failures != 1 {
-		t.Fatalf("stats = %+v, want one node failure and no timeout", st)
-	}
-	recs := records(cws, "w")
-	if len(recs) != 2 || recs[0].RetryPolicy != p.String() || p.TimeoutSec != 50 {
-		t.Fatalf("records %+v, policy %+v: want the failed attempt labelled with the policy as given", recs, p)
-	}
-}
-
 // Bind renders a recovery policy's provenance label once and reuses it while
 // the policy stays the same, across Reset too; a different policy, or none,
 // gets its own label.
@@ -375,7 +340,7 @@ func TestBindLabelsEachPolicy(t *testing.T) {
 	eng := sim.NewEngine()
 	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 4), nil), Baseline{}, nil)
 	p1 := fault.RetryPolicy{MaxAttempts: 2, BaseDelaySec: 5}
-	p2 := fault.RetryPolicy{MaxAttempts: 3, BaseDelaySec: 5, TimeoutSec: 50}
+	p2 := fault.RetryPolicy{MaxAttempts: 3, BaseDelaySec: 5}
 	bind := func(id string, p *fault.RetryPolicy) string {
 		t.Helper()
 		w := dag.New(id)

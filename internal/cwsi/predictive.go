@@ -107,15 +107,14 @@ func (c *CWS) predictedRanks(st *wfState) []float64 {
 
 // Predictive composes an inner strategy with the prediction loop:
 //
-//   - Priority adds CPWeight × PredictedRank to the inner priority, so a
-//     stateful policy (the service layer's deficit-weighted fair share,
-//     say) keeps its own ordering and gains a predicted-critical-path
-//     tie-break/boost. The sum is memoized under the shared prioGen cache,
-//     and PredictedRank invalidates on the same generation — composition
-//     cannot go stale.
+//   - Priority adds PredictedRank to the inner priority, so a stateful
+//     policy (the service layer's deficit-weighted fair share, say) keeps
+//     its own ordering and gains a predicted-critical-path tie-break/boost.
+//     The sum is memoized under the shared prioGen cache, and PredictedRank
+//     invalidates on the same generation — composition cannot go stale.
 //   - PickNode consults the inner strategy first and respects its veto
-//     (a nil from a quota-gating policy stays nil, and any state the inner
-//     pick mutates is mutated exactly once). When the model is warm for the
+//     (a nil pick stays nil, and any state the inner pick mutates is
+//     mutated exactly once). When the model is warm for the
 //     submission's task name, the pick is refined to the candidate with the
 //     lowest predicted runtime (measured machine speeds); predictions that
 //     tie keep the inner choice.
@@ -125,9 +124,6 @@ func (c *CWS) predictedRanks(st *wfState) []float64 {
 // A nil Inner behaves like Baseline (submission order, first fit).
 type Predictive struct {
 	Inner Strategy
-	// CPWeight scales the predicted-rank seconds added to the inner
-	// priority; 0 means 1.
-	CPWeight float64
 }
 
 // Name implements Strategy.
@@ -138,20 +134,13 @@ func (p Predictive) Name() string {
 	return "predictive"
 }
 
-func (p Predictive) weight() float64 {
-	if p.CPWeight > 0 {
-		return p.CPWeight
-	}
-	return 1
-}
-
 // Priority implements Strategy.
 func (p Predictive) Priority(s *rm.Submission, ctx *Context) float64 {
 	base := 0.0
 	if p.Inner != nil {
 		base = p.Inner.Priority(s, ctx)
 	}
-	return base + p.weight()*ctx.PredictedRank(s.WorkflowID, s.TaskID)
+	return base + ctx.PredictedRank(s.WorkflowID, s.TaskID)
 }
 
 // PickNode implements Strategy.
@@ -186,7 +175,7 @@ func (p Predictive) PickNode(s *rm.Submission, candidates []*cluster.Node, ctx *
 // execution would exceed predicted × slack is killed at that budget and
 // fails with a walltime-overrun error, which routes through the driving
 // runner's recovery policy (see Bind) like any other failure — backoff,
-// provenance retry annotation, circuit breaker, graceful degradation. Each
+// provenance retry annotation, graceful degradation. Each
 // overrun of a task inflates its next budget by the inflation factor
 // (budget = predicted × slack × inflation^priorOverruns), so even a model
 // that underestimates by 10× converges to completion in a few retries

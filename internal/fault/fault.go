@@ -1,18 +1,19 @@
 // Package fault is the unified deterministic fault-injection and
 // recovery-policy layer. The paper's robustness story (§4.3: EnTK resubmits
 // failed ExaAM tasks in smaller consecutive jobs at 8000-node scale) used to
-// be reproduced by unrelated mechanisms — cluster.FaultInjector,
-// exaam.injectFailures, entk's resubmission rounds and a separate cloud spot
-// fleet — none of which composed. This package factors both sides of the
-// problem into one place, and spot reclaims live only here:
+// be reproduced by unrelated mechanisms — a cluster-level node-fault
+// scheduler, exaam.injectFailures, entk's resubmission rounds and a separate
+// cloud spot fleet — none of which composed. This package factors both sides
+// of the problem into one place, and node faults and spot reclaims live only
+// here:
 //
 //   - failure processes (process.go): exponential-MTBF node faults, transient
 //     task failures with configurable persistence, spot-style reclaims with a
 //     warning lead time, and I/O slowdown episodes, all driven by forked
 //     randx sources on a sim.Engine so chaos runs are bit-identical per seed;
 //   - recovery policies (this file): retry with capped exponential backoff
-//     and deterministic jitter, per-attempt virtual-time timeouts, and
-//     max-attempt circuit breaking with graceful degradation.
+//     and deterministic jitter, up to an attempt budget; a task that
+//     exhausts it fails terminally and its descendants are written off.
 //
 // The task driver, rm.StreamRunner, consumes RetryPolicy on every substrate
 // (the CWS path included) instead of ad-hoc retry counters, which is where
@@ -22,7 +23,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -30,12 +30,9 @@ import (
 	"hhcw/internal/sim"
 )
 
-// ErrTimeout marks an attempt ended by the policy's virtual-time timeout.
-var ErrTimeout = errors.New("fault: attempt timed out")
-
 // RetryPolicy is the shared recovery policy. The zero value means "one
-// attempt, no backoff, no timeout"; DefaultRetryPolicy returns the tuning the
-// chaos profiles use.
+// attempt, no backoff"; DefaultRetryPolicy returns the tuning every fault run
+// uses.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget including the first try
 	// (<= 0 is treated as 1: no retries).
@@ -50,13 +47,6 @@ type RetryPolicy struct {
 	// from the deterministic rng handed to Backoff. Jitter decorrelates
 	// retry storms without breaking reproducibility.
 	JitterFrac float64
-	// TimeoutSec bounds each attempt in virtual time, measured from
-	// submission (0 = no timeout).
-	TimeoutSec float64
-	// BreakThreshold opens the circuit after this many consecutive failures
-	// (0 = never): further retries are abandoned and the caller degrades
-	// gracefully instead of hammering a sick substrate.
-	BreakThreshold int
 }
 
 // DefaultRetryPolicy returns the policy the named chaos profiles run under.
@@ -71,10 +61,11 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // String renders the policy compactly — the form stored as recovery metadata
-// in provenance records and trace args.
+// in provenance records and trace args. The constant "timeout=0s break=0"
+// tail keeps the label that provenance digests and PROV exports hash.
 func (p RetryPolicy) String() string {
-	return fmt.Sprintf("retry(max=%d base=%gs mult=%g cap=%gs jitter=%g timeout=%gs break=%d)",
-		p.Attempts(), p.BaseDelaySec, p.Multiplier, p.MaxDelaySec, p.JitterFrac, p.TimeoutSec, p.BreakThreshold)
+	return fmt.Sprintf("retry(max=%d base=%gs mult=%g cap=%gs jitter=%g timeout=0s break=0)",
+		p.Attempts(), p.BaseDelaySec, p.Multiplier, p.MaxDelaySec, p.JitterFrac)
 }
 
 // Attempts returns the normalized total attempt budget (>= 1).
@@ -117,53 +108,4 @@ func (p RetryPolicy) Backoff(attempt int, rng *randx.Source) sim.Time {
 		d = 0
 	}
 	return sim.Time(d)
-}
-
-// NewBreaker returns the policy's circuit breaker (nil when BreakThreshold
-// is 0, which callers treat as "never break").
-func (p RetryPolicy) NewBreaker() *Breaker {
-	if p.BreakThreshold <= 0 {
-		return nil
-	}
-	return &Breaker{Threshold: p.BreakThreshold}
-}
-
-// Breaker is a consecutive-failure circuit breaker. Once open it stays open
-// until Reset: the owning runtime stops retrying and degrades (runs what it
-// can on the remaining healthy capacity) instead of spinning on a substrate
-// that keeps killing work.
-type Breaker struct {
-	// Threshold is the consecutive-failure count that opens the circuit
-	// (<= 0: never opens).
-	Threshold int
-
-	consecutive int
-	open        bool
-}
-
-// Record folds one terminal attempt outcome into the breaker.
-func (b *Breaker) Record(failed bool) {
-	if b == nil {
-		return
-	}
-	if !failed {
-		b.consecutive = 0
-		return
-	}
-	b.consecutive++
-	if b.Threshold > 0 && b.consecutive >= b.Threshold && !b.open {
-		b.open = true
-	}
-}
-
-// Open reports whether the circuit is open. A nil breaker is never open.
-func (b *Breaker) Open() bool { return b != nil && b.open }
-
-// Reset closes the circuit and clears the consecutive-failure count.
-func (b *Breaker) Reset() {
-	if b == nil {
-		return
-	}
-	b.open = false
-	b.consecutive = 0
 }

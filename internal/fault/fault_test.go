@@ -49,31 +49,3 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 		}
 	}
 }
-
-func TestBreaker(t *testing.T) {
-	var nilB *Breaker
-	nilB.Record(true) // must not panic
-	if nilB.Open() {
-		t.Fatal("nil breaker must be inert")
-	}
-	b := (RetryPolicy{BreakThreshold: 3}).NewBreaker()
-	b.Record(true)
-	b.Record(true)
-	b.Record(false) // success resets the streak
-	b.Record(true)
-	b.Record(true)
-	if b.Open() {
-		t.Fatal("breaker opened below threshold")
-	}
-	b.Record(true)
-	if !b.Open() {
-		t.Fatal("breaker should be open after 3 consecutive failures")
-	}
-	b.Reset()
-	if b.Open() {
-		t.Fatal("Reset must close the breaker")
-	}
-	if (RetryPolicy{}).NewBreaker() != nil {
-		t.Fatal("zero threshold must yield nil breaker")
-	}
-}

@@ -22,8 +22,6 @@ type Profile struct {
 	// NodeMTTRSec is the mean repair/replacement time; 0 leaves failed
 	// nodes down for the rest of the run.
 	NodeMTTRSec float64
-	// MaxNodeFailures bounds the total node-fault count (0 = unbounded).
-	MaxNodeFailures int
 
 	// Spot-style reclaim process: cluster-wide reclaim rate per virtual
 	// hour; each reclaim warns ReclaimWarnSec before taking the node down
@@ -357,9 +355,6 @@ func (in *Injector) timers(n *cluster.Node) *nodeTimers {
 }
 
 func (in *Injector) crashOne() {
-	if in.prof.MaxNodeFailures > 0 && in.stats.NodeFailures >= in.prof.MaxNodeFailures {
-		return
-	}
 	n := in.victim()
 	if n == nil {
 		return

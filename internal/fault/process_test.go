@@ -183,24 +183,6 @@ func TestInjectorStopDrainsEngine(t *testing.T) {
 	}
 }
 
-func TestMaxNodeFailuresCap(t *testing.T) {
-	eng := sim.NewEngine()
-	cl := testCluster(eng, 8)
-	inj := NewInjector(cl, randx.New(4), Profile{
-		Name: "mtbf", NodeMTBFSec: 30, MaxNodeFailures: 3, // no MTTR: failures accumulate
-	})
-	inj.Start()
-	eng.RunUntil(3600)
-	inj.Stop()
-	eng.Run()
-	if got := inj.Stats().NodeFailures; got != 3 {
-		t.Fatalf("failures = %d, want cap 3", got)
-	}
-	if up := len(cl.UpNodes()); up != 5 {
-		t.Fatalf("up nodes = %d, want 5", up)
-	}
-}
-
 func TestProfileStringsStable(t *testing.T) {
 	// The policy rendering is stored in provenance and trace args; keep it
 	// stable.

@@ -117,7 +117,6 @@ func TestScatterExpanderEagerEquivalence(t *testing.T) {
 					r := retry
 					sr.Retry = &r
 					sr.RetryRNG = randx.New(7)
-					sr.Breaker = r.NewBreaker()
 					sr.FailPlan = func(i int) int { return plan[i] }
 				}
 				return sr, mgr, sr.Run()
@@ -476,7 +475,7 @@ func TestScatterExpanderResidentUnderFaults(t *testing.T) {
 	probe := &residentProbe{ScatterExpander: x, t: t}
 	sr := &rm.StreamRunner{
 		Manager: mgr, Source: probe, WorkflowID: def.Name, MaxResident: 16,
-		Retry: &retry, RetryRNG: randx.New(7), Breaker: retry.NewBreaker(),
+		Retry: &retry, RetryRNG: randx.New(7),
 		FailPlan: func(i int) int { return plan[i] },
 	}
 	sr.Run()

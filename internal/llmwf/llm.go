@@ -40,14 +40,6 @@ var PhyloflowTemplate = WorkflowTemplate{
 	Steps: []string{"vcf-transform", "pyclone-vi", "spruce-reformat", "spruce-phylogeny"},
 }
 
-// RNASeqTemplate is the §5 Salmon pipeline as a planning template, so the
-// same chatbot front-end can drive transcriptomics requests.
-var RNASeqTemplate = WorkflowTemplate{
-	Name:  "rnaseq",
-	Goal:  "transcriptom",
-	Steps: []string{"prefetch", "fasterq-dump", "salmon", "deseq2"},
-}
-
 // MockLLM is a deterministic scripted planner. It reads the conversation to
 // find (a) the user instruction, matching it against its workflow templates,
 // and (b) the IDs of futures already created, to chain the next step. It can

@@ -290,7 +290,14 @@ func TestMultiTemplatePlanning(t *testing.T) {
 	exec := futures.NewExecutor(eng)
 	specs := RegisterPhyloflow(exec, "")
 	specs = append(specs, registerRNASeq(exec)...)
-	llm := NewMockLLM(PhyloflowTemplate, RNASeqTemplate)
+	// The §5 Salmon pipeline as a planning template, so the same chatbot
+	// front-end can drive transcriptomics requests.
+	rnaseq := WorkflowTemplate{
+		Name:  "rnaseq",
+		Goal:  "transcriptom",
+		Steps: []string{"prefetch", "fasterq-dump", "salmon", "deseq2"},
+	}
+	llm := NewMockLLM(PhyloflowTemplate, rnaseq)
 
 	stats, err := RunFunctionCalling(eng, exec, llm, specs,
 		"build the transcriptomics quantification for SRR0001.sra", 0)

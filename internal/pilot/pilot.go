@@ -268,25 +268,6 @@ func (p *Pilot) Submit(s *rm.Submission) {
 	}
 }
 
-// Abort ends the queued or running task s as failed with err (rm.Executor).
-func (p *Pilot) Abort(s *rm.Submission, err error) bool {
-	if q, ok := p.running[s]; ok {
-		q.endEv.Cancel()
-		p.finish(q, err)
-		return true
-	}
-	for _, list := range []*[]*pending{&p.queue, &p.scheduled} {
-		for i, q := range *list {
-			if q.sub == s {
-				*list = append((*list)[:i], (*list)[i+1:]...)
-				p.fail(q, err)
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // pumpScheduler moves tasks from queue to scheduled at SchedRate.
 func (p *Pilot) pumpScheduler() {
 	if p.schedPumping || p.state != Active || len(p.queue) == 0 {

@@ -122,7 +122,7 @@ func TestStatsByTenant(t *testing.T) {
 	add("alice/wf-0", 2, 0, 5, 15, false, "n0") // 2 cores × 10 s, wait 5
 	add("alice/wf-1", 1, 0, 3, 4, false, "n1")  // 1 core × 1 s, wait 3
 	add("bob/wf-0", 4, 0, 1, 2, true, "n0")     // failed but started: wait counts, core-sec doesn't
-	add("bob/wf-1", 4, 0, 9, 9, true, "")       // pending abort: no node, no wait
+	add("bob/wf-1", 4, 0, 9, 9, true, "")       // never reached a node: no wait
 	got := s.StatsByTenant()
 	if len(got) != 2 {
 		t.Fatalf("tenants = %+v", got)
@@ -135,23 +135,6 @@ func TestStatsByTenant(t *testing.T) {
 	if bob.Tenant != "bob" || bob.Executions != 2 || bob.Failures != 2 ||
 		bob.Started != 1 || bob.QueueWaitSum != 1 || bob.CoreSeconds != 0 {
 		t.Fatalf("bob = %+v", bob)
-	}
-}
-
-func TestStatsByTenantCompactMode(t *testing.T) {
-	s := NewStore()
-	s.SetTenantResolver(func(string) string { return "solo" })
-	s.SetCompact(true)
-	for i := 0; i < 100; i++ {
-		s.AddTask(TaskRecord{WorkflowID: "solo/wf", TaskID: "t", Name: "p",
-			StartedAt: 1, FinishedAt: 2, Cores: 1, Node: "n"})
-	}
-	if s.Len() != 0 {
-		t.Fatalf("compact store retained %d records", s.Len())
-	}
-	st := s.StatsByTenant()
-	if len(st) != 1 || st[0].Executions != 100 || st[0].CoreSeconds != 100 {
-		t.Fatalf("compact tenant stats = %+v", st)
 	}
 }
 

@@ -3,15 +3,13 @@ package provenance
 import "testing"
 
 // TestTaskObserver pins the provenance→predict feed contract: the observer
-// sees every ingested record exactly once, in insertion order, in retained
-// and compact mode alike.
+// sees every ingested record exactly once, in insertion order.
 func TestTaskObserver(t *testing.T) {
 	s := NewStore()
 	var seen []TaskRecord
 	s.SetTaskObserver(func(r TaskRecord) { seen = append(seen, r) })
 
 	s.AddTask(TaskRecord{WorkflowID: "wf", TaskID: "a", Name: "map", StartedAt: 0, FinishedAt: 10})
-	s.SetCompact(true)
 	s.AddTask(TaskRecord{WorkflowID: "wf", TaskID: "b", Name: "reduce", Failed: true})
 
 	if len(seen) != 2 {
@@ -23,7 +21,7 @@ func TestTaskObserver(t *testing.T) {
 	if !seen[1].Failed {
 		t.Fatal("failed record not delivered as failed")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("retention changed by observer: len=%d, want 1 (the compact record folded)", s.Len())
+	if s.Len() != 2 {
+		t.Fatalf("retention changed by observer: len=%d, want 2", s.Len())
 	}
 }

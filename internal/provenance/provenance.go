@@ -109,14 +109,10 @@ type Store struct {
 	nodeEvents []NodeEvent
 	workflows  map[string]*dag.Workflow
 	// Tenant dimension (see SetTenantResolver): running per-tenant
-	// aggregates, O(tenants) regardless of record retention.
+	// aggregates, O(tenants).
 	tenantOf   func(wfID string) string
 	tenantSlot map[string]int32
 	tenants    []tenantAgg
-	// compact drops record retention: AddTask folds into the running
-	// aggregates and discards the record, keeping memory O(process names)
-	// at any task count (see SetCompact).
-	compact bool
 	// observer, when set, sees every record AddTask ingests (see
 	// SetTaskObserver).
 	observer func(TaskRecord)
@@ -141,8 +137,8 @@ func NewStore() *Store {
 
 // Reset empties the store in place: records, indexes, aggregates, node
 // events, and registered workflows are all cleared with their backing
-// capacity retained, and the per-run configuration (tenant resolver, compact
-// mode) reverts to the just-constructed default. The task observer survives:
+// capacity retained, and the per-run configuration (the tenant resolver)
+// reverts to the just-constructed default. The task observer survives:
 // it is construction-time wiring (the CWS trains predictors through it) and
 // warm sessions must not re-register it.
 func (s *Store) Reset() {
@@ -163,7 +159,6 @@ func (s *Store) Reset() {
 	clear(s.tenantSlot)
 	clear(s.tenants)
 	s.tenants = s.tenants[:0]
-	s.compact = false
 }
 
 // RegisterWorkflow stores workflow structure for the export's dependency
@@ -195,8 +190,7 @@ func (s *Store) SetTenantResolver(fn func(wfID string) string) {
 	}
 }
 
-// tenantAgg is the per-tenant running aggregate, folded on every AddTask so
-// it survives compact mode unchanged.
+// tenantAgg is the per-tenant running aggregate, folded on every AddTask.
 type tenantAgg struct {
 	tenant   string
 	execs    int
@@ -210,14 +204,14 @@ type tenantAgg struct {
 type TenantStats struct {
 	Tenant       string
 	Executions   int     // terminal attempts observed
-	Failures     int     // failed attempts (incl. pending aborts)
+	Failures     int     // failed attempts
 	Started      int     // attempts that reached a node
 	QueueWaitSum float64 // Σ (StartedAt−SubmittedAt) over started attempts
 	CoreSeconds  float64 // Σ cores×runtime over successful attempts
 }
 
 // StatsByTenant returns per-tenant summaries sorted by tenant ID, read from
-// the running aggregates — O(tenants), valid in compact mode.
+// the running aggregates — O(tenants).
 func (s *Store) StatsByTenant() []TenantStats {
 	out := make([]TenantStats, 0, len(s.tenants))
 	for _, a := range s.tenants {
@@ -230,49 +224,29 @@ func (s *Store) StatsByTenant() []TenantStats {
 	return out
 }
 
-// SetCompact switches record retention on or off. With compact on, AddTask
-// folds every record into the running aggregates (StatsByName,
-// MeanRefRuntime) and drops it, so a million-task streaming run keeps
-// provenance memory bounded by the number of distinct process names.
-// Record-level queries (All, ExportPROV, AnnotateRetry) see only records
-// added while retention was on. Len counts retained records only; a task
-// observer (SetTaskObserver) sees every record.
-func (s *Store) SetCompact(on bool) { s.compact = on }
-
-// Compact reports whether record retention is off.
-func (s *Store) Compact() bool { return s.compact }
-
 // SetTaskObserver installs a hook invoked with every record AddTask
-// ingests, whether or not the record is retained (compact mode folds and
-// drops records, but the observer still sees each one exactly once). This
-// is the §3.4 provenance→prediction feed: online predictors subscribe here
-// and train as attempts complete.
+// ingests. This is the §3.4 provenance→prediction feed: online predictors
+// subscribe here and train as attempts complete.
 func (s *Store) SetTaskObserver(fn func(TaskRecord)) { s.observer = fn }
 
-// AddTask appends a task execution record (unless the store is compact) and
-// folds it into the per-name, per-workflow and per-tenant aggregates: one
-// lookup per key, each reaching a dense slot.
+// AddTask appends a task execution record and folds it into the per-name,
+// per-workflow and per-tenant aggregates: one lookup per key, each reaching
+// a dense slot.
 func (s *Store) AddTask(r TaskRecord) {
 	if s.observer != nil {
 		s.observer(r)
 	}
 	na := &s.names[s.nameOf(r.Name)]
+	idx := len(s.records)
+	s.records = append(s.records, r)
+	wf := &s.wfs[s.wfOf(r.WorkflowID)]
+	wf.recs = append(wf.recs, idx)
 	tenant := int32(-1)
-	if s.compact {
-		if s.tenantOf != nil {
-			tenant = s.tenantIdx(s.tenantOf(r.WorkflowID))
+	if s.tenantOf != nil {
+		if wf.tenant < 0 {
+			wf.tenant = s.tenantIdx(s.tenantOf(r.WorkflowID))
 		}
-	} else {
-		idx := len(s.records)
-		s.records = append(s.records, r)
-		wf := &s.wfs[s.wfOf(r.WorkflowID)]
-		wf.recs = append(wf.recs, idx)
-		if s.tenantOf != nil {
-			if wf.tenant < 0 {
-				wf.tenant = s.tenantIdx(s.tenantOf(r.WorkflowID))
-			}
-			tenant = wf.tenant
-		}
+		tenant = wf.tenant
 	}
 
 	if tenant >= 0 {
@@ -281,7 +255,7 @@ func (s *Store) AddTask(r TaskRecord) {
 		if r.Failed {
 			a.failures++
 		}
-		if r.Node != "" { // pending aborts never reached a node
+		if r.Node != "" { // an attempt that never reached a node has no wait
 			a.started++
 			a.waitSum += float64(r.StartedAt - r.SubmittedAt)
 			if !r.Failed {

@@ -23,7 +23,6 @@ type mapStore struct {
 	statByName map[string]statAgg
 	tenantOf   func(string) string
 	byTenant   map[string]tenantAgg
-	compact    bool
 }
 
 func newMapStore() *mapStore {
@@ -42,10 +41,8 @@ func (m *mapStore) reset() {
 }
 
 func (m *mapStore) addTask(r TaskRecord) {
-	if !m.compact {
-		m.byWorkflow[r.WorkflowID] = append(m.byWorkflow[r.WorkflowID], len(m.records))
-		m.records = append(m.records, r)
-	}
+	m.byWorkflow[r.WorkflowID] = append(m.byWorkflow[r.WorkflowID], len(m.records))
+	m.records = append(m.records, r)
 	if m.tenantOf != nil {
 		t := m.tenantOf(r.WorkflowID)
 		a := m.byTenant[t]
@@ -178,9 +175,9 @@ func tenantPrefix(wfID string) string {
 
 // TestSlotStoreMatchesMapStore feeds one randomized record stream to the
 // slot store and to the map-keyed reference: names, workflows and tenants
-// vary, failures, non-positive speed factors and pending aborts occur,
-// compact mode toggles mid-round, retries are annotated, and the stores are
-// reset between rounds. Every query must agree bit for bit.
+// vary, failures, non-positive speed factors and attempts that never reached
+// a node occur, retries are annotated, and the stores are reset between
+// rounds. Every query must agree bit for bit.
 func TestSlotStoreMatchesMapStore(t *testing.T) {
 	rng := randx.New(29)
 	s, ref := NewStore(), newMapStore()
@@ -234,11 +231,6 @@ func TestSlotStoreMatchesMapStore(t *testing.T) {
 				s.SetTenantResolver(tenantPrefix)
 				ref.tenantOf = tenantPrefix
 			}
-			if rng.Bernoulli(0.02) {
-				on := !s.Compact()
-				s.SetCompact(on)
-				ref.compact = on
-			}
 			submitted := sim.Time(rng.Float64() * 1e4)
 			started := submitted + sim.Time(rng.Float64()*50)
 			rec := TaskRecord{
@@ -256,7 +248,7 @@ func TestSlotStoreMatchesMapStore(t *testing.T) {
 				Failed:      rng.Bernoulli(0.25),
 			}
 			if rec.Failed && rng.Bernoulli(0.3) {
-				rec.Node = "" // pending abort: never reached a node
+				rec.Node = "" // never reached a node
 				rec.StartedAt, rec.FinishedAt = rec.SubmittedAt, rec.SubmittedAt
 			}
 			s.AddTask(rec)

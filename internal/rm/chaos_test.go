@@ -172,74 +172,6 @@ func TestStreamRunnerTerminalFailureSkipsDescendants(t *testing.T) {
 	}
 }
 
-func TestStreamRunnerAttemptTimeout(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewTaskManager(testCluster(eng, 1, 8), nil)
-	w := dag.New("w")
-	w.Add(&dag.Task{ID: "slow", NominalDur: 1000})
-	retry := &fault.RetryPolicy{MaxAttempts: 2, BaseDelaySec: 10, TimeoutSec: 50}
-	mr := &StreamRunner{Manager: m, Retry: retry}
-	ms, _ := runWorkflow(t, mr, w)
-	// Two 50s timeouts + one 10s backoff.
-	if ms != 110 {
-		t.Fatalf("makespan = %v, want 110", ms)
-	}
-	st := mr.Stats()
-	if st.Timeouts != 2 || st.TerminalFailures != 1 {
-		t.Fatalf("stats = %+v, want 2 timeouts, 1 terminal", st)
-	}
-}
-
-// An attempt that times out while still queued fails terminally, and its
-// record goes back to the runner's pool inside the abort: the next task
-// reuses it at once. The aborted submission must not stay queued behind
-// that reuse, or a later schedule pass would start the recycled record.
-func TestStreamRunnerQueuedTimeoutRecyclesCleanly(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewTaskManager(testCluster(eng, 1, 1), nil)
-	w := dag.New("w")
-	for _, id := range []dag.TaskID{"a", "b", "c", "d"} {
-		w.Add(&dag.Task{ID: id, NominalDur: 10, Cores: 1})
-	}
-	mr := &StreamRunner{Manager: m, Retry: &fault.RetryPolicy{MaxAttempts: 1, TimeoutSec: 5}}
-	ms, results := runWorkflow(t, mr, w)
-	if err := mr.Err(); err != nil {
-		t.Fatal(err)
-	}
-	st := mr.Stats()
-	if len(results) != 4 || st.Attempts != 4 || st.Timeouts != 4 || st.TerminalFailures != 4 {
-		t.Fatalf("results %d, stats %+v: want 4 attempts, each timed out and terminal", len(results), st)
-	}
-	if ms != 5 || len(m.pending) != 0 || len(m.running) != 0 {
-		t.Fatalf("makespan %v, %d pending, %d running: want 5, 0, 0", ms, len(m.pending), len(m.running))
-	}
-}
-
-func TestStreamRunnerBreakerStopsRetries(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewTaskManager(testCluster(eng, 2, 8), nil)
-	w := dag.New("w")
-	w.Add(&dag.Task{ID: "a", NominalDur: 10})
-	retry := &fault.RetryPolicy{MaxAttempts: 10, BaseDelaySec: 1, BreakThreshold: 2}
-	mr := &StreamRunner{
-		Manager:  m,
-		Retry:    retry,
-		Breaker:  retry.NewBreaker(),
-		FailPlan: failPlan(w, map[dag.TaskID]int{"a": 99}),
-	}
-	runWorkflow(t, mr, w)
-	st := mr.Stats()
-	if st.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (breaker threshold)", st.Attempts)
-	}
-	if st.TerminalFailures != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if !mr.Breaker.Open() {
-		t.Fatal("breaker should be open")
-	}
-}
-
 // Regression for the repair path: work queued while all capacity was down
 // must start when a node comes back, via the OnNodeUp → kick subscription.
 func TestTaskManagerRunsQueuedWorkAfterRepair(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +17,7 @@ import (
 // The dispatch overhaul replaced the per-submission full node scan with the
 // cluster's capacity index, and first-fit strategies now receive only the
 // first fit, found by index descent. This file replays random tapes of
-// submit / cancel / abort / node-fail / node-repair operations through a
+// submit / node-fail / node-repair operations through a
 // strategy instrumented to rerun the old scan kernel at every placement
 // decision, with and without a duration oracle arming EASY reservations:
 // the candidate list the manager hands to PickNode must match the rescan,
@@ -30,7 +29,7 @@ import (
 // tapeOp is one replayable scheduler-facing operation.
 type tapeOp struct {
 	At    float64 `json:"at"`
-	Op    string  `json:"op"` // submit | cancel (abort while pending) | abort | fail | repair
+	Op    string  `json:"op"` // submit | fail | repair
 	ID    string  `json:"id,omitempty"`
 	Cores int     `json:"cores,omitempty"`
 	GPUs  int     `json:"gpus,omitempty"`
@@ -171,8 +170,7 @@ func (c *checkedFIFO) dumpFailure(s *Submission, want, got []*cluster.Node) {
 }
 
 // genTape builds a random operation tape: a burst of submissions with mixed
-// shapes, sprinkled with cancels and aborts of earlier IDs and node
-// fail/repair churn.
+// shapes, sprinkled with node fail/repair churn.
 func genTape(r *randx.Source, nodes int) []tapeOp {
 	var tape []tapeOp
 	n := 0
@@ -183,14 +181,6 @@ func genTape(r *randx.Source, nodes int) []tapeOp {
 			tape = append(tape, tapeOp{At: at, Op: "fail", Node: r.Intn(nodes)})
 		case 1: // repair a node
 			tape = append(tape, tapeOp{At: at, Op: "repair", Node: r.Intn(nodes)})
-		case 2: // cancel an earlier submission
-			if n > 0 {
-				tape = append(tape, tapeOp{At: at, Op: "cancel", ID: fmt.Sprintf("s%03d", r.Intn(n))})
-			}
-		case 3: // abort an earlier submission
-			if n > 0 {
-				tape = append(tape, tapeOp{At: at, Op: "abort", ID: fmt.Sprintf("s%03d", r.Intn(n))})
-			}
 		default: // submit
 			tape = append(tape, tapeOp{
 				At: at, Op: "submit", ID: fmt.Sprintf("s%03d", n),
@@ -203,36 +193,19 @@ func genTape(r *randx.Source, nodes int) []tapeOp {
 	return tape
 }
 
-// tapeAbort aborts the submission a tape operation names, if it has been
-// submitted; with pendingOnly, a cancel, only while it is still pending.
-// It reports whether the manager found the submission.
-func tapeAbort(m *TaskManager, s *Submission, pendingOnly bool) bool {
-	if s == nil || pendingOnly && !slices.Contains(m.pending, s) {
-		return false
-	}
-	return m.Abort(s, fmt.Errorf("tape abort"))
-}
-
 // replayTape schedules every tape operation at its virtual time; done, if
-// not nil, receives every submission's terminal result. A cancel aborts a
-// pending submission, which then finishes failed, and leaves a running one
-// alone.
+// not nil, receives every submission's terminal result.
 func replayTape(eng *sim.Engine, cl *cluster.Cluster, m *TaskManager, tape []tapeOp, done func(Result)) {
-	subs := map[string]*Submission{}
 	for _, op := range tape {
 		op := op
 		switch op.Op {
 		case "submit":
 			eng.At(sim.Time(op.At), func() {
-				s := &Submission{
+				m.Submit(&Submission{
 					TaskID: dag.TaskID(op.ID), Cores: op.Cores, GPUs: op.GPUs, Mem: op.Mem,
 					Runtime: fixedRuntime(op.Dur), Done: done,
-				}
-				subs[op.ID] = s
-				m.Submit(s)
+				})
 			})
-		case "cancel", "abort":
-			eng.At(sim.Time(op.At), func() { tapeAbort(m, subs[op.ID], op.Op == "cancel") })
 		case "fail":
 			eng.At(sim.Time(op.At), func() { cl.FailNode(cl.Nodes()[op.Node]) })
 		case "repair":

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"hhcw/internal/dag"
-	"hhcw/internal/fault"
 )
 
 // The failure causes below are small values that render their text when
@@ -44,29 +43,3 @@ func (e *TransientError) Error() string {
 	out = append(out, ')')
 	return string(out)
 }
-
-// TimeoutError is an attempt ended by the recovery policy's virtual-time
-// timeout: "rm: <submission ID> attempt <Attempt> exceeded <LimitSec>s: "
-// followed by fault.ErrTimeout's text, which Unwrap returns.
-type TimeoutError struct {
-	WorkflowID string
-	Task       dag.TaskID
-	Attempt    int
-	LimitSec   float64
-}
-
-func (e *TimeoutError) Error() string {
-	var b [160]byte
-	out := append(b[:0], "rm: "...)
-	out = appendID(out, e.WorkflowID, e.Task, e.Attempt)
-	out = append(out, " attempt "...)
-	out = strconv.AppendInt(out, int64(e.Attempt), 10)
-	out = append(out, " exceeded "...)
-	out = strconv.AppendFloat(out, e.LimitSec, 'f', 0, 64) // %.0f
-	out = append(out, "s: "...)
-	out = append(out, fault.ErrTimeout.Error()...)
-	return string(out)
-}
-
-// Unwrap returns fault.ErrTimeout, so errors.Is finds it.
-func (e *TimeoutError) Unwrap() error { return fault.ErrTimeout }

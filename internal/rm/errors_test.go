@@ -3,18 +3,15 @@ package rm
 import (
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
 	"hhcw/internal/dag"
-	"hhcw/internal/fault"
 	"hhcw/internal/sim"
 )
 
 // TestFailureCauseText checks each typed failure cause against the
 // fmt.Errorf text it replaced, on the same inputs, for every layer that
-// reports it, and that errors.As finds it (errors.Is finds fault.ErrTimeout
-// through a timeout).
+// reports it, and that errors.As finds it.
 func TestFailureCauseText(t *testing.T) {
 	type tc struct {
 		err  error
@@ -23,7 +20,6 @@ func TestFailureCauseText(t *testing.T) {
 	}
 	asNode := func(err error) bool { var e *NodeFailedError; return errors.As(err, &e) }
 	asTransient := func(err error) bool { var e *TransientError; return errors.As(err, &e) }
-	asTimeout := func(err error) bool { var e *TimeoutError; return errors.As(err, &e) }
 	var cases []tc
 	for _, layer := range []string{"rm", "pilot"} {
 		for _, node := range []string{"node-0003", "frontier-0042", ""} {
@@ -37,26 +33,6 @@ func TestFailureCauseText(t *testing.T) {
 				fmt.Sprintf("%s: injected transient failure of %s (attempt %d)", layer, "mProject_07", attempt), asTransient})
 		}
 	}
-	for _, c := range []struct {
-		wf      string
-		task    dag.TaskID
-		attempt int
-		limit   float64
-	}{
-		{"montage-16", "mAdd", 1, 600},
-		{"tenant/wf", "x#1", 3, 59.5},
-		{"wf", "a", 12, 0.4},
-		{"wf", "a", 2, math.Inf(1)},
-		{"wf", "a", 2, math.NaN()},
-		{"", "probe", 1, -3},
-	} {
-		s := &Submission{WorkflowID: c.wf, TaskID: c.task, Attempt: c.attempt}
-		cases = append(cases, tc{
-			&TimeoutError{WorkflowID: c.wf, Task: c.task, Attempt: c.attempt, LimitSec: c.limit},
-			fmt.Errorf("rm: %s attempt %d exceeded %.0fs: %w", s.ID(), s.Attempt, c.limit, fault.ErrTimeout).Error(),
-			asTimeout,
-		})
-	}
 	for _, c := range cases {
 		if got := c.err.Error(); got != c.want {
 			t.Errorf("%#v: Error() = %q, want %q", c.err, got, c.want)
@@ -65,16 +41,12 @@ func TestFailureCauseText(t *testing.T) {
 		if !c.as(wrapped) {
 			t.Errorf("%#v: errors.As does not find the type", c.err)
 		}
-		_, timeout := c.err.(*TimeoutError)
-		if errors.Is(wrapped, fault.ErrTimeout) != timeout {
-			t.Errorf("%#v: errors.Is(fault.ErrTimeout) = %v, want %v", c.err, !timeout, timeout)
-		}
 	}
 }
 
 // TestFailureCausesAtTheirSites drives one terminal failure of each kind
-// through a StreamRunner on a TaskManager — a node failure, an injected
-// transient failure and an attempt timeout — and checks the cause its
+// through a StreamRunner on a TaskManager — a node failure and an injected
+// transient failure — and checks the cause its
 // result carries: the typed value, and the text the runner used to build.
 func TestFailureCausesAtTheirSites(t *testing.T) {
 	for _, c := range []struct {
@@ -89,9 +61,6 @@ func TestFailureCausesAtTheirSites(t *testing.T) {
 		{"transient", func(_ *sim.Engine, _ *TaskManager, sr *StreamRunner, w *dag.Workflow) {
 			sr.FailPlan = failPlan(w, map[dag.TaskID]int{"a": 1})
 		}, "rm: injected transient failure of a (attempt 1)", func(err error) bool { var e *TransientError; return errors.As(err, &e) }},
-		{"timeout", func(_ *sim.Engine, _ *TaskManager, sr *StreamRunner, _ *dag.Workflow) {
-			sr.Retry = &fault.RetryPolicy{MaxAttempts: 2, TimeoutSec: 30}
-		}, "rm: w/a#2 attempt 2 exceeded 30s: fault: attempt timed out", func(err error) bool { return errors.Is(err, fault.ErrTimeout) }},
 	} {
 		eng := sim.NewEngine()
 		m := NewTaskManager(testCluster(eng, 2, 8), nil)

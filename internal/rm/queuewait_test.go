@@ -9,22 +9,17 @@ import (
 	"hhcw/internal/sim"
 )
 
-// Queue-wait accounting property, checked over random submit/cancel/abort/
-// node-churn tapes (the crosscheck harness's generator; a cancel aborts a
-// submission only while it is pending):
+// Queue-wait accounting property, checked over random submit/node-churn
+// tapes (the crosscheck harness's generator):
 //
 //   - QueueWait() is exactly the sum, in start order, of the waits of the
 //     submissions that actually started on a node, and counts exactly them —
-//     nothing more, nothing less. In particular submissions aborted while
-//     pending NEVER contribute. The reference sum is built in the same
+//     nothing more, nothing less. The reference sum is built in the same
 //     order, so the comparison is exact.
-//   - Every started submission's Result carries that same wait.
-//   - Abort of a still-pending submission yields a terminal Result with
-//     Node == nil whose QueueWait() covers the full pending span (StartedAt
-//     pinned to the abort time, as documented on Abort) — and that wait does
-//     not leak into the manager's QueueWait().
-//   - Aborted entries leave the queue: at drain the pending queue counts
-//     exactly the submissions that never started and never ended.
+//   - Every terminal Result has a node and carries that same wait: only a
+//     started submission ends.
+//   - At drain the pending queue counts exactly the submissions that never
+//     started.
 //
 // The per-tenant p99 queue-wait SLO metrics in internal/service are computed
 // from exactly these two sources, so this pins their provenance.
@@ -38,8 +33,6 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 		results := make(map[string]Result)
 		submitted := make(map[string]sim.Time)
 		startWait := make(map[string]float64)
-		subs := make(map[string]*Submission)
-		cancelled := make(map[string]bool)
 		wantSum := 0.0
 		for _, op := range tape {
 			op := op
@@ -47,7 +40,7 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 			case "submit":
 				eng.At(sim.Time(op.At), func() {
 					submitted[op.ID] = eng.Now()
-					subs[op.ID] = &Submission{
+					m.Submit(&Submission{
 						TaskID: dag.TaskID(op.ID), Cores: op.Cores, GPUs: op.GPUs, Mem: op.Mem,
 						// The manager asks for the runtime once, at
 						// placement: record the wait in start order.
@@ -63,14 +56,7 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 							}
 							results[op.ID] = r
 						},
-					}
-					m.Submit(subs[op.ID])
-				})
-			case "cancel", "abort":
-				eng.At(sim.Time(op.At), func() {
-					if tapeAbort(m, subs[op.ID], op.Op == "cancel") && op.Op == "cancel" {
-						cancelled[op.ID] = true
-					}
+					})
 				})
 			case "fail":
 				eng.At(sim.Time(op.At), func() { cl.FailNode(cl.Nodes()[op.Node]) })
@@ -80,51 +66,30 @@ func TestQueueWaitAccountingProperty(t *testing.T) {
 		}
 		eng.Run()
 
-		// A cancel found its submission pending, so it finished failed
-		// without a node, as one of the pending aborts counted below.
-		for id := range cancelled {
-			if r, ok := results[id]; !ok || r.Node != nil || !r.Failed {
-				t.Fatalf("seed %d: cancelled %s ended as %+v (%v), want a nodeless failure", seed, id, r, ok)
-			}
-		}
-		pendingAborts := 0
 		for id, r := range results {
 			if r.SubmittedAt != submitted[id] {
 				t.Fatalf("seed %d: %s SubmittedAt=%v, submitted at %v", seed, id, r.SubmittedAt, submitted[id])
 			}
-			if r.Node != nil {
-				// Started on a node: its wait must appear in QueueWait,
-				// whether it later completed, failed, or was aborted running.
-				if w, ok := startWait[id]; !ok || w != float64(r.StartedAt-r.SubmittedAt) {
-					t.Fatalf("seed %d: %s result wait %v, recorded at start %v (%v)",
-						seed, id, r.StartedAt-r.SubmittedAt, w, ok)
-				}
-				continue
+			if r.Node == nil {
+				t.Fatalf("seed %d: %s ended without a node: %+v", seed, id, r)
 			}
-			// Never started: only Abort-while-pending produces a terminal
-			// result without a node.
-			pendingAborts++
-			if !r.Failed || r.Err == nil {
-				t.Fatalf("seed %d: %s nodeless result not a failure: %+v", seed, id, r)
-			}
-			if r.StartedAt != r.FinishedAt {
-				t.Fatalf("seed %d: %s pending abort StartedAt=%v FinishedAt=%v", seed, id, r.StartedAt, r.FinishedAt)
-			}
-			if r.QueueWait() < 0 {
-				t.Fatalf("seed %d: %s negative pending-abort wait %v", seed, id, r.QueueWait())
+			// Started on a node: its wait must appear in QueueWait, whether
+			// it later completed or its node failed under it.
+			if w, ok := startWait[id]; !ok || w != float64(r.StartedAt-r.SubmittedAt) {
+				t.Fatalf("seed %d: %s result wait %v, recorded at start %v (%v)",
+					seed, id, r.StartedAt-r.SubmittedAt, w, ok)
 			}
 		}
 
 		sum, started := m.QueueWait()
-		if started != len(startWait) || started != len(results)-pendingAborts {
-			t.Fatalf("seed %d: QueueWait counts %d starts, want %d started submissions (%d pending aborts, %d results)",
-				seed, started, len(startWait), pendingAborts, len(results))
+		if started != len(startWait) || started != len(results) {
+			t.Fatalf("seed %d: QueueWait counts %d starts, want %d started submissions (%d results)",
+				seed, started, len(startWait), len(results))
 		}
 		if sum != wantSum {
 			t.Fatalf("seed %d: QueueWait sum %v, start-order reference %v", seed, sum, wantSum)
 		}
-		// The leftover queue at drain: whatever never became feasible, minus
-		// everything aborted or placed.
+		// The leftover queue at drain: whatever never became feasible.
 		if want := len(submitted) - len(results); len(m.pending) != want {
 			t.Fatalf("seed %d: final queue %d, want %d live pending", seed, len(m.pending), want)
 		}

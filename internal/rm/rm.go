@@ -146,12 +146,9 @@ type SubmissionHooks interface {
 // agent, or CloudEnv's instance fleet. Submit queues s; s.RuntimeOn is asked
 // when s starts and s.ValidateOn when it ends (with a nil node where there
 // are no cluster nodes), and s.Finish gets the result exactly once, inside
-// Submit if the executor refuses s. Abort fails the queued or running
-// attempt s, matched by pointer, and reports whether it found it. Engine is
-// the executor's clock.
+// Submit if the executor refuses s. Engine is the executor's clock.
 type Executor interface {
 	Submit(s *Submission)
-	Abort(s *Submission, err error) bool
 	Engine() *sim.Engine
 }
 
@@ -403,40 +400,6 @@ func (m *TaskManager) Submit(s *Submission) {
 	m.kick()
 }
 
-// Abort terminates a pending or running submission with a failure carrying
-// err — the enforcement hook for the recovery layer's virtual-time attempt
-// timeouts. It reports whether the submission was found. For a submission
-// aborted while still pending, Result.Node is nil and StartedAt equals the
-// abort time, and s leaves the pending queue before its Done runs: the
-// submitter may recycle s there. It scans the running set and the queue:
-// only attempt timeouts abort.
-func (m *TaskManager) Abort(s *Submission, err error) bool {
-	for _, r := range m.running {
-		if r.sub == s {
-			r.endEv.Cancel()
-			m.finish(r, true, err)
-			return true
-		}
-	}
-	i := slices.Index(m.pending, s)
-	if i < 0 {
-		return false
-	}
-	m.pending = slices.Delete(m.pending, i, i+1)
-	now := m.eng.Now()
-	m.failed++
-	m.kick()
-	s.Finish(Result{
-		Submission:  s,
-		SubmittedAt: s.submittedAt,
-		StartedAt:   now,
-		FinishedAt:  now,
-		Failed:      true,
-		Err:         err,
-	})
-	return true
-}
-
 // kick coalesces schedule passes into one per event timestamp.
 func (m *TaskManager) kick() {
 	if m.schedulePending {
@@ -568,8 +531,8 @@ func (m *TaskManager) finish(r *running, failed bool, err error) {
 		Err:         err,
 	}
 	sub := r.sub
-	// r is finished exactly once (Abort and node-down cancel endEv before
-	// calling finish), so the record can be recycled for a future start —
+	// r is finished exactly once (node-down cancels endEv before calling
+	// finish), so the record can be recycled for a future start —
 	// keeping its bound endFn and allocBox. Recycle before the Done
 	// callback: Done may submit follow-up work that schedules immediately.
 	r.sub, r.alloc, r.endEv, r.start = nil, nil, nil, 0
@@ -619,9 +582,8 @@ type RunStats struct {
 	Attempts         int     // attempts that reached a terminal Result
 	Failures         int     // failed attempts, recovered or not
 	Retries          int     // resubmissions scheduled by the policy
-	TerminalFailures int     // tasks that exhausted the policy (or broke the circuit)
+	TerminalFailures int     // tasks that exhausted the policy
 	Skipped          int     // descendants cancelled by terminal failures
-	Timeouts         int     // attempts ended by the virtual-time timeout
 	BackoffSec       float64 // total backoff delay injected
 }
 

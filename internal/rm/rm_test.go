@@ -1,7 +1,6 @@
 package rm
 
 import (
-	"errors"
 	"testing"
 
 	"hhcw/internal/cluster"
@@ -92,27 +91,6 @@ func TestTaskManagerParallelWhenFits(t *testing.T) {
 	eng.Run()
 	if n != 2 || eng.Now() != 10 {
 		t.Fatalf("parallel run: n=%d end=%v, want 2 tasks at t=10", n, eng.Now())
-	}
-}
-
-// Abort of a pending submission keeps it from ever starting, and a
-// submission the manager never saw is not found.
-func TestTaskManagerAbortPendingNeverRuns(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewTaskManager(testCluster(eng, 1, 1), nil)
-	ran := false
-	m.Submit(&Submission{TaskID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: func(Result) {}})
-	x := &Submission{TaskID: "x", Cores: 1, Runtime: fixedRuntime(5), Done: func(r Result) { ran = r.Node != nil }}
-	m.Submit(x)
-	if !m.Abort(x, errors.New("abort")) {
-		t.Fatal("Abort returned false for pending submission")
-	}
-	eng.Run()
-	if ran {
-		t.Fatal("aborted submission ran")
-	}
-	if m.Abort(&Submission{TaskID: "x"}, errors.New("abort")) {
-		t.Fatal("Abort returned true for a submission never submitted")
 	}
 }
 
@@ -361,97 +339,5 @@ func TestResultQueueWait(t *testing.T) {
 	r := Result{SubmittedAt: 5, StartedAt: 12}
 	if r.QueueWait() != 7 {
 		t.Fatalf("QueueWait = %v", r.QueueWait())
-	}
-}
-
-// Abort of a pending submission takes it out of the pending queue at once,
-// and a second Abort no longer finds it.
-func TestAbortPendingLeavesQueueAtOnce(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewTaskManager(testCluster(eng, 1, 1), nil)
-	done := func(Result) {}
-	errAbort := errors.New("abort")
-	p1 := &Submission{TaskID: "p1", Cores: 1, Runtime: fixedRuntime(5), Done: done}
-	p2 := &Submission{TaskID: "p2", Cores: 1, Runtime: fixedRuntime(5), Done: done}
-	m.Submit(&Submission{TaskID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: done})
-	m.Submit(p1)
-	m.Submit(p2)
-	// No schedule pass has run yet: all three count as queued.
-	if got := len(m.pending); got != 3 {
-		t.Fatalf("queue before abort = %d, want 3", got)
-	}
-	if !m.Abort(p1, errAbort) {
-		t.Fatal("Abort(p1) = false")
-	}
-	if got := len(m.pending); got != 2 {
-		t.Fatalf("queue right after Abort(p1) = %d, want 2", got)
-	}
-	if m.Abort(p1, errAbort) {
-		t.Fatal("second Abort(p1) = true")
-	}
-	// Mid-run abort inside an event: hold is running, p2 pending.
-	eng.At(1, func() {
-		if got := len(m.pending); got != 1 {
-			t.Errorf("queue at t=1 = %d, want 1", got)
-		}
-		if !m.Abort(p2, errAbort) {
-			t.Error("Abort(p2) = false")
-		}
-		if got := len(m.pending); got != 0 {
-			t.Errorf("queue right after the mid-run Abort = %d, want 0", got)
-		}
-	})
-	eng.Run()
-	if m.Completed() != 1 || m.Failed() != 2 {
-		t.Fatalf("completed/failed = %d/%d, want 1/2 (only hold ran)", m.Completed(), m.Failed())
-	}
-	if got := len(m.pending); got != 0 {
-		t.Fatalf("final queue = %d, want 0", got)
-	}
-}
-
-// Abort of a still-pending submission fails it at once, counts it in
-// Failed, and takes it out of the queue.
-func TestAbortPendingUpdatesQueueGauge(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewTaskManager(testCluster(eng, 1, 1), nil)
-	var res Result
-	errAbort := errors.New("attempt deadline")
-	p := &Submission{TaskID: "p", Cores: 1, Runtime: fixedRuntime(5), Done: func(r Result) { res = r }}
-	m.Submit(&Submission{TaskID: "hold", Cores: 1, Runtime: fixedRuntime(5), Done: func(Result) {}})
-	m.Submit(p)
-	eng.At(2, func() {
-		if got := len(m.pending); got != 1 {
-			t.Errorf("queue before abort = %d, want 1", got)
-		}
-		if !m.Abort(p, errAbort) {
-			t.Error("Abort(p) = false")
-		}
-		if got := m.Failed(); got != 1 {
-			t.Errorf("Failed() immediately after pending Abort = %d, want 1", got)
-		}
-		if got := len(m.pending); got != 0 {
-			t.Errorf("queue immediately after pending Abort = %d, want 0", got)
-		}
-		if m.Abort(p, errAbort) {
-			t.Error("second Abort(p) = true")
-		}
-	})
-	eng.At(3, func() {
-		if got := len(m.pending); got != 0 {
-			t.Errorf("queue after the pass the Abort kicked = %d, want 0", got)
-		}
-	})
-	eng.Run()
-	if m.Completed() != 1 || m.Failed() != 1 {
-		t.Fatalf("completed/failed = %d/%d, want 1/1", m.Completed(), m.Failed())
-	}
-	if !res.Failed || res.Node != nil {
-		t.Fatalf("pending abort result: %+v", res)
-	}
-	// Documented contract: abort-while-pending counts the full pending span
-	// as queue wait, with StartedAt pinned to the abort time.
-	if res.StartedAt != 2 || res.QueueWait() != 2 {
-		t.Fatalf("StartedAt=%v QueueWait=%v, want 2 and 2", res.StartedAt, res.QueueWait())
 	}
 }

@@ -1,7 +1,6 @@
 package rm
 
 import (
-	"errors"
 	"fmt"
 
 	"hhcw/internal/cluster"
@@ -24,12 +23,11 @@ import (
 // attempt number; its ID, "<WorkflowID>/<task>" for a task's first attempt
 // and "<WorkflowID>/<task>#<n>" for its nth, is built only when something
 // reads it (see Submission.ID). With Retry set the runner is also the
-// chaos harness: failed attempts (node loss, injected transient faults,
-// timeouts) are resubmitted after the policy's capped exponential backoff
-// until the attempt budget is exhausted or the Breaker opens, and a
-// terminally failed task writes off its unreachable descendants (via
-// Expander.TaskFailed) so the rest of the workflow degrades gracefully on the
-// healthy capacity instead of stalling.
+// chaos harness: failed attempts (node loss, injected transient faults) are
+// resubmitted after the policy's capped exponential backoff until the
+// attempt budget is exhausted, and a terminally failed task writes off its
+// unreachable descendants (via Expander.TaskFailed) so the rest of the
+// workflow degrades gracefully on the healthy capacity instead of stalling.
 //
 // With Hook set, every attempt also runs through an AttemptHook — the seam
 // the Common Workflow Scheduler drives its workflows through (see
@@ -60,10 +58,6 @@ type StreamRunner struct {
 	Retry *fault.RetryPolicy
 	// RetryRNG supplies deterministic backoff jitter (may be nil).
 	RetryRNG *randx.Source
-	// Breaker, when non-nil, circuit-breaks retries across the whole run
-	// after consecutive failures. Use Retry.NewBreaker() for the policy's
-	// threshold.
-	Breaker *fault.Breaker
 	// FailPlan returns how many leading attempts of the task at insertion
 	// index idx fail with an injected transient error
 	// (fault.Profile.PlanTaskFailures output, indexed as the expander
@@ -73,8 +67,7 @@ type StreamRunner struct {
 	// that stops a fault.Injector so the engine can drain.
 	OnComplete func()
 	// Observe, when non-nil, sees every task's terminal result just before
-	// the task is retired — the hook that folds records into provenance's
-	// running aggregates. The Task and Result are only valid for the call.
+	// the task is retired. The Task and Result are only valid for the call.
 	Observe func(t *dag.Task, r Result)
 	// MaxResident caps tasks emitted but not yet terminal (0 = unlimited).
 	MaxResident int
@@ -108,9 +101,7 @@ type attempt struct {
 	idx        int
 	attempt    int
 	failN      int
-	timeoutEv  *sim.Event
 	resubmitFn func()
-	timeoutFn  func()
 	hook       AttemptHook
 	sub        Submission
 }
@@ -147,20 +138,12 @@ func (a *attempt) ValidateOn(n *cluster.Node) error {
 // Done implements SubmissionHooks.
 func (a *attempt) Done(r Result) {
 	sr := a.sr
-	if a.timeoutEv != nil {
-		a.timeoutEv.Cancel()
-		a.timeoutEv = nil
-	}
 	// Observers must not pin the pooled Submission (see Result).
 	r.Submission = nil
 	sr.stats.Attempts++
 	if r.Failed {
 		sr.stats.Failures++
-		if errors.Is(r.Err, fault.ErrTimeout) {
-			sr.stats.Timeouts++
-		}
-		sr.Breaker.Record(true)
-		if sr.Retry != nil && sr.Retry.ShouldRetry(a.attempt) && !sr.Breaker.Open() {
+		if sr.Retry != nil && sr.Retry.ShouldRetry(a.attempt) {
 			d := sr.Retry.Backoff(a.attempt, sr.RetryRNG)
 			sr.stats.Retries++
 			sr.stats.BackoffSec += float64(d)
@@ -204,7 +187,6 @@ func (a *attempt) Done(r Result) {
 		}
 		return
 	}
-	sr.Breaker.Record(false)
 	task := a.task
 	id := task.ID
 	sr.recycle(a)
@@ -278,7 +260,7 @@ func (sr *StreamRunner) Err() error {
 // from the same state a fresh runner would.
 func (sr *StreamRunner) Reset() {
 	sr.Source, sr.Runtime, sr.WorkflowID = nil, nil, ""
-	sr.Retry, sr.RetryRNG, sr.Breaker, sr.FailPlan = nil, nil, nil, nil
+	sr.Retry, sr.RetryRNG, sr.FailPlan = nil, nil, nil
 	sr.OnComplete, sr.Observe, sr.MaxResident, sr.Hook = nil, nil, 0, nil
 	sr.total, sr.doneCount, sr.resident, sr.peakResident = 0, 0, 0, 0
 	sr.finishAt, sr.stats, sr.err = 0, RunStats{}, nil
@@ -334,24 +316,7 @@ func (sr *StreamRunner) start(a *attempt) {
 		a.hook = sr.Hook(&a.sub, a.task, a.idx, a.attempt)
 		a.sub.Hooks = a.hook
 	}
-	// The timeout is armed first: an executor that refuses the attempt
-	// finishes it inside Submit, which cancels the timeout and recycles a.
-	// Until then a.sub is this attempt, so the timeout aborts it by pointer.
-	if sr.Retry != nil && sr.Retry.TimeoutSec > 0 {
-		if a.timeoutFn == nil {
-			a.timeoutFn = func() { a.sr.timeout(a) }
-		}
-		a.timeoutEv = sr.Manager.Engine().After(sim.Time(sr.Retry.TimeoutSec), a.timeoutFn)
-	}
 	sr.Manager.Submit(&a.sub)
-}
-
-// timeout aborts the live attempt a at its recovery-policy deadline.
-func (sr *StreamRunner) timeout(a *attempt) {
-	s := &a.sub
-	sr.Manager.Abort(s, &TimeoutError{
-		WorkflowID: s.WorkflowID, Task: s.TaskID, Attempt: s.Attempt, LimitSec: sr.Retry.TimeoutSec,
-	})
 }
 
 // retire hands the terminal task to the Observe hook, then back to the
@@ -365,10 +330,9 @@ func (sr *StreamRunner) retire(t *dag.Task, r Result) {
 }
 
 // recycle returns a dead attempt record to the pool, keeping its resubmit
-// and timeout closures, each bound to the record the first time it is needed.
+// closure, bound to the record the first time it is needed.
 func (sr *StreamRunner) recycle(a *attempt) {
-	resubmit, timeout := a.resubmitFn, a.timeoutFn
-	*a = attempt{resubmitFn: resubmit, timeoutFn: timeout}
+	*a = attempt{resubmitFn: a.resubmitFn}
 	sr.freeAttempts = append(sr.freeAttempts, a)
 }
 

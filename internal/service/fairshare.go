@@ -18,13 +18,6 @@ import (
 // CWS bumps its priority-cache generation — so the memoized priorities the
 // scheduler reads are never stale: the PriorityCache machinery gives the
 // deficit scan O(1) amortized cost per pending task.
-//
-// PickNode additionally enforces per-tenant core quotas: when placing a
-// task would push the tenant's concurrently allocated cores past
-// QuotaCores, the task skips this scheduling pass (return nil) and yields
-// the resources to other tenants. runningCores bookkeeping lives here (on
-// placement) and in serviceRun.observe (on completion), both on the
-// scheduler's event path, so it is exact, not sampled.
 type FairShare struct {
 	sv *serviceRun
 }
@@ -42,22 +35,14 @@ func (f *FairShare) Priority(s *rm.Submission, _ *cwsi.Context) float64 {
 	return -(ts.fairUsage / ts.weight)
 }
 
-// PickNode implements cwsi.Strategy: quota gate, then first-fit (matching
-// the FIFO baseline's placement so measured differences are pure ordering).
-func (f *FairShare) PickNode(s *rm.Submission, candidates []*cluster.Node, _ *cwsi.Context) *cluster.Node {
+// PickNode implements cwsi.Strategy: first fit (matching the FIFO
+// baseline's placement so measured differences are pure ordering).
+func (f *FairShare) PickNode(_ *rm.Submission, candidates []*cluster.Node, _ *cwsi.Context) *cluster.Node {
 	if len(candidates) == 0 {
 		return nil
-	}
-	ts := f.sv.tenantOf(s.WorkflowID)
-	if ts != nil {
-		if q := ts.spec.QuotaCores; q > 0 && ts.runningCores+s.Cores > q {
-			return nil // over quota: sit out this pass
-		}
-		ts.runningCores += s.Cores
 	}
 	return candidates[0]
 }
 
-// FirstFitOnly implements rm.FirstFitter: the quota gate and its
-// runningCores update depend only on whether a first candidate exists.
+// FirstFitOnly implements rm.FirstFitter: PickNode takes the first candidate.
 func (f *FairShare) FirstFitOnly() bool { return true }

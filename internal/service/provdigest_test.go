@@ -20,7 +20,6 @@ func TestProvenanceDigestService(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			cfg := smallScenario(fair)
 			cfg.Faults = faultyProfile()
-			cfg.Retry = retryPolicy()
 			cfg.inspect = func(sv *serviceRun) {
 				st := sv.cws.Provenance()
 				for _, r := range st.All() {

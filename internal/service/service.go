@@ -39,9 +39,6 @@ type Tenant struct {
 	// in-flight slot. 0 means the default of 16; negative disables deferral
 	// (overflow arrivals are rejected outright).
 	MaxDeferred int
-	// QuotaCores caps the tenant's concurrently allocated cores under the
-	// fair-share strategy (0 = no quota; ignored under FIFO).
-	QuotaCores int
 }
 
 // Config describes one service session.
@@ -59,14 +56,9 @@ type Config struct {
 	// service then drains admitted work and the run ends.
 	HorizonSec float64
 
-	// Faults overlays a deterministic failure profile; Retry is the shared
-	// recovery policy armed when faults are enabled.
+	// Faults overlays a deterministic failure profile, recovered under
+	// fault.DefaultRetryPolicy.
 	Faults fault.Profile
-	Retry  fault.RetryPolicy
-
-	// Compact retires provenance task records into running aggregates,
-	// keeping store memory O(process names + tenants) over any horizon.
-	Compact bool
 
 	// inspect, when set (tests only), sees the drained serviceRun before it
 	// is reduced to a Result — the hook white-box invariant checks attach to.
@@ -86,7 +78,7 @@ type TenantResult struct {
 	WfFailed  int // workflows that terminally failed
 
 	TasksStarted  int // task attempts that reached a node
-	PendingAborts int // attempts terminated while still queued
+	PendingAborts int // always 0: no attempt ends before it reaches a node
 
 	UsedCoreSec float64 // Σ cores × runtime over successful attempts
 
@@ -138,15 +130,13 @@ type tenantState struct {
 	inFlight  int
 	deferredQ []sim.Time // arrival times of deferred admissions, FIFO
 
-	seq           int
-	runningCores  int
-	usedCoreSec   float64 // total, for accounting (never decays)
-	fairUsage     float64 // decayed, for the fair-share deficit
-	tasksStarted  int
-	pendingAborts int
-	waits         []float64
-	deferWaits    []float64
-	makespans     []float64
+	seq          int
+	usedCoreSec  float64 // total, for accounting (never decays)
+	fairUsage    float64 // decayed, for the fair-share deficit
+	tasksStarted int
+	waits        []float64
+	deferWaits   []float64
+	makespans    []float64
 }
 
 // serviceRun is one in-flight execution of a Config.
@@ -410,16 +400,10 @@ func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 		}
 		return wfID
 	})
-	if cfg.Compact {
-		sv.cws.Provenance().SetCompact(true)
-	}
 	sv.cws.SetTaskObserver(sv.observe)
 
 	if cfg.Faults.Enabled() {
-		retry := cfg.Retry
-		if retry == (fault.RetryPolicy{}) {
-			retry = fault.DefaultRetryPolicy()
-		}
+		retry := fault.DefaultRetryPolicy()
 		sv.inj = fault.NewInjector(sub.cl, rng.Fork(), cfg.Faults)
 		sv.retry, sv.retryRNG = &retry, rng.Fork()
 		sv.inj.Start()
@@ -518,7 +502,7 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 		return
 	}
 	// One runner per workflow, on the shared recovery policy and jitter
-	// source with a breaker of its own.
+	// source.
 	var d *driver
 	if n := len(sv.sub.drivers); n > 0 {
 		d = sv.sub.drivers[n-1]
@@ -533,7 +517,7 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 	sr := &d.sr
 	sr.Source = &d.x
 	if sv.retry != nil {
-		sr.Retry, sr.RetryRNG, sr.Breaker = sv.retry, sv.retryRNG, sv.retry.NewBreaker()
+		sr.Retry, sr.RetryRNG = sv.retry, sv.retryRNG
 		if sv.cfg.Faults.TaskFailProb > 0 {
 			// One plan fork per admission, drawn from the tenant's workload
 			// stream right after the workflow itself — the fixed order that
@@ -611,13 +595,6 @@ func (sv *serviceRun) observe(wfID string, _ dag.TaskID, _ int, r rm.Result) {
 	if ts == nil {
 		return
 	}
-	if r.Node == nil {
-		ts.pendingAborts++ // aborted while queued: no placement to account
-		return
-	}
-	if sv.cfg.FairShare {
-		ts.runningCores -= r.Submission.Cores // quota release
-	}
 	ts.tasksStarted++
 	ts.waits = append(ts.waits, float64(r.StartedAt-r.SubmittedAt))
 	if !r.Failed {
@@ -657,7 +634,6 @@ func (sv *serviceRun) result(seed int64) *Result {
 			Completed:       ts.completed,
 			WfFailed:        ts.wfFailed,
 			TasksStarted:    ts.tasksStarted,
-			PendingAborts:   ts.pendingAborts,
 			UsedCoreSec:     ts.usedCoreSec,
 			MeanWaitSec:     mean(ts.waits),
 			P50WaitSec:      metrics.Quantile(ts.waits, 0.5),

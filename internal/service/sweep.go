@@ -14,10 +14,10 @@ type SweepConfig struct {
 	// means ContendedScenario. Both strategies share one set of FIFO solo
 	// baselines per seed, so the two configs must agree on everything a
 	// solo run reads. Sweep rejects them with ErrSoloMismatch when they
-	// differ in Nodes, CoresPerNode, HorizonSec, Faults, Retry, Compact,
-	// the tenant count, or a tenant's ID, MaxInFlight or MaxDeferred. Each
-	// tenant's Arrivals and Workload must match too; they cannot be
-	// compared, so nothing checks them.
+	// differ in Nodes, CoresPerNode, HorizonSec, Faults, the tenant count,
+	// or a tenant's ID, MaxInFlight or MaxDeferred. Each tenant's Arrivals
+	// and Workload must match too; they cannot be compared, so nothing
+	// checks them.
 	Scenario func(fairShare bool) Config
 	Seeds    int
 	Seed0    int64
@@ -86,10 +86,6 @@ func soloMismatch(a, b *Config) string {
 		return "HorizonSec"
 	case a.Faults != b.Faults:
 		return "Faults"
-	case a.Retry != b.Retry:
-		return "Retry"
-	case a.Compact != b.Compact:
-		return "Compact"
 	case len(a.Tenants) != len(b.Tenants):
 		return "the tenant count"
 	}

@@ -12,10 +12,10 @@ import (
 	"testing"
 )
 
-// uncalledAllowed names the exported functions, methods and types under
-// internal/ that may have no use in non-test code, each with the reason it
-// stays. Keys are "package.Name" for functions and types and
-// "package.Type.Name" for methods.
+// uncalledAllowed names the exported functions, methods, types, variables
+// and constants under internal/ that may have no use in non-test code, each
+// with the reason it stays. Keys are "package.Name" for functions, types,
+// variables and constants and "package.Type.Name" for methods.
 var uncalledAllowed = map[string]string{
 	"core.WithCores":                 "task option of the composition API",
 	"core.WithGPUs":                  "task option of the composition API",
@@ -32,13 +32,14 @@ var uncalledAllowed = map[string]string{
 	"provenance.Store.StatsByTenant": "test oracle for the service's per-tenant accounting",
 	"cluster.Cluster.FoldMetrics":    "documented no-op that bench/ calls",
 	"rm.TaskManager.SetLean":         "documented no-op that bench/ calls",
-	"rm.TimeoutError.Unwrap":         "errors.Is calls it to find fault.ErrTimeout",
 	"core.StreamingEnv":              "reference environment of the eager ≡ streaming battery",
 	"cwsi.Tarema":                    "§3's named strategy; BenchmarkAblation_Strategies measures it",
+	"cloud.C6aLarge":                 "§5.2's named instance type",
 }
 
 // TestExportedInternalFuncsHaveCallers fails on any exported function,
-// method or type declared under internal/ whose name no non-test file under
+// method, type, package-level variable or constant declared under internal/
+// whose name no non-test file under
 // internal/, cmd/, examples/ or bench/ mentions outside its own declaration.
 // A method's receiver does not count as a use of its type. Matching is by
 // identifier, so a method counts as called when any type's method or
@@ -81,13 +82,18 @@ func TestExportedInternalFuncsHaveCallers(t *testing.T) {
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
+						var names []*ast.Ident
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{spec.Name}
+						case *ast.ValueSpec:
+							names = spec.Names
 						}
-						own = append(own, ts.Name.Name)
-						if internal && ts.Name.IsExported() {
-							decls = append(decls, decl{f.Name.Name + "." + ts.Name.Name, fset.Position(ts.Pos())})
+						for _, id := range names {
+							own = append(own, id.Name)
+							if internal && id.IsExported() {
+								decls = append(decls, decl{f.Name.Name + "." + id.Name, fset.Position(id.Pos())})
+							}
 						}
 					}
 				}
@@ -122,7 +128,7 @@ func TestExportedInternalFuncsHaveCallers(t *testing.T) {
 	}
 	sort.Strings(uncalled)
 	if len(uncalled) > 0 {
-		t.Errorf("exported functions and types no non-test code uses (delete them, or allowlist one with its reason):\n%s",
+		t.Errorf("exported functions, types, variables and constants no non-test code uses (delete them, or allowlist one with its reason):\n%s",
 			strings.Join(uncalled, "\n"))
 	}
 }
