@@ -246,8 +246,8 @@ func SummarizeInPlace(values []float64) Summary {
 	sort.Float64s(finite)
 	s.Min = finite[0]
 	s.Max = finite[n-1]
-	s.Median = quantileSorted(finite, 0.5)
-	s.P90 = quantileSorted(finite, 0.9)
+	s.Median = QuantileSorted(finite, 0.5)
+	s.P90 = QuantileSorted(finite, 0.9)
 	return s
 }
 
@@ -265,13 +265,14 @@ func Quantile(values []float64, q float64) float64 {
 		v = append(v, x)
 	}
 	sort.Float64s(v)
-	return quantileSorted(v, q)
+	return QuantileSorted(v, q)
 }
 
-// quantileSorted is Quantile over already-sorted input: no copy, no re-sort.
-// Summarize calls it on its sorted sample set so each cell pays for one sort
-// instead of three.
-func quantileSorted(v []float64, q float64) float64 {
+// QuantileSorted is Quantile over already-sorted, finite input: no copy, no
+// re-sort. Summarize calls it on its sorted sample set so each cell pays for
+// one sort instead of three; so does any caller reading several quantiles
+// of one sample.
+func QuantileSorted(v []float64, q float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}

@@ -2,7 +2,7 @@ package metrics
 
 import "testing"
 
-// BenchmarkSummarize guards the one-sort Summarize path: before quantileSorted
+// BenchmarkSummarize guards the one-sort Summarize path: before QuantileSorted
 // it sorted the sample set once and then twice more inside Quantile (a copy +
 // re-sort per order statistic).
 func BenchmarkSummarize(b *testing.B) {

@@ -422,7 +422,7 @@ task gather cpu=1 dur=10s after=work
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(8*svcSeeds*b.N)/b.Elapsed().Seconds(), "runs_per_s")
+			b.ReportMetric(float64(5*svcSeeds*b.N)/b.Elapsed().Seconds(), "runs_per_s")
 			for _, ta := range sw.Tenants {
 				if ta.Strategy == "fairshare" {
 					b.ReportMetric(ta.P99Wait.Mean(), "fair_p99_wait_"+ta.Tenant+"_s")

@@ -83,7 +83,8 @@ type Pilot struct {
 
 	queue     []*pending // submitted, not yet scheduled
 	scheduled []*pending // assigned resources conceptually, awaiting launch
-	running   map[*rm.Submission]*pending
+	// running is the dense set of launched tasks: each knows its slot.
+	running []*pending
 	// victims collects the tasks a node failure kills.
 	victims []*pending
 
@@ -108,6 +109,7 @@ type Pilot struct {
 
 type pending struct {
 	sub         *rm.Submission
+	slot        int // position in Pilot.running while launched
 	nodeCount   int
 	submittedAt sim.Time
 	nodes       []*cluster.Node
@@ -124,7 +126,6 @@ func Submit(bm *rm.BatchManager, cl *cluster.Cluster, cfg Config) (*Pilot, error
 		eng:         cl.Engine(),
 		state:       Pending,
 		dead:        map[int]bool{},
-		running:     map[*rm.Submission]*pending{},
 		schedCount:  metrics.NewCounter("pilot.scheduled"),
 		launchCount: metrics.NewCounter("pilot.launched"),
 		runningN:    metrics.NewGauge("pilot.running"),
@@ -227,10 +228,7 @@ func (p *Pilot) onGranted(a *rm.BatchAlloc) {
 func (p *Pilot) onExpire() {
 	p.state = Done
 	// Kill everything still running; pending tasks fail too.
-	victims := make([]*pending, 0, len(p.running))
-	for _, q := range p.running {
-		victims = append(victims, q)
-	}
+	victims := slices.Clone(p.running)
 	sortByID(victims)
 	for _, q := range victims {
 		q.endEv.Cancel()
@@ -354,7 +352,8 @@ func (p *Pilot) launch(q *pending) {
 		p.sawFirstTask = true
 		p.firstTaskAt = now
 	}
-	p.running[q.sub] = q
+	q.slot = len(p.running)
+	p.running = append(p.running, q)
 	p.runningN.AddDelta(now, 1)
 	p.busyNodes.AddDelta(now, float64(q.nodeCount))
 	p.launchCount.Inc(now, 1)
@@ -366,7 +365,11 @@ func (p *Pilot) launch(q *pending) {
 // finish ends a launched task, failed when err is non-nil.
 func (p *Pilot) finish(q *pending, err error) {
 	now := p.eng.Now()
-	delete(p.running, q.sub)
+	last := len(p.running) - 1
+	moved := p.running[last]
+	p.running[q.slot], moved.slot = moved, q.slot
+	p.running[last] = nil
+	p.running = p.running[:last]
 	p.runningN.AddDelta(now, -1)
 	p.busyNodes.AddDelta(now, -float64(q.nodeCount))
 	// Return healthy nodes to the pool.
@@ -442,7 +445,7 @@ func (p *Pilot) onNodeDown(n *cluster.Node) {
 }
 
 // sortByID puts tasks in submission-ID order, the order the pilot fails
-// them in, whatever order the running map yields them in.
+// them in, whatever slots swap-removal left them in.
 func sortByID(qs []*pending) {
 	slices.SortFunc(qs, func(a, b *pending) int { return rm.CompareID(a.sub, b.sub) })
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"hhcw/internal/cluster"
@@ -30,7 +31,11 @@ type Tenant struct {
 	Arrivals Arrivals
 	// Workload generates the compiled workflow of one admission. It must be
 	// a pure function of rng; it is invoked only for ADMITTED arrivals, so a
-	// rejected or deferred arrival costs O(1) state, never a compile.
+	// rejected or deferred arrival costs O(1) state, never a compile. Within
+	// a Sweep, Compile runs once per (seed, tenant, admission): every run of
+	// the seed that admits the same workflow reads the first one's. So
+	// Workload must not keep rng, and no caller may mutate the workflow it
+	// returns.
 	Workload func(rng *randx.Source) compose.Compiler
 	// MaxInFlight bounds concurrently admitted workflows (admission budget).
 	// 0 means the default of 8; negative disables admission (reject all).
@@ -90,8 +95,8 @@ type TenantResult struct {
 
 	RejectionRate float64 // Rejected / Arrivals (0 when no arrivals)
 
-	// Solo-baseline comparison, filled by RunWithBaselines: the same tenant
-	// stream alone on the same cluster under FIFO.
+	// Solo-baseline comparison, filled by Sweep: the same tenant stream
+	// alone on the same cluster under FIFO.
 	SoloP99WaitSec      float64
 	SoloMeanMakespanSec float64
 	// WaitInflationP99 is P99WaitSec / SoloP99WaitSec (0 when the solo p99
@@ -110,12 +115,32 @@ type Result struct {
 	Tenants      []TenantResult
 }
 
+// tenantInputs is one tenant's workload stream and the admissions drawn
+// from it so far, by admission sequence. A seed's runs share one per
+// tenant: tenant i draws the same workload stream in each run that arms
+// it, so its k-th admission is the same workflow in all of them. The first
+// run to admit it generates it, and the later runs read it.
+type tenantInputs struct {
+	rng *randx.Source
+	wfs []admission
+}
+
+// admission is one generated workflow and what a run reads with it.
+type admission struct {
+	id string // "tenant/wf-%05d"
+	w  *dag.Workflow
+	// failPlan maps a task index to its injected failures; nil unless the
+	// profile injects task failures. Its plan is drawn from the tenant's
+	// stream right after the workflow.
+	failPlan func(i int) int
+}
+
 // tenantState is the live accounting of one tenant during a run.
 type tenantState struct {
 	spec   Tenant
 	weight float64
 	arrRNG *randx.Source
-	wfRNG  *randx.Source
+	in     *tenantInputs
 
 	maxInFlight int
 	maxDeferred int
@@ -296,13 +321,13 @@ func (sub *Substrate) Audit() []string {
 // Run executes the service session and returns per-tenant accounting. It is
 // a pure function of (cfg, seed): bit-identical Results for equal inputs.
 func Run(cfg Config, seed int64) (*Result, error) {
-	return run(nil, cfg, seed, -1)
+	return run(nil, cfg, seed, -1, nil)
 }
 
 // Run executes the session on the warm substrate — bit-identical to the
 // package-level Run, minus the per-run substrate construction.
 func (sub *Substrate) Run(cfg Config, seed int64) (*Result, error) {
-	return run(sub, cfg, seed, -1)
+	return run(sub, cfg, seed, -1, nil)
 }
 
 // runSolo executes the session with only tenant index `only` armed, on the
@@ -310,15 +335,17 @@ func (sub *Substrate) Run(cfg Config, seed int64) (*Result, error) {
 // baseline that makespan-inflation and wait-inflation SLOs compare against.
 // The solo run always schedules under FIFO: it measures the tenant's
 // uncontended behavior, not the strategy's.
-func runSolo(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
+func runSolo(sub *Substrate, cfg Config, seed int64, only int, in []tenantInputs) (*Result, error) {
 	if only < 0 || only >= len(cfg.Tenants) {
 		return nil, fmt.Errorf("service: solo run tenant index %d out of range", only)
 	}
 	cfg.FairShare = false
-	return run(sub, cfg, seed, only)
+	return run(sub, cfg, seed, only, in)
 }
 
-func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
+// run executes one session. in holds each tenant's inputs, shared with the
+// seed's other runs; nil gives the run a fresh set.
+func run(sub *Substrate, cfg Config, seed int64, only int, in []tenantInputs) (*Result, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("service: config needs at least one tenant")
 	}
@@ -352,7 +379,11 @@ func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 	// solo runs so tenant i sees the identical arrival/workload streams
 	// whether or not anyone else is on the cluster: one arrival fork and one
 	// workload fork per configured tenant (armed or not), then the fault
-	// forks.
+	// forks. The seed's first run keeps each workload fork in the shared
+	// inputs; a later run only steps past it.
+	if in == nil {
+		in = make([]tenantInputs, len(cfg.Tenants))
+	}
 	rng := randx.New(seed)
 	for i := range cfg.Tenants {
 		t := cfg.Tenants[i]
@@ -369,9 +400,14 @@ func run(sub *Substrate, cfg Config, seed int64, only int) (*Result, error) {
 			spec:        t,
 			weight:      t.Weight,
 			arrRNG:      rng.Fork(),
-			wfRNG:       rng.Fork(),
+			in:          &in[i],
 			maxInFlight: t.MaxInFlight,
 			maxDeferred: t.MaxDeferred,
+		}
+		if ts.in.rng == nil {
+			ts.in.rng = rng.Fork()
+		} else {
+			rng.Int63() // the draw Fork makes
 		}
 		if ts.weight <= 0 {
 			ts.weight = 1
@@ -491,12 +527,12 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 		ts.deferWaits = append(ts.deferWaits, float64(now-arrivedAt))
 	}
 	ts.seq++
-	wfID := fmt.Sprintf("%s/wf-%05d", ts.spec.ID, ts.seq)
-	w, err := ts.spec.Workload(ts.wfRNG).Compile()
+	a, err := sv.admission(ts)
 	if err != nil {
 		sv.fail(fmt.Errorf("service: tenant %s workload compile: %w", ts.spec.ID, err))
 		return
 	}
+	wfID, w := a.id, a.w
 	if err := sv.cws.RegisterWorkflow(wfID, w); err != nil {
 		sv.fail(fmt.Errorf("service: %w", err))
 		return
@@ -518,13 +554,7 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 	sr.Source = &d.x
 	if sv.retry != nil {
 		sr.Retry, sr.RetryRNG = sv.retry, sv.retryRNG
-		if sv.cfg.Faults.TaskFailProb > 0 {
-			// One plan fork per admission, drawn from the tenant's workload
-			// stream right after the workflow itself — the fixed order that
-			// keeps solo and contended runs on identical per-workflow plans.
-			plan := sv.cfg.Faults.PlanTaskFailures(w.Len(), ts.wfRNG.Fork())
-			sr.FailPlan = func(i int) int { return plan[i] }
-		}
+		sr.FailPlan = a.failPlan
 	}
 	if err := sv.cws.Bind(sr, wfID, 0); err != nil {
 		sv.fail(fmt.Errorf("service: %w", err))
@@ -533,6 +563,31 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 	sr.OnComplete = func() { sv.settle(d, ts, wfID, now) }
 	sv.admitted = append(sv.admitted, d)
 	sr.Start()
+}
+
+// admission returns the tenant's admission ts.seq, generating it from the
+// tenant's workload stream when no earlier run of the seed has. A run
+// admits in sequence order, so the next one to generate is always the
+// next one the stream yields.
+func (sv *serviceRun) admission(ts *tenantState) (admission, error) {
+	in := ts.in
+	if ts.seq <= len(in.wfs) {
+		return in.wfs[ts.seq-1], nil
+	}
+	w, err := ts.spec.Workload(in.rng).Compile()
+	if err != nil {
+		return admission{}, err
+	}
+	a := admission{id: fmt.Sprintf("%s/wf-%05d", ts.spec.ID, ts.seq), w: w}
+	if sv.cfg.Faults.TaskFailProb > 0 {
+		// One plan fork per admission, right after the workflow itself —
+		// the fixed order that keeps every run on identical per-workflow
+		// plans.
+		plan := sv.cfg.Faults.PlanTaskFailures(w.Len(), in.rng.Fork())
+		a.failPlan = func(i int) int { return plan[i] }
+	}
+	in.wfs = append(in.wfs, a)
+	return a, nil
 }
 
 // settle accounts the workflow d drove since start, completed or failed,
@@ -624,6 +679,10 @@ func (sv *serviceRun) result(seed int64) *Result {
 		if sv.only >= 0 && i != sv.only {
 			continue
 		}
+		// result is the last reader of the run's waits: it sorts them in
+		// place once, after the mean has summed them in arrival order.
+		meanWait := mean(ts.waits)
+		slices.Sort(ts.waits)
 		tr := TenantResult{
 			Tenant:          ts.spec.ID,
 			Weight:          ts.weight,
@@ -635,9 +694,9 @@ func (sv *serviceRun) result(seed int64) *Result {
 			WfFailed:        ts.wfFailed,
 			TasksStarted:    ts.tasksStarted,
 			UsedCoreSec:     ts.usedCoreSec,
-			MeanWaitSec:     mean(ts.waits),
-			P50WaitSec:      metrics.Quantile(ts.waits, 0.5),
-			P99WaitSec:      metrics.Quantile(ts.waits, 0.99),
+			MeanWaitSec:     meanWait,
+			P50WaitSec:      metrics.QuantileSorted(ts.waits, 0.5),
+			P99WaitSec:      metrics.QuantileSorted(ts.waits, 0.99),
 			MeanDeferSec:    mean(ts.deferWaits),
 			MeanMakespanSec: mean(ts.makespans),
 		}
@@ -653,34 +712,31 @@ func (sv *serviceRun) result(seed int64) *Result {
 	return res
 }
 
-// RunWithBaselines runs the configured session and, per tenant, the solo
-// FIFO baseline on the identical streams, filling each TenantResult's
-// Solo*/inflation fields — the §6 pathology metric (contended p99 wait vs
-// solo) and the fairness SLO read straight off the returned Result.
-func RunWithBaselines(cfg Config, seed int64) (*Result, error) {
-	return runWithBaselines(nil, cfg, seed)
-}
-
-// RunWithBaselines is the warm-substrate form: the contended run and all N
-// solo baselines execute on the one reused substrate — 1+N resets instead of
-// 1+N constructions.
-func (sub *Substrate) RunWithBaselines(cfg Config, seed int64) (*Result, error) {
-	return runWithBaselines(sub, cfg, seed)
-}
-
-func runWithBaselines(sub *Substrate, cfg Config, seed int64) (*Result, error) {
-	res, err := run(sub, cfg, seed, -1)
-	if err != nil {
-		return nil, err
+// runSeed runs one seed of a sweep on sub: the contended FIFO run, the FIFO
+// solo baseline of each tenant and the contended fair-share run, all on one
+// set of tenant inputs. Both contended results carry the solo baselines: a
+// solo run always schedules under FIFO, so fair share would only repeat
+// them. The two configs must have the same tenants (see soloMismatch).
+func runSeed(sub *Substrate, fifoCfg, fairCfg Config, seed int64) (fifo, fair *Result, err error) {
+	in := make([]tenantInputs, len(fifoCfg.Tenants))
+	if fifo, err = run(sub, fifoCfg, seed, -1, in); err != nil {
+		return nil, nil, fmt.Errorf("service: fifo seed %d: %w", seed, err)
 	}
-	for i := range res.Tenants {
-		solo, err := runSolo(sub, cfg, seed, i)
+	for i := range fifo.Tenants {
+		solo, err := runSolo(sub, fifoCfg, seed, i, in)
 		if err != nil {
-			return nil, err
+			return nil, nil, fmt.Errorf("service: fifo seed %d: %w", seed, err)
 		}
-		attachBaseline(&res.Tenants[i], solo.Tenants[0].P99WaitSec, solo.Tenants[0].MeanMakespanSec)
+		attachBaseline(&fifo.Tenants[i], solo.Tenants[0].P99WaitSec, solo.Tenants[0].MeanMakespanSec)
 	}
-	return res, nil
+	if fair, err = run(sub, fairCfg, seed, -1, in); err != nil {
+		return nil, nil, fmt.Errorf("service: fairshare seed %d: %w", seed, err)
+	}
+	for i := range fair.Tenants {
+		ft := &fifo.Tenants[i]
+		attachBaseline(&fair.Tenants[i], ft.SoloP99WaitSec, ft.SoloMeanMakespanSec)
+	}
+	return fifo, fair, nil
 }
 
 // attachBaseline fills tr's solo-baseline fields from the tenant's solo p99

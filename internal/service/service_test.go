@@ -98,7 +98,7 @@ func TestSoloSeesSameStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tr := range full.Tenants {
-		solo, err := runSolo(nil, smallScenario(false), 41, i)
+		solo, err := runSolo(nil, smallScenario(false), 41, i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,9 @@ type SweepConfig struct {
 	// differ in Nodes, CoresPerNode, HorizonSec, Faults, the tenant count,
 	// or a tenant's ID, MaxInFlight or MaxDeferred. Each tenant's Arrivals
 	// and Workload must match too; they cannot be compared, so nothing
-	// checks them.
+	// checks them. A seed's runs share each admission: whichever run admits
+	// a tenant's k-th workflow first generates it, so either config's
+	// Workload may produce the workflow both strategies run.
 	Scenario func(fairShare bool) Config
 	Seeds    int
 	Seed0    int64
@@ -71,7 +73,9 @@ type SweepResult struct {
 }
 
 // ErrSoloMismatch reports a sweep scenario whose FIFO and fair-share
-// configs would give different solo baselines.
+// configs would give different solo baselines. The configs also share each
+// seed's admissions, generated by either one's Workload (see
+// SweepConfig.Scenario).
 var ErrSoloMismatch = errors.New("service: fifo and fair-share scenarios give different solo baselines")
 
 // soloMismatch names the first comparable field a FIFO solo run reads in
@@ -108,9 +112,10 @@ func soloMismatch(a, b *Config) string {
 // FIFO run and the per-tenant FIFO solo baselines once, then the contended
 // fair-share run, which is compared against the same baselines: a solo run
 // always schedules under FIFO, so the fair-share config would only repeat
-// them. Results are bit-identical at any worker count: each seed's runs
-// land in per-index slots and every aggregate folds strategy-major,
-// seed-ascending.
+// them. A seed's runs share their inputs, so each admitted workflow is
+// generated once per seed. Results are bit-identical at any worker count:
+// each seed's runs land in per-index slots and every aggregate folds
+// strategy-major, seed-ascending.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if cfg.Seeds <= 0 {
 		return nil, fmt.Errorf("service: sweep needs a positive seed count")
@@ -138,17 +143,9 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 			built[worker] = true
 			subs[worker] = NewSubstrate(fifoCfg.Nodes, fifoCfg.CoresPerNode)
 		}
-		fifo, err := subs[worker].RunWithBaselines(scen(false), seed)
+		fifo, fair, err := runSeed(subs[worker], scen(false), scen(true), seed)
 		if err != nil {
-			return fmt.Errorf("service: fifo seed %d: %w", seed, err)
-		}
-		fair, err := subs[worker].Run(scen(true), seed)
-		if err != nil {
-			return fmt.Errorf("service: fairshare seed %d: %w", seed, err)
-		}
-		for i := range fair.Tenants {
-			ft := &fifo.Tenants[i]
-			attachBaseline(&fair.Tenants[i], ft.SoloP99WaitSec, ft.SoloMeanMakespanSec)
+			return err
 		}
 		pairs[idx] = pair{fifo, fair}
 		return nil

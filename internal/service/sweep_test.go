@@ -5,6 +5,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"hhcw/internal/compose"
+	"hhcw/internal/dag"
+	"hhcw/internal/fault"
+	"hhcw/internal/randx"
 )
 
 // TestSweepWorkerCountInvariant is the service-mode determinism gate: the
@@ -149,4 +154,110 @@ func TestSweepRunsPerSeed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSweepFaultFingerprints pins the sweep's fingerprint under each fault
+// profile. storm's TaskFailProb exercises the per-admission failure plans
+// the seed's runs share; the fault-free sweep is pinned by the bench check
+// digest and TestProvenanceDigestService.
+func TestSweepFaultFingerprints(t *testing.T) {
+	for _, tc := range []struct{ profile, want string }{
+		{"mtbf", "c9f3bdb98719c7bd"},
+		{"spot", "748c171a9e8a24c1"},
+		{"storm", "8ac31c659f38db36"},
+	} {
+		p, err := fault.ByName(tc.profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scen := func(fairShare bool) Config {
+			cfg := ContendedScenario(fairShare)
+			cfg.Faults = p
+			return cfg
+		}
+		sw, err := Sweep(SweepConfig{Scenario: scen, Seeds: 6, Seed0: 3, Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.profile, err)
+		}
+		if sw.Fingerprint != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.profile, sw.Fingerprint, tc.want)
+		}
+	}
+}
+
+// TestSweepGeneratesEachAdmissionOnce counts workflow compiles on the
+// bench's tightened scenario. A tenant's k-th admission is the same
+// workflow in every run that arms the tenant (contended FIFO, its solo
+// baseline, contended fair share), so a seed compiles each tenant's
+// workflows once: as many as the largest Admitted among those three runs.
+func TestSweepGeneratesEachAdmissionOnce(t *testing.T) {
+	const seeds = 10
+	compiles := 0
+	// admitted[r][i] is tenant i's Admitted in the r-th run, or -1 when run
+	// r did not arm tenant i.
+	var admitted [][]int
+	scen := func(counting bool) func(bool) Config {
+		return func(fairShare bool) Config {
+			cfg := warmTestConfig(t, fairShare, "")
+			if !counting {
+				return cfg
+			}
+			for i := range cfg.Tenants {
+				inner := cfg.Tenants[i].Workload
+				cfg.Tenants[i].Workload = func(rng *randx.Source) compose.Compiler {
+					c := inner(rng)
+					return compose.Func(func() (*dag.Workflow, error) {
+						compiles++
+						return c.Compile()
+					})
+				}
+			}
+			cfg.inspect = func(sv *serviceRun) {
+				row := make([]int, len(sv.tenants))
+				for i, ts := range sv.tenants {
+					row[i] = -1
+					if sv.only < 0 || sv.only == i {
+						row[i] = ts.admitted
+					}
+				}
+				admitted = append(admitted, row)
+			}
+			return cfg
+		}
+	}
+	plain, err := Sweep(SweepConfig{Scenario: scen(false), Seeds: seeds, Seed0: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted, err := Sweep(SweepConfig{Scenario: scen(true), Seeds: seeds, Seed0: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counted.Fingerprint != plain.Fingerprint {
+		t.Fatalf("counting workload moved the fingerprint: %s vs %s", counted.Fingerprint, plain.Fingerprint)
+	}
+	const want = "dff1d44234e16342"
+	if plain.Fingerprint != want {
+		t.Errorf("fingerprint %s, want %s", plain.Fingerprint, want)
+	}
+	// One worker runs each seed's five runs back to back.
+	perSeed := 2 + len(warmTestConfig(t, false, "").Tenants)
+	if len(admitted) != seeds*perSeed {
+		t.Fatalf("%d runs inspected, want %d", len(admitted), seeds*perSeed)
+	}
+	wantCompiles := 0
+	for s := 0; s < seeds; s++ {
+		runs := admitted[s*perSeed : (s+1)*perSeed]
+		for i := range runs[0] {
+			most := 0
+			for _, row := range runs {
+				most = max(most, row[i])
+			}
+			wantCompiles += most
+		}
+	}
+	if compiles != wantCompiles {
+		t.Errorf("%d compiles, want %d (one per seed, tenant and admission)", compiles, wantCompiles)
+	}
+	t.Logf("%d compiles for %d seeds", compiles, seeds)
 }

@@ -1,7 +1,8 @@
 package service
 
-// Warm-substrate battery for service mode: a reused Substrate must produce
-// bit-identical Results to the cold per-run path, stay audit-clean after
+// Warm-substrate battery for service mode: a reused Substrate with a seed's
+// shared inputs must produce bit-identical Results to the cold per-run path
+// that generates every admission anew, stay audit-clean after
 // fault-injected runs, and transparently fall back to a cold build when the
 // scenario's cluster shape doesn't match.
 
@@ -27,10 +28,29 @@ func warmTestConfig(t *testing.T, fairShare bool, faults string) Config {
 	return cfg
 }
 
-// TestSubstrateWarmMatchesCold interleaves strategies, fault profiles, and
-// solo baselines on one substrate and requires every run to fingerprint
-// identically to the cold path — the run after each is what proves the
-// preceding reset was complete.
+// coldWithBaselines is runSeed's reference for one strategy: the contended
+// run and each tenant's FIFO solo baseline, every one on a fresh substrate
+// with fresh inputs, so each run generates its own admissions.
+func coldWithBaselines(t *testing.T, cfg Config, seed int64) *Result {
+	t.Helper()
+	res, err := run(nil, cfg, seed, -1, nil)
+	if err != nil {
+		t.Fatalf("fair=%v seed %d cold: %v", cfg.FairShare, seed, err)
+	}
+	for i := range res.Tenants {
+		solo, err := runSolo(nil, cfg, seed, i, nil)
+		if err != nil {
+			t.Fatalf("seed %d cold solo %d: %v", seed, i, err)
+		}
+		attachBaseline(&res.Tenants[i], solo.Tenants[0].P99WaitSec, solo.Tenants[0].MeanMakespanSec)
+	}
+	return res
+}
+
+// TestSubstrateWarmMatchesCold runs seeds under several fault profiles on
+// one substrate, each seed's five runs on shared inputs, and requires both
+// contended results to fingerprint identically to the cold path — the run
+// after each is what proves the preceding reset was complete.
 func TestSubstrateWarmMatchesCold(t *testing.T) {
 	cfg0 := warmTestConfig(t, false, "")
 	sub := NewSubstrate(cfg0.Nodes, cfg0.CoresPerNode)
@@ -38,28 +58,28 @@ func TestSubstrateWarmMatchesCold(t *testing.T) {
 		t.Fatal("NewSubstrate returned nil for a valid shape")
 	}
 	for _, tc := range []struct {
-		fairShare bool
-		faults    string
-		seed      int64
+		faults string
+		seed   int64
 	}{
-		{false, "", 1},
-		{true, "", 1},
-		{false, "storm", 2},
-		{true, "mtbf", 3},
-		{false, "", 1}, // repeat the first case on a now well-worn substrate
+		{"", 1},
+		{"storm", 2},
+		{"mtbf", 3},
+		{"", 1}, // repeat the first case on a now well-worn substrate
 	} {
-		cfg := warmTestConfig(t, tc.fairShare, tc.faults)
-		warm, err := sub.RunWithBaselines(cfg, tc.seed)
+		fifoCfg, fairCfg := warmTestConfig(t, false, tc.faults), warmTestConfig(t, true, tc.faults)
+		fifo, fair, err := runSeed(sub, fifoCfg, fairCfg, tc.seed)
 		if err != nil {
-			t.Fatalf("fair=%v faults=%q seed %d warm: %v", tc.fairShare, tc.faults, tc.seed, err)
+			t.Fatalf("faults=%q seed %d warm: %v", tc.faults, tc.seed, err)
 		}
-		cold, err := RunWithBaselines(cfg, tc.seed)
-		if err != nil {
-			t.Fatalf("fair=%v faults=%q seed %d cold: %v", tc.fairShare, tc.faults, tc.seed, err)
-		}
-		if wf, cf := warm.Fingerprint(), cold.Fingerprint(); wf != cf {
-			t.Errorf("fair=%v faults=%q seed %d:\n warm %s\n cold %s",
-				tc.fairShare, tc.faults, tc.seed, wf, cf)
+		for _, w := range []struct {
+			warm *Result
+			cfg  Config
+		}{{fifo, fifoCfg}, {fair, fairCfg}} {
+			cold := coldWithBaselines(t, w.cfg, tc.seed)
+			if wf, cf := w.warm.Fingerprint(), cold.Fingerprint(); wf != cf {
+				t.Errorf("fair=%v faults=%q seed %d:\n warm %s\n cold %s",
+					w.cfg.FairShare, tc.faults, tc.seed, wf, cf)
+			}
 		}
 	}
 }
@@ -71,8 +91,7 @@ func TestSubstrateAuditCleanAfterChaos(t *testing.T) {
 	cfg0 := warmTestConfig(t, true, "")
 	sub := NewSubstrate(cfg0.Nodes, cfg0.CoresPerNode)
 	for _, faults := range []string{"", "mtbf", "spot", "storm"} {
-		cfg := warmTestConfig(t, true, faults)
-		if _, err := sub.RunWithBaselines(cfg, 4); err != nil {
+		if _, _, err := runSeed(sub, warmTestConfig(t, false, faults), warmTestConfig(t, true, faults), 4); err != nil {
 			t.Fatalf("faults=%q: %v", faults, err)
 		}
 		if diffs := sub.Audit(); len(diffs) > 0 {
@@ -101,8 +120,8 @@ func TestSubstrateShapeMismatchFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestSweepWarmMatchesColdRuns pins Sweep's per-worker substrate reuse
-// against per-seed cold RunWithBaselines calls.
+// TestSweepWarmMatchesColdRuns pins Sweep's per-worker substrate reuse and
+// per-seed shared inputs against cold runs that share nothing.
 func TestSweepWarmMatchesColdRuns(t *testing.T) {
 	scen := func(fairShare bool) Config { return warmTestConfig(t, fairShare, "") }
 	sw, err := Sweep(SweepConfig{Scenario: scen, Seeds: 3, Seed0: 1, Workers: 2})
@@ -112,10 +131,7 @@ func TestSweepWarmMatchesColdRuns(t *testing.T) {
 	i := 0
 	for _, fairShare := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
-			cold, err := RunWithBaselines(scen(fairShare), seed)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cold := coldWithBaselines(t, scen(fairShare), seed)
 			if got, want := sw.Fingerprints[i], cold.Fingerprint(); got != want {
 				t.Errorf("fair=%v seed %d:\n sweep %s\n cold  %s", fairShare, seed, got, want)
 			}
