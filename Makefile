@@ -66,8 +66,9 @@ cover:
 # Short fuzz passes — the same lane CI runs non-blocking: the WDL parser,
 # randx.Source against math/rand, dag.Workflow against its map-based
 # reference, the cluster index's FirstFit against a rescan, the event
-# engine against its container/heap reference, and rm.IDLess against the
-# order of rendered submission IDs. Go fuzzes one target per invocation.
+# engine against its container/heap reference, rm.IDLess against the
+# order of rendered submission IDs, and the CWS's dispatch order against a
+# stable sort. Go fuzzes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseWDL -fuzztime 45s ./internal/jaws
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 45s ./internal/randx
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFirstFitMatchesScan -fuzztime 45s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 45s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSubmissionIDOrder -fuzztime 45s ./internal/rm
+	$(GO) test -run '^$$' -fuzz FuzzPrioritizeMatchesStableSort -fuzztime 45s ./internal/cwsi
 
 # The §3.5 CWS comparison as a 200-seed distribution on a parallel worker
 # pool. Same seeds ⇒ bit-identical table, independent of worker count.

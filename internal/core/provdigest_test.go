@@ -11,6 +11,7 @@ import (
 	"hhcw/internal/fault"
 	"hhcw/internal/provenance"
 	"hhcw/internal/randx"
+	"hhcw/internal/sim"
 )
 
 // Frozen provenance digests: every task record a CWS run writes (order,
@@ -52,6 +53,42 @@ func provDigest(t *testing.T, h interface{ Write([]byte) (int, error) }, st *pro
 	h.Write(doc)
 }
 
+// checkRetryNotes asserts what a retry note means: every record with a
+// backoff delay is a failed attempt, and its task's next attempt starts no
+// earlier than the failure plus that delay.
+func checkRetryNotes(t *testing.T, st *provenance.Store) (notes int) {
+	t.Helper()
+	type attemptKey struct {
+		wf      string
+		task    dag.TaskID
+		attempt int
+	}
+	recs := st.All()
+	started := make(map[attemptKey]sim.Time, len(recs))
+	for _, r := range recs {
+		started[attemptKey{r.WorkflowID, r.TaskID, r.Attempt}] = r.StartedAt
+	}
+	for _, r := range recs {
+		if r.RetryDelaySec <= 0 {
+			continue
+		}
+		notes++
+		if !r.Failed {
+			t.Errorf("%s/%s#%d: retry note on a successful attempt", r.WorkflowID, r.TaskID, r.Attempt)
+		}
+		next, ok := started[attemptKey{r.WorkflowID, r.TaskID, r.Attempt + 1}]
+		if !ok {
+			t.Errorf("%s/%s#%d: retry noted but no attempt %d recorded", r.WorkflowID, r.TaskID, r.Attempt, r.Attempt+1)
+		} else if due := r.FinishedAt + sim.Time(r.RetryDelaySec); next < due {
+			t.Errorf("%s/%s#%d: attempt %d started at %v, before the backoff ended at %v",
+				r.WorkflowID, r.TaskID, r.Attempt, r.Attempt+1, next, due)
+		}
+	}
+	return notes
+}
+
+// runProvDigest digests the provenance of each seed's run and checks its
+// retry notes (see checkRetryNotes), counting them as "<delayed>".
 func runProvDigest(t *testing.T, env *KubernetesEnv, gen func(*randx.Source) *dag.Workflow, seeds int, counts map[string]int) string {
 	t.Helper()
 	h := sha256.New()
@@ -67,6 +104,7 @@ func runProvDigest(t *testing.T, env *KubernetesEnv, gen func(*randx.Source) *da
 			t.Fatalf("seed %d: no provenance store", seed)
 		}
 		provDigest(t, h, st, counts)
+		counts["<delayed>"] += checkRetryNotes(t, st)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -82,8 +120,8 @@ func TestProvenanceDigestCWSStorm(t *testing.T) {
 	// storm (injected failures and node failures) only if both occur.
 	counts := map[string]int{"injected": 0, "node ": 0}
 	got := runProvDigest(t, env, func(r *randx.Source) *dag.Workflow { return dag.MontageLike(r, 8, opts) }, 4, counts)
-	if counts["injected"] == 0 || counts["node "] == 0 || counts["<annotated>"] == 0 {
-		t.Fatalf("storm runs injected no failures, failed no node or annotated no retries (%v); the digest would be vacuous", counts)
+	if counts["injected"] == 0 || counts["node "] == 0 || counts["<annotated>"] == 0 || counts["<delayed>"] == 0 {
+		t.Fatalf("storm runs injected no failures, failed no node or annotated no delayed retry (%v); the digest would be vacuous", counts)
 	}
 	if got != goldenProvCWSStorm {
 		t.Errorf("provenance digest = %s, want golden %s", got, goldenProvCWSStorm)

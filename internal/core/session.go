@@ -251,7 +251,7 @@ func runStream(runner *rm.StreamRunner, x dag.Expander, cl *cluster.Cluster, arm
 	if cws != nil {
 		// maxRetries 1 is the budget of policy-less runs (fault-free,
 		// prediction off); an armed policy supersedes it.
-		if err := cws.Bind(runner, runner.WorkflowID, 1); err != nil {
+		if err := cws.Bind(runner, runner.WorkflowID, 1, 0); err != nil {
 			return err
 		}
 	}
@@ -377,8 +377,8 @@ var sessionAuditSkip = []string{
 	"rm.TaskManager.resScratch",
 	"rm.TaskManager.freeRunning", // pooled records, zeroed on recycle
 	"rm.StreamRunner.freeAttempts",
-	"provenance.Store.freeIdx", // harvested index-slice capacity
 	"cwsi.CWS.freeRuns",
+	"cwsi.CWS.freeStates",       // pooled states, zeroed but for their bound hooks
 	"cwsi.rmAdapter.keys",       // priority-sort scratch, refilled per round
 	"rm.TaskManager.victims",    // node-down scratch, refilled per failure
 	"rm.TaskManager.downErrs",   // memoized failure causes of stable nodes

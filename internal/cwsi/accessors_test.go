@@ -30,14 +30,25 @@ func TestAccessorsAndNames(t *testing.T) {
 	if cws.ctx.Workflow("nope") != nil {
 		t.Fatal("unknown workflow should be nil")
 	}
-	if cws.ctx.Rank("nope", "a") != 0 {
-		t.Fatal("unknown-workflow rank should be 0")
+	unbound := &rm.Submission{WorkflowID: "w", TaskID: "a"}
+	if cws.ctx.Rank(unbound) != 0 || cws.ctx.PredictedRank(unbound) != 0 {
+		t.Fatal("unbound-submission rank should be 0")
 	}
-	if cws.ctx.PredictRuntime("nope", "a", nil) != 0 {
-		t.Fatal("unknown-workflow prediction should be 0")
+	if cws.ctx.PredictRuntime(unbound, nil) != 0 {
+		t.Fatal("unbound-submission prediction should be 0")
 	}
-	if cws.ctx.PredictRuntime("w", "ghost", nil) != 0 {
-		t.Fatal("unknown-task prediction should be 0")
+	if cws.ctx.Tenant(unbound) != -1 {
+		t.Fatal("unbound-submission tenant should be -1")
+	}
+	if err := cws.Bind(&rm.StreamRunner{Manager: mgr}, "w", 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	a := bound(cws, "w", 0)
+	if got, want := cws.ctx.Rank(a), w.UpwardRanks(dag.NominalDur)[0]; got != want || got == 0 {
+		t.Fatalf("bound rank = %v, want %v", got, want)
+	}
+	if cws.ctx.Tenant(a) != 3 {
+		t.Fatalf("bound tenant = %d, want 3", cws.ctx.Tenant(a))
 	}
 
 	names := map[string]Strategy{
@@ -65,7 +76,18 @@ func TestPredictRuntimeFallsBackToNominal(t *testing.T) {
 	w := dag.New("w")
 	w.Add(&dag.Task{ID: "t", Name: "t", NominalDur: 42, IOFrac: 0})
 	cws.RegisterWorkflow("w", w)
-	if got := cws.ctx.PredictRuntime("w", "t", cl.Nodes()[0]); got != 42 {
+	if got := cws.ctx.PredictRuntime(bound(cws, "w", 0), cl.Nodes()[0]); got != 42 {
 		t.Fatalf("fallback prediction = %v, want 42", got)
 	}
+}
+
+// bound returns a submission for the task at insertion index i of the
+// registered workflow id, wrapped by the hook Bind installs, as the runner
+// submits a first attempt.
+func bound(c *CWS, id string, i int) *rm.Submission {
+	st := c.workflows[id]
+	t := st.wf.At(i)
+	s := &rm.Submission{WorkflowID: id, TaskID: t.ID, Name: t.Name, Mem: t.MemBytes}
+	st.hook(s, t, i, 1)
+	return s
 }

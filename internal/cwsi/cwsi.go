@@ -37,30 +37,43 @@ func (c *Context) Workflow(id string) *dag.Workflow {
 	return nil
 }
 
-// Rank returns the upward rank of a task within its workflow (0 when the
-// workflow is unknown). Ranks are computed at registration from nominal
-// durations — the static DAG knowledge only a workflow-aware scheduler has.
-func (c *Context) Rank(wfID string, taskID dag.TaskID) float64 {
-	if st := c.cws.workflows[wfID]; st != nil {
-		if i, ok := st.wf.Index(taskID); ok {
-			return st.ranks[i]
-		}
+// attemptOf returns the CWS attempt that wraps s, or nil when the CWS did
+// not bind s (see Bind).
+func attemptOf(s *rm.Submission) *taskRun {
+	tr, _ := s.Hooks.(*taskRun)
+	return tr
+}
+
+// Rank returns the upward rank of s's task within its workflow (0 for a
+// submission the CWS did not bind). Ranks are computed at registration from
+// nominal durations — the static DAG knowledge only a workflow-aware
+// scheduler has.
+func (c *Context) Rank(s *rm.Submission) float64 {
+	if tr := attemptOf(s); tr != nil {
+		return tr.st.ranks[tr.idx]
 	}
 	return 0
 }
 
-// PredictRuntime estimates the runtime of a task (by process name and input
-// size) on a node, using the online predictor when trained and the declared
-// nominal duration as fallback.
-func (c *Context) PredictRuntime(wfID string, taskID dag.TaskID, n *cluster.Node) float64 {
-	st := c.cws.workflows[wfID]
-	if st == nil {
+// Tenant returns the tenant slot the caller bound s's workflow with (see
+// Bind), or -1 for a submission the CWS did not bind.
+func (c *Context) Tenant(s *rm.Submission) int {
+	if tr := attemptOf(s); tr != nil {
+		return tr.st.tenant
+	}
+	return -1
+}
+
+// PredictRuntime estimates the runtime of s's task (by process name and
+// input size) on a node, using the online predictor when trained and the
+// declared nominal duration as fallback (0 for a submission the CWS did not
+// bind).
+func (c *Context) PredictRuntime(s *rm.Submission, n *cluster.Node) float64 {
+	tr := attemptOf(s)
+	if tr == nil {
 		return 0
 	}
-	t := st.wf.Task(taskID)
-	if t == nil {
-		return 0
-	}
+	t := tr.t
 	if c.cws.predictor != nil {
 		if sec, ok := c.cws.predictor.Predict(t.Name, t.InputBytes, n.Type.SpeedFactor); ok {
 			return sec
@@ -90,11 +103,23 @@ type Strategy interface {
 type wfState struct {
 	wf    *dag.Workflow
 	ranks []float64
+	// hook is the runner hook Bind installs, bound to this state once, when
+	// the state is first allocated, so an attempt finds its workflow without
+	// a lookup.
+	hook func(s *rm.Submission, t *dag.Task, idx, n int) rm.AttemptHook
 
-	// The policy-less retry budget and the recovery policy's provenance
-	// label of the runner driving the workflow (see Bind).
+	// The policy-less retry budget, the recovery policy's provenance label
+	// and the caller's tenant slot of the runner driving the workflow (see
+	// Bind).
 	maxRetries int
 	retryLabel string
+	tenant     int
+
+	// live counts the workflow's attempts begun and not yet done; a
+	// released state returns to the pool once none is left (see
+	// ReleaseWorkflow).
+	live     int
+	released bool
 
 	// Predicted-critical-path ranks, memoized under the priority-cache
 	// generation (see Context.PredictedRank); nil while the model is cold.
@@ -124,8 +149,9 @@ type CWS struct {
 	// Done hook returns (the manager drops every reference before invoking
 	// it), so steady-state submission allocates only at peak concurrency.
 	freeRuns []*taskRun
-	// hook is newAttempt bound once, so Bind allocates no method value.
-	hook func(s *rm.Submission, t *dag.Task, idx, n int) rm.AttemptHook
+	// freeStates recycles released and reset workflow states, each with its
+	// bound hook.
+	freeStates []*wfState
 	// retryPolicy and retryLabel memoize the provenance label of the last
 	// recovery policy Bind saw (retryLabel is "" until the first), so a
 	// session that binds the same policy every run renders it once.
@@ -134,7 +160,7 @@ type CWS struct {
 
 	// observer, when set, sees every terminal task attempt right after
 	// provenance capture (see SetTaskObserver).
-	observer func(wfID string, taskID dag.TaskID, attempt int, r rm.Result)
+	observer func(tenant int, taskID dag.TaskID, attempt int, r rm.Result)
 
 	// Prediction-loop knobs and accounting (see predictive.go).
 	minPredSamples int     // warmth gate; <1 means 1
@@ -155,7 +181,6 @@ func New(mgr *rm.TaskManager, strategy Strategy, predictor predict.RuntimePredic
 		prioGen:   1, // generation 0 is the rm.Submission "never cached" sentinel
 	}
 	c.ctx = &Context{cws: c}
-	c.hook = c.newAttempt
 	// The provenance→predict feed (§3.4): every record folds into the online
 	// models as it is captured, including records ingested through paths that
 	// bypass the scheduler's own completion hook.
@@ -174,15 +199,19 @@ func New(mgr *rm.TaskManager, strategy Strategy, predictor predict.RuntimePredic
 // construction default, the provenance store truncates in place, and the
 // priority-cache generation restarts at 1 exactly as New sets it.
 // Construction wiring survives untouched: the provenance→predict observer,
-// the rmAdapter installed as the manager's strategy, the bound runner hook,
-// and the cluster OnNodeDown trace subscription are set once in New and must
-// not be registered again on a warm substrate. Pooled attempt records and
-// the memoized retry-policy label are retained.
+// the rmAdapter installed as the manager's strategy, and the cluster
+// OnNodeDown trace subscription are set once in New and must not be
+// registered again on a warm substrate. Pooled attempt records, the
+// registered workflows' states with their bound hooks, and the memoized
+// retry-policy label are retained.
 func (c *CWS) Reset(strategy Strategy, predictor predict.RuntimePredictor) {
 	c.prov.Reset()
 	c.predictor = predictor
 	c.memPred = nil
 	c.strategy = strategy
+	for _, st := range c.workflows {
+		c.recycle(st)
+	}
 	clear(c.workflows)
 	c.prioGen = 1
 	c.observer = nil
@@ -206,12 +235,13 @@ func (c *CWS) Manager() *rm.TaskManager { return c.mgr }
 
 // SetTaskObserver installs a hook invoked once per terminal task attempt,
 // immediately after provenance capture and before the requester's own Done
-// callback. The service layer uses it for per-tenant accounting (queue
+// callback, with the tenant slot the attempt's workflow was bound with (see
+// Bind). The service layer uses it for per-tenant accounting (queue
 // waits, core-seconds): the observer fires at exactly the
 // moments the priority-cache generation advances, so a fair-share strategy
 // whose priorities derive from observer-maintained state is never stale.
 // r.Submission must not be retained past the call (see rm.Result).
-func (c *CWS) SetTaskObserver(fn func(wfID string, taskID dag.TaskID, attempt int, r rm.Result)) {
+func (c *CWS) SetTaskObserver(fn func(tenant int, taskID dag.TaskID, attempt int, r rm.Result)) {
 	c.observer = fn
 }
 
@@ -221,15 +251,28 @@ func (c *CWS) SetTaskObserver(fn func(wfID string, taskID dag.TaskID, attempt in
 // workflows per arrival keeps O(in-flight) rather than O(arrivals) state.
 // Task records already captured are untouched. It is the caller's
 // responsibility to release only workflows with no tasks still pending or
-// running; the entry simply disappears for strategy Context lookups.
+// running; the id simply disappears from Context.Workflow. Attempts still
+// in flight keep the state they were bound to, so no memoized priority
+// changes, and the state is recycled once the last of them is done.
 // Releasing an unknown id is a no-op.
 func (c *CWS) ReleaseWorkflow(id string) {
-	if _, ok := c.workflows[id]; !ok {
+	st, ok := c.workflows[id]
+	if !ok {
 		return
 	}
 	delete(c.workflows, id)
 	c.prov.ReleaseWorkflow(id)
-	c.prioGen++ // Context lookups for id now miss; memoized priorities may be stale
+	if st.live == 0 {
+		c.recycle(st)
+	} else {
+		st.released = true
+	}
+}
+
+// recycle returns a workflow state no attempt references to the pool.
+func (c *CWS) recycle(st *wfState) {
+	*st = wfState{hook: st.hook}
+	c.freeStates = append(c.freeStates, st)
 }
 
 // RegisterWorkflow transfers a workflow's DAG to the CWS (§3.1): task
@@ -242,10 +285,18 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 	if err := w.Validate(); err != nil {
 		return fmt.Errorf("cwsi: workflow %q: %w", id, err)
 	}
-	c.workflows[id] = &wfState{
-		wf:    w,
-		ranks: w.UpwardRanks(dag.NominalDur),
+	var st *wfState
+	if n := len(c.freeStates); n > 0 {
+		st = c.freeStates[n-1]
+		c.freeStates = c.freeStates[:n-1]
+	} else {
+		st = new(wfState)
+		st.hook = func(s *rm.Submission, t *dag.Task, idx, n int) rm.AttemptHook {
+			return c.begin(st, s, t, idx, n)
+		}
 	}
+	st.wf, st.ranks = w, w.UpwardRanks(dag.NominalDur)
+	c.workflows[id] = st
 	c.prov.RegisterWorkflow(id, w)
 	c.prioGen++
 	return nil
@@ -257,29 +308,28 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 // enforcement, and one provenance record per attempt. Set sr's Source (an
 // expander over the registered workflow) and recovery policy first, then
 // Start or Run it. Without a policy, a failed task is resubmitted at once up
-// to maxRetries times; then the run fails (sr.Err).
-func (c *CWS) Bind(sr *rm.StreamRunner, id string, maxRetries int) error {
+// to maxRetries times; then the run fails (sr.Err). tenant is the caller's
+// slot for the workflow's owner, which strategies read through
+// Context.Tenant and the task observer receives; a caller without tenants
+// passes 0.
+func (c *CWS) Bind(sr *rm.StreamRunner, id string, maxRetries, tenant int) error {
 	st := c.workflows[id]
 	if st == nil {
 		return fmt.Errorf("cwsi: workflow %q not registered", id)
 	}
-	st.maxRetries, st.retryLabel = maxRetries, ""
+	st.maxRetries, st.retryLabel, st.tenant = maxRetries, "", tenant
 	if sr.Retry != nil {
 		if c.retryLabel == "" || *sr.Retry != c.retryPolicy {
 			c.retryPolicy, c.retryLabel = *sr.Retry, sr.Retry.String()
 		}
 		st.retryLabel = c.retryLabel
 	}
-	sr.WorkflowID, sr.Hook = id, c.hook
+	sr.WorkflowID, sr.Hook = id, st.hook
 	return nil
 }
 
-// newAttempt is the runner hook Bind installs.
-func (c *CWS) newAttempt(s *rm.Submission, t *dag.Task, idx, n int) rm.AttemptHook {
-	return c.begin(c.workflows[s.WorkflowID], s, t, idx, n)
-}
-
-// begin draws a pooled taskRun for attempt n of t, wrapping s's callbacks,
+// begin is the runner hook Bind installs, bound to the workflow's state st:
+// it draws a pooled taskRun for attempt n of t, wrapping s's callbacks,
 // and right-sizes s's memory: the predicted peak on the first attempt (once
 // the model is warm for the name), the full declared request after an OOM
 // retry.
@@ -300,6 +350,7 @@ func (c *CWS) begin(st *wfState, s *rm.Submission, t *dag.Task, idx, n int) *tas
 		c: c, st: st, inner: s.Hooks, wfID: s.WorkflowID, t: t, idx: idx, attempt: n,
 		grantedMem: s.Mem, submittedAt: c.mgr.Cluster().Engine().Now(),
 	}
+	st.live++
 	s.Hooks = tr
 	return tr
 }
@@ -316,6 +367,9 @@ type taskRun struct {
 	attempt     int
 	grantedMem  float64
 	submittedAt sim.Time
+	// rec is the index of the attempt's provenance record, set when Done
+	// writes it; Backoff annotates that record.
+	rec int
 
 	// Prediction-loop state for this attempt: the warm prediction made at
 	// placement (0 when cold) and whether the overrun policy truncated the
@@ -394,15 +448,22 @@ func (tr *taskRun) Done(r rm.Result) {
 	// The attempt is dead: the manager dropped its references before calling
 	// Done and the inner callback has returned (r.Submission must not be
 	// retained past it — see rm.Result). Recycle the record so steady-state
-	// submission allocates only at peak concurrency.
+	// submission allocates only at peak concurrency, and the workflow's
+	// state once its release waits on no attempt.
+	st := tr.st
+	st.live--
+	if st.live == 0 && st.released {
+		c.recycle(st)
+	}
 	*tr = taskRun{}
 	c.freeRuns = append(c.freeRuns, tr)
 }
 
 // Backoff implements rm.AttemptHook: the policy's retry decision annotates
-// the failed attempt's provenance record.
+// the failed attempt's provenance record, which the same Done wrote just
+// before (the runner decides the retry inside it).
 func (tr *taskRun) Backoff(d sim.Time) {
-	tr.c.prov.AnnotateRetry(tr.wfID, tr.t.ID, float64(d), tr.st.retryLabel)
+	tr.c.prov.AnnotateRetry(tr.rec, float64(d), tr.st.retryLabel)
 }
 
 // Resubmit implements rm.AttemptHook: without a recovery policy a task gets
@@ -443,10 +504,10 @@ func (c *CWS) record(tr *taskRun, r rm.Result) {
 	// AddTask triggers the provenance→predict observer (CWS.train), which
 	// folds the record into the online models before the generation bump
 	// below invalidates memoized priorities.
-	c.prov.AddTask(rec)
+	tr.rec = c.prov.AddTask(rec)
 	c.prioGen++ // provenance advanced; memoized priorities may be stale
 	if c.observer != nil {
-		c.observer(tr.wfID, t.ID, tr.attempt, r)
+		c.observer(tr.st.tenant, t.ID, tr.attempt, r)
 	}
 }
 
@@ -473,6 +534,10 @@ func (a *rmAdapter) Swap(i, j int) {
 // order the historical insertion sort produced.
 func (a *rmAdapter) Less(i, j int) bool { return a.keys[i] > a.keys[j] }
 
+// Prioritize orders pending by descending priority, equal keys in
+// submission order. Keys that are already non-increasing leave pending
+// untouched, which is what the stable sort would return; FIFO strategies
+// key everything alike, so their passes never sort.
 func (a *rmAdapter) Prioritize(pending []*rm.Submission) []*rm.Submission {
 	if len(pending) <= 1 {
 		return pending // nothing to order; skip key filling entirely
@@ -482,6 +547,7 @@ func (a *rmAdapter) Prioritize(pending []*rm.Submission) []*rm.Submission {
 		a.keys = make([]float64, len(pending))
 	}
 	a.keys = a.keys[:len(pending)]
+	ordered := true
 	for i, s := range pending {
 		k, ok := s.PriorityCache(gen)
 		if !ok {
@@ -489,6 +555,11 @@ func (a *rmAdapter) Prioritize(pending []*rm.Submission) []*rm.Submission {
 			s.SetPriorityCache(k, gen)
 		}
 		a.keys[i] = k
+		// A NaN key fails the test and takes the sort, as before.
+		ordered = ordered && (i == 0 || a.keys[i-1] >= k)
+	}
+	if ordered {
+		return pending
 	}
 	a.subs = pending
 	sort.Stable(a)
@@ -518,7 +589,7 @@ func (c *CWS) RunWorkflow(id string, maxRetries int) (sim.Time, error) {
 		return 0, err
 	}
 	sr := &rm.StreamRunner{Manager: c.mgr, Source: x}
-	if err := c.Bind(sr, id, maxRetries); err != nil {
+	if err := c.Bind(sr, id, maxRetries, 0); err != nil {
 		return 0, err
 	}
 	ms := sr.Run()

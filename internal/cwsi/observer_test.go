@@ -15,31 +15,40 @@ func TestTaskObserverSeesEveryAttempt(t *testing.T) {
 	eng := sim.NewEngine()
 	cws := New(rm.NewTaskManager(smallCluster(eng, 2, 4), nil), Baseline{}, nil)
 	type seen struct {
-		wf      string
+		tenant  int
 		task    dag.TaskID
 		attempt int
 		started bool
 	}
 	var log []seen
-	cws.SetTaskObserver(func(wfID string, taskID dag.TaskID, attempt int, r rm.Result) {
+	cws.SetTaskObserver(func(tenant int, taskID dag.TaskID, attempt int, r rm.Result) {
 		if got := cws.Provenance().Len(); got != len(log)+1 {
 			t.Errorf("observer fired before provenance capture: %d records at call %d", got, len(log))
 		}
-		log = append(log, seen{wfID, taskID, attempt, r.Node != nil})
+		log = append(log, seen{tenant, taskID, attempt, r.Node != nil})
 	})
 	w := chainWorkflow()
 	if err := cws.RegisterWorkflow("wf", w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("wf", 0); err != nil {
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := &rm.StreamRunner{Manager: cws.Manager(), Source: x}
+	if err := cws.Bind(sr, "wf", 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	sr.Run()
+	if err := sr.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(log) != 2 {
 		t.Fatalf("observer saw %d attempts, want 2: %+v", len(log), log)
 	}
 	for i, want := range []dag.TaskID{"a", "b"} {
-		if log[i].wf != "wf" || log[i].task != want || log[i].attempt != 1 || !log[i].started {
-			t.Fatalf("attempt %d = %+v, want wf/%s#1 started", i, log[i], want)
+		if log[i].tenant != 5 || log[i].task != want || log[i].attempt != 1 || !log[i].started {
+			t.Fatalf("attempt %d = %+v, want tenant 5's %s#1 started", i, log[i], want)
 		}
 	}
 }

@@ -52,22 +52,23 @@ func (c *CWS) memWarmFor(name string) bool {
 	return c.memPred != nil && c.memPred.Samples(name) >= c.minWarm()
 }
 
-// PredictedRank returns the predicted-critical-path upward rank of a task:
-// HEFT-style rank over reference-machine *predicted* runtimes, with the
-// declared nominal duration as per-task fallback. It returns 0 for every
+// PredictedRank returns the predicted-critical-path upward rank of s's
+// task: HEFT-style rank over reference-machine *predicted* runtimes, with
+// the declared nominal duration as per-task fallback. It returns 0 for every
 // task while the model is cold for every name in the workflow, so a
-// strategy term built on it contributes nothing until predictions exist.
+// strategy term built on it contributes nothing until predictions exist,
+// and 0 for a submission the CWS did not bind.
 //
 // Ranks are memoized per workflow under the priority-cache generation
 // (prioGen): every provenance record bumps the generation, so ranks — like
 // the strategies' memoized priorities — are recomputed exactly when the
 // knowledge they derive from may have changed, and never more often.
-func (ctx *Context) PredictedRank(wfID string, taskID dag.TaskID) float64 {
-	c := ctx.cws
-	st := c.workflows[wfID]
-	if st == nil {
+func (ctx *Context) PredictedRank(s *rm.Submission) float64 {
+	tr := attemptOf(s)
+	if tr == nil {
 		return 0
 	}
+	c, st := ctx.cws, tr.st
 	if st.predGen != c.prioGen {
 		st.predGen = c.prioGen
 		st.predRanks = c.predictedRanks(st)
@@ -75,10 +76,7 @@ func (ctx *Context) PredictedRank(wfID string, taskID dag.TaskID) float64 {
 	if st.predRanks == nil {
 		return 0
 	}
-	if i, ok := st.wf.Index(taskID); ok {
-		return st.predRanks[i]
-	}
-	return 0
+	return st.predRanks[tr.idx]
 }
 
 // predictedRanks computes the predicted upward ranks for one workflow, by
@@ -140,7 +138,7 @@ func (p Predictive) Priority(s *rm.Submission, ctx *Context) float64 {
 	if p.Inner != nil {
 		base = p.Inner.Priority(s, ctx)
 	}
-	return base + ctx.PredictedRank(s.WorkflowID, s.TaskID)
+	return base + ctx.PredictedRank(s)
 }
 
 // PickNode implements Strategy.
@@ -216,7 +214,7 @@ func (c *CWS) EnablePredictedBackfill() {
 // train is the provenance→predict observer (§3.4): installed on the
 // provenance store at construction, it folds every successful attempt into
 // the runtime and memory models as it is recorded.
-func (c *CWS) train(rec provenance.TaskRecord) {
+func (c *CWS) train(rec *provenance.TaskRecord) {
 	if rec.Failed {
 		return
 	}

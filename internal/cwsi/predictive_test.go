@@ -43,7 +43,7 @@ func runWithRecovery(t *testing.T, c *CWS, id string) rm.RunStats {
 	}
 	p := fault.DefaultRetryPolicy()
 	sr := &rm.StreamRunner{Manager: c.Manager(), Source: x, Retry: &p, RetryRNG: randx.New(7)}
-	if err := c.Bind(sr, id, 0); err != nil {
+	if err := c.Bind(sr, id, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	sr.Run()

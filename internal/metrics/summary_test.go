@@ -63,7 +63,7 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// Quantile at positions that land exactly on an index must return that
+// QuantileSorted at positions that land exactly on an index must return that
 // element with no interpolation error; positions between indices must
 // interpolate linearly.
 func TestQuantileExactBoundaries(t *testing.T) {
@@ -71,16 +71,16 @@ func TestQuantileExactBoundaries(t *testing.T) {
 	// With 5 values, pos = q*4; q = k/4 lands exactly on v[k].
 	for k := 0; k <= 4; k++ {
 		q := float64(k) / 4
-		if got := Quantile(v, q); got != v[k] {
-			t.Fatalf("Quantile(%v) = %v, want exactly %v", q, got, v[k])
+		if got := QuantileSorted(v, q); got != v[k] {
+			t.Fatalf("QuantileSorted(%v) = %v, want exactly %v", q, got, v[k])
 		}
 	}
 	// Midpoint between two indices interpolates halfway.
-	if got := Quantile(v, 0.125); got != 15 {
-		t.Fatalf("Quantile(0.125) = %v, want 15", got)
+	if got := QuantileSorted(v, 0.125); got != 15 {
+		t.Fatalf("QuantileSorted(0.125) = %v, want 15", got)
 	}
 	// Out-of-range q clamps to the extremes.
-	if Quantile(v, -0.5) != 10 || Quantile(v, 1.5) != 50 {
+	if QuantileSorted(v, -0.5) != 10 || QuantileSorted(v, 1.5) != 50 {
 		t.Fatal("q outside [0,1] did not clamp")
 	}
 }
@@ -91,7 +91,7 @@ func TestSummarizeMatchesQuantileOnEvenN(t *testing.T) {
 	if s.Median != 2.5 {
 		t.Fatalf("median of 1..4 = %v, want 2.5 (interpolated)", s.Median)
 	}
-	if want := Quantile(v, 0.9); s.P90 != want {
+	if want := QuantileSorted([]float64{1, 2, 3, 4}, 0.9); s.P90 != want {
 		t.Fatalf("P90 = %v, want %v", s.P90, want)
 	}
 }

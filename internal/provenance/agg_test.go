@@ -3,7 +3,6 @@ package provenance
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"hhcw/internal/dag"
@@ -101,40 +100,6 @@ func TestRunningAggregatesMatchRescan(t *testing.T) {
 			t.Fatalf("%s: means (%v,%v) vs rescan (%v,%v)",
 				st.Name, st.MeanRuntime, st.MeanPeakMem, wantMeanRT, wantMeanMem)
 		}
-	}
-}
-
-func TestStatsByTenant(t *testing.T) {
-	s := NewStore()
-	s.SetTenantResolver(func(wfID string) string {
-		if i := strings.IndexByte(wfID, '/'); i >= 0 {
-			return wfID[:i]
-		}
-		return wfID
-	})
-	add := func(wf string, cores int, sub, start, fin float64, failed bool, node string) {
-		s.AddTask(TaskRecord{
-			WorkflowID: wf, TaskID: "t", Name: "p", Attempt: 1, Cores: cores,
-			SubmittedAt: sim.Time(sub), StartedAt: sim.Time(start), FinishedAt: sim.Time(fin),
-			Failed: failed, Node: node,
-		})
-	}
-	add("alice/wf-0", 2, 0, 5, 15, false, "n0") // 2 cores × 10 s, wait 5
-	add("alice/wf-1", 1, 0, 3, 4, false, "n1")  // 1 core × 1 s, wait 3
-	add("bob/wf-0", 4, 0, 1, 2, true, "n0")     // failed but started: wait counts, core-sec doesn't
-	add("bob/wf-1", 4, 0, 9, 9, true, "")       // never reached a node: no wait
-	got := s.StatsByTenant()
-	if len(got) != 2 {
-		t.Fatalf("tenants = %+v", got)
-	}
-	alice, bob := got[0], got[1]
-	if alice.Tenant != "alice" || alice.Executions != 2 || alice.Failures != 0 ||
-		alice.Started != 2 || alice.QueueWaitSum != 8 || alice.CoreSeconds != 21 {
-		t.Fatalf("alice = %+v", alice)
-	}
-	if bob.Tenant != "bob" || bob.Executions != 2 || bob.Failures != 2 ||
-		bob.Started != 1 || bob.QueueWaitSum != 1 || bob.CoreSeconds != 0 {
-		t.Fatalf("bob = %+v", bob)
 	}
 }
 

@@ -7,7 +7,7 @@ import "testing"
 func TestTaskObserver(t *testing.T) {
 	s := NewStore()
 	var seen []TaskRecord
-	s.SetTaskObserver(func(r TaskRecord) { seen = append(seen, r) })
+	s.SetTaskObserver(func(r *TaskRecord) { seen = append(seen, *r) })
 
 	s.AddTask(TaskRecord{WorkflowID: "wf", TaskID: "a", Name: "map", StartedAt: 0, FinishedAt: 10})
 	s.AddTask(TaskRecord{WorkflowID: "wf", TaskID: "b", Name: "reduce", Failed: true})

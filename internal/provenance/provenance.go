@@ -87,40 +87,21 @@ type nameAgg struct {
 	ref  refAgg
 }
 
-// wfAgg is one workflow's slot: its record index list and its tenant slot,
-// resolved at the workflow's first attributed record (-1 until then).
-type wfAgg struct {
-	recs   []int
-	tenant int32
-}
-
-// Store is the central provenance store.
+// Store is the central provenance store: the task records, a running
+// aggregate per process name, node events and the registered workflows'
+// structure.
 //
-// Every per-record aggregate lives in a dense slot table reached by one map
-// lookup: nameSlot maps each process name to its slot in names, wfSlot each
-// workflow ID to its slot in wfs, tenantSlot each tenant to its slot in
-// tenants.
+// nameSlot maps each process name to its aggregate's slot in names, so a
+// record costs one name lookup.
 type Store struct {
 	records    []TaskRecord
 	nameSlot   map[string]int32
 	names      []nameAgg
-	wfSlot     map[string]int32
-	wfs        []wfAgg
 	nodeEvents []NodeEvent
 	workflows  map[string]*dag.Workflow
-	// Tenant dimension (see SetTenantResolver): running per-tenant
-	// aggregates, O(tenants).
-	tenantOf   func(wfID string) string
-	tenantSlot map[string]int32
-	tenants    []tenantAgg
 	// observer, when set, sees every record AddTask ingests (see
 	// SetTaskObserver).
-	observer func(TaskRecord)
-	// freeIdx recycles the workflows' index lists across Reset: warm sessions
-	// replay the same workflows in the same order, and Reset pushes the lists
-	// back in reverse, so each workflow of a replay draws exactly the
-	// capacity it filled last run.
-	freeIdx [][]int
+	observer func(*TaskRecord)
 }
 
 // NewStore returns an empty store.
@@ -130,35 +111,23 @@ func NewStore() *Store {
 		// of tasks; skip the first several append-doublings.
 		records:   make([]TaskRecord, 0, 64),
 		nameSlot:  map[string]int32{},
-		wfSlot:    map[string]int32{},
 		workflows: map[string]*dag.Workflow{},
 	}
 }
 
-// Reset empties the store in place: records, indexes, aggregates, node
-// events, and registered workflows are all cleared with their backing
-// capacity retained, and the per-run configuration (the tenant resolver)
-// reverts to the just-constructed default. The task observer survives:
-// it is construction-time wiring (the CWS trains predictors through it) and
-// warm sessions must not re-register it.
+// Reset empties the store in place: records, aggregates, node events, and
+// registered workflows are all cleared with their backing capacity
+// retained. The task observer survives: it is construction-time wiring (the
+// CWS trains predictors through it) and warm sessions must not re-register
+// it.
 func (s *Store) Reset() {
 	clear(s.records)
 	s.records = s.records[:0]
-	for i := len(s.wfs) - 1; i >= 0; i-- {
-		s.freeIdx = append(s.freeIdx, s.wfs[i].recs[:0])
-	}
 	clear(s.nameSlot)
 	clear(s.names)
 	s.names = s.names[:0]
-	clear(s.wfSlot)
-	clear(s.wfs)
-	s.wfs = s.wfs[:0]
 	s.nodeEvents = s.nodeEvents[:0]
 	clear(s.workflows)
-	s.tenantOf = nil
-	clear(s.tenantSlot)
-	clear(s.tenants)
-	s.tenants = s.tenants[:0]
 }
 
 // RegisterWorkflow stores workflow structure for the export's dependency
@@ -175,100 +144,26 @@ func (s *Store) RegisterWorkflow(id string, w *dag.Workflow) {
 // not O(arrivals).
 func (s *Store) ReleaseWorkflow(id string) { delete(s.workflows, id) }
 
-// SetTenantResolver installs the workflow-ID→tenant mapping that turns on
-// the per-tenant running aggregates. Must be set before the records it
-// should classify arrive; records added while no resolver is installed are
-// not attributed. The service layer names workflows "tenant/wf-N" and
-// resolves by prefix.
-func (s *Store) SetTenantResolver(fn func(wfID string) string) {
-	s.tenantOf = fn
-	if s.tenantSlot == nil {
-		s.tenantSlot = map[string]int32{}
-	}
-	for i := range s.wfs {
-		s.wfs[i].tenant = -1 // resolved by the previous resolver
-	}
-}
-
-// tenantAgg is the per-tenant running aggregate, folded on every AddTask.
-type tenantAgg struct {
-	tenant   string
-	execs    int
-	failures int
-	started  int
-	waitSum  float64
-	coreSec  float64
-}
-
-// TenantStats summarizes one tenant's footprint across all its workflows.
-type TenantStats struct {
-	Tenant       string
-	Executions   int     // terminal attempts observed
-	Failures     int     // failed attempts
-	Started      int     // attempts that reached a node
-	QueueWaitSum float64 // Σ (StartedAt−SubmittedAt) over started attempts
-	CoreSeconds  float64 // Σ cores×runtime over successful attempts
-}
-
-// StatsByTenant returns per-tenant summaries sorted by tenant ID, read from
-// the running aggregates — O(tenants).
-func (s *Store) StatsByTenant() []TenantStats {
-	out := make([]TenantStats, 0, len(s.tenants))
-	for _, a := range s.tenants {
-		out = append(out, TenantStats{
-			Tenant: a.tenant, Executions: a.execs, Failures: a.failures,
-			Started: a.started, QueueWaitSum: a.waitSum, CoreSeconds: a.coreSec,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
 // SetTaskObserver installs a hook invoked with every record AddTask
-// ingests. This is the §3.4 provenance→prediction feed: online predictors
+// ingests, as stored; the record is the observer's to read during the call
+// only. This is the §3.4 provenance→prediction feed: online predictors
 // subscribe here and train as attempts complete.
-func (s *Store) SetTaskObserver(fn func(TaskRecord)) { s.observer = fn }
+func (s *Store) SetTaskObserver(fn func(*TaskRecord)) { s.observer = fn }
 
-// AddTask appends a task execution record and folds it into the per-name,
-// per-workflow and per-tenant aggregates: one lookup per key, each reaching
-// a dense slot.
-func (s *Store) AddTask(r TaskRecord) {
-	if s.observer != nil {
-		s.observer(r)
-	}
-	na := &s.names[s.nameOf(r.Name)]
+// AddTask appends a task execution record, folds it into its process
+// name's aggregates, and returns the record's index (see AnnotateRetry).
+func (s *Store) AddTask(r TaskRecord) int {
 	idx := len(s.records)
 	s.records = append(s.records, r)
-	wf := &s.wfs[s.wfOf(r.WorkflowID)]
-	wf.recs = append(wf.recs, idx)
-	tenant := int32(-1)
-	if s.tenantOf != nil {
-		if wf.tenant < 0 {
-			wf.tenant = s.tenantIdx(s.tenantOf(r.WorkflowID))
-		}
-		tenant = wf.tenant
+	if s.observer != nil {
+		s.observer(&s.records[idx])
 	}
-
-	if tenant >= 0 {
-		a := &s.tenants[tenant]
-		a.execs++
-		if r.Failed {
-			a.failures++
-		}
-		if r.Node != "" { // an attempt that never reached a node has no wait
-			a.started++
-			a.waitSum += float64(r.StartedAt - r.SubmittedAt)
-			if !r.Failed {
-				a.coreSec += float64(r.Cores) * float64(r.Runtime())
-			}
-		}
-	}
-
+	na := &s.names[s.nameOf(r.Name)]
 	st := &na.stat
 	st.execs++
 	if r.Failed {
 		st.failures++
-		return
+		return idx
 	}
 	rt := float64(r.Runtime())
 	st.ok++
@@ -284,6 +179,7 @@ func (s *Store) AddTask(r TaskRecord) {
 	}
 	na.ref.sum += float64(r.Runtime()) * sf
 	na.ref.n++
+	return idx
 }
 
 // nameOf returns name's slot, opening one on first sight.
@@ -293,36 +189,6 @@ func (s *Store) nameOf(name string) int32 {
 		i = int32(len(s.names))
 		s.nameSlot[name] = i
 		s.names = append(s.names, nameAgg{name: name})
-	}
-	return i
-}
-
-// wfOf returns workflow id's slot, opening one (with its index list) on
-// first sight.
-func (s *Store) wfOf(id string) int32 {
-	i, ok := s.wfSlot[id]
-	if !ok {
-		i = int32(len(s.wfs))
-		s.wfSlot[id] = i
-		// Take a zero-length, capacity-bearing list from the Reset harvest,
-		// or nil when the pool is dry (a fresh key on a cold store).
-		var recs []int
-		if n := len(s.freeIdx); n > 0 {
-			recs = s.freeIdx[n-1]
-			s.freeIdx = s.freeIdx[:n-1]
-		}
-		s.wfs = append(s.wfs, wfAgg{recs: recs, tenant: -1})
-	}
-	return i
-}
-
-// tenantIdx returns tenant's slot, opening one on first sight.
-func (s *Store) tenantIdx(tenant string) int32 {
-	i, ok := s.tenantSlot[tenant]
-	if !ok {
-		i = int32(len(s.tenants))
-		s.tenantSlot[tenant] = i
-		s.tenants = append(s.tenants, tenantAgg{tenant: tenant})
 	}
 	return i
 }
@@ -343,23 +209,13 @@ func (s *Store) MeanRefRuntime(name string) (float64, bool) {
 // AddNodeEvent appends a node trace entry.
 func (s *Store) AddNodeEvent(e NodeEvent) { s.nodeEvents = append(s.nodeEvents, e) }
 
-// AnnotateRetry attaches recovery metadata to the most recent failed record
-// of (wfID, taskID): the policy chose to resubmit that attempt after
-// delaySec of backoff. It reports whether a matching record was found.
-func (s *Store) AnnotateRetry(wfID string, taskID dag.TaskID, delaySec float64, policy string) bool {
-	var idx []int
-	if w, ok := s.wfSlot[wfID]; ok {
-		idx = s.wfs[w].recs
-	}
-	for i := len(idx) - 1; i >= 0; i-- {
-		r := &s.records[idx[i]]
-		if r.TaskID == taskID && r.Failed {
-			r.RetryDelaySec = delaySec
-			r.RetryPolicy = policy
-			return true
-		}
-	}
-	return false
+// AnnotateRetry attaches recovery metadata to the failed record at index
+// i, as AddTask returned it: the policy chose to resubmit that attempt
+// after delaySec of backoff.
+func (s *Store) AnnotateRetry(i int, delaySec float64, policy string) {
+	r := &s.records[i]
+	r.RetryDelaySec = delaySec
+	r.RetryPolicy = policy
 }
 
 // Len returns the number of task records.

@@ -19,12 +19,12 @@ func rec(wf string, task dag.TaskID, name string, start, end sim.Time, failed bo
 }
 
 // byWorkflow returns the retained records of workflow id in insertion
-// order, read through the workflow's index list.
+// order.
 func byWorkflow(s *Store, id string) []TaskRecord {
 	var out []TaskRecord
-	if w, ok := s.wfSlot[id]; ok {
-		for _, j := range s.wfs[w].recs {
-			out = append(out, s.records[j])
+	for _, r := range s.records {
+		if r.WorkflowID == id {
+			out = append(out, r)
 		}
 	}
 	return out

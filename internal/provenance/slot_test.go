@@ -3,7 +3,6 @@ package provenance
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"sort"
 	"strconv"
 	"testing"
@@ -14,15 +13,13 @@ import (
 )
 
 // mapStore is the map-keyed layout the slot tables replaced: one map per
-// aggregate, each read and written back per record. It is the reference the
-// slot store must match bit for bit.
+// aggregate, each read and written back per record, and retry notes found
+// by scanning back for the workflow task's latest failed record. It is the
+// reference the slot store must match bit for bit.
 type mapStore struct {
 	records    []TaskRecord
-	byWorkflow map[string][]int
 	refByName  map[string]refAgg
 	statByName map[string]statAgg
-	tenantOf   func(string) string
-	byTenant   map[string]tenantAgg
 }
 
 func newMapStore() *mapStore {
@@ -33,32 +30,13 @@ func newMapStore() *mapStore {
 
 func (m *mapStore) reset() {
 	*m = mapStore{
-		byWorkflow: map[string][]int{},
 		refByName:  map[string]refAgg{},
 		statByName: map[string]statAgg{},
-		byTenant:   map[string]tenantAgg{},
 	}
 }
 
 func (m *mapStore) addTask(r TaskRecord) {
-	m.byWorkflow[r.WorkflowID] = append(m.byWorkflow[r.WorkflowID], len(m.records))
 	m.records = append(m.records, r)
-	if m.tenantOf != nil {
-		t := m.tenantOf(r.WorkflowID)
-		a := m.byTenant[t]
-		a.execs++
-		if r.Failed {
-			a.failures++
-		}
-		if r.Node != "" {
-			a.started++
-			a.waitSum += float64(r.StartedAt - r.SubmittedAt)
-			if !r.Failed {
-				a.coreSec += float64(r.Cores) * float64(r.Runtime())
-			}
-		}
-		m.byTenant[t] = a
-	}
 	st := m.statByName[r.Name]
 	st.execs++
 	if r.Failed {
@@ -84,24 +62,14 @@ func (m *mapStore) addTask(r TaskRecord) {
 	m.refByName[r.Name] = a
 }
 
-func (m *mapStore) annotateRetry(wfID string, taskID dag.TaskID, delay float64, policy string) bool {
-	idx := m.byWorkflow[wfID]
-	for i := len(idx) - 1; i >= 0; i-- {
-		r := &m.records[idx[i]]
-		if r.TaskID == taskID && r.Failed {
+func (m *mapStore) annotateRetry(wfID string, taskID dag.TaskID, delay float64, policy string) {
+	for i := len(m.records) - 1; i >= 0; i-- {
+		r := &m.records[i]
+		if r.WorkflowID == wfID && r.TaskID == taskID && r.Failed {
 			r.RetryDelaySec, r.RetryPolicy = delay, policy
-			return true
+			return
 		}
 	}
-	return false
-}
-
-func (m *mapStore) collect(idx []int) []TaskRecord {
-	out := make([]TaskRecord, len(idx))
-	for i, j := range idx {
-		out[i] = m.records[j]
-	}
-	return out
 }
 
 func (m *mapStore) statsByName() []Stats {
@@ -115,18 +83,6 @@ func (m *mapStore) statsByName() []Stats {
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-func (m *mapStore) statsByTenant() []TenantStats {
-	var out []TenantStats
-	for t, a := range m.byTenant {
-		out = append(out, TenantStats{
-			Tenant: t, Executions: a.execs, Failures: a.failures,
-			Started: a.started, QueueWaitSum: a.waitSum, CoreSeconds: a.coreSec,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
 
@@ -164,20 +120,12 @@ func bitsEqualValue(a, b reflect.Value) bool {
 	}
 }
 
-func tenantPrefix(wfID string) string {
-	for i := 0; i < len(wfID); i++ {
-		if wfID[i] == '/' {
-			return wfID[:i]
-		}
-	}
-	return wfID
-}
-
 // TestSlotStoreMatchesMapStore feeds one randomized record stream to the
-// slot store and to the map-keyed reference: names, workflows and tenants
-// vary, failures, non-positive speed factors and attempts that never reached
-// a node occur, retries are annotated, and the stores are reset between
-// rounds. Every query must agree bit for bit.
+// slot store and to the map-keyed reference: names and workflows vary,
+// failures, non-positive speed factors and attempts that never reached a
+// node occur, retries are annotated (by record index in the store, by
+// scanning back in the reference), and the stores are reset between rounds.
+// Every query must agree bit for bit.
 func TestSlotStoreMatchesMapStore(t *testing.T) {
 	rng := randx.New(29)
 	s, ref := NewStore(), newMapStore()
@@ -189,7 +137,7 @@ func TestSlotStoreMatchesMapStore(t *testing.T) {
 			wfIDs = append(wfIDs, tn+"/wf-"+strconv.Itoa(i))
 		}
 	}
-	wfIDs = append(wfIDs, "solo") // no tenant prefix
+	wfIDs = append(wfIDs, "solo")
 
 	check := func(round, step int) {
 		t.Helper()
@@ -198,9 +146,6 @@ func TestSlotStoreMatchesMapStore(t *testing.T) {
 		}
 		if got, want := s.StatsByName(), ref.statsByName(); !bitsEqual(got, want) {
 			t.Fatalf("round %d step %d: StatsByName\n got %+v\nwant %+v", round, step, got, want)
-		}
-		if got, want := s.StatsByTenant(), ref.statsByTenant(); !bitsEqual(got, want) {
-			t.Fatalf("round %d step %d: StatsByTenant\n got %+v\nwant %+v", round, step, got, want)
 		}
 		for _, n := range append(names, "unseen") {
 			gotM, gotOK := s.MeanRefRuntime(n)
@@ -215,22 +160,13 @@ func TestSlotStoreMatchesMapStore(t *testing.T) {
 					round, step, n, gotM, gotOK, wantM, wantOK)
 			}
 		}
-		for _, w := range append(wfIDs, "unseen/wf") {
-			if got, want := byWorkflow(s, w), ref.collect(ref.byWorkflow[w]); !bitsEqual(got, want) {
-				t.Fatalf("round %d step %d: records of %s differ", round, step, w)
-			}
+		if got, want := s.All(), ref.records; !bitsEqual(got, want) {
+			t.Fatalf("round %d step %d: records differ", round, step)
 		}
 	}
 
 	for round := 0; round < 6; round++ {
-		// Some rounds attribute tenants from the start, some install the
-		// resolver mid-stream, some never do.
-		resolverAt := []int{0, 150, -1}[round%3]
 		for step := 0; step < 300; step++ {
-			if step == resolverAt {
-				s.SetTenantResolver(tenantPrefix)
-				ref.tenantOf = tenantPrefix
-			}
 			submitted := sim.Time(rng.Float64() * 1e4)
 			started := submitted + sim.Time(rng.Float64()*50)
 			rec := TaskRecord{
@@ -251,14 +187,15 @@ func TestSlotStoreMatchesMapStore(t *testing.T) {
 				rec.Node = "" // never reached a node
 				rec.StartedAt, rec.FinishedAt = rec.SubmittedAt, rec.SubmittedAt
 			}
-			s.AddTask(rec)
+			i := s.AddTask(rec)
 			ref.addTask(rec)
+			if i != len(ref.records)-1 {
+				t.Fatalf("round %d step %d: AddTask returned index %d, want %d", round, step, i, len(ref.records)-1)
+			}
 			if rec.Failed && rng.Bernoulli(0.5) {
 				delay := rng.Float64() * 60
-				if got, want := s.AnnotateRetry(rec.WorkflowID, rec.TaskID, delay, "retry"),
-					ref.annotateRetry(rec.WorkflowID, rec.TaskID, delay, "retry"); got != want {
-					t.Fatalf("round %d step %d: AnnotateRetry = %v, reference %v", round, step, got, want)
-				}
+				s.AnnotateRetry(i, delay, "retry")
+				ref.annotateRetry(rec.WorkflowID, rec.TaskID, delay, "retry")
 			}
 			if step%37 == 0 {
 				check(round, step)
@@ -271,9 +208,9 @@ func TestSlotStoreMatchesMapStore(t *testing.T) {
 	}
 }
 
-// TestResetReplayAllocatesNothing locks the index-list pool's balance: after
-// one warm-up replay, Reset plus the same AddTask sequence — new names, new
-// workflows, tenants, records — allocates nothing.
+// TestResetReplayAllocatesNothing locks the store's reuse of its capacity:
+// after one cold replay, Reset plus the same AddTask sequence — new names,
+// new workflows, records — allocates nothing.
 func TestResetReplayAllocatesNothing(t *testing.T) {
 	rng := randx.New(5)
 	var recs []TaskRecord
@@ -291,30 +228,12 @@ func TestResetReplayAllocatesNothing(t *testing.T) {
 	s := NewStore()
 	replay := func() {
 		s.Reset()
-		s.SetTenantResolver(tenantPrefix)
 		for _, r := range recs {
 			s.AddTask(r)
 		}
 	}
-	replay() // cold: every slot and list is new
-	// The first harvesting Reset grows the pool once; the replay after it
-	// must already draw, key by key, exactly the capacity it filled.
-	s.Reset()
-	s.SetTenantResolver(tenantPrefix)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, r := range recs {
-		s.AddTask(r)
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("first warm replay allocates %d times, want 0", n)
-	}
+	replay() // cold: every slot is new
 	if n := testing.AllocsPerRun(20, replay); n != 0 {
 		t.Fatalf("warm Reset+replay allocates %v times, want 0", n)
-	}
-	if len(s.freeIdx) != 0 {
-		t.Fatalf("index-list pool holds %d slices after a balanced replay, want 0", len(s.freeIdx))
 	}
 }

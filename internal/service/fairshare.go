@@ -26,12 +26,14 @@ type FairShare struct {
 func (f *FairShare) Name() string { return "service-fairshare" }
 
 // Priority implements cwsi.Strategy: higher for tenants with less weighted
-// usage. Tasks from unknown workflows (none in service runs) rank neutral.
-func (f *FairShare) Priority(s *rm.Submission, _ *cwsi.Context) float64 {
-	ts := f.sv.tenantOf(s.WorkflowID)
-	if ts == nil {
+// usage. Submissions the CWS did not bind (none in service runs) rank
+// neutral.
+func (f *FairShare) Priority(s *rm.Submission, ctx *cwsi.Context) float64 {
+	i := ctx.Tenant(s)
+	if i < 0 {
 		return 0
 	}
+	ts := f.sv.tenants[i]
 	return -(ts.fairUsage / ts.weight)
 }
 

@@ -138,6 +138,7 @@ type admission struct {
 // tenantState is the live accounting of one tenant during a run.
 type tenantState struct {
 	spec   Tenant
+	slot   int // index in serviceRun.tenants, the CWS tenant slot
 	weight float64
 	arrRNG *randx.Source
 	in     *tenantInputs
@@ -173,7 +174,6 @@ type serviceRun struct {
 	cws     *cwsi.CWS
 	inj     *fault.Injector
 	tenants []*tenantState
-	byID    map[string]*tenantState
 
 	only          int // -1 = all tenants; otherwise the sole armed tenant
 	activeChains  int
@@ -207,15 +207,6 @@ func (sv *serviceRun) decayUsage(now sim.Time) {
 		ts.fairUsage *= f
 	}
 	sv.lastDecay = now
-}
-
-// tenantOf resolves a "tenant/wf-N" workflow ID to its state (nil if alien).
-func (sv *serviceRun) tenantOf(wfID string) *tenantState {
-	i := strings.IndexByte(wfID, '/')
-	if i < 0 {
-		return nil
-	}
-	return sv.byID[wfID[:i]]
 }
 
 // Substrate is a warm service substrate: one engine + cluster + task manager
@@ -300,8 +291,8 @@ var substrateAuditSkip = []string{
 	"rm.TaskManager.freeRunning",
 	"rm.TaskManager.victims",
 	"rm.TaskManager.downErrs",
-	"provenance.Store.freeIdx",
 	"cwsi.CWS.freeRuns",
+	"cwsi.CWS.freeStates",
 	"cwsi.rmAdapter.keys",
 	"cwsi.CWS.retryPolicy",
 	"cwsi.CWS.retryLabel",
@@ -371,7 +362,6 @@ func run(sub *Substrate, cfg Config, seed int64, only int, in []tenantInputs) (*
 		sub:  sub,
 		eng:  sub.eng,
 		cl:   sub.cl,
-		byID: map[string]*tenantState{},
 		only: only,
 	}
 
@@ -393,11 +383,12 @@ func run(sub *Substrate, cfg Config, seed int64, only int, in []tenantInputs) (*
 		if t.Arrivals == nil || t.Workload == nil {
 			return nil, fmt.Errorf("service: tenant %q needs Arrivals and Workload", t.ID)
 		}
-		if _, dup := sv.byID[t.ID]; dup {
+		if slices.ContainsFunc(cfg.Tenants[:i], func(o Tenant) bool { return o.ID == t.ID }) {
 			return nil, fmt.Errorf("service: duplicate tenant ID %q", t.ID)
 		}
 		ts := &tenantState{
 			spec:        t,
+			slot:        i,
 			weight:      t.Weight,
 			arrRNG:      rng.Fork(),
 			in:          &in[i],
@@ -419,7 +410,6 @@ func run(sub *Substrate, cfg Config, seed int64, only int, in []tenantInputs) (*
 			ts.maxDeferred = 16
 		}
 		sv.tenants = append(sv.tenants, ts)
-		sv.byID[t.ID] = ts
 	}
 
 	var strat cwsi.Strategy = cwsi.Baseline{}
@@ -430,12 +420,6 @@ func run(sub *Substrate, cfg Config, seed int64, only int, in []tenantInputs) (*
 	// identity apart from that, so warm and cold runs see the same CWS.
 	sub.cws.Reset(strat, nil)
 	sv.cws = sub.cws
-	sv.cws.Provenance().SetTenantResolver(func(wfID string) string {
-		if i := strings.IndexByte(wfID, '/'); i >= 0 {
-			return wfID[:i]
-		}
-		return wfID
-	})
 	sv.cws.SetTaskObserver(sv.observe)
 
 	if cfg.Faults.Enabled() {
@@ -502,13 +486,14 @@ func (sv *serviceRun) armArrivals(ts *tenantState) {
 // in-flight budget, defer into the bounded backpressure queue, or reject.
 // Rejected and deferred arrivals cost O(1) state — the workflow is neither
 // generated nor compiled until an in-flight slot is granted, so service
-// state stays O(in-flight + deferred), never O(arrivals).
+// state stays O(in-flight + deferred), never O(arrivals). A tenant with a
+// negative budget has no slot to wait for, so it defers nothing.
 func (sv *serviceRun) arrive(ts *tenantState) {
 	ts.arrivals++
 	switch {
 	case ts.inFlight < ts.maxInFlight:
 		sv.admit(ts, sv.eng.Now())
-	case len(ts.deferredQ) < ts.maxDeferred:
+	case ts.maxInFlight > 0 && len(ts.deferredQ) < ts.maxDeferred:
 		ts.deferrals++
 		ts.deferredQ = append(ts.deferredQ, sv.eng.Now())
 	default:
@@ -556,7 +541,7 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 		sr.Retry, sr.RetryRNG = sv.retry, sv.retryRNG
 		sr.FailPlan = a.failPlan
 	}
-	if err := sv.cws.Bind(sr, wfID, 0); err != nil {
+	if err := sv.cws.Bind(sr, wfID, 0, ts.slot); err != nil {
 		sv.fail(fmt.Errorf("service: %w", err))
 		return
 	}
@@ -645,11 +630,8 @@ func (sv *serviceRun) maybeStopInjector() {
 // task attempt, after provenance capture. It fires at exactly the moments
 // the priority-cache generation advances, so the fair-share deficits it
 // maintains are never read stale by a memoized priority.
-func (sv *serviceRun) observe(wfID string, _ dag.TaskID, _ int, r rm.Result) {
-	ts := sv.tenantOf(wfID)
-	if ts == nil {
-		return
-	}
+func (sv *serviceRun) observe(tenant int, _ dag.TaskID, _ int, r rm.Result) {
+	ts := sv.tenants[tenant]
 	ts.tasksStarted++
 	ts.waits = append(ts.waits, float64(r.StartedAt-r.SubmittedAt))
 	if !r.Failed {

@@ -9,6 +9,7 @@ import (
 	"hhcw/internal/compose"
 	"hhcw/internal/dag"
 	"hhcw/internal/fault"
+	"hhcw/internal/provenance"
 	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 )
@@ -165,18 +166,68 @@ func TestAdmissionControlBoundsAndAccounts(t *testing.T) {
 	}
 }
 
+// A negative admission budget rejects every arrival: with no slot ever
+// free, deferring would strand the arrival in the backpressure queue.
+func TestNegativeBudgetRejectsAll(t *testing.T) {
+	cfg := smallScenario(false)
+	cfg.Tenants[0].MaxInFlight = -1
+	res, err := Run(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Tenants[0]
+	if tr.Arrivals == 0 || tr.Admitted != 0 || tr.Deferred != 0 || tr.Rejected != tr.Arrivals {
+		t.Fatalf("budget -1: %d arrivals, %d admitted, %d deferred, %d rejected; want all rejected",
+			tr.Arrivals, tr.Admitted, tr.Deferred, tr.Rejected)
+	}
+	if tr.RejectionRate != 1 {
+		t.Fatalf("rejection rate %v, want 1", tr.RejectionRate)
+	}
+	if bob := res.Tenants[1]; bob.Admitted == 0 || bob.Completed != bob.Admitted {
+		t.Fatalf("the other tenant did not run: %+v", bob)
+	}
+}
+
+// tenantFold is the tests' per-tenant oracle: the provenance records of one
+// tenant, folded independently of the service's own accounting.
+type tenantFold struct {
+	started, failures int
+	waitSum, coreSec  float64
+}
+
+// foldByTenant folds records by the tenant prefix of their workflow IDs.
+func foldByTenant(recs []provenance.TaskRecord) map[string]tenantFold {
+	out := map[string]tenantFold{}
+	for _, r := range recs {
+		tenant, _, _ := strings.Cut(r.WorkflowID, "/")
+		f := out[tenant]
+		if r.Failed {
+			f.failures++
+		}
+		if r.Node != "" { // an attempt that never reached a node has no wait
+			f.started++
+			f.waitSum += float64(r.StartedAt - r.SubmittedAt)
+			if !r.Failed {
+				f.coreSec += float64(r.Cores) * float64(r.Runtime())
+			}
+		}
+		out[tenant] = f
+	}
+	return out
+}
+
 // The service must release per-workflow state as workflows finish: at drain
-// the provenance store exports no workflow structure, and only the
-// per-tenant aggregates remain.
+// the provenance store exports no workflow structure, and only the records
+// of both tenants remain.
 func TestServiceStateBounded(t *testing.T) {
 	cfg := smallScenario(false)
-	var inFlight, wfStates int
+	var inFlight, tenants int
 	var doc struct {
 		Workflows map[string]json.RawMessage `json:"workflows"`
 	}
 	cfg.inspect = func(sv *serviceRun) {
 		inFlight = sv.inFlightTotal
-		wfStates = len(sv.cws.Provenance().StatsByTenant())
+		tenants = len(foldByTenant(sv.cws.Provenance().All()))
 		raw, err := sv.cws.Provenance().ExportPROV()
 		if err == nil {
 			err = json.Unmarshal(raw, &doc)
@@ -195,43 +246,40 @@ func TestServiceStateBounded(t *testing.T) {
 	if len(doc.Workflows) != 0 {
 		t.Fatalf("%d workflow structures still registered at drain", len(doc.Workflows))
 	}
-	if wfStates != 2 {
-		t.Fatalf("tenant aggregates = %d, want 2", wfStates)
+	if tenants != 2 {
+		t.Fatalf("records of %d tenants, want 2", tenants)
 	}
 	if res.Tenants[0].Completed == 0 || res.Tenants[1].Completed == 0 {
 		t.Fatalf("no completions: %+v", res.Tenants)
 	}
 }
 
-// Service accounting and the provenance store's per-tenant aggregates are
-// two independent code paths over the same stream of task results; they
-// must agree exactly.
+// Service accounting and a fold of the provenance records are two
+// independent code paths over the same stream of task results; they must
+// agree exactly.
 func TestAccountingMatchesProvenance(t *testing.T) {
 	cfg := smallScenario(true)
-	var stats map[string][4]float64
+	var folds map[string]tenantFold
 	cfg.inspect = func(sv *serviceRun) {
-		stats = map[string][4]float64{}
-		for _, st := range sv.cws.Provenance().StatsByTenant() {
-			stats[st.Tenant] = [4]float64{float64(st.Started), st.CoreSeconds, st.QueueWaitSum, float64(st.Failures)}
-		}
+		folds = foldByTenant(sv.cws.Provenance().All())
 	}
 	res, err := Run(cfg, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range res.Tenants {
-		st, ok := stats[tr.Tenant]
+		f, ok := folds[tr.Tenant]
 		if !ok {
-			t.Fatalf("no provenance aggregate for %s", tr.Tenant)
+			t.Fatalf("no provenance records for %s", tr.Tenant)
 		}
-		if int(st[0]) != tr.TasksStarted {
-			t.Errorf("%s: provenance started %d, service %d", tr.Tenant, int(st[0]), tr.TasksStarted)
+		if f.started != tr.TasksStarted {
+			t.Errorf("%s: provenance started %d, service %d", tr.Tenant, f.started, tr.TasksStarted)
 		}
-		if st[1] != tr.UsedCoreSec {
-			t.Errorf("%s: provenance core-sec %v, service %v", tr.Tenant, st[1], tr.UsedCoreSec)
+		if f.coreSec != tr.UsedCoreSec {
+			t.Errorf("%s: provenance core-sec %v, service %v", tr.Tenant, f.coreSec, tr.UsedCoreSec)
 		}
-		if want := tr.MeanWaitSec * float64(tr.TasksStarted); !approxEq(st[2], want) {
-			t.Errorf("%s: provenance wait sum %v, service %v", tr.Tenant, st[2], want)
+		if want := tr.MeanWaitSec * float64(tr.TasksStarted); !approxEq(f.waitSum, want) {
+			t.Errorf("%s: provenance wait sum %v, service %v", tr.Tenant, f.waitSum, want)
 		}
 	}
 }

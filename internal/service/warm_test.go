@@ -139,3 +139,34 @@ func TestSweepWarmMatchesColdRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmRunOnSharedInputsAllocs locks the allocation ceiling of
+// runSeed's steady state: a warm substrate replaying a contended fair-share
+// run whose admissions an earlier run of the seed already generated. What
+// remains is per arrival (the arrival event's callback), per admission
+// (workflow validation and ranks, the runner's completion callback) and per
+// run (tenant state and the Result). It was
+// 589 while every admission allocated its workflow's scheduler state; the
+// CWS now recycles a released workflow's state once its last attempt ends.
+func TestWarmRunOnSharedInputsAllocs(t *testing.T) {
+	cfg := warmTestConfig(t, true, "")
+	sub := NewSubstrate(cfg.Nodes, cfg.CoresPerNode)
+	in := make([]tenantInputs, len(cfg.Tenants))
+	var res *Result
+	run1 := func() {
+		var err error
+		if res, err = run(sub, cfg, 3, -1, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run1() // generates every admission and fills the pools
+	generated := len(in[0].wfs)
+	allocs := testing.AllocsPerRun(5, run1)
+	if res.Tenants[0].Admitted == 0 || len(in[0].wfs) != generated {
+		t.Fatalf("replay admitted %d and generated %d more; the lock would not measure the steady state",
+			res.Tenants[0].Admitted, len(in[0].wfs)-generated)
+	}
+	if allocs > 469 {
+		t.Errorf("warm run on shared inputs allocates %.0f objects, want <= 469", allocs)
+	}
+}

@@ -145,13 +145,11 @@ func TestFromProvenanceSortedByTS(t *testing.T) {
 
 func TestFailedEventCarriesRecoveryMetadata(t *testing.T) {
 	s := provenance.NewStore()
-	s.AddTask(provenance.TaskRecord{
+	i := s.AddTask(provenance.TaskRecord{
 		WorkflowID: "w", TaskID: "a", Attempt: 1, StartedAt: 0, FinishedAt: 5,
 		Node: "n-0001", Failed: true, Error: "node down",
 	})
-	if !s.AnnotateRetry("w", "a", 12.5, "retry(max=5)") {
-		t.Fatal("AnnotateRetry found no record")
-	}
+	s.AnnotateRetry(i, 12.5, "retry(max=5)")
 	doc := FromProvenance(s)
 	ev := doc.TraceEvents[0]
 	if ev.Cat != "failed" {
