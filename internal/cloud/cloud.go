@@ -60,9 +60,6 @@ type Instance struct {
 	stoppedAt  sim.Time
 }
 
-// State returns the lifecycle state.
-func (i *Instance) State() InstanceState { return i.state }
-
 // UptimeSec returns billable seconds (launch to termination, or to now).
 func (i *Instance) UptimeSec(now sim.Time) float64 {
 	end := i.stoppedAt

@@ -35,19 +35,19 @@ func TestInstanceLifecycle(t *testing.T) {
 	env := NewEnv(eng)
 	var readyAt sim.Time
 	inst := env.Launch(T3Medium, func(i *Instance) { readyAt = eng.Now() })
-	if inst.State() != Launching {
+	if inst.state != Launching {
 		t.Fatal("instance should be launching")
 	}
 	eng.Run()
 	if readyAt != 60 {
 		t.Fatalf("ready at %v, want 60 (boot delay)", readyAt)
 	}
-	if inst.State() != Running {
+	if inst.state != Running {
 		t.Fatal("instance should be running")
 	}
 	eng.At(eng.Now(), func() {})
 	env.Terminate(inst)
-	if inst.State() != Terminated {
+	if inst.state != Terminated {
 		t.Fatal("instance should be terminated")
 	}
 	if got := inst.UptimeSec(eng.Now()); got != 60 {
@@ -66,8 +66,8 @@ func TestTerminateDuringLaunch(t *testing.T) {
 	if called {
 		t.Fatal("onReady fired for terminated instance")
 	}
-	if inst.State() != Terminated {
-		t.Fatalf("instance state %v after terminate during launch", inst.State())
+	if inst.state != Terminated {
+		t.Fatalf("instance state %v after terminate during launch", inst.state)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestASGProcessesQueue(t *testing.T) {
 		t.Fatalf("instances = %d, want 3", len(env.Instances()))
 	}
 	for _, inst := range env.Instances() {
-		if inst.State() != Terminated {
+		if inst.state != Terminated {
 			t.Fatal("instance not terminated after drain")
 		}
 	}

@@ -224,9 +224,9 @@ func (e *KubernetesEnv) armFaults(arm *faultArm, cl *cluster.Cluster, rng *randx
 }
 
 // failures returns the planned transient failures of the task at insertion
-// index i. Dynamic sources (EnTK PostExec growth) emit tasks beyond the plan,
-// which covers the initial Total; those draw none — node-level faults from
-// the injector still hit them.
+// index i. A dynamic source, whose Total grows during the run, emits tasks
+// beyond the plan, which covers the initial Total; those draw none —
+// node-level faults from the injector still hit them.
 func (a *faultArm) failures(i int) int {
 	if i < len(a.plan) {
 		return a.plan[i]
@@ -268,8 +268,8 @@ func runStream(runner *rm.StreamRunner, x dag.Expander, cl *cluster.Cluster, arm
 	if err := runner.Err(); err != nil {
 		return err
 	}
-	// Dynamic sources (EnTK PostExec growth) raise Total during the run;
-	// re-read it so the result reflects what actually expanded.
+	// A dynamic source raises Total during the run; re-read it so the
+	// result reflects what actually expanded.
 	res.TasksRun = x.Total()
 	res.MakespanSec = float64(ms)
 	res.UtilizationCore = cl.Utilization(ms)

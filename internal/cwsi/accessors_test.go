@@ -14,8 +14,8 @@ func TestAccessorsAndNames(t *testing.T) {
 	mgr := rm.NewTaskManager(smallCluster(eng, 1, 4), nil)
 	p := predict.NewMean()
 	cws := New(mgr, Baseline{}, p)
-	if cws.Manager() != mgr {
-		t.Fatal("Manager accessor")
+	if cws.mgr != mgr {
+		t.Fatal("manager not installed")
 	}
 	if cws.predictor != p {
 		t.Fatal("predictor not installed")
@@ -24,11 +24,8 @@ func TestAccessorsAndNames(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	if cws.ctx.Workflow("w") != w {
-		t.Fatal("Context.Workflow")
-	}
-	if cws.ctx.Workflow("nope") != nil {
-		t.Fatal("unknown workflow should be nil")
+	if cws.workflows["w"].wf != w {
+		t.Fatal("workflow not registered")
 	}
 	unbound := &rm.Submission{WorkflowID: "w", TaskID: "a"}
 	if cws.ctx.Rank(unbound) != 0 || cws.ctx.PredictedRank(unbound) != 0 {

@@ -29,14 +29,6 @@ type Context struct {
 	cws *CWS
 }
 
-// Workflow returns the registered workflow for id, or nil.
-func (c *Context) Workflow(id string) *dag.Workflow {
-	if st := c.cws.workflows[id]; st != nil {
-		return st.wf
-	}
-	return nil
-}
-
 // attemptOf returns the CWS attempt that wraps s, or nil when the CWS did
 // not bind s (see Bind).
 func attemptOf(s *rm.Submission) *taskRun {
@@ -229,9 +221,6 @@ func (c *CWS) Provenance() *provenance.Store { return c.prov }
 // more tasks pack per node. An under-prediction manifests as an OOM kill;
 // the retry falls back to the full declared request.
 func (c *CWS) SetMemPredictor(p *predict.MemPredictor) { c.memPred = p }
-
-// Manager returns the underlying resource manager.
-func (c *CWS) Manager() *rm.TaskManager { return c.mgr }
 
 // SetTaskObserver installs a hook invoked once per terminal task attempt,
 // immediately after provenance capture and before the requester's own Done

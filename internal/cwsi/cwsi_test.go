@@ -74,7 +74,7 @@ func TestRunWorkflowUnregistered(t *testing.T) {
 	if _, err := cws.RunWorkflow("nope", 0); err == nil {
 		t.Fatal("unregistered workflow ran")
 	}
-	if err := cws.Bind(&rm.StreamRunner{Manager: cws.Manager()}, "nope", 0, 0); err == nil {
+	if err := cws.Bind(&rm.StreamRunner{Manager: cws.mgr}, "nope", 0, 0); err == nil {
 		t.Fatal("unregistered workflow bound")
 	}
 }
@@ -348,7 +348,7 @@ func TestBindLabelsEachPolicy(t *testing.T) {
 		if err := cws.RegisterWorkflow(id, w); err != nil {
 			t.Fatal(err)
 		}
-		if err := cws.Bind(&rm.StreamRunner{Manager: cws.Manager(), Retry: p}, id, 0, 0); err != nil {
+		if err := cws.Bind(&rm.StreamRunner{Manager: cws.mgr, Retry: p}, id, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		return cws.workflows[id].retryLabel

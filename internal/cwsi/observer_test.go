@@ -35,7 +35,7 @@ func TestTaskObserverSeesEveryAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := &rm.StreamRunner{Manager: cws.Manager(), Source: x}
+	sr := &rm.StreamRunner{Manager: cws.mgr, Source: x}
 	if err := cws.Bind(sr, "wf", 0, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestReleaseWorkflowDropsState(t *testing.T) {
 		t.Fatal("registered structure missing before release")
 	}
 	cws.ReleaseWorkflow("wf")
-	if cws.ctx.Workflow("wf") != nil {
+	if cws.workflows["wf"] != nil {
 		t.Fatal("scheduler state survived release")
 	}
 	if _, ok := provExport(t, cws).Workflows["wf"]; ok {

@@ -37,12 +37,12 @@ func overrunWorkflow() *dag.Workflow {
 // the default recovery policy and returns the run's recovery accounting.
 func runWithRecovery(t *testing.T, c *CWS, id string) rm.RunStats {
 	t.Helper()
-	x, err := dag.NewWorkflowExpander(c.ctx.Workflow(id))
+	x, err := dag.NewWorkflowExpander(c.workflows[id].wf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := fault.DefaultRetryPolicy()
-	sr := &rm.StreamRunner{Manager: c.Manager(), Source: x, Retry: &p, RetryRNG: randx.New(7)}
+	sr := &rm.StreamRunner{Manager: c.mgr, Source: x, Retry: &p, RetryRNG: randx.New(7)}
 	if err := c.Bind(sr, id, 0, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -197,13 +197,6 @@ func (w *Workflow) Task(id TaskID) *Task {
 	return nil
 }
 
-// Index returns the insertion position of the task with the given ID — the
-// position per-task tables (readiness, ranks, fault plans) are indexed by.
-func (w *Workflow) Index(id TaskID) (int, bool) {
-	i, ok := w.index[id]
-	return int(i), ok
-}
-
 // At returns the task at insertion position i.
 func (w *Workflow) At(i int) *Task { return w.list[i] }
 
@@ -307,21 +300,6 @@ func (w *Workflow) Clone() *Workflow {
 		cp := *t
 		cp.Deps = append([]TaskID(nil), cp.Deps...)
 		out.Add(&cp)
-	}
-	return out
-}
-
-// Children returns direct successors of id in edge-creation order (empty
-// for an ID not in the workflow).
-func (w *Workflow) Children(id TaskID) []*Task {
-	i, ok := w.index[id]
-	if !ok {
-		return nil
-	}
-	kids := w.successors(i)
-	out := make([]*Task, len(kids))
-	for k, c := range kids {
-		out[k] = w.list[c]
 	}
 	return out
 }

@@ -98,7 +98,7 @@ func TestRootsLeavesChildrenParents(t *testing.T) {
 	if got := len(w.Leaves()); got != 1 {
 		t.Fatalf("leaves = %d, want 1", got)
 	}
-	if got := len(w.Children("src")); got != 2 {
+	if got := len(children(w, "src")); got != 2 {
 		t.Fatalf("children(src) = %d, want 2", got)
 	}
 	if got := len(w.Task("sink").Deps); got != 2 {
@@ -144,7 +144,7 @@ func TestCriticalPathPicksLongerBranch(t *testing.T) {
 func TestUpwardRanks(t *testing.T) {
 	w := lin("a", "b", "c")
 	ranks := w.UpwardRanks(NominalDur)
-	rank := func(id TaskID) float64 { i, _ := w.Index(id); return ranks[i] }
+	rank := func(id TaskID) float64 { return ranks[w.index[id]] }
 	if rank("a") != 3 || rank("b") != 2 || rank("c") != 1 {
 		t.Fatalf("ranks = %v", ranks)
 	}
@@ -241,8 +241,8 @@ func TestUpwardRankMonotone(t *testing.T) {
 			if ranks[i] < task.NominalDur-1e-9 {
 				return false
 			}
-			for _, c := range w.Children(task.ID) {
-				if ci, _ := w.Index(c.ID); ranks[i] <= ranks[ci] {
+			for _, c := range children(w, task.ID) {
+				if ranks[i] <= ranks[w.index[c.ID]] {
 					return false
 				}
 			}

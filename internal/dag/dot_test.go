@@ -89,7 +89,7 @@ func TestAddEdge(t *testing.T) {
 	if got := len(w.Task("b").Deps); got != 1 {
 		t.Fatalf("b has %d deps, want 1", got)
 	}
-	if got := len(w.Children("a")); got != 1 {
+	if got := len(children(w, "a")); got != 1 {
 		t.Fatalf("a has %d children, want 1", got)
 	}
 	if err := w.Validate(); err != nil {

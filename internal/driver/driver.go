@@ -69,11 +69,6 @@ func New(name, synopsis string) *App {
 // Int registers an int flag.
 func (a *App) Int(name string, value int, usage string) *int { return a.fs.Int(name, value, usage) }
 
-// Int64 registers an int64 flag.
-func (a *App) Int64(name string, value int64, usage string) *int64 {
-	return a.fs.Int64(name, value, usage)
-}
-
 // Bool registers a bool flag.
 func (a *App) Bool(name string, value bool, usage string) *bool {
 	return a.fs.Bool(name, value, usage)
@@ -81,11 +76,6 @@ func (a *App) Bool(name string, value bool, usage string) *bool {
 
 // String registers a string flag.
 func (a *App) String(name, value, usage string) *string { return a.fs.String(name, value, usage) }
-
-// Float64 registers a float64 flag.
-func (a *App) Float64(name string, value float64, usage string) *float64 {
-	return a.fs.Float64(name, value, usage)
-}
 
 // SeedDefault overrides the default of the common -seed flag (call before
 // Parse). Commands calibrated around a historical seed keep their behaviour.

@@ -8,7 +8,6 @@ import (
 	"hhcw/internal/compose"
 	"hhcw/internal/core"
 	"hhcw/internal/dag"
-	"hhcw/internal/entk"
 	"hhcw/internal/fault"
 	"hhcw/internal/randx"
 	"hhcw/internal/sweep"
@@ -116,62 +115,5 @@ func TestRegistryEntriesExpandBothWays(t *testing.T) {
 		if sres.Fingerprint() != lres.Fingerprint() {
 			t.Errorf("entry %q: static %s != lazy %s", entry, sres.Fingerprint(), lres.Fingerprint())
 		}
-	}
-}
-
-// dynPipeline is an EnTK pipeline that grows itself twice through PostExec —
-// the dynamic-workflow pattern Compile rejects and lazy expansion makes
-// first-class.
-func dynPipeline() *entk.Pipeline {
-	p := &entk.Pipeline{Name: "adaptive-uq"}
-	round := 0
-	var hook func(pl *entk.Pipeline, s *entk.Stage)
-	hook = func(pl *entk.Pipeline, s *entk.Stage) {
-		round++
-		if round > 2 {
-			return
-		}
-		next := &entk.Stage{Name: fmt.Sprintf("refine%d", round), PostExec: hook}
-		for i := 0; i < 2; i++ {
-			next.AddTask(&entk.Task{ID: fmt.Sprintf("sim%d", i), Nodes: 1, DurationSec: 40})
-		}
-		pl.AddStage(next)
-	}
-	seed := p.AddStage(&entk.Stage{Name: "seed", PostExec: hook})
-	seed.AddTask(&entk.Task{ID: "coarse", Nodes: 2, DurationSec: 60})
-	return p
-}
-
-// TestEnTKPostExecLazyEndToEnd runs a PostExec-growing pipeline end to end
-// through the streaming path: the expansion grows 1 -> 5 tasks mid-run, the
-// result reflects the grown total, and the run is deterministic — including
-// under the storm fault profile, where the fault plan covers the initial
-// total and dynamically appended tasks draw only injector-level faults.
-func TestEnTKPostExecLazyEndToEnd(t *testing.T) {
-	run := func(faults fault.Profile) *core.Result {
-		x, err := dynPipeline().Expand()
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := &core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: faults}
-		res, err := env.RunExpander(x, randx.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	res := run(fault.Profile{})
-	if res.TasksRun != 5 {
-		t.Fatalf("TasksRun = %d, want 5 (1 seed + 2x2 appended)", res.TasksRun)
-	}
-	if res.MakespanSec <= 0 {
-		t.Fatal("no makespan")
-	}
-	if a, b := run(fault.Profile{}).Fingerprint(), res.Fingerprint(); a != b {
-		t.Fatalf("dynamic run not deterministic:\n %s\n %s", a, b)
-	}
-	s1, s2 := run(fault.Storm()), run(fault.Storm())
-	if s1.Fingerprint() != s2.Fingerprint() {
-		t.Fatalf("dynamic storm run not deterministic:\n %s\n %s", s1.Fingerprint(), s2.Fingerprint())
 	}
 }

@@ -16,8 +16,8 @@ import (
 //
 //   - PostExec (dynamic stage growth) has no static task set; compiling a
 //     pipeline with PostExec hooks returns an error. Run such pipelines
-//     through the AppManager, or — for composed/streaming execution — use
-//     Pipeline.Expand, whose StageExpander grows the frontier as hooks fire.
+//     through the AppManager, whose StageExpander grows the frontier as
+//     hooks fire.
 //   - Node-granular sizing maps to core requests one-for-one (a 8-node
 //     ExaConstit task becomes an 8-core task). Execute compiled ensembles on
 //     environments whose nodes have at least the largest task's node count
@@ -34,7 +34,7 @@ func (p *Pipeline) Compile() (*dag.Workflow, error) {
 	var prev []dag.TaskID
 	for si, st := range p.Stages {
 		if st.PostExec != nil {
-			return nil, fmt.Errorf("entk: stage %q has a PostExec hook; dynamic pipelines have no static task set — run them through Pipeline.Expand (lazy expansion) or the AppManager", st.Name)
+			return nil, fmt.Errorf("entk: stage %q has a PostExec hook; dynamic pipelines have no static task set — run them through the AppManager", st.Name)
 		}
 		if len(st.Tasks) == 0 {
 			continue

@@ -22,7 +22,7 @@ func TestDynamicStageCreation(t *testing.T) {
 		// executed stages": refine when everything converged.
 		allOK := true
 		for _, task := range s.Tasks {
-			if task.State() != Executed {
+			if task.state != Executed {
 				allOK = false
 			}
 		}
@@ -108,7 +108,7 @@ func TestDynamicStageWithFailureStillResubmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if victim == nil || victim.State() != Executed {
+	if victim == nil || victim.state != Executed {
 		t.Fatalf("dynamic task not recovered: %+v", victim)
 	}
 	if rep.Rounds != 2 || rep.ResubmittedOK != 1 {

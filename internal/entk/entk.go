@@ -67,12 +67,6 @@ type Task struct {
 	attempts int
 }
 
-// State returns the task's current state.
-func (t *Task) State() TaskState { return t.state }
-
-// Attempts returns how many times the task was submitted.
-func (t *Task) Attempts() int { return t.attempts }
-
 // Stage is a set of independent tasks.
 type Stage struct {
 	Name  string

@@ -48,8 +48,8 @@ func TestStagesRunSequentially(t *testing.T) {
 	}
 	for _, s := range p.Stages {
 		for _, task := range s.Tasks {
-			if task.State() != Executed {
-				t.Fatalf("task %s state = %v", task.ID, task.State())
+			if task.state != Executed {
+				t.Fatalf("task %s state = %v", task.ID, task.state)
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func TestPilotExpiredDuringBootstrap(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "expired") {
 		t.Fatalf("err = %v, want the expired pilot named", err)
 	}
-	if st := p.Stages[0].Tasks[0].State(); st == Executed {
+	if st := p.Stages[0].Tasks[0].state; st == Executed {
 		t.Fatalf("task ran on an expired pilot (state %v)", st)
 	}
 	if eng.Now() != 85 {

@@ -53,28 +53,12 @@ type expStage struct {
 	base  int // eager insertion index of the stage's first task
 }
 
-// Expand returns a streaming expander over the pipeline — the lazy
+// expand returns a streaming expander over the pipeline — the lazy
 // counterpart of Compile, with the same validation over the stages present
-// at expansion time. Stages appended later by PostExec hooks are validated
-// as they arm; an invalid dynamic stage (non-positive duration, duplicate
-// task ID) panics, since by then the run is in flight and there is no error
-// path back to the caller.
-func (p *Pipeline) Expand() (*StageExpander, error) {
-	if p.Name == "" {
-		return nil, fmt.Errorf("entk: cannot expand a pipeline without a name")
-	}
-	x, err := p.expand()
-	if err != nil {
-		return nil, err
-	}
-	if x.total == 0 {
-		return nil, fmt.Errorf("entk: pipeline %q expands to an empty workflow", p.Name)
-	}
-	return x, nil
-}
-
-// expand builds the expander without Expand's two refusals: the AppManager
-// runs unnamed and empty pipelines.
+// at expansion time, except that unnamed and empty pipelines run. Stages
+// appended later by PostExec hooks are validated as they arm; an invalid
+// dynamic stage (non-positive duration, duplicate task ID) panics, since by
+// then the run is in flight and there is no error path back to the caller.
 func (p *Pipeline) expand() (*StageExpander, error) {
 	x := &StageExpander{
 		name:     p.Name,

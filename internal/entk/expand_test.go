@@ -12,7 +12,7 @@ func expandPipeline(n string) *Pipeline {
 	s0 := p.AddStage(&Stage{Name: "prep"})
 	s0.AddTask(&Task{ID: "t0", Nodes: 4, DurationSec: 10})
 	s0.AddTask(&Task{ID: "t1", Nodes: 1, DurationSec: 5})
-	p.AddStage(&Stage{})       // empty stage: skipped by Compile and Expand alike
+	p.AddStage(&Stage{})       // empty stage: skipped by Compile and expand alike
 	s2 := p.AddStage(&Stage{}) // unnamed: defaults to stage%02d by original index
 	for i := 0; i < 3; i++ {
 		s2.AddTask(&Task{ID: fmt.Sprintf("sim%d", i), Nodes: 2, DurationSec: 20})
@@ -29,7 +29,7 @@ func TestStageExpanderMatchesCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := expandPipeline("pst").Expand()
+	x, err := expandPipeline("pst").expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestStageExpanderMatchesCompile(t *testing.T) {
 // The stage barrier must hold: no later-stage task is emitted while the
 // current stage has unfinished tasks.
 func TestStageExpanderBarrier(t *testing.T) {
-	x, err := expandPipeline("pst").Expand()
+	x, err := expandPipeline("pst").expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestStageExpanderBarrier(t *testing.T) {
 // A terminal failure writes off every later stage but must not block the
 // failed task's in-flight (or not-yet-emitted) siblings.
 func TestStageExpanderFailureSkips(t *testing.T) {
-	x, err := expandPipeline("pst").Expand()
+	x, err := expandPipeline("pst").expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,33 +115,27 @@ func TestStageExpanderFailureSkips(t *testing.T) {
 }
 
 func TestExpandValidation(t *testing.T) {
-	if _, err := (&Pipeline{}).Expand(); err == nil {
-		t.Fatal("unnamed pipeline accepted")
-	}
-	if _, err := (&Pipeline{Name: "empty"}).Expand(); err == nil {
-		t.Fatal("empty pipeline accepted")
-	}
 	// PostExec pipelines expand fine now — dynamic growth is the lazy
 	// path's reason to exist; only Compile still rejects them.
 	p := &Pipeline{Name: "dyn"}
 	p.AddStage(&Stage{Name: "s", PostExec: func(*Pipeline, *Stage) {}}).
 		AddTask(&Task{ID: "t", DurationSec: 1})
-	if _, err := p.Expand(); err != nil {
-		t.Fatalf("PostExec pipeline rejected by Expand: %v", err)
+	if _, err := p.expand(); err != nil {
+		t.Fatalf("PostExec pipeline rejected by expand: %v", err)
 	}
 	if _, err := p.Compile(); err == nil {
 		t.Fatal("PostExec pipeline accepted by Compile")
 	}
 	p2 := &Pipeline{Name: "bad"}
 	p2.AddStage(&Stage{Name: "s"}).AddTask(&Task{ID: "t", DurationSec: 0})
-	if _, err := p2.Expand(); err == nil {
+	if _, err := p2.expand(); err == nil {
 		t.Fatal("non-positive duration accepted")
 	}
 	p3 := &Pipeline{Name: "dup"}
 	s := p3.AddStage(&Stage{Name: "s"})
 	s.AddTask(&Task{ID: "t", DurationSec: 1})
 	s.AddTask(&Task{ID: "t", DurationSec: 1})
-	if _, err := p3.Expand(); err == nil {
+	if _, err := p3.expand(); err == nil {
 		t.Fatal("duplicate task id accepted")
 	}
 }
@@ -184,7 +178,7 @@ func TestStageExpanderPostExecGrowth(t *testing.T) {
 	}
 	p.AddStage(&Stage{Name: "seed", PostExec: hook}).AddTask(&Task{ID: "t0", DurationSec: 5})
 
-	x, err := p.Expand()
+	x, err := p.expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +219,7 @@ func TestStageExpanderPostExecSuppressedOnFailure(t *testing.T) {
 	// A pre-appended later stage, to check the write-off accounting.
 	p.AddStage(&Stage{Name: "after"}).AddTask(&Task{ID: "a0", DurationSec: 5})
 
-	x, err := p.Expand()
+	x, err := p.expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +244,13 @@ func TestStageExpanderPostExecSuppressedOnFailure(t *testing.T) {
 }
 
 // Empty stages fire their hooks in passing, exactly like the AppManager's
-// runStage — including at Expand time for a leading empty stage.
+// runStage — including at expansion time for a leading empty stage.
 func TestStageExpanderEmptyStagePostExec(t *testing.T) {
 	p := &Pipeline{Name: "empty-hook"}
 	p.AddStage(&Stage{Name: "gen", PostExec: func(pl *Pipeline, s *Stage) {
 		pl.AddStage(&Stage{Name: "work"}).AddTask(&Task{ID: "t", DurationSec: 2})
 	}})
-	x, err := p.Expand()
+	x, err := p.expand()
 	if err != nil {
 		t.Fatal(err)
 	}

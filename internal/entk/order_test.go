@@ -36,11 +36,11 @@ func TestResubmissionPreservesStageOrder(t *testing.T) {
 		t.Fatalf("resubmittedOK = %d", rep.ResubmittedOK)
 	}
 	// Both victims recovered; attempts reflect the retries.
-	if s0fail.Attempts() != 2 || s1fail.Attempts() != 2 {
-		t.Fatalf("attempts = %d/%d", s0fail.Attempts(), s1fail.Attempts())
+	if s0fail.attempts != 2 || s1fail.attempts != 2 {
+		t.Fatalf("attempts = %d/%d", s0fail.attempts, s1fail.attempts)
 	}
-	if s0fail.State() != Executed || s1fail.State() != Executed {
-		t.Fatalf("states = %v/%v", s0fail.State(), s1fail.State())
+	if s0fail.state != Executed || s1fail.state != Executed {
+		t.Fatalf("states = %v/%v", s0fail.state, s1fail.state)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestResubmissionRunsEarlierStageFirst(t *testing.T) {
 	// successful attempt must have finished no later than s1-fail's start;
 	// both executed, which is only possible in stage order on the shared
 	// small job.
-	if s0fail.State() != Executed || s1fail.State() != Executed {
+	if s0fail.state != Executed || s1fail.state != Executed {
 		t.Fatal("victims did not recover in stage order")
 	}
 }

@@ -22,8 +22,8 @@ func TestFailureDoesNotStopLaterStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bad.State() != Failed || p.Stages[1].Tasks[0].State() != Executed {
-		t.Fatalf("states: failed task %v, next stage %v", bad.State(), p.Stages[1].Tasks[0].State())
+	if bad.state != Failed || p.Stages[1].Tasks[0].state != Executed {
+		t.Fatalf("states: failed task %v, next stage %v", bad.state, p.Stages[1].Tasks[0].state)
 	}
 	if rep.TasksExecuted != 2 || rep.TasksFailed != 1 || rep.Rounds != 1 {
 		t.Fatalf("executed=%d failed=%d rounds=%d", rep.TasksExecuted, rep.TasksFailed, rep.Rounds)
@@ -44,7 +44,7 @@ func TestPostExecFiresOnFailedStage(t *testing.T) {
 	var seen []TaskState
 	p.Stages[0].PostExec = func(pl *Pipeline, s *Stage) {
 		for _, task := range s.Tasks {
-			seen = append(seen, task.State())
+			seen = append(seen, task.state)
 		}
 		grown := pl.AddStage(&Stage{Name: "grown"})
 		grown.AddTask(&Task{ID: "g", Nodes: 1, DurationSec: 5})
@@ -76,9 +76,9 @@ func TestFailAttemptsEndAtHalfDuration(t *testing.T) {
 	if rep.TTX != 50 {
 		t.Fatalf("first job TTX = %v, want 50 (failure at half the duration)", rep.TTX)
 	}
-	if rep.Rounds != 2 || rep.ResubmittedOK != 1 || task.State() != Executed || task.Attempts() != 2 {
+	if rep.Rounds != 2 || rep.ResubmittedOK != 1 || task.state != Executed || task.attempts != 2 {
 		t.Fatalf("rounds=%d resubmittedOK=%d state=%v attempts=%d",
-			rep.Rounds, rep.ResubmittedOK, task.State(), task.Attempts())
+			rep.Rounds, rep.ResubmittedOK, task.state, task.attempts)
 	}
 	if eng.Now() != 150 { // the second job starts when the first ends and runs 100 s
 		t.Fatalf("clock = %v, want 150", eng.Now())
@@ -111,15 +111,15 @@ func TestOversizedStageSkipsPostExec(t *testing.T) {
 		t.Fatalf("failed=%d executed=%d TTX=%v", rep.TasksFailed, rep.TasksExecuted, rep.TTX)
 	}
 	for _, s := range p.Stages[:2] {
-		if s.Tasks[0].State() != Failed || s.Tasks[0].Attempts() != 1 {
-			t.Fatalf("oversized task in %s: state %v attempts %d", s.Name, s.Tasks[0].State(), s.Tasks[0].Attempts())
+		if s.Tasks[0].state != Failed || s.Tasks[0].attempts != 1 {
+			t.Fatalf("oversized task in %s: state %v attempts %d", s.Name, s.Tasks[0].state, s.Tasks[0].attempts)
 		}
 	}
 }
 
-// TestUnnamedAndEmptyPipelinesRun: pipelines Expand rejects — one without a
-// name, one without stages, one with only empty stages — run on the
-// AppManager without error.
+// TestUnnamedAndEmptyPipelinesRun: pipelines that Compile rejects or that
+// hold no task — one without a name, one without stages, one with only
+// empty stages — run on the AppManager without error.
 func TestUnnamedAndEmptyPipelinesRun(t *testing.T) {
 	_, cl, bm := setup(2)
 	am := NewAppManager(cl, bm, ResourceDesc{Nodes: 2, Walltime: 1e6})

@@ -51,7 +51,7 @@ func TestSparseGridPointsInRangeAndUnique(t *testing.T) {
 				t.Fatalf("point out of range: %v", p)
 			}
 		}
-		k := pointKey(p)
+		k := string(appendPointKey(nil, p))
 		if seen[k] {
 			t.Fatalf("duplicate point %v", p)
 		}

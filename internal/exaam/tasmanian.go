@@ -120,8 +120,3 @@ func appendPointKey(b []byte, pt []float64) []byte {
 	}
 	return b
 }
-
-func pointKey(pt []float64) string {
-	// Quantize to avoid float-noise duplicates.
-	return string(appendPointKey(make([]byte, 0, len(pt)*9), pt))
-}

@@ -237,9 +237,6 @@ func (in *Injector) Reset(rng *randx.Source) {
 // Stats returns what has been injected so far.
 func (in *Injector) Stats() InjectStats { return in.stats }
 
-// Profile returns the profile the injector runs.
-func (in *Injector) Profile() Profile { return in.prof }
-
 // RuntimeScale returns the current I/O-episode runtime multiplier (1 outside
 // episodes). Substrates consult it when computing a task's execution time.
 func (in *Injector) RuntimeScale() float64 {

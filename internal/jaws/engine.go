@@ -129,6 +129,3 @@ func (rerun) Resubmit(error) error { return nil }
 
 // Store returns the engine's shared filesystem.
 func (e *Engine) Store() *storage.Store { return e.store }
-
-// Cluster returns the engine's compute site.
-func (e *Engine) Cluster() *cluster.Cluster { return e.cl }

@@ -167,8 +167,8 @@ task b dur=200s overhead=10s after=a
 	if rep.ShardsExecuted != 2 || rep.FilesystemOps != 2 {
 		t.Fatalf("shards=%d fsops=%d", rep.ShardsExecuted, rep.FilesystemOps)
 	}
-	if store.Len() != 2 {
-		t.Fatalf("staged files = %d", store.Len())
+	if got := len(store.List()); got != 2 {
+		t.Fatalf("staged files = %d", got)
 	}
 }
 
@@ -435,8 +435,8 @@ func TestServiceMultiSite(t *testing.T) {
 		Count: 4,
 	})
 	svc.AddSite("aws", clB)
-	if svc.Site("aws") == nil || svc.Site("perlmutter") == nil || svc.Site("dori") != nil {
-		t.Fatal("Site lookup does not match the registered sites")
+	if svc.sites["aws"] == nil || svc.sites["perlmutter"] == nil || svc.sites["dori"] != nil {
+		t.Fatal("registered sites do not match AddSite's calls")
 	}
 
 	svc.Central().Put(storage.File{Name: "reads.fastq", Bytes: 5e9})
@@ -454,8 +454,8 @@ func TestServiceMultiSite(t *testing.T) {
 		t.Fatalf("staging = %v, want >= 7s", res.StagingSec)
 	}
 	// Results landed centrally.
-	if svc.Central().Len() < 2 {
-		t.Fatalf("central results = %d", svc.Central().Len())
+	if got := len(svc.Central().List()); got < 2 {
+		t.Fatalf("central results = %d", got)
 	}
 }
 
@@ -514,8 +514,8 @@ func TestServiceSiteAccessor(t *testing.T) {
 	svc := NewService(eng)
 	cl, _ := testSite(eng, 1, 4)
 	s := svc.AddSite("x", cl)
-	if svc.Site("x") != s || svc.Site("nope") != nil {
-		t.Fatal("Site accessor")
+	if svc.sites["x"] != s {
+		t.Fatal("AddSite did not register the site it returned")
 	}
 }
 
@@ -582,8 +582,8 @@ task merge dur=10s overhead=0s after=fan
 	if retries != len(lost) {
 		t.Fatalf("%d retry submissions, want %d (one per lost shard)", retries, len(lost))
 	}
-	if rep.ShardsExecuted != 7 || rep.FilesystemOps != 7 || store.Len() != 7 {
-		t.Fatalf("shards=%d fsops=%d staged=%d, want 7 each", rep.ShardsExecuted, rep.FilesystemOps, store.Len())
+	if staged := len(store.List()); rep.ShardsExecuted != 7 || rep.FilesystemOps != 7 || staged != 7 {
+		t.Fatalf("shards=%d fsops=%d staged=%d, want 7 each", rep.ShardsExecuted, rep.FilesystemOps, staged)
 	}
 	// Node 1 reruns two lost shards over [50,150] beside its own, the
 	// other two over [100,200] once its own finish; merge runs [200,210].

@@ -58,9 +58,6 @@ func (s *Service) AddSite(name string, cl *cluster.Cluster) *Site {
 	return site
 }
 
-// Site returns a registered site, or nil.
-func (s *Service) Site(name string) *Site { return s.sites[name] }
-
 // SubmitResult is a completed service submission.
 type SubmitResult struct {
 	Report *RunReport

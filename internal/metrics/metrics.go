@@ -108,9 +108,6 @@ func (c *Counter) Inc(t sim.Time, delta float64) {
 	c.Add(t, c.value)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 { return c.value }
-
 // Gauge is an up/down level that records its trajectory (e.g. tasks running).
 type Gauge struct {
 	Series
@@ -132,9 +129,6 @@ func (g *Gauge) Set(t sim.Time, v float64) {
 func (g *Gauge) AddDelta(t sim.Time, delta float64) {
 	g.Set(t, g.value+delta)
 }
-
-// Value returns the current level.
-func (g *Gauge) Value() float64 { return g.value }
 
 // Agg summarizes a set of scalar observations: the mean/max pairs the paper's
 // Table 1 and Table 2 report.

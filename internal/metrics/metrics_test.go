@@ -54,8 +54,8 @@ func TestCounterMonotone(t *testing.T) {
 	c := NewCounter("done")
 	c.Inc(1, 1)
 	c.Inc(2, 3)
-	if c.Value() != 4 {
-		t.Fatalf("Value = %v, want 4", c.Value())
+	if c.value != 4 {
+		t.Fatalf("value = %v, want 4", c.value)
 	}
 	if pts := c.Points(); pts[len(pts)-1].V != 4 {
 		t.Fatalf("last point = %v", pts[len(pts)-1])
@@ -72,8 +72,8 @@ func TestGaugeDelta(t *testing.T) {
 	g := NewGauge("running")
 	g.AddDelta(1, 5)
 	g.AddDelta(2, -2)
-	if g.Value() != 3 {
-		t.Fatalf("Value = %v, want 3", g.Value())
+	if g.value != 3 {
+		t.Fatalf("value = %v, want 3", g.value)
 	}
 }
 

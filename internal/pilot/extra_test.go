@@ -39,8 +39,8 @@ func TestStartedAtAndSeries(t *testing.T) {
 	if p.StartedAt() != 0 {
 		t.Fatalf("StartedAt = %v", p.StartedAt())
 	}
-	if p.LaunchedSeries().Value() != 1 {
-		t.Fatalf("launched = %v", p.LaunchedSeries().Value())
+	if got := latest(p.LaunchedSeries().Points()); got != 1 {
+		t.Fatalf("launched = %v", got)
 	}
 	if p.TTX() != 10 {
 		t.Fatalf("TTX = %v", p.TTX())

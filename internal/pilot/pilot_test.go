@@ -7,6 +7,7 @@ import (
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/dag"
+	"hhcw/internal/metrics"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
 )
@@ -22,6 +23,9 @@ func setup(nodes int) (*sim.Engine, *cluster.Cluster, *rm.BatchManager) {
 
 // task builds a submission of nodes whole nodes of setup's 8-core type that
 // runs dur seconds; done, when non-nil, receives its result.
+// latest returns a series' last recorded value: the count or level now.
+func latest(pts []metrics.Point) float64 { return pts[len(pts)-1].V }
+
 func task(id string, nodes int, dur float64, done func(rm.Result)) *rm.Submission {
 	return &rm.Submission{
 		TaskID:  dag.TaskID(id),
@@ -121,7 +125,7 @@ func TestPilotLaunchRateBoundsConcurrencyRamp(t *testing.T) {
 	}
 	eng.RunUntil(10)
 	// At 2 launches/s, ~20 tasks running after 10 s despite 100 free nodes.
-	running := p.RunningSeries().Value()
+	running := latest(p.RunningSeries().Points())
 	if running < 18 || running > 22 {
 		t.Fatalf("running after 10s = %v, want ~20", running)
 	}

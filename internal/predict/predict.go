@@ -1,7 +1,7 @@
 // Package predict implements the task runtime and resource prediction
 // methods §3.4 plans to plug into the CWSI: online per-task-name means,
 // least-squares regression on input size, and a Lotaru-style predictor that
-// scales locally profiled runtimes by machine speed factors to handle
+// scales an observed processing rate by machine speed factors to handle
 // heterogeneous infrastructures and unseen (workflow, machine) pairs.
 //
 // All predictors are trained online from provenance observations ("as these
@@ -27,7 +27,6 @@ type Observation struct {
 
 // RuntimePredictor estimates a task's runtime on a target machine.
 type RuntimePredictor interface {
-	Name() string
 	// Observe folds a completed execution into the model. Invalid
 	// observations — non-finite or negative runtime/input size, or a
 	// speed factor that is zero, negative, or non-finite — are rejected
@@ -113,9 +112,6 @@ type meanModel struct {
 // NewMean returns an empty mean predictor.
 func NewMean() *MeanPredictor { return &MeanPredictor{} }
 
-// Name implements RuntimePredictor.
-func (p *MeanPredictor) Name() string { return "mean" }
-
 // Observe implements RuntimePredictor. Runtimes are normalized to the
 // reference machine by multiplying with the observed speed factor.
 func (p *MeanPredictor) Observe(o Observation) {
@@ -195,9 +191,6 @@ func (m *olsModel) predict(x float64) (float64, bool) {
 // NewRegression returns an empty regression predictor.
 func NewRegression() *RegressionPredictor { return &RegressionPredictor{} }
 
-// Name implements RuntimePredictor.
-func (p *RegressionPredictor) Name() string { return "regression" }
-
 // Observe implements RuntimePredictor.
 func (p *RegressionPredictor) Observe(o Observation) {
 	if !usable(o) {
@@ -222,13 +215,11 @@ func (p *RegressionPredictor) Predict(taskName string, inputBytes, speedFactor f
 	return y / speedFactor, true
 }
 
-// LotaruPredictor mirrors Lotaru's idea (§3.4, [18]): profile each task once
-// on a local/reference machine with downsampled inputs, derive a
-// bytes-per-second processing rate, then extrapolate to full inputs on any
-// machine via its speed factor. Unlike the online predictors it can predict
-// *before* any cluster execution — the paper's motivation of "unknown
-// workflows or workflows with a lack of historical data". Observations
-// refine the rate online.
+// LotaruPredictor mirrors Lotaru's idea (§3.4, [18]): derive a task's
+// bytes-per-second processing rate on the reference machine from observed
+// executions, then extrapolate to any input size on any machine via its
+// speed factor, so one run of a task on one machine type predicts its runs
+// on the others.
 type LotaruPredictor struct {
 	m models[lotaruModel]
 }
@@ -241,41 +232,20 @@ type lotaruModel struct {
 // NewLotaru returns an empty Lotaru-style predictor.
 func NewLotaru() *LotaruPredictor { return &LotaruPredictor{} }
 
-// Name implements RuntimePredictor.
-func (p *LotaruPredictor) Name() string { return "lotaru" }
-
-// Profile seeds the model from a local microbenchmark: a task of the given
-// name processed sampleBytes in sampleSec on a machine with speedFactor.
-func (p *LotaruPredictor) Profile(taskName string, sampleBytes, sampleSec, speedFactor float64) {
-	if sampleSec <= 0 || sampleBytes <= 0 {
-		return
-	}
-	if speedFactor <= 0 {
-		speedFactor = 1
-	}
-	// Rate on the reference machine.
-	p.fold(taskName, sampleBytes/(sampleSec*speedFactor), 1)
-}
-
-func (p *LotaruPredictor) fold(name string, rate, w float64) {
-	m := p.m.at(name)
-	total := m.weight + w
-	m.rate = (m.rate*m.weight + rate*w) / total
-	m.weight = total
-}
-
-// Observe implements RuntimePredictor, refining the rate online. A rate
-// needs strictly positive runtime and input size on top of the shared
-// validity rule.
+// Observe implements RuntimePredictor, folding the observation's rate on
+// the reference machine into the running mean. A rate needs strictly
+// positive runtime and input size on top of the shared validity rule.
 func (p *LotaruPredictor) Observe(o Observation) {
 	if !usable(o) || o.RuntimeSec <= 0 || o.InputBytes <= 0 {
 		return
 	}
-	p.fold(o.TaskName, o.InputBytes/(o.RuntimeSec*o.SpeedFactor), 1)
+	m := p.m.at(o.TaskName)
+	total := m.weight + 1
+	m.rate = (m.rate*m.weight + o.InputBytes/(o.RuntimeSec*o.SpeedFactor)) / total
+	m.weight = total
 }
 
-// Samples implements Sampler: the accumulated model weight, counting both
-// Profile seeds and online observations (each folds with weight 1).
+// Samples implements Sampler: the number of observations folded.
 func (p *LotaruPredictor) Samples(taskName string) int { return int(p.m.get(taskName).weight) }
 
 // Predict implements RuntimePredictor.

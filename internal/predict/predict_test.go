@@ -73,9 +73,9 @@ func TestRegressionNeverNegative(t *testing.T) {
 
 func TestLotaruProfileThenPredict(t *testing.T) {
 	p := NewLotaru()
-	// Local profile: 1 GB in 100 s on a 0.5× (slow local) machine →
+	// A profiling run: 1 GB in 100 s on a 0.5× (slow local) machine →
 	// reference rate 2e7 B/s.
-	p.Profile("salmon", 1e9, 100, 0.5)
+	p.Observe(Observation{TaskName: "salmon", InputBytes: 1e9, RuntimeSec: 100, SpeedFactor: 0.5})
 	got, ok := p.Predict("salmon", 4e9, 1)
 	if !ok || math.Abs(got-200) > 1e-6 {
 		t.Fatalf("lotaru predicted %v, want 200", got)
@@ -89,7 +89,7 @@ func TestLotaruProfileThenPredict(t *testing.T) {
 
 func TestLotaruOnlineRefinement(t *testing.T) {
 	p := NewLotaru()
-	p.Profile("x", 1e6, 1, 1) // rate 1e6
+	p.Observe(Observation{TaskName: "x", InputBytes: 1e6, RuntimeSec: 1, SpeedFactor: 1}) // rate 1e6
 	p.Observe(Observation{TaskName: "x", InputBytes: 3e6, RuntimeSec: 1, SpeedFactor: 1})
 	got, _ := p.Predict("x", 2e6, 1)
 	// Rate now (1e6 + 3e6)/2 = 2e6 → 1s.
@@ -100,7 +100,7 @@ func TestLotaruOnlineRefinement(t *testing.T) {
 
 func TestLotaruIgnoresBadSamples(t *testing.T) {
 	p := NewLotaru()
-	p.Profile("x", 0, 10, 1)
+	p.Observe(Observation{TaskName: "x", InputBytes: 0, RuntimeSec: 10, SpeedFactor: 1})
 	p.Observe(Observation{TaskName: "x", InputBytes: 1e6, RuntimeSec: 0})
 	if _, ok := p.Predict("x", 1e6, 1); ok {
 		t.Fatal("prediction from invalid samples")
@@ -142,7 +142,7 @@ func TestLotaruSpeedScaling(t *testing.T) {
 		bytes := float64(rawBytes) + 1
 		speed := float64(rawSpeed%10) + 1
 		p := NewLotaru()
-		p.Profile("x", 1e6, 10, 1)
+		p.Observe(Observation{TaskName: "x", InputBytes: 1e6, RuntimeSec: 10, SpeedFactor: 1})
 		base, _ := p.Predict("x", bytes, 1)
 		fast, _ := p.Predict("x", bytes, speed)
 		return math.Abs(base/speed-fast) < 1e-9
@@ -171,12 +171,6 @@ func TestRegressionRecoversLine(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPredictorNames(t *testing.T) {
-	if NewMean().Name() != "mean" || NewRegression().Name() != "regression" || NewLotaru().Name() != "lotaru" {
-		t.Fatal("predictor names wrong")
 	}
 }
 

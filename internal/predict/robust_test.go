@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -54,13 +55,13 @@ func TestObserveRejectionPreservesModel(t *testing.T) {
 		pc.Observe(Observation{TaskName: "x", InputBytes: 2e6, RuntimeSec: 20, SpeedFactor: 1})
 		before, ok := pc.Predict("x", 1.5e6, 1)
 		if !ok {
-			t.Fatalf("%s: model cold after two valid observations", pc.Name())
+			t.Fatalf("%T: model cold after two valid observations", pc)
 		}
 		pc.Observe(Observation{TaskName: "x", InputBytes: 1e6, RuntimeSec: math.NaN(), SpeedFactor: 1})
 		pc.Observe(Observation{TaskName: "x", InputBytes: 1e6, RuntimeSec: 10, SpeedFactor: math.Inf(1)})
 		after, ok := pc.Predict("x", 1.5e6, 1)
 		if !ok || after != before {
-			t.Fatalf("%s: invalid observations perturbed the model: %v -> %v", pc.Name(), before, after)
+			t.Fatalf("%T: invalid observations perturbed the model: %v -> %v", pc, before, after)
 		}
 	}
 }
@@ -117,19 +118,12 @@ func TestSamplesCounting(t *testing.T) {
 		for i := 1; i <= 3; i++ {
 			pc.Observe(Observation{TaskName: "a", InputBytes: float64(i) * 1e6, RuntimeSec: float64(10 * i), SpeedFactor: 1})
 			if s.Samples("a") != i {
-				t.Fatalf("%s: samples(a) = %d after %d observations", pc.Name(), s.Samples("a"), i)
+				t.Fatalf("%T: samples(a) = %d after %d observations", pc, s.Samples("a"), i)
 			}
 		}
 		if s.Samples("b") != 0 {
-			t.Fatalf("%s: unseen name has samples", pc.Name())
+			t.Fatalf("%T: unseen name has samples", pc)
 		}
-	}
-	// Lotaru counts Profile seeds too — it can be warm before any cluster
-	// execution, which is its whole point.
-	lp := NewLotaru()
-	lp.Profile("a", 1e6, 10, 1)
-	if lp.Samples("a") != 1 {
-		t.Fatalf("lotaru profile seed not counted: %d", lp.Samples("a"))
 	}
 }
 
@@ -141,13 +135,17 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q): ctor nil=%v err=%v; want nil ctor, nil err", name, ctor == nil, err)
 		}
 	}
-	for _, name := range []string{"mean", "regression", "lotaru"} {
+	for name, want := range map[string]string{
+		"mean":       "*predict.MeanPredictor",
+		"regression": "*predict.RegressionPredictor",
+		"lotaru":     "*predict.LotaruPredictor",
+	} {
 		ctor, err := ByName(name)
 		if err != nil || ctor == nil {
 			t.Fatalf("ByName(%q) failed: %v", name, err)
 		}
-		if got := ctor().Name(); got != name {
-			t.Fatalf("ByName(%q) built predictor %q", name, got)
+		if got := fmt.Sprintf("%T", ctor()); got != want {
+			t.Fatalf("ByName(%q) built %s, want %s", name, got, want)
 		}
 	}
 	if _, err := ByName("oracle"); err == nil {

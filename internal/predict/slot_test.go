@@ -48,16 +48,6 @@ func (p *mapLotaru) fold(name string, rate, w float64) {
 	p.weight[name] = total
 }
 
-func (p *mapLotaru) profile(name string, bytes, sec, speed float64) {
-	if sec <= 0 || bytes <= 0 {
-		return
-	}
-	if speed <= 0 {
-		speed = 1
-	}
-	p.fold(name, bytes/(sec*speed), 1)
-}
-
 func (p *mapLotaru) observe(o Observation) {
 	if !usable(o) || o.RuntimeSec <= 0 || o.InputBytes <= 0 {
 		return
@@ -120,11 +110,6 @@ func TestSlotPredictorsMatchMapReference(t *testing.T) {
 
 	for step := 0; step < 2000; step++ {
 		name := names[rng.Intn(len(names))]
-		if rng.Bernoulli(0.05) {
-			b, s, f := pick(rng.Float64()*1e9), pick(rng.Float64()*100), pick(0.5+rng.Float64())
-			lot.Profile(name, b, s, f)
-			rLot.profile(name, b, s, f)
-		}
 		o := Observation{
 			TaskName:    name,
 			InputBytes:  pick(rng.Float64() * 1e10),

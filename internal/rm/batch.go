@@ -32,22 +32,17 @@ type BatchJob struct {
 }
 
 // BatchAlloc is a granted set of whole nodes. Nodes keeps its original
-// membership even after failures (owners use it to test placement), while
-// UpNodes counts the ones the manager has not reaped.
+// membership even after failures (owners use it to test placement).
 type BatchAlloc struct {
 	Job       *BatchJob
 	Nodes     []*cluster.Node
 	StartedAt sim.Time
 
-	mgr       *BatchManager
-	allocs    []*cluster.Alloc
-	expireEv  *sim.Event
-	released  bool
-	downNodes int
+	mgr      *BatchManager
+	allocs   []*cluster.Alloc
+	expireEv *sim.Event
+	released bool
 }
-
-// UpNodes returns the number of still-healthy nodes in the allocation.
-func (a *BatchAlloc) UpNodes() int { return len(a.Nodes) - a.downNodes }
 
 // Release ends the job early and returns its nodes. Safe to call twice.
 func (a *BatchAlloc) Release() {
@@ -161,7 +156,6 @@ func (m *BatchManager) handleNodeDown(n *cluster.Node) {
 				continue
 			}
 			m.cl.Release(a.allocs[i])
-			a.downNodes++
 			if a.Job.OnNodeFail != nil {
 				a.Job.OnNodeFail(a, n)
 			}

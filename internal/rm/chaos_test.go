@@ -38,9 +38,6 @@ func TestBatchAllocReapsFailedNode(t *testing.T) {
 		if failedNode != alloc.Nodes[1] {
 			t.Errorf("OnNodeFail got %v, want node 1", failedNode)
 		}
-		if alloc.downNodes != 1 || alloc.UpNodes() != 2 {
-			t.Errorf("down=%d up=%d, want 1/2", alloc.downNodes, alloc.UpNodes())
-		}
 		cl.RepairNode(alloc.Nodes[1])
 	})
 	eng.At(300, func() { alloc.Release() })

@@ -16,8 +16,8 @@ func TestTaskManagerAccessors(t *testing.T) {
 	if m.Cluster() != cl {
 		t.Fatal("Cluster accessor wrong")
 	}
-	if m.Strategy().Name() != "fifo" {
-		t.Fatalf("default strategy = %q", m.Strategy().Name())
+	if m.strategy.Name() != "fifo" {
+		t.Fatalf("default strategy = %q", m.strategy.Name())
 	}
 	m.SetStrategy(FIFO{})
 	if len(m.pending) != 0 {

@@ -198,9 +198,6 @@ type Result struct {
 	Err         error
 }
 
-// QueueWait returns time spent pending.
-func (r Result) QueueWait() sim.Time { return r.StartedAt - r.SubmittedAt }
-
 // Strategy orders the pending queue and picks nodes — the policy surface the
 // CWS replaces (§3.1: "workflow engines with CWSI support do not need their
 // own scheduler component ... the scheduling happens there").
@@ -354,9 +351,6 @@ func (m *TaskManager) Reset() {
 	m.oracle = nil
 	m.schedulePending = false
 }
-
-// Strategy returns the active scheduling strategy.
-func (m *TaskManager) Strategy() Strategy { return m.strategy }
 
 // SetStrategy replaces the scheduling strategy (takes effect next pass).
 func (m *TaskManager) SetStrategy(s Strategy) { m.strategy = s }

@@ -334,10 +334,3 @@ func TestFrontierPolicyTiers(t *testing.T) {
 		t.Fatal("upper-mid tier wrong")
 	}
 }
-
-func TestResultQueueWait(t *testing.T) {
-	r := Result{SubmittedAt: 5, StartedAt: 12}
-	if r.QueueWait() != 7 {
-		t.Fatalf("QueueWait = %v", r.QueueWait())
-	}
-}

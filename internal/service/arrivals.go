@@ -13,32 +13,18 @@
 package service
 
 import (
-	"fmt"
-
 	"hhcw/internal/randx"
 	"hhcw/internal/sim"
 )
 
-// Arrivals is a workflow arrival process. Next returns the delay from now to
-// the tenant's next arrival, consuming randomness only from rng — the
-// determinism contract every profile must keep.
-type Arrivals interface {
-	Name() string
-	Next(now sim.Time, rng *randx.Source) sim.Time
-}
-
-// Poisson is a homogeneous Poisson arrival process.
+// Poisson is a homogeneous Poisson workflow arrival process. Its rate must
+// be positive and finite; run rejects any other with ErrArrivalRate.
 type Poisson struct {
 	RatePerHour float64
 }
 
-// Name implements Arrivals.
-func (p Poisson) Name() string { return fmt.Sprintf("poisson(%.3g/h)", p.RatePerHour) }
-
-// Next implements Arrivals: exponential inter-arrival times.
-func (p Poisson) Next(_ sim.Time, rng *randx.Source) sim.Time {
-	if p.RatePerHour <= 0 {
-		panic("service: Poisson arrivals with non-positive rate")
-	}
+// Next returns the exponential delay to the next arrival, consuming
+// randomness only from rng.
+func (p Poisson) Next(rng *randx.Source) sim.Time {
 	return sim.Time(rng.Exp(3600 / p.RatePerHour))
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -9,32 +10,28 @@ import (
 )
 
 // drawN samples n consecutive arrival instants starting at t=0.
-func drawN(a Arrivals, seed int64, n int) []sim.Time {
+func drawN(p Poisson, seed int64, n int) []sim.Time {
 	rng := randx.New(seed)
 	out := make([]sim.Time, 0, n)
 	now := sim.Time(0)
 	for i := 0; i < n; i++ {
-		now += a.Next(now, rng)
+		now += p.Next(rng)
 		out = append(out, now)
 	}
 	return out
 }
 
 func TestArrivalsDeterministic(t *testing.T) {
-	profiles := []Arrivals{
-		Poisson{RatePerHour: 30},
+	p := Poisson{RatePerHour: 30}
+	a := drawN(p, 7, 500)
+	b := drawN(p, 7, 500)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("arrival %d differs across replays: %v vs %v", i, a[i], b[i])
+		}
 	}
-	for _, p := range profiles {
-		a := drawN(p, 7, 500)
-		b := drawN(p, 7, 500)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: arrival %d differs across replays: %v vs %v", p.Name(), i, a[i], b[i])
-			}
-		}
-		if c := drawN(p, 8, 500); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] {
-			t.Fatalf("%s: different seeds produced the same arrivals", p.Name())
-		}
+	if c := drawN(p, 8, 500); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] {
+		t.Fatal("different seeds produced the same arrivals")
 	}
 }
 
@@ -47,16 +44,14 @@ func TestPoissonMeanRate(t *testing.T) {
 	}
 }
 
+// TestArrivalsRejectDegenerateParams: a tenant whose arrival rate is not
+// positive and finite is refused with ErrArrivalRate before the run starts.
 func TestArrivalsRejectDegenerateParams(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-		}()
-		fn()
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		cfg := ContendedScenario(false)
+		cfg.Tenants[1].Arrivals.RatePerHour = rate
+		if _, err := Run(cfg, 1); !errors.Is(err, ErrArrivalRate) {
+			t.Errorf("rate %v: err = %v, want ErrArrivalRate", rate, err)
+		}
 	}
-	rng := randx.New(1)
-	mustPanic("poisson rate=0", func() { Poisson{}.Next(0, rng) })
 }

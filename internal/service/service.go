@@ -28,7 +28,7 @@ type Tenant struct {
 	// strategy equalizes usedCoreSec/Weight across tenants.
 	Weight float64
 	// Arrivals drives the tenant's workflow arrival process.
-	Arrivals Arrivals
+	Arrivals Poisson
 	// Workload generates the compiled workflow of one admission. It must be
 	// a pure function of rng; it is invoked only for ADMITTED arrivals, so a
 	// rejected or deferred arrival costs O(1) state, never a compile. Within
@@ -309,16 +309,14 @@ func (sub *Substrate) Audit() []string {
 	return statediff.Diff(sub, fresh, statediff.Config{Skip: substrateAuditSkip})
 }
 
+// ErrArrivalRate reports a tenant whose Poisson arrival rate is not
+// positive and finite.
+var ErrArrivalRate = errors.New("arrival rate must be positive and finite")
+
 // Run executes the service session and returns per-tenant accounting. It is
 // a pure function of (cfg, seed): bit-identical Results for equal inputs.
 func Run(cfg Config, seed int64) (*Result, error) {
 	return run(nil, cfg, seed, -1, nil)
-}
-
-// Run executes the session on the warm substrate — bit-identical to the
-// package-level Run, minus the per-run substrate construction.
-func (sub *Substrate) Run(cfg Config, seed int64) (*Result, error) {
-	return run(sub, cfg, seed, -1, nil)
 }
 
 // runSolo executes the session with only tenant index `only` armed, on the
@@ -380,8 +378,11 @@ func run(sub *Substrate, cfg Config, seed int64, only int, in []tenantInputs) (*
 		if t.ID == "" || strings.ContainsRune(t.ID, '/') {
 			return nil, fmt.Errorf("service: tenant %d: ID %q must be non-empty without '/'", i, t.ID)
 		}
-		if t.Arrivals == nil || t.Workload == nil {
-			return nil, fmt.Errorf("service: tenant %q needs Arrivals and Workload", t.ID)
+		if r := t.Arrivals.RatePerHour; !(r > 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("service: tenant %q: %w, got %v", t.ID, ErrArrivalRate, r)
+		}
+		if t.Workload == nil {
+			return nil, fmt.Errorf("service: tenant %q needs a Workload", t.ID)
 		}
 		if slices.ContainsFunc(cfg.Tenants[:i], func(o Tenant) bool { return o.ID == t.ID }) {
 			return nil, fmt.Errorf("service: duplicate tenant ID %q", t.ID)
@@ -463,11 +464,7 @@ func run(sub *Substrate, cfg Config, seed int64, only int, in []tenantInputs) (*
 // armArrivals schedules the tenant's next arrival, ending the chain past the
 // horizon.
 func (sv *serviceRun) armArrivals(ts *tenantState) {
-	d := ts.spec.Arrivals.Next(sv.eng.Now(), ts.arrRNG)
-	if d < 0 {
-		d = 0
-	}
-	at := sv.eng.Now() + d
+	at := sv.eng.Now() + ts.spec.Arrivals.Next(ts.arrRNG)
 	if float64(at) > sv.cfg.HorizonSec {
 		sv.chainDone()
 		return

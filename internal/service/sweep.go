@@ -15,9 +15,9 @@ type SweepConfig struct {
 	// baselines per seed, so the two configs must agree on everything a
 	// solo run reads. Sweep rejects them with ErrSoloMismatch when they
 	// differ in Nodes, CoresPerNode, HorizonSec, Faults, the tenant count,
-	// or a tenant's ID, MaxInFlight or MaxDeferred. Each tenant's Arrivals
-	// and Workload must match too; they cannot be compared, so nothing
-	// checks them. A seed's runs share each admission: whichever run admits
+	// or a tenant's ID, Arrivals, MaxInFlight or MaxDeferred. Each tenant's
+	// Workload must match too; a function cannot be compared, so nothing
+	// checks it. A seed's runs share each admission: whichever run admits
 	// a tenant's k-th workflow first generates it, so either config's
 	// Workload may produce the workflow both strategies run.
 	Scenario func(fairShare bool) Config
@@ -98,6 +98,8 @@ func soloMismatch(a, b *Config) string {
 		switch {
 		case x.ID != y.ID:
 			return fmt.Sprintf("tenant %d ID", i)
+		case x.Arrivals != y.Arrivals:
+			return fmt.Sprintf("tenant %q Arrivals", x.ID)
 		case x.MaxInFlight != y.MaxInFlight:
 			return fmt.Sprintf("tenant %q MaxInFlight", x.ID)
 		case x.MaxDeferred != y.MaxDeferred:

@@ -111,6 +111,17 @@ func TestSweepRejectsSoloMismatch(t *testing.T) {
 	if !errors.Is(err, ErrSoloMismatch) || !strings.Contains(err.Error(), `tenant "medium" MaxInFlight`) {
 		t.Fatalf("err = %v, want ErrSoloMismatch naming medium's MaxInFlight", err)
 	}
+	scen = func(fairShare bool) Config {
+		cfg := ContendedScenario(fairShare)
+		if fairShare {
+			cfg.Tenants[2].Arrivals.RatePerHour = 5
+		}
+		return cfg
+	}
+	_, err = Sweep(SweepConfig{Scenario: scen, Seeds: 2, Seed0: 1, Workers: 1})
+	if !errors.Is(err, ErrSoloMismatch) || !strings.Contains(err.Error(), `tenant "light" Arrivals`) {
+		t.Fatalf("err = %v, want ErrSoloMismatch naming light's Arrivals", err)
+	}
 	// Fields a FIFO solo run never reads may differ.
 	scen = func(fairShare bool) Config {
 		cfg := ContendedScenario(fairShare)

@@ -106,7 +106,7 @@ func TestSubstrateAuditCleanAfterChaos(t *testing.T) {
 func TestSubstrateShapeMismatchFallsBackCold(t *testing.T) {
 	cfg := warmTestConfig(t, true, "")
 	sub := NewSubstrate(cfg.Nodes+1, cfg.CoresPerNode) // wrong shape
-	warm, err := sub.Run(cfg, 6)
+	warm, err := run(sub, cfg, 6, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

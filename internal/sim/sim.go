@@ -34,7 +34,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, measured in seconds from the start of the
@@ -42,9 +41,6 @@ import (
 // granularity the paper reports (seconds to hours) and keeps arithmetic on
 // rates and utilization integrals simple.
 type Time float64
-
-// Duration converts t to a time.Duration for display purposes.
-func (t Time) Duration() time.Duration { return time.Duration(float64(t) * float64(time.Second)) }
 
 // String formats the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }

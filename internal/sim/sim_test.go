@@ -453,9 +453,6 @@ func TestAccessors(t *testing.T) {
 	if e.Fired() != 1 {
 		t.Fatalf("fired = %d", e.Fired())
 	}
-	if Time(1.5).Duration().Seconds() != 1.5 {
-		t.Fatal("Duration conversion")
-	}
 	if Time(2).String() != "2.000s" {
 		t.Fatalf("String = %q", Time(2).String())
 	}

@@ -75,14 +75,6 @@ func (s *Store) Has(name string) bool {
 	return ok
 }
 
-// Delete removes a file if present.
-func (s *Store) Delete(name string) {
-	delete(s.files, name)
-}
-
-// Len returns the number of stored files.
-func (s *Store) Len() int { return len(s.files) }
-
 // List returns stored file names in sorted order.
 func (s *Store) List() []string {
 	out := make([]string, 0, len(s.files))

@@ -44,14 +44,10 @@ func TestStoreAccounting(t *testing.T) {
 	if s.BytesWritten != 300 || s.BytesRead != 100 {
 		t.Fatalf("bytes w=%v r=%v", s.BytesWritten, s.BytesRead)
 	}
-	if storedBytes(s) != 300 || s.Len() != 2 {
-		t.Fatalf("stored bytes=%v Len=%d", storedBytes(s), s.Len())
+	if storedBytes(s) != 300 || len(s.files) != 2 {
+		t.Fatalf("stored bytes=%v files=%d", storedBytes(s), len(s.files))
 	}
-	s.Delete("a")
-	if s.Has("a") || !s.Has("b") {
-		t.Fatal("Delete wrong file")
-	}
-	if got := s.List(); len(got) != 1 || got[0] != "b" {
+	if got := s.List(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("List = %v", got)
 	}
 }
@@ -64,8 +60,8 @@ func TestPutOverwrites(t *testing.T) {
 	if f.Bytes != 999 {
 		t.Fatalf("overwrite failed: %v", f.Bytes)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d after overwrite", s.Len())
+	if len(s.files) != 1 {
+		t.Fatalf("%d files after overwrite", len(s.files))
 	}
 }
 
@@ -158,7 +154,7 @@ func TestTransferConservation(t *testing.T) {
 			})
 		}
 		eng.Run()
-		return done == src.Len() && math.Abs(storedBytes(dst)-want) < 1e-6
+		return done == len(src.files) && math.Abs(storedBytes(dst)-want) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

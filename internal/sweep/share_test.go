@@ -51,18 +51,19 @@ func referenceRun(t *testing.T, cfg Config) *Report {
 	return rep
 }
 
-// digestWorkflow renders every task field, in insertion order, and each
-// task's successor list in edge-creation order.
+// digestWorkflow renders every task field (Deps among them), in insertion
+// order, and the topological order the successor lists give.
 func digestWorkflow(w *dag.Workflow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%d|%d\n", w.Name, w.Len(), w.EdgeCount())
 	for i := 0; i < w.Len(); i++ {
 		t := w.At(i)
-		fmt.Fprintf(&b, "%+v ->", *t)
-		for _, c := range w.Children(t.ID) {
-			b.WriteString(" " + string(c.ID))
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%+v\n", *t)
+	}
+	order, err := w.TopoOrder()
+	fmt.Fprintf(&b, "%v ->", err)
+	for _, t := range order {
+		b.WriteString(" " + string(t.ID))
 	}
 	return b.String()
 }

@@ -292,9 +292,8 @@ func generate(gen func(*randx.Source) *dag.Workflow, src *randx.Source, seed int
 // substrate randomness (fault injection) is a pure function of the seed and
 // every env of the group sees the same stream. The source and the workflow
 // are shared with the group's other runs, so no run may keep rng or mutate
-// w. A substrate panic (e.g. an EnTK PostExec appending an invalid stage) is
-// converted into an error so one bad seed aborts the sweep deterministically
-// instead of killing the process.
+// w. A substrate panic is converted into an error so one bad seed aborts the
+// sweep deterministically instead of killing the process.
 func runOne(cfg *Config, wi, ei, si int, sess core.RunSession, w *dag.Workflow, rng *randx.Source) (rr RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -392,16 +391,6 @@ func reduce(cfg Config, results []RunResult) *Report {
 		}
 	}
 	return rep
-}
-
-// Cell returns the aggregate for one (workflow, env) pair, or nil.
-func (r *Report) Cell(workflow, env string) *Cell {
-	for i := range r.Cells {
-		if r.Cells[i].Workflow == workflow && r.Cells[i].Env == env {
-			return &r.Cells[i]
-		}
-	}
-	return nil
 }
 
 // Table renders the cells as a fixed-width table. The bytes are part of the

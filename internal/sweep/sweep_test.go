@@ -226,13 +226,13 @@ func TestSpeedupAgainstBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := rep.Cell("montage", "slow")
-	if base == nil || base.SpeedupMean != 0 {
-		t.Fatalf("baseline cell should have zero speedup: %+v", base)
+	// One workflow: a cell per env, in config order.
+	base, c := rep.Cells[0], rep.Cells[1]
+	if base.Env != "slow" || c.Env != "fast" {
+		t.Fatalf("cells %s, %s; want slow, fast", base.Env, c.Env)
 	}
-	c := rep.Cell("montage", "fast")
-	if c == nil {
-		t.Fatal("fast cell missing")
+	if base.SpeedupMean != 0 {
+		t.Fatalf("baseline cell should have zero speedup: %+v", base)
 	}
 	if c.SpeedupMean <= 1 {
 		t.Fatalf("4x8 cluster not faster than 1x8: speedup %v", c.SpeedupMean)
@@ -258,9 +258,6 @@ func TestTableAndHelpers(t *testing.T) {
 		if !strings.Contains(tab, want) {
 			t.Fatalf("table missing %q:\n%s", want, tab)
 		}
-	}
-	if rep.Cell("montage", "nope") != nil {
-		t.Fatal("Cell returned a match for unknown env")
 	}
 	if fp := rep.Fingerprint(); !strings.Contains(fp, "montage|a-env|2|") {
 		t.Fatalf("fingerprint missing per-run lines:\n%s", fp)

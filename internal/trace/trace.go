@@ -94,21 +94,3 @@ func FromProvenance(s *provenance.Store) *Doc {
 func (d *Doc) JSON() ([]byte, error) {
 	return json.MarshalIndent(d, "", " ")
 }
-
-// Span returns the trace's wall-clock extent in seconds (0 if empty).
-func (d *Doc) Span() float64 {
-	lo, hi := 0.0, 0.0
-	for i, e := range d.TraceEvents {
-		start, end := e.TS/1e6, (e.TS+e.Dur)/1e6
-		// Seed BOTH extrema from the first event: seeding only lo left hi
-		// anchored at 0, so a trace whose events all end before t=0 reported
-		// a span stretched to zero instead of its true extent.
-		if i == 0 || start < lo {
-			lo = start
-		}
-		if i == 0 || end > hi {
-			hi = end
-		}
-	}
-	return hi - lo
-}
