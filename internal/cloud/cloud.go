@@ -56,7 +56,6 @@ type Instance struct {
 	state InstanceState
 
 	launchedAt sim.Time
-	readyAt    sim.Time
 	stoppedAt  sim.Time
 }
 
@@ -142,7 +141,6 @@ func (e *Env) Launch(t InstanceType, onReady func(*Instance)) *Instance {
 			return
 		}
 		inst.state = Running
-		inst.readyAt = e.Eng.Now()
 		if onReady != nil {
 			onReady(inst)
 		}

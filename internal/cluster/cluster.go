@@ -37,6 +37,9 @@ type Node struct {
 	freeGPUs  int
 	freeMem   float64
 	down      bool
+	// stale marks a node whose counters changed since the capacity index
+	// last refreshed its leaf.
+	stale bool
 	// epoch increments at every failure; allocations remember the epoch
 	// they were granted in so releases from before a crash cannot credit
 	// capacity the repair already reset.

@@ -30,11 +30,14 @@ func (r *fuzzBytes) next() int {
 // integral of the allocated-core step series the test records itself.
 //
 // Encoding of shape: up to three (count%12, cores%17, gpus%4, mem%9 GB)
-// node types, one byte per field. Each op is one byte: op>>2 eighths of a
-// second pass first, then op%4 selects allocate (node, cores%9, gpus%3, mem%9
-// GB from the next bytes), release (live allocation next%live), fail or
-// repair (node next%nodes), followed by one query: from next%(nodes+3)-1,
-// then cores%10, gpus%3, mem%10 GB.
+// node types, one byte per field. Each op is one byte: (op>>2)%8 eighths of
+// a second pass first, then op%4 selects a mutation applied op>>5 + 1 times
+// to one node before the next query, so several changes to a node land
+// between two refreshes of its leaf: allocate (node, then cores%9, gpus%3,
+// mem%9 GB per grant), release (per release, next% the live allocations,
+// after the first only those on the first one's node), fail or repair (node
+// next%nodes, alternating fail and repair from the selected one). One query
+// follows: from next%(nodes+3)-1, then cores%10, gpus%3, mem%10 GB.
 func FuzzFirstFitMatchesScan(f *testing.F) {
 	f.Add([]byte{5, 8, 1, 4}, []byte{0, 0, 4, 0, 2, 1, 1, 0, 0})
 	f.Add([]byte{7, 4, 0, 2, 9, 16, 2, 8, 3, 1, 3, 1}, []byte{0, 3, 8, 2, 8, 4, 2, 0, 0, 1, 0, 2, 5, 0, 3, 5, 7, 0, 1})
@@ -56,11 +59,21 @@ func FuzzFirstFitMatchesScan(f *testing.F) {
 		20, 1, 2, 0, 0, 0, 0, 0, 0, // +5/8 s: grant 2 cores on node 1
 		14, 0, 0, 0, 0, 0, // +3/8 s: fail node 0 under its grant
 		11, 0, 0, 0, 0, 0, // +2/8 s: repair node 0
-		41, 0, 0, 0, 0, 0, // +10/8 s: release the revoked grant
+		29, 0, 0, 0, 0, 0, // +7/8 s: release the revoked grant
 		9, 0, 0, 0, 0, 0, // +2/8 s: release the live grant
 		4, 2, 8, 1, 4, 0, 0, 0, 0, // +1/8 s: grant all of node 2
 		6, 3, 0, 0, 0, 0, // +1/8 s: fail idle node 3
 	})
+	// A cohort on one node between queries: eight 1-core grants on node 0,
+	// then all eight released, then fail, repair, fail, repair of node 1.
+	cohort := []byte{224, 0}
+	for i := 0; i < 8; i++ {
+		cohort = append(cohort, 1, 0, 0)
+	}
+	cohort = append(cohort, 0, 1, 0, 0)
+	cohort = append(cohort, 225, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0)
+	cohort = append(cohort, 98, 1, 0, 1, 0, 0)
+	f.Add([]byte{3, 8, 0, 4}, cohort)
 	f.Fuzz(func(t *testing.T, shape, ops []byte) {
 		sr := &fuzzBytes{b: shape}
 		var specs []Spec
@@ -84,31 +97,48 @@ func FuzzFirstFitMatchesScan(f *testing.F) {
 		var level coreLevel
 		for or.more() {
 			op := or.next()
-			eng.RunUntil(eng.Now() + sim.Time(op>>2)/8)
+			eng.RunUntil(eng.Now() + sim.Time((op>>2)%8)/8)
+			reps := op>>5 + 1
 			switch op % 4 {
 			case 0:
 				if nodes > 0 {
 					n := c.Nodes()[or.next()%nodes]
-					if a, err := c.Allocate(n, or.next()%9, or.next()%3, float64(or.next()%9)*1e9); err == nil {
-						live = append(live, a)
-						level.change(eng.Now(), a.Cores)
+					for r := 0; r < reps; r++ {
+						if a, err := c.Allocate(n, or.next()%9, or.next()%3, float64(or.next()%9)*1e9); err == nil {
+							live = append(live, a)
+							level.change(eng.Now(), a.Cores)
+						}
 					}
 				}
 			case 1:
-				if len(live) > 0 {
-					i := or.next() % len(live)
+				var on *Node
+				for r := 0; r < reps; r++ {
+					var idx []int
+					for i, a := range live {
+						if on == nil || a.Node == on {
+							idx = append(idx, i)
+						}
+					}
+					if len(idx) == 0 {
+						break
+					}
+					i := idx[or.next()%len(idx)]
+					on = live[i].Node
 					c.Release(live[i])
 					level.change(eng.Now(), -live[i].Cores)
 					live[i] = live[len(live)-1]
 					live = live[:len(live)-1]
 				}
-			case 2:
+			case 2, 3:
 				if nodes > 0 {
-					c.FailNode(c.Nodes()[or.next()%nodes])
-				}
-			case 3:
-				if nodes > 0 {
-					c.RepairNode(c.Nodes()[or.next()%nodes])
+					n := c.Nodes()[or.next()%nodes]
+					for r := 0; r < reps; r++ {
+						if (int(op%4)+r)%2 == 0 {
+							c.FailNode(n)
+						} else {
+							c.RepairNode(n)
+						}
+					}
 				}
 			}
 			from := or.next()%(nodes+3) - 1

@@ -11,15 +11,24 @@ package cluster
 // Queries descend only into segments whose maxima can satisfy the request,
 // so they visit feasible nodes in exactly the order the old full scan did —
 // ascending node ID — which is what keeps first-fit, round-robin, and every
-// other deterministic tie-break byte-identical to the rescan kernel. Updates
-// are O(log n) and hang off the only four mutation points (Allocate,
-// Release, FailNode, RepairNode), so the tree can never drift from the
-// per-node free counters it summarizes. An update climbs only until a
-// segment's maxima and idle flag come out unchanged; on stream-1m's 128-node
-// tree that is about two of its seven levels.
+// other deterministic tie-break byte-identical to the rescan kernel.
+//
+// The tree is refreshed per query, not per change. Each of the four mutation
+// points (Allocate, Release, FailNode, RepairNode) updates the node's free
+// counters at once and only marks its leaf stale, listing the node once
+// however often it changes. Every query (AppendCandidates, FirstFit,
+// AppendIdleNodes) first rewrites each stale leaf from its node and climbs
+// until a segment's maxima and idle flag come out unchanged, so a query
+// always reads a tree equal to one rebuilt from the counters, and a cohort
+// of completions costs one climb per node instead of one per release.
 type capIndex struct {
 	nodes []*Node // leaves, in ID order
 	base  int     // first leaf position (power of two ≥ len(nodes))
+
+	// stale lists, once each, the IDs of the nodes changed since the last
+	// refresh (Node.stale marks them). Its capacity is the node count, so
+	// it never grows.
+	stale []int
 
 	// Per-segment maxima over the subtree, indexed like a binary heap:
 	// segment i has children 2i and 2i+1; leaves start at base.
@@ -36,11 +45,14 @@ func newCapIndex(nodes []*Node) *capIndex {
 	for base < len(nodes) {
 		base *= 2
 	}
+	// One allocation backs both integer maxima and the stale list.
+	ints := make([]int, 4*base+len(nodes))
 	ix := &capIndex{
 		nodes:    nodes,
 		base:     base,
-		maxCores: make([]int, 2*base),
-		maxGPUs:  make([]int, 2*base),
+		maxCores: ints[: 2*base : 2*base],
+		maxGPUs:  ints[2*base : 4*base : 4*base],
+		stale:    ints[4*base : 4*base],
 		maxMem:   make([]float64, 2*base),
 		anyIdle:  make([]uint8, 2*base),
 	}
@@ -54,10 +66,14 @@ func newCapIndex(nodes []*Node) *capIndex {
 }
 
 // reset rebuilds the whole tree in place over the same backing arrays, for
-// use after the node ledger has been bulk-reset. Padding leaves past
-// len(nodes) were zeroed at construction and are never written, so they stay
-// correct.
+// use after the node ledger has been bulk-reset, leaving nothing stale.
+// Padding leaves past len(nodes) were zeroed at construction and are never
+// written, so they stay correct.
 func (ix *capIndex) reset() {
+	for _, id := range ix.stale {
+		ix.nodes[id].stale = false
+	}
+	ix.stale = ix.stale[:0]
 	for i, n := range ix.nodes {
 		ix.writeLeaf(i, n)
 	}
@@ -108,13 +124,37 @@ func (ix *capIndex) pull(i int) bool {
 	return true
 }
 
-// update refreshes node n's leaf and the path towards the root, stopping at
-// the first segment whose fields come out unchanged: every ancestor above it
-// depends only on its children, so it is already correct.
+// update marks node n's leaf stale after a change to its counters; the next
+// query refreshes it.
 func (ix *capIndex) update(n *Node) {
-	ix.writeLeaf(n.ID, n)
-	for i := (ix.base + n.ID) / 2; i >= 1 && ix.pull(i); i /= 2 {
+	if !n.stale {
+		n.stale = true
+		ix.stale = append(ix.stale, n.ID)
 	}
+}
+
+// refresh brings the tree up to date before a query. It is small enough to
+// inline, so a query with nothing stale pays one length test.
+func (ix *capIndex) refresh() {
+	if len(ix.stale) > 0 {
+		ix.refreshStale()
+	}
+}
+
+// refreshStale rewrites every stale leaf from its node and climbs from each,
+// stopping at the first segment whose fields come out unchanged: every
+// ancestor above it depends only on its children, so it is already correct.
+// Leaves are taken one at a time, and after each climb the tree agrees with
+// every leaf written so far, so the order does not matter.
+func (ix *capIndex) refreshStale() {
+	for _, id := range ix.stale {
+		n := ix.nodes[id]
+		n.stale = false
+		ix.writeLeaf(id, n)
+		for i := (ix.base + id) / 2; i >= 1 && ix.pull(i); i /= 2 {
+		}
+	}
+	ix.stale = ix.stale[:0]
 }
 
 // appendFeasible appends, in leaf order, every up node of the subtree rooted
@@ -184,6 +224,7 @@ func (c *Cluster) AppendCandidates(dst []*Node, cores, gpus int, mem float64) []
 	if len(c.nodes) == 0 {
 		return dst
 	}
+	c.idx.refresh()
 	return c.idx.appendFeasible(dst, 1, cores, gpus, mem)
 }
 
@@ -197,6 +238,7 @@ func (c *Cluster) FirstFit(from, cores, gpus int, mem float64) *Node {
 	if from >= len(c.nodes) {
 		return nil
 	}
+	c.idx.refresh()
 	return c.idx.firstFit(1, 0, c.idx.base, from, cores, gpus, mem)
 }
 
@@ -207,5 +249,6 @@ func (c *Cluster) AppendIdleNodes(dst []*Node) []*Node {
 	if len(c.nodes) == 0 {
 		return dst
 	}
+	c.idx.refresh()
 	return c.idx.appendIdle(dst, 1)
 }

@@ -51,11 +51,21 @@ func sameNodes(a, b []*Node) bool {
 	return true
 }
 
-// checkIndexInvariants rebuilds every internal segment from the leaves and
-// compares it against the incrementally maintained tree.
+// checkIndexInvariants refreshes the index, as every query does first, then
+// rebuilds every internal segment from the leaves and compares it against
+// the incrementally maintained tree.
 func checkIndexInvariants(t *testing.T, c *Cluster) {
 	t.Helper()
 	ix := c.idx
+	ix.refresh()
+	if len(ix.stale) != 0 {
+		t.Fatalf("%d leaves still stale after a refresh", len(ix.stale))
+	}
+	for _, n := range ix.nodes {
+		if n.stale {
+			t.Fatalf("node %d still marked stale after a refresh", n.ID)
+		}
+	}
 	// Leaves must mirror the node free counters (down nodes contribute zero).
 	for i, n := range ix.nodes {
 		p := ix.base + i

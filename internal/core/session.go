@@ -370,7 +370,8 @@ func (s *Session) armCWS(w *dag.Workflow, rng *randx.Source, arm *faultArm) erro
 // of which carry observational or decision-bearing state into the next run.
 var sessionAuditSkip = []string{
 	"core.Session.warm",           // the one intentional divergence
-	"sim.Engine.slab",             // slab tail is consumed, never reused
+	"sim.Engine.slab",             // slab tail, drawn when free runs out
+	"sim.Engine.free",             // recycled event records, a capacity pool
 	"cluster.Node.name",           // lazily memoized rendering of stable identity
 	"rm.TaskManager.orderScratch", // dispatch scratch, overwritten per pass
 	"rm.TaskManager.candScratch",

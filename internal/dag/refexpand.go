@@ -22,9 +22,8 @@ import (
 // Retire, and each distinct (name, params) template is resolved once and
 // shared across every splice point.
 type RefExpander struct {
-	name     string
-	resolve  RefResolver
-	maxDepth int
+	name    string
+	resolve RefResolver
 
 	infos map[*Workflow]*tmplInfo
 	root  *refInstance
@@ -105,7 +104,6 @@ func NewRefExpander(w *Workflow, resolve RefResolver, maxDepth int) (*RefExpande
 	x := &RefExpander{
 		name:     w.Name,
 		resolve:  resolve,
-		maxDepth: maxDepth,
 		infos:    make(map[*Workflow]*tmplInfo, 8),
 		inflight: make(map[TaskID]refSlot, 64),
 	}

@@ -174,7 +174,7 @@ type Injector struct {
 	prof Profile
 
 	stopped  bool
-	pending  []*sim.Event
+	pending  []sim.Event
 	slowTill sim.Time
 	stats    InjectStats
 
@@ -282,20 +282,19 @@ func (in *Injector) armRenewal(r *renewal) {
 }
 
 // track remembers an outstanding event for Stop-time cancellation,
-// compacting already-fired entries once the list grows: the renewal chains
-// of a long-running open-system service would otherwise retain every event
-// ever scheduled, O(virtual time) instead of O(armed processes). An event
-// strictly in the past has fired (the engine never holds events before now),
-// so cancelling it would be a no-op; dropping it is safe.
-func (in *Injector) track(ev *sim.Event) {
+// compacting entries no longer pending once the list grows: the renewal
+// chains of a long-running open-system service would otherwise retain every
+// event ever scheduled, O(virtual time) instead of O(armed processes).
+// Cancelling an event that has fired or been cancelled is a no-op, so
+// dropping it is safe.
+func (in *Injector) track(ev sim.Event) {
 	in.pending = append(in.pending, ev)
 	if len(in.pending) < 64 {
 		return
 	}
-	now := in.eng.Now()
 	live := in.pending[:0]
 	for _, e := range in.pending {
-		if e.Time() >= now && !e.Cancelled() {
+		if e.Pending() {
 			live = append(live, e)
 		}
 	}

@@ -54,12 +54,10 @@ type AppFuture struct {
 	ID      string
 	AppName string
 
-	state    State
-	outputs  []*DataFuture
-	err      error
-	onDone   []func(*AppFuture)
-	doneAt   sim.Time
-	launched sim.Time
+	state   State
+	outputs []*DataFuture
+	err     error
+	onDone  []func(*AppFuture)
 }
 
 // State returns the future's lifecycle state.
@@ -185,7 +183,6 @@ func (e *Executor) launch(app App, deps []*AppFuture, inBytes float64) *AppFutur
 			inBytes += d.totalOutputBytes()
 		}
 		f.state = Running
-		f.launched = e.eng.Now()
 		e.execs[app.Name]++
 		nth := e.execs[app.Name]
 		e.eng.After(sim.Time(app.DurationSec), func() {
@@ -228,7 +225,6 @@ func (f *AppFuture) totalOutputBytes() float64 {
 }
 
 func (e *Executor) finish(f *AppFuture, err error) {
-	f.doneAt = e.eng.Now()
 	if err != nil {
 		f.state = Failed
 		f.err = err

@@ -92,28 +92,42 @@ func shardID(b *strings.Builder, name string, shards, s int) dag.TaskID {
 
 // flight tracks one def's emitted shards that await their terminal report
 // as a window over shard indices: every shard below lo has reported, and
-// reported[k] marks shard lo+k, for the shards emitted since. The window
+// reported[head+k] marks shard lo+k, for the shards emitted since. The window
 // slides forward as its front reports, so it spans the shards from the
 // oldest unreported one to the newest emitted, never the whole def.
+// reported[:head] is the consumed prefix; emit compacts the window to the
+// front of its array once that prefix is at least half the capacity, and a
+// window that drains restarts at zero, so a sliding window reuses one array.
 type flight struct {
 	lo       int
+	head     int
 	reported []bool
 }
 
 // emit opens the next shard.
-func (f *flight) emit() { f.reported = append(f.reported, false) }
+func (f *flight) emit() {
+	if n := len(f.reported); n == cap(f.reported) && f.head > 0 && f.head >= n/2 {
+		f.reported = f.reported[:copy(f.reported, f.reported[f.head:])]
+		f.head = 0
+	}
+	f.reported = append(f.reported, false)
+}
 
 // report closes shard s. It returns false when s was never emitted or has
 // already reported.
 func (f *flight) report(s int) bool {
-	k := s - f.lo
-	if k < 0 || k >= len(f.reported) || f.reported[k] {
+	k := f.head + s - f.lo
+	if s < f.lo || k >= len(f.reported) || f.reported[k] {
 		return false
 	}
 	f.reported[k] = true
-	for len(f.reported) > 0 && f.reported[0] {
-		f.reported = f.reported[1:]
+	for f.head < len(f.reported) && f.reported[f.head] {
+		f.head++
 		f.lo++
+	}
+	if f.head == len(f.reported) {
+		f.reported = f.reported[:0]
+		f.head = 0
 	}
 	return true
 }

@@ -486,3 +486,47 @@ func TestScatterExpanderResidentUnderFaults(t *testing.T) {
 		t.Fatalf("resident after drain: %d", resident(x))
 	}
 }
+
+// TestFlightSlidesInPlace: a window sliding over a def's shards — report the
+// oldest, emit the next — compacts within one array of bounded size instead
+// of reallocating it as the front advances.
+func TestFlightSlidesInPlace(t *testing.T) {
+	const window = 64
+	var f flight
+	next := 0
+	for ; next < window; next++ {
+		f.emit()
+	}
+	// One run slides the window by its own width.
+	slide := func() {
+		for i := 0; i < window; i++ {
+			if !f.report(f.lo) {
+				t.Fatalf("shard %d did not report", f.lo)
+			}
+			f.emit()
+			next++
+		}
+	}
+	slide()
+	array := &f.reported[:1][0]
+	for i := 0; i < 100; i++ {
+		slide()
+	}
+	if &f.reported[:1][0] != array {
+		t.Fatal("the sliding window moved to a new array")
+	}
+	if c := cap(f.reported); c > 4*window {
+		t.Fatalf("window of %d holds an array of %d", window, c)
+	}
+	if f.lo != next-window || len(f.reported)-f.head != window {
+		t.Fatalf("window [%d, +%d), want [%d, +%d)", f.lo, len(f.reported)-f.head, next-window, window)
+	}
+	// Out of order: a report past the front leaves the window's start
+	// until the front reports too.
+	if !f.report(f.lo+1) || f.report(f.lo+1) || f.lo != next-window {
+		t.Fatal("report past the front moved the window or reported twice")
+	}
+	if !f.report(f.lo) || f.lo != next-window+2 {
+		t.Fatalf("front report moved lo to %d, want %d", f.lo, next-window+2)
+	}
+}

@@ -72,7 +72,6 @@ func (s State) String() string {
 // Pilot is an acquired allocation plus the agent running inside it.
 type Pilot struct {
 	cfg   Config
-	cl    *cluster.Cluster
 	eng   *sim.Engine
 	state State
 
@@ -113,7 +112,7 @@ type pending struct {
 	nodeCount   int
 	submittedAt sim.Time
 	nodes       []*cluster.Node
-	endEv       *sim.Event
+	endEv       sim.Event
 	launchedAt  sim.Time
 }
 
@@ -122,7 +121,6 @@ type pending struct {
 func Submit(bm *rm.BatchManager, cl *cluster.Cluster, cfg Config) (*Pilot, error) {
 	p := &Pilot{
 		cfg:         cfg,
-		cl:          cl,
 		eng:         cl.Engine(),
 		state:       Pending,
 		dead:        map[int]bool{},

@@ -58,6 +58,34 @@ func (m *TaskManager) firstFit(s *Submission, resNode *cluster.Node, shadow, now
 	return n
 }
 
+// fitCursor resumes a dispatch pass's first-fit queries per request shape.
+// It remembers the shape of the pass's last query and the node that query
+// returned. A pass only takes capacity away, so a node below that one, which
+// could not fit the shape then, cannot fit it later in the pass: the next
+// query for the same shape is answered by that node if it still fits and
+// otherwise by the search from the node after it — what FirstFit from node 0
+// would return, without descending from the root.
+type fitCursor struct {
+	cores, gpus int
+	mem         float64
+	node        *cluster.Node
+	valid       bool
+}
+
+// next returns the lowest-ID node that can fit s now, as
+// cl.FirstFit(0, s.Cores, s.GPUs, s.Mem) would.
+func (c *fitCursor) next(cl *cluster.Cluster, s *Submission) *cluster.Node {
+	if !c.valid || s.Cores != c.cores || s.GPUs != c.gpus || s.Mem != c.mem {
+		c.cores, c.gpus, c.mem, c.valid = s.Cores, s.GPUs, s.Mem, true
+		c.node = cl.FirstFit(0, s.Cores, s.GPUs, s.Mem)
+		return c.node
+	}
+	if n := c.node; n != nil && (n.Down() || n.FreeCores() < s.Cores || n.FreeGPUs() < s.GPUs || n.FreeMem() < s.Mem) {
+		c.node = cl.FirstFit(n.ID+1, s.Cores, s.GPUs, s.Mem)
+	}
+	return c.node
+}
+
 // fitsHole reports whether the oracle predicts s finishes on the reserved
 // node n before the shadow time, so it can run there without delaying the
 // reservation's owner.

@@ -40,7 +40,7 @@ type BatchAlloc struct {
 
 	mgr      *BatchManager
 	allocs   []*cluster.Alloc
-	expireEv *sim.Event
+	expireEv sim.Event
 	released bool
 }
 
@@ -50,9 +50,7 @@ func (a *BatchAlloc) Release() {
 		return
 	}
 	a.released = true
-	if a.expireEv != nil {
-		a.expireEv.Cancel()
-	}
+	a.expireEv.Cancel()
 	now := a.mgr.eng.Now()
 	for _, al := range a.allocs {
 		a.mgr.cl.Release(al)

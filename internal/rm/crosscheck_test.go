@@ -22,7 +22,9 @@ import (
 // decision, with and without a duration oracle arming EASY reservations:
 // the candidate list the manager hands to PickNode must match the rescan,
 // reservation-filtered, element for element in node-ID order — the whole
-// list for a slice strategy, its first node for a declared first-fit one. A
+// list for a slice strategy, its first node for a declared first-fit one.
+// Tapes hold bursts of equal requests, so a first-fit pass resumes its
+// queries per request shape, and those picks are checked the same way. A
 // mismatch dumps the offending tape to crosscheck_tape_failure.json so CI
 // can attach it to the failing run.
 
@@ -51,6 +53,11 @@ type checkedFIFO struct {
 	checks     int
 	heldOff    int // rescans that dropped the reserved node
 	mismatched bool
+	// resumed counts first-fit picks made without a reservation for the
+	// same request shape as the pass's previous submission, which the
+	// manager answers by resuming; advanced counts those whose node differs
+	// from the previous pick, the resume past a node that filled up.
+	resumed, advanced int
 
 	// The pass being checked: its order, how far PickNode has come, and
 	// the reservation the pass holds so far.
@@ -58,6 +65,10 @@ type checkedFIFO struct {
 	cursor  int
 	resNode *cluster.Node
 	shadow  sim.Time
+	// prev is the submission before s in the pass's order, and prevPick the
+	// last node this pass picked.
+	prev     *Submission
+	prevPick *cluster.Node
 }
 
 func (c *checkedFIFO) Name() string { return "checked-fifo" }
@@ -65,7 +76,7 @@ func (c *checkedFIFO) Name() string { return "checked-fifo" }
 func (c *checkedFIFO) FirstFitOnly() bool { return c.firstFit }
 
 func (c *checkedFIFO) Prioritize(p []*Submission) []*Submission {
-	c.order, c.cursor, c.resNode = p, 0, nil
+	c.order, c.cursor, c.resNode, c.prev, c.prevPick = p, 0, nil, nil, nil
 	return p
 }
 
@@ -82,8 +93,16 @@ func (c *checkedFIFO) PickNode(s *Submission, candidates []*cluster.Node) *clust
 		if c.resNode == nil && c.m.oracle != nil {
 			c.resNode, c.shadow = c.m.reserve(skipped)
 		}
+		c.prev = skipped
 	}
 	c.cursor++
+	if p := c.prev; c.firstFit && c.resNode == nil && p != nil && p.Cores == s.Cores && p.GPUs == s.GPUs && p.Mem == s.Mem {
+		c.resumed++
+		if len(candidates) > 0 && candidates[0] != c.prevPick {
+			c.advanced++
+		}
+	}
+	c.prev = s
 	want := c.rescan(s)
 	if c.firstFit && len(want) > 1 {
 		want = want[:1]
@@ -103,6 +122,7 @@ func (c *checkedFIFO) PickNode(s *Submission, candidates []*cluster.Node) *clust
 	if len(candidates) == 0 {
 		return nil
 	}
+	c.prevPick = candidates[0]
 	return candidates[0]
 }
 
@@ -170,7 +190,8 @@ func (c *checkedFIFO) dumpFailure(s *Submission, want, got []*cluster.Node) {
 }
 
 // genTape builds a random operation tape: a burst of submissions with mixed
-// shapes, sprinkled with node fail/repair churn.
+// shapes, runs of equal small requests submitted together, and node
+// fail/repair churn.
 func genTape(r *randx.Source, nodes int) []tapeOp {
 	var tape []tapeOp
 	n := 0
@@ -181,6 +202,13 @@ func genTape(r *randx.Source, nodes int) []tapeOp {
 			tape = append(tape, tapeOp{At: at, Op: "fail", Node: r.Intn(nodes)})
 		case 1: // repair a node
 			tape = append(tape, tapeOp{At: at, Op: "repair", Node: r.Intn(nodes)})
+		case 2: // a run of equal requests, enough to fill nodes
+			op := tapeOp{At: at, Op: "submit", Cores: 1 + r.Intn(4), GPUs: r.Intn(2), Mem: float64(r.Intn(4)) * 4e9}
+			for k := 2 + r.Intn(12); k > 0; k-- {
+				op.ID, op.Dur = fmt.Sprintf("s%03d", n), 20+r.Float64()*200
+				tape = append(tape, op)
+				n++
+			}
 		default: // submit
 			tape = append(tape, tapeOp{
 				At: at, Op: "submit", ID: fmt.Sprintf("s%03d", n),
@@ -245,7 +273,7 @@ func TestPrioritizeScanCrossCheckTapes(t *testing.T) {
 	for _, shape := range tapeClusters {
 		for _, firstFit := range []bool{false, true} {
 			for _, withOracle := range []bool{false, true} {
-				heldOff := 0
+				heldOff, resumed, advanced := 0, 0, 0
 				for seed := int64(1); seed <= 6; seed++ {
 					eng := sim.NewEngine()
 					cl := shape.new(eng)
@@ -266,9 +294,15 @@ func TestPrioritizeScanCrossCheckTapes(t *testing.T) {
 						return // the artifact describes the first divergence; stop here
 					}
 					heldOff += strat.heldOff
+					resumed += strat.resumed
+					advanced += strat.advanced
 				}
 				if withOracle && heldOff == 0 {
 					t.Fatalf("%s, first-fit %v: no rescan ever met a reservation — the oracle tapes test nothing", shape.name, firstFit)
+				}
+				if firstFit && (resumed == 0 || advanced == 0) {
+					t.Fatalf("%s, oracle %v: %d resumed first-fit picks, %d past a filled node — the runs of equal requests test nothing",
+						shape.name, withOracle, resumed, advanced)
 				}
 			}
 		}

@@ -296,7 +296,7 @@ type running struct {
 	slot  int // position in TaskManager.running
 	sub   *Submission
 	alloc *cluster.Alloc
-	endEv *sim.Event
+	endEv sim.Event
 	start sim.Time
 	// end is the scheduled completion time, recorded so backfill can
 	// simulate capacity releases without touching the event queue.
@@ -423,12 +423,21 @@ func (m *TaskManager) schedule() {
 	var shadow sim.Time
 	now := m.eng.Now()
 	// A first-fit strategy reads only the first candidate, so it gets just
-	// that one, found by index descent instead of listing every fit.
+	// that one, found by index descent instead of listing every fit; while
+	// no reservation is held, a run of equal requests resumes where the
+	// previous one left off (see fitCursor).
 	firstFitOnly := DeclaresFirstFit(m.strategy)
+	var cursor fitCursor
 	for _, s := range ordered {
 		if firstFitOnly {
+			var n *cluster.Node
+			if resNode == nil {
+				n = cursor.next(m.cl, s)
+			} else {
+				n = m.firstFit(s, resNode, shadow, now)
+			}
 			m.candScratch = m.candScratch[:0]
-			if n := m.firstFit(s, resNode, shadow, now); n != nil {
+			if n != nil {
 				m.candScratch = append(m.candScratch, n)
 			}
 		} else {
@@ -529,7 +538,7 @@ func (m *TaskManager) finish(r *running, failed bool, err error) {
 	// finish), so the record can be recycled for a future start —
 	// keeping its bound endFn and allocBox. Recycle before the Done
 	// callback: Done may submit follow-up work that schedules immediately.
-	r.sub, r.alloc, r.endEv, r.start = nil, nil, nil, 0
+	r.sub, r.alloc, r.endEv, r.start = nil, nil, sim.Event{}, 0
 	m.freeRunning = append(m.freeRunning, r)
 	sub.Finish(res)
 	m.kick()

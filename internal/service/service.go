@@ -170,7 +170,6 @@ type serviceRun struct {
 	cfg     Config
 	sub     *Substrate
 	eng     *sim.Engine
-	cl      *cluster.Cluster
 	cws     *cwsi.CWS
 	inj     *fault.Injector
 	tenants []*tenantState
@@ -284,6 +283,7 @@ func (sub *Substrate) reset() {
 var substrateAuditSkip = []string{
 	"service.Substrate.warm",
 	"sim.Engine.slab",
+	"sim.Engine.free",
 	"cluster.Node.name",
 	"rm.TaskManager.orderScratch",
 	"rm.TaskManager.candScratch",
@@ -359,7 +359,6 @@ func run(sub *Substrate, cfg Config, seed int64, only int, in []tenantInputs) (*
 		cfg:  cfg,
 		sub:  sub,
 		eng:  sub.eng,
-		cl:   sub.cl,
 		only: only,
 	}
 

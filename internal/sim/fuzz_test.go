@@ -4,7 +4,10 @@ import "testing"
 
 // FuzzEngineMatchesReference replays a tape of engine operations on the real
 // Engine and on refEngine and, after every operation, requires the same
-// firing sequence, clock, fired count and pending count.
+// firing sequence, clock, fired count and pending count, and the same
+// Pending answer from every handle ever issued: records are recycled, so a
+// handle kept past its event's firing, cancel or Reset must keep reading
+// false while its record serves later events.
 //
 // Each operation is one byte, op%8 selecting:
 //
@@ -39,7 +42,7 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		e := NewEngine()
 		ref := &refEngine{}
 		var got, want []firing
-		var evs []*Event
+		var evs []Event
 		var refs []*refEvent
 		var delay Time
 
@@ -115,6 +118,11 @@ func FuzzEngineMatchesReference(f *testing.F) {
 			if e.Now() != ref.now || e.Fired() != ref.fired || e.Pending() != len(ref.queue) {
 				t.Fatalf("op %d: now/fired/pending = %v/%d/%d, reference %v/%d/%d",
 					op, e.Now(), e.Fired(), e.Pending(), ref.now, ref.fired, len(ref.queue))
+			}
+			for j, ev := range evs {
+				if ev.Pending() != refs[j].pending() {
+					t.Fatalf("op %d: event %d Pending = %v, reference %v", op, j, ev.Pending(), refs[j].pending())
+				}
 			}
 		}
 	})

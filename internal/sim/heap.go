@@ -2,11 +2,12 @@ package sim
 
 // entry is one queued event with its ordering key inlined. Keeping (at, seq)
 // next to the pointer means every heap comparison reads memory that is
-// already in the cache line being swapped, instead of chasing *Event.
+// already in the cache line being swapped, instead of chasing the record,
+// which does not repeat them.
 type entry struct {
 	at  Time
 	seq uint64
-	ev  *Event
+	ev  *event
 }
 
 func (e entry) less(o entry) bool {
@@ -41,7 +42,7 @@ type queue struct {
 
 func (q *queue) len() int { return len(q.run) - q.head + len(q.heap) }
 
-// reset empties the queue in place, zeroing entries so *Event references are
+// reset empties the queue in place, zeroing entries so record references are
 // dropped but keeping both backing arrays for reuse.
 func (q *queue) reset() {
 	clear(q.run)
@@ -70,7 +71,6 @@ func (q *queue) push(x entry) {
 	if n := len(q.run); n == q.head || !x.less(q.run[n-1]) {
 		if n == cap(q.run) && q.head > 0 && q.head >= n/2 {
 			live := copy(q.run, q.run[q.head:])
-			clear(q.run[live:n])
 			q.run = q.run[:live]
 			q.head = 0
 		}
@@ -101,7 +101,6 @@ func (q *queue) pop() entry {
 // zero, so a run that keeps draining never needs compacting.
 func (q *queue) popRun() entry {
 	x := q.run[q.head]
-	q.run[q.head] = entry{} // drop the *Event reference so the slab can be collected
 	q.head++
 	if q.head == len(q.run) {
 		q.run = q.run[:0]
@@ -115,7 +114,6 @@ func (q *queue) popHeap() entry {
 	top := a[0]
 	n := len(a) - 1
 	x := a[n]
-	a[n] = entry{} // drop the *Event reference so the slab can be collected
 	q.heap = a[:n]
 	if n > 0 {
 		q.siftDown(x)
@@ -156,7 +154,7 @@ func (q *queue) siftDown(x entry) {
 
 // appendCohort pops every entry due at time at, in (at, seq) order, onto dst
 // and returns it. The caller guarantees min().at == at.
-func (q *queue) appendCohort(dst []*Event, at Time) []*Event {
+func (q *queue) appendCohort(dst []*event, at Time) []*event {
 	for {
 		if q.runFirst() {
 			if q.run[q.head].at != at {

@@ -21,10 +21,14 @@
 //     takes the smaller of the run's head and the heap's top under the same
 //     (time, seq) order, so a wave of task ends scheduled for one time never
 //     sifts through the heap and the firing order is unchanged;
-//   - Events are allocated from slabs of eventSlabSize, so scheduling costs
-//     one heap allocation per slab instead of one per event, while handles
-//     stay ordinary *Event pointers with unchanged Cancel semantics (a slab
-//     is never reused, so a stale handle can never alias a newer event);
+//   - event records come from slabs of eventSlabSize and are recycled: a
+//     record goes back on a LIFO free list when its event fires or is
+//     discarded, and Reset returns every queued record the same way, so a
+//     warm engine schedules without allocating. Callers hold a value handle,
+//     Event, pairing the record with its generation; recycling a record
+//     bumps the generation, so Cancel and Pending on a handle whose event
+//     has fired, been discarded or been reset do nothing — a stale handle
+//     can never cancel the event that now reuses its record;
 //   - Run/RunUntil pop all events sharing the head timestamp as one batch,
 //     firing them FIFO by seq; events scheduled during the batch carry larger
 //     sequence numbers and therefore sort after it, so the observable order
@@ -48,29 +52,44 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }
 // Never is a sentinel meaning "no scheduled time".
 const Never = Time(math.MaxFloat64)
 
-// eventSlabSize is how many Events one allocation hands out. Amortizing the
-// allocation is the whole point; the value only trades retained-slab
-// granularity against allocation frequency.
+// eventSlabSize is how many event records one allocation hands out.
+// Amortizing the allocation is the whole point; the value only trades
+// retained-slab granularity against allocation frequency.
 const eventSlabSize = 256
 
-// Event is a callback scheduled to run at a virtual time. Events live in
-// engine-owned slabs; callers hold *Event only to Cancel or inspect it.
+// Event is a handle to a callback scheduled with At or After. It is a
+// value: copy it freely. It refers to its engine-owned record only while
+// that record's generation matches, that is until the event fires, is
+// discarded after Cancel, or is dropped by Reset. The zero Event refers to
+// nothing.
 type Event struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	cancel bool
+	rec *event
+	gen uint64
 }
 
-// Cancel marks the event so it will not fire. Cancelling an already-fired
-// event is a no-op.
-func (e *Event) Cancel() { e.cancel = true }
+// Cancel keeps the event from firing. It does nothing once the event has
+// fired, been discarded or been dropped by Reset, and on the zero Event.
+func (h Event) Cancel() {
+	if h.rec != nil && h.rec.gen == h.gen {
+		h.rec.cancel = true
+	}
+}
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancel }
+// Pending reports whether the event is still queued to fire: scheduled,
+// not yet fired and not cancelled.
+func (h Event) Pending() bool {
+	return h.rec != nil && h.rec.gen == h.gen && !h.rec.cancel
+}
 
-// Time returns the virtual time the event is scheduled for.
-func (e *Event) Time() Time { return e.at }
+// event is one engine-owned record of a scheduled callback. gen counts the
+// record's recycles; a handle matches only the use it was issued for.
+type event struct {
+	at     Time
+	fn     func()
+	next   *event // the next free record, while this one is free
+	gen    uint64
+	cancel bool
+}
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
@@ -85,13 +104,15 @@ type Engine struct {
 	// the first not-yet-fired index. A halted or deadline-bounded RunUntil
 	// may leave a remainder here, which the next Run/RunUntil/Step drains
 	// before touching the queue.
-	batch     []*Event
+	batch     []*event
 	batchNext int
 
-	// slab is the tail of the current Event slab; alloc hands out its
-	// elements sequentially and replaces it when exhausted. Slabs are never
-	// reused, so escaped *Event handles keep their pre-pooling semantics.
-	slab []Event
+	// free heads the list of recycled records, linked through next and
+	// reused last in first out; slab is the tail of the current record
+	// slab, which alloc draws from when free is empty and replaces when
+	// exhausted.
+	free *event
+	slab []event
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -101,15 +122,23 @@ func NewEngine() *Engine {
 
 // Reset returns the engine to its just-constructed state (clock at zero, no
 // history, nothing pending) while retaining allocated capacity: the queue's
-// run and heap backing arrays and the batch buffer survive, and the current
-// slab tail keeps being consumed. Slabs are still never reused — an Event
-// handed out before Reset is never handed out again — so stale *Event
-// handles held across runs keep the no-aliasing Cancel semantics. The warm
-// contract is exact: an event population scheduled after Reset receives the
-// same seqs, pops in the same order, and fires at the same times as on a
+// run and heap backing arrays, the batch buffer and the event records, every
+// queued one of which goes back on the free list. Recycling bumps each
+// record's generation, so handles issued before Reset stop matching. The
+// warm contract is exact: an event population scheduled after Reset receives
+// the same seqs, pops in the same order, and fires at the same times as on a
 // fresh engine.
 func (e *Engine) Reset() {
 	e.now, e.seq, e.fired, e.halted = 0, 0, 0, false
+	for _, ev := range e.batch[e.batchNext:] {
+		e.recycle(ev)
+	}
+	for _, x := range e.queue.run[e.queue.head:] {
+		e.recycle(x.ev)
+	}
+	for _, x := range e.queue.heap {
+		e.recycle(x.ev)
+	}
 	clear(e.batch)
 	e.batch = e.batch[:0]
 	e.batchNext = 0
@@ -126,31 +155,45 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // events that have not yet been discarded).
 func (e *Engine) Pending() int { return e.queue.len() + len(e.batch) - e.batchNext }
 
-func (e *Engine) alloc() *Event {
+// alloc returns a record for a new event: the most recently recycled one,
+// or the next of the current slab.
+func (e *Engine) alloc() *event {
+	if ev := e.free; ev != nil {
+		e.free = ev.next
+		return ev
+	}
 	if len(e.slab) == 0 {
-		e.slab = make([]Event, eventSlabSize)
+		e.slab = make([]event, eventSlabSize)
 	}
 	ev := &e.slab[0]
 	e.slab = e.slab[1:]
 	return ev
 }
 
+// recycle puts a fired, discarded or dropped record on the free list. The
+// generation bump detaches every handle issued for its last use.
+func (e *Engine) recycle(ev *event) {
+	ev.gen++
+	ev.fn, ev.cancel = nil, false
+	ev.next, e.free = e.free, ev
+}
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the past,
 // or at NaN, panics: it would silently reorder causality.
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) Event {
 	if !(t >= e.now) { // also catches NaN, which would break the (at, seq) order
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	ev.at, ev.fn = t, fn
 	e.queue.push(entry{at: t, seq: e.seq, ev: ev})
-	return ev
+	return Event{rec: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d seconds of virtual time from now. Negative
 // delays are clamped to zero.
-func (e *Engine) After(d Time, fn func()) *Event {
+func (e *Engine) After(d Time, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
@@ -179,12 +222,10 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			}
 			e.batch[e.batchNext] = nil
 			e.batchNext++
-			if ev.cancel {
-				continue
+			if fn, ok := e.take(ev); ok {
+				e.fired++
+				fn()
 			}
-			e.now = ev.at
-			e.fired++
-			ev.fn()
 			continue
 		}
 		e.batch = e.batch[:0]
@@ -211,7 +252,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // fired. It drains any batch remainder left by a halted RunUntil first.
 func (e *Engine) Step() bool {
 	for {
-		var ev *Event
+		var ev *event
 		if e.batchNext < len(e.batch) {
 			ev = e.batch[e.batchNext]
 			e.batch[e.batchNext] = nil
@@ -226,12 +267,23 @@ func (e *Engine) Step() bool {
 			}
 			ev = e.queue.pop().ev
 		}
-		if ev.cancel {
-			continue
+		if fn, ok := e.take(ev); ok {
+			e.fired++
+			fn()
+			return true
 		}
-		e.now = ev.at
-		e.fired++
-		ev.fn()
-		return true
 	}
+}
+
+// take recycles a popped record and, unless it was cancelled, moves the
+// clock to its time and returns its callback with ok set. The record is free
+// before the callback runs, so the callback may reuse it, and its own handle
+// already reads as fired.
+func (e *Engine) take(ev *event) (fn func(), ok bool) {
+	fn, ok = ev.fn, !ev.cancel
+	if ok {
+		e.now = ev.at
+	}
+	e.recycle(ev)
+	return fn, ok
 }

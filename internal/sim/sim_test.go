@@ -58,14 +58,21 @@ func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	ev := e.At(1, func() { fired = true })
+	if !ev.Pending() {
+		t.Fatal("Pending() = false for a scheduled event")
+	}
 	ev.Cancel()
+	if ev.Pending() {
+		t.Fatal("Pending() = true after Cancel")
+	}
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if ev.Pending() || (Event{}).Pending() {
+		t.Fatal("Pending() = true after the discard, or on the zero Event")
 	}
+	(Event{}).Cancel() // the zero handle refers to nothing
 }
 
 func TestEngineRunUntil(t *testing.T) {
@@ -244,8 +251,8 @@ func TestEngineDeterminism(t *testing.T) {
 
 // genSchedule builds a random schedule with heavy timestamp collisions (few
 // distinct times over many events) so tie-breaking is exercised constantly.
-func genSchedule(rng *rand.Rand, e *Engine, n int) []*Event {
-	events := make([]*Event, n)
+func genSchedule(rng *rand.Rand, e *Engine, n int) []Event {
+	events := make([]Event, n)
 	distinct := 1 + rng.Intn(8)
 	for i := 0; i < n; i++ {
 		events[i] = e.At(Time(rng.Intn(distinct)), func() {})
@@ -297,7 +304,7 @@ func TestPropertyCancelBeforeAndAfterPop(t *testing.T) {
 		e := NewEngine()
 		n := 1 + rng.Intn(30)
 		firedSet := make([]bool, n)
-		events := make([]*Event, n)
+		events := make([]Event, n)
 		cancelled := make([]bool, n)
 		distinct := 1 + rng.Intn(6)
 		for i := 0; i < n; i++ {
@@ -446,12 +453,12 @@ func TestAccessors(t *testing.T) {
 		t.Fatal("fresh engine counters")
 	}
 	ev := e.At(2, func() {})
-	if e.Pending() != 1 || ev.Time() != 2 {
-		t.Fatalf("pending=%d time=%v", e.Pending(), ev.Time())
+	if e.Pending() != 1 || !ev.Pending() {
+		t.Fatalf("pending=%d, event pending %v", e.Pending(), ev.Pending())
 	}
 	e.Run()
-	if e.Fired() != 1 {
-		t.Fatalf("fired = %d", e.Fired())
+	if e.Fired() != 1 || ev.Pending() {
+		t.Fatalf("fired = %d, event pending %v", e.Fired(), ev.Pending())
 	}
 	if Time(2).String() != "2.000s" {
 		t.Fatalf("String = %q", Time(2).String())

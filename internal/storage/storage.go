@@ -115,7 +115,7 @@ type TransferService struct {
 type xfer struct {
 	remaining  float64
 	lastUpdate sim.Time
-	finishEv   *sim.Event
+	finishEv   sim.Event
 	complete   func()
 }
 
@@ -200,9 +200,7 @@ func (t *TransferService) reschedule(key string, bw float64) {
 	rate := bw / float64(len(xs))
 	for _, x := range xs {
 		x := x
-		if x.finishEv != nil {
-			x.finishEv.Cancel()
-		}
+		x.finishEv.Cancel()
 		x.finishEv = t.eng.After(sim.Time(x.remaining/rate), func() {
 			t.settle(key, bw)
 			// Remove x from the link.
