@@ -121,8 +121,8 @@ func main() {
 		return
 	}
 
-	// Environment spec: lazy expansion runs on the streaming path, which has
-	// no DAG-wide strategies — plain k8s only.
+	// Environment spec: a lazily expanded run has no whole DAG for the CWS to
+	// rank — plain k8s only.
 	var espec *sweep.EnvSpec
 	if *expandMode == "lazy" && *registryName != "" {
 		if *envName != "k8s" {

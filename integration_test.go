@@ -54,14 +54,14 @@ func TestComposeOnceRunEverywhere(t *testing.T) {
 	for _, env := range envs {
 		res, err := env.Run(wf)
 		if err != nil {
-			t.Fatalf("%s: %v", env.Name(), err)
+			t.Fatalf("%T: %v", env, err)
 		}
 		if res.TasksRun != wf.Len() {
-			t.Fatalf("%s: ran %d of %d", env.Name(), res.TasksRun, wf.Len())
+			t.Fatalf("%s: ran %d of %d", res.Environment, res.TasksRun, wf.Len())
 		}
 		cp, _ := wf.CriticalPath(dag.NominalDur)
 		if res.MakespanSec < cp-1e-6 {
-			t.Fatalf("%s: makespan %v below critical path %v", env.Name(), res.MakespanSec, cp)
+			t.Fatalf("%s: makespan %v below critical path %v", res.Environment, res.MakespanSec, cp)
 		}
 	}
 }

@@ -8,9 +8,11 @@ import (
 
 // LazyEnv executes workflows containing WorkflowRef tasks through lazy
 // runtime expansion: instead of statically expanding with Registry.Expand
-// and running eagerly, the workflow is wrapped in a dag.RefExpander and
-// driven through core.RunExpander / rm.StreamRunner, so referenced
-// sub-workflows splice into the frontier only as their inputs resolve.
+// and running eagerly, each run wraps the workflow in a dag.RefExpander and
+// drives it through core.Session / rm.StreamRunner, so referenced
+// sub-workflows splice into the frontier only as their inputs resolve. Its
+// session is warm: the engine, cluster, manager, runner and fault layer are
+// reset in place between runs, and only the expander is built per run.
 //
 // Name() delegates to the inner environment, so a lazy result's fingerprint
 // is directly comparable to the static-expansion one — the equivalence the
@@ -26,21 +28,27 @@ func (e *LazyEnv) Run(w *dag.Workflow) (*core.Result, error) {
 	return e.RunSeeded(w, randx.New(1))
 }
 
-// RunSeeded implements core.SeededEnvironment via lazy reference expansion
-// on the streaming run path.
+// RunSeeded implements core.SeededEnvironment: a one-shot session built and
+// discarded, so cold and warm runs execute the same code.
 func (e *LazyEnv) RunSeeded(w *dag.Workflow, rng *randx.Source) (*core.Result, error) {
-	x, err := e.Registry.Expander(w)
+	s, err := e.NewSession()
 	if err != nil {
 		return nil, err
 	}
-	return e.RunExpander(x, rng)
+	return s.RunSeeded(w, rng)
 }
 
-// NewSession overrides the promoted KubernetesEnv.NewSession with a cold
-// passthrough: lazy expansion runs on the streaming path, whose substrate is
-// rebuilt per run by design. Without this override, session-aware sweeps
-// would route lazy workflows through the eager warm path — running the
-// unexpanded reference root instead of resolving it.
+// NewSession implements core.SessionEnvironment, overriding the promoted
+// eager KubernetesEnv.NewSession, which would run the unexpanded reference
+// root instead of resolving it. Each run expands its workflow through the
+// registry.
 func (e *LazyEnv) NewSession() (core.RunSession, error) {
-	return core.ColdSession(e), nil
+	reg := e.Registry
+	return e.NewExpanderSession(func(w *dag.Workflow) (dag.Expander, error) {
+		x, err := reg.Expander(w)
+		if err != nil {
+			return nil, err
+		}
+		return x, nil
+	})
 }

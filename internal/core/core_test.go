@@ -247,13 +247,13 @@ func TestSameWorkflowAcrossEnvironments(t *testing.T) {
 	for _, env := range envs {
 		res, err := env.Run(w)
 		if err != nil {
-			t.Fatalf("%s: %v", env.Name(), err)
+			t.Fatalf("%T: %v", env, err)
 		}
 		if res.TasksRun != w.Len() {
-			t.Fatalf("%s ran %d tasks", env.Name(), res.TasksRun)
+			t.Fatalf("%s ran %d tasks", res.Environment, res.TasksRun)
 		}
 		if res.MakespanSec <= 0 {
-			t.Fatalf("%s makespan = %v", env.Name(), res.MakespanSec)
+			t.Fatalf("%s makespan = %v", res.Environment, res.MakespanSec)
 		}
 	}
 }

@@ -74,7 +74,6 @@ func (r *Result) Fingerprint() string {
 // Environment executes compiled workflows. Each Run uses a fresh simulated
 // substrate so results are independent and reproducible.
 type Environment interface {
-	Name() string
 	Run(w *dag.Workflow) (*Result, error)
 }
 

@@ -63,10 +63,10 @@ func TestFromJAWSRunsOnEnvironments(t *testing.T) {
 	} {
 		res, err := env.Run(w)
 		if err != nil {
-			t.Fatalf("%s: %v", env.Name(), err)
+			t.Fatalf("%T: %v", env, err)
 		}
 		if res.TasksRun != 6 {
-			t.Fatalf("%s ran %d tasks", env.Name(), res.TasksRun)
+			t.Fatalf("%s ran %d tasks", res.Environment, res.TasksRun)
 		}
 	}
 }

@@ -44,11 +44,12 @@ type SessionEnvironment interface {
 	NewSession() (RunSession, error)
 }
 
-// Session is the warm-run session over a KubernetesEnv. One engine, cluster,
-// manager and task driver — and, on CWS environments, one CWS with its
-// provenance store — live for the session's lifetime; every RunSeeded after
-// the first resets them in place — the engine truncates its heaps and keeps its
-// slab tail, the cluster restores node capacity and rebuilds the segment index
+// Session is the warm-run session over a KubernetesEnv, and the one assembly
+// of a Kubernetes run: every run, warm or cold, eager or expanded at runtime,
+// executes Session.RunSeeded. One engine, cluster, manager and task driver —
+// and, on CWS environments, one CWS with its provenance store — live for the
+// session's lifetime; every RunSeeded after the first resets them in place —
+// the engine truncates its heaps and keeps its slab tail, the cluster restores node capacity and rebuilds the segment index
 // over the same arrays, the manager, driver and scheduler clear queues and
 // pooled records without dropping capacity, provenance and metrics truncate
 // reusing buffers. The run's RNG forks (injector, task plan, retry jitter,
@@ -70,19 +71,43 @@ type Session struct {
 	cws    *cwsi.CWS            // nil on the plain-FIFO path
 	runner *rm.StreamRunner     // the task driver, bound to the CWS on CWS runs
 	x      dag.WorkflowExpander // the runner's source, rebound to each run's workflow
-	forks  forkPool             // the run's RNG forks, reseeded in place
-	arm    faultArm             // the run's fault layer, re-armed in place
+	// expand, on an expander session, builds each run's source from its
+	// workflow in place of x.
+	expand func(*dag.Workflow) (dag.Expander, error)
+	forks  forkPool // the run's RNG forks, reseeded in place
+	arm    faultArm // the run's fault layer, re-armed in place
 	warm   bool
 }
 
 // NewSession implements SessionEnvironment: it validates the configuration
 // and constructs the substrate the session will reuse across runs.
 func (e *KubernetesEnv) NewSession() (RunSession, error) {
+	return e.newSession(nil)
+}
+
+// NewExpanderSession returns a session whose runs drive the source expand
+// builds from each run's workflow — a lazily expanded composition, say —
+// instead of the workflow itself. Everything else is the session's: the
+// same retained substrate, fault layer and run body. The CWS and the
+// prediction loop need the whole DAG up front, so a Strategy or Predict
+// setting is rejected here, before any engine is built; such sources keep no
+// provenance, and their results' Provenance is nil.
+func (e *KubernetesEnv) NewExpanderSession(expand func(*dag.Workflow) (dag.Expander, error)) (RunSession, error) {
+	if e.Strategy != nil {
+		return nil, fmt.Errorf("core: streaming runs do not support CWS strategies (%q needs the whole DAG)", e.Strategy.Name())
+	}
+	if e.predictOn() {
+		return nil, fmt.Errorf("core: streaming runs do not support the prediction loop (predict=%q needs the CWS)", e.Predict)
+	}
+	return e.newSession(expand)
+}
+
+func (e *KubernetesEnv) newSession(expand func(*dag.Workflow) (dag.Expander, error)) (*Session, error) {
 	predCtor, err := predict.ByName(e.Predict)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{env: *e, name: e.Name(), predCtor: predCtor, strat: e.effectiveStrategy()}
+	s := &Session{env: *e, name: e.Name(), predCtor: predCtor, strat: e.effectiveStrategy(), expand: expand}
 	if s.eng, s.cl, err = e.substrate(); err != nil {
 		return nil, err
 	}
@@ -104,8 +129,8 @@ func (e *KubernetesEnv) NewSession() (RunSession, error) {
 // memory out of the way of core packing.
 const k8sMemPerNode = 1e12
 
-// substrate validates the node configuration and builds the engine and
-// cluster every kubernetes run path executes on.
+// substrate validates the node configuration and builds the session's
+// engine and cluster.
 func (e *KubernetesEnv) substrate() (*sim.Engine, *cluster.Cluster, error) {
 	if e.Nodes <= 0 || (!e.Heterogeneous && e.CoresPerNode <= 0) {
 		return nil, nil, fmt.Errorf("core: kubernetes env needs nodes and cores")
@@ -177,8 +202,8 @@ func (a *faultArm) reset() {
 }
 
 // forkPool hands out a run's RNG forks. The warm session keeps one across
-// runs and reseeds its sources in place; the cold streaming path builds a
-// fresh pool per run. The streams are identical either way.
+// runs and reseeds its sources in place, so the streams are those fresh
+// forks would give.
 type forkPool struct {
 	// srcs holds this run's forks in fork order. reset truncates it; the
 	// sources past len stay allocated in the backing array for the next run.
@@ -202,9 +227,9 @@ func (p *forkPool) reset() { p.srcs = p.srcs[:0] }
 
 // armFaults arms the fault layer in arm for a run of n tasks on cl, drawing
 // its forks from forks. Fork order is fixed (injector, task plan, retry
-// jitter) — it is part of the determinism contract every run path shares,
-// warm or cold. An injector already in arm (the warm session's) is reset
-// onto the run's fork instead of built.
+// jitter) — it is part of the determinism contract, warm or cold. An
+// injector already in arm (the session's) is reset onto the run's fork
+// instead of built.
 func (e *KubernetesEnv) armFaults(arm *faultArm, cl *cluster.Cluster, rng *randx.Source, n int, forks *forkPool) error {
 	if !e.Faults.Enabled() {
 		return nil
@@ -224,61 +249,13 @@ func (e *KubernetesEnv) armFaults(arm *faultArm, cl *cluster.Cluster, rng *randx
 }
 
 // failures returns the planned transient failures of the task at insertion
-// index i. A dynamic source, whose Total grows during the run, emits tasks
-// beyond the plan, which covers the initial Total; those draw none —
-// node-level faults from the injector still hit them.
-func (a *faultArm) failures(i int) int {
-	if i < len(a.plan) {
-		return a.plan[i]
-	}
-	return 0
-}
+// index i. The plan covers the source's Total, which is fixed for every
+// source a session runs.
+func (a *faultArm) failures(i int) int { return a.plan[i] }
 
 // runtime scales the nominal runtime by the injector's I/O-episode factor.
 func (a *faultArm) runtime(t *dag.Task, n *cluster.Node) float64 {
 	return rm.DefaultRuntime(t, n) * a.inj.RuntimeScale()
-}
-
-// runStream drives x through runner on cl under the armed fault layer and
-// fills res — the single task-driver path behind the warm session's FIFO
-// and CWS runs and RunExpander. With cws set, x's workflow is registered
-// there and every attempt runs through it (cwsi.CWS.Bind).
-func runStream(runner *rm.StreamRunner, x dag.Expander, cl *cluster.Cluster, arm *faultArm, cws *cwsi.CWS, res *Result) error {
-	runner.Source, runner.WorkflowID = x, x.Name()
-	if arm.retry != nil {
-		runner.Retry, runner.RetryRNG = arm.retry, arm.retryRNG
-	}
-	if cws != nil {
-		// maxRetries 1 is the budget of policy-less runs (fault-free,
-		// prediction off); an armed policy supersedes it.
-		if err := cws.Bind(runner, runner.WorkflowID, 1, 0); err != nil {
-			return err
-		}
-	}
-	if arm.inj != nil {
-		if cws == nil {
-			// CWS attempts run at rm.DefaultRuntime: the I/O-episode
-			// slowdown reaches only the FIFO path.
-			runner.Runtime = arm.runtimeFn
-		}
-		runner.FailPlan, runner.OnComplete = arm.failFn, arm.stopFn
-		arm.inj.Start()
-	}
-	ms := runner.Run()
-	if err := runner.Err(); err != nil {
-		return err
-	}
-	// A dynamic source raises Total during the run; re-read it so the
-	// result reflects what actually expanded.
-	res.TasksRun = x.Total()
-	res.MakespanSec = float64(ms)
-	res.UtilizationCore = cl.Utilization(ms)
-	res.setRecovery(runner.Stats())
-	if arm.inj != nil {
-		st := arm.inj.Stats()
-		res.NodeFailures = st.NodeFailures + st.Reclaims
-	}
-	return nil
 }
 
 // setRecovery fills the result's failure/recovery accounting; skipped
@@ -290,30 +267,68 @@ func (r *Result) setRecovery(st rm.RunStats) {
 	r.BackoffSec = st.BackoffSec
 }
 
-// RunSeeded implements RunSession. The body is the cold KubernetesEnv run
-// path verbatim — same construction order, same fault-layer fork order
-// (injector, task plan, retry jitter), same knob arming — operating on the
-// session's retained substrate instead of freshly built objects. FIFO and
-// CWS runs share it: both drive the workflow through the session's runner.
+// RunSeeded implements RunSession. The run's source is the session's
+// WorkflowExpander rebound to w or, on an expander session, the source built
+// from w. The body reads the source's Total once, arms the fault layer for it
+// in the fixed fork order (injector, task plan, retry jitter), arms the CWS
+// when there is one, and drives the source through the session's runner.
+// With a CWS, w is registered there and every attempt runs through it
+// (cwsi.CWS.Bind). FIFO, CWS and expander runs, warm and cold, all share it.
 func (s *Session) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error) {
 	if s.warm {
 		s.reset()
 	}
 	s.warm = true
-	res := &Result{Environment: s.name}
-	if err := s.env.armFaults(&s.arm, s.cl, rng, w.Len(), &s.forks); err != nil {
+	var x dag.Expander = &s.x
+	if s.expand != nil {
+		var err error
+		if x, err = s.expand(w); err != nil {
+			return nil, err
+		}
+	} else if err := s.x.Reset(w); err != nil {
+		return nil, err
+	}
+	res := &Result{Environment: s.name, TasksRun: x.Total()}
+	arm := &s.arm
+	if err := s.env.armFaults(arm, s.cl, rng, res.TasksRun, &s.forks); err != nil {
 		return nil, err
 	}
 	if s.cws != nil {
-		if err := s.armCWS(w, rng, &s.arm); err != nil {
+		if err := s.armCWS(w, rng, arm); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.x.Reset(w); err != nil {
+	runner := s.runner
+	runner.Source, runner.WorkflowID = x, x.Name()
+	if arm.retry != nil {
+		runner.Retry, runner.RetryRNG = arm.retry, arm.retryRNG
+	}
+	if s.cws != nil {
+		// maxRetries 1 is the budget of policy-less runs (fault-free,
+		// prediction off); an armed policy supersedes it.
+		if err := s.cws.Bind(runner, runner.WorkflowID, 1, 0); err != nil {
+			return nil, err
+		}
+	}
+	if arm.inj != nil {
+		if s.cws == nil {
+			// CWS attempts run at rm.DefaultRuntime: the I/O-episode
+			// slowdown reaches only the FIFO path.
+			runner.Runtime = arm.runtimeFn
+		}
+		runner.FailPlan, runner.OnComplete = arm.failFn, arm.stopFn
+		arm.inj.Start()
+	}
+	ms := runner.Run()
+	if err := runner.Err(); err != nil {
 		return nil, err
 	}
-	if err := runStream(s.runner, &s.x, s.cl, &s.arm, s.cws, res); err != nil {
-		return nil, err
+	res.MakespanSec = float64(ms)
+	res.UtilizationCore = s.cl.Utilization(ms)
+	res.setRecovery(runner.Stats())
+	if arm.inj != nil {
+		st := arm.inj.Stats()
+		res.NodeFailures = st.NodeFailures + st.Reclaims
 	}
 	if s.cws != nil {
 		res.Provenance = s.cws.Provenance()
@@ -404,41 +419,9 @@ func (s *Session) Audit() []string {
 // without resetting first — the seam negative tests use to prove that a
 // deliberately leaked field is caught and named.
 func (s *Session) auditDiff() []string {
-	fresh, err := s.env.NewSession()
+	fresh, err := s.env.newSession(s.expand)
 	if err != nil {
 		return []string{"audit: rebuilding fresh session: " + err.Error()}
 	}
 	return statediff.Diff(s, fresh, statediff.Config{Skip: sessionAuditSkip})
 }
-
-// NewSession implements SessionEnvironment for the streaming environment as
-// a cold passthrough: RunExpander's substrate is O(window) per run by design,
-// so each run constructs it fresh. Without this override, the promoted
-// KubernetesEnv.NewSession would silently route streaming sweeps through the
-// eager path.
-func (e *StreamingEnv) NewSession() (RunSession, error) {
-	if e.Nodes <= 0 || (!e.Heterogeneous && e.CoresPerNode <= 0) {
-		return nil, fmt.Errorf("core: kubernetes env needs nodes and cores")
-	}
-	return &coldSession{env: e}, nil
-}
-
-// ColdSession wraps a seeded environment in a cold-passthrough RunSession:
-// every run constructs the substrate fresh, so there is nothing to reset or
-// leak. Environments that embed KubernetesEnv but run on a different path
-// (e.g. lazy expansion) use this to override the promoted eager NewSession.
-func ColdSession(env SeededEnvironment) RunSession {
-	return &coldSession{env: env}
-}
-
-// coldSession satisfies RunSession by running cold every time: nothing is
-// retained, so there is nothing to reset or leak.
-type coldSession struct{ env SeededEnvironment }
-
-func (s *coldSession) Name() string { return s.env.Name() }
-
-func (s *coldSession) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error) {
-	return s.env.RunSeeded(w, rng)
-}
-
-func (s *coldSession) Audit() []string { return nil }

@@ -8,6 +8,7 @@ package core
 // RNG fork) is caught and reported by its field path.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -199,33 +200,52 @@ func TestSessionAuditCatchesLeakedRunnerState(t *testing.T) {
 	requirePath(t, s.auditDiff(), "FailPlan")
 }
 
-// TestStreamingSessionIsColdPassthrough pins the StreamingEnv override: its
-// session must not be the eager warm Session (the streaming substrate is
-// rebuilt per run by design), and running through it must match the env's
-// own RunSeeded.
-func TestStreamingSessionIsColdPassthrough(t *testing.T) {
-	env := &StreamingEnv{KubernetesEnv: KubernetesEnv{Nodes: 4, CoresPerNode: 8}}
-	rs, err := env.NewSession()
+// A positive residency window (rm.StreamRunner.MaxResident) must not change
+// a session's schedule when the ready cohorts are shape-uniform and the
+// window exceeds cluster concurrency — the bounded-window contract
+// documented in docs/scale.md.
+func TestStreamWindowUniformShapes(t *testing.T) {
+	build := func() *dag.Workflow {
+		w := dag.New("uniform-scatter")
+		w.Add(&dag.Task{ID: "prep", Cores: 1, NominalDur: 30})
+		for i := 0; i < 500; i++ {
+			id := dag.TaskID(fmt.Sprintf("work%03d", i))
+			w.Add(&dag.Task{ID: id, Cores: 1, NominalDur: 60})
+			if err := w.AddEdge("prep", id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Add(&dag.Task{ID: "gather", Cores: 1, NominalDur: 30})
+		for i := 0; i < 500; i++ {
+			if err := w.AddEdge(dag.TaskID(fmt.Sprintf("work%03d", i)), "gather"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w
+	}
+	env := &KubernetesEnv{Nodes: 4, CoresPerNode: 8}
+	r0, err := env.RunSeeded(build(), randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, eager := rs.(*Session); eager {
-		t.Fatal("StreamingEnv.NewSession returned the eager Session; want cold passthrough")
-	}
-	if diffs := rs.Audit(); len(diffs) != 0 {
-		t.Fatalf("cold passthrough audit: %v", diffs)
-	}
-	w, rng := sessionTestWorkflow(2)
-	viaSession, err := rs.RunSeeded(w, rng.Fork())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, rngC := sessionTestWorkflow(2)
-	direct, err := env.RunSeeded(wc, rngC.Fork())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaSession.Fingerprint() != direct.Fingerprint() {
-		t.Errorf("session %s != direct %s", viaSession.Fingerprint(), direct.Fingerprint())
+	// 4×8 = 32 cores; any window above that must reproduce the unthrottled
+	// schedule on this shape-uniform workload.
+	for _, window := range []int{33, 64, 200} {
+		rs, err := env.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := rs.(*Session)
+		s.runner.MaxResident = window // a first run starts without a reset
+		r, err := s.RunSeeded(build(), randx.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if peak := s.runner.PeakResident(); peak > window {
+			t.Fatalf("window %d: %d tasks resident at once", window, peak)
+		}
+		if r.Fingerprint() != r0.Fingerprint() {
+			t.Fatalf("window %d diverged:\n got  %s\n want %s", window, r.Fingerprint(), r0.Fingerprint())
+		}
 	}
 }

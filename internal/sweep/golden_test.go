@@ -17,7 +17,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"hhcw/internal/core"
@@ -145,77 +144,6 @@ func TestGoldenChaos200Fingerprint(t *testing.T) {
 	for _, w := range goldenWorkerCounts() {
 		if got := fingerprintHash(t, cfg, w); got != goldenChaos200 {
 			t.Errorf("workers=%d: fingerprint sha256 = %s, want golden %s", w, got, goldenChaos200)
-		}
-	}
-}
-
-// TestGoldenStreamingEquivalence proves the extreme-scale run path changes
-// nothing observable: the same ensemble swept through StreamingEnv (lazy
-// expansion, compact provenance, folded metrics) yields
-// per-run fingerprints element-for-element identical to the eager
-// KubernetesEnv — 50 seeds, fault-free and storm, at workers 1 and NumCPU.
-func TestGoldenStreamingEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("50-seed streaming equivalence sweep in -short mode")
-	}
-	storm, err := fault.ByName("storm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name   string
-		faults fault.Profile
-	}{
-		{"fault-free", fault.Profile{}},
-		{"storm", storm},
-	}
-	workers := []int{1}
-	if n := runtime.NumCPU(); n != 1 {
-		workers = append(workers, n)
-	}
-	for _, c := range cases {
-		faults := c.faults
-		eagerCfg := Config{
-			Workflows: []WorkflowSpec{goldenWorkflow()},
-			Envs: []EnvSpec{
-				{Name: "k8s", New: func() core.Environment {
-					return &core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: faults}
-				}},
-			},
-			Seeds: Seeds(1, 50),
-		}
-		streamCfg := eagerCfg
-		// Same spec name on purpose: Report.Fingerprint lines are keyed by
-		// (workflow, env, seed), so whole-report equality below is exactly
-		// per-run fingerprint equality.
-		streamCfg.Envs = []EnvSpec{
-			{Name: "k8s", New: func() core.Environment {
-				return &core.StreamingEnv{KubernetesEnv: core.KubernetesEnv{
-					Nodes: 4, CoresPerNode: 8, Faults: faults,
-				}}
-			}},
-		}
-		for _, wk := range workers {
-			eagerCfg.Workers, streamCfg.Workers = wk, wk
-			eagerRep, err := Run(eagerCfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d eager: %v", c.name, wk, err)
-			}
-			streamRep, err := Run(streamCfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d streaming: %v", c.name, wk, err)
-			}
-			ef, sf := eagerRep.Fingerprint(), streamRep.Fingerprint()
-			if ef != sf {
-				el, sl := strings.Split(ef, "\n"), strings.Split(sf, "\n")
-				for i := range el {
-					if i >= len(sl) || el[i] != sl[i] {
-						t.Fatalf("%s workers=%d: first divergence at run %d:\n eager     %s\n streaming %s",
-							c.name, wk, i, el[i], sl[i])
-					}
-				}
-				t.Fatalf("%s workers=%d: streaming report longer than eager", c.name, wk)
-			}
 		}
 	}
 }

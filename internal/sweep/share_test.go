@@ -82,13 +82,12 @@ func checkUnchanged(t *testing.T, env string, w *dag.Workflow, fn func() (*core.
 // mutation check.
 type guardedEnv struct {
 	t     *testing.T
+	name  string
 	inner core.Environment
 }
 
-func (g *guardedEnv) Name() string { return g.inner.Name() }
-
 func (g *guardedEnv) Run(w *dag.Workflow) (*core.Result, error) {
-	return checkUnchanged(g.t, g.Name(), w, func() (*core.Result, error) { return g.inner.Run(w) })
+	return checkUnchanged(g.t, g.name, w, func() (*core.Result, error) { return g.inner.Run(w) })
 }
 
 func (g *guardedEnv) RunSeeded(w *dag.Workflow, rng *randx.Source) (*core.Result, error) {
@@ -96,7 +95,7 @@ func (g *guardedEnv) RunSeeded(w *dag.Workflow, rng *randx.Source) (*core.Result
 	if !ok {
 		return g.Run(w)
 	}
-	return checkUnchanged(g.t, g.Name(), w, func() (*core.Result, error) { return se.RunSeeded(w, rng) })
+	return checkUnchanged(g.t, g.name, w, func() (*core.Result, error) { return se.RunSeeded(w, rng) })
 }
 
 type guardedSession struct {
@@ -111,7 +110,7 @@ func (g *guardedSession) RunSeeded(w *dag.Workflow, rng *randx.Source) (*core.Re
 func guarded(t *testing.T, spec EnvSpec) EnvSpec {
 	return EnvSpec{
 		Name: spec.Name,
-		New:  func() core.Environment { return &guardedEnv{t: t, inner: spec.New()} },
+		New:  func() core.Environment { return &guardedEnv{t: t, name: spec.Name, inner: spec.New()} },
 		NewSession: func() (core.RunSession, error) {
 			s := newEnvSession(spec)
 			if s == nil {
@@ -188,6 +187,11 @@ func TestRunSharesWorkflowAcrossEnvs(t *testing.T) {
 	}
 	stormK8s, stormLazy := k8s(fault.Storm()), lazy(fault.Storm())
 	stormK8s.Name, stormLazy.Name = "k8s-storm", "lazy-storm"
+	// Each worker reuses one warm core.Session for a lazy env too.
+	s := newEnvSession(stormLazy)
+	if _, warm := s.(*core.Session); !warm {
+		t.Fatalf("lazy env's worker session is %T, want the warm *core.Session", s)
+	}
 	cases := []struct {
 		name      string
 		workflows []WorkflowSpec
@@ -202,9 +206,6 @@ func TestRunSharesWorkflowAcrossEnvs(t *testing.T) {
 				}},
 				EnvSpec{Name: "k8s-cws-storm", New: func() core.Environment {
 					return &core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Strategy: cwsi.Rank{}, Faults: fault.Storm()}
-				}},
-				EnvSpec{Name: "streaming", New: func() core.Environment {
-					return &core.StreamingEnv{KubernetesEnv: core.KubernetesEnv{Nodes: 4, CoresPerNode: 8}}
 				}},
 			),
 		},

@@ -14,8 +14,9 @@
 // Determinism contract: the same Config (workflows, environments, seeds)
 // produces a bit-identical Report regardless of Workers. Every worker owns
 // its substrate privately — a warm core.RunSession per environment, reset in
-// place between runs, or a fresh Environment per run for envs that don't
-// support sessions — plus its two randx sources: the generator's, reseeded
+// place between runs (every Kubernetes environment, compose.LazyEnv's lazily
+// expanded ones included), or a fresh Environment per run for envs without
+// sessions (core.HPCEnv, core.CloudEnv) — plus its two randx sources: the generator's, reseeded
 // in place from each group's seed, and the runs', reseeded before each run
 // from the one value a Fork after generation would draw. So every run sees
 // the streams a fresh randx.New(seed) and Fork would give it, nothing is

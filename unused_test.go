@@ -34,7 +34,6 @@ var uncalledAllowed = map[string]string{
 	"dag.Diamond":             "test fixture",
 	"dag.Chain":               "test fixture",
 	"jaws.Equivalent":         "test oracle for fusion and migration",
-	"core.StreamingEnv":       "reference environment of the eager ≡ streaming battery",
 	"cwsi.Tarema":             "§3's named strategy; BenchmarkAblation_Strategies measures it",
 	"cwsi.Spread":             "the Kubernetes default scheduler's placement, in DESIGN's strategy family",
 	"rm.BatchManager.Started": "test oracle for the jobs a batch queue started",
