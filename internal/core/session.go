@@ -394,7 +394,7 @@ var sessionAuditSkip = []string{
 	"rm.TaskManager.freeRunning", // pooled records, zeroed on recycle
 	"rm.StreamRunner.freeAttempts",
 	"cwsi.CWS.freeRuns",
-	"cwsi.CWS.freeStates",       // pooled states, zeroed but for their bound hooks
+	"cwsi.CWS.freeStates",       // pooled states, zeroed but for their hooks and rank capacity
 	"cwsi.rmAdapter.keys",       // priority-sort scratch, refilled per round
 	"rm.TaskManager.victims",    // node-down scratch, refilled per failure
 	"rm.TaskManager.downErrs",   // memoized failure causes of stable nodes

@@ -41,7 +41,7 @@ func TestAccessorsAndNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := bound(cws, "w", 0)
-	if got, want := cws.ctx.Rank(a), w.UpwardRanks(dag.NominalDur)[0]; got != want || got == 0 {
+	if got, want := cws.ctx.Rank(a), w.UpwardRanks(nil, dag.NominalDur)[0]; got != want || got == 0 {
 		t.Fatalf("bound rank = %v, want %v", got, want)
 	}
 	if cws.ctx.Tenant(a) != 3 {

@@ -114,7 +114,7 @@ type wfState struct {
 	released bool
 
 	// Predicted-critical-path ranks, memoized under the priority-cache
-	// generation (see Context.PredictedRank); nil while the model is cold.
+	// generation (see Context.PredictedRank); empty while the model is cold.
 	predGen   uint64
 	predRanks []float64
 	// overruns counts walltime-overrun kills per task, inflating the next
@@ -258,9 +258,11 @@ func (c *CWS) ReleaseWorkflow(id string) {
 	}
 }
 
-// recycle returns a workflow state no attempt references to the pool.
+// recycle returns a workflow state no attempt references to the pool. It
+// keeps the bound hook and the capacity of both rank tables, which the
+// state's next registration refills.
 func (c *CWS) recycle(st *wfState) {
-	*st = wfState{hook: st.hook}
+	*st = wfState{hook: st.hook, ranks: st.ranks[:0], predRanks: st.predRanks[:0]}
 	c.freeStates = append(c.freeStates, st)
 }
 
@@ -284,7 +286,7 @@ func (c *CWS) RegisterWorkflow(id string, w *dag.Workflow) error {
 			return c.begin(st, s, t, idx, n)
 		}
 	}
-	st.wf, st.ranks = w, w.UpwardRanks(dag.NominalDur)
+	st.wf, st.ranks = w, w.UpwardRanks(st.ranks, dag.NominalDur)
 	c.workflows[id] = st
 	c.prov.RegisterWorkflow(id, w)
 	c.prioGen++

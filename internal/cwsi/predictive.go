@@ -73,15 +73,15 @@ func (ctx *Context) PredictedRank(s *rm.Submission) float64 {
 		st.predGen = c.prioGen
 		st.predRanks = c.predictedRanks(st)
 	}
-	if st.predRanks == nil {
+	if len(st.predRanks) == 0 {
 		return 0
 	}
 	return st.predRanks[tr.idx]
 }
 
 // predictedRanks computes the predicted upward ranks for one workflow, by
-// insertion position, or nil while the model is cold for every task name in
-// it.
+// insertion position, into st.predRanks' storage; they are empty while the
+// model is cold for every task name in it.
 func (c *CWS) predictedRanks(st *wfState) []float64 {
 	warmAny := false
 	for i := range st.wf.Len() {
@@ -91,9 +91,9 @@ func (c *CWS) predictedRanks(st *wfState) []float64 {
 		}
 	}
 	if !warmAny {
-		return nil
+		return st.predRanks[:0]
 	}
-	return st.wf.UpwardRanks(func(t *dag.Task) float64 {
+	return st.wf.UpwardRanks(st.predRanks, func(t *dag.Task) float64 {
 		if c.warmFor(t.Name) {
 			if sec, ok := c.predictor.Predict(t.Name, t.InputBytes, 1); ok {
 				return sec

@@ -31,7 +31,7 @@ func BenchmarkUpwardRanks(b *testing.B) {
 	w := benchWorkflow()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = w.UpwardRanks(NominalDur)
+		_ = w.UpwardRanks(nil, NominalDur)
 	}
 }
 

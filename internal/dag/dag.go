@@ -454,11 +454,12 @@ func (w *Workflow) CriticalPath(fn DurFn) (float64, []TaskID) {
 
 // UpwardRanks computes HEFT-style upward ranks: rank(t) = dur(t) +
 // max over children c of rank(c). Higher rank = more critical. The result is
-// indexed by insertion position (see Index). Communication costs are folded
-// into fn if desired.
-func (w *Workflow) UpwardRanks(fn DurFn) []float64 {
+// indexed by insertion position (see Index) and is written into dst's
+// storage when its capacity suffices; pass nil for a fresh slice.
+// Communication costs are folded into fn if desired.
+func (w *Workflow) UpwardRanks(dst []float64, fn DurFn) []float64 {
 	topo := w.topoPositions()
-	rank := make([]float64, len(w.list))
+	rank := slices.Grow(dst[:0], len(w.list))[:len(w.list)]
 	for k := len(topo) - 1; k >= 0; k-- {
 		i := topo[k]
 		best := 0.0

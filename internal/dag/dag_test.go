@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -143,10 +144,15 @@ func TestCriticalPathPicksLongerBranch(t *testing.T) {
 
 func TestUpwardRanks(t *testing.T) {
 	w := lin("a", "b", "c")
-	ranks := w.UpwardRanks(NominalDur)
+	ranks := w.UpwardRanks(nil, NominalDur)
 	rank := func(id TaskID) float64 { return ranks[w.index[id]] }
 	if rank("a") != 3 || rank("b") != 2 || rank("c") != 1 {
 		t.Fatalf("ranks = %v", ranks)
+	}
+	// A destination with room is refilled in place, whatever it held.
+	buf := []float64{9, 9, 9, 9}
+	if got := w.UpwardRanks(buf[:1], NominalDur); !slices.Equal(got, ranks) || &got[0] != &buf[0] {
+		t.Fatalf("ranks into a reused buffer = %v, want %v in place", got, ranks)
 	}
 }
 
@@ -236,7 +242,7 @@ func TestUpwardRankMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := randx.New(seed)
 		w := RandomLayered(rng, 4, 5, GenOpts{})
-		ranks := w.UpwardRanks(NominalDur)
+		ranks := w.UpwardRanks(nil, NominalDur)
 		for i, task := range w.Tasks() {
 			if ranks[i] < task.NominalDur-1e-9 {
 				return false

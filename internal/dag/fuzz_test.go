@@ -156,7 +156,7 @@ func checkStructure(t *testing.T, w *Workflow, ref *refWorkflow) {
 	if ref.Validate() != nil {
 		return
 	}
-	ranks, want := w.UpwardRanks(NominalDur), ref.UpwardRanks(NominalDur)
+	ranks, want := w.UpwardRanks(nil, NominalDur), ref.UpwardRanks(NominalDur)
 	for i, task := range w.Tasks() {
 		if math.Float64bits(ranks[i]) != math.Float64bits(want[task.ID]) {
 			t.Fatalf("UpwardRanks[%s] = %v, reference %v", task.ID, ranks[i], want[task.ID])

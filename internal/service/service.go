@@ -142,6 +142,9 @@ type tenantState struct {
 	weight float64
 	arrRNG *randx.Source
 	in     *tenantInputs
+	// onArrival is the tenant's arrival handler, bound once per run, so
+	// arming the next arrival allocates nothing.
+	onArrival func()
 
 	maxInFlight int
 	maxDeferred int
@@ -409,6 +412,14 @@ func run(sub *Substrate, cfg Config, seed int64, only int, in []tenantInputs) (*
 		if ts.maxDeferred == 0 {
 			ts.maxDeferred = 16
 		}
+		ts.onArrival = func() {
+			if sv.err != nil {
+				sv.chainDone()
+				return
+			}
+			sv.arrive(ts)
+			sv.armArrivals(ts)
+		}
 		sv.tenants = append(sv.tenants, ts)
 	}
 
@@ -468,14 +479,7 @@ func (sv *serviceRun) armArrivals(ts *tenantState) {
 		sv.chainDone()
 		return
 	}
-	sv.eng.At(at, func() {
-		if sv.err != nil {
-			sv.chainDone()
-			return
-		}
-		sv.arrive(ts)
-		sv.armArrivals(ts)
-	})
+	sv.eng.At(at, ts.onArrival)
 }
 
 // arrive applies admission control to one arrival: admit within the

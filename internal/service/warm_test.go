@@ -143,11 +143,12 @@ func TestSweepWarmMatchesColdRuns(t *testing.T) {
 // TestWarmRunOnSharedInputsAllocs locks the allocation ceiling of
 // runSeed's steady state: a warm substrate replaying a contended fair-share
 // run whose admissions an earlier run of the seed already generated. What
-// remains is per arrival (the arrival event's callback), per admission
-// (workflow validation and ranks, the runner's completion callback) and per
-// run (tenant state and the Result). It was
-// 589 while every admission allocated its workflow's scheduler state; the
-// CWS now recycles a released workflow's state once its last attempt ends.
+// remains is per admission (workflow validation, the runner's completion
+// callback) and per run (tenant state with its bound arrival handler, and
+// the Result). It was 589 while every admission allocated its workflow's
+// scheduler state; the CWS now recycles a released workflow's state once
+// its last attempt ends. It was 460 while every arrival allocated its
+// event's callback and every registration its rank table.
 func TestWarmRunOnSharedInputsAllocs(t *testing.T) {
 	cfg := warmTestConfig(t, true, "")
 	sub := NewSubstrate(cfg.Nodes, cfg.CoresPerNode)
@@ -166,7 +167,7 @@ func TestWarmRunOnSharedInputsAllocs(t *testing.T) {
 		t.Fatalf("replay admitted %d and generated %d more; the lock would not measure the steady state",
 			res.Tenants[0].Admitted, len(in[0].wfs)-generated)
 	}
-	if allocs > 469 {
-		t.Errorf("warm run on shared inputs allocates %.0f objects, want <= 469", allocs)
+	if allocs > 226 {
+		t.Errorf("warm run on shared inputs allocates %.0f objects, want <= 226", allocs)
 	}
 }

@@ -92,3 +92,34 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkEngineKickCohort models a dispatch loop: 64 tasks run, two end at
+// each timestamp, and each end kicks the manager. The first kick of a
+// timestamp schedules one zero-delay pass, as rm.TaskManager.kick
+// coalesces them, and the pass restarts the ended tasks 32 time units on.
+// A third of the events are passes. ns/op is per event.
+func BenchmarkEngineKickCohort(b *testing.B) {
+	e := NewEngine()
+	ended, kicked := 0, false
+	var end func()
+	pass := func() {
+		kicked = false
+		for ; ended > 0; ended-- {
+			e.After(32, end)
+		}
+	}
+	end = func() {
+		ended++
+		if !kicked {
+			kicked = true
+			e.After(0, pass)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		e.At(Time(1+i/2), end)
+	}
+	b.ResetTimer()
+	for start := e.Fired(); e.Fired()-start < uint64(b.N); {
+		e.RunUntil(e.Now() + 1)
+	}
+}

@@ -1,13 +1,18 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // FuzzEngineMatchesReference replays a tape of engine operations on the real
 // Engine and on refEngine and, after every operation, requires the same
 // firing sequence, clock, fired count and pending count, and the same
 // Pending answer from every handle ever issued: records are recycled, so a
 // handle kept past its event's firing, cancel or Reset must keep reading
-// false while its record serves later events.
+// false while its record serves later events. It also checks the zero-delay
+// lane's invariant (see laneFault), which catches a lane left open past its
+// cohort even while the firing order still matches.
 //
 // Each operation is one byte, op%8 selecting:
 //
@@ -22,7 +27,8 @@ import "testing"
 //
 // A schedule reads one more byte, the handler's action a: a%4 == 1 halts
 // the run (mid-cohort when others share its time), 2 schedules a child at
-// now+(a>>2)%4, 3 cancels the event with index (a>>2)%scheduled.
+// now+(a>>2)%4 whose own action is a>>4, 3 cancels the event with index
+// (a>>2)%scheduled. A child's firing carries its parent's id plus 1<<20.
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 7})
 	// A cohort of four equal timers, the second halting; then an earlier
@@ -37,6 +43,17 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add(append([]byte{2, 3, 0, 2, 3, 0, 2, 3, 0}, pipe...))
 	// Rising and earlier timers interleaved, cancels, Reset mid-stream.
 	f.Add([]byte{1, 3, 0, 2, 1, 6, 1, 2, 2, 0, 3, 1, 3, 4, 9, 6, 0, 0, 2, 0, 3, 5, 5, 7})
+	// A cohort at 1 halted by its first event, a zero-delay event from
+	// outside (into the lane) and one at 2 (queued), Steps through the
+	// remainder and the lane and on into the queue, then a drain.
+	f.Add([]byte{2, 1, 1, 0, 0, 2, 3, 0, 7, 2, 0, 0, 1, 1, 0, 5, 5, 5, 7})
+	// Zero-delay children of zero-delay children (action 34 = 2 | 2<<4)
+	// beside a child one second out (action 6), inside a cohort under Run
+	// and again under Step.
+	f.Add([]byte{2, 1, 34, 0, 6, 0, 0, 2, 2, 0, 7, 2, 1, 34, 2, 2, 0, 5, 5, 5, 5, 7})
+	// Reset while the lane holds an event, then events at 0 and at the
+	// dropped cohort's time.
+	f.Add([]byte{2, 3, 1, 0, 0, 0, 0, 7, 2, 0, 0, 6, 2, 0, 0, 2, 3, 0, 7})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		r := &tapeBytes{b: ops}
 		e := NewEngine()
@@ -46,34 +63,39 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		var refs []*refEvent
 		var delay Time
 
-		// schedule adds event id at t to both engines; the handlers share
-		// one action so both sides take the same decisions.
-		schedule := func(t Time, action int) {
-			id := len(evs)
-			evs = append(evs, e.At(t, func() {
+		// handler and refHandler build event id's callback with action a
+		// on each engine; both sides take the same decisions.
+		var handler, refHandler func(id, a int) func()
+		handler = func(id, a int) func() {
+			return func() {
 				got = append(got, firing{e.Now(), id})
-				switch action % 4 {
+				switch a % 4 {
 				case 1:
 					e.Halt()
 				case 2:
-					child := e.Now() + Time((action>>2)%4)
-					e.At(child, func() { got = append(got, firing{e.Now(), ^id}) })
+					e.At(e.Now()+Time((a>>2)%4), handler(id+1<<20, a>>4))
 				case 3:
-					evs[(action>>2)%len(evs)].Cancel()
+					evs[(a>>2)%len(evs)].Cancel()
 				}
-			}))
-			refs = append(refs, ref.at(t, func() {
+			}
+		}
+		refHandler = func(id, a int) func() {
+			return func() {
 				want = append(want, firing{ref.now, id})
-				switch action % 4 {
+				switch a % 4 {
 				case 1:
 					ref.halted = true
 				case 2:
-					child := ref.now + Time((action>>2)%4)
-					ref.at(child, func() { want = append(want, firing{ref.now, ^id}) })
+					ref.at(ref.now+Time((a>>2)%4), refHandler(id+1<<20, a>>4))
 				case 3:
-					refs[(action>>2)%len(refs)].cancel = true
+					refs[(a>>2)%len(refs)].cancel = true
 				}
-			}))
+			}
+		}
+		schedule := func(t Time, action int) {
+			id := len(evs)
+			evs = append(evs, e.At(t, handler(id, action)))
+			refs = append(refs, ref.at(t, refHandler(id, action)))
 		}
 
 		for op := 0; r.more(); op++ {
@@ -124,8 +146,33 @@ func FuzzEngineMatchesReference(f *testing.F) {
 					t.Fatalf("op %d: event %d Pending = %v, reference %v", op, j, ev.Pending(), refs[j].pending())
 				}
 			}
+			if err := laneFault(e); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
 		}
 	})
+}
+
+// laneFault reports a broken zero-delay lane: while it is open, the clock
+// stands at the cohort's time, every unfired batch entry is due then, and
+// the queue holds only later events. Appending an event due at that time
+// to the batch then keeps the (at, seq) firing order.
+func laneFault(e *Engine) error {
+	if !e.cohort {
+		return nil
+	}
+	if e.now != e.cohortAt {
+		return fmt.Errorf("lane open for %v with the clock at %v", e.cohortAt, e.now)
+	}
+	for _, ev := range e.batch[e.batchNext:] {
+		if ev.at != e.cohortAt {
+			return fmt.Errorf("lane open for %v holds an event due at %v", e.cohortAt, ev.at)
+		}
+	}
+	if e.queue.len() > 0 && e.queue.min().at <= e.cohortAt {
+		return fmt.Errorf("lane open for %v with an event due at %v queued", e.cohortAt, e.queue.min().at)
+	}
+	return nil
 }
 
 // tapeBytes hands out input bytes, then zeros once they run out.

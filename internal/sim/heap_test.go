@@ -11,6 +11,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -392,6 +393,49 @@ func TestBatchSameTimeScheduling(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fired = %v, want %v", fired, want)
 		}
+	}
+}
+
+// TestZeroDelayLane pins where a zero-delay event goes. Scheduled at the
+// cohort's time from inside a cohort callback, it is appended to the batch
+// and the queue is not touched; scheduled later, or under Step, it is
+// queued. It fires after the rest of its cohort either way.
+func TestZeroDelayLane(t *testing.T) {
+	e := NewEngine()
+	var fired []int
+	for i := 0; i < 3; i++ {
+		e.At(2, func() {
+			fired = append(fired, i)
+			if i != 0 {
+				return
+			}
+			queued := e.queue.len()
+			h := e.At(e.Now(), func() { fired = append(fired, 10) })
+			if last := e.batch[len(e.batch)-1]; last != h.rec || e.queue.len() != queued {
+				t.Errorf("At(Now()) in a cohort: batch tail %p, want %p; queue %d, want %d",
+					last, h.rec, e.queue.len(), queued)
+			}
+			e.At(e.Now()+1, func() { fired = append(fired, 20) })
+			if e.queue.len() != queued+1 {
+				t.Errorf("At(Now()+1) in a cohort: queue %d, want %d", e.queue.len(), queued+1)
+			}
+		})
+	}
+	e.At(5, func() { fired = append(fired, 30) })
+	e.Run()
+	if want := []int{0, 1, 2, 10, 20, 30}; !slices.Equal(fired, want) {
+		t.Fatalf("fired = %v, want %v", fired, want)
+	}
+
+	e.At(6, func() {
+		queued := e.queue.len()
+		e.At(e.Now(), func() { fired = append(fired, 40) })
+		if e.queue.len() != queued+1 {
+			t.Errorf("At(Now()) under Step: queue %d, want %d", e.queue.len(), queued+1)
+		}
+	})
+	if !e.Step() || !e.Step() || fired[len(fired)-1] != 40 {
+		t.Fatalf("Step did not fire the zero-delay event: %v", fired)
 	}
 }
 

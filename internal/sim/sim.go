@@ -32,7 +32,13 @@
 //   - Run/RunUntil pop all events sharing the head timestamp as one batch,
 //     firing them FIFO by seq; events scheduled during the batch carry larger
 //     sequence numbers and therefore sort after it, so the observable order
-//     is identical to pop-one-at-a-time.
+//     is identical to pop-one-at-a-time. The batch doubles as a lane for
+//     zero-delay events: once the cohort of time T is popped, the queue
+//     holds only later events, so an event scheduled for T while the cohort
+//     is still unfired sorts after every batch entry and before everything
+//     queued. At appends it to the batch, skipping the queue's push and pop;
+//     the dispatch passes the resource managers coalesce per timestamp with
+//     After(0) take this lane.
 package sim
 
 import (
@@ -106,6 +112,12 @@ type Engine struct {
 	// before touching the queue.
 	batch     []*event
 	batchNext int
+	// cohort is set while batch holds the cohort of time cohortAt that
+	// RunUntil popped; At appends events due at cohortAt to it. It is
+	// cleared when the batch drains, under RunUntil or under Step before it
+	// pops from the queue, and by Reset.
+	cohort   bool
+	cohortAt Time
 
 	// free heads the list of recycled records, linked through next and
 	// reused last in first out; slab is the tail of the current record
@@ -130,6 +142,7 @@ func NewEngine() *Engine {
 // fresh engine.
 func (e *Engine) Reset() {
 	e.now, e.seq, e.fired, e.halted = 0, 0, 0, false
+	e.cohort, e.cohortAt = false, 0
 	for _, ev := range e.batch[e.batchNext:] {
 		e.recycle(ev)
 	}
@@ -187,7 +200,11 @@ func (e *Engine) At(t Time, fn func()) Event {
 	e.seq++
 	ev := e.alloc()
 	ev.at, ev.fn = t, fn
-	e.queue.push(entry{at: t, seq: e.seq, ev: ev})
+	if e.cohort && t == e.cohortAt {
+		e.batch = append(e.batch, ev)
+	} else {
+		e.queue.push(entry{at: t, seq: e.seq, ev: ev})
+	}
 	return Event{rec: ev, gen: ev.gen}
 }
 
@@ -230,6 +247,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		}
 		e.batch = e.batch[:0]
 		e.batchNext = 0
+		e.cohort = false
 		if e.queue.len() == 0 {
 			break
 		}
@@ -239,8 +257,10 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		}
 		// Pop the whole timestamp cohort at once. Successive pops yield
 		// ascending seq, so the batch is already in FIFO firing order;
-		// events scheduled while it fires get larger seqs and sort after.
+		// events scheduled while it fires get larger seqs and sort after,
+		// those due at its time straight onto the batch (see At).
 		e.batch = e.queue.appendCohort(e.batch, head.at)
+		e.cohort, e.cohortAt = true, head.at
 	}
 	if deadline != Never && e.now < deadline && !e.halted {
 		e.now = deadline
@@ -249,7 +269,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 }
 
 // Step fires exactly one non-cancelled event, if any, and reports whether one
-// fired. It drains any batch remainder left by a halted RunUntil first.
+// fired. It drains any batch remainder left by a halted RunUntil first and
+// closes the zero-delay lane before it pops from the queue, so events
+// scheduled under that pop go through the queue.
 func (e *Engine) Step() bool {
 	for {
 		var ev *event
@@ -261,6 +283,7 @@ func (e *Engine) Step() bool {
 			if len(e.batch) > 0 {
 				e.batch = e.batch[:0]
 				e.batchNext = 0
+				e.cohort = false
 			}
 			if e.queue.len() == 0 {
 				return false
