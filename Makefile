@@ -28,7 +28,7 @@ test-race:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Byte-identity of thirteen CLI reports against digests committed in
+# Byte-identity of nineteen CLI reports against digests committed in
 # testdata/cli-digests.sha256: the CWS storm sweep, the lazily composed
 # atlas-uq storm sweep (recursive workflow-as-node composition expanded at
 # runtime), the §3.5 waste study
@@ -39,7 +39,9 @@ bench-module:
 # the §4 EnTK pilot's Fig. 4/5 time series, the full ExaAM campaign
 # (Fig. 3: five EnTK applications with dynamic stages, injected failures and
 # resubmission jobs) and the ExaAM UQ example's resubmission job, and the §5
-# Atlas tables (cloud fleet and storage transfers).
+# Atlas tables (cloud fleet and storage transfers), the HPC pilot and cloud
+# fleet environments as single runs and sweeps, and the quickstart and
+# composed-pipeline examples.
 # A refactor that must not change behaviour leaves every stdout unchanged.
 # The sweeps pin -workers 1 because their headers print the worker count.
 cli-digests:
@@ -57,6 +59,12 @@ cli-digests:
 	$(GO) run ./cmd/entkrun -full > "$$tmp/entkrun-full.txt" && \
 	$(GO) run ./examples/exaam_uq > "$$tmp/exaam-uq.txt" && \
 	$(GO) run ./cmd/atlasrun > "$$tmp/atlasrun.txt" && \
+	$(GO) run ./cmd/wfsim -env hpc -sweep 25 -workers 1 > "$$tmp/wfsim-hpc-sweep25.txt" && \
+	$(GO) run ./cmd/wfsim -env cloud -sweep 25 -workers 1 > "$$tmp/wfsim-cloud-sweep25.txt" && \
+	$(GO) run ./cmd/wfsim -env hpc > "$$tmp/wfsim-hpc.txt" && \
+	$(GO) run ./cmd/wfsim -env cloud > "$$tmp/wfsim-cloud.txt" && \
+	$(GO) run ./examples/quickstart > "$$tmp/quickstart.txt" && \
+	$(GO) run ./examples/composed_pipeline > "$$tmp/composed-pipeline.txt" && \
 	cd "$$tmp" && sha256sum -c "$(CURDIR)/testdata/cli-digests.sha256"
 
 # Full-suite coverage profile (atomic mode: the sweep pool is concurrent).
