@@ -84,6 +84,34 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// An env whose configuration is invalid fails each of its runs with the
+// configuration error, attributed like any other run failure.
+func TestRunReportsEnvConfigErrors(t *testing.T) {
+	for _, c := range []struct {
+		env  EnvSpec
+		want string
+	}{
+		{EnvSpec{Name: "hpc", New: func() core.Environment { return &core.HPCEnv{} }},
+			"sweep: montage on hpc seed 3: core: hpc env needs nodes"},
+		{EnvSpec{Name: "cloud", New: func() core.Environment { return &core.CloudEnv{} }},
+			"sweep: montage on cloud seed 3: core: cloud env needs instances"},
+		{EnvSpec{Name: "k8s", New: func() core.Environment { return &core.KubernetesEnv{CoresPerNode: 8} }},
+			"sweep: montage on k8s seed 3: core: kubernetes env needs nodes and cores"},
+	} {
+		for _, workers := range []int{1, 2} {
+			_, err := Run(Config{
+				Workflows: []WorkflowSpec{montageSpec(4)},
+				Envs:      []EnvSpec{c.env},
+				Seeds:     Seeds(3, 4),
+				Workers:   workers,
+			})
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s workers=%d: err = %v, want %q", c.env.Name, workers, err, c.want)
+			}
+		}
+	}
+}
+
 type failingEnv struct{ err error }
 
 func (e *failingEnv) Name() string                            { return "failing" }
