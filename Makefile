@@ -79,15 +79,17 @@ cover:
 # reference, the cluster index's FirstFit against a rescan, the event
 # engine against its container/heap reference, rm.IDLess against the
 # order of rendered submission IDs, and the CWS's dispatch order against a
-# stable sort. Go fuzzes one target per invocation.
+# stable sort. Go fuzzes one target per invocation. Minimizing a new
+# interesting input may take 60 s by default, more than a target's whole
+# 45 s budget, so each minimization is capped at 2 s.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParseWDL -fuzztime 45s ./internal/jaws
-	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 45s ./internal/randx
-	$(GO) test -run '^$$' -fuzz FuzzWorkflowMatchesReference -fuzztime 45s ./internal/dag
-	$(GO) test -run '^$$' -fuzz FuzzFirstFitMatchesScan -fuzztime 45s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 45s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzSubmissionIDOrder -fuzztime 45s ./internal/rm
-	$(GO) test -run '^$$' -fuzz FuzzPrioritizeMatchesStableSort -fuzztime 45s ./internal/cwsi
+	$(GO) test -run '^$$' -fuzz FuzzParseWDL -fuzztime 45s -fuzzminimizetime 2s ./internal/jaws
+	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 45s -fuzzminimizetime 2s ./internal/randx
+	$(GO) test -run '^$$' -fuzz FuzzWorkflowMatchesReference -fuzztime 45s -fuzzminimizetime 2s ./internal/dag
+	$(GO) test -run '^$$' -fuzz FuzzFirstFitMatchesScan -fuzztime 45s -fuzzminimizetime 2s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime 45s -fuzzminimizetime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzSubmissionIDOrder -fuzztime 45s -fuzzminimizetime 2s ./internal/rm
+	$(GO) test -run '^$$' -fuzz FuzzPrioritizeMatchesStableSort -fuzztime 45s -fuzzminimizetime 2s ./internal/cwsi
 
 # The §3.5 CWS comparison as a 200-seed distribution on a parallel worker
 # pool. Same seeds ⇒ bit-identical table, independent of worker count.

@@ -30,7 +30,7 @@ func TestChaosRecoveryEndToEnd(t *testing.T) {
 		Strategy: cwsi.Rank{},
 		Faults:   fault.Storm(),
 	}
-	res, err := env.RunSeeded(w, rng.Fork())
+	res, err := core.Run(env, w, rng.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestChaosAcrossProfilesCompletes(t *testing.T) {
 				rng := randx.New(seed)
 				w := dag.RandomLayered(rng, 5, 8, opts)
 				env := &core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Strategy: strat, Faults: prof}
-				res, err := env.RunSeeded(w, rng.Fork())
+				res, err := core.Run(env, w, rng.Fork())
 				if err != nil {
 					t.Fatalf("%s seed %d (%s): %v", name, seed, env.Name(), err)
 				}

@@ -76,9 +76,12 @@ func main() {
 		}
 	}
 
+	// The environment is resolved before -dot so an unsupported -env/-faults
+	// pairing is refused before any output is written.
 	faults := app.Faults()
-	if faults.Enabled() && *envName != "k8s" && *envName != "k8s-cws" {
-		app.Usagef("-faults %s is only supported for -env k8s|k8s-cws", app.FaultsName())
+	espec, err := driver.BuildEnv(*envName, *nodes, *cores, faults)
+	if err != nil {
+		app.Usagef("%v", err)
 	}
 
 	// Workflow spec: a synthetic family, or a registry entry whose per-seed
@@ -121,9 +124,8 @@ func main() {
 		return
 	}
 
-	// Environment spec: a lazily expanded run has no whole DAG for the CWS to
-	// rank — plain k8s only.
-	var espec *sweep.EnvSpec
+	// A lazily expanded run has no whole DAG for the CWS to rank — plain k8s
+	// only.
 	if *expandMode == "lazy" && *registryName != "" {
 		if *envName != "k8s" {
 			app.Usagef("-expand lazy runs on the streaming path and supports -env k8s only")
@@ -135,12 +137,6 @@ func main() {
 				Registry:      reg,
 			}
 		}}
-	} else {
-		es, err := driver.BuildEnv(*envName, *nodes, *cores, faults)
-		if err != nil {
-			app.Usagef("%v", err)
-		}
-		espec = es
 	}
 
 	rep := app.NewReport()
@@ -194,8 +190,10 @@ func main() {
 		display, err = reg.Expand(w)
 		app.Check(err)
 	}
-	env := espec.New()
-	res, err := driver.RunSeeded(env, w, rng)
+	// The run's substrate randomness forks off the generator source right
+	// after generation, as in a sweep, so a single run reproduces its sweep
+	// cell exactly.
+	res, err := core.Run(espec.New(), w, rng.Fork())
 	app.Check(err)
 	app.WriteArtifacts(res)
 

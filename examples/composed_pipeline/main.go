@@ -49,7 +49,7 @@ func main() {
 		Nodes: 4, CoresPerNode: 16,
 		Faults: fault.MTBF(),
 	}
-	res, err := env.RunSeeded(w, randx.New(7))
+	res, err := core.Run(env, w, randx.New(7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func main() {
 		},
 		Registry: reg,
 	}
-	lres, err := lazy.RunSeeded(root, randx.New(7))
+	lres, err := core.Run(lazy, root, randx.New(7))
 	if err != nil {
 		log.Fatal(err)
 	}

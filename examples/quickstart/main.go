@@ -8,6 +8,7 @@ import (
 
 	"hhcw/internal/core"
 	"hhcw/internal/metrics"
+	"hhcw/internal/randx"
 )
 
 func main() {
@@ -35,7 +36,7 @@ func main() {
 	}
 	fmt.Printf("%-22s %12s %12s\n", "environment", "makespan", "utilization")
 	for _, env := range envs {
-		res, err := env.Run(wf)
+		res, err := core.Run(env, wf, randx.New(1))
 		if err != nil {
 			log.Fatal(err)
 		}

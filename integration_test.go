@@ -52,7 +52,7 @@ func TestComposeOnceRunEverywhere(t *testing.T) {
 		&core.CloudEnv{MaxInstances: 8, Instance: cloud.C6aLarge},
 	}
 	for _, env := range envs {
-		res, err := env.Run(wf)
+		res, err := core.Run(env, wf, randx.New(1))
 		if err != nil {
 			t.Fatalf("%T: %v", env, err)
 		}

@@ -6,8 +6,8 @@
 // other with namespaced task IDs, output→input data-flow stitching, and
 // post-embed validation. A composed workflow (e.g. the Atlas salmon pipeline
 // feeding an EnTK UQ ensemble) is just another dag.Workflow executed through
-// core.Environment.Run, so it inherits fault injection, retry policy,
-// provenance, tracing, and sweep determinism for free.
+// a core.Environment's session, so it inherits fault injection, retry
+// policy, provenance, tracing, and sweep determinism for free.
 package compose
 
 import (

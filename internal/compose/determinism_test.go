@@ -48,7 +48,7 @@ func TestComposedRunEndToEnd(t *testing.T) {
 		Strategy: cwsi.Rank{},
 		Faults:   fault.MTBF(),
 	}
-	res, err := env.RunSeeded(w, rng.Fork())
+	res, err := core.Run(env, w, rng.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestComposedRunEndToEnd(t *testing.T) {
 		Strategy: cwsi.Rank{},
 		Faults:   fault.MTBF(),
 	}
-	res2, err := env2.RunSeeded(w2, rng2.Fork())
+	res2, err := core.Run(env2, w2, rng2.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}

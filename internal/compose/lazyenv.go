@@ -3,7 +3,6 @@ package compose
 import (
 	"hhcw/internal/core"
 	"hhcw/internal/dag"
-	"hhcw/internal/randx"
 )
 
 // LazyEnv executes workflows containing WorkflowRef tasks through lazy
@@ -23,22 +22,7 @@ type LazyEnv struct {
 	Registry *Registry
 }
 
-// Run implements core.Environment.
-func (e *LazyEnv) Run(w *dag.Workflow) (*core.Result, error) {
-	return e.RunSeeded(w, randx.New(1))
-}
-
-// RunSeeded implements core.SeededEnvironment: a one-shot session built and
-// discarded, so cold and warm runs execute the same code.
-func (e *LazyEnv) RunSeeded(w *dag.Workflow, rng *randx.Source) (*core.Result, error) {
-	s, err := e.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	return s.RunSeeded(w, rng)
-}
-
-// NewSession implements core.SessionEnvironment, overriding the promoted
+// NewSession implements core.Environment, overriding the promoted
 // eager KubernetesEnv.NewSession, which would run the unexpanded reference
 // root instead of resolving it. Each run expands its workflow through the
 // registry.

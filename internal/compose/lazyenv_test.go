@@ -63,8 +63,8 @@ func TestLazyEnvContract(t *testing.T) {
 		if _, err := env.NewSession(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: NewSession error %v, want %q", c.name, err, c.want)
 		}
-		if _, err := env.RunSeeded(lazyTestRoot(1), randx.New(1)); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: RunSeeded error %v, want %q", c.name, err, c.want)
+		if _, err := core.Run(env, lazyTestRoot(1), randx.New(1)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Run error %v, want %q", c.name, err, c.want)
 		}
 	}
 
@@ -72,7 +72,7 @@ func TestLazyEnvContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := lazyTestEnv(reg, fault.Profile{}).RunSeeded(lazyTestRoot(2), randx.New(2))
+	res, err := core.Run(lazyTestEnv(reg, fault.Profile{}), lazyTestRoot(2), randx.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +95,9 @@ func plantNodeDownSubscriber(s *core.Session) {
 }
 
 // A LazyEnv session is the warm core.Session: reused across seeds it matches
-// the cold path bit for bit, fault-free and under storm, its Audit is clean
-// afterwards, and a leak planted after the runs is named by its field path.
+// a new session's first run bit for bit, fault-free and under storm, its
+// Audit is clean afterwards, and a leak planted after the runs is named by
+// its field path.
 func TestLazySessionWarmAudited(t *testing.T) {
 	reg := lazyTestRegistry()
 	for _, faults := range []fault.Profile{{}, fault.Storm()} {
@@ -115,7 +116,7 @@ func TestLazySessionWarmAudited(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q seed %d warm: %v", faults.Name, seed, err)
 			}
-			cold, err := env.RunSeeded(lazyTestRoot(seed), randx.New(seed))
+			cold, err := core.Run(env, lazyTestRoot(seed), randx.New(seed))
 			if err != nil {
 				t.Fatalf("%q seed %d cold: %v", faults.Name, seed, err)
 			}
@@ -162,7 +163,9 @@ func TestLazySessionWarmAllocs(t *testing.T) {
 			}
 		}
 	}
-	cold := testing.AllocsPerRun(20, run(env.RunSeeded))
+	cold := testing.AllocsPerRun(20, run(func(w *dag.Workflow, rng *randx.Source) (*core.Result, error) {
+		return core.Run(env, w, rng)
+	}))
 	warm := testing.AllocsPerRun(20, run(sess.RunSeeded))
 	t.Logf("allocations per lazy storm run: warm %.0f, cold %.0f", warm, cold)
 	if warm >= cold {

@@ -6,6 +6,7 @@ import (
 
 	"hhcw/internal/cwsi"
 	"hhcw/internal/dag"
+	"hhcw/internal/randx"
 )
 
 func TestCompileSequence(t *testing.T) {
@@ -169,7 +170,7 @@ func testWorkflow(t *testing.T) *dag.Workflow {
 func TestKubernetesEnvRun(t *testing.T) {
 	w := testWorkflow(t)
 	env := &KubernetesEnv{Nodes: 3, CoresPerNode: 4}
-	res, err := env.Run(w)
+	res, err := Run(env, w, randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestKubernetesEnvWithCWS(t *testing.T) {
 		Nodes: 3, CoresPerNode: 4,
 		Strategy: cwsi.Rank{},
 	}
-	res, err := env.Run(w)
+	res, err := Run(env, w, randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestKubernetesEnvWithCWS(t *testing.T) {
 func TestHPCEnvRun(t *testing.T) {
 	w := testWorkflow(t)
 	env := &HPCEnv{Nodes: 6, CoresPerNode: 4, BootstrapSec: 85}
-	res, err := env.Run(w)
+	res, err := Run(env, w, randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestHPCEnvRun(t *testing.T) {
 func TestCloudEnvRun(t *testing.T) {
 	w := testWorkflow(t)
 	env := &CloudEnv{MaxInstances: 6}
-	res, err := env.Run(w)
+	res, err := Run(env, w, randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestSameWorkflowAcrossEnvironments(t *testing.T) {
 		&CloudEnv{MaxInstances: 8},
 	}
 	for _, env := range envs {
-		res, err := env.Run(w)
+		res, err := Run(env, w, randx.New(1))
 		if err != nil {
 			t.Fatalf("%T: %v", env, err)
 		}
@@ -259,15 +260,17 @@ func TestSameWorkflowAcrossEnvironments(t *testing.T) {
 }
 
 func TestEnvValidation(t *testing.T) {
-	w := testWorkflow(t)
-	if _, err := (&KubernetesEnv{}).Run(w); err == nil {
-		t.Fatal("zero-node kubernetes accepted")
-	}
-	if _, err := (&HPCEnv{}).Run(w); err == nil {
-		t.Fatal("zero-node hpc accepted")
-	}
-	if _, err := (&CloudEnv{}).Run(w); err == nil {
-		t.Fatal("zero-instance cloud accepted")
+	for _, c := range []struct {
+		env  Environment
+		want string
+	}{
+		{&KubernetesEnv{}, "core: kubernetes env needs nodes and cores"},
+		{&HPCEnv{}, "core: hpc env needs nodes"},
+		{&CloudEnv{}, "core: cloud env needs instances"},
+	} {
+		if s, err := c.env.NewSession(); err == nil || err.Error() != c.want {
+			t.Fatalf("%T: NewSession = %v, %v; want error %q", c.env, s, err, c.want)
+		}
 	}
 }
 

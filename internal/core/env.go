@@ -71,21 +71,22 @@ func (r *Result) Fingerprint() string {
 	return fp
 }
 
-// Environment executes compiled workflows. Each Run uses a fresh simulated
-// substrate so results are independent and reproducible.
+// Environment is a simulated substrate that executes compiled workflows: a
+// factory of run sessions. NewSession validates the configuration and
+// returns a session that runs workflows on it, one RunSeeded per run.
 type Environment interface {
-	Run(w *dag.Workflow) (*Result, error)
+	NewSession() (RunSession, error)
 }
 
-// SeededEnvironment is implemented by environments whose substrate itself
-// consumes randomness — fault injection, most importantly. The sweep engine
-// hands each run a fork of the job's seeded source so chaos sweeps stay a
-// pure function of (workflow, environment, seed) regardless of worker count.
-// The caller owns rng and may reseed it for its next run once RunSeeded
-// returns, so an implementation must not keep rng past the call.
-type SeededEnvironment interface {
-	Environment
-	RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
+// Run executes w once on a new session of env. rng drives the substrate's
+// randomness (fault injection, where env arms it); the caller owns it, as
+// with RunSession.RunSeeded.
+func Run(env Environment, w *dag.Workflow, rng *randx.Source) (*Result, error) {
+	s, err := env.NewSession()
+	if err != nil {
+		return nil, err
+	}
+	return s.RunSeeded(w, rng)
 }
 
 // KubernetesEnv is a Kubernetes-like cluster of identical nodes, optionally
@@ -117,9 +118,9 @@ type KubernetesEnv struct {
 	Faults fault.Profile
 }
 
-// Name implements Environment. Fault-injected, heterogeneous and
-// prediction-loop variants all carry their configuration in the name so
-// their results never alias each other's.
+// Name is the name of the environment's results. Fault-injected,
+// heterogeneous and prediction-loop variants all carry their configuration
+// in the name so their results never alias each other's.
 func (e *KubernetesEnv) Name() string {
 	name := "kubernetes"
 	if strat := e.effectiveStrategy(); strat != nil {
@@ -153,26 +154,6 @@ func (e *KubernetesEnv) effectiveStrategy() cwsi.Strategy {
 	return cwsi.Predictive{Inner: inner}
 }
 
-// Run implements Environment. Fault-free runs consume no randomness; with an
-// enabled fault profile this is RunSeeded under a fixed substrate seed (use
-// RunSeeded directly to tie the faults to the workflow's seed, as the sweep
-// engine does).
-func (e *KubernetesEnv) Run(w *dag.Workflow) (*Result, error) {
-	return e.RunSeeded(w, randx.New(1))
-}
-
-// RunSeeded implements SeededEnvironment: rng drives the fault processes (and
-// only those — fault-free configurations ignore it entirely). It is the cold
-// fallback of the session contract: a one-shot Session built and discarded,
-// so cold and warm runs execute literally the same code (see session.go).
-func (e *KubernetesEnv) RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error) {
-	s, err := e.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	return s.RunSeeded(w, rng)
-}
-
 // HPCEnv executes through a pilot job on a Frontier-like allocation (§4):
 // tasks become node-granular pilot tasks.
 type HPCEnv struct {
@@ -187,19 +168,17 @@ type HPCEnv struct {
 // the environment runs.
 const hpcWalltimeSec = 24 * 3600
 
-// Name implements Environment.
+// Name is the name of the environment's results.
 func (e *HPCEnv) Name() string { return "hpc-pilot" }
 
-// Run implements Environment.
-func (e *HPCEnv) Run(w *dag.Workflow) (*Result, error) {
+// NewSession implements Environment. The session builds its engine,
+// cluster, batch manager and pilot per run.
+func (e *HPCEnv) NewSession() (RunSession, error) {
 	if e.Nodes <= 0 {
 		return nil, fmt.Errorf("core: hpc env needs nodes")
 	}
-	x, err := dag.NewWorkflowExpander(w)
-	if err != nil {
-		return nil, err
-	}
-	return e.run(x)
+	c := *e
+	return rebuildSession{name: c.Name(), run: c.run}, nil
 }
 
 // run drives x through a StreamRunner on the pilot.
@@ -266,19 +245,17 @@ type CloudEnv struct {
 	Instance     cloud.InstanceType
 }
 
-// Name implements Environment.
+// Name is the name of the environment's results.
 func (e *CloudEnv) Name() string { return "cloud" }
 
-// Run implements Environment.
-func (e *CloudEnv) Run(w *dag.Workflow) (*Result, error) {
+// NewSession implements Environment. The session builds its engine and
+// fleet per run.
+func (e *CloudEnv) NewSession() (RunSession, error) {
 	if e.MaxInstances <= 0 {
 		return nil, fmt.Errorf("core: cloud env needs instances")
 	}
-	x, err := dag.NewWorkflowExpander(w)
-	if err != nil {
-		return nil, err
-	}
-	return e.run(x)
+	c := *e
+	return rebuildSession{name: c.Name(), run: c.run}, nil
 }
 
 // run drives x through a StreamRunner on the fleet.
@@ -314,6 +291,30 @@ func (e *CloudEnv) run(x dag.Expander) (*Result, error) {
 	}
 	return res, nil
 }
+
+// rebuildSession is the session of an environment that builds its whole
+// substrate per run (HPCEnv, CloudEnv): run drives the run's workflow on a
+// fresh substrate and reads no randomness. Nothing survives a run, so Audit
+// has nothing to report.
+type rebuildSession struct {
+	name string
+	run  func(dag.Expander) (*Result, error)
+}
+
+// Name implements RunSession.
+func (s rebuildSession) Name() string { return s.name }
+
+// RunSeeded implements RunSession.
+func (s rebuildSession) RunSeeded(w *dag.Workflow, _ *randx.Source) (*Result, error) {
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(x)
+}
+
+// Audit implements RunSession.
+func (rebuildSession) Audit() []string { return nil }
 
 // fleet is CloudEnv's elastic instance pool as an rm.Executor. An instance
 // runs one task at a time, whatever its shape, and parks when nothing

@@ -6,6 +6,7 @@ import (
 
 	"hhcw/internal/dag"
 	"hhcw/internal/jaws"
+	"hhcw/internal/randx"
 )
 
 const bridgeWDL = `
@@ -61,7 +62,7 @@ func TestFromJAWSRunsOnEnvironments(t *testing.T) {
 		&KubernetesEnv{Nodes: 2, CoresPerNode: 8},
 		&CloudEnv{MaxInstances: 4},
 	} {
-		res, err := env.Run(w)
+		res, err := Run(env, w, randx.New(1))
 		if err != nil {
 			t.Fatalf("%T: %v", env, err)
 		}

@@ -136,7 +136,7 @@ func TestRandomCompositionExecutes(t *testing.T) {
 			return false
 		}
 		env := &KubernetesEnv{Nodes: 4, CoresPerNode: 8}
-		res, err := env.Run(w)
+		res, err := Run(env, w, randx.New(1))
 		if err != nil {
 			return false
 		}

@@ -95,7 +95,7 @@ func runProvDigest(t *testing.T, env *KubernetesEnv, gen func(*randx.Source) *da
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		rng := randx.New(seed)
 		w := gen(rng)
-		res, err := env.RunSeeded(w, rng)
+		res, err := Run(env, w, rng)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

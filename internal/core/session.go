@@ -14,18 +14,20 @@ import (
 	"hhcw/internal/statediff"
 )
 
-// RunSession is a reusable warm-run handle over one environment: the
-// simulated substrate (engine, cluster, resource manager, scheduler,
-// provenance, metrics) is constructed once and reset in place between runs,
-// so an ensemble executes thousands of seeds with near-zero steady-state
-// construction cost. The determinism contract is exact: a warm RunSeeded is
-// bit-identical to a cold one — same fingerprints, same goldens — which
-// Audit and the sweep equivalence battery enforce.
+// RunSession is a handle that runs workflows on one environment's
+// substrate. A session may keep its substrate (engine, cluster, resource
+// manager, scheduler, provenance, metrics) and reset it in place between
+// runs, as Session does, so an ensemble executes thousands of seeds with
+// near-zero steady-state construction cost; or it may rebuild the substrate
+// per run. The determinism contract is exact: a warm RunSeeded is
+// bit-identical to the first run of a new session (core.Run) — same
+// fingerprints, same goldens — which Audit and the sweep equivalence battery
+// enforce.
 type RunSession interface {
 	Name() string
-	// RunSeeded runs w on the session's substrate. As with
-	// SeededEnvironment, the caller owns rng and may reseed it once the call
-	// returns, so the session must not keep it.
+	// RunSeeded runs w on the session's substrate. rng drives the
+	// substrate's randomness; the caller owns it and may reseed it once the
+	// call returns, so the session must not keep it.
 	RunSeeded(w *dag.Workflow, rng *randx.Source) (*Result, error)
 	// Audit resets the session and deep-diffs it against a freshly
 	// constructed one, returning one line per leaked field path (empty when
@@ -33,15 +35,6 @@ type RunSession interface {
 	// survives are exempt; any observational or decision-bearing state that
 	// differs is a reset bug.
 	Audit() []string
-}
-
-// SessionEnvironment is implemented by environments that support warm-run
-// sessions. The plain Environment/SeededEnvironment path remains the cold
-// fallback: RunSeeded on the environment itself builds a one-shot session,
-// so both paths execute literally the same code.
-type SessionEnvironment interface {
-	SeededEnvironment
-	NewSession() (RunSession, error)
 }
 
 // Session is the warm-run session over a KubernetesEnv, and the one assembly
@@ -55,7 +48,7 @@ type SessionEnvironment interface {
 // reusing buffers. The run's RNG forks (injector, task plan, retry jitter,
 // or the prediction path's retry jitter) are session-owned sources, each
 // allocated the first time a run needs it and reseeded in place by later
-// runs, in exactly the cold path's fork order. The fault layer is
+// runs, in exactly a new session's fork order. The fault layer is
 // session-owned too: one injector, reset onto each run's fork, and one
 // task-failure plan and retry policy, refilled per run. The runtime
 // predictor is constructed fresh each run.
@@ -79,8 +72,8 @@ type Session struct {
 	warm   bool
 }
 
-// NewSession implements SessionEnvironment: it validates the configuration
-// and constructs the substrate the session will reuse across runs.
+// NewSession implements Environment: it validates the configuration and
+// constructs the substrate the session will reuse across runs.
 func (e *KubernetesEnv) NewSession() (RunSession, error) {
 	return e.newSession(nil)
 }
@@ -354,7 +347,7 @@ func (s *Session) armCWS(w *dag.Workflow, rng *randx.Source, arm *faultArm) erro
 	cws := s.cws
 	// Reset unconditionally (a no-op on the first, still-fresh run): this is
 	// where the run's predictor and the configured strategy are installed,
-	// exactly as cwsi.New received them on the cold path.
+	// exactly as cwsi.New received them in a new session.
 	cws.Reset(s.strat, p)
 	if s.predCtor != nil {
 		// Close the loop: online training from provenance is wired at

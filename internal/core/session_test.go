@@ -1,7 +1,7 @@
 package core
 
 // Warm-run session battery: (1) a warm session's results are bit-identical
-// to the cold path's over representative env shapes and every chaos profile;
+// to a new session's over representative env shapes and every chaos profile;
 // (2) the dirty-state auditor passes after real runs under every chaos
 // profile; (3) the auditor is live — deliberately leaked state (an armed
 // fault-injection predicate, a downed node, a stale runner field, a drawn
@@ -18,13 +18,21 @@ import (
 	"hhcw/internal/randx"
 )
 
-func sessionTestEnvs(t *testing.T, faults fault.Profile) map[string]*KubernetesEnv {
+// sessionTestEnvs are the env shapes of the session battery: the three
+// Kubernetes shapes under faults, plus the HPC pilot and the cloud fleet,
+// whose sessions rebuild their substrate per run, on fault-free runs.
+func sessionTestEnvs(t *testing.T, faults fault.Profile) map[string]Environment {
 	t.Helper()
-	return map[string]*KubernetesEnv{
-		"fifo":    {Nodes: 4, CoresPerNode: 8, Faults: faults},
-		"cws":     {Nodes: 4, CoresPerNode: 8, Strategy: cwsi.Rank{}, Faults: faults},
-		"predict": {Nodes: 2, Heterogeneous: true, Strategy: cwsi.Baseline{}, Predict: "lotaru", Faults: faults},
+	envs := map[string]Environment{
+		"fifo":    &KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: faults},
+		"cws":     &KubernetesEnv{Nodes: 4, CoresPerNode: 8, Strategy: cwsi.Rank{}, Faults: faults},
+		"predict": &KubernetesEnv{Nodes: 2, Heterogeneous: true, Strategy: cwsi.Baseline{}, Predict: "lotaru", Faults: faults},
 	}
+	if !faults.Enabled() {
+		envs["hpc"] = &HPCEnv{Nodes: 4, CoresPerNode: 8, BootstrapSec: 85}
+		envs["cloud"] = &CloudEnv{MaxInstances: 4}
+	}
+	return envs
 }
 
 func sessionTestWorkflow(seed int64) (*dag.Workflow, *randx.Source) {
@@ -47,8 +55,8 @@ func allProfiles(t *testing.T) map[string]fault.Profile {
 }
 
 // TestSessionWarmMatchesCold runs the same (workflow, seed) jobs through a
-// reused session and through the cold per-run path and requires identical
-// result fingerprints — across FIFO, CWS, and prediction-loop envs, with and
+// reused session and through a new session per run (Run) and requires
+// identical result fingerprints — across FIFO, CWS, and prediction-loop envs, with and
 // without the storm profile, and with the warm session deliberately
 // alternating seeds so every run after the first starts from a reset.
 func TestSessionWarmMatchesCold(t *testing.T) {
@@ -69,7 +77,7 @@ func TestSessionWarmMatchesCold(t *testing.T) {
 					t.Fatalf("%s/%s seed %d warm: %v", name, faults.Name, seed, err)
 				}
 				wc, rngC := sessionTestWorkflow(seed)
-				cold, err := env.RunSeeded(wc, rngC.Fork())
+				cold, err := Run(env, wc, rngC.Fork())
 				if err != nil {
 					t.Fatalf("%s/%s seed %d cold: %v", name, faults.Name, seed, err)
 				}
@@ -224,7 +232,7 @@ func TestStreamWindowUniformShapes(t *testing.T) {
 		return w
 	}
 	env := &KubernetesEnv{Nodes: 4, CoresPerNode: 8}
-	r0, err := env.RunSeeded(build(), randx.New(1))
+	r0, err := Run(env, build(), randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

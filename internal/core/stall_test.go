@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hhcw/internal/dag"
+	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestStalledRunsReturnStallError(t *testing.T) {
 	w := dag.New("big")
 	w.Add(&dag.Task{ID: "wide", Cores: 16, NominalDur: 10})
-	_, err := (&KubernetesEnv{Nodes: 2, CoresPerNode: 8}).Run(w)
+	_, err := Run(&KubernetesEnv{Nodes: 2, CoresPerNode: 8}, w, randx.New(1))
 	wantStall(t, "kubernetes", err, "big", 0, 1)
 
 	_, err = (&HPCEnv{Nodes: 2, CoresPerNode: 8}).run(&stuckExpander{})

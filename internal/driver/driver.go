@@ -15,10 +15,8 @@ import (
 
 	"hhcw/internal/compose"
 	"hhcw/internal/core"
-	"hhcw/internal/dag"
 	"hhcw/internal/fault"
 	"hhcw/internal/provenance"
-	"hhcw/internal/randx"
 	"hhcw/internal/trace"
 )
 
@@ -190,17 +188,6 @@ func (a *App) Check(err error) {
 // for -json consumers in particular).
 func (a *App) Logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, a.name+": "+format+"\n", args...)
-}
-
-// RunSeeded executes a workflow under the sweep engine's seeding discipline:
-// substrate randomness forks off the generator source right after workflow
-// generation, so a single run reproduces the corresponding sweep cell
-// exactly.
-func RunSeeded(env core.Environment, w *dag.Workflow, rng *randx.Source) (*core.Result, error) {
-	if se, ok := env.(core.SeededEnvironment); ok {
-		return se.RunSeeded(w, rng.Fork())
-	}
-	return env.Run(w)
 }
 
 // WriteArtifacts writes the -trace and -provenance outputs from a run's

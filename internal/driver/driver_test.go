@@ -9,6 +9,7 @@ import (
 	"hhcw/internal/dag"
 	"hhcw/internal/fault"
 	"hhcw/internal/randx"
+	"hhcw/internal/sweep"
 )
 
 // withArgs runs fn with os.Args swapped for the given command line.
@@ -74,28 +75,45 @@ func TestNewReportHeader(t *testing.T) {
 	})
 }
 
+// A single run forks its substrate source off the generator right after
+// generation, as wfsim does, and so reproduces the sweep cell of its seed.
 func TestRunSeededMatchesSweepDiscipline(t *testing.T) {
+	genW := func(rng *randx.Source) *dag.Workflow {
+		opts := dag.GenOpts{MeanDur: 100, CVDur: 0.5, Cores: 1, MaxCores: 2, MeanMem: 1e9}
+		return dag.ForkJoin(rng, 2, 4, opts)
+	}
 	gen := func(seed int64) (*dag.Workflow, *randx.Source) {
 		rng := randx.New(seed)
-		opts := dag.GenOpts{MeanDur: 100, CVDur: 0.5, Cores: 1, MaxCores: 2, MeanMem: 1e9}
-		return dag.ForkJoin(rng, 2, 4, opts), rng
+		return genW(rng), rng
 	}
 	newEnv := func() core.Environment {
 		return &core.KubernetesEnv{Nodes: 2, CoresPerNode: 4, Faults: fault.MTBF()}
 	}
 
 	w1, r1 := gen(77)
-	res1, err := RunSeeded(newEnv(), w1, r1)
+	res1, err := core.Run(newEnv(), w1, r1.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}
 	w2, r2 := gen(77)
-	res2, err := RunSeeded(newEnv(), w2, r2)
+	res2, err := core.Run(newEnv(), w2, r2.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res1.Fingerprint() != res2.Fingerprint() {
-		t.Fatalf("RunSeeded not deterministic:\n%s\n%s", res1.Fingerprint(), res2.Fingerprint())
+		t.Fatalf("core.Run not deterministic:\n%s\n%s", res1.Fingerprint(), res2.Fingerprint())
+	}
+	rep, err := sweep.Run(sweep.Config{
+		Workflows: []sweep.WorkflowSpec{{Name: "forkjoin", Gen: genW}},
+		Envs:      []sweep.EnvSpec{{Name: "k8s", New: newEnv}},
+		Seeds:     []int64{77},
+		Workers:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell := rep.Runs[0].Result.Fingerprint(); cell != res1.Fingerprint() {
+		t.Fatalf("single run differs from its sweep cell:\n run  %s\n cell %s", res1.Fingerprint(), cell)
 	}
 }
 

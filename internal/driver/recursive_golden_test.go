@@ -98,7 +98,7 @@ func TestRegistryEntriesExpandBothWays(t *testing.T) {
 			t.Errorf("entry %q expands to %d tasks", entry, w.Len())
 		}
 		env := &core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: fault.Storm()}
-		sres, err := env.RunSeeded(w, randx.New(9))
+		sres, err := core.Run(env, w, randx.New(9))
 		if err != nil {
 			t.Errorf("entry %q: static run: %v", entry, err)
 			continue
@@ -107,7 +107,7 @@ func TestRegistryEntriesExpandBothWays(t *testing.T) {
 			KubernetesEnv: core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: fault.Storm()},
 			Registry:      reg,
 		}
-		lres, err := lenv.RunSeeded(RefRoot(entry, 42), randx.New(9))
+		lres, err := core.Run(lenv, RefRoot(entry, 42), randx.New(9))
 		if err != nil {
 			t.Errorf("entry %q: lazy run: %v", entry, err)
 			continue

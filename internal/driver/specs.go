@@ -59,19 +59,16 @@ func BuildEnv(name string, nodes, cores int, faults fault.Profile) (*sweep.EnvSp
 			return &core.KubernetesEnv{Nodes: nodes, CoresPerNode: cores, Strategy: cwsi.Rank{}, Faults: faults}
 		}
 	case "hpc":
-		if faults.Enabled() {
-			return nil, fmt.Errorf("fault profile %q is only supported on k8s|k8s-cws", faults.Name)
-		}
 		mk = func() core.Environment {
 			return &core.HPCEnv{Nodes: nodes, CoresPerNode: cores, BootstrapSec: 85}
 		}
 	case "cloud":
-		if faults.Enabled() {
-			return nil, fmt.Errorf("fault profile %q is only supported on k8s|k8s-cws", faults.Name)
-		}
 		mk = func() core.Environment { return &core.CloudEnv{MaxInstances: nodes} }
 	default:
 		return nil, fmt.Errorf("unknown env %q (want %s)", name, EnvNames)
+	}
+	if faults.Enabled() && (name == "hpc" || name == "cloud") {
+		return nil, fmt.Errorf("fault profile %q is only supported on k8s|k8s-cws", faults.Name)
 	}
 	return &sweep.EnvSpec{Name: name, New: mk}, nil
 }

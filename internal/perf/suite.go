@@ -102,7 +102,7 @@ func Suite(short bool) []Spec {
 			// environment and one workflow per seed, built once; each op
 			// replays the full 2×seeds ensemble through the warm RunSeeded
 			// path. Workflow generation and the seed discipline match the
-			// sweep's cold path exactly (generate, then fork), and fault-free
+			// sweep's exactly (generate, then fork), and fault-free
 			// runs never consume the fork, so every iteration replays the same
 			// ensemble and the domain metrics below are bit-identical to the
 			// sweep.Run form this benchmark previously wrapped.

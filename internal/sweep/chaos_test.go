@@ -78,14 +78,14 @@ func TestChaosSweep200SeedsWorkerInvariant(t *testing.T) {
 func TestDisabledFaultsMatchFaultFreeGolden(t *testing.T) {
 	w := allWorkflows()[0]
 	for seed := int64(1); seed <= 10; seed++ {
-		plain, err := (&core.KubernetesEnv{Nodes: 4, CoresPerNode: 8}).
-			Run(w.Gen(randx.New(seed)))
+		plain, err := core.Run(&core.KubernetesEnv{Nodes: 4, CoresPerNode: 8},
+			w.Gen(randx.New(seed)), randx.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := randx.New(seed)
-		seeded, err := (&core.KubernetesEnv{Nodes: 4, CoresPerNode: 8}).
-			RunSeeded(w.Gen(rng), rng.Fork())
+		seeded, err := core.Run(&core.KubernetesEnv{Nodes: 4, CoresPerNode: 8},
+			w.Gen(rng), rng.Fork())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,15 +97,15 @@ func TestDisabledFaultsMatchFaultFreeGolden(t *testing.T) {
 }
 
 // Per-seed chaos runs are reproducible one-offs: the same seed through
-// RunSeeded twice gives identical fingerprints, including failure accounting.
+// core.Run twice gives identical fingerprints, including failure accounting.
 func TestChaosRunSeededReproducible(t *testing.T) {
 	for _, prof := range []fault.Profile{fault.MTBF(), fault.Spot(), fault.Storm()} {
 		for seed := int64(1); seed <= 5; seed++ {
 			run := func() string {
 				rng := randx.New(seed)
 				w := allWorkflows()[0].Gen(rng)
-				res, err := (&core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: prof}).
-					RunSeeded(w, rng.Fork())
+				res, err := core.Run(&core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: prof},
+					w, rng.Fork())
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", prof.Name, seed, err)
 				}

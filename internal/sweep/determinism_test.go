@@ -51,7 +51,8 @@ func allEnvs() []EnvSpec {
 // goroutine, exactly as cmd/wfsim's single-run path does.
 func runSequential(t *testing.T, w WorkflowSpec, e EnvSpec, seed int64) core.Result {
 	t.Helper()
-	res, err := e.New().Run(w.Gen(randx.New(seed)))
+	rng := randx.New(seed)
+	res, err := core.Run(e.New(), w.Gen(rng), rng.Fork())
 	if err != nil {
 		t.Fatalf("%s on %s seed %d: %v", w.Name, e.Name, seed, err)
 	}

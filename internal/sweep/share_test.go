@@ -31,14 +31,7 @@ func referenceRun(t *testing.T, cfg Config) *Report {
 			for _, seed := range cfg.Seeds {
 				rng := randx.New(seed)
 				w := ws.Gen(rng)
-				var res *core.Result
-				var err error
-				env := es.New()
-				if se, ok := env.(core.SeededEnvironment); ok {
-					res, err = se.RunSeeded(w, rng.Fork())
-				} else {
-					res, err = env.Run(w)
-				}
+				res, err := core.Run(es.New(), w, rng.Fork())
 				if err != nil {
 					t.Fatalf("reference %s on %s seed %d: %v", ws.Name, es.Name, seed, err)
 				}
@@ -78,24 +71,19 @@ func checkUnchanged(t *testing.T, env string, w *dag.Workflow, fn func() (*core.
 	return res, err
 }
 
-// guardedEnv and guardedSession wrap an env's cold and warm paths with the
-// mutation check.
+// guardedEnv wraps an env's sessions in guardedSession, which adds the
+// mutation check to every run.
 type guardedEnv struct {
 	t     *testing.T
-	name  string
 	inner core.Environment
 }
 
-func (g *guardedEnv) Run(w *dag.Workflow) (*core.Result, error) {
-	return checkUnchanged(g.t, g.name, w, func() (*core.Result, error) { return g.inner.Run(w) })
-}
-
-func (g *guardedEnv) RunSeeded(w *dag.Workflow, rng *randx.Source) (*core.Result, error) {
-	se, ok := g.inner.(core.SeededEnvironment)
-	if !ok {
-		return g.Run(w)
+func (g *guardedEnv) NewSession() (core.RunSession, error) {
+	s, err := g.inner.NewSession()
+	if err != nil {
+		return nil, err
 	}
-	return checkUnchanged(g.t, g.name, w, func() (*core.Result, error) { return se.RunSeeded(w, rng) })
+	return &guardedSession{t: g.t, RunSession: s}, nil
 }
 
 type guardedSession struct {
@@ -110,14 +98,7 @@ func (g *guardedSession) RunSeeded(w *dag.Workflow, rng *randx.Source) (*core.Re
 func guarded(t *testing.T, spec EnvSpec) EnvSpec {
 	return EnvSpec{
 		Name: spec.Name,
-		New:  func() core.Environment { return &guardedEnv{t: t, name: spec.Name, inner: spec.New()} },
-		NewSession: func() (core.RunSession, error) {
-			s := newEnvSession(spec)
-			if s == nil {
-				return nil, fmt.Errorf("%s runs cold", spec.Name)
-			}
-			return &guardedSession{t: t, RunSession: s}, nil
-		},
+		New:  func() core.Environment { return &guardedEnv{t: t, inner: spec.New()} },
 	}
 }
 
@@ -188,7 +169,10 @@ func TestRunSharesWorkflowAcrossEnvs(t *testing.T) {
 	stormK8s, stormLazy := k8s(fault.Storm()), lazy(fault.Storm())
 	stormK8s.Name, stormLazy.Name = "k8s-storm", "lazy-storm"
 	// Each worker reuses one warm core.Session for a lazy env too.
-	s := newEnvSession(stormLazy)
+	s, err := newEnvSession(stormLazy)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, warm := s.(*core.Session); !warm {
 		t.Fatalf("lazy env's worker session is %T, want the warm *core.Session", s)
 	}

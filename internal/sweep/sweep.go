@@ -13,18 +13,18 @@
 //
 // Determinism contract: the same Config (workflows, environments, seeds)
 // produces a bit-identical Report regardless of Workers. Every worker owns
-// its substrate privately — a warm core.RunSession per environment, reset in
-// place between runs (every Kubernetes environment, compose.LazyEnv's lazily
-// expanded ones included), or a fresh Environment per run for envs without
-// sessions (core.HPCEnv, core.CloudEnv) — plus its two randx sources: the generator's, reseeded
-// in place from each group's seed, and the runs', reseeded before each run
-// from the one value a Fork after generation would draw. So every run sees
-// the streams a fresh randx.New(seed) and Fork would give it, nothing is
-// shared mutably between goroutines, and the reduction folds results in the
-// fixed (workflow, env, seed) order — never in completion order. The warm
-// path is bit-identical to the cold one (core.Session's contract, enforced
-// by the golden corpus), so session reuse affects wall-clock and allocation
-// only, never the Report.
+// its substrate privately — one core.RunSession per environment, built on
+// first use and reused for every later run (a Kubernetes session, lazily
+// expanded ones included, resets its substrate in place; core.HPCEnv's and
+// core.CloudEnv's rebuild theirs per run) — plus its two randx sources: the
+// generator's, reseeded in place from each group's seed, and the runs',
+// reseeded before each run from the one value a Fork after generation would
+// draw. So every run sees the streams a fresh randx.New(seed) and Fork would
+// give it, nothing is shared mutably between goroutines, and the reduction
+// folds results in the fixed (workflow, env, seed) order — never in
+// completion order. A warm run is bit-identical to a new session's first
+// (core.Session's contract, enforced by the golden corpus), so session reuse
+// affects wall-clock and allocation only, never the Report.
 package sweep
 
 import (
@@ -51,18 +51,16 @@ type WorkflowSpec struct {
 }
 
 // EnvSpec names an environment and how to build a fresh instance. New must
-// return a new Environment per call; environments own a private sim.Engine
-// per Run, so a fresh value per run keeps workers fully isolated.
+// return a new Environment per call: each worker builds its own session
+// from its own instance, so workers share no substrate.
 type EnvSpec struct {
 	Name string
 	New  func() core.Environment
-	// NewSession, when non-nil, supplies a warm-run session for this env:
-	// each worker acquires one and reuses it (reset in place) across all of
-	// its runs on this env instead of rebuilding the substrate per run. When
-	// nil, New's result is probed for core.SessionEnvironment and its
-	// NewSession is used; envs supporting neither run cold (a fresh New per
-	// run). A session-construction error falls back to the cold path so the
-	// underlying config error surfaces with normal run attribution.
+	// NewSession, when non-nil, builds this env's sessions in place of
+	// New().NewSession. Either way each worker builds one session per env
+	// and reuses it across all of its runs on that env. A session that
+	// cannot be built fails each run the worker gives it, with that run's
+	// attribution.
 	NewSession func() (core.RunSession, error)
 }
 
@@ -187,7 +185,7 @@ func Run(cfg Config) (*Report, error) {
 			idx := (wi*nEnvs+ei)*nSeeds + si
 			err := genErr
 			if err == nil {
-				results[idx], err = runOne(&cfg, wi, ei, si, ws.acquire(&cfg, ei), w, ws.run.Reseed(runSeed))
+				results[idx], err = runOne(&cfg, wi, ei, si, ws, w, ws.run.Reseed(runSeed))
 				if err != nil {
 					// The session may hold arbitrarily corrupted state after
 					// a panic; drop it so the runs this worker still drains
@@ -217,56 +215,44 @@ func Run(cfg Config) (*Report, error) {
 	return reduce(cfg, results), nil
 }
 
-// workerState is one worker's reusable state: a warm session per
-// environment and the two sources every group reseeds. Session slots
-// resolve lazily on first use — a worker that never runs an env never
-// builds its substrate — and a nil slot after resolution means the env runs
-// cold.
+// workerState is one worker's reusable state: a session per environment
+// and the two sources every group reseeds. Session slots resolve lazily on
+// first use — a worker that never runs an env never builds its substrate.
 type workerState struct {
 	slots    []core.RunSession
-	tried    []bool
 	gen, run randx.Source
 }
 
-func (ws *workerState) acquire(cfg *Config, ei int) core.RunSession {
+// acquire returns the worker's session for env ei, building it on first use.
+func (ws *workerState) acquire(cfg *Config, ei int) (core.RunSession, error) {
 	if ws.slots == nil {
 		ws.slots = make([]core.RunSession, len(cfg.Envs))
-		ws.tried = make([]bool, len(cfg.Envs))
 	}
-	if !ws.tried[ei] {
-		ws.tried[ei] = true
-		ws.slots[ei] = newEnvSession(cfg.Envs[ei])
+	if ws.slots[ei] == nil {
+		s, err := newEnvSession(cfg.Envs[ei])
+		if err != nil {
+			return nil, err
+		}
+		ws.slots[ei] = s
 	}
-	return ws.slots[ei]
+	return ws.slots[ei], nil
 }
 
 // drop discards a possibly-corrupted session; the next acquire builds a
-// fresh one (fresh ≡ warm ≡ cold under the session determinism contract).
+// fresh one (fresh ≡ warm under the session determinism contract).
 func (ws *workerState) drop(ei int) {
 	if ws.slots != nil {
-		ws.slots[ei], ws.tried[ei] = nil, false
+		ws.slots[ei] = nil
 	}
 }
 
-// newEnvSession resolves the warm session for one EnvSpec: the explicit
-// NewSession constructor when set, otherwise a probe of New's result for
-// core.SessionEnvironment. nil means the env runs every run cold — including
-// when session construction fails, so the underlying config error surfaces
-// through the cold path with normal run attribution instead of being
-// swallowed here.
-func newEnvSession(spec EnvSpec) core.RunSession {
+// newEnvSession builds a session for spec: through its NewSession override
+// when set, otherwise from a fresh New.
+func newEnvSession(spec EnvSpec) (core.RunSession, error) {
 	if spec.NewSession != nil {
-		if s, err := spec.NewSession(); err == nil {
-			return s
-		}
-		return nil
+		return spec.NewSession()
 	}
-	if se, ok := spec.New().(core.SessionEnvironment); ok {
-		if s, err := se.NewSession(); err == nil {
-			return s
-		}
-	}
-	return nil
+	return spec.New().NewSession()
 }
 
 // generate builds one group's workflow: the worker's gen source reseeded in
@@ -287,31 +273,25 @@ func generate(gen func(*randx.Source) *dag.Workflow, src *randx.Source, seed int
 	return w, rng.Int63(), nil
 }
 
-// runOne runs the group's workflow on env ei: on the worker's warm session
-// (reset in place before the run) or, when sess is nil, on a fresh
-// environment. rng is the worker's run source, reseeded for this run, so
-// substrate randomness (fault injection) is a pure function of the seed and
-// every env of the group sees the same stream. The source and the workflow
-// are shared with the group's other runs, so no run may keep rng or mutate
-// w. A substrate panic is converted into an error so one bad seed aborts the
-// sweep deterministically instead of killing the process.
-func runOne(cfg *Config, wi, ei, si int, sess core.RunSession, w *dag.Workflow, rng *randx.Source) (rr RunResult, err error) {
+// runOne runs the group's workflow on env ei, on the worker's session for
+// it (built on first use, reset in place before each later run). rng is the
+// worker's run source, reseeded for this run, so substrate randomness (fault
+// injection) is a pure function of the seed and every env of the group sees
+// the same stream. The source and the workflow are shared with the group's
+// other runs, so no run may keep rng or mutate w. A panic, in the run or in
+// building the session, is converted into an error so one bad seed aborts
+// the sweep deterministically instead of killing the process.
+func runOne(cfg *Config, wi, ei, si int, ws *workerState, w *dag.Workflow, rng *randx.Source) (rr RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rr, err = RunResult{}, fmt.Errorf("panic: %v", p)
 		}
 	}()
-	var res *core.Result
-	if sess != nil {
-		res, err = sess.RunSeeded(w, rng)
-	} else {
-		env := cfg.Envs[ei].New()
-		if se, ok := env.(core.SeededEnvironment); ok {
-			res, err = se.RunSeeded(w, rng)
-		} else {
-			res, err = env.Run(w)
-		}
+	sess, err := ws.acquire(cfg, ei)
+	if err != nil {
+		return RunResult{}, err
 	}
+	res, err := sess.RunSeeded(w, rng)
 	if err != nil {
 		return RunResult{}, err
 	}

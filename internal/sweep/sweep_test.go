@@ -112,24 +112,26 @@ func TestRunReportsEnvConfigErrors(t *testing.T) {
 	}
 }
 
-type failingEnv struct{ err error }
+// funcEnv is a test environment whose sessions run each workflow through
+// the function itself; it is its own session.
+type funcEnv func(*dag.Workflow) (*core.Result, error)
 
-func (e *failingEnv) Name() string                            { return "failing" }
-func (e *failingEnv) Run(*dag.Workflow) (*core.Result, error) { return nil, e.err }
+func (f funcEnv) NewSession() (core.RunSession, error) { return f, nil }
+func (f funcEnv) Name() string                         { return "func" }
+func (f funcEnv) Audit() []string                      { return nil }
+func (f funcEnv) RunSeeded(w *dag.Workflow, _ *randx.Source) (*core.Result, error) {
+	return f(w)
+}
 
 // seedEnv fails with err on the workflow generated for one seed and
 // succeeds on the others without running them.
-type seedEnv struct {
-	failOn string
-	err    error
-}
-
-func (e *seedEnv) Name() string { return "seed-env" }
-func (e *seedEnv) Run(w *dag.Workflow) (*core.Result, error) {
-	if w.Name == e.failOn {
-		return nil, e.err
+func seedEnv(failOn string, err error) funcEnv {
+	return func(w *dag.Workflow) (*core.Result, error) {
+		if w.Name == failOn {
+			return nil, err
+		}
+		return &core.Result{}, nil
 	}
-	return &core.Result{}, nil
 }
 
 // A failing run aborts the sweep and reports the lowest (workflow, env,
@@ -148,7 +150,7 @@ func TestRunErrorDeterministic(t *testing.T) {
 		return dag.New(fmt.Sprintf("seed-%d", seedOf[r.Int63()]))
 	}}
 	failOn := func(name, tag string) EnvSpec {
-		return EnvSpec{Name: name, New: func() core.Environment { return &seedEnv{failOn: tag, err: boom} }}
+		return EnvSpec{Name: name, New: func() core.Environment { return seedEnv(tag, boom) }}
 	}
 	for _, c := range []struct {
 		cfg  Config
@@ -157,7 +159,9 @@ func TestRunErrorDeterministic(t *testing.T) {
 		{Config{
 			Workflows: []WorkflowSpec{montageSpec(4)},
 			Envs: []EnvSpec{
-				{Name: "bad", New: func() core.Environment { return &failingEnv{err: boom} }},
+				{Name: "bad", New: func() core.Environment {
+					return funcEnv(func(*dag.Workflow) (*core.Result, error) { return nil, boom })
+				}},
 				k8sSpec("ok"),
 			},
 			Seeds: Seeds(5, 8),
@@ -181,19 +185,16 @@ func TestRunErrorDeterministic(t *testing.T) {
 	}
 }
 
-type panickyEnv struct{}
-
-func (panickyEnv) Name() string                            { return "panicky" }
-func (panickyEnv) Run(*dag.Workflow) (*core.Result, error) { panic("stalled") }
-
-// A panicking substrate must abort the sweep with an error, not crash the
-// process.
+// A panicking substrate, generator or session construction must abort the
+// sweep with an error, not crash the process.
 func TestRunRecoversWorkerPanic(t *testing.T) {
 	_, err := Run(Config{
 		Workflows: []WorkflowSpec{montageSpec(4)},
-		Envs:      []EnvSpec{{Name: "panicky", New: func() core.Environment { return panickyEnv{} }}},
-		Seeds:     Seeds(1, 4),
-		Workers:   2,
+		Envs: []EnvSpec{{Name: "panicky", New: func() core.Environment {
+			return funcEnv(func(*dag.Workflow) (*core.Result, error) { panic("stalled") })
+		}}},
+		Seeds:   Seeds(1, 4),
+		Workers: 2,
 	})
 	if err == nil || !strings.Contains(err.Error(), "panic: stalled") {
 		t.Fatalf("err = %v, want recovered panic", err)
@@ -206,6 +207,16 @@ func TestRunRecoversWorkerPanic(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "gen-panics on k8s seed 1: panic: no workflow") {
 		t.Fatalf("err = %v, want recovered generator panic at seed 1", err)
+	}
+	_, err = Run(Config{
+		Workflows: []WorkflowSpec{montageSpec(4)},
+		Envs: []EnvSpec{{Name: "no-session", New: func() core.Environment { return nil },
+			NewSession: func() (core.RunSession, error) { panic("no substrate") }}},
+		Seeds:   Seeds(1, 4),
+		Workers: 2,
+	})
+	if err == nil || !strings.Contains(err.Error(), "montage on no-session seed 1: panic: no substrate") {
+		t.Fatalf("err = %v, want recovered session-construction panic at seed 1", err)
 	}
 }
 

@@ -2,10 +2,10 @@ package sweep
 
 // Warm-run equivalence battery: the sweep's session reuse (one warm
 // core.RunSession per worker per env, reset in place between jobs) must be
-// observationally invisible — bit-identical per-run fingerprints against the
-// cold path that rebuilds the environment for every job. Cold execution is
-// forced through EnvSpec.NewSession returning an error, which runOne treats
-// as "no session" and falls back to a fresh New per job.
+// observationally invisible — bit-identical per-run fingerprints against
+// cold runs, each on a new session of a fresh environment (core.Run). Cold
+// execution is forced through an EnvSpec.NewSession whose session does that
+// for every job.
 
 import (
 	"fmt"
@@ -16,15 +16,24 @@ import (
 
 	"hhcw/internal/core"
 	"hhcw/internal/cwsi"
+	"hhcw/internal/dag"
 	"hhcw/internal/fault"
+	"hhcw/internal/randx"
 )
 
-// coldOnly wraps an EnvSpec so the sweep can never acquire a warm session
-// for it: the error return routes every job through the cold fallback.
+// coldSession runs every job on a new session of a fresh environment.
+type coldSession struct{ spec EnvSpec }
+
+func (c coldSession) Name() string    { return c.spec.Name }
+func (c coldSession) Audit() []string { return nil }
+func (c coldSession) RunSeeded(w *dag.Workflow, rng *randx.Source) (*core.Result, error) {
+	return core.Run(c.spec.New(), w, rng)
+}
+
+// coldOnly wraps an EnvSpec so the sweep can never reuse a warm session for
+// it: its one session per worker runs every job cold.
 func coldOnly(spec EnvSpec) EnvSpec {
-	spec.NewSession = func() (core.RunSession, error) {
-		return nil, fmt.Errorf("forced cold")
-	}
+	spec.NewSession = func() (core.RunSession, error) { return coldSession{spec}, nil }
 	return spec
 }
 
