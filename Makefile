@@ -74,8 +74,9 @@ cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Short fuzz passes — the same lane CI runs non-blocking: the WDL parser,
-# randx.Source against math/rand, dag.Workflow against its map-based
+# Eight short fuzz passes — the same lane CI runs non-blocking: the WDL parser,
+# the streamed scatter's shard IDs against Compile's, randx.Source against
+# math/rand, dag.Workflow against its map-based
 # reference, the cluster index's FirstFit against a rescan, the event
 # engine against its container/heap reference, rm.IDLess against the
 # order of rendered submission IDs, and the CWS's dispatch order against a
@@ -84,6 +85,7 @@ cover:
 # 45 s budget, so each minimization is capped at 2 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseWDL -fuzztime 45s -fuzzminimizetime 2s ./internal/jaws
+	$(GO) test -run '^$$' -fuzz FuzzScatterIDs -fuzztime 45s -fuzzminimizetime 2s ./internal/jaws
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 45s -fuzzminimizetime 2s ./internal/randx
 	$(GO) test -run '^$$' -fuzz FuzzWorkflowMatchesReference -fuzztime 45s -fuzzminimizetime 2s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzFirstFitMatchesScan -fuzztime 45s -fuzzminimizetime 2s ./internal/cluster

@@ -13,6 +13,7 @@ import (
 	"hhcw/internal/dag"
 	"hhcw/internal/fault"
 	"hhcw/internal/randx"
+	"hhcw/internal/steady"
 )
 
 // lazyTestRegistry resolves "montage" to a seeded montage-shaped workflow.
@@ -163,10 +164,10 @@ func TestLazySessionWarmAllocs(t *testing.T) {
 			}
 		}
 	}
-	cold := testing.AllocsPerRun(20, run(func(w *dag.Workflow, rng *randx.Source) (*core.Result, error) {
+	cold := steady.AllocsPerRun(20, run(func(w *dag.Workflow, rng *randx.Source) (*core.Result, error) {
 		return core.Run(env, w, rng)
 	}))
-	warm := testing.AllocsPerRun(20, run(sess.RunSeeded))
+	warm := steady.AllocsPerRun(20, run(sess.RunSeeded))
 	t.Logf("allocations per lazy storm run: warm %.0f, cold %.0f", warm, cold)
 	if warm >= cold {
 		t.Errorf("warm lazy run allocates %.0f objects, cold %.0f: the session rebuilt its substrate", warm, cold)

@@ -6,6 +6,7 @@ import (
 	"hhcw/internal/cwsi"
 	"hhcw/internal/fault"
 	"hhcw/internal/randx"
+	"hhcw/internal/steady"
 )
 
 // TestWarmStormRunAllocs locks the allocation floor of a warm storm run: a
@@ -49,7 +50,7 @@ func TestWarmStormRunAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		allocs := testing.AllocsPerRun(20, run)
+		allocs := steady.AllocsPerRun(20, run)
 		if res.FailedAttempts == 0 || res.NodeFailures == 0 {
 			t.Fatalf("%s: storm run failed no attempt or no node (%+v); the lock would be vacuous", tc.name, res)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hhcw/internal/randx"
+	"hhcw/internal/steady"
 )
 
 // diamond builds a -> {b, c} -> d with an extra root e -> d.
@@ -140,7 +141,7 @@ func TestWorkflowExpanderWarmReplayAllocs(t *testing.T) {
 		}
 	}
 	replay() // cold: validates the workflow and sizes the tables
-	if allocs := testing.AllocsPerRun(100, replay); allocs != 0 {
+	if allocs := steady.AllocsPerRun(100, replay); allocs != 0 {
 		t.Fatalf("warm replay allocates %v times, want 0", allocs)
 	}
 }

@@ -1,10 +1,6 @@
 package jaws
 
-import (
-	"strings"
-
-	"hhcw/internal/dag"
-)
+import "hhcw/internal/dag"
 
 // Compile flattens a mini-WDL workflow description into a validated DAG,
 // implementing the compose.Compiler interface — workflows written for the
@@ -20,7 +16,7 @@ func (def *WorkflowDef) Compile() (*dag.Workflow, error) {
 	}
 	w := dag.New(def.Name)
 	shardIDs := make([][]dag.TaskID, len(x.order))
-	var ids strings.Builder
+	var ids shardRenderer
 	for p, t := range x.order {
 		var deps []dag.TaskID
 		for _, d := range t.After {
@@ -28,7 +24,7 @@ func (def *WorkflowDef) Compile() (*dag.Workflow, error) {
 		}
 		shardIDs[p] = make([]dag.TaskID, t.Shards())
 		for s := range shardIDs[p] {
-			shardIDs[p][s] = shardID(&ids, t.Name, t.Shards(), s)
+			shardIDs[p][s] = ids.id(p, t.Name, t.Shards(), s)
 			w.Add(&dag.Task{
 				ID:         shardIDs[p][s],
 				Name:       t.Name,

@@ -50,13 +50,15 @@ type ScatterExpander struct {
 	emitCursor int
 
 	// pos maps def names to Kahn positions; a terminal report's ID decodes
-	// to (position, shard) through it (see locate). flights tracks each
-	// def's emitted shards awaiting their report.
+	// to (position, shard) through it unless it names the def located
+	// resolved last (see locate). flights tracks each def's emitted shards
+	// awaiting their report.
 	pos     map[string]int
+	located int
 	flights []flight
 
-	// ids is the current chunk shard IDs are written into (see Next).
-	ids strings.Builder
+	// ids renders the emitted shards' IDs.
+	ids shardRenderer
 
 	// free recycles Task structs handed back via Retire.
 	free []*dag.Task
@@ -67,27 +69,74 @@ type ScatterExpander struct {
 // IDs is referenced.
 const idChunk = 4096
 
-// shardID returns the ID of shard s of the def named name with the given
-// shard count, byte-identical to what Compile has always produced: the bare
-// name for a single-shard def, else fmt's "%s/shard%04d". A sharded ID is
-// written into b and returned as a substring of b's buffer; bytes once
-// written are never modified (growth copies to a new buffer), so IDs handed
-// out earlier stay valid. Compile and the streaming expander both build IDs
-// here, so eager and streaming IDs cannot drift apart.
-func shardID(b *strings.Builder, name string, shards, s int) dag.TaskID {
+// shardRenderer renders shard IDs byte-identical to what Compile has always
+// produced: the bare name for a single-shard def, else fmt's
+// "%s/shard%04d". Compile and the streaming expander both render through
+// it, so eager and streaming IDs cannot drift apart.
+//
+// A sharded ID is written into the current chunk and returned as a
+// substring of it; bytes once written are never modified, and a chunk
+// without room for the next ID is replaced rather than regrown, so IDs
+// handed out earlier stay valid. Shards of one def are rendered in index
+// order, so the ID of shard s is usually made from the last one rendered,
+// shard s-1 of the same def, by incrementing its digits as they are copied
+// (see successor). Any other ID — the first of a def, or the first after
+// call-cache hits skipped shards — takes the full render.
+type shardRenderer struct {
+	chunk strings.Builder
+	last  string // the last sharded ID rendered; "" before the first
+	p, s  int    // its def's position and its shard index
+}
+
+// id returns the ID of shard s of the def at position p, named name, with
+// the given shard count.
+func (r *shardRenderer) id(p int, name string, shards, s int) dag.TaskID {
 	if shards == 1 {
 		return dag.TaskID(name)
 	}
+	b := &r.chunk
+	if need := len(name) + len("/shard") + 20; b.Cap()-b.Len() < need {
+		b.Reset()
+		b.Grow(max(idChunk, need))
+	}
 	start := b.Len()
-	b.WriteString(name)
-	b.WriteString("/shard")
-	var d [20]byte
-	digits := strconv.AppendInt(d[:0], int64(s), 10)
-	for k := len(digits); k < 4; k++ {
+	if r.last != "" && p == r.p && s == r.s+1 {
+		r.successor(len(name) + len("/shard"))
+	} else {
+		b.WriteString(name)
+		b.WriteString("/shard")
+		var d [20]byte
+		digits := strconv.AppendInt(d[:0], int64(s), 10)
+		for k := len(digits); k < 4; k++ {
+			b.WriteByte('0')
+		}
+		b.Write(digits)
+	}
+	r.last, r.p, r.s = b.String()[start:], p, s
+	return dag.TaskID(r.last)
+}
+
+// successor writes the ID after r.last, whose shard digits start at byte
+// at: the trailing 9s become 0s and the digit before them is incremented,
+// or, when every digit is 9, a 1 is put in front of the zeros (9999 turns
+// into 10000).
+func (r *shardRenderer) successor(at int) {
+	prev, b := r.last, &r.chunk
+	k := len(prev) - 1
+	for k >= at && prev[k] == '9' {
+		k--
+	}
+	if k < at {
+		k = at - 1
+		b.WriteString(prev[:at])
+		b.WriteByte('1')
+	} else {
+		b.WriteString(prev[:k])
+		b.WriteByte(prev[k] + 1)
+	}
+	for ; k < len(prev)-1; k++ {
 		b.WriteByte('0')
 	}
-	b.Write(digits)
-	return dag.TaskID(b.String()[start:])
 }
 
 // flight tracks one def's emitted shards that await their terminal report
@@ -215,12 +264,7 @@ func (x *ScatterExpander) Next() (*dag.Task, int, bool) {
 			continue
 		}
 		t := x.grabTask()
-		// Start a fresh chunk rather than regrow one under live IDs.
-		if need := len(d.Name) + len("/shard") + 20; x.ids.Cap()-x.ids.Len() < need {
-			x.ids.Reset()
-			x.ids.Grow(max(idChunk, need))
-		}
-		t.ID = shardID(&x.ids, d.Name, d.Shards(), s)
+		t.ID = x.ids.id(p, d.Name, d.Shards(), s)
 		t.Name = d.Name
 		t.Cores = d.Cores
 		t.MemBytes = d.MemBytes
@@ -234,31 +278,50 @@ func (x *ScatterExpander) Next() (*dag.Task, int, bool) {
 }
 
 // locate decodes a shard ID into its def position and shard index — the
-// inverse of shardID. Def names never contain "/" (Validate rejects them),
-// so the first "/" separates the name from the shard suffix. ok is false for
-// any ID shardID cannot produce for this workflow's defs.
+// inverse of shardRenderer.id. Def names never contain "/" (Validate rejects
+// them), so the first "/" separates the name from the shard suffix. It tries
+// the def it resolved last first, which in a scatter is the front of the
+// ready FIFO: an ID that starts with that def's name and a "/" can belong to
+// no other def. Any other ID is split at its "/" and its name looked up in
+// pos. ok is false for any ID shardRenderer cannot produce for this
+// workflow's defs.
 func (x *ScatterExpander) locate(id dag.TaskID) (p, s int, ok bool) {
+	if p = x.located; p < len(x.order) {
+		if name := x.order[p].Name; len(id) > len(name) && id[len(name)] == '/' && string(id[:len(name)]) == name {
+			s, ok = x.shard(p, string(id[len(name)+1:]))
+			return p, s, ok
+		}
+	}
 	name, suffix, sharded := strings.Cut(string(id), "/")
 	p, ok = x.pos[name]
-	if !ok || sharded != (x.order[p].Shards() > 1) {
+	if !ok {
 		return 0, 0, false
 	}
+	x.located = p
 	if !sharded {
-		return p, 0, true
+		return p, 0, x.order[p].Shards() == 1
 	}
+	s, ok = x.shard(p, suffix)
+	return p, s, ok
+}
+
+// shard parses the suffix after "/" of an ID of the def at position p into
+// its shard index. ok is false unless the def is sharded and the suffix is
+// "shard" followed by %04d's output.
+func (x *ScatterExpander) shard(p int, suffix string) (s int, ok bool) {
 	digits, ok := strings.CutPrefix(suffix, "shard")
 	// %04d output: at least four digits, and no leading zero beyond them.
-	if !ok || len(digits) < 4 || len(digits) > 18 || (len(digits) > 4 && digits[0] == '0') {
-		return 0, 0, false
+	if !ok || x.order[p].Shards() == 1 || len(digits) < 4 || len(digits) > 18 || (len(digits) > 4 && digits[0] == '0') {
+		return 0, false
 	}
 	for i := 0; i < len(digits); i++ {
 		c := digits[i]
 		if c < '0' || c > '9' {
-			return 0, 0, false
+			return 0, false
 		}
 		s = 10*s + int(c-'0')
 	}
-	return p, s, true
+	return s, true
 }
 
 // settle closes the in-flight shard id and returns its def position. A

@@ -277,26 +277,27 @@ func TestStreamingScatterMemoryCeiling(t *testing.T) {
 	}
 }
 
-// shardID is the one ID builder behind Compile and the streaming expander;
-// it must stay byte-identical to the historical fmt form, and locate must
-// invert it.
+// shardRenderer is the one ID builder behind Compile and the streaming
+// expander; it must stay byte-identical to the historical fmt form whether
+// it renders an ID in full or from its predecessor, and locate must invert
+// it.
 func TestShardIDMatchesSprintf(t *testing.T) {
-	var b strings.Builder
+	var r shardRenderer
 	var ids []dag.TaskID
 	var want []string
-	for _, name := range []string{"w", "align", "a-much-longer-task-name"} {
-		for _, s := range []int{0, 9, 999, 9999, 10000, 123456} {
-			ids = append(ids, shardID(&b, name, 200000, s))
+	for p, name := range []string{"w", "align", "a-much-longer-task-name"} {
+		for _, s := range []int{0, 1, 9, 10, 999, 1000, 9999, 10000, 10001, 123456, 123457} {
+			ids = append(ids, r.id(p, name, 200000, s))
 			want = append(want, fmt.Sprintf("%s/shard%04d", name, s))
 		}
-		if got := shardID(&b, name, 1, 0); string(got) != name {
+		if got := r.id(p, name, 1, 0); string(got) != name {
 			t.Fatalf("1-shard def %q: ID %q, want the bare name", name, got)
 		}
 	}
-	// Checked after every write: earlier IDs must survive the buffer growing.
+	// Checked after every write: earlier IDs must survive new chunks.
 	for i := range ids {
 		if string(ids[i]) != want[i] {
-			t.Fatalf("shardID = %q, want %q", ids[i], want[i])
+			t.Fatalf("shard ID = %q, want %q", ids[i], want[i])
 		}
 	}
 
@@ -313,7 +314,7 @@ func TestShardIDMatchesSprintf(t *testing.T) {
 			if s >= d.Shards() {
 				continue
 			}
-			id := shardID(&b, d.Name, d.Shards(), s)
+			id := r.id(p, d.Name, d.Shards(), s)
 			if gp, gs, ok := x.locate(id); !ok || gp != p || gs != s {
 				t.Fatalf("locate(%q) = (%d, %d, %v), want (%d, %d)", id, gp, gs, ok, p, s)
 			}
@@ -324,7 +325,7 @@ func TestShardIDMatchesSprintf(t *testing.T) {
 		"align/shard00012", "align/shard-001", "align/shardx001", "align/shard0001/x", "align/part0001",
 	} {
 		if _, _, ok := x.locate(id); ok {
-			t.Fatalf("locate(%q) accepted an ID shardID never produces", id)
+			t.Fatalf("locate(%q) accepted an ID shardRenderer never produces", id)
 		}
 	}
 }
@@ -367,8 +368,18 @@ func TestScatterExpanderRejectsBadReports(t *testing.T) {
 	}
 	prep, _, _ := x.Next()
 	x.TaskDone(prep.ID)
+	// Every malformed ID is also reported right after a valid report of
+	// its def, which locate tries first.
+	misreport := func(id dag.TaskID) {
+		t.Helper()
+		for _, bad := range misspellings(id) {
+			expectUnknownShard(t, bad, func() { x.TaskDone(bad) })
+			expectUnknownShard(t, bad, func() { x.TaskFailed(bad) })
+		}
+	}
 	expectUnknownShard(t, "prep", func() { x.TaskDone("prep") })
 	expectUnknownShard(t, "prep", func() { x.TaskFailed("prep") })
+	misreport("prep")
 
 	r := randx.New(3)
 	var inflight []dag.TaskID
@@ -399,10 +410,53 @@ func TestScatterExpanderRejectsBadReports(t *testing.T) {
 		}
 		expectUnknownShard(t, id, func() { x.TaskDone(id) })
 		expectUnknownShard(t, id, func() { x.TaskFailed(id) })
+		// Misspell a sibling still in flight where there is one, so that a
+		// misspelling locate wrongly accepted would settle a live shard.
+		sibling := id
+		idName, _, _ := strings.Cut(string(id), "/")
+		for _, other := range inflight {
+			if name, _, _ := strings.Cut(string(other), "/"); name == idName {
+				sibling = other
+				break
+			}
+		}
+		misreport(sibling)
+		if resident(x) != len(inflight) {
+			t.Fatalf("resident = %d after misreports of %q, %d in flight", resident(x), sibling, len(inflight))
+		}
 	}
 	if reported != x.Total()-1 {
 		t.Fatalf("reported %d shards after prep, want %d", reported, x.Total()-1)
 	}
+}
+
+// misspellings returns IDs that differ from the valid shard ID id by one
+// edit shardRenderer never makes: the separator, the "shard" tag, the digit
+// count, a leading zero, a trailing byte, or a name one byte short or long.
+func misspellings(id dag.TaskID) []dag.TaskID {
+	name, digits, sharded := strings.Cut(string(id), "/shard")
+	if !sharded {
+		return []dag.TaskID{id + "/shard0000", id + "/", id + "_shard0000", id + "x", id[:len(id)-1]}
+	}
+	var out []dag.TaskID
+	for _, v := range []string{
+		name + "_shard" + digits,
+		name + "shard" + digits,
+		name + "/shard" + digits[1:],
+		name + "/shard0" + digits,
+		name + "/Shard" + digits,
+		name + "/part" + digits,
+		name + "/shard" + digits + "/x",
+		name + "/shard" + digits[:len(digits)-1] + "x",
+		name[:len(name)-1] + "/shard" + digits,
+		name + "x/shard" + digits,
+		name + "/",
+		name + "/shard",
+		name,
+	} {
+		out = append(out, dag.TaskID(v))
+	}
+	return out
 }
 
 // resident returns how many emitted shards of x its flight tables hold as

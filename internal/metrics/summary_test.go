@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hhcw/internal/steady"
 )
 
 func TestSummarizeEmpty(t *testing.T) {
@@ -152,7 +154,7 @@ func TestSummarizeInPlaceCompacts(t *testing.T) {
 func TestSummarizeInPlaceAllocs(t *testing.T) {
 	vals := make([]float64, 512)
 	rng := rand.New(rand.NewSource(22))
-	if avg := testing.AllocsPerRun(100, func() {
+	if avg := steady.AllocsPerRun(100, func() {
 		for i := range vals {
 			vals[i] = rng.Float64()
 		}

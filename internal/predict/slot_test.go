@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hhcw/internal/randx"
+	"hhcw/internal/steady"
 )
 
 // The per-name slot tables replaced parallel string-keyed maps. The
@@ -177,7 +178,7 @@ func TestObserveSeenNameAllocatesNothing(t *testing.T) {
 		for _, o := range obs {
 			p.Observe(o) // open every slot
 		}
-		allocs := testing.AllocsPerRun(50, func() {
+		allocs := steady.AllocsPerRun(50, func() {
 			for _, o := range obs {
 				p.Observe(o)
 			}

@@ -10,6 +10,7 @@ import (
 	"hhcw/internal/dag"
 	"hhcw/internal/randx"
 	"hhcw/internal/sim"
+	"hhcw/internal/steady"
 )
 
 // mapStore is the map-keyed layout the slot tables replaced: one map per
@@ -233,7 +234,7 @@ func TestResetReplayAllocatesNothing(t *testing.T) {
 		}
 	}
 	replay() // cold: every slot is new
-	if n := testing.AllocsPerRun(20, replay); n != 0 {
+	if n := steady.AllocsPerRun(20, replay); n != 0 {
 		t.Fatalf("warm Reset+replay allocates %v times, want 0", n)
 	}
 }

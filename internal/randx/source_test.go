@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hhcw/internal/steady"
 )
 
 // requireSameStream draws n values of every kind from got and the math/rand
@@ -77,7 +79,7 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 func TestReseedAndForkIntoAllocateNothing(t *testing.T) {
 	s := New(1)
 	seed := int64(0)
-	if n := testing.AllocsPerRun(100, func() {
+	if n := steady.AllocsPerRun(100, func() {
 		seed++
 		s.Reseed(seed)
 		for i := 0; i < 1000; i++ {
@@ -87,7 +89,7 @@ func TestReseedAndForkIntoAllocateNothing(t *testing.T) {
 		t.Fatalf("Reseed + 1000 draws: %v allocs, want 0", n)
 	}
 	dst := new(Source)
-	if n := testing.AllocsPerRun(100, func() {
+	if n := steady.AllocsPerRun(100, func() {
 		*dst = Source{}
 		s.ForkInto(dst).Float64()
 	}); n != 0 {

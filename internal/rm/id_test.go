@@ -9,6 +9,7 @@ import (
 	"hhcw/internal/fault"
 	"hhcw/internal/randx"
 	"hhcw/internal/sim"
+	"hhcw/internal/steady"
 )
 
 // passHook is an AttemptHook that only calls through to the runner.
@@ -117,8 +118,9 @@ func TestFreshWorkflowIDRunAllocatesNothing(t *testing.T) {
 	w := dag.MontageLike(randx.New(1), 16, dag.GenOpts{MeanDur: 60})
 	x := &dag.WorkflowExpander{}
 	sr := &StreamRunner{Manager: m}
-	const runs = 20
-	ids := make([]string, runs+2) // AllocsPerRun adds one warm-up run
+	// Built ahead, so that the runs measured allocate none of them; the
+	// warm-up runs take a few, and each run's ID differs from the last.
+	ids := make([]string, 64)
 	for i := range ids {
 		ids[i] = "tenant/wf-" + strconv.Itoa(i)
 	}
@@ -129,14 +131,14 @@ func TestFreshWorkflowIDRunAllocatesNothing(t *testing.T) {
 		}
 		m.Reset()
 		sr.Reset()
-		sr.Source, sr.WorkflowID = x, ids[next]
+		sr.Source, sr.WorkflowID = x, ids[next%len(ids)]
 		next++
 		if sr.Run() <= 0 {
 			t.Fatal("run did not finish")
 		}
 	}
 	run() // warm the pools
-	if allocs := testing.AllocsPerRun(runs, run); allocs != 0 {
+	if allocs := steady.AllocsPerRun(20, run); allocs != 0 {
 		t.Fatalf("%v allocs per run of a %d-task workflow under a fresh WorkflowID, want 0", allocs, w.Len())
 	}
 }

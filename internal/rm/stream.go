@@ -299,19 +299,16 @@ func (sr *StreamRunner) submit(t *dag.Task, idx int) {
 	sr.start(a)
 }
 
-// start submits the attempt currently described by a.
+// start submits the attempt currently described by a. It fills a.sub field
+// by field rather than assigning a composite literal, which would build a
+// temporary Submission and copy it in; every field the literal would leave
+// zero is reset, so a retry carries nothing over from its previous attempt.
 func (sr *StreamRunner) start(a *attempt) {
-	a.sub = Submission{
-		WorkflowID: sr.WorkflowID,
-		TaskID:     a.task.ID,
-		Attempt:    a.attempt,
-		Name:       a.task.Name,
-		Cores:      a.task.Cores,
-		GPUs:       a.task.GPUs,
-		Mem:        a.task.MemBytes,
-		InputBytes: a.task.InputBytes,
-		Hooks:      a,
-	}
+	s, t := &a.sub, a.task
+	s.WorkflowID, s.TaskID, s.Attempt, s.Name = sr.WorkflowID, t.ID, a.attempt, t.Name
+	s.Cores, s.GPUs, s.Mem, s.InputBytes = t.Cores, t.GPUs, t.MemBytes, t.InputBytes
+	s.Runtime, s.Validate, s.Done, s.Hooks = nil, nil, nil, a
+	s.submittedAt, s.placed, s.prioKey, s.prioGen = 0, false, 0, 0
 	if sr.Hook != nil {
 		a.hook = sr.Hook(&a.sub, a.task, a.idx, a.attempt)
 		a.sub.Hooks = a.hook

@@ -230,8 +230,9 @@ type Substrate struct {
 	warm bool
 	// drivers pools settled workflow drivers, so a warm service admits
 	// workflows without reallocating runners, attempt records or readiness
-	// tables.
+	// tables. made counts the drivers built, each numbered by it.
 	drivers []*driver
+	made    int
 }
 
 // driver is one admitted workflow's task driver: a StreamRunner over an
@@ -239,6 +240,7 @@ type Substrate struct {
 type driver struct {
 	sr rm.StreamRunner
 	x  dag.WorkflowExpander
+	id int
 }
 
 // svcMemPerNode is every service node's memory: a terabyte keeps memory out
@@ -274,10 +276,16 @@ func (sub *Substrate) matches(cfg *Config) bool {
 
 // reset truncates the engine/cluster/manager in place. The CWS is reset
 // separately (cws.Reset) because the per-run strategy is installed there.
+// The driver pool is put back in the order the drivers were built: a run
+// pops drivers as it admits and returns them as workflows settle, so
+// without it each run would hand its workflows to other drivers than the
+// last, and each driver's attempt pool would keep growing for several runs
+// until it had served the largest workflow of all.
 func (sub *Substrate) reset() {
 	sub.eng.Reset()
 	sub.cl.Reset()
 	sub.mgr.Reset()
+	slices.SortFunc(sub.drivers, func(a, b *driver) int { return a.id - b.id })
 }
 
 // substrateAuditSkip lists the fields that legitimately survive a reset:
@@ -300,6 +308,7 @@ var substrateAuditSkip = []string{
 	"cwsi.CWS.retryPolicy",
 	"cwsi.CWS.retryLabel",
 	"service.Substrate.drivers",
+	"service.Substrate.made",
 }
 
 // Audit resets the substrate and deep-diffs it against a freshly constructed
@@ -529,7 +538,8 @@ func (sv *serviceRun) admit(ts *tenantState, arrivedAt sim.Time) {
 		d = sv.sub.drivers[n-1]
 		sv.sub.drivers = sv.sub.drivers[:n-1]
 	} else {
-		d = &driver{sr: rm.StreamRunner{Manager: sv.sub.mgr}}
+		d = &driver{sr: rm.StreamRunner{Manager: sv.sub.mgr}, id: sv.sub.made}
+		sv.sub.made++
 	}
 	if err := d.x.Reset(w); err != nil {
 		sv.fail(fmt.Errorf("service: %w", err))

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hhcw/internal/fault"
+	"hhcw/internal/steady"
 )
 
 func warmTestConfig(t *testing.T, fairShare bool, faults string) Config {
@@ -148,7 +149,9 @@ func TestSweepWarmMatchesColdRuns(t *testing.T) {
 // the Result). It was 589 while every admission allocated its workflow's
 // scheduler state; the CWS now recycles a released workflow's state once
 // its last attempt ends. It was 460 while every arrival allocated its
-// event's callback and every registration its rank table.
+// event's callback and every registration its rank table. It is measured
+// once two consecutive runs allocate the same (see steady.AllocsPerRun),
+// since a warm substrate's pools may grow for several runs.
 func TestWarmRunOnSharedInputsAllocs(t *testing.T) {
 	cfg := warmTestConfig(t, true, "")
 	sub := NewSubstrate(cfg.Nodes, cfg.CoresPerNode)
@@ -162,7 +165,7 @@ func TestWarmRunOnSharedInputsAllocs(t *testing.T) {
 	}
 	run1() // generates every admission and fills the pools
 	generated := len(in[0].wfs)
-	allocs := testing.AllocsPerRun(5, run1)
+	allocs := steady.AllocsPerRun(5, run1)
 	if res.Tenants[0].Admitted == 0 || len(in[0].wfs) != generated {
 		t.Fatalf("replay admitted %d and generated %d more; the lock would not measure the steady state",
 			res.Tenants[0].Admitted, len(in[0].wfs)-generated)

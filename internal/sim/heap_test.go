@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"hhcw/internal/steady"
 )
 
 // refEvent / refQueue / refEngine mirror the original container/heap-based
@@ -452,7 +454,7 @@ func TestEventAllocsAmortized(t *testing.T) {
 	fn := func() {}
 	e.At(1, fn)
 	e.Step()
-	if n := testing.AllocsPerRun(100, func() {
+	if n := steady.AllocsPerRun(100, func() {
 		for i := 0; i < 1024; i++ {
 			e.At(e.Now()+1, fn)
 			e.Step()

@@ -40,6 +40,7 @@ var uncalledAllowed = map[string]string{
 	"service.Substrate.Audit": "test oracle: the statediff audit of a warm reset",
 	"service.Run":             "the single-session entry point beside Sweep",
 	"cloud.C6aLarge":          "§5.2's named instance type",
+	"steady.AllocsPerRun":     "test helper: the allocation ceilings measure at a steady state",
 }
 
 // TestExportedInternalFuncsHaveCallers fails on any function or method, and
