@@ -28,11 +28,12 @@ test-race:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Byte-identity of nineteen CLI reports against digests committed in
+# Byte-identity of twenty-one CLI reports against digests committed in
 # testdata/cli-digests.sha256: the CWS storm sweep, the lazily composed
 # atlas-uq storm sweep (recursive workflow-as-node composition expanded at
 # runtime), the §3.5 waste study
-# (with the Airflow big-worker baseline),
+# (with the Airflow big-worker baseline) as text and as JSON, whose
+# full-precision cuts the text rounds away, the §3 cws_scheduling example,
 # the service arrivals sweep, the stormy prediction ablation, the §6
 # JAWS runs (fusion, cached rerun and fair-share cap; the multi-user service
 # with partial and full cache hits; the JSON report; the migration example),
@@ -49,6 +50,8 @@ cli-digests:
 	$(GO) run ./cmd/wfsim -faults storm -env k8s-cws -sweep 25 -workers 1 > "$$tmp/wfsim-storm-cws-sweep25.txt" && \
 	$(GO) run ./cmd/wfsim -registry atlas-uq -expand lazy -env k8s -faults storm -sweep 25 -workers 1 > "$$tmp/wfsim-lazy-atlas-uq-storm-sweep25.txt" && \
 	$(GO) run ./cmd/cwsbench -waste > "$$tmp/cwsbench-waste.txt" && \
+	$(GO) run ./cmd/cwsbench -waste -json > "$$tmp/cwsbench-waste-json.txt" && \
+	$(GO) run ./examples/cws_scheduling > "$$tmp/cws-scheduling.txt" && \
 	$(GO) run ./cmd/sweeprun -arrivals -seeds 25 -workers 1 > "$$tmp/sweeprun-arrivals-seeds25.txt" && \
 	$(GO) run ./cmd/sweeprun -predict -faults storm -seeds 25 -workers 1 > "$$tmp/sweeprun-predict-storm-seeds25.txt" && \
 	$(GO) run ./cmd/jawsrun > "$$tmp/jawsrun.txt" && \
