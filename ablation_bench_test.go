@@ -36,16 +36,20 @@ func BenchmarkAblation_Strategies(b *testing.B) {
 	for name, strat := range strategies {
 		strat := strat
 		b.Run(name, func(b *testing.B) {
+			sess, err := (&core.KubernetesEnv{Nodes: 2, Heterogeneous: true, Strategy: strat}).NewSession()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			var makespan float64
 			for i := 0; i < b.N; i++ {
-				cl := cluster.Heterogeneous(sim.NewEngine(), 2)
 				w := dag.RandomLayered(randx.New(42), 6, 10,
 					dag.GenOpts{MeanDur: 300, CVDur: 1.0, Cores: 1, MaxCores: 4, MeanMem: 2e9})
-				res, err := cwsi.RunNextflowStyle("nextflow", cl, w, strat)
+				res, err := sess.RunSeeded(w, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				makespan = float64(res.Makespan)
+				makespan = res.MakespanSec
 			}
 			b.ReportMetric(makespan, "makespan_s")
 		})
@@ -191,13 +195,23 @@ func BenchmarkAblation_BigWorkerWaste(b *testing.B) {
 		b.ReportMetric(waste, "waste_pct")
 	})
 	b.Run("cwsi-pods", func(b *testing.B) {
+		sess, err := (&core.KubernetesEnv{Nodes: 6, CoresPerNode: 8, Strategy: cwsi.Rank{}}).NewSession()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		var waste float64
 		for i := 0; i < b.N; i++ {
-			res, err := cwsi.RunNextflowStyle("nextflow", mkCl(), mkWf(), cwsi.Rank{})
-			if err != nil {
+			w := mkWf()
+			if _, err := sess.RunSeeded(w, nil); err != nil {
 				b.Fatal(err)
 			}
-			waste = res.Waste() * 100
+			// Pods request exactly the task shapes for the task durations.
+			used := 0.0
+			for _, t := range w.Tasks() {
+				used += t.CPUSeconds()
+			}
+			waste = cwsi.RunResult{RequestedCoreSec: used, UsedCoreSec: used}.Waste() * 100
 		}
 		b.ReportMetric(waste, "waste_pct")
 	})
@@ -269,16 +283,18 @@ func BenchmarkAblation_MemoryPrediction(b *testing.B) {
 		b.Run(fmt.Sprintf("mempred=%v", predicted), func(b *testing.B) {
 			var makespan float64
 			for i := 0; i < b.N; i++ {
-				cws := cwsi.New(rm.NewTaskManager(mkCluster(), nil), cwsi.Baseline{}, nil)
+				mgr := rm.NewTaskManager(mkCluster(), nil)
+				cws := cwsi.New(mgr, cwsi.Baseline{}, nil)
 				if predicted {
 					mp := predict.NewMem(0.2)
 					mp.Observe(predict.Observation{TaskName: "hungry", PeakMem: 4e9})
 					cws.SetMemPredictor(mp)
 				}
-				if err := cws.RegisterWorkflow("w", mkWorkflow()); err != nil {
+				w := mkWorkflow()
+				if err := cws.RegisterWorkflow("w", w); err != nil {
 					b.Fatal(err)
 				}
-				ms, err := cws.RunWorkflow("w", 1)
+				ms, err := runCWS(cws, mgr, "w", w, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -22,6 +22,7 @@ import (
 	"hhcw/internal/futures"
 	"hhcw/internal/jaws"
 	"hhcw/internal/llmwf"
+	"hhcw/internal/provenance"
 	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
@@ -60,22 +61,19 @@ func BenchmarkFig1_LLMAgentLoop(b *testing.B) {
 // workflow registration, per-task submission with dependencies, scheduling
 // inside the resource manager, provenance capture.
 func BenchmarkFig2_CWSIRoundTrip(b *testing.B) {
+	sess, err := (&core.KubernetesEnv{Nodes: 4, CoresPerNode: 8, Strategy: cwsi.Rank{}}).NewSession()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	var records float64
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		cl := cluster.New(eng, "k8s", cluster.Spec{
-			Type:  cluster.NodeType{Name: "n", Cores: 8, MemBytes: 64e9},
-			Count: 4,
-		})
-		cws := cwsi.New(rm.NewTaskManager(cl, nil), cwsi.Rank{}, nil)
 		w := dag.MontageLike(randx.New(7), 12, dag.GenOpts{MeanDur: 120})
-		if err := cws.RegisterWorkflow(w.Name, w); err != nil {
+		res, err := sess.RunSeeded(w, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cws.RunWorkflow(w.Name, 0); err != nil {
-			b.Fatal(err)
-		}
-		records = float64(cws.Provenance().Len())
+		records = float64(res.Provenance.(*provenance.Store).Len())
 	}
 	b.ReportMetric(records, "prov_records")
 }
@@ -84,6 +82,24 @@ func BenchmarkFig2_CWSIRoundTrip(b *testing.B) {
 // aware strategies reduce makespan vs FIFO (paper: 10.8 % average, up to
 // 25 %). Metrics: mean and max reduction over the workload sweep.
 func BenchmarkClaim_CWSIMakespan(b *testing.B) {
+	// One session per strategy, built once, runs every workload and seed.
+	newSession := func(s cwsi.Strategy) core.RunSession {
+		sess, err := (&core.KubernetesEnv{Nodes: 2, CoresPerNode: 8, Strategy: s}).NewSession()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sess
+	}
+	fifoSess := newSession(nil)
+	aware := []core.RunSession{newSession(cwsi.Rank{}), newSession(cwsi.FileSize{})}
+	makespan := func(sess core.RunSession, w *dag.Workflow) float64 {
+		res, err := sess.RunSeeded(w, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.MakespanSec
+	}
+	b.ResetTimer()
 	var meanCut, maxCut float64
 	for i := 0; i < b.N; i++ {
 		opts := dag.GenOpts{MeanDur: 300, CVDur: 1.5, Cores: 1, MaxCores: 4, MeanMem: 2e9}
@@ -95,22 +111,12 @@ func BenchmarkClaim_CWSIMakespan(b *testing.B) {
 		sum, max, n := 0.0, 0.0, 0
 		for gi, gen := range gens {
 			for seed := int64(0); seed < 4; seed++ {
-				buildCl := func() *cluster.Cluster {
-					return cluster.New(sim.NewEngine(), "flat", cluster.Spec{
-						Type:  cluster.NodeType{Name: "n", Cores: 8, MemBytes: 64e9},
-						Count: 2,
-					})
-				}
-				buildWf := func() *dag.Workflow { return gen(randx.New(seed*977 + int64(gi))) }
-				res, err := cwsi.CompareStrategies(buildCl, buildWf, cwsi.Rank{}, cwsi.FileSize{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fifo := float64(res["fifo"])
+				w := gen(randx.New(seed*977 + int64(gi)))
+				fifo := makespan(fifoSess, w)
 				best := fifo
-				for _, k := range []string{"rank", "filesize-desc"} {
-					if v := float64(res[k]); v < best {
-						best = v
+				for _, sess := range aware {
+					if ms := makespan(sess, w); ms < best {
+						best = ms
 					}
 				}
 				cut := 1 - best/fifo

@@ -14,6 +14,7 @@ import (
 
 	"hhcw/internal/cluster"
 	"hhcw/internal/compose"
+	"hhcw/internal/core"
 	"hhcw/internal/cwsi"
 	"hhcw/internal/dag"
 	"hhcw/internal/driver"
@@ -45,6 +46,14 @@ func main() {
 	waste := app.Bool("waste", false, "also run the Airflow big-worker waste comparison")
 	app.NoFaults()
 	app.Parse()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"seeds", *seeds}, {"nodes", *nodes}, {"cores", *cores}} {
+		if f.v < 1 {
+			app.Usagef("-%s must be at least 1, got %d", f.name, f.v)
+		}
+	}
 	rep := app.NewReport()
 
 	strategies := []cwsi.Strategy{cwsi.Rank{}, cwsi.FileSize{}}
@@ -57,28 +66,27 @@ func main() {
 	}
 	s1.Addf("%s %10s", header, "simple cut")
 
+	// Two flat nodes: enough contention that submission order matters, the
+	// regime the CWS evaluation targets. One session per strategy runs every
+	// workload and seed.
+	fifoFlat := newSession(app, &core.KubernetesEnv{Nodes: 2, CoresPerNode: *cores})
+	var aware []core.RunSession
+	for _, s := range strategies {
+		aware = append(aware, newSession(app, &core.KubernetesEnv{Nodes: 2, CoresPerNode: *cores, Strategy: s}))
+	}
 	var cuts, heftCuts []float64
 	maxCut := 0.0
 	for _, wl := range workloads() {
 		for seed := int64(0); seed < int64(*seeds); seed++ {
-			// Two flat nodes: enough contention that submission order
-			// matters, the regime the CWS evaluation targets.
-			buildCluster := func() *cluster.Cluster {
-				return cluster.New(sim.NewEngine(), "flat", cluster.Spec{
-					Type:  cluster.NodeType{Name: "n", Cores: *cores, MemBytes: 64e9},
-					Count: 2,
-				})
-			}
-			buildWF := func() *dag.Workflow { return wl.gen(randx.New(seed*977 + 13)) }
-			res, err := cwsi.CompareStrategies(buildCluster, buildWF, cwsi.Rank{}, cwsi.FileSize{})
-			app.Check(err)
-			fifo := float64(res["fifo"])
-			line := fmt.Sprintf("%-18s %-8d", wl.name, seed)
+			w := wl.gen(randx.New(seed*977 + 13))
+			fifo := makespan(app, fifoFlat, w)
+			line := fmt.Sprintf("%-18s %-8d %11.0fs", wl.name, seed, fifo)
 			bestSimple := fifo
-			for _, n := range stratNames {
-				line += fmt.Sprintf(" %11.0fs", float64(res[n]))
-				if (n == "rank" || n == "filesize-desc") && float64(res[n]) < bestSimple {
-					bestSimple = float64(res[n])
+			for _, sess := range aware {
+				ms := makespan(app, sess, w)
+				line += fmt.Sprintf(" %11.0fs", ms)
+				if ms < bestSimple {
+					bestSimple = ms
 				}
 			}
 			cut := 1 - bestSimple/fifo
@@ -135,20 +143,15 @@ func main() {
 	// Scenario 3: §3.4's heterogeneity-aware extension — HEFT with runtime
 	// knowledge on a cluster of mixed node speeds.
 	s3 := rep.Section("heterogeneous cluster: HEFT (advanced, §3.4) vs FIFO")
+	fifoHet := newSession(app, &core.KubernetesEnv{Nodes: 2, Heterogeneous: true})
+	heft := newSession(app, &core.KubernetesEnv{Nodes: 2, Heterogeneous: true, Strategy: cwsi.HEFT{}})
 	for seed := int64(0); seed < int64(*seeds); seed++ {
-		buildCluster := func() *cluster.Cluster {
-			return cluster.Heterogeneous(sim.NewEngine(), 2)
-		}
-		buildWF := func() *dag.Workflow {
-			return dag.RandomLayered(randx.New(seed*131+5), 6, 10,
-				dag.GenOpts{MeanDur: 300, CVDur: 1.0, Cores: 1, MaxCores: 4, MeanMem: 2e9})
-		}
-		res, err := cwsi.CompareStrategies(buildCluster, buildWF, cwsi.HEFT{})
-		app.Check(err)
-		cut := 1 - float64(res["heft"])/float64(res["fifo"])
+		w := dag.RandomLayered(randx.New(seed*131+5), 6, 10,
+			dag.GenOpts{MeanDur: 300, CVDur: 1.0, Cores: 1, MaxCores: 4, MeanMem: 2e9})
+		fifo, ms := makespan(app, fifoHet, w), makespan(app, heft, w)
+		cut := 1 - ms/fifo
 		heftCuts = append(heftCuts, cut)
-		s3.Addf("seed %d: fifo %6.0fs, heft %6.0fs, cut %.1f%%",
-			seed, float64(res["fifo"]), float64(res["heft"]), cut*100)
+		s3.Addf("seed %d: fifo %6.0fs, heft %6.0fs, cut %.1f%%", seed, fifo, ms, cut*100)
 	}
 
 	mean := 0.0
@@ -185,8 +188,17 @@ func main() {
 		}
 		big, err := cwsi.RunAirflowBigWorker(mk(), wfGen())
 		app.Check(err)
-		pods, err := cwsi.RunNextflowStyle("nextflow", mk(), wfGen(), cwsi.Rank{})
+		// CWSI pods request exactly the task shapes for the task durations,
+		// so the reserved core-seconds are the used ones.
+		w := wfGen()
+		res, err := core.Run(&core.KubernetesEnv{Nodes: *nodes, CoresPerNode: *cores, Strategy: cwsi.Rank{}}, w, nil)
 		app.Check(err)
+		used := 0.0
+		for _, t := range w.Tasks() {
+			used += t.CPUSeconds()
+		}
+		pods := cwsi.RunResult{Engine: "nextflow", Strategy: "rank", Makespan: sim.Time(res.MakespanSec),
+			RequestedCoreSec: used, UsedCoreSec: used}
 		ws.Addf("big-worker: makespan %6.0fs, reserved %.0f core-s, used %.0f core-s, waste %.0f%%",
 			float64(big.Makespan), big.RequestedCoreSec, big.UsedCoreSec, big.Waste()*100)
 		ws.Addf("CWSI pods : makespan %6.0fs, reserved %.0f core-s, used %.0f core-s, waste %.0f%%",
@@ -195,4 +207,18 @@ func main() {
 		rep.AddRun(compose.FromCWSI("cwsi-pods", pods))
 	}
 	app.Emit(rep)
+}
+
+// newSession builds a session on env, exiting on a configuration error.
+func newSession(app *driver.App, env *core.KubernetesEnv) core.RunSession {
+	sess, err := env.NewSession()
+	app.Check(err)
+	return sess
+}
+
+// makespan runs w on sess and returns its makespan in seconds.
+func makespan(app *driver.App, sess core.RunSession, w *dag.Workflow) float64 {
+	res, err := sess.RunSeeded(w, nil)
+	app.Check(err)
+	return res.MakespanSec
 }

@@ -20,6 +20,7 @@ import (
 	"hhcw/internal/jaws"
 	"hhcw/internal/llmwf"
 	"hhcw/internal/predict"
+	"hhcw/internal/provenance"
 	"hhcw/internal/randx"
 	"hhcw/internal/rm"
 	"hhcw/internal/sim"
@@ -73,14 +74,15 @@ func TestCWSProvenanceFeedsPredictionFeedsScheduling(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := cluster.Heterogeneous(eng, 2)
 	p := predict.NewRegression()
-	cws := cwsi.New(rm.NewTaskManager(cl, nil), cwsi.HEFT{}, p)
+	mgr := rm.NewTaskManager(cl, nil)
+	cws := cwsi.New(mgr, cwsi.HEFT{}, p)
 
 	opts := dag.GenOpts{MeanDur: 200, CVDur: 0.3}
 	w1 := dag.RNASeqLike(randx.New(1), 10, opts)
 	if err := cws.RegisterWorkflow("train", w1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("train", 0); err != nil {
+	if _, err := runCWS(cws, mgr, "train", w1, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,9 +115,26 @@ func TestCWSProvenanceFeedsPredictionFeedsScheduling(t *testing.T) {
 	if err := cws.RegisterWorkflow("serve", w2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("serve", 0); err != nil {
+	if _, err := runCWS(cws, mgr, "serve", w2, 0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// runCWS drives w, registered with cws as id, on a new StreamRunner over
+// mgr, the manager cws schedules for (see cwsi.CWS.Bind; no recovery policy,
+// so a failed task is resubmitted at once up to maxRetries times). It runs
+// the engine and returns the makespan.
+func runCWS(cws *cwsi.CWS, mgr *rm.TaskManager, id string, w *dag.Workflow, maxRetries int) (sim.Time, error) {
+	x, err := dag.NewWorkflowExpander(w)
+	if err != nil {
+		return 0, err
+	}
+	sr := &rm.StreamRunner{Manager: mgr, Source: x}
+	if err := cws.Bind(sr, id, maxRetries, 0); err != nil {
+		return 0, err
+	}
+	ms := sr.Run()
+	return ms, sr.Err()
 }
 
 // TestExaAMOnFaultyFrontier runs the UQ stage 3 with real node failures (not
@@ -229,20 +248,12 @@ func TestLLMComposedWorkflowThroughJAWS(t *testing.T) {
 // TestProvenanceExportRoundTrip checks that a CWS run's provenance exports
 // to valid PROV JSON with lineage intact.
 func TestProvenanceExportRoundTrip(t *testing.T) {
-	eng := sim.NewEngine()
-	cl := cluster.New(eng, "k", cluster.Spec{
-		Type:  cluster.NodeType{Name: "n", Cores: 8, MemBytes: 64e9},
-		Count: 2,
-	})
-	cws := cwsi.New(rm.NewTaskManager(cl, nil), cwsi.Rank{}, nil)
 	w := dag.Diamond(randx.New(3), dag.GenOpts{MeanDur: 60})
-	if err := cws.RegisterWorkflow("d", w); err != nil {
+	res, err := core.Run(&core.KubernetesEnv{Nodes: 2, CoresPerNode: 8, Strategy: cwsi.Rank{}}, w, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("d", 0); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := cws.Provenance().ExportPROV()
+	doc, err := res.Provenance.(*provenance.Store).ExportPROV()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +270,7 @@ func TestProvenanceExportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sinkDeps := -1
-	for _, td := range prov.Workflows["d"] {
+	for _, td := range prov.Workflows[w.Name] {
 		if td.Task == "sink" {
 			sinkDeps = len(td.Deps)
 		}

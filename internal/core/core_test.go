@@ -206,6 +206,65 @@ func TestKubernetesEnvWithCWS(t *testing.T) {
 	}
 }
 
+// rankScenario builds a contended workload where workflow-awareness pays:
+// a long critical chain plus independent filler tasks that FIFO runs first.
+func rankScenario() *dag.Workflow {
+	w := dag.New("rank-scenario")
+	w.Add(&dag.Task{ID: "fill1", Name: "fill", NominalDur: 50})
+	w.Add(&dag.Task{ID: "fill2", Name: "fill", NominalDur: 50})
+	w.Add(&dag.Task{ID: "crit", Name: "crit", NominalDur: 10})
+	w.Add(&dag.Task{ID: "crit2", Name: "crit", NominalDur: 100, Deps: []dag.TaskID{"crit"}})
+	return w
+}
+
+func TestRankBeatsFIFOOnCriticalChain(t *testing.T) {
+	makespan := func(s cwsi.Strategy) float64 {
+		t.Helper()
+		res, err := Run(&KubernetesEnv{Nodes: 1, CoresPerNode: 2, Strategy: s}, rankScenario(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.MakespanSec
+	}
+	fifo, rank := makespan(nil), makespan(cwsi.Rank{})
+	if rank >= fifo {
+		t.Fatalf("rank (%v) should beat fifo (%v)", rank, fifo)
+	}
+	if fifo != 160 {
+		t.Fatalf("fifo makespan = %v, want 160", fifo)
+	}
+	if rank != 110 {
+		t.Fatalf("rank makespan = %v, want 110", rank)
+	}
+}
+
+// One workflow runs on a session per strategy, the FIFO baseline included,
+// and each result carries its strategy's name.
+func TestStrategyResultNames(t *testing.T) {
+	w := dag.MontageLike(randx.New(4), 8, dag.GenOpts{MeanDur: 30})
+	for _, c := range []struct {
+		strat cwsi.Strategy
+		want  string
+	}{
+		{nil, "kubernetes"},
+		{cwsi.Rank{}, "kubernetes+cws/rank"},
+		{cwsi.FileSize{}, "kubernetes+cws/filesize-desc"},
+		{cwsi.HEFT{}, "kubernetes+cws/heft"},
+	} {
+		sess, err := (&KubernetesEnv{Nodes: 2, CoresPerNode: 4, Strategy: c.strat}).NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.RunSeeded(w, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.want, err)
+		}
+		if res.Environment != c.want || res.MakespanSec <= 0 {
+			t.Errorf("result %q with makespan %v, want %q with a makespan", res.Environment, res.MakespanSec, c.want)
+		}
+	}
+}
+
 func TestHPCEnvRun(t *testing.T) {
 	w := testWorkflow(t)
 	env := &HPCEnv{Nodes: 6, CoresPerNode: 4, BootstrapSec: 85}

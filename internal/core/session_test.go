@@ -18,15 +18,17 @@ import (
 	"hhcw/internal/randx"
 )
 
-// sessionTestEnvs are the env shapes of the session battery: the three
+// sessionTestEnvs are the env shapes of the session battery: the five
 // Kubernetes shapes under faults, plus the HPC pilot and the cloud fleet,
 // whose sessions rebuild their substrate per run, on fault-free runs.
 func sessionTestEnvs(t *testing.T, faults fault.Profile) map[string]Environment {
 	t.Helper()
 	envs := map[string]Environment{
-		"fifo":    &KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: faults},
-		"cws":     &KubernetesEnv{Nodes: 4, CoresPerNode: 8, Strategy: cwsi.Rank{}, Faults: faults},
-		"predict": &KubernetesEnv{Nodes: 2, Heterogeneous: true, Strategy: cwsi.Baseline{}, Predict: "lotaru", Faults: faults},
+		"fifo":     &KubernetesEnv{Nodes: 4, CoresPerNode: 8, Faults: faults},
+		"cws":      &KubernetesEnv{Nodes: 4, CoresPerNode: 8, Strategy: cwsi.Rank{}, Faults: faults},
+		"filesize": &KubernetesEnv{Nodes: 4, CoresPerNode: 8, Strategy: cwsi.FileSize{}, Faults: faults},
+		"heft":     &KubernetesEnv{Nodes: 2, Heterogeneous: true, Strategy: cwsi.HEFT{}, Faults: faults},
+		"predict":  &KubernetesEnv{Nodes: 2, Heterogeneous: true, Strategy: cwsi.Baseline{}, Predict: "lotaru", Faults: faults},
 	}
 	if !faults.Enabled() {
 		envs["hpc"] = &HPCEnv{Nodes: 4, CoresPerNode: 8, BootstrapSec: 85}

@@ -565,24 +565,3 @@ func (a *rmAdapter) PickNode(s *rm.Submission, candidates []*cluster.Node) *clus
 // FirstFitOnly implements rm.FirstFitter, forwarding the declaration of the
 // CWS strategy currently installed.
 func (a *rmAdapter) FirstFitOnly() bool { return rm.DeclaresFirstFit(a.cws.strategy) }
-
-// RunWorkflow drives a registered workflow through the CWS on a fresh
-// StreamRunner (see Bind; no recovery policy, so a failed task is
-// resubmitted at once up to maxRetries times). It runs the engine and
-// returns the makespan.
-func (c *CWS) RunWorkflow(id string, maxRetries int) (sim.Time, error) {
-	st := c.workflows[id]
-	if st == nil {
-		return 0, fmt.Errorf("cwsi: workflow %q not registered", id)
-	}
-	x, err := dag.NewWorkflowExpander(st.wf)
-	if err != nil {
-		return 0, err
-	}
-	sr := &rm.StreamRunner{Manager: c.mgr, Source: x}
-	if err := c.Bind(sr, id, maxRetries, 0); err != nil {
-		return 0, err
-	}
-	ms := sr.Run()
-	return ms, sr.Err()
-}

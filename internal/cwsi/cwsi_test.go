@@ -28,6 +28,23 @@ func chainWorkflow() *dag.Workflow {
 	return w
 }
 
+// runWorkflow drives the registered workflow id through c on a new
+// StreamRunner over c's manager (see Bind; no recovery policy, so a failed
+// task is resubmitted at once up to maxRetries times). It runs the engine
+// and returns the makespan.
+func runWorkflow(c *CWS, id string, maxRetries int) (sim.Time, error) {
+	x, err := dag.NewWorkflowExpander(c.workflows[id].wf)
+	if err != nil {
+		return 0, err
+	}
+	sr := &rm.StreamRunner{Manager: c.mgr, Source: x}
+	if err := c.Bind(sr, id, maxRetries, 0); err != nil {
+		return 0, err
+	}
+	ms := sr.Run()
+	return ms, sr.Err()
+}
+
 func TestRegisterWorkflowErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 4), nil), Baseline{}, nil)
@@ -52,7 +69,7 @@ func TestRunWorkflowMakespanAndProvenance(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := cws.RunWorkflow("w", 0)
+	ms, err := runWorkflow(cws, "w", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +85,6 @@ func TestRunWorkflowMakespanAndProvenance(t *testing.T) {
 	}
 }
 
-func TestRunWorkflowUnregistered(t *testing.T) {
-	eng := sim.NewEngine()
-	cws := New(rm.NewTaskManager(smallCluster(eng, 1, 1), nil), Baseline{}, nil)
-	if _, err := cws.RunWorkflow("nope", 0); err == nil {
-		t.Fatal("unregistered workflow ran")
-	}
-	if err := cws.Bind(&rm.StreamRunner{Manager: cws.mgr}, "nope", 0, 0); err == nil {
-		t.Fatal("unregistered workflow bound")
-	}
-}
-
 func TestRunWorkflowRetriesNodeFailure(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := smallCluster(eng, 2, 4)
@@ -90,7 +96,7 @@ func TestRunWorkflowRetriesNodeFailure(t *testing.T) {
 		// Fail node 0 (first fit placed the task there).
 		cl.FailNode(cl.Nodes()[0])
 	})
-	ms, err := cws.RunWorkflow("w", 2)
+	ms, err := runWorkflow(cws, "w", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +150,7 @@ func TestRunWorkflowRetriesExhausted(t *testing.T) {
 	w.Add(&dag.Task{ID: "t", Name: "t", NominalDur: 100})
 	cws.RegisterWorkflow("w", w)
 	eng.At(10, func() { cl.FailNode(cl.Nodes()[0]) })
-	if _, err := cws.RunWorkflow("w", 0); err == nil {
+	if _, err := runWorkflow(cws, "w", 0); err == nil {
 		t.Fatal("expected failure with no retries and dead cluster")
 	}
 }
@@ -155,40 +161,12 @@ func TestPredictorTrainsFromExecutions(t *testing.T) {
 	cws := New(rm.NewTaskManager(smallCluster(eng, 2, 4), nil), Baseline{}, p)
 	w := chainWorkflow()
 	cws.RegisterWorkflow("w", w)
-	if _, err := cws.RunWorkflow("w", 0); err != nil {
+	if _, err := runWorkflow(cws, "w", 0); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := p.Predict("a", 0, 1)
 	if !ok || got != 10 {
 		t.Fatalf("trained prediction for a = %v ok=%v, want 10", got, ok)
-	}
-}
-
-// rankScenario builds a contended workload where workflow-awareness pays:
-// a long critical chain plus independent filler tasks that FIFO runs first.
-func rankScenario() *dag.Workflow {
-	w := dag.New("rank-scenario")
-	w.Add(&dag.Task{ID: "fill1", Name: "fill", NominalDur: 50})
-	w.Add(&dag.Task{ID: "fill2", Name: "fill", NominalDur: 50})
-	w.Add(&dag.Task{ID: "crit", Name: "crit", NominalDur: 10})
-	w.Add(&dag.Task{ID: "crit2", Name: "crit", NominalDur: 100, Deps: []dag.TaskID{"crit"}})
-	return w
-}
-
-func TestRankBeatsFIFOOnCriticalChain(t *testing.T) {
-	build := func() *cluster.Cluster { return smallCluster(sim.NewEngine(), 1, 2) }
-	res, err := CompareStrategies(build, rankScenario, Rank{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res["rank"] >= res["fifo"] {
-		t.Fatalf("rank (%v) should beat fifo (%v)", res["rank"], res["fifo"])
-	}
-	if res["fifo"] != 160 {
-		t.Fatalf("fifo makespan = %v, want 160", res["fifo"])
-	}
-	if res["rank"] != 110 {
-		t.Fatalf("rank makespan = %v, want 110", res["rank"])
 	}
 }
 
@@ -217,7 +195,7 @@ func TestHEFTPicksFastestNode(t *testing.T) {
 	w := dag.New("w")
 	w.Add(&dag.Task{ID: "t", Name: "t", NominalDur: 100, IOFrac: 0})
 	cws.RegisterWorkflow("w", w)
-	ms, err := cws.RunWorkflow("w", 0)
+	ms, err := runWorkflow(cws, "w", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +220,7 @@ func TestTaremaColdFallsBackAndWarmSteers(t *testing.T) {
 	warm.Add(&dag.Task{ID: "s1", Name: "short", NominalDur: 5})
 	warm.Add(&dag.Task{ID: "l1", Name: "long", NominalDur: 500})
 	cws.RegisterWorkflow("warm", warm)
-	if _, err := cws.RunWorkflow("warm", 0); err != nil {
+	if _, err := runWorkflow(cws, "warm", 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -250,7 +228,7 @@ func TestTaremaColdFallsBackAndWarmSteers(t *testing.T) {
 	w2 := dag.New("w2")
 	w2.Add(&dag.Task{ID: "l2", Name: "long", NominalDur: 500})
 	cws.RegisterWorkflow("w2", w2)
-	if _, err := cws.RunWorkflow("w2", 0); err != nil {
+	if _, err := runWorkflow(cws, "w2", 0); err != nil {
 		t.Fatal(err)
 	}
 	recs := records(cws, "w2")
@@ -272,12 +250,21 @@ func TestAirflowBigWorkerWaste(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engB := sim.NewEngine()
-	clB := smallCluster(engB, 4, 4)
-	pods, err := RunNextflowStyle("nextflow", clB, wf(), Rank{})
-	if err != nil {
+	// CWSI pods request exactly the task shapes for the task durations.
+	clB := smallCluster(sim.NewEngine(), 4, 4)
+	cws := New(rm.NewTaskManager(clB, nil), Rank{}, nil)
+	w := wf()
+	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := runWorkflow(cws, "w", 0); err != nil {
+		t.Fatal(err)
+	}
+	used := 0.0
+	for _, task := range w.Tasks() {
+		used += task.CPUSeconds()
+	}
+	pods := RunResult{RequestedCoreSec: used, UsedCoreSec: used}
 	if big.Waste() <= pods.Waste() {
 		t.Fatalf("big-worker waste (%v) should exceed pod waste (%v)", big.Waste(), pods.Waste())
 	}
@@ -286,20 +273,6 @@ func TestAirflowBigWorkerWaste(t *testing.T) {
 	}
 	if pods.Waste() != 0 {
 		t.Fatalf("pod-style waste = %v, want 0 (requests match usage)", pods.Waste())
-	}
-}
-
-func TestCompareStrategiesKeys(t *testing.T) {
-	build := func() *cluster.Cluster { return smallCluster(sim.NewEngine(), 2, 4) }
-	wf := func() *dag.Workflow { return dag.MontageLike(randx.New(4), 8, dag.GenOpts{MeanDur: 30}) }
-	res, err := CompareStrategies(build, wf, Rank{}, FileSize{}, HEFT{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"fifo", "rank", "filesize-desc", "heft"} {
-		if _, ok := res[k]; !ok {
-			t.Errorf("missing strategy result %q", k)
-		}
 	}
 }
 
@@ -324,7 +297,7 @@ func TestTaskParamsRecordedInProvenance(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("w", 0); err != nil {
+	if _, err := runWorkflow(cws, "w", 0); err != nil {
 		t.Fatal(err)
 	}
 	recs := records(cws, "w")

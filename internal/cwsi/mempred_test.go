@@ -40,7 +40,7 @@ func TestMemPredictionPacksMoreTasks(t *testing.T) {
 	if err := cws1.RegisterWorkflow("w", memWorkflowIDs(16)); err != nil {
 		t.Fatal(err)
 	}
-	msNo, err := cws1.RunWorkflow("w", 0)
+	msNo, err := runWorkflow(cws1, "w", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestMemPredictionPacksMoreTasks(t *testing.T) {
 	if err := cws2.RegisterWorkflow("w", memWorkflowIDs(16)); err != nil {
 		t.Fatal(err)
 	}
-	msYes, err := cws2.RunWorkflow("w", 0)
+	msYes, err := runWorkflow(cws2, "w", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestMemPredictionOOMRetriesWithFullRequest(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := cws.RunWorkflow("w", 1)
+	ms, err := runWorkflow(cws, "w", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMemPredictionColdUsesRequest(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", memWorkflowIDs(2)); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := cws.RunWorkflow("w", 0)
+	ms, err := runWorkflow(cws, "w", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMemPredictorWarmsFromCWSRuns(t *testing.T) {
 	if err := cws.RegisterWorkflow("warm", memWorkflowIDs(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("warm", 0); err != nil {
+	if _, err := runWorkflow(cws, "warm", 0); err != nil {
 		t.Fatal(err)
 	}
 	// The predictor observed the true 4 GB peaks.

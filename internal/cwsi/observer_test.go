@@ -62,7 +62,7 @@ func TestReleaseWorkflowDropsState(t *testing.T) {
 	if err := cws.RegisterWorkflow("wf", chainWorkflow()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("wf", 0); err != nil {
+	if _, err := runWorkflow(cws, "wf", 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := provExport(t, cws).Workflows["wf"]; !ok {

@@ -77,7 +77,7 @@ func TestOverrunMispredictionConverges(t *testing.T) {
 	if err := golden.RegisterWorkflow("w", overrunWorkflow()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := golden.RunWorkflow("w", 0); err != nil {
+	if _, err := runWorkflow(golden, "w", 0); err != nil {
 		t.Fatal(err)
 	}
 	want := completedSet(golden, "w")
@@ -177,7 +177,7 @@ func TestColdPredictorChangesNothing(t *testing.T) {
 		if err := cws.RegisterWorkflow("w", overrunWorkflow()); err != nil {
 			t.Fatal(err)
 		}
-		ms, err := cws.RunWorkflow("w", 0)
+		ms, err := runWorkflow(cws, "w", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func TestSpreadRunsWorkflow(t *testing.T) {
 	if err := cws.RegisterWorkflow("w", w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cws.RunWorkflow("w", 0); err != nil {
+	if _, err := runWorkflow(cws, "w", 0); err != nil {
 		t.Fatal(err)
 	}
 	// Two independent tasks spread across both nodes.

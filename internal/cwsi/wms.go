@@ -29,49 +29,6 @@ func (r RunResult) Waste() float64 {
 	return 1 - r.UsedCoreSec/r.RequestedCoreSec
 }
 
-// RunNextflowStyle models Nextflow/Argo without CWSI: the WMS submits each
-// ready task individually and the resource manager schedules FIFO ("Argo
-// also submits each task individually, and Kubernetes then schedules them in
-// a FIFO manner"). With a CWS installed, the same submission pattern becomes
-// workflow-aware — that is the whole point of the interface.
-func RunNextflowStyle(engineName string, cl *cluster.Cluster, w *dag.Workflow, strategy Strategy) (RunResult, error) {
-	mgr := rm.NewTaskManager(cl, nil)
-	var cws *CWS
-	stratName := "fifo"
-	if strategy != nil {
-		cws = New(mgr, strategy, nil)
-		if err := cws.RegisterWorkflow(w.Name, w); err != nil {
-			return RunResult{}, err
-		}
-		stratName = strategy.Name()
-	}
-	x, err := dag.NewWorkflowExpander(w)
-	if err != nil {
-		return RunResult{}, err
-	}
-	sr := &rm.StreamRunner{Manager: mgr, Source: x, WorkflowID: w.Name}
-	if cws != nil {
-		if err := cws.Bind(sr, w.Name, 0, 0); err != nil {
-			return RunResult{}, err
-		}
-	}
-	makespan := sr.Run()
-	if err := sr.Err(); err != nil {
-		return RunResult{}, err
-	}
-	used := 0.0
-	for _, t := range w.Tasks() {
-		used += t.CPUSeconds()
-	}
-	return RunResult{
-		Engine:           engineName,
-		Strategy:         stratName,
-		Makespan:         makespan,
-		RequestedCoreSec: used, // pods request exactly task shapes for task durations
-		UsedCoreSec:      used,
-	}, nil
-}
-
 // RunAirflowBigWorker models Airflow's Kubernetes strategy (§3.2): "Airflow
 // starts a big worker on every node for the whole workflow execution and
 // assigns tasks into these worker pods bypassing Kubernetes' task assignment
@@ -189,28 +146,4 @@ func RunConcurrent(cl *cluster.Cluster, wfs []*dag.Workflow, strategy Strategy) 
 	}
 	res.MeanMakespan = sum / sim.Time(len(res.Makespans))
 	return res, nil
-}
-
-// CompareStrategies runs the same workflow shape under each strategy on
-// fresh identical clusters and returns makespans keyed by strategy name,
-// with "fifo" as the oblivious baseline. buildCluster must return an
-// identical cluster each call (fresh engine included). buildWorkflow is
-// called once — Workflow accessors are read-only during runs, so every
-// strategy executes the very same DAG instead of regenerating it per run.
-func CompareStrategies(buildCluster func() *cluster.Cluster, buildWorkflow func() *dag.Workflow, strategies ...Strategy) (map[string]sim.Time, error) {
-	out := map[string]sim.Time{}
-	w := buildWorkflow()
-	base, err := RunNextflowStyle("nextflow", buildCluster(), w, nil)
-	if err != nil {
-		return nil, err
-	}
-	out["fifo"] = base.Makespan
-	for _, s := range strategies {
-		r, err := RunNextflowStyle("nextflow", buildCluster(), w, s)
-		if err != nil {
-			return nil, err
-		}
-		out[s.Name()] = r.Makespan
-	}
-	return out, nil
 }

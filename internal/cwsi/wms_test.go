@@ -113,21 +113,6 @@ func TestBindUnregistered(t *testing.T) {
 	}
 }
 
-func TestRunNextflowStyleNilStrategy(t *testing.T) {
-	cl := flatCluster(2, 8)
-	w := dag.Chain(randx.New(4), 4, dag.GenOpts{MeanDur: 60})
-	res, err := RunNextflowStyle("argo", cl, w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != "argo" || res.Strategy != "fifo" {
-		t.Fatalf("res = %+v", res)
-	}
-	if res.Makespan <= 0 {
-		t.Fatal("no makespan")
-	}
-}
-
 func TestRunAirflowBigWorkerInvalidWorkflow(t *testing.T) {
 	cl := flatCluster(2, 8)
 	w := dag.New("bad")

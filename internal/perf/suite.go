@@ -466,27 +466,35 @@ task gather cpu=1 dur=10s after=work
 		{Name: "CWSMakespanCut", Bench: func(b *testing.B) {
 			b.ReportAllocs()
 			opts := dag.GenOpts{MeanDur: 300, CVDur: 1.5, Cores: 1, MaxCores: 4, MeanMem: 2e9}
+			// One session per strategy, built once: the loop measures warm
+			// runs.
+			newSession := func(s cwsi.Strategy) core.RunSession {
+				sess, err := (&core.KubernetesEnv{Nodes: 2, CoresPerNode: 8, Strategy: s}).NewSession()
+				if err != nil {
+					b.Fatal(err)
+				}
+				return sess
+			}
+			fifoSess := newSession(nil)
+			aware := []core.RunSession{newSession(cwsi.Rank{}), newSession(cwsi.FileSize{})}
+			makespan := func(sess core.RunSession, w *dag.Workflow) float64 {
+				res, err := sess.RunSeeded(w, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res.MakespanSec
+			}
+			b.ResetTimer()
 			var meanCut float64
 			for i := 0; i < b.N; i++ {
 				sum, n := 0.0, 0
 				for seed := int64(0); seed < int64(cwsSeeds); seed++ {
-					seed := seed
-					buildCl := func() *cluster.Cluster {
-						return cluster.New(sim.NewEngine(), "flat", cluster.Spec{
-							Type:  cluster.NodeType{Name: "n", Cores: 8, MemBytes: 64e9},
-							Count: 2,
-						})
-					}
-					buildWf := func() *dag.Workflow { return dag.MontageLike(randx.New(seed*977+1), 16, opts) }
-					res, err := cwsi.CompareStrategies(buildCl, buildWf, cwsi.Rank{}, cwsi.FileSize{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					fifo := float64(res["fifo"])
+					w := dag.MontageLike(randx.New(seed*977+1), 16, opts)
+					fifo := makespan(fifoSess, w)
 					best := fifo
-					for _, k := range []string{"rank", "filesize-desc"} {
-						if v := float64(res[k]); v < best {
-							best = v
+					for _, sess := range aware {
+						if ms := makespan(sess, w); ms < best {
+							best = ms
 						}
 					}
 					sum += 1 - best/fifo

@@ -5,13 +5,11 @@ import (
 	"math"
 	"testing"
 
-	"hhcw/internal/cluster"
+	"hhcw/internal/core"
 	"hhcw/internal/cwsi"
 	"hhcw/internal/dag"
 	"hhcw/internal/provenance"
 	"hhcw/internal/randx"
-	"hhcw/internal/rm"
-	"hhcw/internal/sim"
 )
 
 func TestFromProvenanceBasic(t *testing.T) {
@@ -59,27 +57,18 @@ func TestJSONValid(t *testing.T) {
 }
 
 func TestEndToEndFromCWSRun(t *testing.T) {
-	eng := sim.NewEngine()
-	cl := cluster.New(eng, "k", cluster.Spec{
-		Type:  cluster.NodeType{Name: "n", Cores: 8, MemBytes: 64e9},
-		Count: 2,
-	})
-	cws := cwsi.New(rm.NewTaskManager(cl, nil), cwsi.Rank{}, nil)
 	w := dag.ForkJoin(randx.New(5), 2, 4, dag.GenOpts{MeanDur: 60})
-	if err := cws.RegisterWorkflow(w.Name, w); err != nil {
-		t.Fatal(err)
-	}
-	ms, err := cws.RunWorkflow(w.Name, 0)
+	res, err := core.Run(&core.KubernetesEnv{Nodes: 2, CoresPerNode: 8, Strategy: cwsi.Rank{}}, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := FromProvenance(cws.Provenance())
+	doc := FromProvenance(res.Provenance.(*provenance.Store))
 	if len(doc.TraceEvents) != w.Len() {
 		t.Fatalf("events = %d, want %d", len(doc.TraceEvents), w.Len())
 	}
 	// The trace span equals the makespan.
-	if got := span(doc); got != float64(ms) {
-		t.Fatalf("span = %v, makespan = %v", got, ms)
+	if got := span(doc); got != res.MakespanSec {
+		t.Fatalf("span = %v, makespan = %v", got, res.MakespanSec)
 	}
 	// At most 2 lanes (2 nodes).
 	if lanes(doc) > 2 {
